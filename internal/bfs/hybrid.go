@@ -16,20 +16,22 @@ import (
 // the graph, it is cheaper to iterate over *unvisited* vertices asking "is
 // any of my neighbors on the frontier?" (one hit suffices — the bottom-up
 // scan breaks at the first frontier neighbor) than to expand every
-// frontier edge. The switching rule follows Beamer's heuristic (the GBBS
-// defaults): go bottom-up when a growing frontier's outgoing edges exceed
-// the unexplored edges divided by alpha, return top-down when the frontier
-// shrinks below |V|/beta.
+// frontier edge. A bottom-up level costs a sweep of the whole vertex set,
+// so the switch sizes the frontier against the whole graph (as GBBS does):
+// bottom-up only while the frontier's arcs are at least NumArcs/beta, and
+// entered when, on top of that, a growing frontier's arcs exceed the
+// unexplored arcs divided by alpha (Beamer's test). High-diameter meshes
+// never have so wide a frontier and stay top-down throughout.
 //
 // Instrumented runs record one PhaseSample per level with the direction in
 // the phase name ("level-td" / "level-bu"), so the crossover is readable
 // directly from the Recorder stream (see EXPERIMENTS.md).
 
 // HybridConfig tunes the direction switch; zero values select the
-// published defaults (alpha 14, beta 24).
+// published defaults (alpha 14, beta 24). Larger is more eager for both.
 type HybridConfig struct {
-	Alpha int // top-down -> bottom-up threshold divisor
-	Beta  int // bottom-up -> top-down threshold divisor
+	Alpha int // enter bottom-up when frontier arcs > unexplored arcs / Alpha
+	Beta  int // bottom-up only while frontier arcs >= NumArcs / Beta
 }
 
 func (c HybridConfig) alpha() int64 {
@@ -154,7 +156,8 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 	cur := append(s.frontA[:0], source)
 	next := s.frontB[:0]
 	curEdges := int64(g.Degree(source))
-	unexplored := g.NumArcs()
+	numArcs := g.NumArcs()
+	unexplored := numArcs
 	bottomUp := false
 	prevFrontier := 0
 	rec := telemetry.FromContext(ctx)
@@ -165,20 +168,16 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 		maxLevel = lv - 1
 		processed += int64(len(cur))
 
-		// Beamer's switching heuristic with hysteresis: enter bottom-up
-		// when a *growing* frontier's outgoing edges exceed the unexplored
-		// edges / alpha; return to top-down once the frontier shrinks
-		// below |V| / beta. The frontier's edge count was accumulated by
-		// the workers while claiming, so no rescan happens here.
+		// The switch (see the top of the file): stay bottom-up while the
+		// frontier is wide, enter it when a wide, *growing* frontier also
+		// passes Beamer's test. The frontier's arc count was accumulated
+		// by the workers while claiming, so no rescan happens here.
 		frontierEdges := curEdges
 		unexplored -= frontierEdges
 		growing := len(cur) > prevFrontier
 		prevFrontier = len(cur)
-		if !bottomUp {
-			bottomUp = growing && frontierEdges > unexplored/cfg.alpha()
-		} else {
-			bottomUp = int64(len(cur)) >= int64(n)/cfg.beta()
-		}
+		wide := frontierEdges >= numArcs/cfg.beta()
+		bottomUp = wide && (bottomUp || growing && frontierEdges > unexplored/cfg.alpha())
 
 		var levelStart time.Time
 		if telemetry.Active(rec) {

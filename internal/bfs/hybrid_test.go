@@ -1,6 +1,10 @@
 package bfs
 
 import (
+	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +115,110 @@ func TestHybridStaysTopDownOnChain(t *testing.T) {
 	res := HybridTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8}, HybridConfig{})
 	if res.BottomUpLevels != 0 {
 		t.Errorf("chain BFS used bottom-up on %d levels", res.BottomUpLevels)
+	}
+}
+
+// TestHybridDirectionDecisions pins what the default switch decides on the
+// two graph families: a high-diameter mesh never has a frontier carrying
+// 1/beta of the arcs, so it must stay top-down throughout; a scale-free
+// graph goes bottom-up on its wide middle levels and must come back for
+// the thin tail, where a whole-vertex sweep finds almost nothing.
+func TestHybridDirectionDecisions(t *testing.T) {
+	pwtk, err := gen.SuiteConfig("pwtk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := gen.Mesh(gen.Scaled(pwtk, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat := gen.RMAT(14, 16, 0.57, 0.19, 0.19, 1).Shuffled(2)
+	hub := int32(0) // the largest hub is certainly in the giant component
+	for v := int32(1); int(v) < rmat.NumVertices(); v++ {
+		if rmat.Degree(v) > rmat.Degree(hub) {
+			hub = v
+		}
+	}
+	// A neighbour of the hub: the BFS starts thin, as from a typical vertex.
+	rmatSource := rmat.Adj(hub)[0]
+
+	cases := []struct {
+		name        string
+		g           *graph.Graph
+		source      int32
+		minBottomUp int
+		maxBottomUp int
+	}{
+		{"mesh-pwtk@4", mesh, int32(mesh.NumVertices() / 2), 0, 0},
+		{"rmat-14-shuffled", rmat, rmatSource, 1, 2}, // the two wide levels of five
+	}
+	team := sched.NewTeam(4)
+	defer team.Close()
+	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 32}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var hres HybridResult
+			_, samples := recordedRun(t, tc.g, func(ctx context.Context) (Result, error) {
+				var err error
+				hres, err = HybridTeamCtx(ctx, tc.g, tc.source, team, opts, HybridConfig{})
+				return hres.Result, err
+			})
+			if err := Validate(tc.g, tc.source, hres.Levels); err != nil {
+				t.Fatal(err)
+			}
+			if hres.BottomUpLevels < tc.minBottomUp || hres.BottomUpLevels > tc.maxBottomUp {
+				t.Errorf("%d bottom-up levels (of %d), want %d..%d",
+					hres.BottomUpLevels, hres.NumLevels, tc.minBottomUp, tc.maxBottomUp)
+			}
+			if last := samples[len(samples)-1]; last.Phase != "level-td" {
+				t.Errorf("final level ran as %s (frontier %d, %d arcs)", last.Phase, last.Items, last.Edges)
+			}
+		})
+	}
+}
+
+// TestClaimLockedExactlyOnce hammers claimLocked on one shared level array
+// from GOMAXPROCS goroutines that all try every vertex, each under its own
+// level value: the load in front of the CAS must not let a vertex be won
+// twice or not at all. The array is claimed in short segments with a spin
+// barrier between them, so the claimers stay within a few vertices of each
+// other (a check-then-store claim fails this test on every run). Run
+// under -race.
+func TestClaimLockedExactlyOnce(t *testing.T) {
+	const segment, rounds = 256, 400
+	claimers := max(runtime.GOMAXPROCS(0), 4)
+	levels := make([]int32, segment*rounds)
+	for i := range levels {
+		levels[i] = Unvisited
+	}
+	wins := make([]int32, len(levels))
+	var arrived atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < claimers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				arrived.Add(1)
+				for arrived.Load() < int64((r+1)*claimers) {
+					runtime.Gosched()
+				}
+				for v := int32(r * segment); v < int32((r+1)*segment); v++ {
+					if claimLocked(levels, v, int32(c)) {
+						atomic.AddInt32(&wins[v], 1)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for v := range wins {
+		if wins[v] != 1 {
+			t.Fatalf("vertex %d won %d times", v, wins[v])
+		}
+		if levels[v] < 0 || int(levels[v]) >= claimers {
+			t.Fatalf("vertex %d holds level %d, not a claimer's", v, levels[v])
+		}
 	}
 }
 

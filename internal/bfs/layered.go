@@ -12,7 +12,8 @@ import (
 // OpenMP (Team) and TBB (Pool + partitioner) flavours. The two variants per
 // runtime differ in how a vertex is claimed for the next level:
 //
-//   - locked: compare-and-swap on the level word; exactly-once insertion;
+//   - locked: test, then compare-and-swap on the level word; exactly-once
+//     insertion;
 //   - relaxed: plain check-then-store (via atomics for Go memory-model
 //     sanity); duplicates possible and benign (§III-C, Leiserson–Schardl).
 //
@@ -25,9 +26,13 @@ import (
 // performance in our implementation (32 in this case)", §V-D).
 const DefaultBlockSize = 32
 
-// claimLocked claims w for level lv exactly once.
+// claimLocked claims w for level lv exactly once. It checks before locking
+// (the paper's §IV-C improvement): most arcs lead to an already-visited
+// vertex, and a plain load is far cheaper than a failed locked CAS. The
+// CAS alone decides who wins.
 func claimLocked(levels []int32, w int32, lv int32) bool {
-	return atomic.CompareAndSwapInt32(&levels[w], Unvisited, lv)
+	return atomic.LoadInt32(&levels[w]) == Unvisited &&
+		atomic.CompareAndSwapInt32(&levels[w], Unvisited, lv)
 }
 
 // claimRelaxed claims w for level lv without synchronisation between check

@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"micgraph/internal/graph"
@@ -401,14 +400,9 @@ func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, tea
 			for i := lo; i < hi; i++ {
 				v := s.cur[i]
 				for j := xadj[v]; j < xadj[v+1]; j++ {
-					u := adj[j]
-					// Check before locking (the paper's improvement), then
-					// claim with CAS — the lock-free equivalent of SNAP's
-					// per-vertex lock.
-					if atomic.LoadInt32(&lvls[u]) != Unvisited {
-						continue
-					}
-					if claimLocked(lvls, u, lv) {
+					// claimLocked is the lock-free equivalent of SNAP's
+					// per-vertex lock, check-before-lock included.
+					if u := adj[j]; claimLocked(lvls, u, lv) {
 						local = append(local, u)
 					}
 				}

@@ -12,14 +12,18 @@ import (
 // fuzzer-chosen graphs and α/β switch thresholds and checks it against the
 // sequential reference. The property under test is that the top-down ↔
 // bottom-up switch is invisible in the output: whatever level the switch
-// fires at (α=1/β=1 flips eagerly, large values never flip), the level
-// assignment, level count, and width histogram must match the oracle
-// exactly, and the shared Validate pass catches any frontier entry read
-// out of bounds or claimed twice.
+// fires at (α=β=1 never leaves top-down, large values sweep bottom-up on
+// every level), the level assignment, level count, and width histogram
+// must match the oracle exactly, and the shared Validate pass catches any
+// frontier entry read out of bounds or claimed twice.
 func FuzzHybridDirectionSwitch(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 4}, uint8(3), uint8(1), uint8(1))
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5}, uint8(0), uint8(14), uint8(24))
 	f.Add([]byte{9, 1, 8, 2, 7, 3, 250, 0}, uint8(200), uint8(1), uint8(100))
+	// Both extremes of the switch on one graph (a star with a tail): all
+	// levels top-down, all levels bottom-up.
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 5, 5, 6}, uint8(6), uint8(1), uint8(1))
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 5, 5, 6}, uint8(6), uint8(255), uint8(255))
 	f.Fuzz(func(t *testing.T, raw []byte, src, alpha, beta uint8) {
 		// Decode byte pairs as edges over at most 64 vertices; n covers
 		// every endpoint and the requested source.

@@ -20,36 +20,49 @@ func TestBFSMatchesOracle(t *testing.T) {
 	defer pool.Close()
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}
 
+	// hybrid runs the direction-optimizing BFS under cfg and checks that the
+	// switch did what the row's name says: with bottomUp > 0 every source
+	// that has a neighbour must take a bottom-up level, with bottomUp < 0 no
+	// source may take one.
+	hybrid := func(cfg bfs.HybridConfig, bottomUp int) func(nm Named, s int32) bfs.Result {
+		return func(nm Named, s int32) bfs.Result {
+			res := bfs.HybridTeam(nm.G, s, team, opts, cfg)
+			if got := res.BottomUpLevels; bottomUp > 0 && got == 0 && nm.G.Degree(s) > 0 || bottomUp < 0 && got != 0 {
+				t.Errorf("%s from %d: alpha=%d beta=%d took %d bottom-up levels of %d",
+					nm.Name, s, cfg.Alpha, cfg.Beta, got, res.NumLevels)
+			}
+			return res.Result
+		}
+	}
 	variants := []struct {
-		name string
-		run  func(nm Named, source int32) bfs.Result
+		name   string
+		locked bool // claims are exactly-once: no vertex may enter a frontier twice
+		run    func(nm Named, source int32) bfs.Result
 	}{
-		{"omp-block", func(nm Named, s int32) bfs.Result {
+		{"omp-block", true, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTeam(nm.G, s, team, opts, 8, false)
 		}},
-		{"omp-block-relaxed", func(nm Named, s int32) bfs.Result {
+		{"omp-block-relaxed", false, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTeam(nm.G, s, team, opts, 8, true)
 		}},
-		{"tbb-block", func(nm Named, s int32) bfs.Result {
+		{"tbb-block", true, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTBB(nm.G, s, pool, sched.AutoPartitioner, 8, 8, false)
 		}},
-		{"tbb-block-relaxed", func(nm Named, s int32) bfs.Result {
+		{"tbb-block-relaxed", false, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTBB(nm.G, s, pool, sched.SimplePartitioner, 8, 8, true)
 		}},
-		{"tls", func(nm Named, s int32) bfs.Result {
+		{"tls", true, func(nm Named, s int32) bfs.Result {
 			return bfs.TLSTeam(nm.G, s, team, opts)
 		}},
-		{"bag", func(nm Named, s int32) bfs.Result {
+		{"bag", false, func(nm Named, s int32) bfs.Result {
 			return bfs.BagCilk(nm.G, s, pool, 16)
 		}},
-		{"hybrid", func(nm Named, s int32) bfs.Result {
-			return bfs.HybridTeam(nm.G, s, team, opts, bfs.HybridConfig{}).Result
-		}},
-		{"hybrid-eager", func(nm Named, s int32) bfs.Result {
-			// Aggressive switch thresholds force bottom-up levels even on
-			// sparse corpus graphs.
-			return bfs.HybridTeam(nm.G, s, team, opts, bfs.HybridConfig{Alpha: 1, Beta: 1}).Result
-		}},
+		{"hybrid", true, hybrid(bfs.HybridConfig{}, 0)},
+		// Huge thresholds make every frontier count as wide, so the
+		// bottom-up step runs on every level even of the sparse corpus
+		// graphs; 1/1 is the other extreme and never leaves top-down.
+		{"hybrid-eager", true, hybrid(bfs.HybridConfig{Alpha: 1 << 20, Beta: 1 << 20}, +1)},
+		{"hybrid-lazy", true, hybrid(bfs.HybridConfig{Alpha: 1, Beta: 1}, -1)},
 	}
 
 	for _, nm := range Corpus() {
@@ -57,6 +70,20 @@ func TestBFSMatchesOracle(t *testing.T) {
 			for _, src := range Sources(nm.G) {
 				got := v.run(nm, src)
 				CheckBFS(t, nm.Name+"/"+v.name, nm.G, src, got)
+				if !v.locked {
+					continue
+				}
+				// TLS and hybrid report Duplicates 0 by construction; what a
+				// double claim would inflate there is Processed, which must
+				// equal the vertices reached (CheckBFS pinned the widths).
+				var reached int64
+				for _, w := range got.Widths {
+					reached += w
+				}
+				if got.Duplicates != 0 || got.Processed != reached {
+					t.Errorf("%s/%s from %d: %d duplicates, processed %d, reached %d",
+						nm.Name, v.name, src, got.Duplicates, got.Processed, reached)
+				}
 			}
 		}
 	}

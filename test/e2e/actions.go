@@ -93,7 +93,7 @@ func scriptLog(script []action) []byte {
 
 var (
 	suites       = []string{"pwtk", "hood", "bmw3_2", "msdoor"}
-	bfsVariants  = []string{"seq", "omp-block", "omp-block-relaxed", "tbb-block", "tbb-block-relaxed", "bag", "tls"}
+	bfsVariants  = []string{"seq", "omp-block", "omp-block-relaxed", "tbb-block", "tbb-block-relaxed", "bag", "tls", "hybrid"}
 	colVariants  = []string{"seq", "openmp", "cilk", "tbb"}
 	irrVariants  = []string{"openmp", "cilk", "tbb"}
 	sweepExps    = []string{"fig1a", "fig3a", "fig4a"}

@@ -55,8 +55,11 @@ func replayBodies(seed uint64, n int) []string {
 		chunk := []int{50, 100, 200}[rng.Intn(3)]
 		switch rng.Intn(5) {
 		case 0:
+			// hybrid is a team dynamic-for, and its direction decisions
+			// depend on frontier sizes alone.
 			bodies = append(bodies, fmt.Sprintf(
-				`{"kind":"bfs","variant":"seq","graph":{"suite":%q,"scale":%d}}`, suite, scale))
+				`{"kind":"bfs","variant":%q,"graph":{"suite":%q,"scale":%d}}`,
+				[]string{"seq", "hybrid"}[rng.Intn(2)], suite, scale))
 		case 1:
 			bodies = append(bodies, fmt.Sprintf(
 				`{"kind":"coloring","variant":"seq","graph":{"suite":%q,"scale":%d}}`, suite, scale))
