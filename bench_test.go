@@ -252,8 +252,8 @@ func benchIrregular(b *testing.B, iter int) {
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := irregular.Team(g, state, iter, team, opts)
-		if out[0] < 0 {
+		out, err := irregular.TeamCtx(nil, g, state, iter, team, opts)
+		if err != nil || out[0] < 0 {
 			b.Fatal("bad state")
 		}
 	}
@@ -426,7 +426,7 @@ func benchTeamLoop(b *testing.B, counters *telemetry.Counters) {
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := coloring.ColorTeam(g, team, opts); res.NumColors == 0 {
+		if res, err := coloring.NewScratch().ColorTeam(nil, g, team, opts); err != nil || res.NumColors == 0 {
 			b.Fatal("no colors")
 		}
 	}
@@ -448,7 +448,7 @@ func benchRecordedBFS(b *testing.B, ctx context.Context) {
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bfs.BlockTeamCtx(ctx, g, src, team, opts, 32, true)
+		res, err := bfs.NewScratch().BlockTeam(ctx, g, src, team, opts, 32, true)
 		if err != nil || res.NumLevels == 0 {
 			b.Fatal("bad traversal")
 		}

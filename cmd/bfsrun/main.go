@@ -17,6 +17,7 @@ import (
 	"micgraph/internal/bfs"
 	"micgraph/internal/core"
 	"micgraph/internal/graphio"
+	"micgraph/internal/kernels"
 	"micgraph/internal/perfmodel"
 	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
@@ -24,18 +25,18 @@ import (
 
 func main() {
 	var (
-		file    = flag.String("file", "", "graph file (.mtx or .bin)")
-		name    = flag.String("graph", "", "builtin suite graph name (e.g. inline_1)")
-		scale   = flag.Int("scale", 4, "suite shrink factor for -graph")
-		variant = flag.String("variant", "omp-block-relaxed",
-			"seq, omp-block, omp-block-relaxed, tbb-block, tbb-block-relaxed, bag, tls, hybrid")
-		workers = flag.Int("workers", 4, "worker goroutines")
-		source  = flag.Int("source", -1, "source vertex (-1 = |V|/2 as in the paper)")
-		block   = flag.Int("block", bfs.DefaultBlockSize, "block queue block size")
-		model   = flag.Bool("model", false, "also print the §III-C achievable-speedup model")
-		timeout = flag.Duration("timeout", 0, "abort the traversal after this long (0 = no deadline)")
-		metrics = flag.String("metrics-out", "", "write per-level phase metrics and scheduler counters as JSONL to `file`")
-		prof    core.Profiling
+		file     = flag.String("file", "", "graph file (.mtx or .bin)")
+		name     = flag.String("graph", "", "builtin suite graph name (e.g. inline_1)")
+		scale    = flag.Int("scale", 4, "suite shrink factor for -graph")
+		variants = strings.Join(kernels.Variants(kernels.BFS), ", ")
+		variant  = flag.String("variant", kernels.Default(kernels.BFS), variants)
+		workers  = flag.Int("workers", 4, "worker goroutines")
+		source   = flag.Int("source", -1, "source vertex (-1 = |V|/2 as in the paper)")
+		block    = flag.Int("block", bfs.DefaultBlockSize, "block queue block size, loop chunk and bag grain")
+		model    = flag.Bool("model", false, "also print the §III-C achievable-speedup model")
+		timeout  = flag.Duration("timeout", 0, "abort the traversal after this long (0 = no deadline)")
+		metrics  = flag.String("metrics-out", "", "write per-level phase metrics and scheduler counters as JSONL to `file`")
+		prof     core.Profiling
 	)
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -50,6 +51,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bfsrun:", err)
 		}
 		os.Exit(code)
+	}
+
+	entry, ok := kernels.Lookup(kernels.BFS, *variant)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "bfsrun: unknown variant %q (want one of: %s)\n", *variant, variants)
+		exit(2)
 	}
 
 	ctx := context.Background()
@@ -78,49 +85,12 @@ func main() {
 	}
 	fmt.Printf("graph: %s  source: %d\n", g, src)
 
-	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: *block}
+	rt := kernels.NewRuntime(*workers)
+	defer rt.Close()
+	rt.SetCounters(counters)
+	p := kernels.Params{Source: src, Chunk: *block, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
 	start := time.Now()
-	var res bfs.Result
-	var runErr error
-	switch *variant {
-	case "seq":
-		res = bfs.Sequential(g, src)
-	case "omp-block", "omp-block-relaxed":
-		team := sched.NewTeam(*workers)
-		defer team.Close()
-		team.SetCounters(counters)
-		res, runErr = bfs.BlockTeamCtx(ctx, g, src, team, opts, *block, strings.HasSuffix(*variant, "relaxed"))
-	case "tbb-block", "tbb-block-relaxed":
-		pool := sched.NewPool(*workers)
-		defer pool.Close()
-		pool.SetCounters(counters)
-		res, runErr = bfs.BlockTBBCtx(ctx, g, src, pool, sched.SimplePartitioner, *block, *block,
-			strings.HasSuffix(*variant, "relaxed"))
-	case "bag":
-		pool := sched.NewPool(*workers)
-		defer pool.Close()
-		pool.SetCounters(counters)
-		res, runErr = bfs.BagCilkCtx(ctx, g, src, pool, 0)
-	case "tls":
-		team := sched.NewTeam(*workers)
-		defer team.Close()
-		team.SetCounters(counters)
-		res, runErr = bfs.TLSTeamCtx(ctx, g, src, team, opts)
-	case "hybrid":
-		team := sched.NewTeam(*workers)
-		defer team.Close()
-		team.SetCounters(counters)
-		var hres bfs.HybridResult
-		hres, runErr = bfs.HybridTeamCtx(ctx, g, src, team, opts, bfs.HybridConfig{})
-		res = hres.Result
-		if runErr == nil {
-			fmt.Printf("direction: %d top-down levels, %d bottom-up levels\n",
-				hres.TopDownLevels, hres.BottomUpLevels)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "bfsrun: unknown variant %q\n", *variant)
-		exit(2)
-	}
+	out, runErr := entry.Run(ctx, rt, g, p)
 	elapsed := time.Since(start)
 	if *metrics != "" {
 		if err := writeMetrics(*metrics, g.String(), *variant, *workers, elapsed, rec, counters); err != nil {
@@ -128,13 +98,18 @@ func main() {
 			exit(1)
 		}
 	}
+	res := out.BFS
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "bfsrun: traversal aborted after %v (%d levels done): %v\n",
 			elapsed.Round(time.Microsecond), res.NumLevels, runErr)
 		exit(1)
 	}
+	if res.TopDownLevels+res.BottomUpLevels > 0 { // only the direction-optimizing variant counts these
+		fmt.Printf("direction: %d top-down levels, %d bottom-up levels\n",
+			res.TopDownLevels, res.BottomUpLevels)
+	}
 
-	if err := bfs.Validate(g, src, res.Levels); err != nil {
+	if err := entry.Validate(g, p, out); err != nil {
 		fmt.Fprintln(os.Stderr, "bfsrun: INVALID BFS:", err)
 		exit(1)
 	}

@@ -12,30 +12,33 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"micgraph/internal/coloring"
 	"micgraph/internal/core"
 	"micgraph/internal/graphio"
+	"micgraph/internal/kernels"
 	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
 func main() {
 	var (
-		file    = flag.String("file", "", "graph file (.mtx or .bin)")
-		name    = flag.String("graph", "", "builtin suite graph name (e.g. pwtk)")
-		scale   = flag.Int("scale", 4, "suite shrink factor for -graph")
-		runtime = flag.String("runtime", "openmp", "openmp, cilk, tbb, or seq")
-		policy  = flag.String("policy", "dynamic", "openmp policy: static, dynamic, guided")
-		part    = flag.String("partitioner", "simple", "tbb partitioner: simple, auto, affinity")
-		chunk   = flag.Int("chunk", 100, "chunk/grain size")
-		workers = flag.Int("workers", 4, "worker goroutines")
-		shuffle = flag.Bool("shuffle", false, "randomly relabel vertices first (the Figure 2 setup)")
-		d2      = flag.Bool("d2", false, "distance-2 coloring (sequential or openmp only)")
-		timeout = flag.Duration("timeout", 0, "abort the coloring after this long (0 = no deadline)")
-		metrics = flag.String("metrics-out", "", "write per-round phase metrics and scheduler counters as JSONL to `file`")
-		prof    core.Profiling
+		file     = flag.String("file", "", "graph file (.mtx or .bin)")
+		name     = flag.String("graph", "", "builtin suite graph name (e.g. pwtk)")
+		scale    = flag.Int("scale", 4, "suite shrink factor for -graph")
+		runtimes = strings.Join(kernels.Variants(kernels.Coloring), ", ")
+		runtime  = flag.String("runtime", kernels.Default(kernels.Coloring), runtimes)
+		policy   = flag.String("policy", "dynamic", "openmp policy: static, dynamic, guided")
+		part     = flag.String("partitioner", "simple", "tbb partitioner: simple, auto, affinity")
+		chunk    = flag.Int("chunk", 100, "chunk/grain size")
+		workers  = flag.Int("workers", 4, "worker goroutines")
+		shuffle  = flag.Bool("shuffle", false, "randomly relabel vertices first (the Figure 2 setup)")
+		d2       = flag.Bool("d2", false, "distance-2 coloring (sequential or openmp only)")
+		timeout  = flag.Duration("timeout", 0, "abort the coloring after this long (0 = no deadline)")
+		metrics  = flag.String("metrics-out", "", "write per-round phase metrics and scheduler counters as JSONL to `file`")
+		prof     core.Profiling
 	)
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -50,6 +53,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "colorgraph:", err)
 		}
 		os.Exit(code)
+	}
+
+	entry, ok := kernels.Lookup(kernels.Coloring, *runtime)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "colorgraph: unknown runtime %q (want one of: %s)\n", *runtime, runtimes)
+		exit(2)
 	}
 
 	ctx := context.Background()
@@ -77,37 +86,22 @@ func main() {
 	}
 	fmt.Printf("graph: %s\n", g)
 
+	rt := kernels.NewRuntime(*workers)
+	defer rt.Close()
+	rt.SetCounters(counters)
+	p := kernels.Params{Chunk: *chunk, Policy: parsePolicy(*policy), Partitioner: parsePartitioner(*part)}
 	start := time.Now()
 	var res coloring.Result
 	var runErr error
 	switch {
-	case *d2 && *runtime == "seq":
+	case *d2 && *runtime == kernels.Seq:
 		res = coloring.SeqGreedyD2(g)
 	case *d2:
-		team := sched.NewTeam(*workers)
-		defer team.Close()
-		team.SetCounters(counters)
-		res = coloring.ColorTeamD2(g, team, sched.ForOptions{Policy: parsePolicy(*policy), Chunk: *chunk})
-	case *runtime == "seq":
-		res = coloring.SeqGreedy(g)
-	case *runtime == "openmp":
-		team := sched.NewTeam(*workers)
-		defer team.Close()
-		team.SetCounters(counters)
-		res, runErr = coloring.ColorTeamCtx(ctx, g, team, sched.ForOptions{Policy: parsePolicy(*policy), Chunk: *chunk})
-	case *runtime == "cilk":
-		pool := sched.NewPool(*workers)
-		defer pool.Close()
-		pool.SetCounters(counters)
-		res, runErr = coloring.ColorCilkCtx(ctx, g, pool, *chunk, coloring.CilkHolder)
-	case *runtime == "tbb":
-		pool := sched.NewPool(*workers)
-		defer pool.Close()
-		pool.SetCounters(counters)
-		res, runErr = coloring.ColorTBBCtx(ctx, g, pool, parsePartitioner(*part), *chunk)
+		res = coloring.ColorTeamD2(g, rt.Team, p.TeamOpts())
 	default:
-		fmt.Fprintf(os.Stderr, "colorgraph: unknown runtime %q\n", *runtime)
-		exit(2)
+		var out kernels.Outcome
+		out, runErr = entry.Run(ctx, rt, g, p)
+		res = out.Coloring
 	}
 	elapsed := time.Since(start)
 	if *metrics != "" {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -41,6 +42,13 @@ func main() {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 100}
+	ctx := context.Background()
+	must := func(out []float64, err error) []float64 {
+		if err != nil {
+			log.Fatal(err)
+		}
+		return out
+	}
 
 	residual := func(a, b []float64) float64 {
 		sum := 0.0
@@ -54,7 +62,7 @@ func main() {
 	prev := state
 	sweeps := 0
 	for ; sweeps < 500; sweeps++ {
-		next := irregular.Team(mesh, prev, 1, team, opts)
+		next := must(irregular.TeamCtx(ctx, mesh, prev, 1, team, opts))
 		// Dirichlet boundary: re-pin the hot nodes each sweep.
 		for v := 0; v < hot; v++ {
 			next[v] = 100
@@ -73,9 +81,9 @@ func main() {
 	// Cross-runtime determinism: the three runtimes must agree exactly —
 	// the property that makes the paper's speedup comparison meaningful.
 	in := prev
-	a := irregular.Team(mesh, in, 3, team, opts)
-	b := irregular.Cilk(mesh, in, 3, pool, 100)
-	c := irregular.TBB(mesh, in, 3, pool, sched.SimplePartitioner, 40)
+	a := must(irregular.TeamCtx(ctx, mesh, in, 3, team, opts))
+	b := must(irregular.CilkCtx(ctx, mesh, in, 3, pool, 100))
+	c := must(irregular.TBBCtx(ctx, mesh, in, 3, pool, sched.SimplePartitioner, 40))
 	if d := irregular.MaxAbsDiff(a, b); d != 0 {
 		log.Fatalf("Cilk diverges from OpenMP by %v", d)
 	}

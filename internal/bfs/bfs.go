@@ -6,8 +6,8 @@
 //     block-accessed shared queue on an OpenMP-style Team;
 //   - TBB-Block and TBB-Block-relaxed: the same queue on TBB-style
 //     partitioned ranges;
-//   - CilkPlus-Bag-relaxed: the Leiserson–Schardl pennant-bag structure on
-//     the work-stealing pool;
+//   - CilkPlus-Bag-relaxed: the Leiserson–Schardl bag on the work-stealing
+//     pool, kept as the flattened chunk list a pennant-tree walk yields;
 //   - OpenMP-TLS: SNAP's per-thread local queues with per-vertex locked
 //     insertion (plus the paper's check-before-lock improvement).
 //

@@ -10,6 +10,14 @@ import (
 	"micgraph/internal/xrand"
 )
 
+// must unwraps a Scratch run that is expected to succeed.
+func must[R any](res R, err error) R {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func randomGraph(seed uint64, n, m int) *graph.Graph {
 	r := xrand.New(seed)
 	b := graph.NewBuilder(n)
@@ -83,23 +91,23 @@ func allVariants(t *testing.T, g *graph.Graph, source int32, team *sched.Team, p
 		run  func() Result
 	}{
 		{"OpenMP-Block", func() Result {
-			return BlockTeam(g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, 8, false)
+			return must(NewScratch().BlockTeam(nil, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, 8, false))
 		}},
 		{"OpenMP-Block-relaxed", func() Result {
-			return BlockTeam(g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, 8, true)
+			return must(NewScratch().BlockTeam(nil, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, 8, true))
 		}},
 		{"OpenMP-Block-static", func() Result {
-			return BlockTeam(g, source, team, sched.ForOptions{Policy: sched.Static}, 8, false)
+			return must(NewScratch().BlockTeam(nil, g, source, team, sched.ForOptions{Policy: sched.Static}, 8, false))
 		}},
 		{"TBB-Block", func() Result {
-			return BlockTBB(g, source, pool, sched.SimplePartitioner, 8, 8, false)
+			return must(NewScratch().BlockTBB(nil, g, source, pool, sched.SimplePartitioner, 8, 8, false))
 		}},
 		{"TBB-Block-relaxed", func() Result {
-			return BlockTBB(g, source, pool, sched.SimplePartitioner, 8, 8, true)
+			return must(NewScratch().BlockTBB(nil, g, source, pool, sched.SimplePartitioner, 8, 8, true))
 		}},
-		{"CilkPlus-Bag-relaxed", func() Result { return BagCilk(g, source, pool, 16) }},
+		{"CilkPlus-Bag-relaxed", func() Result { return must(NewScratch().BagCilk(nil, g, source, pool, 16)) }},
 		{"OpenMP-TLS", func() Result {
-			return TLSTeam(g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4})
+			return must(NewScratch().TLSTeam(nil, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}))
 		}},
 	}
 	for _, v := range variants {
@@ -173,7 +181,7 @@ func TestBlockBFSProperty(t *testing.T) {
 		m := int(mRaw % 600)
 		g := randomGraph(seed, n, m)
 		src := int32(int(seed % uint64(n)))
-		res := BlockTeam(g, src, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 3}, 4, relaxed)
+		res := must(NewScratch().BlockTeam(nil, g, src, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 3}, 4, relaxed))
 		return Validate(g, src, res.Levels) == nil
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
@@ -189,7 +197,7 @@ func TestBagBFSProperty(t *testing.T) {
 		m := int(mRaw % 500)
 		g := randomGraph(seed, n, m)
 		src := int32(int(seed % uint64(n)))
-		res := BagCilk(g, src, pool, 8)
+		res := must(NewScratch().BagCilk(nil, g, src, pool, 8))
 		return Validate(g, src, res.Levels) == nil
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
@@ -201,11 +209,11 @@ func TestLockedVariantsNeverDuplicate(t *testing.T) {
 	team := sched.NewTeam(6)
 	defer team.Close()
 	g := randomGraph(5, 300, 2000)
-	res := BlockTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 2}, 4, false)
+	res := must(NewScratch().BlockTeam(nil, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 2}, 4, false))
 	if res.Duplicates != 0 {
 		t.Errorf("locked block BFS processed %d duplicates", res.Duplicates)
 	}
-	tls := TLSTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 2})
+	tls := must(NewScratch().TLSTeam(nil, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 2}))
 	var reached int64
 	for _, w := range tls.Widths {
 		reached += w

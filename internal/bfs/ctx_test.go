@@ -34,7 +34,7 @@ func TestBlockTeamCtxCancelMidBFS(t *testing.T) {
 	defer cancel()
 	team.SetInject(func(site string, worker int) { cancel() })
 
-	res, err := BlockTeamCtx(ctx, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8},
+	res, err := NewScratch().BlockTeam(ctx, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8},
 		DefaultBlockSize, true)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -50,8 +50,8 @@ func TestBlockTeamCtxCancelMidBFS(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// TestCtxVariantsNilCtxMatchSequential checks the ctx entry points with a
-// nil context behave exactly like the legacy ones.
+// TestCtxVariantsNilCtxMatchSequential checks the entry points accept a nil
+// context and the zero-value options (default block size and grain).
 func TestCtxVariantsNilCtxMatchSequential(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	want := Sequential(g, 0)
@@ -72,14 +72,14 @@ func TestCtxVariantsNilCtxMatchSequential(t *testing.T) {
 			t.Errorf("%s: %d levels, want %d", name, res.NumLevels, want.NumLevels)
 		}
 	}
-	res, err := BlockTeamCtx(nil, g, 0, team, sched.ForOptions{}, 0, true)
-	check("BlockTeamCtx", res, err)
-	res, err = BlockTBBCtx(nil, g, 0, pool, sched.SimplePartitioner, 8, 0, true)
-	check("BlockTBBCtx", res, err)
-	res, err = BagCilkCtx(nil, g, 0, pool, 0)
-	check("BagCilkCtx", res, err)
-	res, err = TLSTeamCtx(nil, g, 0, team, sched.ForOptions{})
-	check("TLSTeamCtx", res, err)
+	res, err := NewScratch().BlockTeam(nil, g, 0, team, sched.ForOptions{}, 0, true)
+	check("BlockTeam", res, err)
+	res, err = NewScratch().BlockTBB(nil, g, 0, pool, sched.SimplePartitioner, 8, 0, true)
+	check("BlockTBB", res, err)
+	res, err = NewScratch().BagCilk(nil, g, 0, pool, 0)
+	check("BagCilk", res, err)
+	res, err = NewScratch().TLSTeam(nil, g, 0, team, sched.ForOptions{})
+	check("TLSTeam", res, err)
 }
 
 // TestBagCilkCtxCancelled checks an already-cancelled context aborts the
@@ -90,7 +90,7 @@ func TestBagCilkCtxCancelled(t *testing.T) {
 	defer pool.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := BagCilkCtx(ctx, g, 0, pool, 0)
+	res, err := NewScratch().BagCilk(ctx, g, 0, pool, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

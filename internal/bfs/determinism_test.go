@@ -32,19 +32,19 @@ func TestLevelSamplesBitDeterministic(t *testing.T) {
 		"tlsqueue": func(ctx context.Context) error {
 			team := sched.NewTeam(1)
 			defer team.Close()
-			_, err := TLSTeamCtx(ctx, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 64})
+			_, err := NewScratch().TLSTeam(ctx, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 64})
 			return err
 		},
 		"layered-team": func(ctx context.Context) error {
 			team := sched.NewTeam(1)
 			defer team.Close()
-			_, err := BlockTeamCtx(ctx, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 64}, 128, true)
+			_, err := NewScratch().BlockTeam(ctx, g, source, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 64}, 128, true)
 			return err
 		},
 		"bag": func(ctx context.Context) error {
 			pool := sched.NewPool(1)
 			defer pool.Close()
-			_, err := BagCilkCtx(ctx, g, source, pool, 64)
+			_, err := NewScratch().BagCilk(ctx, g, source, pool, 64)
 			return err
 		},
 	}

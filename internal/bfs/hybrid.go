@@ -55,27 +55,6 @@ type HybridResult struct {
 	BottomUpLevels int
 }
 
-// HybridTeam runs the direction-optimizing layered BFS on a Team. The level
-// assignment is identical to every other variant (validated against the
-// sequential reference); only the per-level work differs. Panics propagate;
-// use HybridTeamCtx for errors and cancellation.
-func HybridTeam(g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, cfg HybridConfig) HybridResult {
-	res, err := HybridTeamCtx(nil, g, source, team, opts, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// HybridTeamCtx is HybridTeam with cooperative cancellation at chunk-claim
-// boundaries and between levels; on failure it returns the partial
-// traversal state alongside the error. It runs on a throwaway Scratch,
-// keeping allocate-per-call semantics; hot callers reuse a Scratch via
-// Scratch.Hybrid.
-func HybridTeamCtx(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, cfg HybridConfig) (HybridResult, error) {
-	return NewScratch().Hybrid(ctx, g, source, team, opts, cfg)
-}
-
 // hybridLocal is one worker's claim accumulation for a hybrid level: the
 // claimed vertices plus the sum of their degrees, gathered in the same
 // pass so the direction heuristic never rescans the frontier.
@@ -85,8 +64,12 @@ type hybridLocal struct {
 	_     [32]byte
 }
 
-// Hybrid runs the direction-optimizing BFS on the scratch's pooled state.
-// See HybridTeamCtx for semantics.
+// Hybrid runs the direction-optimizing layered BFS on team using the
+// scratch's pooled state. The level assignment is identical to every other
+// variant (validated against the sequential reference); only the per-level
+// work differs. ctx (which may be nil) is polled at chunk-claim boundaries
+// and between levels; on cancellation or a contained panic the partial
+// traversal state is returned alongside the error.
 func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, cfg HybridConfig) (HybridResult, error) {
 	n := g.NumVertices()
 	workers := team.Workers()

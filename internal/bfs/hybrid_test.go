@@ -82,7 +82,7 @@ func TestHybridMatchesSequential(t *testing.T) {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
 			src := int32(g.NumVertices() / 3)
-			res := HybridTeam(g, src, team, opts, HybridConfig{})
+			res := must(NewScratch().Hybrid(nil, g, src, team, opts, HybridConfig{}))
 			if err := Validate(g, src, res.Levels); err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestHybridUsesBottomUpOnWideFrontier(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
 	g := gen.Complete(200)
-	res := HybridTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}, HybridConfig{})
+	res := must(NewScratch().Hybrid(nil, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}, HybridConfig{}))
 	if res.BottomUpLevels == 0 {
 		t.Error("complete graph BFS never switched to bottom-up")
 	}
@@ -112,7 +112,7 @@ func TestHybridStaysTopDownOnChain(t *testing.T) {
 	team := sched.NewTeam(2)
 	defer team.Close()
 	g := gen.Chain(400)
-	res := HybridTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8}, HybridConfig{})
+	res := must(NewScratch().Hybrid(nil, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8}, HybridConfig{}))
 	if res.BottomUpLevels != 0 {
 		t.Errorf("chain BFS used bottom-up on %d levels", res.BottomUpLevels)
 	}
@@ -160,7 +160,7 @@ func TestHybridDirectionDecisions(t *testing.T) {
 			var hres HybridResult
 			_, samples := recordedRun(t, tc.g, func(ctx context.Context) (Result, error) {
 				var err error
-				hres, err = HybridTeamCtx(ctx, tc.g, tc.source, team, opts, HybridConfig{})
+				hres, err = NewScratch().Hybrid(ctx, tc.g, tc.source, team, opts, HybridConfig{})
 				return hres.Result, err
 			})
 			if err := Validate(tc.g, tc.source, hres.Levels); err != nil {
@@ -230,7 +230,7 @@ func TestHybridProperty(t *testing.T) {
 		m := int(mRaw % 700)
 		g := randomGraph(seed, n, m)
 		src := int32(int(seed % uint64(n)))
-		res := HybridTeam(g, src, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, HybridConfig{})
+		res := must(NewScratch().Hybrid(nil, g, src, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, HybridConfig{}))
 		if Validate(g, src, res.Levels) != nil {
 			return false
 		}

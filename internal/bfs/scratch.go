@@ -19,9 +19,13 @@ import (
 //
 // A Scratch is single-run: one BFS at a time. The returned Result aliases
 // scratch-owned memory (Levels, Widths), valid until the next run on the
-// same Scratch — callers that need the result beyond that must copy it.
-// The package-level entry points (BlockTeamCtx, TLSTeamCtx, ...) keep
-// their allocate-per-call semantics by running on a throwaway Scratch.
+// same Scratch — callers that need the result beyond that must copy it,
+// and callers that run once write NewScratch().BlockTeam(ctx, ...).
+//
+// Every method polls ctx (which may be nil) where its runtime claims work
+// — chunk claims, range splits, task boundaries — and between levels; on
+// cancellation or a contained panic it returns the partial traversal
+// state alongside the error.
 type Scratch struct {
 	// levels is the shared level array (claim target of every variant).
 	levels []int32
@@ -216,8 +220,8 @@ func expandBlockEntry(xadj []int64, adj, levels []int32, main, spill []int32, i 
 	return 1
 }
 
-// BlockTeam runs the block-queue layered BFS (OpenMP-Block[-relaxed]) on
-// the scratch's pooled state. See BlockTeamCtx for semantics.
+// BlockTeam runs layered BFS with the block-accessed queue on an
+// OpenMP-style Team (the paper's OpenMP-Block / OpenMP-Block-relaxed).
 func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, blockSize int, relaxed bool) (Result, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -292,8 +296,9 @@ func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, t
 	return s.finish(processed, maxLevel), nil
 }
 
-// BlockTBB runs the block-queue layered BFS on TBB-style partitioned
-// ranges using the scratch's pooled state. See BlockTBBCtx for semantics.
+// BlockTBB runs layered BFS with the block-accessed queue on TBB-style
+// partitioned ranges (the paper's TBB-Block / TBB-Block-relaxed; the paper
+// reports the simple partitioner).
 func (s *Scratch) BlockTBB(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, part sched.Partitioner, grain, blockSize int, relaxed bool) (Result, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -374,9 +379,13 @@ func seedBlock(q *BlockQueue, w *Writer, source int32) {
 	w.Flush()
 }
 
-// TLSTeam runs the SNAP-style thread-local-queue BFS on the scratch's
-// pooled state: the thread-local queues and both flat frontier arrays are
-// retained across runs. See TLSTeamCtx for semantics.
+// TLSTeam runs the SNAP v0.4-style layered BFS (the paper's OpenMP-TLS):
+// each thread accumulates next-level vertices in a thread-local queue to
+// avoid shared-queue synchronisation, the local queues are concatenated
+// into a global queue at each level barrier, and a vertex is "locked"
+// before insertion so it enters exactly one local queue, with the paper's
+// check-before-lock improvement. The thread-local queues and both flat
+// frontier arrays are retained across runs.
 func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions) (Result, error) {
 	n := g.NumVertices()
 	workers := team.Workers()
@@ -452,14 +461,16 @@ func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, tea
 	return res, nil
 }
 
-// BagCilk runs the Cilk bag-BFS on the scratch's pooled state. The
-// per-level frontier is the pennant bag's flattened form — a list of
-// grain-sized chunks — built by per-worker chunk builders whose chunks are
-// leased from the pool's arena: the chunks of the consumed frontier are
-// returned as they are traversed and immediately back the next frontier,
-// so steady-state levels allocate nothing. Claim semantics (relaxed,
-// benign duplicates), traversal grain and telemetry samples are identical
-// to the pennant-tree original. See BagCilkCtx for semantics.
+// BagCilk runs the bag BFS on the work-stealing pool (the paper's
+// CilkPlus-Bag-relaxed): relaxed insertion into per-worker bags, merged at
+// each level barrier, traversed in parallel chunk by chunk. The bag is
+// kept in the flattened form of Leiserson and Schardl's pennant tree — a
+// list of grain-sized chunks, which is what a bag walk hands its tasks —
+// built by per-worker chunk builders whose chunks are leased from the
+// pool's arena: the chunks of the consumed frontier are returned as they
+// are traversed and immediately back the next frontier, so steady-state
+// levels allocate nothing. Merging is concatenation of the per-worker
+// lists where the tree does a carry-add over pennant ranks.
 func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, grain int) (Result, error) {
 	if grain <= 0 {
 		grain = DefaultBagGrain

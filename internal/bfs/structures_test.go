@@ -3,9 +3,6 @@ package bfs
 import (
 	"sync"
 	"testing"
-	"testing/quick"
-
-	"micgraph/internal/sched"
 )
 
 func TestBlockQueueSingleWriter(t *testing.T) {
@@ -119,100 +116,4 @@ func TestBlockQueuePanicsOnBadBlockSize(t *testing.T) {
 		}
 	}()
 	NewBlockQueue(10, 0)
-}
-
-func TestPennantUnionSplit(t *testing.T) {
-	mk := func(rank int) *pennantNode {
-		// Build a rank-`rank` pennant by repeated union of singletons.
-		nodes := make([]*pennantNode, 1<<rank)
-		for i := range nodes {
-			nodes[i] = &pennantNode{items: []int32{int32(i)}}
-		}
-		for len(nodes) > 1 {
-			var next []*pennantNode
-			for i := 0; i < len(nodes); i += 2 {
-				next = append(next, pennantUnion(nodes[i], nodes[i+1]))
-			}
-			nodes = next
-		}
-		return nodes[0]
-	}
-	p := mk(4)
-	if n := countNode(p); n != 16 {
-		t.Fatalf("rank-4 pennant holds %d items, want 16", n)
-	}
-	y := pennantSplit(p)
-	if countNode(p) != 8 || countNode(y) != 8 {
-		t.Errorf("split sizes %d + %d, want 8 + 8", countNode(p), countNode(y))
-	}
-	back := pennantUnion(p, y)
-	if countNode(back) != 16 {
-		t.Errorf("re-union holds %d, want 16", countNode(back))
-	}
-}
-
-func TestBagInsertMergeCount(t *testing.T) {
-	property := func(aRaw, bRaw uint16) bool {
-		na, nb := int(aRaw%500), int(bRaw%500)
-		a, b := NewBag(4), NewBag(4)
-		for i := 0; i < na; i++ {
-			a.InsertChunk([]int32{int32(i)})
-		}
-		for i := 0; i < nb; i++ {
-			b.InsertChunk([]int32{int32(1000 + i)})
-		}
-		if a.Count() != int64(na) || b.Count() != int64(nb) {
-			return false
-		}
-		a.Merge(b)
-		return a.Count() == int64(na+nb) && b.Empty()
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBagWalkVisitsAll(t *testing.T) {
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	bag := NewBag(8)
-	const n = 1234
-	var chunk []int32
-	for i := int32(0); i < n; i++ {
-		chunk = append(chunk, i)
-		if len(chunk) == 8 {
-			bag.InsertChunk(chunk)
-			chunk = nil
-		}
-	}
-	bag.InsertChunk(chunk)
-
-	var mu sync.Mutex
-	seen := make(map[int32]int)
-	bag.Walk(pool, func(c *sched.Ctx, items []int32) {
-		mu.Lock()
-		for _, v := range items {
-			seen[v]++
-		}
-		mu.Unlock()
-	})
-	if len(seen) != n {
-		t.Fatalf("visited %d distinct values, want %d", len(seen), n)
-	}
-	for v, times := range seen {
-		if times != 1 {
-			t.Fatalf("value %d visited %d times", v, times)
-		}
-	}
-}
-
-func TestBagEmpty(t *testing.T) {
-	b := NewBag(4)
-	if !b.Empty() || b.Count() != 0 {
-		t.Error("fresh bag not empty")
-	}
-	b.InsertChunk(nil) // inserting nothing keeps it empty
-	if !b.Empty() {
-		t.Error("empty chunk made bag non-empty")
-	}
 }

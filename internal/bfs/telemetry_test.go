@@ -55,7 +55,7 @@ func TestBlockTeamRecordsLevels(t *testing.T) {
 	defer team.Close()
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 8}
 	res, samples := recordedRun(t, g, func(ctx context.Context) (Result, error) {
-		return BlockTeamCtx(ctx, g, 0, team, opts, 32, false)
+		return NewScratch().BlockTeam(ctx, g, 0, team, opts, 32, false)
 	})
 	checkLevelSamples(t, "omp-block", res, samples)
 }
@@ -65,7 +65,7 @@ func TestBlockTBBRecordsLevels(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	res, samples := recordedRun(t, g, func(ctx context.Context) (Result, error) {
-		return BlockTBBCtx(ctx, g, 0, pool, sched.SimplePartitioner, 32, 32, false)
+		return NewScratch().BlockTBB(ctx, g, 0, pool, sched.SimplePartitioner, 32, 32, false)
 	})
 	checkLevelSamples(t, "tbb-block", res, samples)
 }
@@ -75,7 +75,7 @@ func TestTLSRecordsLevels(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
 	res, samples := recordedRun(t, g, func(ctx context.Context) (Result, error) {
-		return TLSTeamCtx(ctx, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8})
+		return NewScratch().TLSTeam(ctx, g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8})
 	})
 	checkLevelSamples(t, "tls", res, samples)
 }
@@ -85,7 +85,7 @@ func TestBagRecordsLevels(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	res, samples := recordedRun(t, g, func(ctx context.Context) (Result, error) {
-		return BagCilkCtx(ctx, g, 0, pool, 0)
+		return NewScratch().BagCilk(ctx, g, 0, pool, 0)
 	})
 	checkLevelSamples(t, "bag", res, samples)
 }
@@ -96,7 +96,7 @@ func TestUninstrumentedRecordsNothing(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	team := sched.NewTeam(2)
 	defer team.Close()
-	res, err := BlockTeamCtx(context.Background(), g, 0, team,
+	res, err := NewScratch().BlockTeam(context.Background(), g, 0, team,
 		sched.ForOptions{Policy: sched.Dynamic, Chunk: 8}, 32, false)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,8 @@
 package centrality
 
 import (
+	"context"
+
 	"micgraph/internal/bfs"
 	"micgraph/internal/graph"
 	"micgraph/internal/sched"
@@ -81,9 +83,14 @@ func Sampled(g *graph.Graph, sources []int32, team *sched.Team, opts sched.ForOp
 	}
 	sigma := make([]float64, n)
 	delta := make([]float64, n)
+	scratch := bfs.NewScratch()
 
 	for _, source := range sources {
-		res := bfs.BlockTeam(g, source, team, opts, bfs.DefaultBlockSize, true)
+		// levels aliases the scratch; it is consumed within this iteration.
+		res, err := scratch.BlockTeam(context.Background(), g, source, team, opts, bfs.DefaultBlockSize, true)
+		if err != nil {
+			panic(err) // a loop body panicked; For below would re-panic the same way
+		}
 		levels := res.Levels
 
 		byLevel := make([][]int32, res.NumLevels)

@@ -10,6 +10,14 @@ import (
 	"micgraph/internal/xrand"
 )
 
+// must unwraps a Scratch run that is expected to succeed.
+func must(res Result, err error) Result {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func randomGraph(seed uint64, n, m int) *graph.Graph {
 	r := xrand.New(seed)
 	b := graph.NewBuilder(n)
@@ -127,14 +135,20 @@ func TestParallelVariantsOnRingOfCliques(t *testing.T) {
 		name string
 		run  func() Result
 	}{
-		{"team-static", func() Result { return ColorTeam(g, team, sched.ForOptions{Policy: sched.Static, Chunk: 13}) }},
-		{"team-dynamic", func() Result { return ColorTeam(g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 7}) }},
-		{"team-guided", func() Result { return ColorTeam(g, team, sched.ForOptions{Policy: sched.Guided, Chunk: 5}) }},
-		{"cilk-workerid", func() Result { return ColorCilk(g, pool, 16, CilkWorkerID) }},
-		{"cilk-holder", func() Result { return ColorCilk(g, pool, 16, CilkHolder) }},
-		{"tbb-simple", func() Result { return ColorTBB(g, pool, sched.SimplePartitioner, 16) }},
-		{"tbb-auto", func() Result { return ColorTBB(g, pool, sched.AutoPartitioner, 16) }},
-		{"tbb-affinity", func() Result { return ColorTBB(g, pool, sched.AffinityPartitioner, 16) }},
+		{"team-static", func() Result {
+			return must(NewScratch().ColorTeam(nil, g, team, sched.ForOptions{Policy: sched.Static, Chunk: 13}))
+		}},
+		{"team-dynamic", func() Result {
+			return must(NewScratch().ColorTeam(nil, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 7}))
+		}},
+		{"team-guided", func() Result {
+			return must(NewScratch().ColorTeam(nil, g, team, sched.ForOptions{Policy: sched.Guided, Chunk: 5}))
+		}},
+		{"cilk-workerid", func() Result { return must(NewScratch().ColorCilk(nil, g, pool, 16, CilkWorkerID)) }},
+		{"cilk-holder", func() Result { return must(NewScratch().ColorCilk(nil, g, pool, 16, CilkHolder)) }},
+		{"tbb-simple", func() Result { return must(NewScratch().ColorTBB(nil, g, pool, sched.SimplePartitioner, 16)) }},
+		{"tbb-auto", func() Result { return must(NewScratch().ColorTBB(nil, g, pool, sched.AutoPartitioner, 16)) }},
+		{"tbb-affinity", func() Result { return must(NewScratch().ColorTBB(nil, g, pool, sched.AffinityPartitioner, 16)) }},
 	}
 	for _, c := range checks {
 		c := c
@@ -169,7 +183,7 @@ func TestParallelColoringProperty(t *testing.T) {
 		n := int(nRaw%120) + 1
 		m := int(mRaw % 600)
 		g := randomGraph(seed, n, m)
-		res := ColorTeam(g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 3})
+		res := must(NewScratch().ColorTeam(nil, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 3}))
 		return Validate(g, res.Colors) == nil && res.NumColors <= g.MaxDegree()+1
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
@@ -196,7 +210,7 @@ func TestParallelColoringOnMesh(t *testing.T) {
 
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	res := ColorCilk(g, pool, 100, CilkHolder)
+	res := must(NewScratch().ColorCilk(nil, g, pool, 100, CilkHolder))
 	if err := Validate(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestRoundSamplesBitDeterministic(t *testing.T) {
 		defer team.Close()
 		rec := telemetry.NewMemRecorder()
 		ctx := telemetry.WithRecorder(context.Background(), telemetry.WithClock(rec, fakeClock()))
-		if _, err := ColorTeamCtx(ctx, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}); err != nil {
+		if _, err := NewScratch().ColorTeam(ctx, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Samples()

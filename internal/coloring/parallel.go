@@ -1,20 +1,19 @@
 package coloring
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
 	"micgraph/internal/graph"
-	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
-// This file declares the iterative parallel speculative coloring entry
-// points (Algorithms 2–4): rounds of tentative parallel coloring followed
-// by parallel conflict detection, until no conflicts remain. The three
-// variants differ only in the runtime carrying the two parallel loops,
-// mirroring the paper's three implementations:
+// This file holds what the iterative parallel speculative coloring
+// variants (Algorithms 2–4) share: rounds of tentative parallel coloring
+// followed by parallel conflict detection, until no conflicts remain. The
+// three variants are Scratch methods (scratch.go) and differ only in the
+// runtime carrying the two parallel loops, mirroring the paper's three
+// implementations:
 //
 //   - ColorTeam:  OpenMP parallel for under a scheduling policy (§IV-A1);
 //   - ColorCilk:  cilk_for with holder/worker-id localFC and a reducer_max
@@ -22,9 +21,8 @@ import (
 //   - ColorTBB:   tbb::parallel_for over a blocked range with a partitioner,
 //     enumerable_thread_specific localFC and a combinable max (§IV-A3).
 //
-// The implementations live on Scratch (scratch.go), which owns every
-// reusable buffer; the entry points here run on a throwaway Scratch and so
-// keep their historical allocate-per-call semantics.
+// The per-worker state those hyperobjects provide — localFC arrays and
+// color maxima — is the Scratch's per-worker arrays.
 
 // localFC is one worker's forbidden-color scratch array: fc[c] == v marks
 // color c forbidden for vertex v. Allocated once per worker, size Δ+2.
@@ -56,24 +54,6 @@ func roundSample(rec telemetry.Recorder, g *graph.Graph, round int, visit []int3
 	}
 }
 
-// ColorTeam runs the iterative parallel coloring on an OpenMP-style Team
-// with the given loop options. A body panic propagates as a
-// *sched.PanicError; use ColorTeamCtx for errors and cancellation.
-func ColorTeam(g *graph.Graph, team *sched.Team, opts sched.ForOptions) Result {
-	res, err := ColorTeamCtx(nil, g, team, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ColorTeamCtx is ColorTeam with cooperative cancellation: ctx (which may
-// be nil) is polled at chunk-claim boundaries and between rounds. On
-// failure it returns the partial coloring alongside the error.
-func ColorTeamCtx(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	return NewScratch().ColorTeam(ctx, g, team, opts)
-}
-
 // CilkVariant selects how the Cilk implementation obtains its localFC
 // scratch array (§IV-A2 describes both and the paper reports the holder).
 type CilkVariant int
@@ -92,40 +72,4 @@ func (v CilkVariant) String() string {
 		return "CilkPlus-holder"
 	}
 	return "CilkPlus"
-}
-
-// ColorCilk runs the iterative parallel coloring as nested cilk_for loops on
-// a work-stealing Pool. grain <= 0 uses the Cilk default. Panics propagate;
-// use ColorCilkCtx for errors and cancellation.
-func ColorCilk(g *graph.Graph, pool *sched.Pool, grain int, variant CilkVariant) Result {
-	res, err := ColorCilkCtx(nil, g, pool, grain, variant)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ColorCilkCtx is ColorCilk with cooperative cancellation at task-split
-// boundaries and between rounds; on failure it returns the partial
-// coloring alongside the error.
-func ColorCilkCtx(ctx context.Context, g *graph.Graph, pool *sched.Pool, grain int, variant CilkVariant) (Result, error) {
-	return NewScratch().ColorCilk(ctx, g, pool, grain, variant)
-}
-
-// ColorTBB runs the iterative parallel coloring as TBB parallel_for calls
-// over blocked ranges with the given partitioner and grain (minimum chunk).
-// Panics propagate; use ColorTBBCtx for errors and cancellation.
-func ColorTBB(g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) Result {
-	res, err := ColorTBBCtx(nil, g, pool, part, grain)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ColorTBBCtx is ColorTBB with cooperative cancellation at range-split
-// boundaries and between rounds; on failure it returns the partial
-// coloring alongside the error.
-func ColorTBBCtx(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
-	return NewScratch().ColorTBB(ctx, g, pool, part, grain)
 }

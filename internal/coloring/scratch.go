@@ -19,8 +19,13 @@ import (
 //
 // A Scratch is single-run: one coloring at a time. The returned Result
 // aliases scratch-owned memory (Colors, Conflicts), valid until the next
-// run on the same Scratch. The package-level entry points keep their
-// allocate-per-call semantics by running on a throwaway Scratch.
+// run on the same Scratch; callers that run once write
+// NewScratch().ColorTeam(ctx, ...).
+//
+// Every method polls ctx (which may be nil) where its runtime claims work
+// — chunk claims, task and range splits — and between rounds; on
+// cancellation or a contained panic it returns the partial coloring
+// alongside the error.
 type Scratch struct {
 	colors         []int32
 	fcs            []localFC
@@ -165,7 +170,7 @@ func (s *Scratch) maxOf(workers int) int32 {
 }
 
 // ColorTeam runs the iterative speculative coloring on an OpenMP-style
-// Team using the scratch's pooled state. See ColorTeamCtx for semantics.
+// Team with the given loop options, using the scratch's pooled state.
 func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
 	workers := team.Workers()
 	opts = opts.WithSerialCutoff(workers)
@@ -224,8 +229,8 @@ func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Tea
 // work-stealing Pool using the scratch's pooled state. Both Cilk variants
 // read the per-worker forbidden-color arrays from the scratch — the
 // holder's lazy per-worker views are exactly the allocation the pooled
-// scratch exists to eliminate, so here they differ only in name. See
-// ColorCilkCtx for semantics.
+// scratch exists to eliminate, so here they differ only in name. grain <= 0
+// uses the Cilk default.
 func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Pool, grain int, variant CilkVariant) (Result, error) {
 	_ = variant
 	workers := pool.Workers()
@@ -279,7 +284,7 @@ func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Poo
 // ColorTBB runs the iterative speculative coloring as TBB parallel_for
 // calls over blocked ranges using the scratch's pooled state (the scratch
 // plays the role of the enumerable thread-specific storage and the
-// combinable max). See ColorTBBCtx for semantics.
+// combinable max) with the given partitioner and grain (minimum chunk).
 func (s *Scratch) ColorTBB(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
 	workers := pool.Workers()
 	s.ensure(g, workers)

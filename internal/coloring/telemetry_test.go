@@ -43,7 +43,7 @@ func TestColoringRecordsRounds(t *testing.T) {
 		defer team.Close()
 		rec := telemetry.NewMemRecorder()
 		ctx := telemetry.WithRecorder(context.Background(), rec)
-		res, err := ColorTeamCtx(ctx, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16})
+		res, err := NewScratch().ColorTeam(ctx, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestColoringRecordsRounds(t *testing.T) {
 		defer pool.Close()
 		rec := telemetry.NewMemRecorder()
 		ctx := telemetry.WithRecorder(context.Background(), rec)
-		res, err := ColorCilkCtx(ctx, g, pool, 16, CilkHolder)
+		res, err := NewScratch().ColorCilk(ctx, g, pool, 16, CilkHolder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestColoringRecordsRounds(t *testing.T) {
 		defer pool.Close()
 		rec := telemetry.NewMemRecorder()
 		ctx := telemetry.WithRecorder(context.Background(), rec)
-		res, err := ColorTBBCtx(ctx, g, pool, sched.SimplePartitioner, 16)
+		res, err := NewScratch().ColorTBB(ctx, g, pool, sched.SimplePartitioner, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

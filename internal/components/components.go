@@ -10,16 +10,11 @@
 //   - pointer jumping (Shiloach–Vishkin style hook + compress): the classic
 //     PRAM algorithm, O(log V) rounds, heavier on atomics.
 //
-// Both run on the OpenMP-style Team and validate against the sequential
-// reference in graph.ConnectedComponents.
+// Both are Scratch methods (scratch.go), run on the OpenMP-style Team and
+// validate against the Sequential reference.
 package components
 
-import (
-	"sync/atomic"
-
-	"micgraph/internal/graph"
-	"micgraph/internal/sched"
-)
+import "micgraph/internal/graph"
 
 // Result reports a components run.
 type Result struct {
@@ -57,109 +52,6 @@ func Sequential(g *graph.Graph) Result {
 		}
 	}
 	return Result{Labels: labels, Count: count, Rounds: 1}
-}
-
-// LabelPropagation runs min-label propagation on team until no label
-// changes. Labels converge to the minimum vertex id of each component.
-func LabelPropagation(g *graph.Graph, team *sched.Team, opts sched.ForOptions) Result {
-	n := g.NumVertices()
-	labels := make([]int32, n)
-	for v := range labels {
-		labels[v] = int32(v)
-	}
-	res := Result{Labels: labels}
-	if n == 0 {
-		return res
-	}
-
-	for {
-		res.Rounds++
-		var changed atomic.Bool
-		team.For(n, opts, func(lo, hi, w int) {
-			localChanged := false
-			for v := lo; v < hi; v++ {
-				min := atomic.LoadInt32(&labels[v])
-				for _, u := range g.Adj(int32(v)) {
-					if l := atomic.LoadInt32(&labels[u]); l < min {
-						min = l
-					}
-				}
-				if min < atomic.LoadInt32(&labels[v]) {
-					atomic.StoreInt32(&labels[v], min)
-					localChanged = true
-				}
-			}
-			if localChanged {
-				changed.Store(true)
-			}
-		})
-		if !changed.Load() {
-			break
-		}
-	}
-	res.Count = countRoots(labels)
-	return res
-}
-
-// PointerJumping runs a hook-and-compress union: each round, every vertex
-// hooks its parent to the smallest parent among its neighbors, then paths
-// compress by pointer jumping. Converges in O(log V) rounds on any graph.
-func PointerJumping(g *graph.Graph, team *sched.Team, opts sched.ForOptions) Result {
-	n := g.NumVertices()
-	parent := make([]int32, n)
-	for v := range parent {
-		parent[v] = int32(v)
-	}
-	res := Result{}
-	if n == 0 {
-		res.Labels = parent
-		return res
-	}
-
-	for {
-		res.Rounds++
-		var changed atomic.Bool
-		// Hook: point our root at the smallest neighboring root.
-		team.For(n, opts, func(lo, hi, w int) {
-			for v := lo; v < hi; v++ {
-				pv := atomic.LoadInt32(&parent[v])
-				for _, u := range g.Adj(int32(v)) {
-					pu := atomic.LoadInt32(&parent[u])
-					if pu < pv {
-						// CAS onto the root's parent; benign failures are
-						// retried next round.
-						if atomic.CompareAndSwapInt32(&parent[pv], pv, pu) {
-							changed.Store(true)
-						}
-						pv = pu
-					}
-				}
-			}
-		})
-		// Compress: pointer jumping until every tree is a star.
-		for {
-			var jumped atomic.Bool
-			team.For(n, opts, func(lo, hi, w int) {
-				for v := lo; v < hi; v++ {
-					p := atomic.LoadInt32(&parent[v])
-					gp := atomic.LoadInt32(&parent[p])
-					if gp != p {
-						atomic.StoreInt32(&parent[v], gp)
-						jumped.Store(true)
-					}
-				}
-			})
-			if !jumped.Load() {
-				break
-			}
-		}
-		if !changed.Load() {
-			break
-		}
-	}
-	res.Labels = parent
-	res.Count = countRoots(parent)
-	return res
 }
 
 func countRoots(labels []int32) int {

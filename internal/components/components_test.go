@@ -21,6 +21,24 @@ func randomGraph(seed uint64, n, m int) *graph.Graph {
 
 func ccOpts() sched.ForOptions { return sched.ForOptions{Policy: sched.Dynamic, Chunk: 8} }
 
+// labelProp and pointerJump run one kernel on a throwaway Scratch, so two
+// results can be held at once.
+func labelProp(g *graph.Graph, team *sched.Team) Result {
+	res, err := NewScratch().LabelPropagation(nil, g, team, ccOpts())
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+func pointerJump(g *graph.Graph, team *sched.Team) Result {
+	res, err := NewScratch().PointerJumping(nil, g, team, ccOpts())
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func TestSequentialComponents(t *testing.T) {
 	b := graph.NewBuilder(7)
 	b.AddEdge(0, 1)
@@ -61,14 +79,14 @@ func TestParallelVariantsMatchSequential(t *testing.T) {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
 			want := Sequential(g)
-			lp := LabelPropagation(g, team, ccOpts())
+			lp := labelProp(g, team)
 			if err := Validate(g, lp.Labels); err != nil {
 				t.Errorf("label propagation: %v", err)
 			}
 			if lp.Count != want.Count {
 				t.Errorf("label propagation count %d, want %d", lp.Count, want.Count)
 			}
-			pj := PointerJumping(g, team, ccOpts())
+			pj := pointerJump(g, team)
 			if err := Validate(g, pj.Labels); err != nil {
 				t.Errorf("pointer jumping: %v", err)
 			}
@@ -87,8 +105,8 @@ func TestComponentsProperty(t *testing.T) {
 		m := int(mRaw % 400)
 		g := randomGraph(seed, n, m)
 		want := Sequential(g)
-		lp := LabelPropagation(g, team, ccOpts())
-		pj := PointerJumping(g, team, ccOpts())
+		lp := labelProp(g, team)
+		pj := pointerJump(g, team)
 		return lp.Count == want.Count && pj.Count == want.Count &&
 			Validate(g, lp.Labels) == nil && Validate(g, pj.Labels) == nil
 	}
@@ -103,14 +121,14 @@ func TestPointerJumpingLogRounds(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
 	g := gen.Chain(4096)
-	pj := PointerJumping(g, team, ccOpts())
+	pj := pointerJump(g, team)
 	if pj.Count != 1 {
 		t.Fatalf("chain components = %d", pj.Count)
 	}
 	if pj.Rounds > 40 {
 		t.Errorf("pointer jumping took %d rounds on a 4096-chain; want O(log n)", pj.Rounds)
 	}
-	lp := LabelPropagation(g, team, ccOpts())
+	lp := labelProp(g, team)
 	if lp.Rounds < pj.Rounds {
 		t.Errorf("label propagation (%d rounds) beat pointer jumping (%d) on a chain",
 			lp.Rounds, pj.Rounds)
@@ -122,8 +140,8 @@ func TestLabelsAreComponentMinima(t *testing.T) {
 	defer team.Close()
 	g := gen.RingOfCliques(10, 5)
 	for _, res := range []Result{
-		LabelPropagation(g, team, ccOpts()),
-		PointerJumping(g, team, ccOpts()),
+		labelProp(g, team),
+		pointerJump(g, team),
 	} {
 		for v, l := range res.Labels {
 			if l > int32(v) {

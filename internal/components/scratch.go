@@ -12,8 +12,12 @@ import (
 // kernels, so repeated runs (the serving layer, benchmarks) allocate
 // nothing in steady state. A Scratch is single-run: the returned
 // Result.Labels aliases scratch-owned memory, valid until the next run on
-// the same Scratch. The package-level entry points keep allocate-per-call
-// semantics by running on a throwaway Scratch.
+// the same Scratch; callers that run once write
+// NewScratch().LabelPropagation(ctx, ...).
+//
+// Both methods poll ctx (which may be nil) at chunk-claim boundaries and
+// between rounds; on cancellation or a contained panic they return the
+// partial labels alongside the error.
 type Scratch struct {
 	labels []int32
 
@@ -42,20 +46,6 @@ func (s *Scratch) ensure(n int) []int32 {
 		s.labels[v] = int32(v)
 	}
 	return s.labels
-}
-
-// LabelPropagationCtx is LabelPropagation with cooperative cancellation at
-// chunk-claim boundaries and between rounds; on failure it returns the
-// partial labels alongside the error.
-func LabelPropagationCtx(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	return NewScratch().LabelPropagation(ctx, g, team, opts)
-}
-
-// PointerJumpingCtx is PointerJumping with cooperative cancellation at
-// chunk-claim boundaries and between rounds; on failure it returns the
-// partial labels alongside the error.
-func PointerJumpingCtx(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	return NewScratch().PointerJumping(ctx, g, team, opts)
 }
 
 // LabelPropagation runs min-label propagation on the scratch's pooled

@@ -78,18 +78,9 @@ func Sequential(g *graph.Graph, in []float64, iter int) []float64 {
 	return out
 }
 
-// Team runs the kernel on an OpenMP-style Team. Panics propagate; use
-// TeamCtx for errors and cancellation.
-func Team(g *graph.Graph, in []float64, iter int, team *sched.Team, opts sched.ForOptions) []float64 {
-	out, err := TeamCtx(nil, g, in, iter, team, opts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TeamCtx is Team with cooperative cancellation at chunk-claim boundaries;
-// on failure the partially written output is returned alongside the error.
+// TeamCtx runs the kernel on an OpenMP-style Team with cooperative
+// cancellation at chunk-claim boundaries (ctx may be nil); on failure the
+// partially written output is returned alongside the error.
 func TeamCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, team *sched.Team, opts sched.ForOptions) ([]float64, error) {
 	out := make([]float64, len(in))
 	rec := telemetry.FromContext(ctx)
@@ -103,17 +94,8 @@ func TeamCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, team *
 	return out, err
 }
 
-// Cilk runs the kernel as a cilk_for on the work-stealing pool. Panics
-// propagate; use CilkCtx for errors and cancellation.
-func Cilk(g *graph.Graph, in []float64, iter int, pool *sched.Pool, grain int) []float64 {
-	out, err := CilkCtx(nil, g, in, iter, pool, grain)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// CilkCtx is Cilk with cooperative cancellation at task-split boundaries.
+// CilkCtx runs the kernel as a cilk_for on the work-stealing pool, with
+// cooperative cancellation at task-split boundaries.
 func CilkCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, pool *sched.Pool, grain int) ([]float64, error) {
 	out := make([]float64, len(in))
 	rec := telemetry.FromContext(ctx)
@@ -127,17 +109,8 @@ func CilkCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, pool *
 	return out, err
 }
 
-// TBB runs the kernel as a TBB parallel_for over a blocked range. Panics
-// propagate; use TBBCtx for errors and cancellation.
-func TBB(g *graph.Graph, in []float64, iter int, pool *sched.Pool, part sched.Partitioner, grain int) []float64 {
-	out, err := TBBCtx(nil, g, in, iter, pool, part, grain)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TBBCtx is TBB with cooperative cancellation at range-split boundaries.
+// TBBCtx runs the kernel as a TBB parallel_for over a blocked range, with
+// cooperative cancellation at range-split boundaries.
 func TBBCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, pool *sched.Pool, part sched.Partitioner, grain int) ([]float64, error) {
 	out := make([]float64, len(in))
 	var aff sched.AffinityState
@@ -151,17 +124,6 @@ func TBBCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, pool *s
 		})
 	recordKernel(rec, g, iter, start)
 	return out, err
-}
-
-// Sweep runs `sweeps` Jacobi relaxations (each one full kernel application)
-// and returns the final state; a building block for the heat-equation
-// example.
-func Sweep(g *graph.Graph, state []float64, iter, sweeps int, team *sched.Team, opts sched.ForOptions) []float64 {
-	cur := state
-	for s := 0; s < sweeps; s++ {
-		cur = Team(g, cur, iter, team, opts)
-	}
-	return cur
 }
 
 // MaxAbsDiff returns the maximum absolute element difference of a and b

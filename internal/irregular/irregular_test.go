@@ -11,6 +11,14 @@ import (
 	"micgraph/internal/xrand"
 )
 
+// must unwraps a kernel run that is expected to succeed.
+func must(out []float64, err error) []float64 {
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func randomGraph(seed uint64, n, m int) *graph.Graph {
 	r := xrand.New(seed)
 	b := graph.NewBuilder(n)
@@ -66,13 +74,13 @@ func TestAllRuntimesMatchSequential(t *testing.T) {
 	for _, iter := range []int{1, 3, 5, 10} {
 		want := Sequential(g, in, iter)
 		runs := map[string][]float64{
-			"team-dynamic": Team(g, in, iter, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8}),
-			"team-static":  Team(g, in, iter, team, sched.ForOptions{Policy: sched.Static, Chunk: 16}),
-			"team-guided":  Team(g, in, iter, team, sched.ForOptions{Policy: sched.Guided, Chunk: 4}),
-			"cilk":         Cilk(g, in, iter, pool, 32),
-			"tbb-simple":   TBB(g, in, iter, pool, sched.SimplePartitioner, 16),
-			"tbb-auto":     TBB(g, in, iter, pool, sched.AutoPartitioner, 16),
-			"tbb-affinity": TBB(g, in, iter, pool, sched.AffinityPartitioner, 16),
+			"team-dynamic": must(TeamCtx(nil, g, in, iter, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 8})),
+			"team-static":  must(TeamCtx(nil, g, in, iter, team, sched.ForOptions{Policy: sched.Static, Chunk: 16})),
+			"team-guided":  must(TeamCtx(nil, g, in, iter, team, sched.ForOptions{Policy: sched.Guided, Chunk: 4})),
+			"cilk":         must(CilkCtx(nil, g, in, iter, pool, 32)),
+			"tbb-simple":   must(TBBCtx(nil, g, in, iter, pool, sched.SimplePartitioner, 16)),
+			"tbb-auto":     must(TBBCtx(nil, g, in, iter, pool, sched.AutoPartitioner, 16)),
+			"tbb-affinity": must(TBBCtx(nil, g, in, iter, pool, sched.AffinityPartitioner, 16)),
 		}
 		for name, got := range runs {
 			if d := MaxAbsDiff(want, got); d != 0 {
@@ -91,7 +99,7 @@ func TestKernelDeterministicProperty(t *testing.T) {
 		iter := int(iterRaw%10) + 1
 		g := randomGraph(seed, n, m)
 		in := InitialState(n)
-		a := Team(g, in, iter, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 3})
+		a := must(TeamCtx(nil, g, in, iter, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 3}))
 		b := Sequential(g, in, iter)
 		return MaxAbsDiff(a, b) == 0
 	}
@@ -105,8 +113,10 @@ func TestSweepConverges(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	team := sched.NewTeam(2)
 	defer team.Close()
-	state := InitialState(64)
-	out := Sweep(g, state, 1, 200, team, sched.ForOptions{Policy: sched.Static})
+	out := InitialState(64)
+	for sweep := 0; sweep < 200; sweep++ {
+		out = must(TeamCtx(nil, g, out, 1, team, sched.ForOptions{Policy: sched.Static}))
+	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, x := range out {
 		lo, hi = math.Min(lo, x), math.Max(hi, x)

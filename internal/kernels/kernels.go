@@ -1,0 +1,300 @@
+// Package kernels is the one table of what the system can run: every
+// kind×variant pair of the paper's experiment matrix (§IV — three kernels
+// × three runtimes × queue/claim variants, plus components), each bound to
+// the Scratch method that runs it, the sequential oracle that validates it
+// and the result line it reports. The daemon, the CLIs, the load and chaos
+// generators and the differential oracle all iterate or look up this table
+// instead of spelling variant names themselves; adding a variant is one
+// entry here.
+package kernels
+
+import (
+	"context"
+	"fmt"
+
+	"micgraph/internal/bfs"
+	"micgraph/internal/coloring"
+	"micgraph/internal/components"
+	"micgraph/internal/graph"
+	"micgraph/internal/irregular"
+	"micgraph/internal/sched"
+	"micgraph/internal/telemetry"
+)
+
+// Kernel kinds.
+const (
+	BFS        = "bfs"
+	Coloring   = "coloring"
+	Components = "components"
+	Irregular  = "irregular"
+)
+
+// Seq is the variant name of a kind's sequential twin, the baseline the
+// paper's speedups are measured against.
+const Seq = "seq"
+
+// Runtime is one caller's resident scheduler runtimes and kernel
+// scratches. The scratches make repeat runs allocation-free in steady
+// state (the kerneltest alloc gates pin that); they are single-run, so a
+// Runtime serves one kernel at a time.
+type Runtime struct {
+	Team *sched.Team
+	Pool *sched.Pool
+	BFS  *bfs.Scratch
+	Col  *coloring.Scratch
+	Cmp  *components.Scratch
+}
+
+// NewRuntime starts a team and a pool of the given size with empty
+// scratches; release it with Close.
+func NewRuntime(workers int) *Runtime {
+	return &Runtime{
+		Team: sched.NewTeam(workers),
+		Pool: sched.NewPool(workers),
+		BFS:  bfs.NewScratch(),
+		Col:  coloring.NewScratch(),
+		Cmp:  components.NewScratch(),
+	}
+}
+
+// SetCounters points both runtimes at one counter set (nil = off).
+func (rt *Runtime) SetCounters(c *telemetry.Counters) {
+	rt.Team.SetCounters(c)
+	rt.Pool.SetCounters(c)
+}
+
+// Close stops the team and the pool.
+func (rt *Runtime) Close() {
+	rt.Team.Close()
+	rt.Pool.Close()
+}
+
+// Params is everything a table entry reads besides the graph. Entries
+// ignore the fields their kernel has no use for.
+type Params struct {
+	Source      int32             // bfs source vertex; callers resolve their own default
+	Chunk       int               // team chunk, cilk/tbb grain and block-queue block size
+	Iters       int               // irregular averaging iterations
+	Policy      sched.Policy      // team loop schedule
+	Partitioner sched.Partitioner // tbb range partitioner
+}
+
+// TeamOpts is the team-loop configuration the parameters select.
+func (p Params) TeamOpts() sched.ForOptions {
+	return sched.ForOptions{Policy: p.Policy, Chunk: p.Chunk}
+}
+
+// Outcome is a run's result; only the field of the entry's kind is set.
+// Slices alias the Runtime's scratches, valid until its next run.
+type Outcome struct {
+	BFS        bfs.HybridResult // direction counts are zero unless the variant is hybrid
+	Coloring   coloring.Result
+	Components components.Result
+	State      []float64 // irregular output state
+}
+
+// RunFunc runs one kernel on rt's resident state. It returns the partial
+// outcome alongside a cancellation or contained-panic error.
+type RunFunc func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error)
+
+// Entry is one runnable kind×variant pair.
+type Entry struct {
+	Kind    string
+	Variant string
+	Default bool // the variant a job or CLI gets when it names none
+	Run     RunFunc
+}
+
+func bfsOutcome(res bfs.Result, err error) (Outcome, error) {
+	return Outcome{BFS: bfs.HybridResult{Result: res}}, err
+}
+
+func colOutcome(res coloring.Result, err error) (Outcome, error) {
+	return Outcome{Coloring: res}, err
+}
+
+func cmpOutcome(res components.Result, err error) (Outcome, error) {
+	return Outcome{Components: res}, err
+}
+
+func irrOutcome(state []float64, err error) (Outcome, error) {
+	return Outcome{State: state}, err
+}
+
+func ompBlock(relaxed bool) RunFunc {
+	return func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return bfsOutcome(rt.BFS.BlockTeam(ctx, g, p.Source, rt.Team, p.TeamOpts(), p.Chunk, relaxed))
+	}
+}
+
+func tbbBlock(relaxed bool) RunFunc {
+	return func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return bfsOutcome(rt.BFS.BlockTBB(ctx, g, p.Source, rt.Pool, p.Partitioner, p.Chunk, p.Chunk, relaxed))
+	}
+}
+
+// table lists the entries in the order help texts and generators show
+// them. The arguments are the daemon's: its behaviour is the benchmarked
+// one, and every other consumer follows it.
+var table = []Entry{
+	{BFS, Seq, false, func(_ context.Context, _ *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return bfsOutcome(bfs.Sequential(g, p.Source), nil)
+	}},
+	{BFS, "omp-block", false, ompBlock(false)},
+	{BFS, "omp-block-relaxed", true, ompBlock(true)},
+	{BFS, "tbb-block", false, tbbBlock(false)},
+	{BFS, "tbb-block-relaxed", false, tbbBlock(true)},
+	{BFS, "bag", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return bfsOutcome(rt.BFS.BagCilk(ctx, g, p.Source, rt.Pool, p.Chunk))
+	}},
+	{BFS, "tls", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return bfsOutcome(rt.BFS.TLSTeam(ctx, g, p.Source, rt.Team, p.TeamOpts()))
+	}},
+	{BFS, "hybrid", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		res, err := rt.BFS.Hybrid(ctx, g, p.Source, rt.Team, p.TeamOpts(), bfs.HybridConfig{})
+		return Outcome{BFS: res}, err
+	}},
+
+	{Coloring, Seq, false, func(_ context.Context, _ *Runtime, g *graph.Graph, _ Params) (Outcome, error) {
+		return colOutcome(coloring.SeqGreedy(g), nil)
+	}},
+	{Coloring, "openmp", true, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return colOutcome(rt.Col.ColorTeam(ctx, g, rt.Team, p.TeamOpts()))
+	}},
+	{Coloring, "cilk", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return colOutcome(rt.Col.ColorCilk(ctx, g, rt.Pool, p.Chunk, coloring.CilkHolder))
+	}},
+	{Coloring, "tbb", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return colOutcome(rt.Col.ColorTBB(ctx, g, rt.Pool, p.Partitioner, p.Chunk))
+	}},
+
+	{Components, Seq, false, func(_ context.Context, _ *Runtime, g *graph.Graph, _ Params) (Outcome, error) {
+		return cmpOutcome(components.Sequential(g), nil)
+	}},
+	{Components, "labelprop", true, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return cmpOutcome(rt.Cmp.LabelPropagation(ctx, g, rt.Team, p.TeamOpts()))
+	}},
+	{Components, "pointerjump", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return cmpOutcome(rt.Cmp.PointerJumping(ctx, g, rt.Team, p.TeamOpts()))
+	}},
+
+	{Irregular, "openmp", true, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return irrOutcome(irregular.TeamCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Team, p.TeamOpts()))
+	}},
+	{Irregular, "cilk", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return irrOutcome(irregular.CilkCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Pool, p.Chunk))
+	}},
+	{Irregular, "tbb", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
+		return irrOutcome(irregular.TBBCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Pool, p.Partitioner, p.Chunk))
+	}},
+}
+
+// Table returns every entry, kinds grouped, in table order.
+func Table() []Entry { return table }
+
+// Lookup finds the entry of a kind×variant pair.
+func Lookup(kind, variant string) (Entry, bool) {
+	for _, e := range table {
+		if e.Kind == kind && e.Variant == variant {
+			return e, true
+		}
+	}
+	return Entry{}, false
+}
+
+// Variants lists the variant names of kind in table order.
+func Variants(kind string) []string {
+	var names []string
+	for _, e := range table {
+		if e.Kind == kind {
+			names = append(names, e.Variant)
+		}
+	}
+	return names
+}
+
+// Default returns the default variant of kind, "" when kind is not a
+// kernel kind.
+func Default(kind string) string {
+	for _, e := range table {
+		if e.Kind == kind && e.Default {
+			return e.Variant
+		}
+	}
+	return ""
+}
+
+// Validate checks out against the kind's sequential oracle.
+func (e Entry) Validate(g *graph.Graph, p Params, out Outcome) error {
+	switch e.Kind {
+	case BFS:
+		return bfs.Validate(g, p.Source, out.BFS.Levels)
+	case Coloring:
+		return coloring.Validate(g, out.Coloring.Colors)
+	case Components:
+		return components.Validate(g, out.Components.Labels)
+	default:
+		// Every runtime applies the same per-vertex update to the same
+		// frozen input, so the outputs are equal bit for bit.
+		want := irregular.Sequential(g, irregular.InitialState(g.NumVertices()), p.Iters)
+		if len(out.State) != len(want) {
+			return fmt.Errorf("irregular: %d states for %d vertices", len(out.State), len(want))
+		}
+		if d := irregular.MaxAbsDiff(want, out.State); d != 0 {
+			return fmt.Errorf("irregular: state differs from the sequential kernel by %g", d)
+		}
+		return nil
+	}
+}
+
+// ResultLine is the "result" record a kernel job streams. Every line
+// carries "type" so clients can demultiplex a job's JSONL.
+type ResultLine struct {
+	Type       string  `json:"type"` // "result"
+	Kind       string  `json:"kind"`
+	Graph      string  `json:"graph"`
+	Variant    string  `json:"variant,omitempty"`
+	NumLevels  int     `json:"levels,omitempty"`
+	Reached    int     `json:"reached,omitempty"`
+	Processed  int64   `json:"processed,omitempty"`
+	Duplicates int64   `json:"duplicates,omitempty"`
+	NumColors  int     `json:"colors,omitempty"`
+	Rounds     int     `json:"rounds,omitempty"`
+	Conflicts  []int   `json:"conflicts,omitempty"`
+	Components int     `json:"components,omitempty"`
+	TDLevels   int     `json:"td_levels,omitempty"`
+	BULevels   int     `json:"bu_levels,omitempty"`
+	Iters      int     `json:"iters,omitempty"`
+	Checksum   float64 `json:"checksum,omitempty"`
+}
+
+// Line summarises the outcome of running e on the named graph.
+func (o Outcome) Line(e Entry, graphName string, p Params) ResultLine {
+	line := ResultLine{Type: "result", Kind: e.Kind, Graph: graphName, Variant: e.Variant}
+	switch e.Kind {
+	case BFS:
+		for _, l := range o.BFS.Levels {
+			if l != bfs.Unvisited {
+				line.Reached++
+			}
+		}
+		line.NumLevels = o.BFS.NumLevels
+		line.Processed = o.BFS.Processed
+		line.Duplicates = o.BFS.Duplicates
+		line.TDLevels = o.BFS.TopDownLevels
+		line.BULevels = o.BFS.BottomUpLevels
+	case Coloring:
+		line.NumColors = o.Coloring.NumColors
+		line.Rounds = o.Coloring.Rounds
+		line.Conflicts = o.Coloring.Conflicts
+	case Components:
+		line.Components = o.Components.Count
+		line.Rounds = o.Components.Rounds
+	default:
+		for _, v := range o.State {
+			line.Checksum += v
+		}
+		line.Iters = p.Iters
+	}
+	return line
+}

@@ -1,0 +1,105 @@
+package kernels
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestTableShape pins the matrix the daemon accepts: 18 kind×variant
+// pairs, unique, one default per kind.
+func TestTableShape(t *testing.T) {
+	want := map[string]struct {
+		variants int
+		def      string
+	}{
+		BFS:        {8, "omp-block-relaxed"},
+		Coloring:   {4, "openmp"},
+		Components: {3, "labelprop"},
+		Irregular:  {3, "openmp"},
+	}
+	if len(Table()) != 18 {
+		t.Errorf("table has %d entries, want 18", len(Table()))
+	}
+	seen := map[string]bool{}
+	defaults := map[string]int{}
+	for _, e := range Table() {
+		key := e.Kind + "/" + e.Variant
+		if seen[key] {
+			t.Errorf("%s listed twice", key)
+		}
+		seen[key] = true
+		if e.Default {
+			defaults[e.Kind]++
+		}
+		if got, ok := Lookup(e.Kind, e.Variant); !ok || got.Variant != e.Variant || got.Kind != e.Kind {
+			t.Errorf("Lookup(%s) = %+v, %t", key, got, ok)
+		}
+	}
+	for kind, w := range want {
+		if n := len(Variants(kind)); n != w.variants {
+			t.Errorf("%s has %d variants, want %d", kind, n, w.variants)
+		}
+		if Default(kind) != w.def || defaults[kind] != 1 {
+			t.Errorf("%s: default %q (%d marked), want exactly %q", kind, Default(kind), defaults[kind], w.def)
+		}
+	}
+	if _, ok := Lookup(BFS, "bogus"); ok {
+		t.Error("Lookup found a variant that is not in the table")
+	}
+	if Default("sweep") != "" {
+		t.Error("Default names a variant for a kind that is not a kernel")
+	}
+}
+
+// TestVariantNamesSpelledOnlyHere walks the module's non-test Go files and
+// fails if a variant name of the table is spelled as a string literal
+// anywhere else: a second spelling is a second list, and second lists
+// drift.
+func TestVariantNamesSpelledOnlyHere(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not at %s: %v", root, err)
+	}
+	names := []string{`"omp-block`, `"tbb-block`, `"labelprop"`, `"pointerjump"`}
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			// bench/ is its own module; testdata holds analyzer fixtures.
+			if rel == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") ||
+			filepath.Dir(rel) == filepath.Join("internal", "kernels") {
+			return nil
+		}
+		files++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			if strings.Contains(string(src), name) {
+				t.Errorf("%s spells %s…; take it from the kernels table", rel, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("walked only %d files; the check is not seeing the module", files)
+	}
+}

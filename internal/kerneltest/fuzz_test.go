@@ -48,7 +48,7 @@ func FuzzHybridDirectionSwitch(f *testing.F) {
 		team := sched.NewTeam(4)
 		defer team.Close()
 		cfg := bfs.HybridConfig{Alpha: int(alpha), Beta: int(beta)}
-		got, err := bfs.HybridTeamCtx(nil, g, source, team, sched.ForOptions{}, cfg)
+		got, err := bfs.NewScratch().Hybrid(nil, g, source, team, sched.ForOptions{}, cfg)
 		if err != nil {
 			t.Fatalf("hybrid(alpha=%d beta=%d): %v", alpha, beta, err)
 		}

@@ -1,10 +1,11 @@
 // Package kerneltest is the differential-oracle tier for the optimized
-// graph kernels: every parallel variant (BFS block/TLS/bag/hybrid,
-// speculative coloring, connected components) is cross-checked against the
-// sequential reference on a shared corpus of seeded random and pathological
-// graphs — stars, chains, disconnected forests, zero-degree vertices —
-// the shapes where frontier bookkeeping, conflict detection, and the
-// direction-optimizing switch go wrong first.
+// graph kernels: every entry of the kernels table (BFS block/TLS/bag/
+// hybrid, speculative coloring, connected components, the irregular
+// kernel) is cross-checked against the sequential reference on a shared
+// corpus of seeded random and pathological graphs — stars, chains,
+// disconnected forests, zero-degree vertices — the shapes where frontier
+// bookkeeping, conflict detection, and the direction-optimizing switch go
+// wrong first.
 //
 // The helpers here are also imported by the kernel packages' own external
 // tests, so the corpus and the comparison discipline are defined exactly

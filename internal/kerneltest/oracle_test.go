@@ -1,32 +1,97 @@
 package kerneltest
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"micgraph/internal/bfs"
 	"micgraph/internal/coloring"
 	"micgraph/internal/components"
+	"micgraph/internal/graph"
+	"micgraph/internal/kernels"
 	"micgraph/internal/sched"
 )
 
-// The oracle suites run every variant on every corpus graph from every
-// source, with a small worker count so that single-CPU runs still
-// interleave (the -race job shakes the claim protocols).
+// The oracle suites run on a small worker count so that single-CPU runs
+// still interleave (the -race job shakes the claim protocols).
 
+// TestTableMatchesOracle runs every entry of the kernels table on every
+// corpus graph (from every source, for BFS) through one recycled Runtime —
+// the way the daemon runs them — and checks the outcome with the table's
+// own validator and with the kind's stricter comparison helper.
+func TestTableMatchesOracle(t *testing.T) {
+	rt := kernels.NewRuntime(4)
+	defer rt.Close()
+	for _, nm := range Corpus() {
+		for _, e := range kernels.Table() {
+			sources := []int32{0}
+			if e.Kind == kernels.BFS {
+				sources = Sources(nm.G)
+			}
+			for _, src := range sources {
+				name := fmt.Sprintf("%s/%s/%s from %d", nm.Name, e.Kind, e.Variant, src)
+				p := kernels.Params{Source: src, Chunk: 16, Iters: 3,
+					Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+				out, err := e.Run(context.Background(), rt, nm.G, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := e.Validate(nm.G, p, out); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				switch e.Kind {
+				case kernels.BFS:
+					CheckBFS(t, name, nm.G, src, out.BFS.Result)
+				case kernels.Coloring:
+					CheckColoring(t, name, nm.G, out.Coloring)
+				case kernels.Components:
+					CheckComponents(t, name, nm.G, out.Components)
+				}
+			}
+		}
+	}
+}
+
+// TestBFSMatchesOracle holds the exactly-once claim protocols to more than
+// the level assignment: no locked variant may process a vertex twice, and
+// the hybrid's direction switch must do what its thresholds say.
 func TestBFSMatchesOracle(t *testing.T) {
-	team := sched.NewTeam(4)
-	defer team.Close()
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}
+	rt := kernels.NewRuntime(4)
+	defer rt.Close()
+	p := kernels.Params{Chunk: 8, Policy: sched.Dynamic, Partitioner: sched.AutoPartitioner}
 
+	type row struct {
+		name string
+		run  func(nm Named, source int32) bfs.Result
+	}
+	var rows []row
+	for _, variant := range []string{"omp-block", "tbb-block", "tls", "hybrid"} {
+		e, ok := kernels.Lookup(kernels.BFS, variant)
+		if !ok {
+			t.Fatalf("no bfs variant %q in the table", variant)
+		}
+		rows = append(rows, row{variant, func(nm Named, s int32) bfs.Result {
+			q := p
+			q.Source = s
+			out, err := e.Run(context.Background(), rt, nm.G, q)
+			if err != nil {
+				t.Fatalf("%s/%s from %d: %v", nm.Name, e.Variant, s, err)
+			}
+			return out.BFS.Result
+		}})
+	}
 	// hybrid runs the direction-optimizing BFS under cfg and checks that the
 	// switch did what the row's name says: with bottomUp > 0 every source
 	// that has a neighbour must take a bottom-up level, with bottomUp < 0 no
 	// source may take one.
 	hybrid := func(cfg bfs.HybridConfig, bottomUp int) func(nm Named, s int32) bfs.Result {
 		return func(nm Named, s int32) bfs.Result {
-			res := bfs.HybridTeam(nm.G, s, team, opts, cfg)
+			res, err := rt.BFS.Hybrid(context.Background(), nm.G, s, rt.Team,
+				sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}, cfg)
+			if err != nil {
+				t.Fatalf("%s from %d: %v", nm.Name, s, err)
+			}
 			if got := res.BottomUpLevels; bottomUp > 0 && got == 0 && nm.G.Degree(s) > 0 || bottomUp < 0 && got != 0 {
 				t.Errorf("%s from %d: alpha=%d beta=%d took %d bottom-up levels of %d",
 					nm.Name, s, cfg.Alpha, cfg.Beta, got, res.NumLevels)
@@ -34,45 +99,19 @@ func TestBFSMatchesOracle(t *testing.T) {
 			return res.Result
 		}
 	}
-	variants := []struct {
-		name   string
-		locked bool // claims are exactly-once: no vertex may enter a frontier twice
-		run    func(nm Named, source int32) bfs.Result
-	}{
-		{"omp-block", true, func(nm Named, s int32) bfs.Result {
-			return bfs.BlockTeam(nm.G, s, team, opts, 8, false)
-		}},
-		{"omp-block-relaxed", false, func(nm Named, s int32) bfs.Result {
-			return bfs.BlockTeam(nm.G, s, team, opts, 8, true)
-		}},
-		{"tbb-block", true, func(nm Named, s int32) bfs.Result {
-			return bfs.BlockTBB(nm.G, s, pool, sched.AutoPartitioner, 8, 8, false)
-		}},
-		{"tbb-block-relaxed", false, func(nm Named, s int32) bfs.Result {
-			return bfs.BlockTBB(nm.G, s, pool, sched.SimplePartitioner, 8, 8, true)
-		}},
-		{"tls", true, func(nm Named, s int32) bfs.Result {
-			return bfs.TLSTeam(nm.G, s, team, opts)
-		}},
-		{"bag", false, func(nm Named, s int32) bfs.Result {
-			return bfs.BagCilk(nm.G, s, pool, 16)
-		}},
-		{"hybrid", true, hybrid(bfs.HybridConfig{}, 0)},
+	rows = append(rows,
 		// Huge thresholds make every frontier count as wide, so the
 		// bottom-up step runs on every level even of the sparse corpus
 		// graphs; 1/1 is the other extreme and never leaves top-down.
-		{"hybrid-eager", true, hybrid(bfs.HybridConfig{Alpha: 1 << 20, Beta: 1 << 20}, +1)},
-		{"hybrid-lazy", true, hybrid(bfs.HybridConfig{Alpha: 1, Beta: 1}, -1)},
-	}
+		row{"hybrid-eager", hybrid(bfs.HybridConfig{Alpha: 1 << 20, Beta: 1 << 20}, +1)},
+		row{"hybrid-lazy", hybrid(bfs.HybridConfig{Alpha: 1, Beta: 1}, -1)},
+	)
 
 	for _, nm := range Corpus() {
-		for _, v := range variants {
+		for _, v := range rows {
 			for _, src := range Sources(nm.G) {
 				got := v.run(nm, src)
 				CheckBFS(t, nm.Name+"/"+v.name, nm.G, src, got)
-				if !v.locked {
-					continue
-				}
 				// TLS and hybrid report Duplicates 0 by construction; what a
 				// double claim would inflate there is Processed, which must
 				// equal the vertices reached (CheckBFS pinned the widths).
@@ -126,6 +165,9 @@ func TestBFSScratchReuseMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestColoringMatchesOracle covers the arguments the table never passes —
+// a static schedule, the worker-id Cilk variant, the auto partitioner —
+// on one recycled Scratch, which must stay proper across graphs.
 func TestColoringMatchesOracle(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
@@ -134,40 +176,42 @@ func TestColoringMatchesOracle(t *testing.T) {
 	opts := sched.ForOptions{Policy: sched.Static, Chunk: 16}
 
 	scratch := coloring.NewScratch()
-	for _, nm := range Corpus() {
-		CheckColoring(t, nm.Name+"/seq", nm.G, coloring.SeqGreedy(nm.G))
-		CheckColoring(t, nm.Name+"/openmp", nm.G, coloring.ColorTeam(nm.G, team, opts))
-		CheckColoring(t, nm.Name+"/cilk-wid", nm.G, coloring.ColorCilk(nm.G, pool, 32, coloring.CilkWorkerID))
-		CheckColoring(t, nm.Name+"/cilk-holder", nm.G, coloring.ColorCilk(nm.G, pool, 32, coloring.CilkHolder))
-		CheckColoring(t, nm.Name+"/tbb", nm.G, coloring.ColorTBB(nm.G, pool, sched.AutoPartitioner, 32))
-		// The same recycled Scratch must stay proper across graphs.
-		if r, err := scratch.ColorTeam(nil, nm.G, team, opts); err != nil {
-			t.Fatal(err)
-		} else {
-			CheckColoring(t, nm.Name+"/scratch-reuse", nm.G, r)
+	check := func(name string, g *graph.Graph, res coloring.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		CheckColoring(t, name, g, res)
+	}
+	for _, nm := range Corpus() {
+		res, err := scratch.ColorTeam(nil, nm.G, team, opts)
+		check(nm.Name+"/openmp-static", nm.G, res, err)
+		res, err = scratch.ColorCilk(nil, nm.G, pool, 32, coloring.CilkWorkerID)
+		check(nm.Name+"/cilk-wid", nm.G, res, err)
+		res, err = scratch.ColorTBB(nil, nm.G, pool, sched.AutoPartitioner, 32)
+		check(nm.Name+"/tbb-auto", nm.G, res, err)
 	}
 }
 
+// TestComponentsMatchOracle does the same for components: guided and
+// static schedules on one recycled Scratch.
 func TestComponentsMatchOracle(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
-	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}
 
 	scratch := components.NewScratch()
+	check := func(name string, g *graph.Graph, res components.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		CheckComponents(t, name, g, res)
+	}
 	for _, nm := range Corpus() {
-		CheckComponents(t, nm.Name+"/labelprop", nm.G, components.LabelPropagation(nm.G, team, opts))
-		CheckComponents(t, nm.Name+"/pointerjump", nm.G, components.PointerJumping(nm.G, team, opts))
-		if r, err := scratch.LabelPropagation(nil, nm.G, team, opts); err != nil {
-			t.Fatal(err)
-		} else {
-			CheckComponents(t, nm.Name+"/scratch-labelprop", nm.G, r)
-		}
-		if r, err := scratch.PointerJumping(nil, nm.G, team, opts); err != nil {
-			t.Fatal(err)
-		} else {
-			CheckComponents(t, nm.Name+"/scratch-pointerjump", nm.G, r)
-		}
+		res, err := scratch.LabelPropagation(nil, nm.G, team, sched.ForOptions{Policy: sched.Guided, Chunk: 16})
+		check(nm.Name+"/labelprop-guided", nm.G, res, err)
+		res, err = scratch.PointerJumping(nil, nm.G, team, sched.ForOptions{Policy: sched.Static, Chunk: 16})
+		check(nm.Name+"/pointerjump-static", nm.G, res, err)
 	}
 }
 

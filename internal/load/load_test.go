@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"micgraph/internal/kernels"
 	"micgraph/internal/serve"
 )
 
@@ -91,7 +92,9 @@ func TestSynthesizeDeterminism(t *testing.T) {
 		t.Fatal("no requests synthesized")
 	}
 	last := time.Duration(-1)
+	drawn := map[string]bool{}
 	for _, r := range tr.Requests {
+		drawn[r.Spec.Kind+"/"+r.Spec.Variant] = true
 		if r.OffsetNS < last {
 			t.Fatalf("offsets not monotonic at request %d", r.Index)
 		}
@@ -101,6 +104,12 @@ func TestSynthesizeDeterminism(t *testing.T) {
 		}
 		if err := validSpec(r.Spec); err != nil {
 			t.Fatalf("request %d: %v", r.Index, err)
+		}
+	}
+	// The kernel share of the mix reaches every parallel entry of the table.
+	for _, e := range kernels.Table() {
+		if e.Variant != kernels.Seq && !drawn[e.Kind+"/"+e.Variant] {
+			t.Errorf("trace never submits %s/%s", e.Kind, e.Variant)
 		}
 	}
 	// ~20rps x 5s + ~burst(10rps base, mult 6) x 5s: about 100 + 100ish.

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"micgraph/internal/kernels"
 	"micgraph/internal/serve"
 	"micgraph/internal/xrand"
 )
@@ -217,16 +218,24 @@ func (t *Trace) PhaseStart(i int) time.Duration {
 	return d
 }
 
-// kernel job shapes the synthesizer draws from: small suite graphs and the
-// serving path's cheap variants, so a trace stresses queueing and cache
-// behaviour rather than raw kernel time.
+// kernel job shapes the synthesizer draws from: small suite graphs under
+// every parallel entry of the kernels table, so a trace stresses queueing
+// and cache behaviour rather than raw kernel time.
 var (
 	kernelGraphs   = []string{"pwtk", "hood", "bmw3_2", "ldoor"}
-	bfsVariants    = []string{"omp-block-relaxed", "tbb-block-relaxed", "bag", "hybrid"}
-	colorVariants  = []string{"openmp", "cilk", "tbb"}
-	irregVariants  = []string{"openmp", "tbb"}
+	kernelJobs     = parallelEntries()
 	sweepWorkloads = []string{"fig1a", "fig1b", "fig2", "abl-chunk"}
 )
+
+func parallelEntries() []kernels.Entry {
+	var out []kernels.Entry
+	for _, e := range kernels.Table() {
+		if e.Variant != kernels.Seq {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // drawSpec synthesizes one job spec from the mix.
 func drawSpec(rng *xrand.Rand, mix Mix, exportDir string, index int) serve.JobSpec {
@@ -235,17 +244,12 @@ func drawSpec(rng *xrand.Rand, mix Mix, exportDir string, index int) serve.JobSp
 	switch {
 	case u < mix.Kernel:
 		graph := serve.GraphSpec{Suite: kernelGraphs[rng.Intn(len(kernelGraphs))], Scale: 6}
-		switch rng.Intn(3) {
-		case 0:
-			return serve.JobSpec{Kind: serve.KindBFS, Graph: graph,
-				Variant: bfsVariants[rng.Intn(len(bfsVariants))], Chunk: 64}
-		case 1:
-			return serve.JobSpec{Kind: serve.KindColoring, Graph: graph,
-				Variant: colorVariants[rng.Intn(len(colorVariants))], Chunk: 64}
-		default:
-			return serve.JobSpec{Kind: serve.KindIrregular, Graph: graph,
-				Variant: irregVariants[rng.Intn(len(irregVariants))], Chunk: 64, Iters: 3}
+		e := kernelJobs[rng.Intn(len(kernelJobs))]
+		spec := serve.JobSpec{Kind: e.Kind, Graph: graph, Variant: e.Variant, Chunk: 64}
+		if e.Kind == kernels.Irregular {
+			spec.Iters = 3
 		}
+		return spec
 	case u < mix.Kernel+mix.Sweep:
 		return serve.JobSpec{Kind: serve.KindSweep,
 			Experiments: []string{sweepWorkloads[rng.Intn(len(sweepWorkloads))]},

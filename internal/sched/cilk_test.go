@@ -142,56 +142,6 @@ func TestNewPoolPanicsOnZero(t *testing.T) {
 	NewPool(0)
 }
 
-func TestHolderLazyInit(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	var inits atomic.Int32
-	h := NewHolder(4, func() []int {
-		inits.Add(1)
-		return make([]int, 8)
-	})
-	pool.ParallelFor(1000, 10, func(lo, hi int, c *Ctx) {
-		v := h.View(c)
-		(*v)[0]++
-	})
-	if n := inits.Load(); n < 1 || n > 4 {
-		t.Errorf("holder initialised %d views, want 1..4", n)
-	}
-	total := 0
-	h.Each(func(v *[]int) { total += (*v)[0] })
-	if total != countChunks(1000, 10) {
-		t.Errorf("holder views total %d, want %d chunks", total, countChunks(1000, 10))
-	}
-}
-
-// countChunks returns the number of leaf chunks cilk_for produces for n
-// iterations at the given grain (binary splitting).
-func countChunks(n, grain int) int {
-	if n <= grain {
-		return 1
-	}
-	mid := n / 2
-	return countChunks(mid, grain) + countChunks(n-mid, grain)
-}
-
-func TestReducerMax(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	r := NewReducerMax(4, 0)
-	pool.ParallelFor(1000, 16, func(lo, hi int, c *Ctx) {
-		for i := lo; i < hi; i++ {
-			r.Update(c, i%997)
-		}
-	})
-	if got := r.Get(); got != 996 {
-		t.Errorf("ReducerMax = %d, want 996", got)
-	}
-	empty := NewReducerMax(4, -5)
-	if got := empty.Get(); got != -5 {
-		t.Errorf("empty reducer = %d, want identity -5", got)
-	}
-}
-
 func TestDequeOrder(t *testing.T) {
 	var d deque
 	mk := func(id int) task { return task{fn: func(*Ctx) { _ = id }} }

@@ -57,20 +57,12 @@ func TestTeamForEmptyAndTiny(t *testing.T) {
 	}
 	// n smaller than worker count: every index still covered exactly once.
 	coverageCheck(t, 3, func(mark func(int)) {
-		team.ForEach(3, ForOptions{Policy: Dynamic}, func(i, w int) { mark(i) })
+		team.For(3, ForOptions{Policy: Dynamic}, func(lo, hi, w int) {
+			for i := lo; i < hi; i++ {
+				mark(i)
+			}
+		})
 	})
-}
-
-func TestTeamForEach(t *testing.T) {
-	team := NewTeam(3)
-	defer team.Close()
-	var sum atomic.Int64
-	team.ForEach(100, ForOptions{Policy: Guided, Chunk: 4}, func(i, w int) {
-		sum.Add(int64(i))
-	})
-	if sum.Load() != 4950 {
-		t.Errorf("sum = %d, want 4950", sum.Load())
-	}
 }
 
 func TestTeamSingleWorker(t *testing.T) {
@@ -86,19 +78,6 @@ func TestTeamSingleWorker(t *testing.T) {
 		if v != i {
 			t.Fatalf("single-worker static order[%d] = %d", i, v)
 		}
-	}
-}
-
-func TestTeamMaxReduce(t *testing.T) {
-	team := NewTeam(5)
-	defer team.Close()
-	got := team.MaxReduce(-1, func(w int, localMax *int) {
-		if v := w * 10; v > *localMax {
-			*localMax = v
-		}
-	})
-	if got != 40 {
-		t.Errorf("MaxReduce = %d, want 40", got)
 	}
 }
 

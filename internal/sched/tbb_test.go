@@ -89,57 +89,3 @@ func TestPartitionerString(t *testing.T) {
 		t.Error("partitioner names wrong")
 	}
 }
-
-func TestETS(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	ets := NewETS(4, func() map[int]int { return map[int]int{} })
-	pool.ParallelFor(400, 10, func(lo, hi int, c *Ctx) {
-		m := ets.Local(c)
-		(*m)[lo] = hi
-	})
-	seen := 0
-	ets.Each(func(m *map[int]int) { seen += len(*m) })
-	if seen != countChunks(400, 10) {
-		t.Errorf("ETS recorded %d chunks, want %d", seen, countChunks(400, 10))
-	}
-}
-
-func TestCombinable(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	cb := NewCombinable(4, func() int64 { return 0 })
-	pool.ParallelFor(1000, 16, func(lo, hi int, c *Ctx) {
-		local := cb.Local(c)
-		for i := lo; i < hi; i++ {
-			*local += int64(i)
-		}
-	})
-	got := cb.Combine(0, func(a, b int64) int64 { return a + b })
-	if got != 499500 {
-		t.Errorf("Combine = %d, want 499500", got)
-	}
-}
-
-func TestCombinableMax(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
-	cb := NewCombinable(3, func() int { return -1 })
-	ParallelForRange(pool, Range{0, 500, 20}, SimplePartitioner, nil, func(lo, hi int, c *Ctx) {
-		local := cb.Local(c)
-		for i := lo; i < hi; i++ {
-			if v := (i * 37) % 499; v > *local {
-				*local = v
-			}
-		}
-	})
-	got := cb.Combine(-1, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	if got != 498 {
-		t.Errorf("Combine(max) = %d, want 498", got)
-	}
-}

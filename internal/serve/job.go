@@ -8,17 +8,19 @@ import (
 
 	"micgraph/internal/core"
 	"micgraph/internal/graphio"
+	"micgraph/internal/kernels"
 	"micgraph/internal/telemetry"
 )
 
-// Job kinds accepted by POST /jobs.
+// Job kinds accepted by POST /jobs. The four kernel kinds and their
+// variants are the rows of the kernels table.
 const (
-	KindBFS        = "bfs"        // one BFS traversal (bfsrun's variants, including hybrid)
-	KindColoring   = "coloring"   // one speculative coloring run
-	KindComponents = "components" // one connected-components run (labelprop / pointerjump)
-	KindIrregular  = "irregular"  // the micbench irregular kernel
-	KindSweep      = "sweep"      // experiment sweeps (core.RunMany)
-	KindExport     = "export"     // serialise a loaded graph to a file on the daemon host
+	KindBFS        = kernels.BFS        // one BFS traversal
+	KindColoring   = kernels.Coloring   // one speculative coloring run
+	KindComponents = kernels.Components // one connected-components run
+	KindIrregular  = kernels.Irregular  // the micbench irregular kernel
+	KindSweep      = "sweep"            // experiment sweeps (core.RunMany)
+	KindExport     = "export"           // serialise a loaded graph to a file on the daemon host
 )
 
 // GraphSpec names the input graph of a kernel job: either a file path on
@@ -77,15 +79,9 @@ func (sp *JobSpec) normalize() error {
 		if sp.Graph.Scale <= 0 {
 			sp.Graph.Scale = 4
 		}
+		// Unknown variants are admitted: the job fails when it runs.
 		if sp.Variant == "" {
-			switch sp.Kind {
-			case KindBFS:
-				sp.Variant = "omp-block-relaxed"
-			case KindComponents:
-				sp.Variant = "labelprop"
-			default:
-				sp.Variant = "openmp"
-			}
+			sp.Variant = kernels.Default(sp.Kind)
 		}
 		if sp.Chunk <= 0 {
 			sp.Chunk = 100

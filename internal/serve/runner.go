@@ -4,61 +4,19 @@ import (
 	"context"
 	"fmt"
 
-	"micgraph/internal/bfs"
-	"micgraph/internal/coloring"
-	"micgraph/internal/components"
 	"micgraph/internal/core"
 	"micgraph/internal/graph"
 	"micgraph/internal/graphio"
-	"micgraph/internal/irregular"
+	"micgraph/internal/kernels"
 	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
-// workerRT is one queue worker's resident scheduler runtimes and kernel
-// scratches, created once at server start and reused by every job that
-// worker runs — the serving layer's whole point is not paying setup cost
-// per request. The scratches make repeat kernel jobs on a cached graph
-// allocation-free in steady state (same pooled hot paths the kerneltest
-// alloc gates pin); jobs on one worker run sequentially, so the
-// single-run Scratch contract holds.
-type workerRT struct {
-	team *sched.Team
-	pool *sched.Pool
-	bfs  *bfs.Scratch
-	col  *coloring.Scratch
-	cmp  *components.Scratch
-}
-
-func (rt *workerRT) close() {
-	rt.team.Close()
-	rt.pool.Close()
-}
-
 // Stream line shapes. Every line carries "type" so clients can demultiplex
-// a job's JSONL: kernel jobs emit one "result" line plus a "counters"
-// line; sweep jobs emit one "experiment" line per experiment followed by
-// its "cell" lines (core.CellTelemetry records, each embedding the
-// simulator's per-cell mic.SimStats).
-type resultLine struct {
-	Type       string  `json:"type"` // "result"
-	Kind       string  `json:"kind"`
-	Graph      string  `json:"graph"`
-	Variant    string  `json:"variant,omitempty"`
-	NumLevels  int     `json:"levels,omitempty"`
-	Reached    int     `json:"reached,omitempty"`
-	Processed  int64   `json:"processed,omitempty"`
-	Duplicates int64   `json:"duplicates,omitempty"`
-	NumColors  int     `json:"colors,omitempty"`
-	Rounds     int     `json:"rounds,omitempty"`
-	Conflicts  []int   `json:"conflicts,omitempty"`
-	Components int     `json:"components,omitempty"`
-	TDLevels   int     `json:"td_levels,omitempty"`
-	BULevels   int     `json:"bu_levels,omitempty"`
-	Iters      int     `json:"iters,omitempty"`
-	Checksum   float64 `json:"checksum,omitempty"`
-}
-
+// a job's JSONL: kernel jobs emit one "result" line (kernels.ResultLine)
+// plus a "counters" line; sweep jobs emit one "experiment" line per
+// experiment followed by its "cell" lines (core.CellTelemetry records,
+// each embedding the simulator's per-cell mic.SimStats).
 type countersLine struct {
 	Type     string             `json:"type"` // "counters"
 	Counters telemetry.Snapshot `json:"counters"`
@@ -240,8 +198,23 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// runKernel runs one BFS / coloring / irregular job on worker w's resident
-// runtimes and streams the result plus a scheduler-counter snapshot.
+// kernelParams maps the spec onto the table's parameters: the source
+// defaults to |V|/2 as in the paper, team loops are dynamic and TBB ranges
+// use the simple partitioner, the configuration the paper reports.
+func (sp JobSpec) kernelParams(g *graph.Graph) kernels.Params {
+	src := int32(sp.Source)
+	if src <= 0 || int(src) >= g.NumVertices() {
+		src = int32(g.NumVertices() / 2)
+	}
+	return kernels.Params{Source: src, Chunk: sp.Chunk, Iters: sp.Iters,
+		Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+}
+
+// runKernel runs one kernel job on worker w's resident runtime and streams
+// the result plus a scheduler-counter snapshot. Coloring and components
+// answers are validated before they are reported. BFS and irregular ones
+// are not: the check would double their cost and move the service rates
+// the serve-mix benchmark tracks.
 func (s *Server) runKernel(ctx context.Context, w int, j *Job) error {
 	t := j.now()
 	g, err := s.loadGraph(ctx, j.Spec.Graph)
@@ -249,137 +222,29 @@ func (s *Server) runKernel(ctx context.Context, w int, j *Job) error {
 	if err != nil {
 		return err
 	}
-	rt := s.rts[w]
-	spec := j.Spec
-	line := resultLine{Type: "result", Kind: spec.Kind, Graph: g.String(), Variant: spec.Variant}
+	entry, ok := kernels.Lookup(j.Spec.Kind, j.Spec.Variant)
+	if !ok {
+		return fmt.Errorf("serve: unknown %s variant %q", j.Spec.Kind, j.Spec.Variant)
+	}
+	p := j.Spec.kernelParams(g)
 
-	// The kernel switch runs inside a closure so the exec span covers every
-	// path out of it (including error returns) without overlapping the
-	// cache span before it or the flush span after it.
+	// The exec span covers the run, the validation and the line's summary
+	// passes, without overlapping the cache span before it or the flush
+	// span after it.
 	t = j.now()
-	runErr := func() error {
-		switch spec.Kind {
-		case KindBFS:
-			src := int32(spec.Source)
-			if src <= 0 || int(src) >= g.NumVertices() {
-				src = int32(g.NumVertices() / 2)
-			}
-			opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: spec.Chunk}
-			var res bfs.Result
-			switch spec.Variant {
-			case "seq":
-				res = bfs.Sequential(g, src)
-			case "omp-block", "omp-block-relaxed":
-				res, err = rt.bfs.BlockTeam(ctx, g, src, rt.team, opts, spec.Chunk,
-					spec.Variant == "omp-block-relaxed")
-			case "tbb-block", "tbb-block-relaxed":
-				res, err = rt.bfs.BlockTBB(ctx, g, src, rt.pool, sched.SimplePartitioner,
-					spec.Chunk, spec.Chunk, spec.Variant == "tbb-block-relaxed")
-			case "bag":
-				res, err = rt.bfs.BagCilk(ctx, g, src, rt.pool, spec.Chunk)
-			case "tls":
-				res, err = rt.bfs.TLSTeam(ctx, g, src, rt.team, opts)
-			case "hybrid":
-				var hres bfs.HybridResult
-				hres, err = rt.bfs.Hybrid(ctx, g, src, rt.team, opts, bfs.HybridConfig{})
-				res = hres.Result
-				line.TDLevels = hres.TopDownLevels
-				line.BULevels = hres.BottomUpLevels
-			default:
-				return fmt.Errorf("serve: unknown bfs variant %q", spec.Variant)
-			}
-			if err != nil {
-				return err
-			}
-			reached := 0
-			for _, l := range res.Levels {
-				if l != bfs.Unvisited {
-					reached++
-				}
-			}
-			line.NumLevels = res.NumLevels
-			line.Reached = reached
-			line.Processed = res.Processed
-			line.Duplicates = res.Duplicates
-
-		case KindColoring:
-			var res coloring.Result
-			switch spec.Variant {
-			case "seq":
-				res = coloring.SeqGreedy(g)
-			case "openmp":
-				res, err = rt.col.ColorTeam(ctx, g, rt.team,
-					sched.ForOptions{Policy: sched.Dynamic, Chunk: spec.Chunk})
-			case "cilk":
-				res, err = rt.col.ColorCilk(ctx, g, rt.pool, spec.Chunk, coloring.CilkHolder)
-			case "tbb":
-				res, err = rt.col.ColorTBB(ctx, g, rt.pool, sched.SimplePartitioner, spec.Chunk)
-			default:
-				return fmt.Errorf("serve: unknown coloring runtime %q", spec.Variant)
-			}
-			if err != nil {
-				return err
-			}
-			if err := coloring.Validate(g, res.Colors); err != nil {
-				return fmt.Errorf("serve: coloring invalid: %w", err)
-			}
-			line.NumColors = res.NumColors
-			line.Rounds = res.Rounds
-			line.Conflicts = res.Conflicts
-
-		case KindComponents:
-			var res components.Result
-			switch spec.Variant {
-			case "seq":
-				res = components.Sequential(g)
-			case "labelprop":
-				res, err = rt.cmp.LabelPropagation(ctx, g, rt.team,
-					sched.ForOptions{Policy: sched.Dynamic, Chunk: spec.Chunk})
-			case "pointerjump":
-				res, err = rt.cmp.PointerJumping(ctx, g, rt.team,
-					sched.ForOptions{Policy: sched.Dynamic, Chunk: spec.Chunk})
-			default:
-				return fmt.Errorf("serve: unknown components variant %q", spec.Variant)
-			}
-			if err != nil {
-				return err
-			}
-			if err := components.Validate(g, res.Labels); err != nil {
-				return fmt.Errorf("serve: components invalid: %w", err)
-			}
-			line.Components = res.Count
-			line.Rounds = res.Rounds
-
-		case KindIrregular:
-			state := irregular.InitialState(g.NumVertices())
-			var out []float64
-			switch spec.Variant {
-			case "openmp":
-				out, err = irregular.TeamCtx(ctx, g, state, spec.Iters, rt.team,
-					sched.ForOptions{Policy: sched.Dynamic, Chunk: spec.Chunk})
-			case "cilk":
-				out, err = irregular.CilkCtx(ctx, g, state, spec.Iters, rt.pool, spec.Chunk)
-			case "tbb":
-				out, err = irregular.TBBCtx(ctx, g, state, spec.Iters, rt.pool,
-					sched.SimplePartitioner, spec.Chunk)
-			default:
-				return fmt.Errorf("serve: unknown irregular runtime %q", spec.Variant)
-			}
-			if err != nil {
-				return err
-			}
-			sum := 0.0
-			for _, v := range out {
-				sum += v
-			}
-			line.Iters = spec.Iters
-			line.Checksum = sum
+	out, err := entry.Run(ctx, s.rts[w], g, p)
+	if err == nil && (entry.Kind == kernels.Coloring || entry.Kind == kernels.Components) {
+		if err = entry.Validate(g, p, out); err != nil {
+			err = fmt.Errorf("serve: %s invalid: %w", entry.Kind, err)
 		}
-		return nil
-	}()
+	}
+	var line kernels.ResultLine
+	if err == nil {
+		line = out.Line(entry, g.String(), p)
+	}
 	j.addExec(j.now().Sub(t))
-	if runErr != nil {
-		return runErr
+	if err != nil {
+		return err
 	}
 
 	t = j.now()

@@ -10,12 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"micgraph/internal/bfs"
-	"micgraph/internal/coloring"
-	"micgraph/internal/components"
 	"micgraph/internal/fault"
+	"micgraph/internal/kernels"
 	"micgraph/internal/mic"
-	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
@@ -168,7 +165,7 @@ type Server struct {
 	queue    *Queue
 	counters *telemetry.Counters
 	lat      latencySet
-	rts      []*workerRT
+	rts      []*kernels.Runtime // one per queue worker, resident for the server's lifetime
 	started  time.Time
 
 	mu     sync.Mutex
@@ -198,21 +195,14 @@ func New(cfg Config) *Server {
 		jobs:     make(map[string]*Job),
 		started:  cfg.Clock.Now(),
 	}
-	s.rts = make([]*workerRT, cfg.Workers)
+	s.rts = make([]*kernels.Runtime, cfg.Workers)
 	for i := range s.rts {
-		rt := &workerRT{
-			team: sched.NewTeam(cfg.KernelWorkers),
-			pool: sched.NewPool(cfg.KernelWorkers),
-			bfs:  bfs.NewScratch(),
-			col:  coloring.NewScratch(),
-			cmp:  components.NewScratch(),
-		}
-		rt.team.SetCounters(s.counters)
-		rt.pool.SetCounters(s.counters)
+		rt := kernels.NewRuntime(cfg.KernelWorkers)
+		rt.SetCounters(s.counters)
 		if cfg.Injector != nil {
 			hook := cfg.Injector.SchedHook(cfg.Stall)
-			rt.team.SetInject(hook)
-			rt.pool.SetInject(hook)
+			rt.Team.SetInject(hook)
+			rt.Pool.SetInject(hook)
 		}
 		s.rts[i] = rt
 	}
@@ -450,7 +440,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	err := s.queue.AwaitDrain(ctx)
 	if err == nil {
 		for _, rt := range s.rts {
-			rt.close()
+			rt.Close()
 		}
 	}
 	return err

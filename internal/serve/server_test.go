@@ -13,6 +13,7 @@ import (
 
 	"micgraph/internal/core"
 	"micgraph/internal/fault"
+	"micgraph/internal/kernels"
 )
 
 // post submits a spec and returns the HTTP status plus the decoded body.
@@ -162,6 +163,75 @@ func TestServeHybridAndComponentsJobs(t *testing.T) {
 		res := jsonLines(t, result(t, ts, v.ID))[0]
 		if n, _ := res["components"].(float64); n < 1 {
 			t.Errorf("%s components = %v", variant, res["components"])
+		}
+	}
+}
+
+// TestServeEveryTableEntry is the served-answer oracle: every entry of the
+// kernels table, and each kind's default variant, is submitted over HTTP
+// and its streamed "result" line must equal, byte for byte, the line of an
+// in-process run of the same entry. One kernel worker on both sides keeps
+// the speculative kernels (relaxed claims, coloring conflicts) free of
+// run-to-run variation, so nothing has to be masked.
+func TestServeEveryTableEntry(t *testing.T) {
+	s := New(Config{Workers: 1, KernelWorkers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+	rt := kernels.NewRuntime(1)
+	defer rt.Close()
+
+	type submission struct {
+		variant string // "" = the kind's default
+		entry   kernels.Entry
+	}
+	var subs []submission
+	for _, e := range kernels.Table() {
+		subs = append(subs, submission{e.Variant, e})
+		if e.Default {
+			subs = append(subs, submission{"", e})
+		}
+	}
+	if len(subs) != 18+4 {
+		t.Fatalf("%d submissions, want the 18 table entries plus 4 defaults", len(subs))
+	}
+	for _, sub := range subs {
+		e := sub.entry
+		spec := JobSpec{Kind: e.Kind, Variant: sub.variant, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
+		name := fmt.Sprintf("%s/%q", e.Kind, sub.variant)
+		code, v := post(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d", name, code)
+		}
+		if fin := wait(t, ts, v.ID); fin.Status != StatusSucceeded {
+			t.Fatalf("%s: job = %+v", name, fin)
+		}
+		served, _, _ := strings.Cut(result(t, ts, v.ID), "\n")
+
+		if err := spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if spec.Variant != e.Variant {
+			t.Fatalf("%s: normalized to variant %q, table default is %q", name, spec.Variant, e.Variant)
+		}
+		g, err := s.loadGraph(context.Background(), spec.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := spec.kernelParams(g)
+		out, err := e.Run(context.Background(), rt, g, p)
+		if err != nil {
+			t.Fatalf("%s: in-process run: %v", name, err)
+		}
+		if err := e.Validate(g, p, out); err != nil {
+			t.Fatalf("%s: in-process run invalid: %v", name, err)
+		}
+		want, err := json.Marshal(out.Line(e, g.String(), p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served != string(want) {
+			t.Errorf("%s: served result line differs from the in-process run:\n served %s\n    want %s", name, served, want)
 		}
 	}
 }

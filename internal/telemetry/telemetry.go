@@ -76,7 +76,8 @@ func (k Kind) String() string {
 }
 
 // workerCell holds one worker's counters, padded so two workers never share
-// a cache line (the same false-sharing discipline as sched.paddedInt).
+// a cache line (the same false-sharing discipline as the kernels' per-worker
+// scratch arrays).
 type workerCell struct {
 	v [NumKinds]atomic.Int64
 	_ [64 - (NumKinds*8)%64]byte

@@ -12,9 +12,10 @@
 //     partitioned ranges) implemented over goroutines;
 //   - internal/coloring: sequential greedy, iterative parallel speculative
 //     coloring (3 runtimes), distance-2 coloring;
-//   - internal/bfs: sequential BFS and five parallel layered variants
-//     (block queue locked/relaxed × OpenMP/TBB, pennant bag, TLS queues);
+//   - internal/bfs: sequential BFS and the parallel layered variants
+//     (block queue locked/relaxed × OpenMP/TBB, bag, TLS queues, hybrid);
 //   - internal/irregular: the neighbor-averaging microbenchmark;
+//   - internal/kernels: the one table of runnable kind×variant pairs;
 //   - internal/perfmodel: the paper's §III-C analytical BFS model;
 //   - internal/mic: the deterministic many-core SMT machine simulator that
 //     regenerates the paper's speedup figures;
@@ -25,6 +26,7 @@
 package micgraph
 
 import (
+	"context"
 	"fmt"
 
 	"micgraph/internal/bfs"
@@ -94,7 +96,11 @@ func GreedyColoring(g *Graph) ColoringResult { return coloring.SeqGreedy(g) }
 func ParallelColoring(g *Graph, workers int) (ColoringResult, error) {
 	team := sched.NewTeam(workers)
 	defer team.Close()
-	res := coloring.ColorTeam(g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 100})
+	res, err := coloring.NewScratch().ColorTeam(context.Background(), g, team,
+		sched.ForOptions{Policy: sched.Dynamic, Chunk: 100})
+	if err != nil {
+		return res, err
+	}
 	if err := coloring.Validate(g, res.Colors); err != nil {
 		return res, fmt.Errorf("micgraph: parallel coloring produced an invalid result: %w", err)
 	}
@@ -113,9 +119,12 @@ func BFS(g *Graph, source int32) BFSResult { return bfs.Sequential(g, source) }
 func ParallelBFS(g *Graph, source int32, workers int) (BFSResult, error) {
 	team := sched.NewTeam(workers)
 	defer team.Close()
-	res := bfs.BlockTeam(g, source, team,
+	res, err := bfs.NewScratch().BlockTeam(context.Background(), g, source, team,
 		sched.ForOptions{Policy: sched.Dynamic, Chunk: bfs.DefaultBlockSize},
 		bfs.DefaultBlockSize, true)
+	if err != nil {
+		return res, err
+	}
 	if err := bfs.Validate(g, source, res.Levels); err != nil {
 		return res, fmt.Errorf("micgraph: parallel BFS produced an invalid result: %w", err)
 	}
@@ -127,7 +136,12 @@ func ParallelBFS(g *Graph, source int32, workers int) (BFSResult, error) {
 func IrregularKernel(g *Graph, state []float64, iter, workers int) []float64 {
 	team := sched.NewTeam(workers)
 	defer team.Close()
-	return irregular.Team(g, state, iter, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 100})
+	out, err := irregular.TeamCtx(context.Background(), g, state, iter, team,
+		sched.ForOptions{Policy: sched.Dynamic, Chunk: 100})
+	if err != nil {
+		panic(err) // only a panicking loop body can fail an uncancellable run
+	}
+	return out
 }
 
 // AchievableBFSSpeedup evaluates the paper's §III-C analytical model:
@@ -149,8 +163,11 @@ func HostXeon() *Machine { return mic.HostXeon() }
 func HybridBFS(g *Graph, source int32, workers int) (bfs.HybridResult, error) {
 	team := sched.NewTeam(workers)
 	defer team.Close()
-	res := bfs.HybridTeam(g, source, team,
+	res, err := bfs.NewScratch().Hybrid(context.Background(), g, source, team,
 		sched.ForOptions{Policy: sched.Dynamic, Chunk: bfs.DefaultBlockSize}, bfs.HybridConfig{})
+	if err != nil {
+		return res, err
+	}
 	if err := bfs.Validate(g, source, res.Levels); err != nil {
 		return res, fmt.Errorf("micgraph: hybrid BFS produced an invalid result: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"micgraph/internal/kernels"
 	"micgraph/internal/xrand"
 )
 
@@ -93,9 +94,6 @@ func scriptLog(script []action) []byte {
 
 var (
 	suites       = []string{"pwtk", "hood", "bmw3_2", "msdoor"}
-	bfsVariants  = []string{"seq", "omp-block", "omp-block-relaxed", "tbb-block", "tbb-block-relaxed", "bag", "tls", "hybrid"}
-	colVariants  = []string{"seq", "openmp", "cilk", "tbb"}
-	irrVariants  = []string{"openmp", "cilk", "tbb"}
 	sweepExps    = []string{"fig1a", "fig3a", "fig4a"}
 	exportExts   = []string{"mtx", "bin", "el"}
 	malformedSet = []string{
@@ -123,6 +121,8 @@ func genScript(seed uint64, n int) []action {
 	exports := 0
 	script := make([]action, 0, n)
 
+	// kernelBody draws any entry of the kernels table, so every kind and
+	// variant the daemon accepts runs under the oracle.
 	kernelBody := func() string {
 		suite := suites[rng.Intn(len(suites))]
 		scale := []int{8, 16, 32}[rng.Intn(3)]
@@ -131,23 +131,13 @@ func genScript(seed uint64, n int) []action {
 		if rng.Intn(8) == 0 {
 			timeout = `,"timeout_ms":50` // deadline-cancel some jobs on purpose
 		}
-		switch rng.Intn(3) {
-		case 0:
-			v := bfsVariants[rng.Intn(len(bfsVariants))]
-			if rng.Intn(12) == 0 {
-				v = "bogus" // accepted, then fails at run time
-			}
-			return fmt.Sprintf(`{"kind":"bfs","variant":%q,"chunk":%d,"graph":{"suite":%q,"scale":%d}%s}`,
-				v, chunk, suite, scale, timeout)
-		case 1:
-			v := colVariants[rng.Intn(len(colVariants))]
-			return fmt.Sprintf(`{"kind":"coloring","variant":%q,"chunk":%d,"graph":{"suite":%q,"scale":%d}%s}`,
-				v, chunk, suite, scale, timeout)
-		default:
-			v := irrVariants[rng.Intn(len(irrVariants))]
-			return fmt.Sprintf(`{"kind":"irregular","variant":%q,"iters":%d,"chunk":%d,"graph":{"suite":%q,"scale":%d}%s}`,
-				v, 3+rng.Intn(4), chunk, suite, scale, timeout)
+		e := kernels.Table()[rng.Intn(len(kernels.Table()))]
+		v := e.Variant
+		if rng.Intn(12) == 0 {
+			v = "bogus" // accepted, then fails at run time
 		}
+		return fmt.Sprintf(`{"kind":%q,"variant":%q,"iters":%d,"chunk":%d,"graph":{"suite":%q,"scale":%d}%s}`,
+			e.Kind, v, 3+rng.Intn(4), chunk, suite, scale, timeout)
 	}
 	fastBody := func() string {
 		return fmt.Sprintf(`{"kind":"coloring","variant":"seq","graph":{"suite":%q,"scale":8}}`,

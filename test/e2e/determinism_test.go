@@ -3,7 +3,10 @@ package e2e
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+
+	"micgraph/internal/kernels"
 )
 
 // Same seed, same script — byte for byte — and a different seed must
@@ -23,14 +26,18 @@ func TestChaosScriptDeterminism(t *testing.T) {
 }
 
 // The coverage post-pass must hold for any seed: every long-enough script
-// exercises overload, corruption and a mid-flight restart.
+// exercises overload, corruption and a mid-flight restart. Across the
+// seeds, the kernel submissions reach every entry of the kernels table and
+// the unknown variant.
 func TestChaosScriptCoverage(t *testing.T) {
+	var bodies strings.Builder
 	for seed := uint64(1); seed <= 20; seed++ {
 		have := map[string]bool{}
 		expectFail := false
 		for _, a := range genScript(seed, 75) {
 			have[a.Op] = true
 			expectFail = expectFail || a.ExpectFail
+			bodies.WriteString(a.Body + "\n")
 		}
 		for _, op := range []string{opSubmit, opOverload, opCorrupt, opRestart, opProbe} {
 			if !have[op] {
@@ -40,6 +47,14 @@ func TestChaosScriptCoverage(t *testing.T) {
 		if !expectFail {
 			t.Errorf("seed %d: 75-action script never submits a corrupted file", seed)
 		}
+	}
+	for _, e := range kernels.Table() {
+		if job := fmt.Sprintf(`{"kind":%q,"variant":%q,`, e.Kind, e.Variant); !strings.Contains(bodies.String(), job) {
+			t.Errorf("no script submits a %s/%s job", e.Kind, e.Variant)
+		}
+	}
+	if !strings.Contains(bodies.String(), `"variant":"bogus"`) {
+		t.Error("no script submits the unknown variant")
 	}
 }
 
