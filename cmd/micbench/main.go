@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		expID   = flag.String("exp", "all", "experiment id: all, ablations, none (trace-only runs), table1, fig1a..fig1c, fig2, fig3a..fig3c, fig4a..fig4d, abl-{blocksize,chunk,smt,bonus,ordering,model,direction}, extra-{rmat,knc}")
+		expID   = flag.String("exp", "all", "experiment ids, comma-separated: all (the paper's), ablations, none (trace-only runs), "+strings.Join(core.AllIDs(), ", "))
 		scale   = flag.Int("scale", 1, "linear shrink factor for the graph suite (1 = paper sizes)")
 		csvPath = flag.String("csv", "", "also write results as CSV to this file (one file, experiments concatenated)")
 		svgDir  = flag.String("svg", "", "also write one SVG figure per experiment into this directory")
@@ -129,17 +129,12 @@ func main() {
 		}
 	}
 
-	allIDs := []string{"table1", "fig1a", "fig1b", "fig1c", "fig2",
-		"fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig4c", "fig4d"}
-	ablationIDs := []string{"abl-blocksize", "abl-chunk", "abl-smt",
-		"abl-bonus", "abl-ordering", "abl-model", "abl-direction"}
-
 	var ids []string
 	switch *expID {
 	case "all":
-		ids = allIDs
+		ids = core.IDs(core.GroupPaper)
 	case "ablations":
-		ids = ablationIDs
+		ids = core.IDs(core.GroupAblation)
 	case "none", "":
 		if *traceOut == "" {
 			fmt.Fprintln(os.Stderr, "micbench: -exp none without -trace-out does nothing")

@@ -25,22 +25,27 @@ func AblBlockSize(s *Suite, m *mic.Machine) *Experiment {
 		Title: "Ablation: BFS block size (relaxed queue, OpenMP dynamic)",
 		Notes: "Values are geometric-mean speedups across the suite; the paper's best block size is 32.",
 	}
-	for _, th := range threads {
-		th := th
-		vals := make([]float64, len(sizes))
-		for si, bs := range sizes {
-			per := make([]float64, len(s.Graphs))
-			for gi, g := range s.Graphs {
-				src := int32(g.NumVertices() / 2)
-				tr := mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, bs)
-				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: bs}
-				base := mic.Simulate(m, cfg, 1, tr)
-				per[gi] = base / mic.Simulate(m, cfg, th, tr)
+	// The trace depends on the block size, not on the thread count: build
+	// each once and play it at every thread count.
+	vals := grid(len(threads), len(sizes))
+	per := grid(len(threads), len(s.Graphs))
+	for si, bs := range sizes {
+		cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: bs}
+		for gi, g := range s.Graphs {
+			src := int32(g.NumVertices() / 2)
+			tr := mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, bs)
+			base := mic.Simulate(m, cfg, 1, tr)
+			for ti, th := range threads {
+				per[ti][gi] = base / mic.Simulate(m, cfg, th, tr)
 			}
-			vals[si] = GeoMean(per)
 		}
+		for ti := range threads {
+			vals[ti][si] = GeoMean(per[ti])
+		}
+	}
+	for ti, th := range threads {
 		exp.Series = append(exp.Series, Series{
-			Label: fmt.Sprintf("%d threads", th), Threads: sizes, Values: vals,
+			Label: fmt.Sprintf("%d threads", th), Threads: sizes, Values: vals[ti],
 		})
 	}
 	return exp
@@ -58,14 +63,15 @@ func AblChunkSize(s *Suite, m *mic.Machine) *Experiment {
 		Title: "Ablation: OpenMP dynamic chunk size for coloring",
 		Notes: "The x column is the chunk size; the paper's best is 100.",
 	}
+	traceAt := coloringTraces(m, s.Graphs, mic.NaturalOrder, []int{1, 31, 121})
 	for _, th := range threads {
 		vals := make([]float64, len(chunks))
 		for ci, chunk := range chunks {
 			per := make([]float64, len(s.Graphs))
-			for gi, g := range s.Graphs {
+			for gi := range s.Graphs {
 				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: chunk}
-				base := mic.Simulate(m, cfg, 1, mic.ColoringTrace(m, g, mic.NaturalOrder, 1))
-				per[gi] = base / mic.Simulate(m, cfg, th, mic.ColoringTrace(m, g, mic.NaturalOrder, th))
+				base := mic.Simulate(m, cfg, 1, traceAt(gi, 1))
+				per[gi] = base / mic.Simulate(m, cfg, th, traceAt(gi, th))
 			}
 			vals[ci] = GeoMean(per)
 		}
@@ -91,17 +97,15 @@ func AblSMT(s *Suite, m *mic.Machine) *Experiment {
 	for ways := 1; ways <= m.SMTWays; ways++ {
 		mm := *m
 		mm.SMTWays = ways
+		effs := clampThreads(threads, mm.MaxThreads())
+		traceAt := coloringTraces(&mm, graphs, mic.ShuffledOrder, effs)
 		vals := make([]float64, len(threads))
-		for ti, th := range threads {
-			eff := th
-			if eff > mm.MaxThreads() {
-				eff = mm.MaxThreads()
-			}
+		for ti, eff := range effs {
 			per := make([]float64, len(graphs))
-			for gi, g := range graphs {
+			for gi := range graphs {
 				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
-				base := mic.Simulate(&mm, cfg, 1, mic.ColoringTrace(&mm, g, mic.ShuffledOrder, 1))
-				per[gi] = base / mic.Simulate(&mm, cfg, eff, mic.ColoringTrace(&mm, g, mic.ShuffledOrder, eff))
+				base := mic.Simulate(&mm, cfg, 1, traceAt(gi, 1))
+				per[gi] = base / mic.Simulate(&mm, cfg, eff, traceAt(gi, eff))
 			}
 			vals[ti] = GeoMean(per)
 		}
@@ -110,6 +114,25 @@ func AblSMT(s *Suite, m *mic.Machine) *Experiment {
 		})
 	}
 	return exp
+}
+
+// grid returns a rows × cols matrix of zeros.
+func grid(rows, cols int) [][]float64 {
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = make([]float64, cols)
+	}
+	return out
+}
+
+// clampThreads returns threads with every count above limit replaced by it
+// (a machine cannot run more threads than it has hardware contexts).
+func clampThreads(threads []int, limit int) []int {
+	out := make([]int, len(threads))
+	for i, th := range threads {
+		out[i] = min(th, limit)
+	}
+	return out
 }
 
 // AblCacheBonus toggles the shared-cache constructive-interference term —
@@ -129,13 +152,14 @@ func AblCacheBonus(s *Suite, m *mic.Machine) *Experiment {
 			mm.CacheShareBonus = 0
 			label = "bonus off"
 		}
+		traceAt := coloringTraces(&mm, graphs, mic.ShuffledOrder, threads)
 		vals := make([]float64, len(threads))
 		for ti, th := range threads {
 			per := make([]float64, len(graphs))
-			for gi, g := range graphs {
+			for gi := range graphs {
 				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
-				base := mic.Simulate(&mm, cfg, 1, mic.ColoringTrace(&mm, g, mic.ShuffledOrder, 1))
-				per[gi] = base / mic.Simulate(&mm, cfg, th, mic.ColoringTrace(&mm, g, mic.ShuffledOrder, th))
+				base := mic.Simulate(&mm, cfg, 1, traceAt(gi, 1))
+				per[gi] = base / mic.Simulate(&mm, cfg, th, traceAt(gi, th))
 			}
 			vals[ti] = GeoMean(per)
 		}
@@ -172,23 +196,29 @@ func AblOrdering(s *Suite, m *mic.Machine) *Experiment {
 			return m.EffectiveMissPerEdge(restored)
 		}},
 	}
+	cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
+	nat := make([]float64, len(s.Graphs)) // serial time under the natural ordering
+	for gi, g := range s.Graphs {
+		nat[gi] = mic.Simulate(m, cfg, 1, mic.ColoringTraceMiss(m, g, m.EffectiveMissPerEdge(g), 1))
+	}
 	for _, v := range variants {
-		vals := make([]float64, len(threads))
-		for ti, th := range threads {
-			per := make([]float64, len(s.Graphs))
-			for gi, g := range s.Graphs {
-				miss := v.pick(gi)
-				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
+		per := grid(len(threads), len(s.Graphs))
+		for gi, g := range s.Graphs {
+			// One ordering, one miss rate, one set of traces per graph.
+			traces := mic.ColoringTraceSweep(m, g, v.pick(gi), threads)
+			base := mic.Simulate(m, cfg, 1, traces[0])
+			for ti, th := range threads {
 				if th == 1 {
 					// Relative serial time vs the natural ordering.
-					nat := mic.Simulate(m, cfg, 1, mic.ColoringTraceMiss(m, g, m.EffectiveMissPerEdge(g), 1))
-					per[gi] = mic.Simulate(m, cfg, 1, mic.ColoringTraceMiss(m, g, miss, 1)) / nat
+					per[ti][gi] = base / nat[gi]
 				} else {
-					base := mic.Simulate(m, cfg, 1, mic.ColoringTraceMiss(m, g, miss, 1))
-					per[gi] = base / mic.Simulate(m, cfg, th, mic.ColoringTraceMiss(m, g, miss, th))
+					per[ti][gi] = base / mic.Simulate(m, cfg, th, traces[ti])
 				}
 			}
-			vals[ti] = GeoMean(per)
+		}
+		vals := make([]float64, len(threads))
+		for ti := range threads {
+			vals[ti] = GeoMean(per[ti])
 		}
 		exp.Series = append(exp.Series, Series{Label: v.label, Threads: threads, Values: vals})
 	}

@@ -117,8 +117,8 @@ func TestAblModelVsSim(t *testing.T) {
 func TestAblationsCollection(t *testing.T) {
 	s := sharedSuite(t)
 	exps := Ablations(s, mic.KNF())
-	if len(exps) != 6 {
-		t.Fatalf("%d ablations, want 6", len(exps))
+	if len(exps) != 7 {
+		t.Fatalf("%d ablations, want 7", len(exps))
 	}
 	knf, host := mic.KNF(), mic.HostXeon()
 	for _, e := range exps {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -321,8 +322,31 @@ func TestAllAndByID(t *testing.T) {
 			t.Errorf("ByID(%s) = %v, %v", e.ID, got, err)
 		}
 	}
-	if _, err := ByID("fig9z", s, knf, host); err == nil {
-		t.Error("unknown id accepted")
+	if _, err := ByID("fig9z", s, knf, host); err == nil || err.Error() != `core: unknown experiment "fig9z"` {
+		t.Errorf("unknown id: error %v", err)
+	}
+}
+
+// TestExperimentTable: the one table is what every listing reads — the three
+// groups partition AllIDs in report order, with no id twice.
+func TestExperimentTable(t *testing.T) {
+	var grouped []string
+	for _, group := range []string{GroupPaper, GroupAblation, GroupExtra} {
+		grouped = append(grouped, IDs(group)...)
+	}
+	all := AllIDs()
+	if !reflect.DeepEqual(grouped, all) {
+		t.Errorf("groups list %v, AllIDs %v", grouped, all)
+	}
+	if len(IDs(GroupPaper)) != 12 || len(IDs(GroupAblation)) != 7 || len(all) != 21 {
+		t.Errorf("table has %d paper, %d ablation, %d total ids", len(IDs(GroupPaper)), len(IDs(GroupAblation)), len(all))
+	}
+	seen := map[string]bool{}
+	for _, id := range all {
+		if seen[id] {
+			t.Errorf("id %s listed twice", id)
+		}
+		seen[id] = true
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"micgraph/internal/coloring"
+	"micgraph/internal/graph"
 	"micgraph/internal/mic"
 	"micgraph/internal/perfmodel"
 	"micgraph/internal/sched"
@@ -69,25 +71,30 @@ func coloringExperiment(s *Suite, m *mic.Machine, id, title string,
 	}
 	threads := ThreadSweep()
 
-	// Coloring traces depend on t (conflict rounds) but not on the config;
-	// cache them per (graph, t).
-	cache := map[[2]int]*mic.Trace{}
-	traceFor := func(gi, _, t int) *mic.Trace {
-		key := [2]int{gi, t}
-		if tr, ok := cache[key]; ok {
-			return tr
-		}
-		tr := mic.ColoringTrace(m, graphs[gi], o, t)
-		cache[key] = tr
-		return tr
-	}
-	series, errs, cells := speedupCurves(s.Harness, m, configs, labels, len(graphs), threads, traceFor)
+	// Coloring traces depend on t (conflict rounds) but not on the config.
+	traceAt := coloringTraces(m, graphs, o, threads)
+	series, errs, cells := speedupCurves(s.Harness, m, configs, labels, len(graphs), threads,
+		func(gi, _, t int) *mic.Trace { return traceAt(gi, t) })
 	return &Experiment{
 		ID:     id,
 		Title:  title,
 		Series: series,
 		Errors: stamp(id, errs),
 		Cells:  stampCells(id, cells),
+	}
+}
+
+// coloringTraces returns the lookup of graphs[gi]'s coloring trace at thread
+// count t, for t in threads. A graph's traces are built together on its first
+// lookup and share round one (mic.ColoringTraceSweep), so a sweep holds one
+// copy of the graph-sized phases per graph, not one per thread count.
+func coloringTraces(m *mic.Machine, graphs []*graph.Graph, o mic.Ordering, threads []int) func(gi, t int) *mic.Trace {
+	sweeps := make([][]*mic.Trace, len(graphs))
+	return func(gi, t int) *mic.Trace {
+		if sweeps[gi] == nil {
+			sweeps[gi] = mic.ColoringTraceSweep(m, graphs[gi], m.MissPerEdge(o), threads)
+		}
+		return sweeps[gi][slices.Index(threads, t)]
 	}
 }
 
@@ -207,16 +214,20 @@ func bfsExperiment(s *Suite, m *mic.Machine, id, title string,
 
 	exp := &Experiment{ID: id, Title: title}
 
-	// Traces per (graph, variant) are thread-independent.
+	// Traces per (graph, variant) are independent of thread count and
+	// runtime: specs that differ only in their config share one.
 	traces := make(map[[2]int]*mic.Trace)
 	sources := make(map[int]int32)
 	for _, gi := range graphIdx {
 		sources[gi] = int32(s.Graphs[gi].NumVertices() / 2)
 	}
-	for vi, spec := range specs {
+	for _, spec := range specs {
 		for _, gi := range graphIdx {
-			traces[[2]int{gi, vi}] = mic.BFSTrace(m, s.Graphs[gi], sources[gi],
-				mic.NaturalOrder, spec.variant, blockSize)
+			key := [2]int{gi, int(spec.variant)}
+			if traces[key] == nil {
+				traces[key] = mic.BFSTrace(m, s.Graphs[gi], sources[gi],
+					mic.NaturalOrder, spec.variant, blockSize)
+			}
 		}
 	}
 
@@ -231,18 +242,21 @@ func bfsExperiment(s *Suite, m *mic.Machine, id, title string,
 		labels[i] = spec.label
 	}
 	series, errs, cells := speedupCurves(s.Harness, m, configs, labels, len(graphIdx), threads,
-		func(gi, ci, _ int) *mic.Trace { return traces[[2]int{graphIdx[gi], ci}] })
+		func(gi, ci, _ int) *mic.Trace { return traces[[2]int{graphIdx[gi], int(specs[ci].variant)}] })
 	exp.Series = series
 	exp.Errors = append(exp.Errors, stamp(id, errs)...)
 	exp.Cells = append(exp.Cells, stampCells(id, cells)...)
 
 	// Analytical model (§III-C), geometric mean across the same graphs.
+	widths := make([][]int64, len(graphIdx))
+	for i, gi := range graphIdx {
+		widths[i] = s.Graphs[gi].LevelWidths(sources[gi])
+	}
 	model := make([]float64, len(threads))
 	for ti, t := range threads {
 		per := make([]float64, len(graphIdx))
-		for i, gi := range graphIdx {
-			widths := s.Graphs[gi].LevelWidths(sources[gi])
-			per[i] = perfmodel.Speedup(widths, t, blockSize)
+		for i := range graphIdx {
+			per[i] = perfmodel.Speedup(widths[i], t, blockSize)
 		}
 		model[ti] = GeoMean(per)
 	}
@@ -326,71 +340,97 @@ func (s *Suite) indexOf(name string) int {
 	panic(fmt.Sprintf("core: graph %q not in suite", name))
 }
 
+// Experiment groups: the paper's tables and figures, the design-choice
+// ablations, and the runs beyond the paper.
+const (
+	GroupPaper    = "paper"
+	GroupAblation = "ablation"
+	GroupExtra    = "extra"
+)
+
+// experiments is the one table of everything the engine can run, in report
+// order. ByID, AllIDs, IDs, All and Ablations read it, and through them so
+// do micbench's -exp all|ablations and the daemon's sweep jobs.
+var experiments = []struct {
+	id, group string
+	run       func(s *Suite, knf, host *mic.Machine) *Experiment
+}{
+	{"table1", GroupPaper, func(s *Suite, _, _ *mic.Machine) *Experiment { return Table1(s) }},
+	{"fig1a", GroupPaper, onKNF(Fig1a)},
+	{"fig1b", GroupPaper, onKNF(Fig1b)},
+	{"fig1c", GroupPaper, onKNF(Fig1c)},
+	{"fig2", GroupPaper, onKNF(Fig2)},
+	{"fig3a", GroupPaper, onKNF(Fig3a)},
+	{"fig3b", GroupPaper, onKNF(Fig3b)},
+	{"fig3c", GroupPaper, onKNF(Fig3c)},
+	{"fig4a", GroupPaper, onKNF(Fig4a)},
+	{"fig4b", GroupPaper, onKNF(Fig4b)},
+	{"fig4c", GroupPaper, onKNF(Fig4c)},
+	{"fig4d", GroupPaper, func(s *Suite, _, host *mic.Machine) *Experiment { return Fig4d(s, host) }},
+	{"abl-blocksize", GroupAblation, onKNF(AblBlockSize)},
+	{"abl-chunk", GroupAblation, onKNF(AblChunkSize)},
+	{"abl-smt", GroupAblation, onKNF(AblSMT)},
+	{"abl-bonus", GroupAblation, onKNF(AblCacheBonus)},
+	{"abl-ordering", GroupAblation, onKNF(AblOrdering)},
+	{"abl-model", GroupAblation, onKNF(AblModelVsSim)},
+	{"abl-direction", GroupAblation, onKNF(AblDirection)},
+	{"extra-rmat", GroupExtra, onKNF(ExtraRMAT)},
+	{"extra-knc", GroupExtra, func(s *Suite, _, _ *mic.Machine) *Experiment { return ExtraKNC(s, mic.KNC()) }},
+}
+
+// onKNF adapts an experiment that runs on the MIC machine alone.
+func onKNF(run func(*Suite, *mic.Machine) *Experiment) func(*Suite, *mic.Machine, *mic.Machine) *Experiment {
+	return func(s *Suite, knf, _ *mic.Machine) *Experiment { return run(s, knf) }
+}
+
+// IDs lists the experiment IDs of one group, in report order.
+func IDs(group string) []string {
+	var ids []string
+	for _, e := range experiments {
+		if e.group == group {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// AllIDs lists every experiment ID ByID accepts, in report order.
+func AllIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// runGroup runs every experiment of one group, in report order.
+func runGroup(group string, s *Suite, knf, host *mic.Machine) []*Experiment {
+	var out []*Experiment
+	for _, e := range experiments {
+		if e.group == group {
+			out = append(out, e.run(s, knf, host))
+		}
+	}
+	return out
+}
+
 // All returns every paper experiment, computed on the MIC machine (and the
 // host machine for fig4d). Ablations are separate; see Ablations.
 func All(s *Suite, knf, host *mic.Machine) []*Experiment {
-	return []*Experiment{
-		Table1(s),
-		Fig1a(s, knf), Fig1b(s, knf), Fig1c(s, knf),
-		Fig2(s, knf),
-		Fig3a(s, knf), Fig3b(s, knf), Fig3c(s, knf),
-		Fig4a(s, knf), Fig4b(s, knf), Fig4c(s, knf), Fig4d(s, host),
-	}
+	return runGroup(GroupPaper, s, knf, host)
 }
 
 // Ablations returns the design-choice ablation experiments.
 func Ablations(s *Suite, knf *mic.Machine) []*Experiment {
-	return []*Experiment{
-		AblBlockSize(s, knf), AblChunkSize(s, knf), AblSMT(s, knf),
-		AblCacheBonus(s, knf), AblOrdering(s, knf), AblModelVsSim(s, knf),
-	}
+	return runGroup(GroupAblation, s, knf, nil)
 }
 
 // ByID runs a single experiment by its id.
 func ByID(id string, s *Suite, knf, host *mic.Machine) (*Experiment, error) {
-	switch id {
-	case "table1":
-		return Table1(s), nil
-	case "fig1a":
-		return Fig1a(s, knf), nil
-	case "fig1b":
-		return Fig1b(s, knf), nil
-	case "fig1c":
-		return Fig1c(s, knf), nil
-	case "fig2":
-		return Fig2(s, knf), nil
-	case "fig3a":
-		return Fig3a(s, knf), nil
-	case "fig3b":
-		return Fig3b(s, knf), nil
-	case "fig3c":
-		return Fig3c(s, knf), nil
-	case "fig4a":
-		return Fig4a(s, knf), nil
-	case "fig4b":
-		return Fig4b(s, knf), nil
-	case "fig4c":
-		return Fig4c(s, knf), nil
-	case "fig4d":
-		return Fig4d(s, host), nil
-	case "abl-blocksize":
-		return AblBlockSize(s, knf), nil
-	case "abl-chunk":
-		return AblChunkSize(s, knf), nil
-	case "abl-smt":
-		return AblSMT(s, knf), nil
-	case "abl-bonus":
-		return AblCacheBonus(s, knf), nil
-	case "abl-ordering":
-		return AblOrdering(s, knf), nil
-	case "abl-model":
-		return AblModelVsSim(s, knf), nil
-	case "abl-direction":
-		return AblDirection(s, knf), nil
-	case "extra-rmat":
-		return ExtraRMAT(s, knf), nil
-	case "extra-knc":
-		return ExtraKNC(s, mic.KNC()), nil
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(s, knf, host), nil
+		}
 	}
 	return nil, fmt.Errorf("core: unknown experiment %q", id)
 }

@@ -36,9 +36,10 @@ func ExtraRMAT(s *Suite, m *mic.Machine) *Experiment {
 	// Coloring, OpenMP dynamic (hub degrees stress the load balancer).
 	colorVals := make([]float64, len(threads))
 	cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
-	colorBase := mic.Simulate(m, cfg, 1, mic.ColoringTrace(m, g, mic.NaturalOrder, 1))
+	colorTraces := mic.ColoringTraceSweep(m, g, m.MissPerEdge(mic.NaturalOrder), threads)
+	colorBase := mic.Simulate(m, cfg, 1, colorTraces[0])
 	for ti, th := range threads {
-		colorVals[ti] = colorBase / mic.Simulate(m, cfg, th, mic.ColoringTrace(m, g, mic.NaturalOrder, th))
+		colorVals[ti] = colorBase / mic.Simulate(m, cfg, th, colorTraces[ti])
 	}
 	exp.Series = append(exp.Series, Series{Label: "coloring OpenMP-dynamic", Threads: threads, Values: colorVals})
 
@@ -79,12 +80,13 @@ func ExtraKNC(s *Suite, knc *mic.Machine) *Experiment {
 	}
 	graphs := s.Shuffled()
 	cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
+	kncTrace := coloringTraces(knc, graphs, mic.ShuffledOrder, threads)
 	vals := make([]float64, len(threads))
 	for ti, th := range threads {
 		per := make([]float64, len(graphs))
-		for gi, g := range graphs {
-			base := mic.Simulate(knc, cfg, 1, mic.ColoringTrace(knc, g, mic.ShuffledOrder, 1))
-			per[gi] = base / mic.Simulate(knc, cfg, th, mic.ColoringTrace(knc, g, mic.ShuffledOrder, th))
+		for gi := range graphs {
+			base := mic.Simulate(knc, cfg, 1, kncTrace(gi, 1))
+			per[gi] = base / mic.Simulate(knc, cfg, th, kncTrace(gi, th))
 		}
 		vals[ti] = GeoMean(per)
 	}
@@ -93,16 +95,14 @@ func ExtraKNC(s *Suite, knc *mic.Machine) *Experiment {
 	// The KNF curve on the same axis for comparison (clamped to its 124
 	// hardware threads).
 	knf := KNFForComparison()
+	effs := clampThreads(threads, knf.MaxThreads())
+	knfTrace := coloringTraces(knf, graphs, mic.ShuffledOrder, effs)
 	knfVals := make([]float64, len(threads))
-	for ti, th := range threads {
-		eff := th
-		if eff > knf.MaxThreads() {
-			eff = knf.MaxThreads()
-		}
+	for ti, eff := range effs {
 		per := make([]float64, len(graphs))
-		for gi, g := range graphs {
-			base := mic.Simulate(knf, cfg, 1, mic.ColoringTrace(knf, g, mic.ShuffledOrder, 1))
-			per[gi] = base / mic.Simulate(knf, cfg, eff, mic.ColoringTrace(knf, g, mic.ShuffledOrder, eff))
+		for gi := range graphs {
+			base := mic.Simulate(knf, cfg, 1, knfTrace(gi, 1))
+			per[gi] = base / mic.Simulate(knf, cfg, eff, knfTrace(gi, eff))
 		}
 		knfVals[ti] = GeoMean(per)
 	}

@@ -159,20 +159,6 @@ func stampCells(id string, cells []CellTelemetry) []CellTelemetry {
 	return cells
 }
 
-// AllIDs lists every experiment ID ByID accepts, in report order.
-func AllIDs() []string {
-	return []string{
-		"table1",
-		"fig1a", "fig1b", "fig1c", "fig2",
-		"fig3a", "fig3b", "fig3c",
-		"fig4a", "fig4b", "fig4c", "fig4d",
-		"abl-blocksize", "abl-chunk", "abl-smt",
-		"abl-bonus", "abl-ordering", "abl-model",
-		"abl-direction",
-		"extra-rmat", "extra-knc",
-	}
-}
-
 // RunByID is ByID with experiment-level containment: an experiment that
 // fails outright (panic during trace construction, cancelled context)
 // still returns an *Experiment, carrying the failure as an error

@@ -31,7 +31,8 @@ func (o Ordering) String() string {
 	return "natural"
 }
 
-func (m *Machine) missPerEdge(o Ordering) float64 {
+// MissPerEdge is the expected miss rate per neighbor access under ordering o.
+func (m *Machine) MissPerEdge(o Ordering) float64 {
 	if o == ShuffledOrder {
 		return m.MissPerEdgeShuffle
 	}
@@ -84,56 +85,84 @@ const ConflictRate = 0.004
 // Conflict counts shrink geometrically; the expected count depends on t
 // (one thread ⇒ no conflicts), which is why the builder takes t.
 func ColoringTrace(m *Machine, g *graph.Graph, o Ordering, t int) *Trace {
-	return ColoringTraceMiss(m, g, m.missPerEdge(o), t)
+	return ColoringTraceMiss(m, g, m.MissPerEdge(o), t)
 }
 
 // ColoringTraceMiss is ColoringTrace with an explicit per-edge miss rate,
 // for scoring arbitrary vertex orderings (see EffectiveMissPerEdge).
 func ColoringTraceMiss(m *Machine, g *graph.Graph, miss float64, t int) *Trace {
-	n := g.NumVertices()
-	tr := &Trace{Name: "coloring"}
-	if n == 0 {
-		return tr
-	}
+	return ColoringTraceSweep(m, g, miss, []int{t})[0]
+}
 
-	visitSize := n
-	offset := 0
-	for round := 0; visitSize > 0; round++ {
-		tentative := make([]Work, visitSize)
-		detect := make([]Work, visitSize)
-		stride := n / visitSize
-		for i := 0; i < visitSize; i++ {
-			// Visit sets beyond round one are spread across the graph; pick
-			// representative vertices by striding so degree structure
-			// (hubs!) is preserved.
-			v := int32((offset + i*stride) % n)
-			w := vertexScanWork(m, g, v, miss)
-			// Tentative: scan neighbors, mark forbidden, first-fit scan,
-			// store the color.
-			tent := w
-			tent.Issue += 8 // first-fit scan + color store
-			tentative[i] = tent
-			// Detection: scan neighbors comparing colors; conflicts append
-			// with an atomic fetch-and-add.
-			det := w
-			det.Atomics = ConflictRate // amortised conflict-append
-			detect[i] = det
+// ColoringTraceSweep builds the ColoringTraceMiss trace of every thread
+// count of a sweep, in order. Round one visits every vertex whatever t is —
+// only the conflict rounds after it depend on t, and they are a fraction of
+// a percent of its size — so its two phases, items and prefix sums, are built
+// once and shared by all the returned traces: a sweep holds one copy of the
+// graph-sized arrays, not one per thread count.
+func ColoringTraceSweep(m *Machine, g *graph.Graph, miss float64, threads []int) []*Trace {
+	n := g.NumVertices()
+	var roundOne [2]Phase
+	if n > 0 {
+		roundOne = coloringRound(m, g, miss, n, 0)
+		for i := range roundOne {
+			roundOne[i].prefix = prefixSums(roundOne[i].Items)
 		}
-		tr.Phases = append(tr.Phases,
-			Phase{Name: "tentative", Items: tentative},
-			Phase{Name: "detect", Items: detect, Seq: 40},
-		)
-		if t <= 1 {
-			break // sequential speculation never conflicts
-		}
-		next := int(float64(visitSize) * ConflictRate * (1 - 1/float64(t)))
-		if next >= visitSize {
-			next = visitSize - 1
-		}
-		visitSize = next
-		offset += 131 // decorrelate successive rounds' representatives
 	}
-	return tr
+	out := make([]*Trace, len(threads))
+	for i, t := range threads {
+		tr := &Trace{Name: "coloring"}
+		out[i] = tr
+		visitSize := n
+		offset := 0
+		for round := 0; visitSize > 0; round++ {
+			phases := roundOne
+			if round > 0 {
+				phases = coloringRound(m, g, miss, visitSize, offset)
+			}
+			tr.Phases = append(tr.Phases, phases[:]...)
+			if t <= 1 {
+				break // sequential speculation never conflicts
+			}
+			next := int(float64(visitSize) * ConflictRate * (1 - 1/float64(t)))
+			if next >= visitSize {
+				next = visitSize - 1
+			}
+			visitSize = next
+			offset += 131 // decorrelate successive rounds' representatives
+		}
+	}
+	return out
+}
+
+// coloringRound builds one round's tentative-coloring and conflict-detection
+// phases over a Visit set of visitSize vertices.
+func coloringRound(m *Machine, g *graph.Graph, miss float64, visitSize, offset int) [2]Phase {
+	n := g.NumVertices()
+	tentative := make([]Work, visitSize)
+	detect := make([]Work, visitSize)
+	stride := n / visitSize
+	for i := 0; i < visitSize; i++ {
+		// Visit sets beyond round one are spread across the graph; pick
+		// representative vertices by striding so degree structure
+		// (hubs!) is preserved.
+		v := int32((offset + i*stride) % n)
+		w := vertexScanWork(m, g, v, miss)
+		// Tentative: scan neighbors, mark forbidden, first-fit scan,
+		// store the color.
+		tent := w
+		tent.Issue += 8 // first-fit scan + color store
+		tentative[i] = tent
+		// Detection: scan neighbors comparing colors; conflicts append
+		// with an atomic fetch-and-add.
+		det := w
+		det.Atomics = ConflictRate // amortised conflict-append
+		detect[i] = det
+	}
+	return [2]Phase{
+		{Name: "tentative", Items: tentative},
+		{Name: "detect", Items: detect, Seq: 40},
+	}
 }
 
 // FPLatency is the latency in cycles of a dependent floating-point add on
@@ -152,11 +181,11 @@ const FPLatency = 4
 func IrregularTrace(m *Machine, g *graph.Graph, o Ordering, iter int) *Trace {
 	n := g.NumVertices()
 	items := make([]Work, n)
+	fi := float64(iter)
+	miss := m.MissPerEdge(o)
 	for v := 0; v < n; v++ {
 		d := float64(g.Degree(int32(v)))
-		fi := float64(iter)
 		ops := fi * (d + 2) // adds along the chain + the final scale
-		miss := m.missPerEdge(o)
 		items[v] = Work{
 			Issue: fi * (m.IssuePerItem + m.IssuePerEdge*d),
 			FP:    ops * m.FPPerOp,
@@ -194,10 +223,14 @@ const (
 	BFSHybrid
 )
 
-// Direction-switch thresholds of the simulated hybrid traversal, matching
-// the real kernel's defaults (bfs.HybridConfig zero value): flip to
-// bottom-up when the frontier's out-edges exceed 1/α of the unexplored
-// edges, flip back when the frontier shrinks under |V|/β.
+// Direction-switch thresholds of the simulated hybrid traversal — the
+// published Beamer rule: flip to bottom-up when the frontier's out-edges
+// exceed 1/α of the unexplored edges, flip back when the frontier shrinks
+// under |V|/β vertices. The real kernel (bfs.Hybrid) deliberately no longer
+// decides this way: since its arc-count rule it sizes both edges of the
+// switch against the whole graph's arcs. The simulator keeps the published
+// rule because it models the cited algorithm and abl-direction and the
+// golden figures are computed from it; see DESIGN.md §2.
 const (
 	HybridAlpha = 14
 	HybridBeta  = 24
@@ -243,13 +276,8 @@ func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSV
 
 	// Bucket vertices by level and attribute each vertex to its minimum-id
 	// parent (the canonical claim winner).
-	order := make([][]int32, numLevels)
+	order := levelBuckets(levels, numLevels)
 	claims := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if l := levels[v]; l >= 0 {
-			order[l] = append(order[l], int32(v))
-		}
-	}
 	for v := 0; v < n; v++ {
 		lv := levels[v]
 		if lv <= 0 {
@@ -266,12 +294,13 @@ func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSV
 		}
 	}
 
+	miss := m.MissPerEdge(o)
 	for l := 0; l < numLevels; l++ {
 		items := make([]Work, len(order[l]))
 		var seq float64
 		var levelClaims float64
 		for i, v := range order[l] {
-			w := vertexScanWork(m, g, v, m.missPerEdge(o))
+			w := vertexScanWork(m, g, v, miss)
 			cl := claims[v]
 			levelClaims += cl
 			switch variant {
@@ -311,8 +340,34 @@ func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSV
 	return tr
 }
 
+// levelBuckets groups the reached vertices by BFS level, each level in
+// ascending id order, in one backing array.
+func levelBuckets(levels []int32, numLevels int) [][]int32 {
+	start := make([]int, numLevels+1)
+	for _, l := range levels {
+		if l >= 0 {
+			start[l+1]++
+		}
+	}
+	for l := 0; l < numLevels; l++ {
+		start[l+1] += start[l]
+	}
+	flat := make([]int32, start[numLevels])
+	order := make([][]int32, numLevels)
+	for l := range order {
+		order[l] = flat[start[l]:start[l]:start[l+1]]
+	}
+	for v, l := range levels {
+		if l >= 0 {
+			order[l] = append(order[l], int32(v))
+		}
+	}
+	return order
+}
+
 // hybridPhases builds the per-level phases of the direction-optimizing
-// traversal. The direction decision replays the real kernel's exactly: a
+// traversal. The direction decision is the published α/β rule (see
+// HybridAlpha), not a replay of the real kernel's (DESIGN.md §2): a
 // top-down level costs like BFSBlockRelaxed over the frontier; a bottom-up
 // level sweeps every still-unvisited vertex, scanning its adjacency only
 // until a parent on the current frontier is found (the early break that
@@ -322,13 +377,8 @@ func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSV
 // output line up level by level.
 func hybridPhases(m *Machine, g *graph.Graph, o Ordering, levels []int32, numLevels int, tr *Trace) {
 	n := g.NumVertices()
-	miss := m.missPerEdge(o)
-	order := make([][]int32, numLevels)
-	for v := 0; v < n; v++ {
-		if l := levels[v]; l >= 0 {
-			order[l] = append(order[l], int32(v))
-		}
-	}
+	miss := m.MissPerEdge(o)
+	order := levelBuckets(levels, numLevels)
 	var totalDeg float64
 	for v := 0; v < n; v++ {
 		totalDeg += float64(g.Degree(int32(v)))
@@ -336,8 +386,10 @@ func hybridPhases(m *Machine, g *graph.Graph, o Ordering, levels []int32, numLev
 
 	bottomUp := false
 	exploredDeg := 0.0
+	unvisited := n // vertices of levels > l, plus the unreachable
 	for l := 0; l < numLevels; l++ {
 		frontier := order[l]
+		unvisited -= len(frontier)
 		var frontierDeg float64
 		for _, v := range frontier {
 			frontierDeg += float64(g.Degree(v))
@@ -371,7 +423,7 @@ func hybridPhases(m *Machine, g *graph.Graph, o Ordering, levels []int32, numLev
 
 		// Bottom-up: sweep the unvisited vertices, scanning each adjacency
 		// only until a level-l parent turns up.
-		var items []Work
+		items := make([]Work, 0, unvisited)
 		for v := 0; v < n; v++ {
 			lv := levels[v]
 			if lv >= 0 && lv <= int32(l) {

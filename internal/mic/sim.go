@@ -1,7 +1,6 @@
 package mic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"micgraph/internal/sched"
@@ -93,9 +92,11 @@ func SimulateObserved(m *Machine, cfg Config, t int, tr *Trace, tl *telemetry.Ti
 	if t < 1 {
 		panic(fmt.Sprintf("mic: Simulate with %d threads", t))
 	}
+	tr.prepare.Do(tr.buildPrefixes)
+	clocks := make(clockHeap, t) // reused by every phase
 	var total float64
 	for i := range tr.Phases {
-		total += simulatePhase(m, cfg, t, &tr.Phases[i], total, tl, st)
+		total += simulatePhase(m, cfg, t, &tr.Phases[i], total, tl, st, clocks)
 	}
 	return total
 }
@@ -114,8 +115,10 @@ type chunkCost struct {
 // policy, assign chunks to threads (statically or greedily), apply the SMT
 // core-sharing cost model, cap by memory bandwidth, add the barrier.
 // start is the simulation time at phase entry (for timeline timestamps);
-// tl and st are optional observation sinks (see SimulateObserved).
-func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *telemetry.Timeline, st *SimStats) float64 {
+// tl and st are optional observation sinks (see SimulateObserved). clocks
+// is the caller's per-thread scratch, reset here. The cost of a call is
+// O(chunks · log t): the per-item work was done once, in p.prefix.
+func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *telemetry.Timeline, st *SimStats, clocks clockHeap) float64 {
 	if st != nil {
 		st.Phases++
 	}
@@ -123,20 +126,9 @@ func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *t
 	if n == 0 {
 		return p.Seq
 	}
-
-	// Prefix sums for O(1) chunk aggregation.
-	prefix := make([]Work, n+1)
-	for i, it := range p.Items {
-		prefix[i+1] = prefix[i]
-		prefix[i+1].Add(it)
-	}
-	sum := func(lo, hi int) Work {
-		w := prefix[hi]
-		w.Issue -= prefix[lo].Issue
-		w.FP -= prefix[lo].FP
-		w.Stall -= prefix[lo].Stall
-		w.Atomics -= prefix[lo].Atomics
-		return w
+	prefix := p.prefix
+	if len(prefix) != n+1 {
+		panic(fmt.Sprintf("mic: phase %q changed after its trace was first simulated", p.Name))
 	}
 
 	plan := planChunks(m, cfg, t, n)
@@ -148,11 +140,15 @@ func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *t
 		plan.perChunkIssue += atomicCost
 	}
 	itemTax := plan.taxScale * runtimeItemTax(m, cfg) * float64(t) * float64(t)
-	clocks := make([]float64, t)
+	clocks.reset()
 	var stallServed float64
 
 	cost := func(c chunk, thread int) chunkCost {
-		w := sum(c.lo, c.hi)
+		w, lo := prefix[c.hi], &prefix[c.lo]
+		w.Issue -= lo.Issue
+		w.FP -= lo.FP
+		w.Stall -= lo.Stall
+		w.Atomics -= lo.Atomics
 		k := m.Coresidency(t, thread)
 		issue := w.Issue + plan.perChunkIssue
 		stolen := false
@@ -206,37 +202,33 @@ func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *t
 		}
 	}
 
-	if plan.greedy {
-		// First-come first-served: each chunk goes to the earliest-free
-		// thread (ties broken by thread id for determinism).
-		h := newClockHeap(t)
-		for _, c := range plan.chunks {
-			e := heap.Pop(h).(clockEntry)
-			cc := cost(c, e.thread)
-			observe(c, e.thread, e.clock, cc)
-			e.clock += cc.total
-			heap.Push(h, e)
+	numChunks := 0
+	chunks := plan.chunks(t, n)
+	for c, ok := chunks.next(); ok; c, ok = chunks.next() {
+		numChunks++
+		// First-come first-served: the chunk goes to the earliest-free
+		// thread, which sits at the top of the heap (ties broken by thread
+		// id for determinism). Otherwise clocks stays indexed by thread.
+		e := &clocks[0]
+		if !plan.greedy {
+			e = &clocks[c.owner]
 		}
-		for h.Len() > 0 {
-			e := heap.Pop(h).(clockEntry)
-			clocks[e.thread] = e.clock
-		}
-	} else {
-		for _, c := range plan.chunks {
-			cc := cost(c, c.owner)
-			observe(c, c.owner, clocks[c.owner], cc)
-			clocks[c.owner] += cc.total
+		cc := cost(c, e.thread)
+		observe(c, e.thread, e.clock, cc)
+		e.clock += cc.total
+		if plan.greedy {
+			clocks.fixTop()
 		}
 	}
 
 	phaseTime := 0.0
-	for _, c := range clocks {
-		if c > phaseTime {
-			phaseTime = c
+	for _, e := range clocks {
+		if e.clock > phaseTime {
+			phaseTime = e.clock
 		}
 	}
 	if st != nil {
-		st.Chunks += len(plan.chunks)
+		st.Chunks += numChunks
 		st.StallCycles += stallServed
 	}
 	// Aggregate bandwidth ceiling: the memory system can retire at most
@@ -260,7 +252,7 @@ func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *t
 	// never finish faster than one line-bounce per chunk, and the bounce
 	// latency grows with the number of contending threads on the ring.
 	if cfg.Kind == OpenMP && cfg.Policy != sched.Static && t > 1 {
-		if ser := float64(len(plan.chunks)) * (m.AtomicCost + m.AtomicContPerT*float64(t)); ser > phaseTime {
+		if ser := float64(numChunks) * (m.AtomicCost + m.AtomicContPerT*float64(t)); ser > phaseTime {
 			if tl != nil {
 				tl.Emit(telemetry.Event{
 					Name: p.Name + " chunk-counter serialisation", Cat: "serialize",
@@ -319,9 +311,25 @@ func stealPenalty(m *Machine, cfg Config) float64 {
 	}
 }
 
+// chunkShape is how a plan cuts a phase's items into chunks.
+type chunkShape int
+
+const (
+	// perThread: one contiguous block per thread, owned by it.
+	perThread chunkShape = iota
+	// fixedSize: equal chunks dealt round-robin (owner = index mod t).
+	fixedSize
+	// guidedSize: size = max(min, remaining/t), shrinking geometrically.
+	guidedSize
+	// halving: the leaves of the recursive binary split down to a grain
+	// used by cilk_for and TBB's splitting partitioners.
+	halving
+)
+
 // plan describes how a phase's items are chunked and assigned.
 type plan struct {
-	chunks        []chunk
+	shape         chunkShape
+	size          int // fixedSize: chunk size; guidedSize: minimum; halving: grain
 	perChunkIssue float64
 	greedy        bool    // FCFS assignment instead of fixed owners
 	taxScale      float64 // multiplier on the runtime's per-item tax
@@ -336,151 +344,143 @@ func planChunks(m *Machine, cfg Config, t, n int) plan {
 	case OpenMP:
 		switch cfg.Policy {
 		case sched.Static:
-			return plan{staticChunks(t, n, cfg.Chunk), m.StaticChunkCost, false, 1}
-		case sched.Dynamic:
-			size := cfg.Chunk
-			if size <= 0 {
-				size = 1
+			if cfg.Chunk <= 0 {
+				return plan{perThread, 0, m.StaticChunkCost, false, 1}
 			}
-			return plan{staticChunks(t, n, size), m.DynamicGrabCost, true, 1}
+			return plan{fixedSize, cfg.Chunk, m.StaticChunkCost, false, 1}
+		case sched.Dynamic:
+			return plan{fixedSize, max(cfg.Chunk, 1), m.DynamicGrabCost, true, 1}
 		case sched.Guided:
-			return plan{guidedChunks(t, n, cfg.Chunk), m.DynamicGrabCost, true, 1}
+			return plan{guidedSize, max(cfg.Chunk, 1), m.DynamicGrabCost, true, 1}
 		}
 	case Cilk:
 		grain := cfg.Chunk
 		if grain <= 0 {
 			grain = sched.DefaultGrain(n, t)
 		}
-		return plan{splitChunks(t, n, grain), wsOver(m.CilkRuntimeScale), true, 1}
+		return plan{halving, grain, wsOver(m.CilkRuntimeScale), true, 1}
 	case TBB:
-		grain := cfg.Chunk
-		if grain <= 0 {
-			grain = 1
-		}
+		grain := max(cfg.Chunk, 1)
 		switch cfg.Partitioner {
 		case sched.SimplePartitioner:
-			return plan{splitChunks(t, n, grain), wsOver(m.TBBRuntimeScale), true, 1}
+			return plan{halving, grain, wsOver(m.TBBRuntimeScale), true, 1}
 		case sched.AutoPartitioner:
 			// Coarse subranges that split only on steal events: fewer,
 			// larger chunks, and extra scheduler traffic when the late
 			// splits finally happen.
-			auto := n / (3 * t)
-			if auto < grain {
-				auto = grain
-			}
-			return plan{splitChunks(t, n, auto), wsOver(m.TBBRuntimeScale), true, 1.15}
+			return plan{halving, max(n/(3*t), grain), wsOver(m.TBBRuntimeScale), true, 1.15}
 		case sched.AffinityPartitioner:
 			// Fixed replayed assignment: 4 blocks per thread, round-robin,
 			// dispatched as tasks but never rebalanced, plus the replay
 			// bookkeeping on every touched element.
-			size := (n + 4*t - 1) / (4 * t)
-			if size < grain {
-				size = grain
-			}
-			return plan{staticChunks(t, n, size), wsOver(m.TBBRuntimeScale), false, 1.5}
+			return plan{fixedSize, max((n+4*t-1)/(4*t), grain), wsOver(m.TBBRuntimeScale), false, 1.5}
 		}
 	}
 	panic(fmt.Sprintf("mic: unsupported config %+v", cfg))
 }
 
-// staticChunks: fixed size, owner = chunk index mod t (round-robin); with
-// size <= 0, one contiguous block per thread.
-func staticChunks(t, n, size int) []chunk {
-	var out []chunk
-	if size <= 0 {
-		for w := 0; w < t; w++ {
-			lo, hi := n*w/t, n*(w+1)/t
-			if lo < hi {
-				out = append(out, chunk{lo, hi, w})
+// chunks returns the plan's chunks of n items for t threads, in dispatch
+// order. They are generated one at a time: a sweep cell holds no chunk list.
+func (p plan) chunks(t, n int) chunker {
+	c := chunker{shape: p.shape, size: p.size, t: t, n: n}
+	c.open[0], c.depth = n, 1
+	return c
+}
+
+// chunker is the cursor of plan.chunks.
+type chunker struct {
+	shape   chunkShape
+	size    int
+	t, n    int
+	lo, idx int // first item and index of the next chunk
+
+	// halving only: the upper ends of the ranges the split has entered and
+	// not finished, outermost first. A range at least halves per level, so
+	// 64 levels cover any int.
+	open  [64]int
+	depth int
+}
+
+// next returns the next chunk, or false once the items are used up.
+func (c *chunker) next() (chunk, bool) {
+	if c.shape == perThread {
+		for c.idx < c.t {
+			w := c.idx
+			c.idx++
+			if lo, hi := c.n*w/c.t, c.n*(w+1)/c.t; lo < hi {
+				return chunk{lo, hi, w}, true
 			}
 		}
-		return out
+		return chunk{}, false
 	}
-	for i, lo := 0, 0; lo < n; i, lo = i+1, lo+size {
-		hi := lo + size
-		if hi > n {
-			hi = n
+	lo := c.lo
+	if lo >= c.n {
+		return chunk{}, false
+	}
+	var hi int
+	switch c.shape {
+	case fixedSize:
+		hi = min(lo+c.size, c.n)
+	case guidedSize:
+		hi = min(lo+max((c.n-lo)/c.t, c.size), c.n)
+	case halving:
+		// Descend into left halves until the range fits the grain; what is
+		// left of each range entered on the way is split when lo gets there.
+		hi = c.open[c.depth-1]
+		for hi-lo > c.size {
+			hi = lo + (hi-lo)/2
+			c.open[c.depth] = hi
+			c.depth++
 		}
-		out = append(out, chunk{lo, hi, i % t})
+		c.depth--
 	}
-	return out
+	out := chunk{lo, hi, c.idx % c.t}
+	c.lo = hi
+	c.idx++
+	return out, true
 }
 
-// guidedChunks: size = max(min, remaining/t), shrinking geometrically.
-func guidedChunks(t, n, minChunk int) []chunk {
-	if minChunk <= 0 {
-		minChunk = 1
-	}
-	var out []chunk
-	lo := 0
-	i := 0
-	for lo < n {
-		size := (n - lo) / t
-		if size < minChunk {
-			size = minChunk
-		}
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, chunk{lo, hi, i % t})
-		lo = hi
-		i++
-	}
-	return out
-}
-
-// splitChunks: leaves of the recursive binary split used by cilk_for and
-// tbb simple partitioner.
-func splitChunks(t, n, grain int) []chunk {
-	var out []chunk
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo <= grain {
-			out = append(out, chunk{lo: lo, hi: hi})
-			return
-		}
-		mid := lo + (hi-lo)/2
-		rec(lo, mid)
-		rec(mid, hi)
-	}
-	rec(0, n)
-	for i := range out {
-		out[i].owner = i % t
-	}
-	return out
-}
-
-// clockHeap is a min-heap of thread clocks with deterministic tie-breaking.
 type clockEntry struct {
 	clock  float64
 	thread int
 }
 
+// clockHeap holds one clock per thread. Freshly reset it is indexed by
+// thread; the FCFS loop uses it as a min-heap on (clock, thread) — a strict
+// total order, so which thread is earliest-free never depends on how the
+// heap happens to be laid out.
 type clockHeap []clockEntry
 
-func newClockHeap(t int) *clockHeap {
-	h := make(clockHeap, t)
+// reset zeroes every clock. Equal clocks with ascending thread ids are
+// already in heap order.
+func (h clockHeap) reset() {
 	for i := range h {
 		h[i] = clockEntry{0, i}
 	}
-	heap.Init(&h)
-	return &h
 }
 
-func (h clockHeap) Len() int { return len(h) }
-func (h clockHeap) Less(i, j int) bool {
+func (h clockHeap) less(i, j int) bool {
 	if h[i].clock != h[j].clock {
 		return h[i].clock < h[j].clock
 	}
 	return h[i].thread < h[j].thread
 }
-func (h clockHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *clockHeap) Push(x any)   { *h = append(*h, x.(clockEntry)) }
-func (h *clockHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// fixTop restores heap order after the top entry's clock has grown.
+func (h clockHeap) fixTop() {
+	i := 0
+	for {
+		least := 2*i + 1
+		if least >= len(h) {
+			return
+		}
+		if r := least + 1; r < len(h) && h.less(r, least) {
+			least = r
+		}
+		if !h.less(least, i) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }

@@ -5,10 +5,12 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"micgraph/internal/gen"
+	"micgraph/internal/graph"
 	"micgraph/internal/sched"
 )
 
@@ -192,6 +194,16 @@ func TestEmptyPhaseOnlySeq(t *testing.T) {
 	}
 }
 
+// allChunks collects the chunks a plan yields for n items on th threads.
+func allChunks(p plan, th, n int) []chunk {
+	var out []chunk
+	it := p.chunks(th, n)
+	for c, ok := it.next(); ok; c, ok = it.next() {
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestChunkPlansCoverAllItems(t *testing.T) {
 	m := KNF()
 	configs := []Config{
@@ -208,9 +220,8 @@ func TestChunkPlansCoverAllItems(t *testing.T) {
 	for _, cfg := range configs {
 		for _, n := range []int{1, 7, 100, 12345} {
 			for _, th := range []int{1, 4, 31, 124} {
-				p := planChunks(m, cfg, th, n)
 				covered := make([]bool, n)
-				for _, c := range p.chunks {
+				for _, c := range allChunks(planChunks(m, cfg, th, n), th, n) {
 					if c.lo < 0 || c.hi > n || c.lo >= c.hi {
 						t.Fatalf("%v n=%d t=%d: bad chunk %+v", cfg, n, th, c)
 					}
@@ -235,7 +246,7 @@ func TestChunkPlansCoverAllItems(t *testing.T) {
 }
 
 func TestGuidedChunksShrink(t *testing.T) {
-	chunks := guidedChunks(4, 10000, 10)
+	chunks := allChunks(plan{shape: guidedSize, size: 10}, 4, 10000)
 	for i := 1; i < len(chunks); i++ {
 		prev := chunks[i-1].hi - chunks[i-1].lo
 		cur := chunks[i].hi - chunks[i].lo
@@ -455,5 +466,149 @@ func TestBuiltinMachinesValid(t *testing.T) {
 	}
 	if knc.MaxThreads() <= KNF().MaxThreads() {
 		t.Error("KNC must expose more hardware threads than KNF")
+	}
+}
+
+// TestHalvingMatchesRecursiveSplit checks the chunker's iterative descent
+// against the recursion it replaces: cilk_for's binary split, leaves in
+// left-to-right order, owners dealt round-robin.
+func TestHalvingMatchesRecursiveSplit(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 100, 1023, 1024, 1025, 12345} {
+		for _, grain := range []int{1, 2, 7, 100, 5000} {
+			var want []chunk
+			var rec func(lo, hi int)
+			rec = func(lo, hi int) {
+				if hi-lo <= grain {
+					want = append(want, chunk{lo, hi, len(want) % 31})
+					return
+				}
+				mid := lo + (hi-lo)/2
+				rec(lo, mid)
+				rec(mid, hi)
+			}
+			rec(0, n)
+			got := allChunks(plan{shape: halving, size: grain}, 31, n)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d grain=%d: got %v, want %v", n, grain, got, want)
+			}
+		}
+	}
+}
+
+func ldoorScale8(t testing.TB) *graph.Graph {
+	t.Helper()
+	cfg, err := gen.SuiteConfig("ldoor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.Mesh(gen.Scaled(cfg, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSimulateAllocsPerCall: once a trace has been simulated, a call
+// allocates its per-thread clocks and nothing that grows with the number of
+// items or chunks. (Before the prefix sums moved onto the trace this call
+// made about 1 120 allocations and 1 MB.)
+func TestSimulateAllocsPerCall(t *testing.T) {
+	m := KNF()
+	tr := ColoringTrace(m, ldoorScale8(t), NaturalOrder, 121)
+	for _, cfg := range []Config{
+		{Kind: OpenMP, Policy: sched.Dynamic, Chunk: 100},
+		{Kind: OpenMP, Policy: sched.Dynamic, Chunk: 1}, // 100× the chunks
+		{Kind: Cilk, Chunk: 100},
+		{Kind: TBB, Partitioner: sched.AffinityPartitioner, Chunk: 40},
+	} {
+		Simulate(m, cfg, 121, tr)
+		if a := testing.AllocsPerRun(10, func() { Simulate(m, cfg, 121, tr) }); a > 2 {
+			t.Errorf("%v: %v allocs per Simulate call, want <= 2", cfg, a)
+		}
+	}
+}
+
+// TestSimulateSharedTraceConcurrently: the first simulations of one *Trace
+// may come from several goroutines at once, under different configurations;
+// each must return exactly what a serial call returns. Run under -race, this
+// is the check on the prefix sums built on first use.
+func TestSimulateSharedTraceConcurrently(t *testing.T) {
+	m := KNF()
+	g := gen.RingOfCliques(200, 8)
+	configs := []Config{
+		{Kind: OpenMP, Policy: sched.Dynamic, Chunk: 100},
+		{Kind: OpenMP, Policy: sched.Static, Chunk: 40},
+		{Kind: Cilk, Chunk: 100},
+		{Kind: TBB, Partitioner: sched.SimplePartitioner, Chunk: 40},
+	}
+	serial := BFSTrace(m, g, 0, NaturalOrder, BFSBlockRelaxed, 32)
+	want := make([]uint64, len(configs))
+	for i, cfg := range configs {
+		want[i] = math.Float64bits(Simulate(m, cfg, 61, serial))
+	}
+
+	shared := BFSTrace(m, g, 0, NaturalOrder, BFSBlockRelaxed, 32)
+	got := make([]uint64, len(configs))
+	var wg sync.WaitGroup
+	for i, cfg := range configs {
+		wg.Add(1)
+		go func(i int, cfg Config) {
+			defer wg.Done()
+			got[i] = math.Float64bits(Simulate(m, cfg, 61, shared))
+		}(i, cfg)
+	}
+	wg.Wait()
+	for i, cfg := range configs {
+		if got[i] != want[i] {
+			t.Errorf("%v: concurrent call returned bits %x, serial %x", cfg, got[i], want[i])
+		}
+	}
+}
+
+// TestTraceLiteralMatchesBuilder: a Trace written out as a literal, with no
+// builder involved, simulates to exactly the builder-made trace's time.
+func TestTraceLiteralMatchesBuilder(t *testing.T) {
+	m := KNF()
+	built := ColoringTrace(m, gen.RingOfCliques(50, 8), NaturalOrder, 61)
+	literal := &Trace{Name: built.Name}
+	for _, p := range built.Phases {
+		literal.Phases = append(literal.Phases,
+			Phase{Name: p.Name, Items: append([]Work(nil), p.Items...), Seq: p.Seq})
+	}
+	for _, cfg := range []Config{
+		{Kind: OpenMP, Policy: sched.Guided, Chunk: 10},
+		{Kind: TBB, Partitioner: sched.AutoPartitioner, Chunk: 4},
+	} {
+		if a, b := Simulate(m, cfg, 61, literal), Simulate(m, cfg, 61, built); a != b {
+			t.Errorf("%v: literal trace %v, built trace %v", cfg, a, b)
+		}
+	}
+}
+
+// TestColoringTraceSweepSharesRoundOne: every trace of a sweep equals the
+// one ColoringTraceMiss builds for that thread count alone, and all of them
+// hold the same round-one arrays rather than copies.
+func TestColoringTraceSweepSharesRoundOne(t *testing.T) {
+	m := KNF()
+	g := gen.RingOfCliques(50, 8)
+	threads := []int{1, 31, 121}
+	sweep := ColoringTraceSweep(m, g, m.MissPerEdge(NaturalOrder), threads)
+	for i, th := range threads {
+		alone := ColoringTraceMiss(m, g, m.MissPerEdge(NaturalOrder), th)
+		if len(sweep[i].Phases) != len(alone.Phases) {
+			t.Fatalf("t=%d: %d phases in the sweep, %d alone", th, len(sweep[i].Phases), len(alone.Phases))
+		}
+		for pi, p := range alone.Phases {
+			q := sweep[i].Phases[pi]
+			if p.Name != q.Name || p.Seq != q.Seq || !reflect.DeepEqual(p.Items, q.Items) {
+				t.Errorf("t=%d phase %d differs from the trace built alone", th, pi)
+			}
+		}
+		for pi := 0; pi < 2; pi++ {
+			if &sweep[i].Phases[pi].Items[0] != &sweep[0].Phases[pi].Items[0] ||
+				&sweep[i].Phases[pi].prefix[0] != &sweep[0].Phases[pi].prefix[0] {
+				t.Errorf("t=%d: round-one phase %d is a copy, not shared", th, pi)
+			}
+		}
 	}
 }

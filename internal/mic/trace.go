@@ -1,5 +1,7 @@
 package mic
 
+import "sync"
+
 // Work is the cost vector of one work item (typically: process one vertex
 // or queue entry): issue cycles that occupy the core's pipeline, FP cycles
 // that occupy the core's FP unit, and stall cycles that overlap with other
@@ -31,10 +33,31 @@ func (w Work) Total() float64 { return w.Issue + w.FP + w.Stall }
 // Phase is one parallel loop of a kernel: a list of per-item costs executed
 // under the run's scheduling policy, followed by an implicit barrier, plus
 // optional sequential work (queue merges, swaps) executed by one thread.
+//
+// A phase is built once and then only read: Items must not be modified,
+// resized or replaced once a trace holding the phase has been simulated. The
+// simulator keeps the items' running sums from that first call on (and trace
+// builders share one phase between traces), and every later call, from any
+// goroutine, reads both without synchronisation.
 type Phase struct {
 	Name  string
 	Items []Work
 	Seq   float64 // sequential cycles after the barrier (merges, reductions)
+
+	// prefix[i] is Items[0] + ... + Items[i-1], accumulated left to right:
+	// a chunk's cost is the difference of two entries, so a simulation
+	// costs O(chunks), not O(items). Nil until built.
+	prefix []Work
+}
+
+// prefixSums returns the running sums of items (len(items)+1 entries).
+func prefixSums(items []Work) []Work {
+	prefix := make([]Work, len(items)+1)
+	for i, it := range items {
+		prefix[i+1] = prefix[i]
+		prefix[i+1].Add(it)
+	}
+	return prefix
 }
 
 // TotalWork returns the aggregate cost vector of the phase's items.
@@ -54,6 +77,20 @@ func (p *Phase) TotalWork() Work {
 type Trace struct {
 	Name   string
 	Phases []Phase
+
+	// prepare guards the one O(items) step of simulating: the first
+	// Simulate of the trace fills in the prefix sums of every phase that
+	// came without them (a hand-written literal, or a builder that left
+	// them for later), and concurrent callers wait for it.
+	prepare sync.Once
+}
+
+func (tr *Trace) buildPrefixes() {
+	for i := range tr.Phases {
+		if p := &tr.Phases[i]; p.prefix == nil && len(p.Items) > 0 {
+			p.prefix = prefixSums(p.Items)
+		}
+	}
 }
 
 // SerialTime returns the trace's total single-thread item latency plus

@@ -1,8 +1,9 @@
 #!/bin/sh
-# bench_diff.sh — guard the kernel perf trajectory against the committed
-# baseline. Runs a short Kernel* benchmark pass and compares each record
-# against the baseline JSON (BENCH_1.json by default, the post-optimization
-# baseline recorded by scripts/bench.sh):
+# bench_diff.sh — guard the perf trajectory of the kernels and of the
+# simulator/experiment engine against the committed baseline. Runs a short
+# pass of the Kernel*, Fig*, *Simulate*, TraceBuild* and AblationBlockSize
+# benchmarks and compares each record against the baseline JSON
+# (BENCH_1.json by default, recorded by scripts/bench.sh):
 #
 #   - ns/op is INFORMATIONAL: short -benchtime runs on shared CI boxes are
 #     noisy, so drifts beyond the ±40% tolerance are printed as warnings
@@ -11,7 +12,9 @@
 #     increase beyond the amortization slack (+10%, minimum +2 to absorb
 #     setup allocations spread over fewer iterations at short benchtime)
 #     fails with exit 1. The exact zero-alloc invariants are pinned even
-#     tighter by the internal/kerneltest AllocsPerRun gates.
+#     tighter by the internal/kerneltest AllocsPerRun gates. For the Fig*
+#     records this is what keeps a sweep cell O(chunks): a change that
+#     allocates per cell or per chunk again moves them by 10x or more.
 #
 # Usage:
 #   scripts/bench_diff.sh [baseline.json]
@@ -21,7 +24,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASE="${1:-BENCH_1.json}"
-PATTERN="${BENCH_DIFF_PATTERN:-Kernel}"
+PATTERN="${BENCH_DIFF_PATTERN:-Kernel|Fig|Simulate|TraceBuild|AblationBlockSize}"
 TIME="${BENCH_DIFF_TIME:-100ms}"
 RAW="${BENCH_DIFF_RAW:-bench_diff.txt}"
 
@@ -33,8 +36,8 @@ fi
 echo "bench_diff.sh: go test -run '^$' -bench '$PATTERN' -benchmem -benchtime $TIME ." >&2
 go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" -timeout 30m . | tee "$RAW"
 
-python3 - "$BASE" "$RAW" <<'EOF'
-import json, sys
+python3 - "$BASE" "$RAW" "$PATTERN" <<'EOF'
+import json, re, sys
 
 base = {}
 for rec in json.load(open(sys.argv[1])):
@@ -74,7 +77,7 @@ for name, cur in sorted(current.items()):
         print(f"bench-diff: FAIL {name}: {cur['allocs']:.0f} allocs/op vs baseline "
               f"{b['allocs']:.0f} (ceiling {ceiling:.0f}) — allocation regression")
         fail = True
-missing = sorted(set(n for n in base if "Kernel" in n) - set(current))
+missing = sorted(set(n for n in base if re.search(sys.argv[3], n)) - set(current))
 for name in missing:
     print(f"bench-diff: WARN {name}: in baseline but not in this run")
 sys.exit(1 if fail else 0)
