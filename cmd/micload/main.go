@@ -8,7 +8,7 @@
 //	micserved -addr :8377 &
 //	micload -addr http://127.0.0.1:8377 -seed 1 \
 //	    -phases "steady,dur=10s,rps=25;burst,dur=10s,rps=15,mult=8" \
-//	    -out BENCH_SERVE_0.json -slo "steady:p99<=2s;burst:drop_rate<=0.5"
+//	    -out report.json -slo "steady:p99<=2s;burst:drop_rate<=0.5"
 //
 // Exit codes: 0 success, 1 operational error, 3 SLO violation — so CI can
 // gate on the SLO without conflating it with harness failures.
@@ -44,7 +44,7 @@ func main() {
 		exportDir = flag.String("export-dir", os.TempDir(), "directory export jobs write into (on the daemon host)")
 		traceOut  = flag.String("trace-out", "", "write the synthesized trace as JSONL to this path")
 		synthOnly = flag.Bool("synth-only", false, "synthesize (and optionally write) the trace, then exit without replaying")
-		out       = flag.String("out", "", "write the JSON report (BENCH_SERVE_0.json shape) to this path")
+		out       = flag.String("out", "", "write the JSON report to this path")
 		sloSpec   = flag.String("slo", "", "SLO gates: '[phase:]metric<=value' joined by ';' (p50/p99/p999 as durations; drop_rate/reject_rate/error_rate as fractions); violations exit 3")
 	)
 	flag.Parse()

@@ -67,13 +67,16 @@ type Scratch struct {
 	chunkGrain int          // bag: chunk capacity
 	arena      *sched.Arena // bag: chunk lease pool
 
-	blockBody    func(lo, hi, w int)
-	blockBodyTBB func(lo, hi int, c *sched.Ctx)
-	tlsBody      func(lo, hi, w int)
-	bagBody      func(lo, hi int, c *sched.Ctx)
-	aff          sched.AffinityState // TBB affinity map (resident, escapes)
-	hybridTD     func(lo, hi, w int)
-	hybridBU     func(lo, hi, w int)
+	blockBody func(lo, hi, w int)
+	tlsBody   func(lo, hi, w int)
+	bagBody   func(lo, hi int, c *sched.Ctx)
+	hybridTD  func(lo, hi, w int)
+	hybridBU  func(lo, hi, w int)
+
+	// blockLoop is the parallel-for construct carrying the level loop of
+	// the block-queue variants; BlockTeam and BlockTBB differ only in how
+	// they bind it.
+	blockLoop sched.Loop
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -223,23 +226,41 @@ func expandBlockEntry(xadj []int64, adj, levels []int32, main, spill []int32, i 
 // BlockTeam runs layered BFS with the block-accessed queue on an
 // OpenMP-style Team (the paper's OpenMP-Block / OpenMP-Block-relaxed).
 func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, blockSize int, relaxed bool) (Result, error) {
+	s.blockLoop.OnTeam(team, opts.WithSerialCutoff(team.Workers()))
+	return s.block(ctx, g, source, blockSize, relaxed)
+}
+
+// BlockTBB runs layered BFS with the block-accessed queue on TBB-style
+// partitioned ranges (the paper's TBB-Block / TBB-Block-relaxed; the paper
+// reports the simple partitioner).
+func (s *Scratch) BlockTBB(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, part sched.Partitioner, grain, blockSize int, relaxed bool) (Result, error) {
+	s.blockLoop.OnTBB(pool, part, grain)
+	return s.block(ctx, g, source, blockSize, relaxed)
+}
+
+// block is the level loop of the block-queue variants on whatever
+// s.blockLoop is bound to: one parallel sweep over the current queue's
+// entries per level, each worker pushing the vertices it claims into the
+// next queue through its own Writer.
+func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, blockSize int, relaxed bool) (Result, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
 	n := g.NumVertices()
-	workers := team.Workers()
-	opts = opts.WithSerialCutoff(workers)
+	workers := s.blockLoop.Workers()
 	s.ensureCommon(n)
 	s.ensureWorkers(workers)
 	s.ensureBlock(n, workers, blockSize)
 	if n == 0 {
 		return s.finish(0, 0), nil
 	}
-	levels := s.levels
 	s.xadj, s.adj, s.relaxed = g.Xadj(), g.AdjRaw(), relaxed
 	cur, next := s.qA, s.qB
-	levels[source] = 0
-	seedBlock(cur, s.writers[0], source)
+	s.levels[source] = 0
+	seed := s.writers[0]
+	seed.Reset(cur)
+	seed.Push(source)
+	seed.Flush()
 	if s.blockBody == nil {
 		s.blockBody = func(lo, hi, w int) {
 			wr := s.writers[w]
@@ -272,7 +293,7 @@ func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, t
 			s.counts[w].n = 0
 		}
 		s.main, s.spill, s.lv = main, spill, lv
-		err := team.ForCtx(ctx, total, opts, s.blockBody)
+		err := s.blockLoop.Run(ctx, total, s.blockBody)
 		var levelProcessed int64
 		for w := 0; w < workers; w++ {
 			s.writers[w].Flush()
@@ -294,89 +315,6 @@ func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, t
 		next.Reset()
 	}
 	return s.finish(processed, maxLevel), nil
-}
-
-// BlockTBB runs layered BFS with the block-accessed queue on TBB-style
-// partitioned ranges (the paper's TBB-Block / TBB-Block-relaxed; the paper
-// reports the simple partitioner).
-func (s *Scratch) BlockTBB(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, part sched.Partitioner, grain, blockSize int, relaxed bool) (Result, error) {
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	n := g.NumVertices()
-	workers := pool.Workers()
-	s.ensureCommon(n)
-	s.ensureWorkers(workers)
-	s.ensureBlock(n, workers, blockSize)
-	if n == 0 {
-		return s.finish(0, 0), nil
-	}
-	levels := s.levels
-	s.xadj, s.adj, s.relaxed = g.Xadj(), g.AdjRaw(), relaxed
-	cur, next := s.qA, s.qB
-	levels[source] = 0
-	seedBlock(cur, s.writers[0], source)
-	if s.blockBodyTBB == nil {
-		s.blockBodyTBB = func(lo, hi int, c *sched.Ctx) {
-			w := c.Worker()
-			wr := s.writers[w]
-			var count int64
-			for i := lo; i < hi; i++ {
-				count += expandBlockEntry(s.xadj, s.adj, s.levels, s.main, s.spill, i, s.lv, s.relaxed, wr)
-			}
-			s.counts[w].n += count
-		}
-	}
-
-	rec := telemetry.FromContext(ctx)
-	var processed int64
-	maxLevel := int32(0)
-	for lv := int32(1); ; lv++ {
-		main, spill := cur.Entries()
-		total := len(main) + len(spill)
-		if total == 0 {
-			break
-		}
-		maxLevel = lv - 1
-		var edges int64
-		var levelStart time.Time
-		if telemetry.Active(rec) {
-			edges = frontierEdges(g, main, spill)
-			levelStart = telemetry.Now(rec)
-		}
-		for w := 0; w < workers; w++ {
-			s.writers[w].Reset(next)
-			s.counts[w].n = 0
-		}
-		s.main, s.spill, s.lv = main, spill, lv
-		err := sched.ParallelForRangeCtx(ctx, pool, sched.Range{Lo: 0, Hi: total, Grain: grain}, part, &s.aff, s.blockBodyTBB)
-		var levelProcessed int64
-		for w := 0; w < workers; w++ {
-			s.writers[w].Flush()
-			levelProcessed += s.counts[w].n
-		}
-		processed += levelProcessed
-		if telemetry.Active(rec) {
-			nm, ns := next.Entries()
-			sample := levelSample(lv-1, levelProcessed, edges, frontierCount(nm, ns))
-			sample.Duration = telemetry.Since(rec, levelStart)
-			rec.Record(sample)
-		}
-		if err != nil {
-			// Partial level: vertices may already be claimed at level lv.
-			return s.finish(processed, lv), err
-		}
-		cur, next = next, cur
-		next.Reset()
-	}
-	return s.finish(processed, maxLevel), nil
-}
-
-// seedBlock places the source vertex in q using a scratch writer.
-func seedBlock(q *BlockQueue, w *Writer, source int32) {
-	w.Reset(q)
-	w.Push(source)
-	w.Flush()
 }
 
 // TLSTeam runs the SNAP v0.4-style layered BFS (the paper's OpenMP-TLS):

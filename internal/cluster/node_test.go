@@ -456,9 +456,8 @@ func TestClusterShardKillEviction(t *testing.T) {
 // made wall-clock-bound by the stall injector (they sleep at scheduler
 // boundaries rather than burn CPU), three nodes overlap three times as
 // much sleeping as one, so cluster throughput approaches 3x even on a
-// single-core host. The committed BENCH_SERVE_1.json gates the full
-// micload version of this at >= 2.5x; this in-process check uses a
-// looser 1.8x bound to stay robust under -race and CI noise.
+// single-core host. The 1.8x bound is loose to stay robust under -race
+// and CI noise.
 func TestClusterThroughputNearLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput comparison is wall-clock bound")

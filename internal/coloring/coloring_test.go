@@ -144,7 +144,6 @@ func TestParallelVariantsOnRingOfCliques(t *testing.T) {
 		{"team-guided", func() Result {
 			return must(NewScratch().ColorTeam(nil, g, team, sched.ForOptions{Policy: sched.Guided, Chunk: 5}))
 		}},
-		{"cilk-workerid", func() Result { return must(NewScratch().ColorCilk(nil, g, pool, 16, CilkWorkerID)) }},
 		{"cilk-holder", func() Result { return must(NewScratch().ColorCilk(nil, g, pool, 16, CilkHolder)) }},
 		{"tbb-simple", func() Result { return must(NewScratch().ColorTBB(nil, g, pool, sched.SimplePartitioner, 16)) }},
 		{"tbb-auto", func() Result { return must(NewScratch().ColorTBB(nil, g, pool, sched.AutoPartitioner, 16)) }},

@@ -9,9 +9,10 @@ import (
 )
 
 // This file holds what the iterative parallel speculative coloring
-// variants (Algorithms 2–4) share: rounds of tentative parallel coloring
-// followed by parallel conflict detection, until no conflicts remain. The
-// three variants are Scratch methods (scratch.go) and differ only in the
+// (Algorithms 2–4) needs besides its round loop: rounds of tentative
+// parallel coloring followed by parallel conflict detection, until no
+// conflicts remain. The round loop is written once, Scratch.color
+// (scratch.go); the three variants are bindings of its sched.Loop to the
 // runtime carrying the two parallel loops, mirroring the paper's three
 // implementations:
 //
@@ -54,22 +55,12 @@ func roundSample(rec telemetry.Recorder, g *graph.Graph, round int, visit []int3
 	}
 }
 
-// CilkVariant selects how the Cilk implementation obtains its localFC
-// scratch array (§IV-A2 describes both and the paper reports the holder).
+// CilkVariant names how the paper's Cilk implementation obtains its localFC
+// scratch array (§IV-A2: by worker id, or through a holder — the one the
+// paper reports). Both read the Scratch's per-worker arrays here, so the
+// type carries no behaviour; it and CilkHolder stay only because
+// bench/ladder.go compiles against ColorCilk's signature.
 type CilkVariant int
 
-const (
-	// CilkWorkerID indexes a preallocated array by the worker number
-	// (discouraged by Cilk but slightly cheaper).
-	CilkWorkerID CilkVariant = iota
-	// CilkHolder uses a holder view, lazily created per worker.
-	CilkHolder
-)
-
-// String returns the name used in Figure 1(b)'s legend.
-func (v CilkVariant) String() string {
-	if v == CilkHolder {
-		return "CilkPlus-holder"
-	}
-	return "CilkPlus"
-}
+// CilkHolder is the holder variant.
+const CilkHolder CilkVariant = 1

@@ -44,20 +44,21 @@ type Scratch struct {
 	nextBuf []int32
 	count   atomic.Int64
 
-	tentTeam func(lo, hi, w int)
-	confTeam func(lo, hi, w int)
-	tentPool func(lo, hi int, c *sched.Ctx)
-	confPool func(lo, hi int, c *sched.Ctx)
-	aff      sched.AffinityState // TBB affinity map (resident, escapes)
+	tent func(lo, hi, w int)
+	conf func(lo, hi, w int)
+
+	// loop is the parallel-for construct carrying both loops of a round;
+	// the three entry points differ only in how they bind it.
+	loop sched.Loop
 }
 
 // ensureBodies lazily creates the resident loop bodies (they capture only
 // s, so one set serves every run).
 func (s *Scratch) ensureBodies() {
-	if s.tentTeam != nil {
+	if s.tent != nil {
 		return
 	}
-	tent := func(lo, hi, w int) {
+	s.tent = func(lo, hi, w int) {
 		fc := s.fcs[w]
 		localMax := s.locals[w].v
 		for i := lo; i < hi; i++ {
@@ -67,17 +68,13 @@ func (s *Scratch) ensureBodies() {
 		}
 		s.locals[w].v = localMax
 	}
-	conf := func(lo, hi, w int) {
+	s.conf = func(lo, hi, w int) {
 		for i := lo; i < hi; i++ {
 			if v := s.vs[i]; conflictRaw(s.xadj, s.adjr, s.colors, v) {
 				appendConflict(s.nextBuf, &s.count, v)
 			}
 		}
 	}
-	s.tentTeam = tent
-	s.confTeam = conf
-	s.tentPool = func(lo, hi int, c *sched.Ctx) { tent(lo, hi, c.Worker()) }
-	s.confPool = func(lo, hi int, c *sched.Ctx) { conf(lo, hi, c.Worker()) }
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -158,29 +155,43 @@ func conflictRaw(xadj []int64, adj, colors []int32, v int32) bool {
 	return false
 }
 
-// maxOf reduces the per-worker color maxima.
-func (s *Scratch) maxOf(workers int) int32 {
-	out := int32(0)
-	for w := 0; w < workers; w++ {
-		if s.locals[w].v > out {
-			out = s.locals[w].v
-		}
-	}
-	return out
-}
-
 // ColorTeam runs the iterative speculative coloring on an OpenMP-style
 // Team with the given loop options, using the scratch's pooled state.
 func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	workers := team.Workers()
-	opts = opts.WithSerialCutoff(workers)
+	s.loop.OnTeam(team, opts.WithSerialCutoff(team.Workers()))
+	return s.color(ctx, g)
+}
+
+// ColorCilk runs the iterative speculative coloring as cilk_for loops on a
+// work-stealing Pool using the scratch's pooled state. The per-worker
+// forbidden-color arrays are the scratch's — the holder's lazy per-worker
+// views are exactly the allocation the pooled scratch exists to eliminate —
+// so the CilkVariant is ignored; the parameter stays only because
+// bench/ladder.go compiles against it. grain <= 0 uses the Cilk default.
+func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Pool, grain int, _ CilkVariant) (Result, error) {
+	s.loop.OnCilk(pool, grain)
+	return s.color(ctx, g)
+}
+
+// ColorTBB runs the iterative speculative coloring as TBB parallel_for
+// calls over blocked ranges using the scratch's pooled state (the scratch
+// plays the role of the enumerable thread-specific storage and the
+// combinable max) with the given partitioner and grain (minimum chunk).
+func (s *Scratch) ColorTBB(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
+	s.loop.OnTBB(pool, part, grain)
+	return s.color(ctx, g)
+}
+
+// color is the round loop of Algorithms 2–4 on whatever s.loop is bound to:
+// tentative coloring, then conflict detection, until no conflicts remain.
+func (s *Scratch) color(ctx context.Context, g *graph.Graph) (Result, error) {
+	workers := s.loop.Workers()
 	s.ensure(g, workers)
 	s.ensureBodies()
 	s.xadj, s.adjr = g.Xadj(), g.AdjRaw()
-	colors := s.colors
 	visit, next := s.visitA, s.visitB
-	res := Result{Colors: colors, Conflicts: s.conflicts}
-	maxColor := int32(0)
+	res := Result{Colors: s.colors, Conflicts: s.conflicts}
+	var maxColor int32
 	rec := telemetry.FromContext(ctx)
 
 	for len(visit) > 0 {
@@ -194,14 +205,13 @@ func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Tea
 		for w := 0; w < workers; w++ {
 			s.locals[w].v = 0
 		}
-		vs := visit
-		s.vs = vs
-		err := team.ForCtx(ctx, len(vs), opts, s.tentTeam)
-		if lm := s.maxOf(workers); lm > maxColor {
-			maxColor = lm
+		s.vs = visit
+		err := s.loop.Run(ctx, len(visit), s.tent)
+		for w := 0; w < workers; w++ {
+			maxColor = max(maxColor, s.locals[w].v)
 		}
+		res.NumColors = int(maxColor)
 		if err != nil {
-			res.NumColors = int(maxColor)
 			return res, err
 		}
 
@@ -209,127 +219,16 @@ func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Tea
 		// the paper's atomic fetch-and-add index reservation.
 		s.nextBuf = next
 		s.count.Store(0)
-		err = team.ForCtx(ctx, len(vs), opts, s.confTeam)
-		if err != nil {
-			res.NumColors = int(maxColor)
+		if err := s.loop.Run(ctx, len(visit), s.conf); err != nil {
 			return res, err
 		}
+		conflicts := int(s.count.Load())
 		if telemetry.Active(rec) {
-			rec.Record(roundSample(rec, g, res.Rounds-1, vs, int(s.count.Load()), roundStart))
+			rec.Record(roundSample(rec, g, res.Rounds-1, visit, conflicts, roundStart))
 		}
-		visit, next = next[:s.count.Load()], vs[:cap(vs)]
-		res.Conflicts = append(res.Conflicts, len(visit))
+		visit, next = next[:conflicts], visit[:cap(visit)]
+		res.Conflicts = append(res.Conflicts, conflicts)
 	}
 	s.conflicts = res.Conflicts[:0]
-	res.NumColors = int(maxColor)
-	return res, nil
-}
-
-// ColorCilk runs the iterative speculative coloring as cilk_for loops on a
-// work-stealing Pool using the scratch's pooled state. Both Cilk variants
-// read the per-worker forbidden-color arrays from the scratch — the
-// holder's lazy per-worker views are exactly the allocation the pooled
-// scratch exists to eliminate, so here they differ only in name. grain <= 0
-// uses the Cilk default.
-func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Pool, grain int, variant CilkVariant) (Result, error) {
-	_ = variant
-	workers := pool.Workers()
-	s.ensure(g, workers)
-	s.ensureBodies()
-	s.xadj, s.adjr = g.Xadj(), g.AdjRaw()
-	colors := s.colors
-	visit, next := s.visitA, s.visitB
-	res := Result{Colors: colors, Conflicts: s.conflicts}
-	maxColor := int32(0)
-	rec := telemetry.FromContext(ctx)
-
-	for len(visit) > 0 {
-		res.Rounds++
-		vs := visit
-		var roundStart time.Time
-		if telemetry.Active(rec) {
-			roundStart = telemetry.Now(rec)
-		}
-		for w := 0; w < workers; w++ {
-			s.locals[w].v = 0
-		}
-		s.vs = vs
-		err := pool.ParallelForCtx(ctx, len(vs), grain, s.tentPool)
-		if lm := s.maxOf(workers); lm > maxColor {
-			maxColor = lm
-		}
-		if err != nil {
-			res.NumColors = int(maxColor)
-			return res, err
-		}
-
-		s.nextBuf = next
-		s.count.Store(0)
-		err = pool.ParallelForCtx(ctx, len(vs), grain, s.confPool)
-		if err != nil {
-			res.NumColors = int(maxColor)
-			return res, err
-		}
-		if telemetry.Active(rec) {
-			rec.Record(roundSample(rec, g, res.Rounds-1, vs, int(s.count.Load()), roundStart))
-		}
-		visit, next = next[:s.count.Load()], vs[:cap(vs)]
-		res.Conflicts = append(res.Conflicts, len(visit))
-	}
-	s.conflicts = res.Conflicts[:0]
-	res.NumColors = int(maxColor)
-	return res, nil
-}
-
-// ColorTBB runs the iterative speculative coloring as TBB parallel_for
-// calls over blocked ranges using the scratch's pooled state (the scratch
-// plays the role of the enumerable thread-specific storage and the
-// combinable max) with the given partitioner and grain (minimum chunk).
-func (s *Scratch) ColorTBB(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
-	workers := pool.Workers()
-	s.ensure(g, workers)
-	s.ensureBodies()
-	s.xadj, s.adjr = g.Xadj(), g.AdjRaw()
-	colors := s.colors
-	visit, next := s.visitA, s.visitB
-	res := Result{Colors: colors, Conflicts: s.conflicts}
-	maxColor := int32(0)
-	rec := telemetry.FromContext(ctx)
-
-	for len(visit) > 0 {
-		res.Rounds++
-		vs := visit
-		var roundStart time.Time
-		if telemetry.Active(rec) {
-			roundStart = telemetry.Now(rec)
-		}
-		for w := 0; w < workers; w++ {
-			s.locals[w].v = 0
-		}
-		s.vs = vs
-		err := sched.ParallelForRangeCtx(ctx, pool, sched.Range{Lo: 0, Hi: len(vs), Grain: grain}, part, &s.aff, s.tentPool)
-		if lm := s.maxOf(workers); lm > maxColor {
-			maxColor = lm
-		}
-		if err != nil {
-			res.NumColors = int(maxColor)
-			return res, err
-		}
-
-		s.nextBuf = next
-		s.count.Store(0)
-		err = sched.ParallelForRangeCtx(ctx, pool, sched.Range{Lo: 0, Hi: len(vs), Grain: grain}, part, &s.aff, s.confPool)
-		if err != nil {
-			res.NumColors = int(maxColor)
-			return res, err
-		}
-		if telemetry.Active(rec) {
-			rec.Record(roundSample(rec, g, res.Rounds-1, vs, int(s.count.Load()), roundStart))
-		}
-		visit, next = next[:s.count.Load()], vs[:cap(vs)]
-		res.Conflicts = append(res.Conflicts, len(visit))
-	}
-	s.conflicts = res.Conflicts[:0]
-	res.NumColors = int(maxColor)
 	return res, nil
 }

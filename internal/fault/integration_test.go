@@ -64,14 +64,14 @@ func TestSchedHookPoolTaskPanic(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	pool.SetInject(in.SchedHook(0))
-	err := pool.RunE(func(c *sched.Ctx) {
+	err := pool.RunCtx(nil, func(c *sched.Ctx) {
 		for i := 0; i < 10; i++ {
 			c.Spawn(func(cc *sched.Ctx) {})
 		}
 	})
 	var f *fault.Fault
 	if !errors.As(err, &f) {
-		t.Fatalf("RunE returned %v, want an injected *fault.Fault cause", err)
+		t.Fatalf("RunCtx returned %v, want an injected *fault.Fault cause", err)
 	}
 	if f.Site != "pool/task/panic" {
 		t.Errorf("fault fired at %s, want pool/task/panic", f.Site)

@@ -16,31 +16,11 @@ package irregular
 import (
 	"context"
 	"math"
-	"time"
 
 	"micgraph/internal/graph"
 	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
-
-// kernelStart returns the phase-clock start for telemetry, or the zero
-// time when no Recorder is active (the uninstrumented default path).
-func kernelStart(rec telemetry.Recorder) time.Time {
-	return telemetry.Now(rec)
-}
-
-// recordKernel emits the single PhaseSample of one kernel application:
-// every vertex updated once, every arc read iter times.
-func recordKernel(rec telemetry.Recorder, g *graph.Graph, iter int, start time.Time) {
-	if !telemetry.Active(rec) {
-		return
-	}
-	rec.Record(telemetry.PhaseSample{
-		Kernel: "irregular", Phase: "update",
-		Items: int64(g.NumVertices()), Edges: g.NumArcs() * int64(iter),
-		Duration: telemetry.Since(rec, start),
-	})
-}
 
 // InitialState returns the canonical deterministic starting state used by
 // the benchmarks: state[v] = 1 + (v mod 97) / 97.
@@ -82,47 +62,46 @@ func Sequential(g *graph.Graph, in []float64, iter int) []float64 {
 // cancellation at chunk-claim boundaries (ctx may be nil); on failure the
 // partially written output is returned alongside the error.
 func TeamCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, team *sched.Team, opts sched.ForOptions) ([]float64, error) {
-	out := make([]float64, len(in))
-	rec := telemetry.FromContext(ctx)
-	start := kernelStart(rec)
-	err := team.ForCtx(ctx, g.NumVertices(), opts, func(lo, hi, w int) {
-		for v := lo; v < hi; v++ {
-			out[v] = updateOne(g, in, int32(v), iter)
-		}
-	})
-	recordKernel(rec, g, iter, start)
-	return out, err
+	var loop sched.Loop
+	loop.OnTeam(team, opts)
+	return run(ctx, g, in, iter, &loop)
 }
 
 // CilkCtx runs the kernel as a cilk_for on the work-stealing pool, with
 // cooperative cancellation at task-split boundaries.
 func CilkCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, pool *sched.Pool, grain int) ([]float64, error) {
-	out := make([]float64, len(in))
-	rec := telemetry.FromContext(ctx)
-	start := kernelStart(rec)
-	err := pool.ParallelForCtx(ctx, g.NumVertices(), grain, func(lo, hi int, c *sched.Ctx) {
-		for v := lo; v < hi; v++ {
-			out[v] = updateOne(g, in, int32(v), iter)
-		}
-	})
-	recordKernel(rec, g, iter, start)
-	return out, err
+	var loop sched.Loop
+	loop.OnCilk(pool, grain)
+	return run(ctx, g, in, iter, &loop)
 }
 
 // TBBCtx runs the kernel as a TBB parallel_for over a blocked range, with
 // cooperative cancellation at range-split boundaries.
 func TBBCtx(ctx context.Context, g *graph.Graph, in []float64, iter int, pool *sched.Pool, part sched.Partitioner, grain int) ([]float64, error) {
+	var loop sched.Loop
+	loop.OnTBB(pool, part, grain)
+	return run(ctx, g, in, iter, &loop)
+}
+
+// run is the kernel on whatever loop is bound to: one parallel sweep over
+// the vertices, recorded as one telemetry phase — every vertex updated
+// once, every arc read iter times.
+func run(ctx context.Context, g *graph.Graph, in []float64, iter int, loop *sched.Loop) ([]float64, error) {
 	out := make([]float64, len(in))
-	var aff sched.AffinityState
 	rec := telemetry.FromContext(ctx)
-	start := kernelStart(rec)
-	err := sched.ParallelForRangeCtx(ctx, pool, sched.Range{Lo: 0, Hi: g.NumVertices(), Grain: grain}, part, &aff,
-		func(lo, hi int, c *sched.Ctx) {
-			for v := lo; v < hi; v++ {
-				out[v] = updateOne(g, in, int32(v), iter)
-			}
+	start := telemetry.Now(rec)
+	err := loop.Run(ctx, g.NumVertices(), func(lo, hi, w int) {
+		for v := lo; v < hi; v++ {
+			out[v] = updateOne(g, in, int32(v), iter)
+		}
+	})
+	if telemetry.Active(rec) {
+		rec.Record(telemetry.PhaseSample{
+			Kernel: "irregular", Phase: "update",
+			Items: int64(g.NumVertices()), Edges: g.NumArcs() * int64(iter),
+			Duration: telemetry.Since(rec, start),
 		})
-	recordKernel(rec, g, iter, start)
+	}
 	return out, err
 }
 

@@ -166,7 +166,7 @@ func TestBFSScratchReuseMatchesOracle(t *testing.T) {
 }
 
 // TestColoringMatchesOracle covers the arguments the table never passes —
-// a static schedule, the worker-id Cilk variant, the auto partitioner —
+// a static schedule, a Cilk grain unlike the team chunk, the auto partitioner —
 // on one recycled Scratch, which must stay proper across graphs.
 func TestColoringMatchesOracle(t *testing.T) {
 	team := sched.NewTeam(4)
@@ -186,8 +186,8 @@ func TestColoringMatchesOracle(t *testing.T) {
 	for _, nm := range Corpus() {
 		res, err := scratch.ColorTeam(nil, nm.G, team, opts)
 		check(nm.Name+"/openmp-static", nm.G, res, err)
-		res, err = scratch.ColorCilk(nil, nm.G, pool, 32, coloring.CilkWorkerID)
-		check(nm.Name+"/cilk-wid", nm.G, res, err)
+		res, err = scratch.ColorCilk(nil, nm.G, pool, 32, coloring.CilkHolder)
+		check(nm.Name+"/cilk", nm.G, res, err)
 		res, err = scratch.ColorTBB(nil, nm.G, pool, sched.AutoPartitioner, 32)
 		check(nm.Name+"/tbb-auto", nm.G, res, err)
 	}

@@ -48,7 +48,7 @@ type ClientLatency struct {
 	Service telemetry.HistogramSnapshot `json:"service"`
 }
 
-// PhaseReport is one phase of BENCH_SERVE_0.json: admission outcome
+// PhaseReport is one phase of a micload report: admission outcome
 // counts and rates, client latency distributions, the server's span
 // attribution (from the status documents of this phase's own jobs, so a
 // job is always counted against the phase that scheduled it), and gauge
@@ -101,7 +101,7 @@ type ServerFinal struct {
 	Unreachable []string `json:"unreachable,omitempty"`
 }
 
-// Report is the full BENCH_SERVE_0.json document.
+// Report is the full document micload -out writes.
 type Report struct {
 	Tool            string        `json:"tool"` // "micload"
 	Seed            uint64        `json:"seed"`

@@ -21,7 +21,7 @@ import (
 //
 // A Pool moves through three explicit states:
 //
-//  1. open: closed == false. Run/RunE/RunCtx accept work.
+//  1. open: closed == false. RunCtx and the loop drivers accept work.
 //  2. closing: closed == true, active > 0. Close has been called while runs
 //     are still in flight; new runs are refused (ErrPoolClosed), but the
 //     workers keep executing until every in-flight run has completed — a
@@ -39,7 +39,7 @@ type Pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queued   atomic.Int64
-	active   atomic.Int64 // in-flight Run/RunE/RunCtx calls
+	active   atomic.Int64 // in-flight runs (RunCtx and the loop drivers)
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 	inject   InjectFunc // optional fault hook, fired per task execution
@@ -205,32 +205,15 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Run executes root on the pool and blocks until root and every task it
+// RunCtx executes root on the pool and blocks until root and every task it
 // transitively spawned have completed (Cilk's implicit sync at function
-// exit applies to every task). Run panics if the pool is closed, and
-// re-panics any task panic as a *PanicError on the caller's goroutine.
-func (p *Pool) Run(root func(*Ctx)) {
-	if err := p.RunE(root); err != nil {
-		if err == ErrPoolClosed {
-			panic("sched: Run on closed Pool")
-		}
-		panic(err)
-	}
-}
-
-// RunE is Run returning errors instead of panicking: ErrPoolClosed when the
-// pool is shut down, or a *PanicError carrying the first task panic with
-// its stack. On a task panic the rest of the task tree drains cleanly (no
-// task is abandoned mid-flight) and the pool remains usable.
-func (p *Pool) RunE(root func(*Ctx)) error {
-	return p.RunCtx(nil, root)
-}
-
-// RunCtx is RunE with cooperative cancellation: once ctx is done, task
-// bodies stop being invoked (queued tasks still drain their scope
-// bookkeeping, so the run terminates promptly) and RunCtx returns
-// ctx.Err(). A task panic takes precedence over cancellation. ctx may be
-// nil.
+// exit applies to every task). It returns ErrPoolClosed when the pool is
+// shut down, or a *PanicError carrying the first task panic with its stack;
+// on a task panic the rest of the task tree drains cleanly (no task is
+// abandoned mid-flight) and the pool remains usable. Once ctx (which may be
+// nil) is done, task bodies stop being invoked (queued tasks still drain
+// their scope bookkeeping, so the run terminates promptly) and RunCtx
+// returns ctx.Err(). A task panic takes precedence over cancellation.
 func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
 	return p.runRoot(ctx, task{fn: root})
 }
@@ -505,25 +488,17 @@ func (c *Ctx) forSplit(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
 	body(lo, hi, c)
 }
 
-// ParallelFor is the convenience entry point: run a cilk_for over [0, n) as
-// the root task of the pool. Panics (closed pool, body panic) propagate on
-// the caller's goroutine; use ParallelForE/ParallelForCtx for errors.
-func (p *Pool) ParallelFor(n, grain int, body func(lo, hi int, c *Ctx)) {
-	p.Run(func(c *Ctx) {
-		c.For(0, n, grain, body)
-	})
-}
-
-// ParallelForE is ParallelFor returning errors instead of panicking.
+// ParallelForE is ParallelForCtx without a context. It stays only because
+// bench/ladder.go compiles against it.
 func (p *Pool) ParallelForE(n, grain int, body func(lo, hi int, c *Ctx)) error {
-	return p.RunE(func(c *Ctx) {
-		c.For(0, n, grain, body)
-	})
+	return p.ParallelForCtx(nil, n, grain, body)
 }
 
-// ParallelForCtx is ParallelFor with cooperative cancellation, polled at
-// every split boundary. The loop runs as a root range task directly — no
-// wrapper closure — so in steady state the call allocates nothing.
+// ParallelForCtx runs a cilk_for over [0, n) as the root task of the pool,
+// polling ctx (which may be nil) at every split boundary and returning the
+// first body panic as a *PanicError. The loop runs as a root range task
+// directly — no wrapper closure — so in steady state the call allocates
+// nothing.
 func (p *Pool) ParallelForCtx(ctx context.Context, n, grain int, body func(lo, hi int, c *Ctx)) error {
 	if n <= 0 {
 		return nil

@@ -11,11 +11,11 @@ func TestPoolParallelForCoverage(t *testing.T) {
 	for _, grain := range []int{0, 1, 13, 1000, 100000} {
 		grain := grain
 		coverageCheck(t, 1000, func(mark func(int)) {
-			pool.ParallelFor(1000, grain, func(lo, hi int, c *Ctx) {
+			check(t, pool.ParallelForCtx(nil, 1000, grain, func(lo, hi int, c *Ctx) {
 				for i := lo; i < hi; i++ {
 					mark(i)
 				}
-			})
+			}))
 		})
 	}
 }
@@ -25,7 +25,7 @@ func TestPoolSpawnSync(t *testing.T) {
 	defer pool.Close()
 	var after atomic.Bool
 	var children atomic.Int32
-	pool.Run(func(c *Ctx) {
+	check(t, pool.RunCtx(nil, func(c *Ctx) {
 		for i := 0; i < 20; i++ {
 			c.Spawn(func(cc *Ctx) {
 				children.Add(1)
@@ -36,7 +36,7 @@ func TestPoolSpawnSync(t *testing.T) {
 			t.Errorf("after Sync only %d of 20 children ran", children.Load())
 		}
 		after.Store(true)
-	})
+	}))
 	if !after.Load() {
 		t.Fatal("Run returned before root completed")
 	}
@@ -58,7 +58,7 @@ func TestPoolFib(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()
 	var got int
-	pool.Run(func(c *Ctx) { got = fib(c, 15) })
+	check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 15) }))
 	if got != 610 {
 		t.Errorf("fib(15) = %d, want 610", got)
 	}
@@ -70,13 +70,13 @@ func TestPoolImplicitSync(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	var ran atomic.Int32
-	pool.Run(func(c *Ctx) {
+	check(t, pool.RunCtx(nil, func(c *Ctx) {
 		for i := 0; i < 50; i++ {
 			c.Spawn(func(cc *Ctx) {
 				cc.Spawn(func(*Ctx) { ran.Add(1) })
 			})
 		}
-	})
+	}))
 	if ran.Load() != 50 {
 		t.Errorf("%d of 50 grandchildren ran before Run returned", ran.Load())
 	}
@@ -85,25 +85,25 @@ func TestPoolImplicitSync(t *testing.T) {
 func TestPoolWorkerIDs(t *testing.T) {
 	pool := NewPool(5)
 	defer pool.Close()
-	pool.Run(func(c *Ctx) {
+	check(t, pool.RunCtx(nil, func(c *Ctx) {
 		if c.Worker() < 0 || c.Worker() >= 5 {
 			t.Errorf("worker id %d out of range", c.Worker())
 		}
 		if c.Pool() != pool {
 			t.Error("Ctx.Pool mismatch")
 		}
-	})
+	}))
 }
 
 func TestPoolSingleWorker(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 	coverageCheck(t, 500, func(mark func(int)) {
-		pool.ParallelFor(500, 7, func(lo, hi int, c *Ctx) {
+		check(t, pool.ParallelForCtx(nil, 500, 7, func(lo, hi int, c *Ctx) {
 			for i := lo; i < hi; i++ {
 				mark(i)
 			}
-		})
+		}))
 	})
 }
 
@@ -112,9 +112,9 @@ func TestPoolSequentialRuns(t *testing.T) {
 	defer pool.Close()
 	for round := 0; round < 10; round++ {
 		var count atomic.Int32
-		pool.ParallelFor(100, 5, func(lo, hi int, c *Ctx) {
+		check(t, pool.ParallelForCtx(nil, 100, 5, func(lo, hi int, c *Ctx) {
 			count.Add(int32(hi - lo))
-		})
+		}))
 		if count.Load() != 100 {
 			t.Fatalf("round %d: covered %d of 100", round, count.Load())
 		}

@@ -107,10 +107,10 @@ func TestTeamPanicBeatsCancellation(t *testing.T) {
 	}
 }
 
-func TestPoolRunEPanicInSpawnedTree(t *testing.T) {
+func TestPoolRunCtxPanicInSpawnedTree(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pool := NewPool(4)
-	err := pool.RunE(func(c *Ctx) {
+	err := pool.RunCtx(nil, func(c *Ctx) {
 		for i := 0; i < 16; i++ {
 			i := i
 			c.Spawn(func(cc *Ctx) {
@@ -122,7 +122,7 @@ func TestPoolRunEPanicInSpawnedTree(t *testing.T) {
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("RunE returned %v, want *PanicError", err)
+		t.Fatalf("RunCtx returned %v, want *PanicError", err)
 	}
 	var inner error
 	if inner, _ = pe.Value.(error); inner == nil || inner.Error() != "spawned task 11 failed" {
@@ -163,19 +163,15 @@ func TestPoolRunCtxCancelSkipsTasks(t *testing.T) {
 	}
 }
 
-func TestPoolRunEOnClosedPool(t *testing.T) {
+func TestPoolRunCtxOnClosedPool(t *testing.T) {
 	pool := NewPool(2)
 	pool.Close()
-	if err := pool.RunE(func(c *Ctx) {}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("RunE on closed pool: %v, want ErrPoolClosed", err)
+	if err := pool.RunCtx(nil, func(c *Ctx) {}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("RunCtx on closed pool: %v, want ErrPoolClosed", err)
 	}
-	// The legacy Run keeps its historical panic string.
-	defer func() {
-		if r := recover(); r != "sched: Run on closed Pool" {
-			t.Fatalf("Run on closed pool panicked %v", r)
-		}
-	}()
-	pool.Run(func(c *Ctx) {})
+	if err := pool.ParallelForCtx(nil, 10, 1, func(lo, hi int, c *Ctx) {}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("ParallelForCtx on closed pool: %v, want ErrPoolClosed", err)
+	}
 }
 
 // TestPoolCloseDuringRun exercises the shutdown state machine: Close racing
@@ -191,7 +187,7 @@ func TestPoolCloseDuringRun(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				err := pool.RunE(func(c *Ctx) {
+				err := pool.RunCtx(nil, func(c *Ctx) {
 					started.Add(1)
 					for i := 0; i < 8; i++ {
 						c.Spawn(func(cc *Ctx) { runtime.Gosched() })

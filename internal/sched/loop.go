@@ -1,0 +1,92 @@
+package sched
+
+import "context"
+
+// Loop is one parallel-for site bound to one of the three runtimes. The
+// paper's kernels are one algorithm each, carried by programming models that
+// differ only in the parallel-for construct (§IV-A1–3); a kernel writes its
+// round or level structure once against Run, and its entry points differ
+// only in the binder they call:
+//
+//	OnTeam(team, opts)       — OpenMP parallel for under a schedule
+//	OnCilk(pool, grain)      — cilk_for
+//	OnTBB(pool, part, grain) — tbb::parallel_for over a blocked range
+//
+// The zero Loop is unbound; bind it before Run and re-bind it freely between
+// runs. A Loop must not be copied after its first pool binding (the pool-side
+// adapter captures its address), so kernels keep it by value in their
+// Scratch. One Run at a time, like the Team it may be bound to.
+type Loop struct {
+	team *Team // team binding
+	opts ForOptions
+
+	pool  *Pool // pool bindings (nil = team)
+	cilk  bool  // cilk_for, else a range split by part
+	part  Partitioner
+	grain int
+	// aff is the site's block→worker map, replayed across runs. Allocated
+	// by the first affinity binding: held by value it would be captured by
+	// affinityRun's block closures and force every Loop, even a Team-bound
+	// one on a caller's stack (irregular.TeamCtx), onto the heap.
+	aff *AffinityState
+
+	// The pool runtimes hand a body its *Ctx where the kernels want the
+	// worker id. adapt, built once, forwards to the current body, so a
+	// steady-state pool Run allocates nothing.
+	body  func(lo, hi, w int)
+	adapt func(lo, hi int, c *Ctx)
+}
+
+// OnTeam binds the loop to team under opts.
+func (l *Loop) OnTeam(team *Team, opts ForOptions) {
+	l.team, l.opts, l.pool = team, opts, nil
+}
+
+// OnCilk binds the loop to pool as a cilk_for; grain <= 0 selects
+// DefaultGrain.
+func (l *Loop) OnCilk(pool *Pool, grain int) {
+	l.onPool(pool, grain)
+	l.cilk = true
+}
+
+// OnTBB binds the loop to pool as a blocked range split by part and never
+// below grain.
+func (l *Loop) OnTBB(pool *Pool, part Partitioner, grain int) {
+	l.onPool(pool, grain)
+	l.cilk, l.part = false, part
+	if part == AffinityPartitioner && l.aff == nil {
+		l.aff = new(AffinityState)
+	}
+}
+
+func (l *Loop) onPool(pool *Pool, grain int) {
+	l.team, l.pool, l.grain = nil, pool, grain
+	if l.adapt == nil {
+		l.adapt = func(lo, hi int, c *Ctx) { l.body(lo, hi, c.Worker()) }
+	}
+}
+
+// Workers returns the worker count of the bound runtime; body receives
+// worker ids below it.
+func (l *Loop) Workers() int {
+	if l.pool != nil {
+		return l.pool.Workers()
+	}
+	return l.team.Workers()
+}
+
+// Run executes body(lo, hi, worker) over chunks covering [0, n) exactly once
+// on the bound runtime, with the ForCtx contract: ctx (which may be nil) is
+// polled wherever the runtime claims or splits work, a body panic comes back
+// as a *PanicError, and the Loop stays usable afterwards. On a Team this is
+// the ForCtx call itself.
+func (l *Loop) Run(ctx context.Context, n int, body func(lo, hi, w int)) error {
+	if l.pool == nil {
+		return l.team.ForCtx(ctx, n, l.opts, body)
+	}
+	l.body = body
+	if l.cilk {
+		return l.pool.ParallelForCtx(ctx, n, l.grain, l.adapt)
+	}
+	return ParallelForRangeCtx(ctx, l.pool, Range{Lo: 0, Hi: n, Grain: l.grain}, l.part, l.aff, l.adapt)
+}

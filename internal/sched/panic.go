@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is the error returned by the E/Ctx loop drivers when a loop
+// PanicError is the error returned by the loop and task drivers when a loop
 // body, task, or injected fault panics on a worker. It preserves the
 // original panic value and the stack of the panicking worker goroutine, so
 // a crash inside a parallel region is as debuggable as a sequential one.
@@ -32,7 +32,8 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// ErrPoolClosed is returned by RunE/RunCtx when the pool has been closed.
+// ErrPoolClosed is returned by RunCtx and the pool loop drivers when the
+// pool has been closed.
 var ErrPoolClosed = errors.New("sched: Run on closed Pool")
 
 // panicSlot collects the first panic observed across the workers of one

@@ -25,6 +25,17 @@ func coverageCheck(t *testing.T, n int, loop func(mark func(i int))) {
 	}
 }
 
+// check reports the error of a driver that must succeed: the coverage,
+// stress and counter tests exercise scheduling, not the failure paths
+// (hardening_test.go has those). t.Error, so it is safe off the test's
+// goroutine.
+func check(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTeamForAllPolicies(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()

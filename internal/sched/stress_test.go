@@ -62,7 +62,7 @@ func TestManySimultaneousPools(t *testing.T) {
 			pool := NewPool(3)
 			defer pool.Close()
 			var got int
-			pool.Run(func(c *Ctx) { got = fib(c, 12) })
+			check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 12) }))
 			if got != 144 {
 				bad.Add(1)
 			}
@@ -88,7 +88,7 @@ func TestDeepNestedSpawns(t *testing.T) {
 		rec(c, depth-1)
 		c.Sync()
 	}
-	pool.Run(func(c *Ctx) { rec(c, 12) })
+	check(t, pool.RunCtx(nil, func(c *Ctx) { rec(c, 12) }))
 	if leaves.Load() != 1<<12 {
 		t.Errorf("leaves = %d, want %d", leaves.Load(), 1<<12)
 	}
@@ -100,7 +100,7 @@ func TestNestedParallelForInsideSpawn(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	var total atomic.Int64
-	pool.Run(func(c *Ctx) {
+	check(t, pool.RunCtx(nil, func(c *Ctx) {
 		for outer := 0; outer < 8; outer++ {
 			c.Spawn(func(cc *Ctx) {
 				cc.For(0, 100, 10, func(lo, hi int, _ *Ctx) {
@@ -108,7 +108,7 @@ func TestNestedParallelForInsideSpawn(t *testing.T) {
 				})
 			})
 		}
-	})
+	}))
 	if total.Load() != 800 {
 		t.Errorf("nested loops covered %d of 800", total.Load())
 	}
@@ -118,11 +118,11 @@ func TestPoolManyWorkers(t *testing.T) {
 	pool := NewPool(96)
 	defer pool.Close()
 	coverageCheck(t, 10000, func(mark func(int)) {
-		pool.ParallelFor(10000, 16, func(lo, hi int, c *Ctx) {
+		check(t, pool.ParallelForCtx(nil, 10000, 16, func(lo, hi int, c *Ctx) {
 			for i := lo; i < hi; i++ {
 				mark(i)
 			}
-		})
+		}))
 	})
 }
 
@@ -153,9 +153,9 @@ func TestHolderIsolationBetweenWorkers(t *testing.T) {
 		n int
 		_ [56]byte
 	}, 6)
-	pool.ParallelFor(6000, 10, func(lo, hi int, c *Ctx) {
+	check(t, pool.ParallelForCtx(nil, 6000, 10, func(lo, hi int, c *Ctx) {
 		views[c.Worker()].n += hi - lo
-	})
+	}))
 	sum := 0
 	for _, v := range views {
 		sum += v.n
@@ -173,11 +173,11 @@ func TestAffinityStateReuseAcrossSizes(t *testing.T) {
 	for _, n := range []int{100, 50, 200, 100, 1} {
 		n := n
 		coverageCheck(t, n, func(mark func(int)) {
-			ParallelForRange(pool, Range{0, n, 4}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
+			check(t, ParallelForRangeCtx(nil, pool, Range{0, n, 4}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
 				for i := lo; i < hi; i++ {
 					mark(i)
 				}
-			})
+			}))
 		})
 	}
 }

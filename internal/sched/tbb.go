@@ -71,23 +71,13 @@ func (p Partitioner) String() string {
 	return fmt.Sprintf("Partitioner(%d)", int(p))
 }
 
-// ParallelForRange executes body over r on pool using the given partitioner.
-// For AffinityPartitioner, pass a persistent *AffinityState; it may be nil
-// for the other partitioners. Panics (closed pool, body panic) propagate on
-// the caller's goroutine; use ParallelForRangeCtx for errors and
-// cancellation.
-func ParallelForRange(pool *Pool, r Range, part Partitioner, aff *AffinityState, body func(lo, hi int, c *Ctx)) {
-	if err := ParallelForRangeCtx(nil, pool, r, part, aff, body); err != nil {
-		if err == ErrPoolClosed {
-			panic("sched: Run on closed Pool")
-		}
-		panic(err)
-	}
-}
-
-// ParallelForRangeCtx is ParallelForRange returning the first body panic as
-// a *PanicError and polling ctx (which may be nil) at every split boundary
-// for cooperative cancellation.
+// ParallelForRangeCtx executes body over r on pool using the given
+// partitioner, returning the first body panic as a *PanicError and polling
+// ctx (which may be nil) at every split boundary for cooperative
+// cancellation. For AffinityPartitioner, pass a persistent *AffinityState;
+// it may be nil for the other partitioners. Kernels reach it through Loop;
+// the free function stays exported only because bench/ladder.go compiles
+// against it.
 func ParallelForRangeCtx(ctx context.Context, pool *Pool, r Range, part Partitioner, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
 	if r.Size() <= 0 {
 		return nil
@@ -172,7 +162,7 @@ func autoRun(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
 // allocate the iterations to the thread that executed them during the
 // previous loop").
 type AffinityState struct {
-	blocks  []Range // fixed block decomposition from the first run
+	blocks  []Range // fixed block decomposition from the first run, as offsets from Range.Lo
 	homes   []int   // worker that last ran each block
 	n       int     // iteration count the state was built for
 	workers int
@@ -191,8 +181,8 @@ func affinityRun(ctx context.Context, pool *Pool, r Range, aff *AffinityState, b
 		aff.blocks = aff.blocks[:0]
 		aff.homes = aff.homes[:0]
 		for b := 0; b < nb; b++ {
-			lo := r.Lo + r.Size()*b/nb
-			hi := r.Lo + r.Size()*(b+1)/nb
+			lo := r.Size() * b / nb
+			hi := r.Size() * (b + 1) / nb
 			if lo < hi {
 				aff.blocks = append(aff.blocks, Range{lo, hi, r.Grain})
 				aff.homes = append(aff.homes, b%p)
@@ -211,7 +201,7 @@ func affinityRun(ctx context.Context, pool *Pool, r Range, aff *AffinityState, b
 				}
 				aff.homes[i] = cc.Worker() // theft moves the home
 				cc.w.pool.counters.Load().Inc(cc.w.id, telemetry.ChunksClaimed)
-				body(blk.Lo, blk.Hi, cc)
+				body(r.Lo+blk.Lo, r.Lo+blk.Hi, cc)
 			})
 		}
 	})

@@ -31,11 +31,11 @@ func TestParallelForRangeAllPartitioners(t *testing.T) {
 		t.Run(part.String(), func(t *testing.T) {
 			var aff AffinityState
 			coverageCheck(t, 997, func(mark func(int)) {
-				ParallelForRange(pool, Range{0, 997, 8}, part, &aff, func(lo, hi int, c *Ctx) {
+				check(t, ParallelForRangeCtx(nil, pool, Range{0, 997, 8}, part, &aff, func(lo, hi int, c *Ctx) {
 					for i := lo; i < hi; i++ {
 						mark(i)
 					}
-				})
+				}))
 			})
 		})
 	}
@@ -45,9 +45,9 @@ func TestParallelForRangeEmpty(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
 	called := int32(0)
-	ParallelForRange(pool, Range{5, 5, 1}, SimplePartitioner, nil, func(lo, hi int, c *Ctx) {
+	check(t, ParallelForRangeCtx(nil, pool, Range{5, 5, 1}, SimplePartitioner, nil, func(lo, hi int, c *Ctx) {
 		atomic.AddInt32(&called, 1)
-	})
+	}))
 	if called != 0 {
 		t.Error("body called for empty range")
 	}
@@ -61,16 +61,34 @@ func TestAffinityReplayCoverage(t *testing.T) {
 	var aff AffinityState
 	for round := 0; round < 5; round++ {
 		coverageCheck(t, 503, func(mark func(int)) {
-			ParallelForRange(pool, Range{0, 503, 4}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
+			check(t, ParallelForRangeCtx(nil, pool, Range{0, 503, 4}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
 				for i := lo; i < hi; i++ {
 					mark(i)
 				}
-			})
+			}))
 		})
 	}
 	if len(aff.blocks) == 0 || len(aff.blocks) > 16 {
 		t.Errorf("affinity produced %d blocks, want 1..16 (4*workers)", len(aff.blocks))
 	}
+}
+
+// TestAffinityMovedRange: the cached block decomposition is keyed on the
+// range's size, so it must hold offsets, not absolute indices — a range of
+// the same size at another Lo visits its own indices.
+func TestAffinityMovedRange(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	var aff AffinityState
+	coverageCheck(t, 200, func(mark func(int)) {
+		for _, lo := range []int{0, 100} {
+			check(t, ParallelForRangeCtx(nil, pool, Range{lo, lo + 100, 4}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
+				for i := lo; i < hi; i++ {
+					mark(i)
+				}
+			}))
+		}
+	})
 }
 
 func TestAffinityPanicsWithoutState(t *testing.T) {
@@ -81,7 +99,7 @@ func TestAffinityPanicsWithoutState(t *testing.T) {
 			t.Fatal("AffinityPartitioner without state did not panic")
 		}
 	}()
-	ParallelForRange(pool, Range{0, 10, 1}, AffinityPartitioner, nil, func(lo, hi int, c *Ctx) {})
+	check(t, ParallelForRangeCtx(nil, pool, Range{0, 10, 1}, AffinityPartitioner, nil, func(lo, hi int, c *Ctx) {}))
 }
 
 func TestPartitionerString(t *testing.T) {

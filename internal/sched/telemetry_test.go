@@ -56,12 +56,12 @@ func TestPoolCountersSpawn(t *testing.T) {
 
 	const spawned = 64
 	var ran atomic.Int64
-	pool.Run(func(c *Ctx) {
+	check(t, pool.RunCtx(nil, func(c *Ctx) {
 		for i := 0; i < spawned; i++ {
 			c.Spawn(func(*Ctx) { ran.Add(1) })
 		}
 		c.Sync()
-	})
+	}))
 	if ran.Load() != spawned {
 		t.Fatalf("ran %d tasks, want %d", ran.Load(), spawned)
 	}
@@ -86,10 +86,10 @@ func TestPoolCountersFor(t *testing.T) {
 
 	var items atomic.Int64
 	var leaves atomic.Int64
-	pool.ParallelFor(1000, 16, func(lo, hi int, c *Ctx) {
+	check(t, pool.ParallelForCtx(nil, 1000, 16, func(lo, hi int, c *Ctx) {
 		items.Add(int64(hi - lo))
 		leaves.Add(1)
-	})
+	}))
 	if items.Load() != 1000 {
 		t.Fatalf("covered %d items, want 1000", items.Load())
 	}
@@ -114,11 +114,11 @@ func TestTBBCountersSplits(t *testing.T) {
 		}
 		var items atomic.Int64
 		var leaves atomic.Int64
-		ParallelForRange(pool, Range{Lo: 0, Hi: 1000, Grain: 16}, part, aff,
+		check(t, ParallelForRangeCtx(nil, pool, Range{Lo: 0, Hi: 1000, Grain: 16}, part, aff,
 			func(lo, hi int, c *Ctx) {
 				items.Add(int64(hi - lo))
 				leaves.Add(1)
-			})
+			}))
 		pool.Close()
 		if items.Load() != 1000 {
 			t.Fatalf("partitioner %v covered %d items, want 1000", part, items.Load())
@@ -153,7 +153,7 @@ func TestCountersOffNoPanic(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
 	n.Store(0)
-	pool.ParallelFor(100, 8, func(lo, hi int, c *Ctx) { n.Add(int64(hi - lo)) })
+	check(t, pool.ParallelForCtx(nil, 100, 8, func(lo, hi int, c *Ctx) { n.Add(int64(hi - lo)) }))
 	if n.Load() != 100 {
 		t.Errorf("pool covered %d, want 100", n.Load())
 	}

@@ -1,15 +1,12 @@
 #!/bin/sh
-# bench.sh — run the bench_test.go benchmarks and emit a machine-readable
-# JSON baseline for perf-trajectory tracking, then (optionally) drive the
-# serving baseline: boot micserved and replay a seeded micload trace into
-# BENCH_SERVE_0.json.
+# bench.sh — run the bench_test.go benchmarks and emit the machine-readable
+# JSON baseline scripts/bench_diff.sh gates allocs/op against. Performance
+# claims are made on bench/ (see bench/README.md), not on these records.
 #
 # Usage:
-#   scripts/bench.sh                  # all benchmarks, 1s each -> BENCH_0.json
+#   scripts/bench.sh                  # all benchmarks, 1s each -> BENCH_1.json
 #   BENCH_PATTERN='Kernel' scripts/bench.sh
-#   BENCH_TIME=2s BENCH_COUNT=3 BENCH_OUT=BENCH_1.json scripts/bench.sh
-#   BENCH_SERVE=1 scripts/bench.sh    # also run the micload serving baseline
-#   BENCH_SERVE=only scripts/bench.sh # just the serving baseline
+#   BENCH_TIME=2s BENCH_COUNT=3 BENCH_OUT=out.json scripts/bench.sh
 #
 # BENCH_TIME defaults to 1s (real averaged iterations). The old default of
 # 1x produced iterations:1 records — single-iteration numbers are far too
@@ -17,8 +14,8 @@
 #
 # Output: a JSON array of {"name", "iterations", "ns_per_op", "bytes_per_op",
 # "allocs_per_op"} objects, one per benchmark line (repeated names mean
-# BENCH_COUNT > 1). The raw `go test` output is preserved next to it as
-# <out>.txt so regressions can be rechecked with benchstat-style tooling.
+# BENCH_COUNT > 1). The raw `go test` output is left next to it as <out>.txt
+# (not committed).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,77 +23,35 @@ cd "$(dirname "$0")/.."
 PATTERN="${BENCH_PATTERN:-.}"
 TIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-1}"
-OUT="${BENCH_OUT:-BENCH_0.json}"
+OUT="${BENCH_OUT:-BENCH_1.json}"
 RAW="${OUT%.json}.txt"
-SERVE="${BENCH_SERVE:-0}"
 
-if [ "$SERVE" != "only" ]; then
-    echo "bench.sh: go test -run '^$' -bench '$PATTERN' -benchmem -benchtime $TIME -count $COUNT ." >&2
-    go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" -count "$COUNT" -timeout 60m . | tee "$RAW"
+echo "bench.sh: go test -run '^$' -bench '$PATTERN' -benchmem -benchtime $TIME -count $COUNT ." >&2
+go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME" -count "$COUNT" -timeout 60m . | tee "$RAW"
 
-    # Benchmark lines look like:
-    #   BenchmarkFoo-8   	      10	 123456 ns/op	    4096 B/op	      12 allocs/op
-    # (B/op and allocs/op are present because of -benchmem).
-    awk '
-    /^Benchmark/ {
-        name = $1; sub(/-[0-9]+$/, "", name)
-        iters = $2
-        ns = ""; bytes = ""; allocs = ""
-        for (i = 3; i < NF; i++) {
-            if ($(i+1) == "ns/op")     ns = $i
-            if ($(i+1) == "B/op")      bytes = $i
-            if ($(i+1) == "allocs/op") allocs = $i
-        }
-        if (ns == "") next
-        if (bytes == "")  bytes = 0
-        if (allocs == "") allocs = 0
-        if (n++) printf ",\n"
-        printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-            name, iters, ns, bytes, allocs
+# Benchmark lines look like:
+#   BenchmarkFoo-8   	      10	 123456 ns/op	    4096 B/op	      12 allocs/op
+# (B/op and allocs/op are present because of -benchmem).
+awk '
+/^Benchmark/ {
+    name = $1; sub(/-[0-9]+$/, "", name)
+    iters = $2
+    ns = ""; bytes = ""; allocs = ""
+    for (i = 3; i < NF; i++) {
+        if ($(i+1) == "ns/op")     ns = $i
+        if ($(i+1) == "B/op")      bytes = $i
+        if ($(i+1) == "allocs/op") allocs = $i
     }
-    BEGIN { printf "[\n" }
-    END   { printf "\n]\n" }
-    ' "$RAW" > "$OUT"
+    if (ns == "") next
+    if (bytes == "")  bytes = 0
+    if (allocs == "") allocs = 0
+    if (n++) printf ",\n"
+    printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+        name, iters, ns, bytes, allocs
+}
+BEGIN { printf "[\n" }
+END   { printf "\n]\n" }
+' "$RAW" > "$OUT"
 
-    N=$(grep -c '"name"' "$OUT" || true)
-    echo "bench.sh: wrote $N benchmark records to $OUT (raw output in $RAW)" >&2
-fi
-
-if [ "$SERVE" = "0" ]; then
-    exit 0
-fi
-
-# Serving baseline: a deliberately small daemon (2 workers, queue 8) so the
-# burst phase visibly saturates the queue — the point of the artifact is
-# the per-phase latency attribution, not peak throughput of this machine.
-SERVE_OUT="${BENCH_SERVE_OUT:-BENCH_SERVE_0.json}"
-SERVE_SEED="${BENCH_SERVE_SEED:-1}"
-SERVE_ADDR="${BENCH_SERVE_ADDR:-127.0.0.1:8390}"
-SERVE_PHASES="${BENCH_SERVE_PHASES:-steady,dur=10s,rps=25;sweep,dur=12s,rps=10,end=40;burst,dur=10s,rps=15,mult=8,at=0.5,width=0.2}"
-EXPORT_DIR="$(mktemp -d)"
-trap 'rm -rf "$EXPORT_DIR"; [ -n "${DPID:-}" ] && kill -TERM "$DPID" 2>/dev/null || true' EXIT
-
-echo "bench.sh: building micserved + micload" >&2
-go build -o "$EXPORT_DIR/micserved" ./cmd/micserved
-go build -o "$EXPORT_DIR/micload" ./cmd/micload
-
-"$EXPORT_DIR/micserved" -addr "$SERVE_ADDR" -workers 2 -queue 8 -retry-after 250ms &
-DPID=$!
-for i in $(seq 1 100); do
-    if curl -sf "http://$SERVE_ADDR/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
-
-"$EXPORT_DIR/micload" \
-    -addr "http://$SERVE_ADDR" \
-    -seed "$SERVE_SEED" \
-    -phases "$SERVE_PHASES" \
-    -clients 64 \
-    -export-dir "$EXPORT_DIR" \
-    -trace-out "${SERVE_OUT%.json}.trace.jsonl" \
-    -out "$SERVE_OUT"
-
-kill -TERM "$DPID"
-wait "$DPID" || true
-DPID=""
-echo "bench.sh: wrote serving baseline to $SERVE_OUT" >&2
+N=$(grep -c '"name"' "$OUT" || true)
+echo "bench.sh: wrote $N benchmark records to $OUT (raw output in $RAW)" >&2

@@ -1,20 +1,19 @@
 #!/bin/sh
-# bench_diff.sh — guard the perf trajectory of the kernels and of the
+# bench_diff.sh — guard the allocation counts of the kernels and of the
 # simulator/experiment engine against the committed baseline. Runs a short
 # pass of the Kernel*, Fig*, *Simulate*, TraceBuild* and AblationBlockSize
-# benchmarks and compares each record against the baseline JSON
-# (BENCH_1.json by default, recorded by scripts/bench.sh):
+# benchmarks and compares allocs/op of each record against the baseline JSON
+# (BENCH_1.json by default, recorded by scripts/bench.sh). Allocation counts
+# are deterministic, so an increase beyond the amortization slack (+10%,
+# minimum +2 to absorb setup allocations spread over fewer iterations at
+# short benchtime) fails with exit 1. The exact zero-alloc invariants are
+# pinned even tighter by the internal/kerneltest AllocsPerRun gates. For the
+# Fig* records this is what keeps a sweep cell O(chunks): a change that
+# allocates per cell or per chunk again moves them by 10x or more.
 #
-#   - ns/op is INFORMATIONAL: short -benchtime runs on shared CI boxes are
-#     noisy, so drifts beyond the ±40% tolerance are printed as warnings
-#     but never fail the job;
-#   - allocs/op is GATING: allocation counts are deterministic, so an
-#     increase beyond the amortization slack (+10%, minimum +2 to absorb
-#     setup allocations spread over fewer iterations at short benchtime)
-#     fails with exit 1. The exact zero-alloc invariants are pinned even
-#     tighter by the internal/kerneltest AllocsPerRun gates. For the Fig*
-#     records this is what keeps a sweep cell O(chunks): a change that
-#     allocates per cell or per chunk again moves them by 10x or more.
+# ns/op is printed by the run but not compared: time is judged on bench/
+# (BENCHMARK.json), on inputs large enough to time, not on a 100 ms pass of
+# scale-8 graphs against numbers recorded on another day.
 #
 # Usage:
 #   scripts/bench_diff.sh [baseline.json]
@@ -41,11 +40,7 @@ import json, re, sys
 
 base = {}
 for rec in json.load(open(sys.argv[1])):
-    base.setdefault(rec["name"], []).append(rec)
-base = {name: {
-    "ns": sum(r["ns_per_op"] for r in recs) / len(recs),
-    "allocs": max(r["allocs_per_op"] for r in recs),
-} for name, recs in base.items()}
+    base[rec["name"]] = max(base.get(rec["name"], 0), rec["allocs_per_op"])
 
 current = {}
 for line in open(sys.argv[2]):
@@ -53,14 +48,9 @@ for line in open(sys.argv[2]):
     if not f or not f[0].startswith("Benchmark"):
         continue
     name = f[0].rsplit("-", 1)[0]
-    ns = allocs = None
     for i in range(2, len(f) - 1):
-        if f[i + 1] == "ns/op":
-            ns = float(f[i])
         if f[i + 1] == "allocs/op":
-            allocs = float(f[i])
-    if ns is not None:
-        current[name] = {"ns": ns, "allocs": allocs or 0.0}
+            current[name] = float(f[i])
 
 fail = False
 for name, cur in sorted(current.items()):
@@ -68,14 +58,10 @@ for name, cur in sorted(current.items()):
     if b is None:
         print(f"bench-diff: {name}: no baseline record (new benchmark, informational)")
         continue
-    ratio = cur["ns"] / b["ns"] if b["ns"] else 0.0
-    if ratio > 1.40 or ratio < 0.60:
-        print(f"bench-diff: WARN {name}: {cur['ns']:.0f} ns/op vs baseline "
-              f"{b['ns']:.0f} ({ratio:.2f}x, outside +-40%; informational)")
-    ceiling = b["allocs"] + max(2.0, b["allocs"] * 0.10)
-    if cur["allocs"] > ceiling:
-        print(f"bench-diff: FAIL {name}: {cur['allocs']:.0f} allocs/op vs baseline "
-              f"{b['allocs']:.0f} (ceiling {ceiling:.0f}) — allocation regression")
+    ceiling = b + max(2.0, b * 0.10)
+    if cur > ceiling:
+        print(f"bench-diff: FAIL {name}: {cur:.0f} allocs/op vs baseline "
+              f"{b:.0f} (ceiling {ceiling:.0f}) — allocation regression")
         fail = True
 missing = sorted(set(n for n in base if re.search(sys.argv[3], n)) - set(current))
 for name in missing:
