@@ -81,7 +81,7 @@ func main() {
 	}
 	write := func(g *graph.Graph, path string) {
 		start := time.Now()
-		if err := graphio.WriteFile(path, g, outFormat); err != nil {
+		if err := graphio.WriteFile(path, g, outFormat, nil); err != nil {
 			fail(err)
 		}
 		fmt.Printf("%s: %s\n", path, g)

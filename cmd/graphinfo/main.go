@@ -99,7 +99,7 @@ func main() {
 			exit(2)
 		}
 		for _, path := range flag.Args() {
-			g, err := graphio.ReadFile(path)
+			g, err := graphio.ReadFile(path, nil)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "graphinfo:", err)
 				exit(1)

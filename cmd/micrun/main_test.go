@@ -1,0 +1,151 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"micgraph/internal/graphio"
+	"micgraph/internal/kernels"
+	"micgraph/internal/sched"
+)
+
+// micrun runs the tool in-process and returns its exit code and streams.
+func micrun(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// onHood are the graph and worker flags every test here uses: with one
+// worker every result line is deterministic.
+func onHood(args ...string) []string {
+	return append([]string{"-graph", "hood", "-scale", "32", "-workers", "1"}, args...)
+}
+
+// TestEveryTableEntry drives the tool over the whole kernels table and
+// checks that what it prints is the result line of a direct Entry.Run with
+// the same parameters — the line the daemon streams for the same job.
+func TestEveryTableEntry(t *testing.T) {
+	g, err := graphio.Load("", "hood", 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := kernels.NewRuntime(1)
+	defer rt.Close()
+	p := kernels.Params{Source: int32(g.NumVertices() / 2), Chunk: 100, Iters: 5,
+		Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+
+	for _, e := range kernels.Table() {
+		name := e.Kind + "/" + e.Variant
+		code, stdout, stderr := micrun(onHood("-kind", e.Kind, "-variant", e.Variant)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", name, code, stderr)
+		}
+		lines := strings.Split(strings.TrimSpace(stdout), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "time: ") || !strings.HasSuffix(lines[1], "(valid)") {
+			t.Fatalf("%s: stdout is not a result line and a valid time line:\n%s", name, stdout)
+		}
+		out, err := e.Run(context.Background(), rt, g, p)
+		if err != nil {
+			t.Fatalf("%s: direct run: %v", name, err)
+		}
+		want, err := json.Marshal(out.Line(e, g.String(), p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines[0] != string(want) {
+			t.Errorf("%s: printed line differs from the direct run:\n  got %s\n want %s", name, lines[0], want)
+		}
+	}
+
+	// No -variant selects the kind's default.
+	_, stdout, _ := micrun(onHood("-kind", kernels.Components)...)
+	if want := `"variant":"` + kernels.Default(kernels.Components) + `"`; !strings.Contains(stdout, want) {
+		t.Errorf("default components run printed %q, want it to carry %s", stdout, want)
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	// A bogus variant is a usage error naming the table, reported before
+	// the graph is looked at: the graph named here does not exist either.
+	code, stdout, stderr := micrun("-kind", kernels.BFS, "-variant", "bogus", "-graph", "no-such-graph")
+	if code != 2 || stdout != "" {
+		t.Errorf("bogus variant: exit %d, stdout %q; want exit 2 and nothing printed", code, stdout)
+	}
+	for _, e := range kernels.Table() {
+		if !strings.Contains(stderr, " "+e.Variant) || !strings.Contains(stderr, e.Kind+":") {
+			t.Errorf("bogus variant: stderr does not name %s/%s:\n%s", e.Kind, e.Variant, stderr)
+		}
+	}
+	if strings.Contains(stderr, "no-such-graph") {
+		t.Errorf("bogus variant: the graph was loaded first:\n%s", stderr)
+	}
+	if code, _, _ := micrun("-kind", "bogus"); code != 2 {
+		t.Errorf("bogus kind: exit %d, want 2", code)
+	}
+	if code, _, _ := micrun(onHood("-policy", "bogus")...); code != 2 {
+		t.Errorf("bogus policy: exit %d, want 2", code)
+	}
+	if code, _, _ := micrun("-graph", "hood", "-scale", "32", "-workers", "0"); code != 2 {
+		t.Errorf("-workers 0: exit %d, want 2", code)
+	}
+	if code, _, _ := micrun(onHood("-kind", kernels.Coloring, "-model")...); code != 2 {
+		t.Errorf("-model on coloring: exit %d, want 2", code)
+	}
+
+	if code, _, stderr := micrun("-graph", "no-such-graph"); code != 1 {
+		t.Errorf("unknown graph: exit %d, want 1 (stderr %s)", code, stderr)
+	}
+	code, stdout, stderr = micrun(onHood("-kind", kernels.Coloring, "-timeout", "1ns")...)
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "aborted") {
+		t.Errorf("-timeout 1ns: exit %d, stdout %q, stderr %q; want exit 1 and an abort message", code, stdout, stderr)
+	}
+}
+
+func TestDistance2(t *testing.T) {
+	for _, e := range kernels.Table() {
+		code, stdout, stderr := micrun(onHood("-kind", e.Kind, "-variant", e.Variant, "-d2")...)
+		allowed := e.Kind == kernels.Coloring && (e.Variant == kernels.Seq || e.Default)
+		switch {
+		case allowed && (code != 0 || !strings.Contains(stdout, "(valid)")):
+			t.Errorf("%s/%s -d2: exit %d, stdout %q, stderr %q; want a valid run", e.Kind, e.Variant, code, stdout, stderr)
+		case !allowed && code != 2:
+			t.Errorf("%s/%s -d2: exit %d, want 2", e.Kind, e.Variant, code)
+		}
+	}
+}
+
+// TestMetricsOut checks the -metrics-out trace of a BFS and a coloring
+// entry: one run header naming the entry, at least one phase, one counter
+// snapshot.
+func TestMetricsOut(t *testing.T) {
+	for _, kind := range []string{kernels.BFS, kernels.Coloring} {
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if code, _, stderr := micrun(onHood("-kind", kind, "-metrics-out", path)...); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", kind, code, stderr)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var rec struct{ Record, Kind, Variant string }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: bad metrics line %q: %v", kind, line, err)
+			}
+			records[rec.Record]++
+			if rec.Record == "run" && (rec.Kind != kind || rec.Variant != kernels.Default(kind)) {
+				t.Errorf("%s: run header names %s/%s", kind, rec.Kind, rec.Variant)
+			}
+		}
+		if records["run"] != 1 || records["phase"] < 1 || records["counters"] != 1 || len(records) != 3 {
+			t.Errorf("%s: metrics records = %v, want 1 run, >=1 phase, 1 counters", kind, records)
+		}
+	}
+}

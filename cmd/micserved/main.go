@@ -60,9 +60,6 @@ func main() {
 		name        = flag.String("name", "", "cluster mode: this node's shard name (requires -peers)")
 		peersFlag   = flag.String("peers", "", "cluster mode: static membership, name=url,... or @peers.json")
 		replication = flag.Int("replication", 2, "cluster mode: replica-set size R for hot-graph reads")
-		ringSeed    = flag.Uint64("ring-seed", 1, "cluster mode: placement ring seed (must match across peers)")
-		vnodes      = flag.Int("vnodes", 64, "cluster mode: ring points per node")
-		loadFactor  = flag.Float64("load-factor", 1.25, "cluster mode: bounded-load constant c")
 		probeEvery  = flag.Duration("probe-interval", time.Second, "cluster mode: peer health probe interval")
 		probeTO     = flag.Duration("probe-timeout", 2*time.Second, "cluster mode: per-probe timeout")
 		probeFails  = flag.Int("probe-fails", 2, "cluster mode: consecutive probe failures before ring eviction")
@@ -159,10 +156,7 @@ func main() {
 		node, err := cluster.NewNode(cluster.Config{
 			Self:          *name,
 			Peers:         peers,
-			Seed:          *ringSeed,
-			VNodes:        *vnodes,
 			Replication:   *replication,
-			LoadFactor:    *loadFactor,
 			ProbeInterval: *probeEvery,
 			ProbeTimeout:  *probeTO,
 			FailThreshold: *probeFails,

@@ -32,12 +32,11 @@ const Unvisited int32 = -1
 
 // Result reports a BFS run.
 type Result struct {
-	Levels      []int32 // per-vertex level; Unvisited (-1) if unreachable
-	NumLevels   int     // number of levels (eccentricity of source + 1)
-	Widths      []int64 // vertices per level (the x_l profile of §III-C)
-	Processed   int64   // queue entries processed, including duplicates
-	Duplicates  int64   // redundant entries processed by relaxed variants
-	SourceLevel int32   // always 0; kept for clarity in reports
+	Levels     []int32 // per-vertex level; Unvisited (-1) if unreachable
+	NumLevels  int     // number of levels (eccentricity of source + 1)
+	Widths     []int64 // vertices per level (the x_l profile of §III-C)
+	Processed  int64   // queue entries processed, including duplicates
+	Duplicates int64   // redundant entries processed by relaxed variants
 }
 
 // Sequential runs the textbook FIFO BFS (Algorithm 6) from source.

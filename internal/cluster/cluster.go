@@ -14,9 +14,9 @@
 // and the way past it is partitioning with cheap coordination. The ring
 // is the whole coordination protocol: per-peer health probes feed ring
 // eviction (a dead shard stops receiving placements within a probe
-// interval or two), and each shard keeps its own serve.Store, so a
-// corrupted or fault-injected load poisons at most the shard that owns
-// the key — never a neighbour's cache.
+// interval or two), and each shard is a whole serve.Server with its own
+// cache, so a corrupted or fault-injected load poisons at most the shard
+// that owns the key — never a neighbour's cache.
 //
 // Per-shard /metricsz totals each satisfy the serving layer's
 // conservation law (submitted = rejected + succeeded + failed +
@@ -45,31 +45,33 @@ type Peer struct {
 	URL  string `json:"url"`
 }
 
+// The placement constants every member of a cluster must agree on; no
+// deployment has needed other values, so they are not configuration.
+const (
+	// ringSeed seeds the ring's hash mixing.
+	ringSeed = 1
+	// ringVNodes is the number of ring points per node. More points smooth
+	// the key distribution at the cost of a longer ring.
+	ringVNodes = 64
+	// loadFactor is the bounded-load constant c: a replica whose in-flight
+	// load exceeds ceil(c * mean-over-candidates) spills to a sibling, which
+	// caps how hot one shard can run while another replica idles.
+	loadFactor = 1.25
+)
+
 // Config wires one node of the cluster. Zero values take the documented
 // defaults.
 type Config struct {
 	// Self is this node's name; Peers must contain an entry for it.
 	Self string
 	// Peers is the full static membership, self included. Order does not
-	// matter: placement depends only on the set (and the ring seed).
+	// matter: placement depends only on the set.
 	Peers []Peer
 
-	// Seed seeds the ring's hash mixing (default 1). All nodes of one
-	// cluster must share it; a fixed seed makes placement deterministic,
-	// which the ring tests pin.
-	Seed uint64
-	// VNodes is the number of ring points per node (default 64). More
-	// points smooth the key distribution at the cost of a longer ring.
-	VNodes int
 	// Replication is the replica-set size R for hot-graph reads (default
 	// 2, clamped to the cluster size). Kernel jobs may be served by any of
 	// the key's R replicas; exports and sweeps stay with the primary.
 	Replication int
-	// LoadFactor is the bounded-load constant c (default 1.25): a replica
-	// whose in-flight load exceeds ceil(c * mean-over-candidates) is
-	// skipped in ring order, which caps how hot one shard can run while a
-	// sibling replica idles.
-	LoadFactor float64
 
 	// ProbeInterval / ProbeTimeout drive the per-peer health probes
 	// (defaults 1s / 2s). FailThreshold consecutive probe failures evict
@@ -89,20 +91,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.Replication <= 0 {
 		c.Replication = 2
 	}
 	if c.Replication > len(c.Peers) && len(c.Peers) > 0 {
 		c.Replication = len(c.Peers)
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second

@@ -79,7 +79,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Replication != 2 {
 		t.Errorf("replication not clamped to cluster size: %d", cfg.Replication)
 	}
-	if cfg.Seed != 1 || cfg.VNodes != 64 || cfg.FailThreshold != 2 {
+	if cfg.FailThreshold != 2 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if cfg.Clock == nil || cfg.HTTP == nil || cfg.Logf == nil {

@@ -175,14 +175,6 @@ func (h *Health) Load(node string) (int, bool) {
 	return st.load, true
 }
 
-// Healthy reports whether node is currently considered alive.
-func (h *Health) Healthy(node string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.state[node]
-	return ok && st.healthy
-}
-
 // Peers snapshots every peer's probe status, sorted by name (self
 // included, always healthy with zero probe data).
 func (h *Health) Peers() []PeerStatus {

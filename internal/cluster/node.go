@@ -50,7 +50,7 @@ func NewNode(cfg Config, serveCfg serve.Config) (*Node, error) {
 	}
 	srv := serve.New(serveCfg)
 
-	ring := NewRing(cfg.Seed, cfg.VNodes)
+	ring := NewRing(ringSeed, ringVNodes)
 	urls := make(map[string]string, len(cfg.Peers))
 	for _, p := range cfg.Peers {
 		ring.Add(p.Name)
@@ -76,9 +76,6 @@ func (n *Node) Server() *serve.Server { return n.srv }
 // Ring exposes the node's placement ring (tests assert eviction and
 // placement determinism through it).
 func (n *Node) Ring() *Ring { return n.ring }
-
-// Health exposes the node's probe state.
-func (n *Node) Health() *Health { return n.health }
 
 // Self returns this node's shard name.
 func (n *Node) Self() string { return n.cfg.Self }
@@ -145,7 +142,7 @@ func (n *Node) route(spec serve.JobSpec) string {
 	key := spec.PlacementKey()
 	switch spec.Kind {
 	case serve.KindBFS, serve.KindColoring, serve.KindComponents, serve.KindIrregular:
-		if pick := PickBounded(n.ring.Replicas(key, n.cfg.Replication), n.load, n.cfg.LoadFactor); pick != "" {
+		if pick := PickBounded(n.ring.Replicas(key, n.cfg.Replication), n.load, loadFactor); pick != "" {
 			return pick
 		}
 	}

@@ -328,7 +328,7 @@ func TestClusterCacheMissIsolation(t *testing.T) {
 		t.Fatalf("bad-file job finished %s, want failed", done.Status)
 	}
 	for _, n := range tc.Nodes {
-		stats := n.Server().Store().Stats()
+		stats := n.Server().Cache().Stats()
 		if n.Self() == view.Shard {
 			if stats.Misses == 0 {
 				t.Errorf("owning shard %s records no cache miss", n.Self())

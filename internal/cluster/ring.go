@@ -3,13 +3,14 @@ package cluster
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 )
 
 // Ring is a seeded consistent-hash ring with virtual nodes. Every cluster
 // member builds an identical ring from the shared (seed, membership)
 // pair, so placement needs no coordination: Owner and Replicas are pure
-// functions of the ring state. It implements serve.Placement.
+// functions of the ring state.
 //
 // The two properties the tests pin are the classic consistent-hashing
 // guarantees: with V virtual nodes per member the key distribution is
@@ -31,11 +32,9 @@ type point struct {
 }
 
 // NewRing creates an empty ring. All members of one cluster must share
-// seed and vnodes; a fixed pair makes placement fully deterministic.
+// seed and vnodes (a Node uses ringSeed and ringVNodes); a fixed pair
+// makes placement fully deterministic.
 func NewRing(seed uint64, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	return &Ring{seed: seed, vnodes: vnodes, nodes: make(map[string]bool)}
 }
 
@@ -82,7 +81,7 @@ func (r *Ring) Add(node string) {
 	}
 	r.nodes[node] = true
 	for v := 0; v < r.vnodes; v++ {
-		r.points = append(r.points, point{hash: r.hash(node, itoa(v)), node: node})
+		r.points = append(r.points, point{hash: r.hash(node, strconv.Itoa(v)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
@@ -206,20 +205,4 @@ func PickBounded(candidates []string, load func(node string) (int, bool), c floa
 		}
 	}
 	return best.node
-}
-
-// itoa is a tiny strconv.Itoa for non-negative vnode indices (avoids the
-// import for one call site).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

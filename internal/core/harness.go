@@ -40,14 +40,6 @@ type Harness struct {
 // Nil-safe.
 func (h *Harness) telemetryOn() bool { return h != nil && h.Telemetry }
 
-// context returns the harness context (Background when unset).
-func (h *Harness) context() context.Context {
-	if h == nil || h.Ctx == nil {
-		return context.Background()
-	}
-	return h.Ctx
-}
-
 // cancelled returns the context error once the deadline has passed or the
 // run was cancelled, nil otherwise. Nil-safe.
 func (h *Harness) cancelled() error {

@@ -85,24 +85,24 @@ func TestSchedHookPoolTaskPanic(t *testing.T) {
 func TestInjectedTruncationFailsLoadCleanly(t *testing.T) {
 	g := gen.Grid2D(64, 64)
 	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := graphio.WriteFile(path, g, graphio.Binary); err != nil {
+	if err := graphio.WriteFile(path, g, graphio.Binary, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 
 	// The loader buffers reads, so the first Read call can swallow the
 	// whole file; truncating call 1 guarantees the stream ends early.
 	in := fault.New(7).EnableAt("graphio/read/truncate", 1)
-	got, err := graphio.LoadInjected(path, "", 0, in)
+	got, err := graphio.Load(path, "", 0, in)
 	if err == nil {
-		t.Fatal("LoadInjected succeeded despite injected truncation")
+		t.Fatal("Load succeeded despite injected truncation")
 	}
 	if got != nil {
-		t.Errorf("LoadInjected returned a graph (%d vertices) alongside %v",
+		t.Errorf("Load returned a graph (%d vertices) alongside %v",
 			got.NumVertices(), err)
 	}
 
 	// Without injection the very same file is intact.
-	g2, err := graphio.Load(path, "", 0)
+	g2, err := graphio.Load(path, "", 0, nil)
 	if err != nil {
 		t.Fatalf("clean Load failed: %v", err)
 	}
@@ -117,20 +117,20 @@ func TestInjectedTruncationFailsLoadCleanly(t *testing.T) {
 func TestInjectedReadErrIsTransient(t *testing.T) {
 	g := gen.Grid2D(4, 4)
 	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := graphio.WriteFile(path, g, graphio.Binary); err != nil {
+	if err := graphio.WriteFile(path, g, graphio.Binary, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	in := fault.New(3).EnableAt("graphio/read/err", 1)
-	_, err := graphio.LoadInjected(path, "", 0, in)
+	_, err := graphio.Load(path, "", 0, in)
 	if err == nil {
-		t.Fatal("LoadInjected succeeded despite injected read error")
+		t.Fatal("Load succeeded despite injected read error")
 	}
 	if !fault.IsTransient(err) {
 		t.Errorf("injected read error %v lost its transient marker", err)
 	}
 	// The retry convention: a second identical attempt advances the call
 	// counter past the armed index and succeeds.
-	if _, err := graphio.LoadInjected(path, "", 0, in); err != nil {
+	if _, err := graphio.Load(path, "", 0, in); err != nil {
 		t.Errorf("retry after one-shot fault failed: %v", err)
 	}
 }

@@ -82,10 +82,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.vs = append(b.vs, v)
 }
 
-// NumPendingEdges returns the number of AddEdge calls so far (before
-// dedup/self-loop removal).
-func (b *Builder) NumPendingEdges() int { return len(b.us) }
-
 // Build produces the CSR graph. The Builder must not be reused afterwards.
 //
 // The construction is the classic two-pass counting sort: count degrees of

@@ -53,16 +53,11 @@ func ParseFormat(name string) (Format, error) {
 	return 0, fmt.Errorf("graphio: unknown format %q (want mtx, bin, or el)", name)
 }
 
-// Read parses r in the given format.
-func Read(r io.Reader, f Format) (*graph.Graph, error) {
-	return ReadInjected(r, f, nil)
-}
-
-// ReadInjected is Read with a fault injector interposed on the byte
-// stream: the sites "graphio/read/err" (transient read error) and
+// Read parses r in the given format. A non-nil injector is interposed on
+// the byte stream: the sites "graphio/read/err" (transient read error) and
 // "graphio/read/truncate" (premature EOF) exercise the loaders' failure
 // paths deterministically. A nil injector reads normally.
-func ReadInjected(r io.Reader, f Format, in *fault.Injector) (*graph.Graph, error) {
+func Read(r io.Reader, f Format, in *fault.Injector) (*graph.Graph, error) {
 	r = in.Reader("graphio/read", r)
 	switch f {
 	case Binary:
@@ -86,35 +81,26 @@ func Write(w io.Writer, g *graph.Graph, f Format) error {
 	}
 }
 
-// ReadFile opens and parses a graph file, dispatching on its extension.
-func ReadFile(path string) (*graph.Graph, error) {
-	return ReadFileInjected(path, nil)
-}
-
-// ReadFileInjected is ReadFile with a fault injector (see ReadInjected).
-func ReadFileInjected(path string, in *fault.Injector) (*graph.Graph, error) {
+// ReadFile opens and parses a graph file, dispatching on its extension; in
+// is Read's injector.
+func ReadFile(path string, in *fault.Injector) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadInjected(f, DetectFormat(path), in)
+	return Read(f, DetectFormat(path), in)
 }
 
 // WriteFile serialises g to path in the given format. The write is atomic:
 // the bytes go to a temporary file in the same directory which is renamed
 // over path only after a successful write and close, so a crashed or
 // cancelled run can never leave a truncated graph file behind — path either
-// keeps its previous contents or holds the complete new serialization.
-func WriteFile(path string, g *graph.Graph, f Format) error {
-	return WriteFileInjected(path, g, f, nil)
-}
-
-// WriteFileInjected is WriteFile with a fault injector interposed on the
-// byte stream: the site "graphio/write/err" (transient write error)
-// exercises the atomic-replace failure path deterministically. A nil
-// injector writes normally.
-func WriteFileInjected(path string, g *graph.Graph, f Format, in *fault.Injector) error {
+// keeps its previous contents or holds the complete new serialization. A
+// non-nil injector is interposed on the byte stream: the site
+// "graphio/write/err" (transient write error) exercises the atomic-replace
+// failure path deterministically.
+func WriteFile(path string, g *graph.Graph, f Format, in *fault.Injector) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -145,17 +131,12 @@ func WriteFileInjected(path string, g *graph.Graph, f Format, in *fault.Injector
 
 // Load resolves the CLI tools' shared -file/-graph convention: a file path
 // (any supported format) or a builtin suite graph name with a shrink scale.
-func Load(file, suiteName string, scale int) (*graph.Graph, error) {
-	return LoadInjected(file, suiteName, scale, nil)
-}
-
-// LoadInjected is Load with a fault injector interposed on file reads (see
-// ReadInjected). Suite-graph generation does not touch the filesystem and
-// is unaffected.
-func LoadInjected(file, suiteName string, scale int, in *fault.Injector) (*graph.Graph, error) {
+// in is Read's injector; suite-graph generation does not touch the
+// filesystem and is unaffected by it.
+func Load(file, suiteName string, scale int, in *fault.Injector) (*graph.Graph, error) {
 	switch {
 	case file != "":
-		return ReadFileInjected(file, in)
+		return ReadFile(file, in)
 	case suiteName != "":
 		cfg, err := gen.SuiteConfig(suiteName)
 		if err != nil {

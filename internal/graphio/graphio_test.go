@@ -45,7 +45,7 @@ func TestRoundTripAllFormats(t *testing.T) {
 		if err := Write(&buf, g, f); err != nil {
 			t.Fatalf("format %v: %v", f, err)
 		}
-		h, err := Read(&buf, f)
+		h, err := Read(&buf, f, nil)
 		if err != nil {
 			t.Fatalf("format %v: %v", f, err)
 		}
@@ -61,10 +61,10 @@ func TestFileRoundTrip(t *testing.T) {
 	for _, name := range []string{"g.mtx", "g.bin", "g.el"} {
 		path := filepath.Join(dir, name)
 		format := DetectFormat(path)
-		if err := WriteFile(path, g, format); err != nil {
+		if err := WriteFile(path, g, format, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		h, err := ReadFile(path)
+		h, err := ReadFile(path, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -72,13 +72,13 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Errorf("%s: file round trip changed the graph", name)
 		}
 	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.mtx")); err == nil {
+	if _, err := ReadFile(filepath.Join(dir, "missing.mtx"), nil); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := WriteFile(filepath.Join(dir, "nodir", "x.mtx"), g, MatrixMarket); err == nil {
+	if err := WriteFile(filepath.Join(dir, "nodir", "x.mtx"), g, MatrixMarket, nil); err == nil {
 		t.Error("unwritable path accepted")
 	}
-	if !os.IsNotExist(errOf(ReadFile(filepath.Join(dir, "missing.mtx")))) {
+	if !os.IsNotExist(errOf(ReadFile(filepath.Join(dir, "missing.mtx"), nil))) {
 		t.Error("missing file error is not os.IsNotExist")
 	}
 }
@@ -93,7 +93,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	h := gen.RingOfCliques(8, 4)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.bin")
-	if err := WriteFile(path, g, Binary); err != nil {
+	if err := WriteFile(path, g, Binary, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -103,7 +103,7 @@ func TestWriteFileAtomic(t *testing.T) {
 
 	in := fault.New(7)
 	in.EnableAt("graphio/write/err", 1)
-	if err := WriteFileInjected(path, h, Binary, in); err == nil {
+	if err := WriteFile(path, h, Binary, in); err == nil {
 		t.Fatal("injected write error not surfaced")
 	}
 	after, err := os.ReadFile(path)
@@ -113,7 +113,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Error("failed write changed the existing file")
 	}
-	got, err := ReadFile(path)
+	got, err := ReadFile(path, nil)
 	if err != nil || !g.Equal(got) {
 		t.Errorf("existing file no longer parses to the old graph: %v", err)
 	}
@@ -131,32 +131,32 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 
 	// A later uninjected write replaces the file completely.
-	if err := WriteFile(path, h, Binary); err != nil {
+	if err := WriteFile(path, h, Binary, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ReadFile(path)
+	got, err = ReadFile(path, nil)
 	if err != nil || !h.Equal(got) {
 		t.Errorf("replacement write not visible: %v", err)
 	}
 }
 
 func TestLoad(t *testing.T) {
-	g, err := Load("", "pwtk", 16)
+	g, err := Load("", "pwtk", 16, nil)
 	if err != nil || g.NumVertices() == 0 {
 		t.Fatalf("Load suite: %v", err)
 	}
-	if _, err := Load("", "bogus", 1); err == nil {
+	if _, err := Load("", "bogus", 1, nil); err == nil {
 		t.Error("unknown suite graph accepted")
 	}
-	if _, err := Load("", "", 1); err == nil {
+	if _, err := Load("", "", 1, nil); err == nil {
 		t.Error("empty spec accepted")
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.bin")
-	if err := WriteFile(path, g, Binary); err != nil {
+	if err := WriteFile(path, g, Binary, nil); err != nil {
 		t.Fatal(err)
 	}
-	h, err := Load(path, "", 1)
+	h, err := Load(path, "", 1, nil)
 	if err != nil || !g.Equal(h) {
 		t.Errorf("Load file: %v", err)
 	}

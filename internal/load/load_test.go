@@ -122,7 +122,7 @@ func TestSynthesizeDeterminism(t *testing.T) {
 func validSpec(spec serve.JobSpec) error {
 	s := serve.New(serve.Config{Workers: 1})
 	defer s.Drain(context.Background())
-	j, err := s.Submit(spec)
+	j, err := s.Submit(spec, "")
 	if err != nil {
 		return err
 	}

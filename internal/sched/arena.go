@@ -30,9 +30,6 @@ func NewArena(workers int) *Arena {
 	return &Arena{shards: make([]arenaShard, workers)}
 }
 
-// Workers returns the number of per-worker shards.
-func (a *Arena) Workers() int { return len(a.shards) }
-
 // Get returns a zero-length buffer with capacity >= capHint, recycled from
 // worker w's free list when one is available. The buffer is NOT zeroed
 // beyond its length; callers append or overwrite.
@@ -59,26 +56,6 @@ func (a *Arena) Put(w int, b []int32) {
 	s := &a.shards[w]
 	s.free = append(s.free, b[:0])
 }
-
-// Drain moves every pooled buffer of every shard into shard 0, so a
-// single-threaded phase (e.g. a level barrier) can redistribute or reuse
-// chunks produced by any worker. Call only between parallel regions.
-func (a *Arena) Drain() {
-	dst := &a.shards[0]
-	for i := 1; i < len(a.shards); i++ {
-		s := &a.shards[i]
-		dst.free = append(dst.free, s.free...)
-		for j := range s.free {
-			s.free[j] = nil
-		}
-		s.free = s.free[:0]
-	}
-}
-
-// Arena returns the team's resident scratch arena (created with the team,
-// sized to its workers). Kernels running repeatedly on one team recycle
-// their per-worker buffers through it instead of reallocating per call.
-func (t *Team) Arena() *Arena { return t.arena }
 
 // Arena returns the pool's resident scratch arena (created with the pool,
 // sized to its workers).

@@ -189,9 +189,6 @@ func (p *Pool) SetInject(f InjectFunc) { p.inject = f }
 // call while workers are idle-spinning (the handoff is atomic).
 func (p *Pool) SetCounters(c *telemetry.Counters) { p.counters.Store(c) }
 
-// Counters returns the attached counters (nil when telemetry is off).
-func (p *Pool) Counters() *telemetry.Counters { return p.counters.Load() }
-
 // Close shuts the pool down: new runs are refused immediately, in-flight
 // runs drain to completion, then the workers exit. Close blocks until they
 // have. Closing an already-closed pool is a no-op.

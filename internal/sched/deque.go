@@ -81,10 +81,3 @@ func (d *deque) stealTop() (task, bool) {
 	d.items = d.items[:n-1]
 	return t, true
 }
-
-// size returns the current number of queued tasks.
-func (d *deque) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}

@@ -1,11 +1,11 @@
 // Package serve is the serving subsystem of the reproduction: a resident
 // daemon layer that amortises graph load and layout cost across many kernel
-// runs and experiment sweeps. One-shot CLIs (bfsrun, colorgraph, micbench)
-// regenerate their inputs on every invocation; micserved keeps them
-// resident behind a byte-budgeted cache and runs submitted jobs on a fixed
-// worker pool with admission control, per-job deadlines, streaming JSONL
-// results, and fault containment — an injected stall or panic fails the job
-// that drew it, never the daemon.
+// runs and experiment sweeps. One-shot CLIs (micrun, micbench) regenerate
+// their inputs on every invocation; micserved keeps them resident behind a
+// byte-budgeted cache and runs submitted jobs on a fixed worker pool with
+// admission control, per-job deadlines, streaming JSONL results, and fault
+// containment — an injected stall or panic fails the job that drew it,
+// never the daemon.
 package serve
 
 import (
@@ -27,7 +27,6 @@ type CacheStats struct {
 	Loads         int64 `json:"loads"`
 	Shared        int64 `json:"shared"`
 	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
 	ResidentBytes int64 `json:"resident_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes"`
 	Entries       int   `json:"entries"`
@@ -44,15 +43,13 @@ type centry struct {
 // inflight is one in-progress load that later getters of the same key wait
 // on instead of loading again.
 type inflight struct {
-	done  chan struct{}
-	val   any
-	err   error
-	epoch uint64
-	gen   uint64
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // Cache is a concurrency-safe cache of loaded graphs (and generated
-// experiment suites) with three behaviours the serving path needs:
+// experiment suites) with two behaviours the serving path needs:
 //
 //   - LRU eviction by resident bytes: entries are sized by their CSR
 //     footprint and evicted least-recently-used first once the byte budget
@@ -62,17 +59,10 @@ type inflight struct {
 //   - Singleflight dedup: N concurrent Gets for one key run the loader
 //     once; the other N-1 block until it finishes and share the result
 //     (or its error). Loads for different keys proceed independently.
-//
-//   - Generation-based invalidation: Invalidate bumps the key's generation
-//     and drops the resident entry; an in-flight load that started before
-//     the bump still hands its result to its waiters but is not inserted,
-//     so a stale load can never repopulate the cache after invalidation.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
-	epoch   uint64 // bumped by InvalidateAll
-	gens    map[string]uint64
 	entries map[string]*centry
 	lru     *list.List // front = most recently used
 	loading map[string]*inflight
@@ -84,7 +74,6 @@ type Cache struct {
 func NewCache(budget int64) *Cache {
 	return &Cache{
 		budget:  budget,
-		gens:    make(map[string]uint64),
 		entries: make(map[string]*centry),
 		lru:     list.New(),
 		loading: make(map[string]*inflight),
@@ -117,7 +106,7 @@ func (c *Cache) Get(ctx context.Context, key string, load Loader) (any, error) {
 			return nil, ctx.Err()
 		}
 	}
-	fl := &inflight{done: make(chan struct{}), epoch: c.epoch, gen: c.gens[key]}
+	fl := &inflight{done: make(chan struct{})}
 	c.loading[key] = fl
 	c.stats.Loads++
 	c.mu.Unlock()
@@ -127,7 +116,7 @@ func (c *Cache) Get(ctx context.Context, key string, load Loader) (any, error) {
 	c.mu.Lock()
 	delete(c.loading, key)
 	fl.val, fl.err = val, err
-	if err == nil && fl.epoch == c.epoch && fl.gen == c.gens[key] {
+	if err == nil {
 		c.insertLocked(key, val, bytes)
 	}
 	close(fl.done)
@@ -143,64 +132,17 @@ func (c *Cache) insertLocked(key string, val any, bytes int64) {
 	if bytes > c.budget {
 		return
 	}
-	if old, ok := c.entries[key]; ok {
-		// Possible when an entry was inserted by a racing epoch-matched
-		// load; replace it.
-		c.removeLocked(old, false)
-	}
 	e := &centry{key: key, val: val, bytes: bytes}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += bytes
 	for c.bytes > c.budget && c.lru.Len() > 0 {
-		c.removeLocked(c.lru.Back().Value.(*centry), true)
-	}
-}
-
-func (c *Cache) removeLocked(e *centry, evicted bool) {
-	c.lru.Remove(e.elem)
-	delete(c.entries, e.key)
-	c.bytes -= e.bytes
-	if evicted {
+		cold := c.lru.Back().Value.(*centry)
+		c.lru.Remove(cold.elem)
+		delete(c.entries, cold.key)
+		c.bytes -= cold.bytes
 		c.stats.Evictions++
 	}
-}
-
-// Invalidate drops key's resident entry (if any) and bumps its generation
-// so an in-flight load started before the call cannot reinstate it.
-func (c *Cache) Invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[key]++
-	c.stats.Invalidations++
-	if e, ok := c.entries[key]; ok {
-		c.removeLocked(e, false)
-	}
-}
-
-// InvalidateAll empties the cache and bumps the global epoch, orphaning
-// every in-flight load at once.
-func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch++
-	c.stats.Invalidations++
-	for _, e := range c.entries {
-		c.lru.Remove(e.elem)
-	}
-	c.entries = make(map[string]*centry)
-	c.bytes = 0
-}
-
-// Keys returns the resident keys from most to least recently used.
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.lru.Len())
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*centry).key)
-	}
-	return out
 }
 
 // Stats snapshots the cache counters.

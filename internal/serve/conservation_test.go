@@ -62,19 +62,19 @@ func TestServeJobTotalsConservation(t *testing.T) {
 				case 0, 1: // blocking job: needs a cancel to terminate
 					spec := JobSpec{Kind: KindBFS, Variant: "block",
 						Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
-					if j, err := s.Submit(spec); err == nil {
+					if j, err := s.Submit(spec, ""); err == nil {
 						mu.Lock()
 						accepted = append(accepted, j)
 						mu.Unlock()
 					}
 				case 2: // malformed spec: rejected at validation
-					if _, err := s.Submit(JobSpec{Kind: "nope"}); err == nil {
+					if _, err := s.Submit(JobSpec{Kind: "nope"}, ""); err == nil {
 						t.Error("malformed spec accepted")
 					}
 				case 3: // unknown variant: accepted, then fails at run time
 					spec := JobSpec{Kind: KindBFS, Variant: "bogus",
 						Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
-					if j, err := s.Submit(spec); err == nil {
+					if j, err := s.Submit(spec, ""); err == nil {
 						mu.Lock()
 						accepted = append(accepted, j)
 						mu.Unlock()
@@ -90,7 +90,7 @@ func TestServeJobTotalsConservation(t *testing.T) {
 				default: // instant job; queue-full rejections happen naturally
 					spec := JobSpec{Kind: KindBFS,
 						Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
-					if j, err := s.Submit(spec); err == nil {
+					if j, err := s.Submit(spec, ""); err == nil {
 						mu.Lock()
 						accepted = append(accepted, j)
 						mu.Unlock()

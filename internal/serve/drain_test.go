@@ -37,14 +37,14 @@ func TestServeDrainCancelsQueuedJobs(t *testing.T) {
 	}
 
 	spec := JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
-	first, err := s.Submit(spec)
+	first, err := s.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadlineWait(t, func() bool { return s.Queue().Stats().Running == 1 })
 	var queued []*Job
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(spec)
+		j, err := s.Submit(spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestServeExportJob(t *testing.T) {
 
 	out := filepath.Join(t.TempDir(), "pwtk.mtx")
 	j, err := s.Submit(JobSpec{Kind: KindExport,
-		Graph: GraphSpec{Suite: "pwtk", Scale: 8}, Output: out})
+		Graph: GraphSpec{Suite: "pwtk", Scale: 8}, Output: out}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestServeExportJob(t *testing.T) {
 		lines[0]["format"] != "mtx" {
 		t.Fatalf("export stream = %v", lines)
 	}
-	g, err := graphio.ReadFile(out)
+	g, err := graphio.ReadFile(out, nil)
 	if err != nil {
 		t.Fatalf("exported file does not round-trip: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestServeExportWriteFault(t *testing.T) {
 
 	out := filepath.Join(t.TempDir(), "pwtk.bin")
 	spec := JobSpec{Kind: KindExport, Graph: GraphSpec{Suite: "pwtk", Scale: 8}, Output: out}
-	j1, err := s.Submit(spec)
+	j1, err := s.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServeExportWriteFault(t *testing.T) {
 		t.Errorf("failed export left %s behind (stat err %v): atomic replace broken", out, err)
 	}
 
-	j2, err := s.Submit(spec)
+	j2, err := s.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestServeExportWriteFault(t *testing.T) {
 	if j2.Status() != StatusSucceeded {
 		t.Fatalf("export after transient write fault = %s (%s)", j2.Status(), j2.Err())
 	}
-	if _, err := graphio.ReadFile(out); err != nil {
+	if _, err := graphio.ReadFile(out, nil); err != nil {
 		t.Errorf("exported file does not round-trip: %v", err)
 	}
 }

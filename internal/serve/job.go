@@ -40,6 +40,9 @@ func (g GraphSpec) Key() string {
 	return fmt.Sprintf("suite:%s@%d", g.Suite, g.Scale)
 }
 
+// SuiteKey is the cache key of the generated experiment suite at scale.
+func SuiteKey(scale int) string { return fmt.Sprintf("sweep:suite@%d", scale) }
+
 // JobSpec is the body of POST /jobs.
 type JobSpec struct {
 	Kind  string    `json:"kind"`
@@ -129,6 +132,27 @@ func (sp *JobSpec) normalize() error {
 		return fmt.Errorf("serve: negative retries")
 	}
 	return nil
+}
+
+// PlacementKey is the data key a cluster routes a job by: the graph cache
+// key for kernel and export jobs, the suite cache key for sweeps. Jobs
+// that share a key share cache residency, so routing by it maximises hit
+// rates and keeps a cache miss confined to the shard that owns the key.
+func (sp JobSpec) PlacementKey() string {
+	if sp.Kind == KindSweep {
+		scale := sp.SweepScale
+		if scale <= 0 {
+			scale = 4
+		}
+		return SuiteKey(scale)
+	}
+	// Mirror normalize()'s scale default so a spec routed before admission
+	// and the cache key the owner computes after it always agree.
+	g := sp.Graph
+	if g.File == "" && g.Scale <= 0 {
+		g.Scale = 4
+	}
+	return g.Key()
 }
 
 // Job statuses.

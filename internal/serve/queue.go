@@ -110,7 +110,7 @@ func (q *Queue) Submit(j *Job) error {
 	}
 }
 
-// Draining reports whether Drain has begun.
+// Draining reports whether BeginDrain has been called.
 func (q *Queue) Draining() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -147,13 +147,6 @@ func (q *Queue) AwaitDrain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Drain stops admission and waits until every admitted job has finished
-// (BeginDrain + AwaitDrain).
-func (q *Queue) Drain(ctx context.Context) error {
-	q.BeginDrain()
-	return q.AwaitDrain(ctx)
 }
 
 // Stats snapshots the queue counters.

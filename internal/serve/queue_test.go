@@ -35,7 +35,8 @@ func TestQueueAdmissionControl(t *testing.T) {
 	close(block)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := q.Drain(ctx); err != nil {
+	q.BeginDrain()
+	if err := q.AwaitDrain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Submit(newJob("d", JobSpec{}, nil, "", "")); !errors.Is(err, ErrDraining) {
@@ -61,8 +62,9 @@ func TestQueueDrainWaitsForInFlight(t *testing.T) {
 	}
 	<-started
 
+	q.BeginDrain()
 	drained := make(chan error, 1)
-	go func() { drained <- q.Drain(context.Background()) }()
+	go func() { drained <- q.AwaitDrain(context.Background()) }()
 	select {
 	case err := <-drained:
 		t.Fatalf("drain returned %v while a job was in flight", err)

@@ -85,8 +85,8 @@ type exportLine struct {
 }
 
 // runExport loads the job's graph through the cache and serialises it to
-// the requested path. The write goes through graphio.WriteFileInjected, so
-// the daemon's injector (-fault-write-rate) exercises the atomic-replace
+// the requested path. The write goes through the daemon's injector
+// (-fault-write-rate), which exercises graphio.WriteFile's atomic-replace
 // failure path: a fault-injected export fails the job and leaves the
 // destination untouched — either its previous contents or the complete new
 // serialization, never a truncated file.
@@ -117,7 +117,7 @@ func (s *Server) runExport(ctx context.Context, j *Job) error {
 		return err
 	}
 	t = j.now()
-	err = graphio.WriteFileInjected(j.Spec.Output, g, format, s.cfg.Injector)
+	err = graphio.WriteFile(j.Spec.Output, g, format, s.cfg.Injector)
 	j.addExec(j.now().Sub(t))
 	if err != nil {
 		return err
@@ -132,16 +132,46 @@ func (s *Server) runExport(ctx context.Context, j *Job) error {
 	return err
 }
 
-// loadGraph fetches the job's graph through the store; concurrent jobs on
-// the same graph dedup to one graphio.Load / suite generation.
+// loadGraph fetches the named graph through the cache; concurrent jobs on
+// the same graph dedup to one graphio.Load. The daemon's injector (when
+// armed) flows through every load, so an injected read error fails the job
+// that drew it and is never cached.
 func (s *Server) loadGraph(ctx context.Context, spec GraphSpec) (*graph.Graph, error) {
-	return s.store.Graph(ctx, spec)
+	v, err := s.cache.Get(ctx, spec.Key(), func(context.Context) (any, int64, error) {
+		g, err := graphio.Load(spec.File, spec.Suite, spec.Scale, s.cfg.Injector)
+		if err != nil {
+			return nil, 0, err
+		}
+		return g, GraphBytes(g), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*graph.Graph), nil
 }
 
 // loadSuite fetches (or generates once) the experiment suite at the given
-// scale through the store.
+// scale. Shuffled copies are materialised inside the loader so concurrent
+// sweep jobs share them read-only.
 func (s *Server) loadSuite(ctx context.Context, scale int) (*core.Suite, error) {
-	return s.store.Suite(ctx, scale)
+	v, err := s.cache.Get(ctx, SuiteKey(scale), func(context.Context) (any, int64, error) {
+		suite, err := core.NewSuite(scale)
+		if err != nil {
+			return nil, 0, err
+		}
+		var bytes int64
+		for _, g := range suite.Graphs {
+			bytes += GraphBytes(g)
+		}
+		for _, g := range suite.Shuffled() {
+			bytes += GraphBytes(g)
+		}
+		return suite, bytes, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*core.Suite), nil
 }
 
 // runSweep runs the requested experiments against the shared cached suite

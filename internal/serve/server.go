@@ -52,13 +52,6 @@ type Config struct {
 	KNF  *mic.Machine
 	Host *mic.Machine
 
-	// Store, when set, replaces the default single-node CacheStore (built
-	// from CacheBytes and Injector) as the server's data plane. Cluster
-	// shards leave this nil too — sharding is a placement decision made
-	// above the server — but the seam lets tests substitute failing or
-	// instrumented stores without touching the cache.
-	Store Store
-
 	// ShardID names this server inside a cluster. When set, job IDs are
 	// prefixed "<shard>-" so they are globally unique and routable, every
 	// result line is stamped with "shard" (and the submitting request's ID
@@ -115,10 +108,10 @@ func (c Config) withDefaults() Config {
 }
 
 // latencySet aggregates every terminal job's spans into the shared
-// fixed-bucket histograms /metricsz exports. One histogram per span keeps
-// attribution separable: micload subtracts consecutive snapshots to get
-// per-phase server-side distributions and compares them against its own
-// client-observed latencies.
+// fixed-bucket histograms /metricsz exports, one histogram per span so
+// attribution stays separable. micload reports the end-of-run snapshot as
+// its whole-run server view; its per-phase server-side histograms are built
+// from each job's own spans, not from these.
 type latencySet struct {
 	queueWait *telemetry.Histogram
 	cacheLoad *telemetry.Histogram
@@ -161,7 +154,7 @@ func (l latencySet) snapshot() map[string]telemetry.HistogramSnapshot {
 // httptest.
 type Server struct {
 	cfg      Config
-	store    Store
+	cache    *Cache
 	queue    *Queue
 	counters *telemetry.Counters
 	lat      latencySet
@@ -183,13 +176,9 @@ type Server struct {
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	store := cfg.Store
-	if store == nil {
-		store = NewCacheStore(cfg.CacheBytes, cfg.Injector)
-	}
 	s := &Server{
 		cfg:      cfg,
-		store:    store,
+		cache:    NewCache(cfg.CacheBytes),
 		counters: telemetry.NewCounters(cfg.KernelWorkers),
 		lat:      newLatencySet(),
 		jobs:     make(map[string]*Job),
@@ -248,34 +237,19 @@ func (s *Server) Totals() JobTotals {
 	return t
 }
 
-// Store exposes the server's data plane.
-func (s *Server) Store() Store { return s.store }
+// Cache exposes the graph and suite cache (stats).
+func (s *Server) Cache() *Cache { return s.cache }
 
-// Cache exposes the graph cache (stats, invalidation) when the server
-// runs on the default CacheStore, nil when a custom Store was injected.
-func (s *Server) Cache() *Cache {
-	if cs, ok := s.store.(*CacheStore); ok {
-		return cs.Cache()
-	}
-	return nil
-}
-
-// Queue exposes the job queue (stats, direct drains in tests).
+// Queue exposes the job queue (stats).
 func (s *Server) Queue() *Queue { return s.queue }
 
 // Submit validates and admits a job, returning it (with its assigned ID)
 // or the admission error (ErrQueueFull, ErrDraining, or a validation
-// error).
-func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	return s.SubmitRequest(spec, "")
-}
-
-// SubmitRequest is Submit with a propagated request ID: the
-// X-Micserved-Request-ID value a cluster entry node stamped on the
-// forwarded submission (or "" when none was). The ID is echoed on the
-// job's view and on every result line of a sharded job, which is what
-// makes a cross-shard trace joinable in the JSONL logs.
-func (s *Server) SubmitRequest(spec JobSpec, requestID string) (*Job, error) {
+// error). requestID is the X-Micserved-Request-ID value a cluster entry
+// node stamped on the forwarded submission ("" when none was); it is
+// echoed on the job's view and on every result line of a sharded job,
+// which is what makes a cross-shard trace joinable in the JSONL logs.
+func (s *Server) Submit(spec JobSpec, requestID string) (*Job, error) {
 	if err := spec.normalize(); err != nil {
 		s.mu.Lock()
 		s.totals.Submitted++
@@ -496,7 +470,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if rid != "" {
 		w.Header().Set(RequestIDHeader, rid)
 	}
-	j, err := s.SubmitRequest(spec, rid)
+	j, err := s.Submit(spec, rid)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After",
@@ -579,7 +553,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		byStatus[j.Status()]++
 	}
 	s.mu.Unlock()
-	cache := s.store.Stats()
+	cache := s.cache.Stats()
 	queue := s.queue.Stats()
 	body := map[string]any{
 		"uptime_seconds": s.cfg.Clock.Now().Sub(s.started).Seconds(),

@@ -41,7 +41,7 @@ func TestJobSpans(t *testing.T) {
 	s := New(Config{Workers: 1, KernelWorkers: 2, Clock: clk})
 	defer s.Drain(context.Background())
 
-	j, err := s.Submit(JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	j, err := s.Submit(JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

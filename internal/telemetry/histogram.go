@@ -10,8 +10,8 @@ import (
 // log-scale histograms: every Histogram in the process shares one
 // deterministic bucket layout, so snapshots taken on different machines,
 // by different processes (micserved's /metricsz and micload's client-side
-// observations), merge and subtract bucket-for-bucket without any
-// resolution negotiation.
+// observations), compare bucket-for-bucket without any resolution
+// negotiation.
 //
 // Layout: 4 sub-buckets per octave (ratio 2^(1/4)-ish, linear within the
 // octave), starting at 1µs and ending past an hour. Bucket i counts
@@ -66,15 +66,6 @@ func bucketFor(ns int64) int {
 	return lo
 }
 
-// BucketUpperBounds returns a copy of the shared bucket upper bounds in
-// nanoseconds (ascending, overflow excluded). Exposed for tests and for
-// clients that pre-size their own aggregation.
-func BucketUpperBounds() []int64 {
-	out := make([]int64, histNumBounds)
-	copy(out, histBounds[:])
-	return out
-}
-
 // Histogram is a concurrency-safe fixed-bucket log-scale latency
 // histogram. The record path is lock-free (one atomic add per counter
 // touched) and allocation-free; a nil *Histogram is a valid no-op sink,
@@ -105,14 +96,6 @@ func (h *Histogram) ObserveNS(ns int64) {
 	h.sum.Add(ns)
 }
 
-// Count returns the number of recorded observations (0 on nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistogramBucket is one non-empty bucket of a snapshot: Count
 // observations at or below LeNS nanoseconds (and above the next-smaller
 // shared bound). LeNS == OverflowLeNS marks the overflow bucket.
@@ -123,10 +106,8 @@ type HistogramBucket struct {
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, the JSON shape
 // exported by /metricsz and consumed by micload. Buckets are sorted by
-// LeNS ascending and carry per-bucket (not cumulative) counts, which makes
-// Merge and Sub trivial. P50/P99/P999 are interpolated at snapshot time
-// for human consumption; re-derive percentiles of merged or subtracted
-// snapshots with Quantile.
+// LeNS ascending and carry per-bucket (not cumulative) counts.
+// P50/P99/P999 are interpolated at snapshot time with Quantile.
 type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	SumNS   int64             `json:"sum_ns"`
@@ -216,58 +197,4 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return histBounds[histNumBounds-1]
-}
-
-// MeanNS returns the arithmetic mean in nanoseconds (0 when empty).
-func (s HistogramSnapshot) MeanNS() int64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	return s.SumNS / s.Count
-}
-
-// Merge returns the bucket-wise sum of two snapshots (shared layout makes
-// this exact, and the operation associative and commutative). Percentile
-// fields are re-derived for the merged distribution.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	return combine(s, o, func(a, b int64) int64 { return a + b })
-}
-
-// Sub returns s minus o bucket-wise, clamping each bucket (and the count
-// and sum) at zero — the delta of two cumulative snapshots of one
-// monotonically recording histogram, used for per-phase attribution.
-func (s HistogramSnapshot) Sub(o HistogramSnapshot) HistogramSnapshot {
-	return combine(s, o, func(a, b int64) int64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	})
-}
-
-func combine(s, o HistogramSnapshot, op func(a, b int64) int64) HistogramSnapshot {
-	out := HistogramSnapshot{Count: op(s.Count, o.Count), SumNS: op(s.SumNS, o.SumNS)}
-	i, j := 0, 0
-	for i < len(s.Buckets) || j < len(o.Buckets) {
-		var le, a, b int64
-		switch {
-		case j >= len(o.Buckets) || (i < len(s.Buckets) && s.Buckets[i].LeNS < o.Buckets[j].LeNS):
-			le, a = s.Buckets[i].LeNS, s.Buckets[i].Count
-			i++
-		case i >= len(s.Buckets) || o.Buckets[j].LeNS < s.Buckets[i].LeNS:
-			le, b = o.Buckets[j].LeNS, o.Buckets[j].Count
-			j++
-		default:
-			le, a, b = s.Buckets[i].LeNS, s.Buckets[i].Count, o.Buckets[j].Count
-			i++
-			j++
-		}
-		if c := op(a, b); c > 0 {
-			out.Buckets = append(out.Buckets, HistogramBucket{LeNS: le, Count: c})
-		}
-	}
-	out.P50NS = out.Quantile(0.50)
-	out.P99NS = out.Quantile(0.99)
-	out.P999NS = out.Quantile(0.999)
-	return out
 }

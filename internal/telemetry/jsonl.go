@@ -3,23 +3,8 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"io"
 	"os"
 )
-
-// WriteJSONL writes each record as one JSON object per line (JSON Lines).
-// Records are marshalled with encoding/json, so struct-typed records
-// produce deterministic field order.
-func WriteJSONL(w io.Writer, records ...any) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // JSONLFile is a convenience JSONL sink for the CLIs' -metrics-out flag:
 // records are appended line by line and flushed on Close.

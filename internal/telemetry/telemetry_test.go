@@ -265,25 +265,6 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	type rec struct {
-		A int    `json:"a"`
-		B string `json:"b"`
-	}
-	if err := WriteJSONL(&buf, rec{1, "x"}, rec{2, "y"}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2:\n%s", len(lines), buf.String())
-	}
-	var r rec
-	if err := json.Unmarshal([]byte(lines[1]), &r); err != nil || r.A != 2 || r.B != "y" {
-		t.Errorf("line 2 = %q (err %v)", lines[1], err)
-	}
-}
-
 func TestJSONLFile(t *testing.T) {
 	path := t.TempDir() + "/out.jsonl"
 	f, err := CreateJSONL(path)

@@ -59,7 +59,7 @@ func newFilePool(t tb, dir string) *filePool {
 		if err != nil {
 			t.Fatalf("file pool: %v", err)
 		}
-		if err := graphio.WriteFile(p.path(i, 0), g, format); err != nil {
+		if err := graphio.WriteFile(p.path(i, 0), g, format, nil); err != nil {
 			t.Fatalf("file pool: writing %s: %v", poolFileName(i, 0), err)
 		}
 	}

@@ -346,7 +346,7 @@ func (r *chaosRunner) settleTracked() {
 			case failed && !os.IsNotExist(statErr):
 				r.t.Fatalf("INVARIANT export-atomic: stat %s: %v", tj.exportPath, statErr)
 			case !failed:
-				if _, err := graphio.ReadFile(tj.exportPath); err != nil {
+				if _, err := graphio.ReadFile(tj.exportPath, nil); err != nil {
 					r.t.Fatalf("INVARIANT export-atomic: successful export %s wrote an unloadable file %s: %v",
 						tj.id, tj.exportPath, err)
 				}
