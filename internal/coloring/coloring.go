@@ -9,10 +9,10 @@
 // when no edge joins two vertices of the same color.
 //
 // Shared color arrays are accessed with sync/atomic loads and stores: the
-// speculative algorithm intentionally lets concurrent rounds read stale
-// neighbor colors (the conflicts are detected and repaired afterwards), and
-// atomics give us the paper's "benign race" semantics without undefined
-// behaviour in the Go memory model.
+// speculative algorithm lets concurrent workers read stale neighbor colors,
+// and atomics give the paper's "benign race" without undefined behaviour in
+// the Go memory model — and, being sequentially consistent, let a vertex see
+// its own conflicts right after publishing its color (parallel.go).
 package coloring
 
 import (

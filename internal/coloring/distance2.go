@@ -12,8 +12,9 @@ import (
 // paper motivates it as the variant used to compress Jacobian and Hessian
 // matrices in sparse linear algebra (§I). The greedy algorithm is Algorithm
 // 1 with the forbidden set extended to neighbors-of-neighbors, and the
-// speculative parallel version follows the same tentative/conflict scheme as
-// distance-1.
+// speculative parallel version follows the paper's two-loop
+// tentative/conflict scheme (distance-1 has since folded the detection into
+// the coloring loop, see parallel.go).
 
 // SeqGreedyD2 colors g so that any two vertices with a common neighbor (or
 // an edge) receive different colors, visiting vertices in natural order.

@@ -9,27 +9,47 @@ import (
 )
 
 // This file holds what the iterative parallel speculative coloring
-// (Algorithms 2–4) needs besides its round loop: rounds of tentative
-// parallel coloring followed by parallel conflict detection, until no
-// conflicts remain. The round loop is written once, Scratch.color
-// (scratch.go); the three variants are bindings of its sched.Loop to the
-// runtime carrying the two parallel loops, mirroring the paper's three
-// implementations:
+// (Algorithms 2–4) needs besides its round loop. The round loop is written
+// once, Scratch.color (scratch.go); the three variants are bindings of its
+// sched.Loop to the runtime carrying a round's parallel loop, mirroring the
+// paper's three implementations:
 //
 //   - ColorTeam:  OpenMP parallel for under a scheduling policy (§IV-A1);
-//   - ColorCilk:  cilk_for with holder/worker-id localFC and a reducer_max
-//     (§IV-A2);
-//   - ColorTBB:   tbb::parallel_for over a blocked range with a partitioner,
-//     enumerable_thread_specific localFC and a combinable max (§IV-A3).
+//   - ColorCilk:  cilk_for with holder/worker-id localFC (§IV-A2);
+//   - ColorTBB:   tbb::parallel_for over a blocked range with a partitioner
+//     and enumerable_thread_specific localFC (§IV-A3).
 //
-// The per-worker state those hyperobjects provide — localFC arrays and
-// color maxima — is the Scratch's per-worker arrays.
+// The per-worker state those hyperobjects provide — the localFC arrays — is
+// the Scratch's per-worker arrays.
+//
+// The paper's round is two loops and two barriers: tentative coloring
+// (Algorithm 3), then conflict detection (Algorithm 4), which walks every arc
+// a second time from memory. Here a round is one loop whose body, per vertex
+// of the work list, gathers the neighbors' colors, takes the first fit,
+// publishes it and verifies — re-reads the same neighbors and queues the
+// vertex for the next round if one holds its color (speculate, scratch.go).
+// No clash survives a round: Go's atomics are sequentially consistent, so a
+// round's publishing stores fall into one order every worker agrees on; of
+// two adjacent vertices publishing the same color, the later one's verify
+// follows both stores, and a vertex is stored once per round, so it reads
+// the clash and queues itself; a vertex off the list is not written, so its
+// neighbors gather its final color. Both ends may queue themselves, in
+// lockstep round after round, so a round that did not shrink its list is
+// followed by one on the caller alone (Scratch.color). Detecting at the
+// start of the next round instead (Rokos, Gorman & Kelly) saves the barrier
+// but still reads every arc twice from memory (DESIGN.md §2).
+//
+// The simulator keeps the paper's two-phase round (mic.ColoringTrace): it
+// models the published algorithm, and the figures are computed from it.
 
-// localFC is one worker's forbidden-color scratch array: fc[c] == v marks
-// color c forbidden for vertex v. Allocated once per worker, size Δ+2.
+// localFC is one worker's forbidden-color scratch array, size Δ+2: fc[c] == k
+// marks color c forbidden for the run's k-th vertex visit. The visit, not the
+// vertex: a vertex colored again by the same worker must not meet its earlier
+// marks, which on a clique push the first fit past Δ+1 and off the array.
+// (int32 visit numbers wrap, but stay distinct for 2³² visits.)
 type localFC []int32
 
-// appendConflict reserves a slot in the shared conflict array with an atomic
+// appendConflict reserves a slot in the next round's work list with an atomic
 // fetch-and-add, the exact structure the paper uses ("we use an atomic fetch
 // and add to obtain a unique index in the Conflict array").
 func appendConflict(next []int32, count *atomic.Int64, v int32) {
@@ -38,10 +58,10 @@ func appendConflict(next []int32, count *atomic.Int64, v int32) {
 }
 
 // roundSample builds the PhaseSample for one completed speculative-coloring
-// round: visit held the vertices (re)colored this round, whose adjacency
-// edges were examined twice (tentative + conflict detection), and conflicts
-// of them were queued for the next round. Telemetry-only path; time comes
-// from rec's clock so instrumented runs can be made deterministic.
+// round: visit held the vertices (re)colored this round, Edges is the sum of
+// their degrees, and conflicts of them were queued for the next round.
+// Telemetry-only path; time comes from rec's clock so instrumented runs can
+// be made deterministic.
 func roundSample(rec telemetry.Recorder, g *graph.Graph, round int, visit []int32, conflicts int, start time.Time) telemetry.PhaseSample {
 	dur := telemetry.Since(rec, start)
 	var edges int64

@@ -11,8 +11,8 @@ import (
 )
 
 // Scratch owns every reusable buffer of the parallel coloring variants:
-// the color array, the per-worker forbidden-color arrays, the
-// double-buffered visit/conflict arrays, and the per-worker color maxima.
+// the color array, the per-worker forbidden-color arrays and the
+// double-buffered work lists.
 // A run through a Scratch allocates nothing on its hot path in steady
 // state (pinned by the alloc-regression tests); the first run on a new
 // graph shape grows the buffers once.
@@ -31,46 +31,37 @@ type Scratch struct {
 	fcs            []localFC
 	fcLen          int
 	visitA, visitB []int32
-	locals         []paddedMax
 	conflicts      []int
 
-	// Per-round state read by the resident loop bodies below, so that
+	// Per-round state read by the resident loop body below, so that
 	// steady-state rounds dispatch with zero closure allocations: vs is the
-	// round's visit set, nextBuf the conflict target, count the shared
-	// fetch-and-add cursor into it.
+	// round's work list, visited the length of all the lists before it,
+	// nextBuf the next round's list, count the shared fetch-and-add cursor
+	// into it.
 	xadj    []int64
 	adjr    []int32
 	vs      []int32
+	visited int32
 	nextBuf []int32
 	count   atomic.Int64
 
-	tent func(lo, hi, w int)
-	conf func(lo, hi, w int)
+	body func(lo, hi, w int)
 
-	// loop is the parallel-for construct carrying both loops of a round;
-	// the three entry points differ only in how they bind it.
+	// loop is the parallel-for construct carrying a round's one loop; the
+	// three entry points differ only in how they bind it.
 	loop sched.Loop
 }
 
-// ensureBodies lazily creates the resident loop bodies (they capture only
-// s, so one set serves every run).
-func (s *Scratch) ensureBodies() {
-	if s.tent != nil {
+// ensureBody lazily creates the resident loop body (it captures only s, so
+// one closure serves every run).
+func (s *Scratch) ensureBody() {
+	if s.body != nil {
 		return
 	}
-	s.tent = func(lo, hi, w int) {
+	s.body = func(lo, hi, w int) {
 		fc := s.fcs[w]
-		localMax := s.locals[w].v
 		for i := lo; i < hi; i++ {
-			if c := tentativeRaw(s.xadj, s.adjr, s.colors, fc, s.vs[i]); c > localMax {
-				localMax = c
-			}
-		}
-		s.locals[w].v = localMax
-	}
-	s.conf = func(lo, hi, w int) {
-		for i := lo; i < hi; i++ {
-			if v := s.vs[i]; conflictRaw(s.xadj, s.adjr, s.colors, v) {
+			if v := s.vs[i]; speculate(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
 				appendConflict(s.nextBuf, &s.count, v)
 			}
 		}
@@ -79,12 +70,6 @@ func (s *Scratch) ensureBodies() {
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// paddedMax keeps per-worker color maxima off each other's cache lines.
-type paddedMax struct {
-	v int32
-	_ [60]byte
-}
 
 // ensure sizes and resets every buffer for a run over g with the given
 // worker count. Forbidden-color arrays are reset to the fresh state, so a
@@ -117,38 +102,28 @@ func (s *Scratch) ensure(g *graph.Graph, workers int) {
 			fc[j] = -1
 		}
 	}
-	if len(s.locals) < workers {
-		s.locals = make([]paddedMax, workers)
-	}
 	s.conflicts = s.conflicts[:0]
 }
 
-// tentativeRaw speculatively colors v over the raw CSR arrays: gather
-// neighbor colors (atomically, they may be written concurrently), then
-// First Fit. Returns the color.
-func tentativeRaw(xadj []int64, adj, colors []int32, fc localFC, v int32) int32 {
-	for j := xadj[v]; j < xadj[v+1]; j++ {
-		if c := atomic.LoadInt32(&colors[adj[j]]); c > 0 {
-			fc[c] = v
-		}
+// speculate colors v over the raw CSR arrays and reports whether v must be
+// colored again: gather the neighbors' colors, take the first fit, publish
+// it, then re-read the same neighbors — still in L1 — for one holding that
+// color (parallel.go says why this catches every clash). Atomic because
+// neighbors are colored concurrently; visit numbers this visit for fc. The
+// gather marks without testing for "uncolored" (fc[0] is no color's slot):
+// on a mesh half the neighbors are, in no order a branch predictor learns.
+func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bool {
+	nbrs := adj[xadj[v]:xadj[v+1]]
+	for _, u := range nbrs {
+		fc[atomic.LoadInt32(&colors[u])] = visit
 	}
 	c := int32(1)
-	for fc[c] == v {
+	for fc[c] == visit {
 		c++
 	}
 	atomic.StoreInt32(&colors[v], c)
-	return c
-}
-
-// conflictRaw checks v against its neighbors over the raw CSR arrays with
-// plain loads: the conflict-detection loop starts only after the
-// tentative-coloring loop's barrier, and nothing writes colors while it
-// runs, so the happens-before edge of the barrier makes unsynchronised
-// reads exact here — the branch-avoiding form of Algorithm 4.
-func conflictRaw(xadj []int64, adj, colors []int32, v int32) bool {
-	cv := colors[v]
-	for j := xadj[v]; j < xadj[v+1]; j++ {
-		if w := adj[j]; cv == colors[w] && v < w {
+	for _, u := range nbrs {
+		if atomic.LoadInt32(&colors[u]) == c {
 			return true
 		}
 	}
@@ -175,60 +150,58 @@ func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Poo
 
 // ColorTBB runs the iterative speculative coloring as TBB parallel_for
 // calls over blocked ranges using the scratch's pooled state (the scratch
-// plays the role of the enumerable thread-specific storage and the
-// combinable max) with the given partitioner and grain (minimum chunk).
+// plays the role of the enumerable thread-specific storage) with the given
+// partitioner and grain (minimum chunk).
 func (s *Scratch) ColorTBB(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
 	s.loop.OnTBB(pool, part, grain)
 	return s.color(ctx, g)
 }
 
 // color is the round loop of Algorithms 2–4 on whatever s.loop is bound to:
-// tentative coloring, then conflict detection, until no conflicts remain.
+// one publish-then-verify sweep over the work list per round (parallel.go),
+// until a round queues nothing.
 func (s *Scratch) color(ctx context.Context, g *graph.Graph) (Result, error) {
-	workers := s.loop.Workers()
-	s.ensure(g, workers)
-	s.ensureBodies()
+	s.ensure(g, s.loop.Workers())
+	s.ensureBody()
 	s.xadj, s.adjr = g.Xadj(), g.AdjRaw()
 	visit, next := s.visitA, s.visitB
+	s.visited = 0
 	res := Result{Colors: s.colors, Conflicts: s.conflicts}
-	var maxColor int32
 	rec := telemetry.FromContext(ctx)
 
+	var err error
+	inline := false
 	for len(visit) > 0 {
 		res.Rounds++
 		var roundStart time.Time
 		if telemetry.Active(rec) {
 			roundStart = telemetry.Now(rec)
 		}
-		// Tentative coloring (Algorithm 3) with per-worker local maxima,
-		// reduced by the main goroutine afterwards.
-		for w := 0; w < workers; w++ {
-			s.locals[w].v = 0
-		}
-		s.vs = visit
-		err := s.loop.Run(ctx, len(visit), s.tent)
-		for w := 0; w < workers; w++ {
-			maxColor = max(maxColor, s.locals[w].v)
-		}
-		res.NumColors = int(maxColor)
-		if err != nil {
-			return res, err
-		}
-
-		// Conflict detection (Algorithm 4) into the other visit buffer via
-		// the paper's atomic fetch-and-add index reservation.
-		s.nextBuf = next
+		s.vs, s.nextBuf = visit, next
 		s.count.Store(0)
-		if err := s.loop.Run(ctx, len(visit), s.conf); err != nil {
-			return res, err
+		if !inline {
+			err = s.loop.Run(ctx, len(visit), s.body)
+		} else if ctx == nil || ctx.Err() == nil {
+			s.body(0, len(visit), 0)
+		} else {
+			err = ctx.Err()
+		}
+		if err != nil {
+			break
 		}
 		conflicts := int(s.count.Load())
 		if telemetry.Active(rec) {
 			rec.Record(roundSample(rec, g, res.Rounds-1, visit, conflicts, roundStart))
 		}
+		// Lockstep workers can requeue both ends of an edge forever; a
+		// round on the caller alone cannot clash, and ends the run.
+		inline = conflicts >= len(visit)
+		s.visited += int32(len(visit))
 		visit, next = next[:conflicts], visit[:cap(visit)]
 		res.Conflicts = append(res.Conflicts, conflicts)
 	}
+	// In use, not ever tried: a top color lost in a later round is gone.
+	res.NumColors = CountColors(s.colors)
 	s.conflicts = res.Conflicts[:0]
-	return res, nil
+	return res, err
 }

@@ -83,7 +83,11 @@ const ConflictRate = 0.004
 // (Algorithms 2–4) on g for a run with t threads: per round, a tentative
 // coloring phase and a conflict-detection phase over the current Visit set.
 // Conflict counts shrink geometrically; the expected count depends on t
-// (one thread ⇒ no conflicts), which is why the builder takes t.
+// (one thread ⇒ no conflicts), which is why the builder takes t. The real
+// kernel (coloring.Scratch) deliberately runs one publish-then-verify phase
+// per round instead; the simulator keeps the paper's two because it models
+// the published algorithm and the golden figures are computed from it
+// (DESIGN.md §2).
 func ColoringTrace(m *Machine, g *graph.Graph, o Ordering, t int) *Trace {
 	return ColoringTraceMiss(m, g, m.MissPerEdge(o), t)
 }

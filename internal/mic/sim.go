@@ -135,7 +135,9 @@ func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *t
 
 	atomicCost := m.AtomicCost + m.AtomicContPerT*float64(t-1) + m.AtomicContSq*float64(t)*float64(t)
 	// Dynamic and guided chunk grabs are fetch-adds on one hot counter:
-	// they pay the same contention as any other atomic.
+	// they pay the same contention as any other atomic. (sched.Team's
+	// Dynamic deliberately claims from a cursor per worker's block instead;
+	// the simulator keeps the paper's counter, which the figures come from.)
 	if cfg.Kind == OpenMP && cfg.Policy != sched.Static && t > 1 {
 		plan.perChunkIssue += atomicCost
 	}

@@ -128,7 +128,7 @@ func TestPoolManyWorkers(t *testing.T) {
 
 func TestTeamRepeatedLoops(t *testing.T) {
 	// Reuse a team for thousands of tiny loops — the coloring and BFS
-	// kernels' usage pattern (two loops per round/level).
+	// kernels' usage pattern (a loop or two per round/level).
 	team := NewTeam(8)
 	defer team.Close()
 	var total atomic.Int64

@@ -9,7 +9,8 @@ import (
 
 // TestTeamCountersChunks: every chunk a Team loop hands to a body must show
 // up in ChunksClaimed, and the per-policy chunk counts must match what the
-// body observed.
+// body observed. Steals counts the Dynamic claims made in another worker's
+// block, so it is a share of ChunksClaimed, and 0 under the other policies.
 func TestTeamCountersChunks(t *testing.T) {
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		team := NewTeam(4)
@@ -20,12 +21,32 @@ func TestTeamCountersChunks(t *testing.T) {
 			calls.Add(1)
 		})
 		team.Close()
-		if got := counters.Total(telemetry.ChunksClaimed); got != calls.Load() {
-			t.Errorf("policy %v: chunks_claimed = %d, body calls = %d", policy, got, calls.Load())
+		chunks, steals := counters.Total(telemetry.ChunksClaimed), counters.Total(telemetry.Steals)
+		if chunks != calls.Load() {
+			t.Errorf("policy %v: chunks_claimed = %d, body calls = %d", policy, chunks, calls.Load())
 		}
 		if calls.Load() == 0 {
 			t.Errorf("policy %v: loop body never ran", policy)
 		}
+		if steals > chunks || (policy != Dynamic && steals != 0) {
+			t.Errorf("policy %v: steals = %d of %d chunks", policy, steals, chunks)
+		}
+	}
+
+	// A loop whose block 0 is slow is finished by the other workers, and
+	// each chunk of it they ran is a steal.
+	team := NewTeam(4)
+	defer team.Close()
+	counters := telemetry.NewCounters(4)
+	team.SetCounters(counters)
+	var foreign int64
+	for w, chunks := range skewedLoop(t, team) {
+		if w != 0 {
+			foreign += chunks
+		}
+	}
+	if steals := counters.Total(telemetry.Steals); foreign == 0 || steals < foreign {
+		t.Errorf("steals = %d, but %d chunks of block 0 ran on other workers", steals, foreign)
 	}
 }
 

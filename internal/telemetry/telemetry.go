@@ -37,7 +37,8 @@ const (
 	ChunksClaimed Kind = iota
 	// TasksSpawned counts tasks pushed onto a worker's deque.
 	TasksSpawned
-	// Steals counts tasks a worker obtained from another worker's deque.
+	// Steals counts tasks a worker obtained from another worker's deque
+	// and, on a Team, Dynamic chunks it claimed from another worker's block.
 	Steals
 	// StealFails counts full unsuccessful victim tours (the worker found
 	// nothing to steal anywhere).
