@@ -33,9 +33,9 @@ func fail(err error) {
 
 func main() {
 	var (
-		addr    = flag.String("addr", "http://127.0.0.1:8377", "base URL of the micserved daemon")
-		targets = flag.String("targets", "", "comma-separated cluster entry URLs; the trace is spread round-robin across them (overrides -addr)")
-		seed    = flag.Uint64("seed", 1, "trace synthesizer seed (same seed, same phases -> byte-identical trace)")
+		addr       = flag.String("addr", "http://127.0.0.1:8377", "base URL of the micserved daemon")
+		targets    = flag.String("targets", "", "comma-separated cluster entry URLs; the trace is spread round-robin across them (overrides -addr)")
+		seed       = flag.Uint64("seed", 1, "trace synthesizer seed (same seed, same phases -> byte-identical trace)")
 		phasesSpec = flag.String("phases",
 			"steady,dur=10s,rps=25;sweep,dur=12s,rps=10,end=40;burst,dur=10s,rps=15,mult=8,at=0.5,width=0.2",
 			"phase DSL: kind,key=value,... joined by ';' (kinds: steady, sweep, burst, diurnal)")

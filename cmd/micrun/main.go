@@ -119,16 +119,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *d2 {
 		// Distance-2 coloring is the one kernel run from here that is not a
 		// table row. It has a sequential and a team form only (the team
-		// runtime is coloring's default variant), and neither polls a context.
+		// runtime is coloring's default variant).
 		seq := entry.Variant == kernels.Seq
 		if entry.Kind != kernels.Coloring || !seq && !entry.Default {
 			return die(2, "-d2 needs -kind %s -variant %s or %s", kernels.Coloring, kernels.Seq, kernels.Default(kernels.Coloring))
 		}
-		runEntry = func(_ context.Context, rt *kernels.Runtime, g *graph.Graph, p kernels.Params) (kernels.Outcome, error) {
+		runEntry = func(ctx context.Context, rt *kernels.Runtime, g *graph.Graph, p kernels.Params) (kernels.Outcome, error) {
 			if seq {
 				return kernels.Outcome{Coloring: coloring.SeqGreedyD2(g)}, nil
 			}
-			return kernels.Outcome{Coloring: coloring.ColorTeamD2(g, rt.Team, p.TeamOpts())}, nil
+			res, err := rt.Col.ColorTeamD2(ctx, g, rt.Team, p.TeamOpts())
+			return kernels.Outcome{Coloring: res}, err
 		}
 		validate = func(g *graph.Graph, _ kernels.Params, out kernels.Outcome) error {
 			return coloring.ValidateD2(g, out.Coloring.Colors)

@@ -118,6 +118,11 @@ func TestDistance2(t *testing.T) {
 			t.Errorf("%s/%s -d2: exit %d, want 2", e.Kind, e.Variant, code)
 		}
 	}
+	// The team form polls its context like any table row.
+	code, stdout, stderr := micrun(onHood("-kind", kernels.Coloring, "-d2", "-timeout", "1ns")...)
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "aborted") {
+		t.Errorf("-d2 -timeout 1ns: exit %d, stdout %q, stderr %q; want exit 1 and an abort message", code, stdout, stderr)
+	}
 }
 
 // TestMetricsOut checks the -metrics-out trace of a BFS and a coloring

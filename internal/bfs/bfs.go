@@ -11,6 +11,12 @@
 //   - OpenMP-TLS: SNAP's per-thread local queues with per-vertex locked
 //     insertion (plus the paper's check-before-lock improvement).
 //
+// The variants are written as three level loops on a Scratch: block
+// (scratch.go) over the block-accessed queue, bag (BagCilk) over the chunk
+// list, and flat (hybrid.go) over a flat frontier array with per-worker
+// queues — OpenMP-TLS, and under a direction rule the direction-optimizing
+// Hybrid.
+//
 // "Locked" variants claim a vertex with a compare-and-swap on its level, so
 // each vertex enters the next-level structure exactly once. "Relaxed"
 // variants use the Leiserson–Schardl observation that the race is benign:

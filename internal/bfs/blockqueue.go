@@ -50,16 +50,6 @@ func (q *BlockQueue) Reset() {
 // Cap returns the capacity of the backing array.
 func (q *BlockQueue) Cap() int { return len(q.buf) }
 
-// Len returns the number of reserved slots (including sentinel padding)
-// plus spilled entries. Only meaningful after all writers flushed.
-func (q *BlockQueue) Len() int {
-	n := int(q.next.Load())
-	if n > len(q.buf) {
-		n = len(q.buf)
-	}
-	return n + len(q.spill)
-}
-
 // Entries returns the filled portion of the main array and the spill slice.
 // Entries equal to Sentinel must be skipped. Call only after all writers
 // have flushed (i.e. between levels).
@@ -72,19 +62,13 @@ func (q *BlockQueue) Entries() (main, spill []int32) {
 }
 
 // Writer is one worker's private cursor into the queue. The zero value is
-// not usable; obtain writers with NewWriter. A Writer must be flushed when
-// its level's production ends.
+// unbound: Reset binds it to the queue of the level at hand, level after
+// level. A Writer must be flushed when its level's production ends.
 type Writer struct {
-	q          *BlockQueue
-	pos, end   int64
-	local      []int32 // spill accumulation once buf is exhausted
-	spilling   bool
-	BlockGrabs int64 // number of atomic block reservations (for reporting)
-}
-
-// NewWriter returns a fresh cursor with no reserved block.
-func (q *BlockQueue) NewWriter() *Writer {
-	return &Writer{q: q}
+	q        *BlockQueue
+	pos, end int64
+	local    []int32 // spill accumulation once buf is exhausted
+	spilling bool
 }
 
 // Reset rebinds the writer to q with no reserved block, ready for a new
@@ -94,7 +78,6 @@ func (w *Writer) Reset(q *BlockQueue) {
 	w.q = q
 	w.pos, w.end = 0, 0
 	w.spilling = false
-	w.BlockGrabs = 0
 	if w.local != nil {
 		w.local = w.local[:0]
 	}
@@ -125,7 +108,6 @@ func (w *Writer) grabBlock() bool {
 	if start >= int64(len(q.buf)) {
 		return false
 	}
-	w.BlockGrabs++
 	w.pos = start
 	w.end = start + int64(q.blockSize)
 	if w.end > int64(len(q.buf)) {

@@ -10,7 +10,9 @@ import (
 	"micgraph/internal/telemetry"
 )
 
-// Direction-optimizing (top-down/bottom-up) BFS — the natural extension of
+// The flat level loop (Scratch.flat) and its two users: the paper's
+// OpenMP-TLS, which expands every level top-down, and the
+// direction-optimizing (top-down/bottom-up) BFS — the natural extension of
 // the paper's layered algorithm for the wide-frontier levels its model
 // identifies as the parallel bulk: when the frontier is a large fraction of
 // the graph, it is cheaper to iterate over *unvisited* vertices asking "is
@@ -23,9 +25,10 @@ import (
 // unexplored arcs divided by alpha (Beamer's test). High-diameter meshes
 // never have so wide a frontier and stay top-down throughout.
 //
-// Instrumented runs record one PhaseSample per level with the direction in
-// the phase name ("level-td" / "level-bu"), so the crossover is readable
-// directly from the Recorder stream (see EXPERIMENTS.md).
+// Instrumented runs record one PhaseSample per level, under a direction rule
+// with the direction in the phase name ("level-td" / "level-bu"), so the
+// crossover is readable directly from the Recorder stream (see
+// EXPERIMENTS.md).
 
 // HybridConfig tunes the direction switch; zero values select the
 // published defaults (alpha 14, beta 24). Larger is more eager for both.
@@ -55,50 +58,69 @@ type HybridResult struct {
 	BottomUpLevels int
 }
 
-// hybridLocal is one worker's claim accumulation for a hybrid level: the
-// claimed vertices plus the sum of their degrees, gathered in the same
-// pass so the direction heuristic never rescans the frontier.
-type hybridLocal struct {
+// flatQueue is one worker's next-level queue for a flat level: the vertices
+// it claimed plus the sum of their degrees, gathered in the same pass so
+// neither the direction rule nor a level's telemetry rescans the frontier.
+// Padded so neighbouring workers do not share a cache line.
+type flatQueue struct {
 	buf   []int32
 	edges int64
 	_     [32]byte
 }
 
-// Hybrid runs the direction-optimizing layered BFS on team using the
-// scratch's pooled state. The level assignment is identical to every other
-// variant (validated against the sequential reference); only the per-level
-// work differs. ctx (which may be nil) is polled at chunk-claim boundaries
-// and between levels; on cancellation or a contained panic the partial
-// traversal state is returned alongside the error.
+// TLSTeam runs the SNAP v0.4-style layered BFS (the paper's OpenMP-TLS):
+// each thread accumulates next-level vertices in a thread-local queue to
+// avoid shared-queue synchronisation, the local queues are concatenated
+// into a global queue at each level barrier, and a vertex is "locked"
+// before insertion so it enters exactly one local queue, with the paper's
+// check-before-lock improvement (claimLocked). It is the flat level loop
+// without a direction rule: every level is top-down.
+func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions) (Result, error) {
+	res, err := s.flat(ctx, g, source, team, opts, nil)
+	return res.Result, err
+}
+
+// Hybrid runs the direction-optimizing layered BFS on team: the flat level
+// loop under cfg's direction rule. The level assignment is identical to
+// every other variant (validated against the sequential reference); only
+// the per-level work differs.
 func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, cfg HybridConfig) (HybridResult, error) {
+	return s.flat(ctx, g, source, team, opts, &cfg)
+}
+
+// flat is the level loop over a flat frontier array on team: per level one
+// parallel loop whose workers append the vertices they claim to their own
+// queues, concatenated into the next frontier at the level barrier. dir is
+// the direction rule; nil never leaves top-down, counts no directions and
+// records phase "level". ctx (which may be nil) is polled at chunk-claim
+// boundaries and between levels; on cancellation or a contained panic the
+// partial traversal state is returned alongside the error.
+func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, dir *HybridConfig) (HybridResult, error) {
 	n := g.NumVertices()
 	workers := team.Workers()
-	opts = opts.WithSerialCutoff(workers)
 	s.ensureCommon(n)
 	s.ensureWorkers(workers)
-	s.ensureFlat(n)
-	if len(s.hlocals) < workers {
-		s.hlocals = make([]hybridLocal, workers)
+	if cap(s.frontA) < n {
+		s.frontA = make([]int32, 0, n)
+		s.frontB = make([]int32, 0, n)
 	}
 	res := HybridResult{}
 	if n == 0 {
 		res.Result = s.finish(0, 0)
 		return res, nil
 	}
-	levels := s.levels
-	xadj, adj := g.Xadj(), g.AdjRaw()
-	s.xadj, s.adj = xadj, adj
-	levels[source] = 0
-	if s.hybridBU == nil {
+	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
+	s.levels[source] = 0
+	if s.flatBU == nil {
 		// Sweep all vertices; claim those with a frontier neighbor, breaking
 		// at the first hit. Claims need no CAS: each vertex is scanned by
 		// exactly one worker, so the store cannot race with another claim —
 		// only with concurrent neighbor loads, which the atomic store pairs
 		// with.
-		s.hybridBU = func(lo, hi, w int) {
+		s.flatBU = func(lo, hi, w int) {
 			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
-			local := &s.hlocals[w]
-			buf := local.buf
+			q := &s.queues[w]
+			buf := q.buf
 			var edges int64
 			for v := lo; v < hi; v++ {
 				if lvls[v] != Unvisited {
@@ -113,13 +135,13 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 					}
 				}
 			}
-			local.buf = buf
-			local.edges += edges
+			q.buf = buf
+			q.edges += edges
 		}
-		s.hybridTD = func(lo, hi, w int) {
+		s.flatTD = func(lo, hi, w int) {
 			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
-			local := &s.hlocals[w]
-			buf := local.buf
+			q := &s.queues[w]
+			buf := q.buf
 			var edges int64
 			for i := lo; i < hi; i++ {
 				v := s.cur[i]
@@ -131,8 +153,8 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 					}
 				}
 			}
-			local.buf = buf
-			local.edges += edges
+			q.buf = buf
+			q.edges += edges
 		}
 	}
 
@@ -147,70 +169,68 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 
 	var processed int64
 	maxLevel := int32(0)
+	var err error
 	for lv := int32(1); len(cur) > 0; lv++ {
 		maxLevel = lv - 1
 		processed += int64(len(cur))
 
-		// The switch (see the top of the file): stay bottom-up while the
-		// frontier is wide, enter it when a wide, *growing* frontier also
-		// passes Beamer's test. The frontier's arc count was accumulated
-		// by the workers while claiming, so no rescan happens here.
-		frontierEdges := curEdges
-		unexplored -= frontierEdges
-		growing := len(cur) > prevFrontier
-		prevFrontier = len(cur)
-		wide := frontierEdges >= numArcs/cfg.beta()
-		bottomUp = wide && (bottomUp || growing && frontierEdges > unexplored/cfg.alpha())
+		phase := "level"
+		if dir != nil {
+			// The switch (see the top of the file): stay bottom-up while the
+			// frontier is wide, enter it when a wide, *growing* frontier also
+			// passes Beamer's test. The frontier's arc count was accumulated
+			// by the workers while claiming, so no rescan happens here.
+			unexplored -= curEdges
+			growing := len(cur) > prevFrontier
+			prevFrontier = len(cur)
+			wide := curEdges >= numArcs/dir.beta()
+			bottomUp = wide && (bottomUp || growing && curEdges > unexplored/dir.alpha())
+			if bottomUp {
+				res.BottomUpLevels++
+				phase = "level-bu"
+			} else {
+				res.TopDownLevels++
+				phase = "level-td"
+			}
+		}
 
 		var levelStart time.Time
 		if telemetry.Active(rec) {
 			levelStart = telemetry.Now(rec)
 		}
 		for w := 0; w < workers; w++ {
-			s.hlocals[w].buf = s.hlocals[w].buf[:0]
-			s.hlocals[w].edges = 0
+			s.queues[w].buf = s.queues[w].buf[:0]
+			s.queues[w].edges = 0
 		}
-		var err error
 		s.lv = lv
 		if bottomUp {
-			res.BottomUpLevels++
-			err = team.ForCtx(ctx, n, opts, s.hybridBU)
+			err = team.ForCtx(ctx, n, opts, s.flatBU)
 		} else {
-			res.TopDownLevels++
 			s.cur = cur
-			err = team.ForCtx(ctx, len(cur), opts, s.hybridTD)
+			err = team.ForCtx(ctx, len(cur), opts, s.flatTD)
 		}
 		if err != nil {
 			// Partial level: vertices may already be claimed at level lv.
-			s.frontA, s.frontB = cur[:0], next[:0]
-			hres := s.finish(processed, lv)
-			hres.Duplicates = 0
-			res.Result = hres
-			return res, err
+			maxLevel = lv
+			break
 		}
 		// Merge the per-worker claims into the next frontier (level
 		// barrier) and roll up its edge count for the next switch.
 		next = next[:0]
-		curEdges = 0
+		var nextEdges int64
 		for w := 0; w < workers; w++ {
-			next = append(next, s.hlocals[w].buf...)
-			curEdges += s.hlocals[w].edges
+			next = append(next, s.queues[w].buf...)
+			nextEdges += s.queues[w].edges
 		}
 		if telemetry.Active(rec) {
-			sample := levelSample(lv-1, int64(len(cur)), frontierEdges, int64(len(next)))
-			if bottomUp {
-				sample.Phase = "level-bu"
-			} else {
-				sample.Phase = "level-td"
-			}
+			sample := levelSample(lv-1, int64(len(cur)), curEdges, int64(len(next)))
+			sample.Phase = phase
 			sample.Duration = telemetry.Since(rec, levelStart)
 			rec.Record(sample)
 		}
-		cur, next = next, cur
+		cur, next, curEdges = next, cur, nextEdges
 	}
 	s.frontA, s.frontB = cur[:0], next[:0]
-	hres := s.finish(processed, maxLevel)
-	hres.Duplicates = 0 // locked/exclusive claims: no duplicates possible
-	res.Result = hres
-	return res, nil
+	res.Result = s.finish(processed, maxLevel)
+	return res, err
 }

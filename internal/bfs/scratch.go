@@ -30,10 +30,10 @@ type Scratch struct {
 	// levels is the shared level array (claim target of every variant).
 	levels []int32
 
-	// Flat frontier arrays (TLS and hybrid variants).
+	// Flat frontier arrays and per-worker next-level queues (TLS and hybrid
+	// variants, hybrid.go).
 	frontA, frontB []int32
-	locals         []localQueue
-	hlocals        []hybridLocal
+	queues         []flatQueue
 
 	// Block-accessed queue pair (OpenMP-Block / TBB-Block variants).
 	qA, qB     *BlockQueue
@@ -46,7 +46,7 @@ type Scratch struct {
 	// Bag variant: per-worker chunk builders and the flattened chunk list
 	// of the current frontier. Chunks are leased from the pool's Arena.
 	builders []chunkBuilder
-	flat     [][]int32
+	bagFlat  [][]int32
 
 	// widths backs Result.Widths.
 	widths []int64
@@ -68,10 +68,9 @@ type Scratch struct {
 	arena      *sched.Arena // bag: chunk lease pool
 
 	blockBody func(lo, hi, w int)
-	tlsBody   func(lo, hi, w int)
 	bagBody   func(lo, hi int, c *sched.Ctx)
-	hybridTD  func(lo, hi, w int)
-	hybridBU  func(lo, hi, w int)
+	flatTD    func(lo, hi, w int) // TLS/hybrid: top-down claim
+	flatBU    func(lo, hi, w int) // hybrid: bottom-up sweep
 
 	// blockLoop is the parallel-for construct carrying the level loop of
 	// the block-queue variants; BlockTeam and BlockTBB differ only in how
@@ -86,13 +85,6 @@ func NewScratch() *Scratch { return &Scratch{} }
 type paddedCount struct {
 	n int64
 	_ [56]byte
-}
-
-// localQueue is one worker's thread-local next-level queue, padded so the
-// slice headers of neighbouring workers do not share a cache line.
-type localQueue struct {
-	buf []int32
-	_   [40]byte
 }
 
 // chunkBuilder accumulates next-level vertices per worker for the bag
@@ -123,21 +115,11 @@ func (s *Scratch) ensureWorkers(workers int) {
 	if len(s.counts) < workers {
 		s.counts = make([]paddedCount, workers)
 	}
-	if len(s.locals) < workers {
-		s.locals = make([]localQueue, workers)
+	if len(s.queues) < workers {
+		s.queues = make([]flatQueue, workers)
 	}
 	if len(s.builders) < workers {
 		s.builders = make([]chunkBuilder, workers)
-	}
-}
-
-// ensureFlat sizes the two flat frontier arrays to hold n vertices.
-func (s *Scratch) ensureFlat(n int) {
-	if cap(s.frontA) < n {
-		s.frontA = make([]int32, 0, n)
-	}
-	if cap(s.frontB) < n {
-		s.frontB = make([]int32, 0, n)
 	}
 }
 
@@ -173,7 +155,10 @@ func (s *Scratch) finish(processed int64, maxLevel int32) Result {
 	for _, w := range res.Widths {
 		reached += w
 	}
-	res.Duplicates = processed - reached
+	// Never negative: an aborted level has claimed vertices nobody got to
+	// process. Locked claims put a vertex in one queue, so without an abort
+	// the exactly-once variants read 0.
+	res.Duplicates = max(processed-reached, 0)
 	return res
 }
 
@@ -226,7 +211,7 @@ func expandBlockEntry(xadj []int64, adj, levels []int32, main, spill []int32, i 
 // BlockTeam runs layered BFS with the block-accessed queue on an
 // OpenMP-style Team (the paper's OpenMP-Block / OpenMP-Block-relaxed).
 func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, blockSize int, relaxed bool) (Result, error) {
-	s.blockLoop.OnTeam(team, opts.WithSerialCutoff(team.Workers()))
+	s.blockLoop.OnTeam(team, opts)
 	return s.block(ctx, g, source, blockSize, relaxed)
 }
 
@@ -317,88 +302,6 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	return s.finish(processed, maxLevel), nil
 }
 
-// TLSTeam runs the SNAP v0.4-style layered BFS (the paper's OpenMP-TLS):
-// each thread accumulates next-level vertices in a thread-local queue to
-// avoid shared-queue synchronisation, the local queues are concatenated
-// into a global queue at each level barrier, and a vertex is "locked"
-// before insertion so it enters exactly one local queue, with the paper's
-// check-before-lock improvement. The thread-local queues and both flat
-// frontier arrays are retained across runs.
-func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	n := g.NumVertices()
-	workers := team.Workers()
-	opts = opts.WithSerialCutoff(workers)
-	s.ensureCommon(n)
-	s.ensureWorkers(workers)
-	s.ensureFlat(n)
-	if n == 0 {
-		return s.finish(0, 0), nil
-	}
-	levels := s.levels
-	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
-	levels[source] = 0
-	cur := append(s.frontA[:0], source)
-	next := s.frontB[:0]
-	rec := telemetry.FromContext(ctx)
-	if s.tlsBody == nil {
-		s.tlsBody = func(lo, hi, w int) {
-			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
-			local := s.locals[w].buf
-			for i := lo; i < hi; i++ {
-				v := s.cur[i]
-				for j := xadj[v]; j < xadj[v+1]; j++ {
-					// claimLocked is the lock-free equivalent of SNAP's
-					// per-vertex lock, check-before-lock included.
-					if u := adj[j]; claimLocked(lvls, u, lv) {
-						local = append(local, u)
-					}
-				}
-			}
-			s.locals[w].buf = local
-		}
-	}
-
-	var processed int64
-	maxLevel := int32(0)
-	for lv := int32(1); len(cur) > 0; lv++ {
-		maxLevel = lv - 1
-		processed += int64(len(cur))
-		var edges int64
-		var levelStart time.Time
-		if telemetry.Active(rec) {
-			edges = sliceEdges(g, cur)
-			levelStart = telemetry.Now(rec)
-		}
-		for w := 0; w < workers; w++ {
-			s.locals[w].buf = s.locals[w].buf[:0]
-		}
-		curSnapshot := cur
-		s.cur, s.lv = curSnapshot, lv
-		err := team.ForCtx(ctx, len(curSnapshot), opts, s.tlsBody)
-		if err != nil {
-			// Partial level: vertices may already be claimed at level lv.
-			res := s.finish(processed, lv)
-			res.Duplicates = 0
-			return res, err
-		}
-		// Merge local queues into the global queue (level barrier).
-		next = next[:0]
-		for w := 0; w < workers; w++ {
-			next = append(next, s.locals[w].buf...)
-		}
-		if telemetry.Active(rec) {
-			sample := levelSample(lv-1, int64(len(curSnapshot)), edges, int64(len(next)))
-			sample.Duration = telemetry.Since(rec, levelStart)
-			rec.Record(sample)
-		}
-		cur, next = next, cur
-	}
-	s.frontA, s.frontB = cur[:0], next[:0]
-	res := s.finish(processed, maxLevel)
-	res.Duplicates = 0 // locked claims: every vertex enters exactly one queue
-	return res, nil
-}
-
 // BagCilk runs the bag BFS on the work-stealing pool (the paper's
 // CilkPlus-Bag-relaxed): relaxed insertion into per-worker bags, merged at
 // each level barrier, traversed in parallel chunk by chunk. The bag is
@@ -426,7 +329,7 @@ func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, poo
 	s.arena, s.chunkGrain = arena, grain
 	levels[source] = 0
 
-	flat := s.flat[:0]
+	flat := s.bagFlat[:0]
 	seed := arena.Get(0, grain)
 	flat = append(flat, append(seed, source))
 	if s.bagBody == nil {
@@ -492,7 +395,7 @@ func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, poo
 		}
 		if err != nil {
 			// Partial level: vertices may already be claimed at level lv.
-			s.flat = flat[:0]
+			s.bagFlat = flat[:0]
 			return s.finish(processed, lv), err
 		}
 		// Level barrier: concatenate the per-worker chunk lists (the bag
@@ -508,7 +411,7 @@ func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, poo
 			}
 		}
 	}
-	s.flat = flat[:0]
+	s.bagFlat = flat[:0]
 	return s.finish(processed, maxLevel), nil
 }
 

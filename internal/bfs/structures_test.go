@@ -5,9 +5,16 @@ import (
 	"testing"
 )
 
+// writerOn binds a fresh Writer to q, the way the Scratch binds its own.
+func writerOn(q *BlockQueue) *Writer {
+	w := &Writer{}
+	w.Reset(q)
+	return w
+}
+
 func TestBlockQueueSingleWriter(t *testing.T) {
 	q := NewBlockQueue(100, 8)
-	w := q.NewWriter()
+	w := writerOn(q)
 	for v := int32(0); v < 20; v++ {
 		w.Push(v)
 	}
@@ -32,8 +39,8 @@ func TestBlockQueueSingleWriter(t *testing.T) {
 	if len(got) != 20 || sentinels != 4 {
 		t.Errorf("%d values + %d sentinels, want 20 + 4", len(got), sentinels)
 	}
-	if w.BlockGrabs != 3 {
-		t.Errorf("BlockGrabs = %d, want 3", w.BlockGrabs)
+	if got := q.next.Load(); got != 3*8 {
+		t.Errorf("reservation cursor at %d, want 3 blocks of 8", got)
 	}
 }
 
@@ -46,7 +53,7 @@ func TestBlockQueueConcurrentWritersNoLoss(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wr := q.NewWriter()
+			wr := writerOn(q)
 			for i := 0; i < perWorker; i++ {
 				wr.Push(int32(w*perWorker + i))
 			}
@@ -73,7 +80,7 @@ func TestBlockQueueConcurrentWritersNoLoss(t *testing.T) {
 func TestBlockQueueSpillOverflow(t *testing.T) {
 	// Capacity for only one block: everything after it must spill, not drop.
 	q := NewBlockQueue(4, 4)
-	w := q.NewWriter()
+	w := writerOn(q)
 	for v := int32(0); v < 50; v++ {
 		w.Push(v)
 	}
@@ -94,16 +101,16 @@ func TestBlockQueueSpillOverflow(t *testing.T) {
 func TestBlockQueueResetReuse(t *testing.T) {
 	q := NewBlockQueue(64, 8)
 	for round := 0; round < 3; round++ {
-		w := q.NewWriter()
+		w := writerOn(q)
 		for v := int32(0); v < 10; v++ {
 			w.Push(v)
 		}
 		w.Flush()
-		if q.Len() == 0 {
+		if main, _ := q.Entries(); len(main) == 0 {
 			t.Fatal("queue empty after pushes")
 		}
 		q.Reset()
-		if q.Len() != 0 {
+		if main, spill := q.Entries(); len(main)+len(spill) != 0 {
 			t.Fatal("queue not empty after Reset")
 		}
 	}

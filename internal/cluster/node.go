@@ -308,8 +308,10 @@ func (n *Node) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	shards := map[string]serve.JobTotals{n.cfg.Self: n.srv.Totals()}
+	// One snapshot for both, or a job finishing in between would make them
+	// disagree.
 	sum := n.srv.Totals()
+	shards := map[string]serve.JobTotals{n.cfg.Self: sum}
 	var unreachable []string
 	for _, p := range n.cfg.Peers {
 		if p.Name == n.cfg.Self {
@@ -321,13 +323,7 @@ func (n *Node) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		shards[p.Name] = t
-		sum.Submitted += t.Submitted
-		sum.Rejected += t.Rejected
-		sum.Accepted += t.Accepted
-		sum.Succeeded += t.Succeeded
-		sum.Failed += t.Failed
-		sum.Cancelled += t.Cancelled
-		sum.InFlight += t.InFlight
+		sum.Add(t)
 	}
 	cluster := map[string]any{
 		"self":    n.cfg.Self,

@@ -287,13 +287,7 @@ func TestClusterMetricszConservation(t *testing.T) {
 		for _, name := range []string{"n1", "n2", "n3"} {
 			jt := cb.Shards[name]
 			conserved(t, jt, fmt.Sprintf("node %d shard %s", i, name))
-			sum.Submitted += jt.Submitted
-			sum.Rejected += jt.Rejected
-			sum.Accepted += jt.Accepted
-			sum.Succeeded += jt.Succeeded
-			sum.Failed += jt.Failed
-			sum.Cancelled += jt.Cancelled
-			sum.InFlight += jt.InFlight
+			sum.Add(jt)
 		}
 		if sum != cb.JobsTotal {
 			t.Fatalf("node %d: summed totals %+v != cluster jobs_total %+v", i, sum, cb.JobsTotal)
@@ -306,6 +300,52 @@ func TestClusterMetricszConservation(t *testing.T) {
 	}
 	if cb.JobsTotal.Succeeded < 8 {
 		t.Fatalf("expected >=8 succeeded jobs cluster-wide, got %+v", cb.JobsTotal)
+	}
+}
+
+// TestClusterMetricszOneSnapshot scrapes while jobs are being accepted,
+// refused and finished: in every scrape the summed jobs_total must be the
+// field-wise sum of the shards, which holds only if the node's own row and
+// its share of the sum are one snapshot.
+func TestClusterMetricszOneSnapshot(t *testing.T) {
+	tc, err := StartTestCluster(3, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+
+	stop := make(chan struct{})
+	submitted := make(chan struct{})
+	defer func() { // before tc.Close, also when a scrape fails the test
+		close(stop)
+		<-submitted
+	}()
+	go func() {
+		defer close(submitted)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			spec := fmt.Sprintf(`{"kind":"coloring","variant":"seq","graph":{"suite":"hood","scale":%d}}`, 32+i%4)
+			resp, err := http.Post(tc.URLs[i%3]+"/jobs", "application/json", strings.NewReader(spec))
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			resp.Body.Close() // 202 or a queue-full 429: both move the totals
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		cb := clusterMetrics(t, tc.URLs[i%3])
+		var sum serve.JobTotals
+		for _, jt := range cb.Shards {
+			sum.Add(jt)
+		}
+		if sum != cb.JobsTotal {
+			t.Fatalf("scrape %d of node %d: shards sum to %+v, jobs_total is %+v", i, i%3, sum, cb.JobsTotal)
+		}
 	}
 }
 

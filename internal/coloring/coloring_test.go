@@ -269,7 +269,10 @@ func TestColorTeamD2(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
 	g := randomGraph(11, 80, 200)
-	res := ColorTeamD2(g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4})
+	res, err := NewScratch().ColorTeamD2(nil, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ValidateD2(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +289,8 @@ func TestColorTeamD2Property(t *testing.T) {
 		n := int(nRaw%60) + 1
 		m := int(mRaw % 200)
 		g := randomGraph(seed, n, m)
-		res := ColorTeamD2(g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 2})
-		return ValidateD2(g, res.Colors) == nil
+		res, err := NewScratch().ColorTeamD2(nil, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 2})
+		return err == nil && ValidateD2(g, res.Colors) == nil
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -11,10 +12,11 @@ import (
 // Distance-2 coloring: no two vertices at distance ≤ 2 share a color. The
 // paper motivates it as the variant used to compress Jacobian and Hessian
 // matrices in sparse linear algebra (§I). The greedy algorithm is Algorithm
-// 1 with the forbidden set extended to neighbors-of-neighbors, and the
-// speculative parallel version follows the paper's two-loop
-// tentative/conflict scheme (distance-1 has since folded the detection into
-// the coloring loop, see parallel.go).
+// 1 with the forbidden set extended to neighbors-of-neighbors. The
+// speculative parallel version is the distance-1 round loop (Scratch.color)
+// over that neighbourhood: neither the speculate-and-iterate scheme nor the
+// argument that a publish-then-verify sweep leaves no clash behind
+// (parallel.go) depends on the neighbourhood's radius.
 
 // SeqGreedyD2 colors g so that any two vertices with a common neighbor (or
 // an edge) receive different colors, visiting vertices in natural order.
@@ -73,89 +75,44 @@ func ValidateD2(g *graph.Graph, colors []int32) error {
 	return nil
 }
 
-// ColorTeamD2 runs iterative parallel speculative distance-2 coloring on a
-// Team. The structure mirrors ColorTeam with the extended forbidden set and
-// the distance-2 conflict check.
-func ColorTeamD2(g *graph.Graph, team *sched.Team, opts sched.ForOptions) Result {
-	n := g.NumVertices()
-	colors := make([]int32, n)
-	fcs := make([]map[int32]int32, team.Workers())
-	for i := range fcs {
-		fcs[i] = make(map[int32]int32, 64)
-	}
-	visit := graph.IdentityPermutation(n)
-	res := Result{Colors: colors}
-	maxColor := int32(0)
-
-	for len(visit) > 0 {
-		res.Rounds++
-		locals := make([]int32, team.Workers())
-		team.For(len(visit), opts, func(lo, hi, w int) {
-			fc := fcs[w]
-			localMax := locals[w]
-			for i := lo; i < hi; i++ {
-				v := visit[i]
-				mark := v + 1 // +1: the map's zero value must not match vertex 0
-				for _, u := range g.Adj(v) {
-					if c := atomic.LoadInt32(&colors[u]); c > 0 {
-						fc[c] = mark
-					}
-					for _, x := range g.Adj(u) {
-						if x == v {
-							continue
-						}
-						if c := atomic.LoadInt32(&colors[x]); c > 0 {
-							fc[c] = mark
-						}
-					}
-				}
-				c := int32(1)
-				for fc[c] == mark {
-					c++
-				}
-				atomic.StoreInt32(&colors[v], c)
-				if c > localMax {
-					localMax = c
-				}
-			}
-			locals[w] = localMax
-		})
-		for _, lm := range locals {
-			if lm > maxColor {
-				maxColor = lm
-			}
-		}
-
-		next := make([]int32, len(visit))
-		var count atomic.Int64
-		team.For(len(visit), opts, func(lo, hi, w int) {
-			for i := lo; i < hi; i++ {
-				v := visit[i]
-				if d2ConflictOne(g, colors, v) {
-					appendConflict(next, &count, v)
-				}
-			}
-		})
-		visit = next[:count.Load()]
-		res.Conflicts = append(res.Conflicts, len(visit))
-	}
-	res.NumColors = int(maxColor)
-	return res
+// ColorTeamD2 runs the iterative speculative distance-2 coloring on an
+// OpenMP-style Team with the given loop options, using the scratch's pooled
+// state: ColorTeam's round loop over speculateD2.
+func (s *Scratch) ColorTeamD2(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
+	s.loop.OnTeam(team, opts)
+	return s.color(ctx, g, true)
 }
 
-// d2ConflictOne reports whether v collides with any vertex at distance ≤ 2
-// that has a larger id (the smaller endpoint is recolored, as at distance 1).
-func d2ConflictOne(g *graph.Graph, colors []int32, v int32) bool {
-	cv := atomic.LoadInt32(&colors[v])
-	for _, u := range g.Adj(v) {
-		if cv == atomic.LoadInt32(&colors[u]) && v < u {
+// speculateD2 is speculate with the neighbors' neighbors in both walks. The
+// gather skips v itself: its color of an earlier round forbids nothing. It
+// meets a vertex once per path, so one being colored meanwhile can leave two
+// marks, and the marks outnumber the min(Δ², n−1) vertices in reach: a first
+// fit that ends on fc's last slot, which no color owns, has passed the
+// bound, and v keeps the color it had and is colored again.
+func speculateD2(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bool {
+	nbrs := adj[xadj[v]:xadj[v+1]]
+	for _, u := range nbrs {
+		fc[atomic.LoadInt32(&colors[u])] = visit
+		for _, x := range adj[xadj[u]:xadj[u+1]] {
+			if x != v {
+				fc[atomic.LoadInt32(&colors[x])] = visit
+			}
+		}
+	}
+	c := int32(1)
+	for fc[c] == visit {
+		c++
+	}
+	if int(c) == len(fc)-1 {
+		return true
+	}
+	atomic.StoreInt32(&colors[v], c)
+	for _, u := range nbrs {
+		if atomic.LoadInt32(&colors[u]) == c {
 			return true
 		}
-		for _, x := range g.Adj(u) {
-			if x == v {
-				continue
-			}
-			if cv == atomic.LoadInt32(&colors[x]) && v < x {
+		for _, x := range adj[xadj[u]:xadj[u+1]] {
+			if x != v && atomic.LoadInt32(&colors[x]) == c {
 				return true
 			}
 		}

@@ -19,6 +19,9 @@ import (
 //   - ColorTBB:   tbb::parallel_for over a blocked range with a partitioner
 //     and enumerable_thread_specific localFC (§IV-A3).
 //
+// ColorTeamD2 (distance2.go) is ColorTeam's binding with the round's body
+// walking the neighbors' neighbors too.
+//
 // The per-worker state those hyperobjects provide — the localFC arrays — is
 // the Scratch's per-worker arrays.
 //
@@ -42,8 +45,9 @@ import (
 // The simulator keeps the paper's two-phase round (mic.ColoringTrace): it
 // models the published algorithm, and the figures are computed from it.
 
-// localFC is one worker's forbidden-color scratch array, size Δ+2: fc[c] == k
-// marks color c forbidden for the run's k-th vertex visit. The visit, not the
+// localFC is one worker's forbidden-color scratch array, size Δ+2 (at distance
+// 2 min(Δ², n−1)+3, see speculateD2): fc[c] == k marks color c forbidden for
+// the run's k-th vertex visit. The visit, not the
 // vertex: a vertex colored again by the same worker must not meet its earlier
 // marks, which on a clique push the first fit past Δ+1 and off the array.
 // (int32 visit numbers wrap, but stay distinct for 2³² visits.)

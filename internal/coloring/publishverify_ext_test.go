@@ -12,30 +12,61 @@ import (
 	"micgraph/internal/telemetry"
 )
 
-// TestColorPublishVerifyWorstInterleavings runs the one-sweep round where it
-// clashes most: dense and skewed graphs, eight workers, one vertex per claim,
-// never inline. Whatever the interleaving, the coloring must come out proper
-// and first-fit bounded, the last round must queue nothing, and the rounds
-// the recorder saw must be the rounds the result reports.
-func TestColorPublishVerifyWorstInterleavings(t *testing.T) {
-	runs := 500
-	if kerneltest.RaceEnabled {
-		runs = 50 // tenfold slower, and CI repeats the test twenty times
-	}
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"K64", gen.Complete(64)},
-		{"ring-of-cliques", gen.RingOfCliques(24, 12)},
-		{"star", kerneltest.Star(399)},
-		{"rmat-12-shuffled", gen.RMAT(12, 8, 0.57, 0.19, 0.19, 3).Shuffled(4)},
-	}
+// The one-sweep round is tested where it clashes most: dense and skewed
+// graphs, eight workers, one vertex per claim, never inline.
+const hammerWorkers = 8
 
-	const workers = 8
-	team := sched.NewTeam(workers)
+var hammerOpts = sched.ForOptions{Policy: sched.Dynamic, Chunk: 1, SerialBelow: -1}
+
+func hammerGraphs() []kerneltest.Named {
+	return []kerneltest.Named{
+		{Name: "K64", G: gen.Complete(64)},
+		{Name: "ring-of-cliques", G: gen.RingOfCliques(24, 12)},
+		{Name: "star", G: kerneltest.Star(399)},
+		{Name: "rmat-12-shuffled", G: gen.RMAT(12, 8, 0.57, 0.19, 0.19, 3).Shuffled(4)},
+	}
+}
+
+// hammer colors g runs times (a tenth of that under the race detector,
+// which is tenfold slower, and CI repeats these tests twenty times).
+// Whatever the interleaving, the coloring must pass check, the last round
+// must queue nothing, and the rounds the recorder saw must be the rounds the
+// result reports.
+func hammer(t *testing.T, runs int, g *graph.Graph, check func(testing.TB, string, *graph.Graph, coloring.Result),
+	color func(ctx context.Context, g *graph.Graph) (coloring.Result, error)) {
+	if kerneltest.RaceEnabled {
+		runs /= 10
+	}
+	rec := telemetry.NewMemRecorder()
+	ctx := telemetry.WithRecorder(context.Background(), rec)
+	for i := 0; i < runs; i++ {
+		rec.Reset()
+		res, err := color(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, t.Name(), g, res)
+		if len(res.Conflicts) != res.Rounds || res.Conflicts[res.Rounds-1] != 0 {
+			t.Fatalf("run %d: %d rounds, conflicts %v", i, res.Rounds, res.Conflicts)
+		}
+		var claims, conflicts int64
+		for _, smp := range rec.Samples() {
+			claims += smp.Claims
+		}
+		for _, c := range res.Conflicts {
+			conflicts += int64(c)
+		}
+		if rec.Len() != res.Rounds || claims != conflicts {
+			t.Fatalf("run %d: %d samples claiming %d, %d rounds with %d conflicts",
+				i, rec.Len(), claims, res.Rounds, conflicts)
+		}
+	}
+}
+
+func TestColorPublishVerifyWorstInterleavings(t *testing.T) {
+	team := sched.NewTeam(hammerWorkers)
 	defer team.Close()
-	pool := sched.NewPool(workers)
+	pool := sched.NewPool(hammerWorkers)
 	defer pool.Close()
 	s := coloring.NewScratch()
 	runtimes := []struct {
@@ -43,7 +74,7 @@ func TestColorPublishVerifyWorstInterleavings(t *testing.T) {
 		run  func(ctx context.Context, g *graph.Graph) (coloring.Result, error)
 	}{
 		{"team", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
-			return s.ColorTeam(ctx, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 1, SerialBelow: -1})
+			return s.ColorTeam(ctx, g, team, hammerOpts)
 		}},
 		{"cilk", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
 			return s.ColorCilk(ctx, g, pool, 1, coloring.CilkHolder)
@@ -52,35 +83,26 @@ func TestColorPublishVerifyWorstInterleavings(t *testing.T) {
 			return s.ColorTBB(ctx, g, pool, sched.SimplePartitioner, 1)
 		}},
 	}
-
-	rec := telemetry.NewMemRecorder()
-	ctx := telemetry.WithRecorder(context.Background(), rec)
-	for _, gr := range graphs {
+	for _, gr := range hammerGraphs() {
 		for _, rt := range runtimes {
-			t.Run(gr.name+"/"+rt.name, func(t *testing.T) {
-				for i := 0; i < runs; i++ {
-					rec.Reset()
-					res, err := rt.run(ctx, gr.g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					kerneltest.CheckColoring(t, rt.name, gr.g, res)
-					if len(res.Conflicts) != res.Rounds || res.Conflicts[res.Rounds-1] != 0 {
-						t.Fatalf("run %d: %d rounds, conflicts %v", i, res.Rounds, res.Conflicts)
-					}
-					var claims, conflicts int64
-					for _, smp := range rec.Samples() {
-						claims += smp.Claims
-					}
-					for _, c := range res.Conflicts {
-						conflicts += int64(c)
-					}
-					if rec.Len() != res.Rounds || claims != conflicts {
-						t.Fatalf("run %d: %d samples claiming %d, %d rounds with %d conflicts",
-							i, rec.Len(), claims, res.Rounds, conflicts)
-					}
-				}
-			})
+			t.Run(gr.Name+"/"+rt.name, func(t *testing.T) { hammer(t, 500, gr.G, kerneltest.CheckColoring, rt.run) })
 		}
+	}
+}
+
+// TestColorD2PublishVerify is the same at distance 2. There a gather meets a
+// vertex once per path, so on K_64 — the shape that walked the first fit off
+// a forbidden-color array marked by vertex id — it sees more colors than the
+// vertex has others in reach, and the bound has to hold all the same.
+func TestColorD2PublishVerify(t *testing.T) {
+	team := sched.NewTeam(hammerWorkers)
+	defer team.Close()
+	s := coloring.NewScratch()
+	for _, gr := range hammerGraphs() {
+		t.Run(gr.Name, func(t *testing.T) {
+			hammer(t, 50, gr.G, kerneltest.CheckColoringD2, func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
+				return s.ColorTeamD2(ctx, g, team, hammerOpts)
+			})
+		})
 	}
 }

@@ -29,7 +29,6 @@ import (
 type Scratch struct {
 	colors         []int32
 	fcs            []localFC
-	fcLen          int
 	visitA, visitB []int32
 	conflicts      []int
 
@@ -45,15 +44,18 @@ type Scratch struct {
 	nextBuf []int32
 	count   atomic.Int64
 
-	body func(lo, hi, w int)
+	// body and bodyD2 are the resident loop bodies of the distance-1 and the
+	// distance-2 round; a run picks one before its first round.
+	body, bodyD2 func(lo, hi, w int)
 
 	// loop is the parallel-for construct carrying a round's one loop; the
-	// three entry points differ only in how they bind it.
+	// entry points differ only in how they bind it.
 	loop sched.Loop
 }
 
-// ensureBody lazily creates the resident loop body (it captures only s, so
-// one closure serves every run).
+// ensureBody lazily creates the resident loop bodies (they capture only s,
+// so one closure each serves every run). Two loops, not one over a function
+// value: speculate has to inline into its loop.
 func (s *Scratch) ensureBody() {
 	if s.body != nil {
 		return
@@ -66,15 +68,24 @@ func (s *Scratch) ensureBody() {
 			}
 		}
 	}
+	s.bodyD2 = func(lo, hi, w int) {
+		fc := s.fcs[w]
+		for i := lo; i < hi; i++ {
+			if v := s.vs[i]; speculateD2(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
+				appendConflict(s.nextBuf, &s.count, v)
+			}
+		}
+	}
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // ensure sizes and resets every buffer for a run over g with the given
-// worker count. Forbidden-color arrays are reset to the fresh state, so a
-// recycled Scratch colors exactly like a new one.
-func (s *Scratch) ensure(g *graph.Graph, workers int) {
+// worker count and forbidden-color array length. The forbidden-color arrays
+// are cut to fcLen, however long an earlier run grew them, and reset to the
+// fresh state, so a recycled Scratch colors exactly like a new one.
+func (s *Scratch) ensure(g *graph.Graph, workers, fcLen int) {
 	n := g.NumVertices()
 	if cap(s.colors) < n {
 		s.colors = make([]int32, n)
@@ -88,19 +99,18 @@ func (s *Scratch) ensure(g *graph.Graph, workers int) {
 		s.colors[i] = 0
 		s.visitA[i] = int32(i)
 	}
-	fcLen := g.MaxDegree() + 2
-	if len(s.fcs) < workers || s.fcLen < fcLen {
+	if len(s.fcs) < workers || cap(s.fcs[0]) < fcLen {
 		s.fcs = make([]localFC, workers)
 		for i := range s.fcs {
 			s.fcs[i] = make(localFC, fcLen)
 		}
-		s.fcLen = fcLen
 	}
 	for i := range s.fcs {
-		fc := s.fcs[i]
+		fc := s.fcs[i][:fcLen]
 		for j := range fc {
 			fc[j] = -1
 		}
+		s.fcs[i] = fc
 	}
 	s.conflicts = s.conflicts[:0]
 }
@@ -133,8 +143,8 @@ func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bo
 // ColorTeam runs the iterative speculative coloring on an OpenMP-style
 // Team with the given loop options, using the scratch's pooled state.
 func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	s.loop.OnTeam(team, opts.WithSerialCutoff(team.Workers()))
-	return s.color(ctx, g)
+	s.loop.OnTeam(team, opts)
+	return s.color(ctx, g, false)
 }
 
 // ColorCilk runs the iterative speculative coloring as cilk_for loops on a
@@ -145,7 +155,7 @@ func (s *Scratch) ColorTeam(ctx context.Context, g *graph.Graph, team *sched.Tea
 // bench/ladder.go compiles against it. grain <= 0 uses the Cilk default.
 func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Pool, grain int, _ CilkVariant) (Result, error) {
 	s.loop.OnCilk(pool, grain)
-	return s.color(ctx, g)
+	return s.color(ctx, g, false)
 }
 
 // ColorTBB runs the iterative speculative coloring as TBB parallel_for
@@ -154,15 +164,22 @@ func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Poo
 // partitioner and grain (minimum chunk).
 func (s *Scratch) ColorTBB(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
 	s.loop.OnTBB(pool, part, grain)
-	return s.color(ctx, g)
+	return s.color(ctx, g, false)
 }
 
 // color is the round loop of Algorithms 2–4 on whatever s.loop is bound to:
 // one publish-then-verify sweep over the work list per round (parallel.go),
-// until a round queues nothing.
-func (s *Scratch) color(ctx context.Context, g *graph.Graph) (Result, error) {
-	s.ensure(g, s.loop.Workers())
+// until a round queues nothing. A vertex has at most Δ neighbours at
+// distance 1 and min(Δ², n−1) within distance 2, which bounds the first fit
+// and so sizes the forbidden-color arrays (speculateD2 wants a slot more).
+func (s *Scratch) color(ctx context.Context, g *graph.Graph, d2 bool) (Result, error) {
 	s.ensureBody()
+	body, fcLen := s.body, g.MaxDegree()+2
+	if d2 {
+		d := int64(g.MaxDegree())
+		body, fcLen = s.bodyD2, int(min(d*d, int64(g.NumVertices()-1)))+3
+	}
+	s.ensure(g, s.loop.Workers(), fcLen)
 	s.xadj, s.adjr = g.Xadj(), g.AdjRaw()
 	visit, next := s.visitA, s.visitB
 	s.visited = 0
@@ -180,9 +197,9 @@ func (s *Scratch) color(ctx context.Context, g *graph.Graph) (Result, error) {
 		s.vs, s.nextBuf = visit, next
 		s.count.Store(0)
 		if !inline {
-			err = s.loop.Run(ctx, len(visit), s.body)
+			err = s.loop.Run(ctx, len(visit), body)
 		} else if ctx == nil || ctx.Err() == nil {
-			s.body(0, len(visit), 0)
+			body(0, len(visit), 0)
 		} else {
 			err = ctx.Err()
 		}

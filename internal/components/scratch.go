@@ -53,7 +53,6 @@ func (s *Scratch) ensure(n int) []int32 {
 // (they may be written concurrently); a vertex's own label is only written
 // by its owning chunk, so the pre-round read needs no synchronisation.
 func (s *Scratch) LabelPropagation(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	opts = opts.WithSerialCutoff(team.Workers())
 	n := g.NumVertices()
 	labels := s.ensure(n)
 	res := Result{Labels: labels}
@@ -103,7 +102,6 @@ func (s *Scratch) LabelPropagation(ctx context.Context, g *graph.Graph, team *sc
 // PointerJumping runs the hook-and-compress union on the scratch's pooled
 // parent array over the raw CSR arrays.
 func (s *Scratch) PointerJumping(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	opts = opts.WithSerialCutoff(team.Workers())
 	n := g.NumVertices()
 	parent := s.ensure(n)
 	res := Result{Labels: parent}

@@ -116,14 +116,14 @@ func TestAblModelVsSim(t *testing.T) {
 
 func TestAblationsCollection(t *testing.T) {
 	s := sharedSuite(t)
-	exps := Ablations(s, mic.KNF())
+	knf, host := mic.KNF(), mic.HostXeon()
+	exps := RunMany(IDs(GroupAblation), s, knf, host)
 	if len(exps) != 7 {
 		t.Fatalf("%d ablations, want 7", len(exps))
 	}
-	knf, host := mic.KNF(), mic.HostXeon()
 	for _, e := range exps {
-		if len(e.Series) == 0 {
-			t.Errorf("%s: no series", e.ID)
+		if len(e.Series) == 0 || len(e.Errors) != 0 {
+			t.Errorf("%s: %d series, errors %v", e.ID, len(e.Series), e.Errors)
 		}
 		got, err := ByID(e.ID, s, knf, host)
 		if err != nil || got.ID != e.ID {

@@ -349,7 +349,7 @@ const (
 )
 
 // experiments is the one table of everything the engine can run, in report
-// order. ByID, AllIDs, IDs, All and Ablations read it, and through them so
+// order. ByID, AllIDs, IDs and All read it, and through them so
 // do micbench's -exp all|ablations and the daemon's sweep jobs.
 var experiments = []struct {
 	id, group string
@@ -403,26 +403,17 @@ func AllIDs() []string {
 	return ids
 }
 
-// runGroup runs every experiment of one group, in report order.
-func runGroup(group string, s *Suite, knf, host *mic.Machine) []*Experiment {
+// All returns every paper experiment, computed on the MIC machine (and the
+// host machine for fig4d), in report order. The other groups run by id:
+// RunMany(IDs(GroupAblation), …).
+func All(s *Suite, knf, host *mic.Machine) []*Experiment {
 	var out []*Experiment
 	for _, e := range experiments {
-		if e.group == group {
+		if e.group == GroupPaper {
 			out = append(out, e.run(s, knf, host))
 		}
 	}
 	return out
-}
-
-// All returns every paper experiment, computed on the MIC machine (and the
-// host machine for fig4d). Ablations are separate; see Ablations.
-func All(s *Suite, knf, host *mic.Machine) []*Experiment {
-	return runGroup(GroupPaper, s, knf, host)
-}
-
-// Ablations returns the design-choice ablation experiments.
-func Ablations(s *Suite, knf *mic.Machine) []*Experiment {
-	return runGroup(GroupAblation, s, knf, nil)
 }
 
 // ByID runs a single experiment by its id.

@@ -202,17 +202,6 @@ func Lookup(kind, variant string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Variants lists the variant names of kind in table order.
-func Variants(kind string) []string {
-	var names []string
-	for _, e := range table {
-		if e.Kind == kind {
-			names = append(names, e.Variant)
-		}
-	}
-	return names
-}
-
 // Default returns the default variant of kind, "" when kind is not a
 // kernel kind.
 func Default(kind string) string {

@@ -24,13 +24,14 @@ func TestTableShape(t *testing.T) {
 		t.Errorf("table has %d entries, want 18", len(Table()))
 	}
 	seen := map[string]bool{}
-	defaults := map[string]int{}
+	variants, defaults := map[string]int{}, map[string]int{}
 	for _, e := range Table() {
 		key := e.Kind + "/" + e.Variant
 		if seen[key] {
 			t.Errorf("%s listed twice", key)
 		}
 		seen[key] = true
+		variants[e.Kind]++
 		if e.Default {
 			defaults[e.Kind]++
 		}
@@ -39,8 +40,8 @@ func TestTableShape(t *testing.T) {
 		}
 	}
 	for kind, w := range want {
-		if n := len(Variants(kind)); n != w.variants {
-			t.Errorf("%s has %d variants, want %d", kind, n, w.variants)
+		if variants[kind] != w.variants {
+			t.Errorf("%s has %d variants, want %d", kind, variants[kind], w.variants)
 		}
 		if Default(kind) != w.def || defaults[kind] != 1 {
 			t.Errorf("%s: default %q (%d marked), want exactly %q", kind, Default(kind), defaults[kind], w.def)

@@ -64,6 +64,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 		{"coloring/team", 0, func() { col.ColorTeam(nil, g, team, opts) }},
 		{"coloring/cilk", 0, func() { col.ColorCilk(nil, g, pool, 64, coloring.CilkHolder) }},
 		{"coloring/tbb", 0, func() { col.ColorTBB(nil, g, pool, sched.AutoPartitioner, 64) }},
+		{"coloring/team-d2", 0, func() { col.ColorTeamD2(nil, g, team, opts) }},
 		{"components/labelprop", 0, func() { cmp.LabelPropagation(nil, g, team, opts) }},
 		{"components/pointerjump", 0, func() { cmp.PointerJumping(nil, g, team, opts) }},
 	}

@@ -178,11 +178,24 @@ func CheckBFS(t testing.TB, name string, g *graph.Graph, source int32, got bfs.R
 // exceed Δ+1 (the guarantee of every first-fit variant).
 func CheckColoring(t testing.TB, name string, g *graph.Graph, res coloring.Result) {
 	t.Helper()
-	if err := coloring.Validate(g, res.Colors); err != nil {
+	checkColoring(t, name, g, res, coloring.Validate, g.MaxDegree()+1)
+}
+
+// CheckColoringD2 is CheckColoring at distance 2, where a vertex has at most
+// min(Δ², n−1) others to avoid.
+func CheckColoringD2(t testing.TB, name string, g *graph.Graph, res coloring.Result) {
+	t.Helper()
+	d := g.MaxDegree()
+	checkColoring(t, name, g, res, coloring.ValidateD2, min(d*d, g.NumVertices()-1)+1)
+}
+
+func checkColoring(t testing.TB, name string, g *graph.Graph, res coloring.Result, validate func(*graph.Graph, []int32) error, bound int) {
+	t.Helper()
+	if err := validate(g, res.Colors); err != nil {
 		t.Fatalf("%s: invalid coloring: %v", name, err)
 	}
-	if max := g.MaxDegree() + 1; res.NumColors > max {
-		t.Fatalf("%s: used %d colors, first-fit bound is Δ+1 = %d", name, res.NumColors, max)
+	if res.NumColors > bound {
+		t.Fatalf("%s: used %d colors, first-fit bound is %d", name, res.NumColors, bound)
 	}
 	if n := coloring.CountColors(res.Colors); g.NumVertices() > 0 && n != res.NumColors {
 		t.Fatalf("%s: NumColors = %d but colors use %d", name, res.NumColors, n)

@@ -2,12 +2,15 @@ package kerneltest
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"micgraph/internal/bfs"
 	"micgraph/internal/coloring"
 	"micgraph/internal/components"
+	"micgraph/internal/gen"
 	"micgraph/internal/graph"
 	"micgraph/internal/kernels"
 	"micgraph/internal/sched"
@@ -190,6 +193,64 @@ func TestColoringMatchesOracle(t *testing.T) {
 		check(nm.Name+"/cilk", nm.G, res, err)
 		res, err = scratch.ColorTBB(nil, nm.G, pool, sched.AutoPartitioner, 32)
 		check(nm.Name+"/tbb-auto", nm.G, res, err)
+	}
+}
+
+// TestColoringD2MatchesOracle holds the distance-2 coloring, which is not a
+// table row, to its oracle across worker counts and chunks. Every D2 run is
+// followed by a distance-1 run on the same Scratch: the two share the
+// forbidden-color arrays, sized and reset for the run at hand.
+func TestColoringD2MatchesOracle(t *testing.T) {
+	for _, workers := range []int{1, 4, 8} {
+		team := sched.NewTeam(workers)
+		scratch := coloring.NewScratch()
+		for _, chunk := range []int{1, 16} {
+			opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: chunk}
+			for _, nm := range Corpus() {
+				name := fmt.Sprintf("%s/d2 workers=%d chunk=%d", nm.Name, workers, chunk)
+				res, err := scratch.ColorTeamD2(context.Background(), nm.G, team, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				CheckColoringD2(t, name, nm.G, res)
+				res, err = scratch.ColorTeam(context.Background(), nm.G, team, opts)
+				if err != nil {
+					t.Fatalf("%s, then distance 1: %v", name, err)
+				}
+				CheckColoring(t, name+", then distance 1", nm.G, res)
+			}
+		}
+		team.Close()
+	}
+}
+
+// TestColoringD2Cancelled cancels at the fifth chunk claim: the run must
+// stop there, report the context's error and hand back what it had colored.
+func TestColoringD2Cancelled(t *testing.T) {
+	g := gen.Grid2D(16, 16)
+	team := sched.NewTeam(4)
+	defer team.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var claims atomic.Int64
+	team.SetInject(func(string, int) {
+		if claims.Add(1) == 5 {
+			cancel()
+		}
+	})
+	res, err := coloring.NewScratch().ColorTeamD2(ctx, g, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	colored := 0
+	for _, c := range res.Colors {
+		if c != 0 {
+			colored++
+		}
+	}
+	if n := g.NumVertices(); len(res.Colors) != n || colored == 0 || colored >= n || res.Rounds != 1 {
+		t.Errorf("partial coloring has %d of %d vertices colored after %d rounds, want some, not all, in round 1",
+			colored, n, res.Rounds)
 	}
 }
 

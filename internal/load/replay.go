@@ -377,14 +377,7 @@ func (r *replayer) scrape(ctx context.Context, strict bool) (*metricsSnap, error
 			continue
 		}
 		merged.perTarget[base] = m.JobsTotal
-		t := &merged.JobsTotal
-		t.Submitted += m.JobsTotal.Submitted
-		t.Rejected += m.JobsTotal.Rejected
-		t.Accepted += m.JobsTotal.Accepted
-		t.Succeeded += m.JobsTotal.Succeeded
-		t.Failed += m.JobsTotal.Failed
-		t.Cancelled += m.JobsTotal.Cancelled
-		t.InFlight += m.JobsTotal.InFlight
+		merged.JobsTotal.Add(m.JobsTotal)
 		q := &merged.Queue
 		q.Workers += m.Queue.Workers
 		q.Depth += m.Queue.Depth

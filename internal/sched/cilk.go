@@ -287,7 +287,7 @@ func (p *Pool) runDone() {
 // performs the implicit sync and returns the Ctx to the worker's free
 // list. A panicking task is recorded on the run; its already-spawned
 // children still drain so no goroutine or scope count leaks. Range tasks
-// (t.fn == nil) continue the cilk_for split of [t.lo, t.hi).
+// (t.fn == nil) continue the split of [t.lo, t.hi) their kind names.
 func runTask(w *worker, t task) {
 	parent := t.scope
 	ctx := w.getCtx(parent)
@@ -305,8 +305,6 @@ func runTask(w *worker, t task) {
 			switch {
 			case t.fn != nil:
 				t.fn(ctx)
-			case t.kind == taskSimple:
-				simpleSplit(ctx, Range{t.lo, t.hi, t.grain}, t.body)
 			case t.kind == taskAuto:
 				autoRun(ctx, Range{t.lo, t.hi, t.grain}, t.body)
 			case t.kind == taskAutoRoot:
@@ -464,7 +462,9 @@ func (c *Ctx) For(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
 
 // forSplit halves [lo, hi) down to grain, spawning the left half as a
 // range task (a plain struct on the deque — no closure per split) and
-// continuing with the right half, then runs the final subrange inline.
+// continuing with the right half, then runs the final subrange inline:
+// cilk_for and TBB's simple partitioner alike. A cancelled run stops
+// subdividing and skips unexecuted subranges.
 func (c *Ctx) forSplit(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
 	counters := c.w.pool.counters.Load()
 	sc := c.sc

@@ -21,8 +21,7 @@ type task struct {
 
 // Range-task kinds: how a subrange continues subdividing when executed.
 const (
-	taskFor      uint8 = iota // cilk_for halving split (Ctx.forSplit)
-	taskSimple                // TBB simple partitioner (simpleSplit)
+	taskFor      uint8 = iota // cilk_for and TBB simple partitioner: halve to the grain (Ctx.forSplit)
 	taskAuto                  // TBB auto partitioner (autoRun)
 	taskAutoRoot              // TBB auto partitioner seeding (autoRoot)
 )

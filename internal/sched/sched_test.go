@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -44,7 +46,7 @@ func TestTeamForAllPolicies(t *testing.T) {
 			pol, chunk := pol, chunk
 			t.Run(pol.String(), func(t *testing.T) {
 				coverageCheck(t, 537, func(mark func(int)) {
-					team.For(537, ForOptions{Policy: pol, Chunk: chunk}, func(lo, hi, w int) {
+					team.For(537, ForOptions{Policy: pol, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
 						if w < 0 || w >= 4 {
 							t.Errorf("worker id %d out of range", w)
 						}
@@ -68,7 +70,7 @@ func TestTeamForEmptyAndTiny(t *testing.T) {
 	}
 	// n smaller than worker count: every index still covered exactly once.
 	coverageCheck(t, 3, func(mark func(int)) {
-		team.For(3, ForOptions{Policy: Dynamic}, func(lo, hi, w int) {
+		team.For(3, ForOptions{Policy: Dynamic, SerialBelow: -1}, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				mark(i)
 			}
@@ -100,7 +102,7 @@ func TestTeamCoverageProperty(t *testing.T) {
 		chunk := int(chunkRaw % 50)
 		pol := Policy(polRaw % 3)
 		counts := make([]int32, n)
-		team.For(n, ForOptions{Policy: pol, Chunk: chunk}, func(lo, hi, w int) {
+		team.For(n, ForOptions{Policy: pol, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
@@ -139,4 +141,39 @@ func TestTeamCloseIdempotent(t *testing.T) {
 	team := NewTeam(2)
 	team.Close()
 	team.Close() // must not panic
+}
+
+// TestTeamSerialCutoff: under a zero-valued SerialBelow a loop of at most
+// one chunk per worker runs whole on the calling goroutine as worker 0, and
+// a loop one iteration longer goes to the team.
+func TestTeamSerialCutoff(t *testing.T) {
+	const workers = 4
+	team := NewTeam(workers)
+	defer team.Close()
+	for _, chunk := range []int{0, 16} {
+		cutoff := workers * max(chunk, DefaultChunk)
+		for _, n := range []int{cutoff, cutoff + 1} {
+			var calls, onCaller atomic.Int32
+			coverageCheck(t, n, func(mark func(int)) {
+				team.For(n, ForOptions{Policy: Dynamic, Chunk: chunk}, func(lo, hi, w int) {
+					calls.Add(1)
+					// The test function's own frame is on the stack only of
+					// the goroutine that called For.
+					if strings.Contains(string(debug.Stack()), "sched.TestTeamSerialCutoff(") {
+						onCaller.Add(1)
+						if lo != 0 || hi != n || w != 0 {
+							t.Errorf("chunk %d, n %d: caller ran [%d,%d) as worker %d", chunk, n, lo, hi, w)
+						}
+					}
+					for i := lo; i < hi; i++ {
+						mark(i)
+					}
+				})
+			})
+			if inline := n <= cutoff; inline && (calls.Load() != 1 || onCaller.Load() != 1) || !inline && onCaller.Load() != 0 {
+				t.Errorf("chunk %d, n %d (cutoff %d): %d body calls, %d on the caller",
+					chunk, n, cutoff, calls.Load(), onCaller.Load())
+			}
+		}
+	}
 }

@@ -16,7 +16,7 @@ func TestTeamManyWorkersFewItems(t *testing.T) {
 	defer team.Close()
 	for round := 0; round < 20; round++ {
 		var count atomic.Int64
-		team.For(5, ForOptions{Policy: Dynamic}, func(lo, hi, w int) {
+		team.For(5, ForOptions{Policy: Dynamic, SerialBelow: -1}, func(lo, hi, w int) {
 			count.Add(int64(hi - lo))
 		})
 		if count.Load() != 5 {
@@ -133,7 +133,7 @@ func TestTeamRepeatedLoops(t *testing.T) {
 	defer team.Close()
 	var total atomic.Int64
 	for i := 0; i < 2000; i++ {
-		team.For(37, ForOptions{Policy: Dynamic, Chunk: 5}, func(lo, hi, w int) {
+		team.For(37, ForOptions{Policy: Dynamic, Chunk: 5, SerialBelow: -1}, func(lo, hi, w int) {
 			total.Add(int64(hi - lo))
 		})
 	}

@@ -12,7 +12,8 @@ import (
 // size under which it is never split. The partitioner decides when to split:
 //
 //   - SimplePartitioner splits recursively all the way down to the grain
-//     ("similar to the dynamic scheduling policy of OpenMP", §II-C);
+//     ("similar to the dynamic scheduling policy of OpenMP", §II-C) — the
+//     split of cilk_for, and run by the same code (Ctx.forSplit);
 //   - AutoPartitioner creates ~workers subranges and splits further only
 //     when a subrange gets stolen;
 //   - AffinityPartitioner remembers which worker ran each block in the
@@ -84,7 +85,7 @@ func ParallelForRangeCtx(ctx context.Context, pool *Pool, r Range, part Partitio
 	}
 	switch part {
 	case SimplePartitioner:
-		return pool.runRoot(ctx, task{body: body, lo: r.Lo, hi: r.Hi, grain: r.Grain, kind: taskSimple})
+		return pool.runRoot(ctx, task{body: body, lo: r.Lo, hi: r.Hi, grain: r.grain()})
 	case AutoPartitioner:
 		return pool.runRoot(ctx, task{body: body, lo: r.Lo, hi: r.Hi, grain: r.Grain, kind: taskAutoRoot})
 	case AffinityPartitioner:
@@ -95,28 +96,6 @@ func ParallelForRangeCtx(ctx context.Context, pool *Pool, r Range, part Partitio
 	default:
 		panic(fmt.Sprintf("sched: unknown partitioner %d", part))
 	}
-}
-
-// simpleSplit recursively halves down to the grain, spawning the left part.
-// Cancellation is polled at each split so a cancelled run stops subdividing
-// and skips unexecuted subranges.
-func simpleSplit(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
-	counters := c.w.pool.counters.Load()
-	for r.IsDivisible() {
-		if c.Cancelled() {
-			return
-		}
-		counters.Inc(c.w.id, telemetry.RangeSplits)
-		left, right := r.Split()
-		c.spawnRange(taskSimple, left, body)
-		r = right
-	}
-	if c.Cancelled() {
-		return
-	}
-	counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	body(r.Lo, r.Hi, c)
-	// implicit sync at task exit joins the spawned halves
 }
 
 // autoRoot seeds one subrange per worker, then lets autoRun subdivide on

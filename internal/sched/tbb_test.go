@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"micgraph/internal/telemetry"
 )
 
 func TestRangeSplit(t *testing.T) {
@@ -38,6 +41,52 @@ func TestParallelForRangeAllPartitioners(t *testing.T) {
 				}))
 			})
 		})
+	}
+}
+
+// TestSimplePartitionerIsCilkFor pins that cilk_for and the TBB simple
+// partitioner are one split: on one worker the two drivers visit the same
+// (lo, hi) leaves in the same order, and on four they cover [0, n) exactly
+// once in equally many range splits.
+func TestSimplePartitionerIsCilkFor(t *testing.T) {
+	const n, grain = 997, 8
+	drivers := []func(pool *Pool, body func(lo, hi int, c *Ctx)) error{
+		func(pool *Pool, body func(lo, hi int, c *Ctx)) error {
+			return pool.ParallelForCtx(nil, n, grain, body)
+		},
+		func(pool *Pool, body func(lo, hi int, c *Ctx)) error {
+			return ParallelForRangeCtx(nil, pool, Range{0, n, grain}, SimplePartitioner, nil, body)
+		},
+	}
+
+	one := NewPool(1)
+	defer one.Close()
+	var leaves [2][][2]int
+	for d, drive := range drivers {
+		check(t, drive(one, func(lo, hi int, _ *Ctx) { leaves[d] = append(leaves[d], [2]int{lo, hi}) }))
+	}
+	if len(leaves[0]) == 0 || !slices.Equal(leaves[0], leaves[1]) {
+		t.Errorf("one worker: cilk_for ran leaves %v, the simple partitioner %v", leaves[0], leaves[1])
+	}
+
+	four := NewPool(4)
+	defer four.Close()
+	counters := telemetry.NewCounters(4)
+	four.SetCounters(counters)
+	var splits [2]int64
+	for d, drive := range drivers {
+		before := counters.Total(telemetry.RangeSplits)
+		coverageCheck(t, n, func(mark func(int)) {
+			check(t, drive(four, func(lo, hi int, _ *Ctx) {
+				for i := lo; i < hi; i++ {
+					mark(i)
+				}
+			}))
+		})
+		splits[d] = counters.Total(telemetry.RangeSplits) - before
+	}
+	if splits[0] == 0 || splits[0] != splits[1] {
+		t.Errorf("four workers: cilk_for split %d times, the simple partitioner %d", splits[0], splits[1])
 	}
 }
 

@@ -56,7 +56,7 @@ func TestTeamCountersPanics(t *testing.T) {
 	defer team.Close()
 	counters := telemetry.NewCounters(2)
 	team.SetCounters(counters)
-	err := team.ForE(8, ForOptions{Policy: Static, Chunk: 4}, func(lo, hi, w int) {
+	err := team.ForE(8, ForOptions{Policy: Static, Chunk: 4, SerialBelow: -1}, func(lo, hi, w int) {
 		panic("boom")
 	})
 	if err == nil {

@@ -228,6 +228,18 @@ type JobTotals struct {
 	InFlight int64 `json:"in_flight"`
 }
 
+// Add sums o into t field by field: totals that each satisfy the
+// conservation law add up to totals that do.
+func (t *JobTotals) Add(o JobTotals) {
+	t.Submitted += o.Submitted
+	t.Rejected += o.Rejected
+	t.Accepted += o.Accepted
+	t.Succeeded += o.Succeeded
+	t.Failed += o.Failed
+	t.Cancelled += o.Cancelled
+	t.InFlight += o.InFlight
+}
+
 // Totals snapshots the lifetime job accounting coherently.
 func (s *Server) Totals() JobTotals {
 	s.mu.Lock()
