@@ -125,11 +125,11 @@ func TestDistance2(t *testing.T) {
 	}
 }
 
-// TestMetricsOut checks the -metrics-out trace of a BFS and a coloring
+// TestMetricsOut checks the -metrics-out trace of every kind's default
 // entry: one run header naming the entry, at least one phase, one counter
 // snapshot.
 func TestMetricsOut(t *testing.T) {
-	for _, kind := range []string{kernels.BFS, kernels.Coloring} {
+	for _, kind := range []string{kernels.BFS, kernels.Coloring, kernels.Components, kernels.Irregular} {
 		path := filepath.Join(t.TempDir(), "run.jsonl")
 		if code, _, stderr := micrun(onHood("-kind", kind, "-metrics-out", path)...); code != 0 {
 			t.Fatalf("%s: exit %d, stderr: %s", kind, code, stderr)

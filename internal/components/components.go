@@ -2,16 +2,20 @@
 // archetypical irregular graph kernel in the family the paper studies
 // ("these three kernels cover a wide range of irregular applications"),
 // included to demonstrate that the runtime substrates generalise beyond the
-// paper's three. Two algorithms:
+// paper's three. Two algorithms, each about one pass over the arcs of work,
+// like the sequential twin they are measured against:
 //
-//   - label propagation: iterate "take the minimum label of your
-//     neighborhood" until a fixed point — the same gather/scatter pattern
-//     as the irregular microbenchmark;
-//   - pointer jumping (Shiloach–Vishkin style hook + compress): the classic
-//     PRAM algorithm, O(log V) rounds, heavier on atomics.
+//   - label propagation: "take the minimum label of your neighbourhood"
+//     until a fixed point, data-driven — a round re-walks only the vertices
+//     whose label fell since their last walk; the number of rounds still
+//     grows with the distance a label travels against the sweep order;
+//   - pointer jumping: Shiloach–Vishkin's hook and jump read asynchronously,
+//     as a concurrent union-find — one sweep hooks every edge once, and the
+//     jump is the path halving of the finds in between.
 //
-// Both are Scratch methods (scratch.go), run on the OpenMP-style Team and
-// validate against the Sequential reference.
+// Both are Scratch methods (scratch.go), run on the OpenMP-style Team, label
+// a vertex with its component's minimum vertex id and validate against the
+// Sequential reference.
 package components
 
 import "micgraph/internal/graph"
@@ -20,7 +24,10 @@ import "micgraph/internal/graph"
 type Result struct {
 	Labels []int32 // Labels[v] identifies v's component (minimum vertex id)
 	Count  int     // number of components
-	Rounds int     // parallel rounds until the fixed point
+	// Rounds counts sweeps: label propagation's, each of which walked at
+	// least one vertex (none only confirms the fixed point); pointer
+	// jumping's one hook sweep, not its compress sweep; Sequential's one pass.
+	Rounds int
 }
 
 // Sequential labels every vertex with the smallest vertex id in its

@@ -1,12 +1,14 @@
 package components
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"micgraph/internal/gen"
 	"micgraph/internal/graph"
 	"micgraph/internal/sched"
+	"micgraph/internal/telemetry"
 	"micgraph/internal/xrand"
 )
 
@@ -116,22 +118,79 @@ func TestComponentsProperty(t *testing.T) {
 }
 
 func TestPointerJumpingLogRounds(t *testing.T) {
-	// A long chain must converge in O(log n) hook rounds, not O(n) — the
-	// point of pointer jumping vs plain propagation.
+	// The pointer jump is the halving inside the one hook sweep, so a long
+	// chain costs one round in any vertex order; label propagation's rounds
+	// grow with the distance a label has to travel against the sweep.
 	team := sched.NewTeam(4)
 	defer team.Close()
-	g := gen.Chain(4096)
-	pj := pointerJump(g, team)
-	if pj.Count != 1 {
-		t.Fatalf("chain components = %d", pj.Count)
+	for name, g := range map[string]*graph.Graph{
+		"natural":  gen.Chain(4096),
+		"shuffled": gen.Chain(4096).Shuffled(1),
+	} {
+		pj := pointerJump(g, team)
+		if pj.Count != 1 {
+			t.Fatalf("%s chain: components = %d", name, pj.Count)
+		}
+		if pj.Rounds != 1 {
+			t.Errorf("%s chain: pointer jumping took %d rounds, want its one hook sweep", name, pj.Rounds)
+		}
+		if lp := labelProp(g, team); lp.Rounds < pj.Rounds {
+			t.Errorf("%s chain: label propagation (%d rounds) beat pointer jumping (%d)",
+				name, lp.Rounds, pj.Rounds)
+		}
 	}
-	if pj.Rounds > 40 {
-		t.Errorf("pointer jumping took %d rounds on a 4096-chain; want O(log n)", pj.Rounds)
-	}
-	lp := labelProp(g, team)
-	if lp.Rounds < pj.Rounds {
-		t.Errorf("label propagation (%d rounds) beat pointer jumping (%d) on a chain",
-			lp.Rounds, pj.Rounds)
+}
+
+// TestRoundsCountWalkingSweeps pins what Result.Rounds means: the sweeps
+// run, each of which walked at least one vertex — the flags are counted, so
+// no empty sweep confirms the fixed point — with one sample per sweep; for
+// pointer jumping the hook sweep, which the compress sweep's sample follows.
+func TestRoundsCountWalkingSweeps(t *testing.T) {
+	one := sched.NewTeam(1)
+	defer one.Close()
+	four := sched.NewTeam(4)
+	defer four.Close()
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		team   *sched.Team
+		rounds int // label propagation's; -1 = at least one
+	}{
+		{"empty", graph.NewBuilder(0).Build(), one, 0},
+		{"isolated", graph.NewBuilder(25).Build(), four, 1}, // every vertex walked, nothing lowered
+		{"chain, one worker", gen.Chain(500), one, 1},       // label 0 rides the sweep to the end
+		{"grid, one worker", gen.Grid2D(20, 20), one, 1},
+		{"rmat-shuffled", gen.RMAT(9, 4, 0.57, 0.19, 0.19, 5).Shuffled(3), four, -1},
+	} {
+		n, arcs := int64(tc.g.NumVertices()), tc.g.NumArcs()
+		rec := telemetry.NewMemRecorder()
+		ctx := telemetry.WithRecorder(context.Background(), rec)
+
+		lp, err := NewScratch().LabelPropagation(ctx, tc.g, tc.team, ccOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := rec.Samples()
+		if len(samples) != lp.Rounds || tc.rounds >= 0 && lp.Rounds != tc.rounds || tc.rounds < 0 && lp.Rounds < 1 {
+			t.Errorf("%s: label propagation reports %d rounds in %d samples, want %d", tc.name, lp.Rounds, len(samples), tc.rounds)
+		}
+		for i, s := range samples {
+			if s.Kernel != "components" || s.Phase != "round" || s.Index != i || s.Items == 0 {
+				t.Errorf("%s: sample %d is %+v, want round %d of components with a vertex walked", tc.name, i, s, i)
+			}
+		}
+		if len(samples) > 0 && (samples[0].Items != n || samples[0].Edges != arcs) {
+			t.Errorf("%s: round 0 walked %d vertices, %d arcs, want all %d, %d", tc.name, samples[0].Items, samples[0].Edges, n, arcs)
+		}
+
+		rec.Reset()
+		pj, err := NewScratch().PointerJumping(ctx, tc.g, tc.team, ccOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(min(n, 1)); pj.Rounds != want || rec.Len() != 2*want {
+			t.Errorf("%s: pointer jumping reports %d rounds in %d samples, want %d in %d", tc.name, pj.Rounds, rec.Len(), want, 2*want)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"hash"
 	"os"
 	"strings"
 	"testing"
@@ -14,20 +16,25 @@ import (
 	"micgraph/internal/sched"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden digest under testdata/ from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the golden digests under testdata/ from the current code")
 
 // TestResultLinesGolden pins the result line of every kernels.Table() entry
 // on every corpus graph (from every source, for BFS; under every
-// partitioner) as one digest. On a 1-worker Runtime nothing races, so the
-// lines — relaxed duplicates, coloring rounds and conflicts, the irregular
-// checksum — are a pure function of the kernel code: a refactor of the
-// round or level loops must leave the digest alone. Recorded at commit
-// de858bb.
+// partitioner) as one digest per kind. On a 1-worker Runtime nothing races,
+// so the lines — relaxed duplicates, coloring rounds and conflicts,
+// components rounds, the irregular checksum — are a pure function of the
+// kernel code: a refactor of the round or level loops must leave the
+// digests alone, and a change to one kind's kernels moves that kind's only.
+// bfs, coloring and irregular recorded at commit 22b255f, components at the
+// commit that made its rounds data-driven.
 func TestResultLinesGolden(t *testing.T) {
 	rt := kernels.NewRuntime(1)
 	defer rt.Close()
-	h := sha256.New()
-	enc := json.NewEncoder(h)
+	kinds := []string{kernels.BFS, kernels.Coloring, kernels.Components, kernels.Irregular}
+	hashes := map[string]hash.Hash{}
+	for _, k := range kinds {
+		hashes[k] = sha256.New()
+	}
 	for _, nm := range Corpus() {
 		for _, e := range kernels.Table() {
 			sources := []int32{0}
@@ -41,18 +48,21 @@ func TestResultLinesGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s/%s from %d (%s): %v", nm.Name, e.Kind, e.Variant, src, part, err)
 					}
-					if err := enc.Encode(out.Line(e, nm.Name, p)); err != nil {
+					if err := json.NewEncoder(hashes[e.Kind]).Encode(out.Line(e, nm.Name, p)); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 		}
 	}
-	got := hex.EncodeToString(h.Sum(nil))
+	var got strings.Builder
+	for _, k := range kinds {
+		fmt.Fprintf(&got, "%s  %s\n", hex.EncodeToString(hashes[k].Sum(nil)), k)
+	}
 
 	const path = "testdata/result_lines.sha256"
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -61,7 +71,7 @@ func TestResultLinesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != strings.TrimSpace(string(want)) {
-		t.Errorf("result-line digest %s, golden %s: a kernel's answer changed", got, strings.TrimSpace(string(want)))
+	if got.String() != string(want) {
+		t.Errorf("result-line digests\n%sgolden\n%sa kernel's answer changed", got.String(), want)
 	}
 }
