@@ -127,7 +127,8 @@ func TestDistance2(t *testing.T) {
 
 // TestMetricsOut checks the -metrics-out trace of every kind's default
 // entry: one run header naming the entry, at least one phase, one counter
-// snapshot.
+// snapshot — which, every default being Team-carried, says per worker how
+// long after each loop's publication it arrived and how long it stayed.
 func TestMetricsOut(t *testing.T) {
 	for _, kind := range []string{kernels.BFS, kernels.Coloring, kernels.Components, kernels.Irregular} {
 		path := filepath.Join(t.TempDir(), "run.jsonl")
@@ -140,11 +141,29 @@ func TestMetricsOut(t *testing.T) {
 		}
 		records := map[string]int{}
 		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-			var rec struct{ Record, Kind, Variant string }
+			var rec struct {
+				Record, Kind, Variant string
+				Workers               int
+				Totals                map[string]int64
+				PerWorker             []map[string]int64 `json:"per_worker"`
+			}
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
 				t.Fatalf("%s: bad metrics line %q: %v", kind, line, err)
 			}
 			records[rec.Record]++
+			if rec.Record == "counters" {
+				if rec.Totals["chunks_claimed"] <= 0 || rec.Totals["loop_start_lag_ns"] <= 0 || rec.Totals["loop_busy_ns"] <= 0 {
+					t.Errorf("%s: counter totals %v, want chunks and both loop tallies above zero", kind, rec.Totals)
+				}
+				if len(rec.PerWorker) != rec.Workers {
+					t.Errorf("%s: %d per-worker counter sets for %d workers", kind, len(rec.PerWorker), rec.Workers)
+				}
+				for w, c := range rec.PerWorker {
+					if _, ok := c["loop_start_lag_ns"]; !ok || c["loop_busy_ns"] <= 0 {
+						t.Errorf("%s: worker %d counters %v, want a start lag and a busy time", kind, w, c)
+					}
+				}
+			}
 			if rec.Record == "run" && (rec.Kind != kind || rec.Variant != kernels.Default(kind)) {
 				t.Errorf("%s: run header names %s/%s", kind, rec.Kind, rec.Variant)
 			}

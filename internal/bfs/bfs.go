@@ -25,6 +25,15 @@
 // the unsynchronised accesses are expressed with atomic loads/stores so the
 // benign race is well-defined; duplicates still occur exactly as in the
 // paper, and the Result records how many.
+//
+// Under every top-down body — both claims of the block queue, the flat
+// loop's, the bag's — the arc scan is one leaf, firstUnvisited (layered.go):
+// it walks a neighbour list until a level word reads Unvisited, and the body
+// claims and pushes on that one arc in ~45 and calls again on the rest. Inside
+// a loop that also holds a CAS, a Push and an append the scan ran out of
+// registers (DESIGN.md §2 has the disassembly and the numbers). The bottom-up
+// sweep, whose scan breaks at the first hit, keeps its loop inline, and
+// Sequential is the twin the others are measured against: Algorithm 6 as read.
 package bfs
 
 import (

@@ -83,18 +83,23 @@ func (w *Writer) Reset(q *BlockQueue) {
 	}
 }
 
-// Push appends v to the queue.
+// Push appends v to the queue. It inlines: the no-room case is pushSlow's.
 func (w *Writer) Push(v int32) {
-	if w.spilling {
-		w.local = append(w.local, v)
+	if w.pos == w.end {
+		w.pushSlow(v)
 		return
 	}
-	if w.pos == w.end {
-		if !w.grabBlock() {
-			w.spilling = true
-			w.local = append(w.local, v)
-			return
-		}
+	w.q.buf[w.pos] = v
+	w.pos++
+}
+
+// pushSlow reserves the next block or, once the backing array is exhausted,
+// spills (pos == end from then on: every later Push of the level lands here).
+func (w *Writer) pushSlow(v int32) {
+	if w.spilling || !w.grabBlock() {
+		w.spilling = true
+		w.local = append(w.local, v)
+		return
 	}
 	w.q.buf[w.pos] = v
 	w.pos++

@@ -73,7 +73,7 @@ type flatQueue struct {
 // avoid shared-queue synchronisation, the local queues are concatenated
 // into a global queue at each level barrier, and a vertex is "locked"
 // before insertion so it enters exactly one local queue, with the paper's
-// check-before-lock improvement (claimLocked). It is the flat level loop
+// check-before-lock improvement (firstUnvisited). It is the flat level loop
 // without a direction rule: every level is top-down.
 func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions) (Result, error) {
 	res, err := s.flat(ctx, g, source, team, opts, nil)
@@ -145,9 +145,9 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 			var edges int64
 			for i := lo; i < hi; i++ {
 				v := s.cur[i]
-				for j := xadj[v]; j < xadj[v+1]; j++ {
-					u := adj[j]
-					if claimLocked(lvls, u, lv) {
+				nb := adj[xadj[v]:xadj[v+1]]
+				for j := firstUnvisited(nb, lvls); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], lvls) {
+					if u := nb[j]; atomic.CompareAndSwapInt32(&lvls[u], Unvisited, lv) {
 						buf = append(buf, u)
 						edges += xadj[u+1] - xadj[u]
 					}

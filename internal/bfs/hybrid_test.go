@@ -177,19 +177,22 @@ func TestHybridDirectionDecisions(t *testing.T) {
 	}
 }
 
-// TestClaimLockedExactlyOnce hammers claimLocked on one shared level array
-// from GOMAXPROCS goroutines that all try every vertex, each under its own
-// level value: the load in front of the CAS must not let a vertex be won
-// twice or not at all. The array is claimed in short segments with a spin
-// barrier between them, so the claimers stay within a few vertices of each
-// other (a check-then-store claim fails this test on every run). Run
-// under -race.
+// TestClaimLockedExactlyOnce hammers the locked claim — firstUnvisited's
+// load, then the caller's CAS, the way every exactly-once body walks a
+// neighbour list — on one shared level array from GOMAXPROCS goroutines that
+// all try every vertex, each under its own level value: the load in front of
+// the CAS must not let a vertex be won twice or not at all. The array is
+// claimed in short segments with a spin barrier between them, so the
+// claimers stay within a few vertices of each other (a check-then-store
+// claim fails this test on every run). Run under -race.
 func TestClaimLockedExactlyOnce(t *testing.T) {
 	const segment, rounds = 256, 400
 	claimers := max(runtime.GOMAXPROCS(0), 4)
 	levels := make([]int32, segment*rounds)
+	ids := make([]int32, len(levels))
 	for i := range levels {
 		levels[i] = Unvisited
+		ids[i] = int32(i)
 	}
 	wins := make([]int32, len(levels))
 	var arrived atomic.Int64
@@ -203,8 +206,9 @@ func TestClaimLockedExactlyOnce(t *testing.T) {
 				for arrived.Load() < int64((r+1)*claimers) {
 					runtime.Gosched()
 				}
-				for v := int32(r * segment); v < int32((r+1)*segment); v++ {
-					if claimLocked(levels, v, int32(c)) {
+				nb := ids[r*segment : (r+1)*segment]
+				for j := firstUnvisited(nb, levels); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], levels) {
+					if v := nb[j]; atomic.CompareAndSwapInt32(&levels[v], Unvisited, int32(c)) {
 						atomic.AddInt32(&wins[v], 1)
 					}
 				}
@@ -219,6 +223,31 @@ func TestClaimLockedExactlyOnce(t *testing.T) {
 		if levels[v] < 0 || int(levels[v]) >= claimers {
 			t.Fatalf("vertex %d holds level %d, not a claimer's", v, levels[v])
 		}
+	}
+}
+
+// TestFirstUnvisited pins the leaf's contract on the corners the bodies walk
+// it over: an empty list, no hit, a hit first and last, and the resumed scan
+// that visits every unvisited end exactly once, in order.
+func TestFirstUnvisited(t *testing.T) {
+	levels := []int32{0, Unvisited, 3, Unvisited, Unvisited, 7}
+	for _, tc := range []struct {
+		nb   []int32
+		want int
+	}{
+		{nil, 0}, {[]int32{0, 2, 5}, 3}, {[]int32{1, 0}, 0}, {[]int32{0, 2, 4}, 2}, {[]int32{5, 3, 1}, 1},
+	} {
+		if got := firstUnvisited(tc.nb, levels); got != tc.want {
+			t.Errorf("firstUnvisited(%v) = %d, want %d", tc.nb, got, tc.want)
+		}
+	}
+	nb := []int32{1, 0, 3, 2, 5, 4}
+	var hits []int32
+	for j := firstUnvisited(nb, levels); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], levels) {
+		hits = append(hits, nb[j])
+	}
+	if len(hits) != 3 || hits[0] != 1 || hits[1] != 3 || hits[2] != 4 {
+		t.Errorf("resumed scan hit %v, want [1 3 4]", hits)
 	}
 }
 

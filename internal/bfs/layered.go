@@ -23,22 +23,23 @@ const DefaultBlockSize = 32
 // passes none; it matches the grainsize regime of the original code.
 const DefaultBagGrain = 128
 
-// claimLocked claims w for level lv exactly once. It checks before locking
-// (the paper's §IV-C improvement): most arcs lead to an already-visited
-// vertex, and a plain load is far cheaper than a failed locked CAS. The
-// CAS alone decides who wins.
-func claimLocked(levels []int32, w int32, lv int32) bool {
-	return atomic.LoadInt32(&levels[w]) == Unvisited &&
-		atomic.CompareAndSwapInt32(&levels[w], Unvisited, lv)
-}
-
-// claimRelaxed claims w for level lv without synchronisation between check
-// and store; concurrent claimers may all succeed ("whichever wins the race
-// leads to the same values in memory").
-func claimRelaxed(levels []int32, w int32, lv int32) bool {
-	if atomic.LoadInt32(&levels[w]) == Unvisited {
-		atomic.StoreInt32(&levels[w], lv)
-		return true
+// firstUnvisited returns the index of the first vertex of nb whose level
+// word reads Unvisited, or len(nb): the arc scan under every top-down body.
+// It is a leaf, never inlined, because of what the scan costs when it shares
+// a loop with the claim: the body (CAS, Writer.Push, append) outgrows the
+// register allocator and the loop's index and bounds move to stack slots, a
+// store-to-load forward on the path of all ~45 arcs of a vertex for the sake
+// of the one that is claimed (DESIGN.md §2). The load is §IV-C's check before
+// lock and the relaxed variants' check before store: a caller claims nb[i]
+// itself — compare-and-swap (exactly once) or atomic store ("whichever wins
+// the race leads to the same values in memory") — and calls again on nb[i+1:].
+//
+//go:noinline
+func firstUnvisited(nb, levels []int32) int {
+	for i, u := range nb {
+		if atomic.LoadInt32(&levels[u]) == Unvisited {
+			return i
+		}
 	}
-	return false
+	return len(nb)
 }

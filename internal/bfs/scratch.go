@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"micgraph/internal/graph"
@@ -192,18 +193,15 @@ func expandBlockEntry(xadj []int64, adj, levels []int32, main, spill []int32, i 
 	if v == Sentinel {
 		return 0
 	}
-	if relaxed {
-		for j := xadj[v]; j < xadj[v+1]; j++ {
-			if w := adj[j]; claimRelaxed(levels, w, lv) {
-				wr.Push(w)
-			}
+	nb := adj[xadj[v]:xadj[v+1]]
+	for j := firstUnvisited(nb, levels); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], levels) {
+		u := nb[j]
+		if relaxed {
+			atomic.StoreInt32(&levels[u], lv) // check (the leaf's) then store: concurrent claimers all push
+		} else if !atomic.CompareAndSwapInt32(&levels[u], Unvisited, lv) {
+			continue // locked: the compare-and-swap alone decides who pushes
 		}
-	} else {
-		for j := xadj[v]; j < xadj[v+1]; j++ {
-			if w := adj[j]; claimLocked(levels, w, lv) {
-				wr.Push(w)
-			}
-		}
+		wr.Push(u)
 	}
 	return 1
 }
@@ -340,18 +338,18 @@ func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, poo
 			for ci := lo; ci < hi; ci++ {
 				items := s.curChunks[ci]
 				for _, v := range items {
-					for j := xadj[v]; j < xadj[v+1]; j++ {
-						u := adj[j]
-						if claimRelaxed(lvls, u, lv) {
-							if len(bb.hopper) == cap(bb.hopper) {
-								if cap(bb.hopper) > 0 {
-									bb.chunks = append(bb.chunks, bb.hopper)
-								}
-								bb.hopper = s.arena.Get(w, s.chunkGrain)
+					nb := adj[xadj[v]:xadj[v+1]]
+					for j := firstUnvisited(nb, lvls); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], lvls) {
+						u := nb[j]
+						atomic.StoreInt32(&lvls[u], lv)
+						if len(bb.hopper) == cap(bb.hopper) {
+							if cap(bb.hopper) > 0 {
+								bb.chunks = append(bb.chunks, bb.hopper)
 							}
-							bb.hopper = append(bb.hopper, u)
-							bb.claims++
+							bb.hopper = s.arena.Get(w, s.chunkGrain)
 						}
+						bb.hopper = append(bb.hopper, u)
+						bb.claims++
 					}
 				}
 				bb.processed += int64(len(items))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"micgraph/internal/bfs"
 	"micgraph/internal/gen"
 	"micgraph/internal/graph"
 	"micgraph/internal/kernels"
@@ -73,5 +74,53 @@ func TestComponentsWorstCase(t *testing.T) {
 	}
 	if rounds, walked := componentsWork(t, rt, "pointerjump", g); rounds != 1 || walked["hook"] != arcs/2 {
 		t.Errorf("pointer jumping: %d rounds walking %d arcs of %d, want one hook sweep", rounds, walked["hook"], arcs)
+	}
+}
+
+// TestBFSWorkInflation is the work-efficiency gate of the parallel BFS
+// variants, exact at one worker, where nothing races and the counts are a
+// pure function of the kernel code. Over the level samples a run records,
+// every reached vertex is expanded once (Σ Items), every arc incident to one
+// is walked once (Σ Edges — the ratio bfs.hybrid.scan_ratio reports, held to
+// exactly 1), every reached vertex but the source is claimed once (Σ Claims)
+// and nothing is processed twice. A frontier that holds a vertex twice, a
+// level walked again or a claim counted without its push fails here by name
+// instead of surfacing as a ratio in a traced run; that the levels are right
+// is TestBFSMatchesOracle's business.
+func TestBFSWorkInflation(t *testing.T) {
+	rt := kernels.NewRuntime(1)
+	defer rt.Close()
+	corpus := Corpus()
+	for _, e := range kernels.Table() {
+		if e.Kind != kernels.BFS || e.Variant == kernels.Seq {
+			continue
+		}
+		for _, nm := range corpus {
+			for _, src := range Sources(nm.G) {
+				var reached, arcs int64
+				for v, lv := range bfs.Sequential(nm.G, src).Levels {
+					if lv != bfs.Unvisited {
+						reached++
+						arcs += int64(nm.G.Degree(int32(v)))
+					}
+				}
+				rec := telemetry.NewMemRecorder()
+				out, err := e.Run(telemetry.WithRecorder(context.Background(), rec), rt, nm.G,
+					kernels.Params{Source: src, Chunk: 16, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var items, edges, claims int64
+				for _, s := range rec.Samples() {
+					items += s.Items
+					edges += s.Edges
+					claims += s.Claims
+				}
+				if items != reached || edges != arcs || claims != reached-1 || out.BFS.Duplicates != 0 {
+					t.Errorf("%s/%s from %d: expanded %d vertices, walked %d arcs, claimed %d, %d duplicates; want %d, %d, %d, 0",
+						nm.Name, e.Variant, src, items, edges, claims, out.BFS.Duplicates, reached, arcs, reached-1)
+				}
+			}
+		}
 	}
 }

@@ -36,6 +36,10 @@ func (e *PanicError) Unwrap() error {
 // pool has been closed.
 var ErrPoolClosed = errors.New("sched: Run on closed Pool")
 
+// ErrTeamClosed is returned by ForCtx, ForE and a Team-bound Loop.Run when
+// the team has been closed; Team.For panics with it.
+var ErrTeamClosed = errors.New("sched: loop on closed Team")
+
 // panicSlot collects the first panic observed across the workers of one
 // loop or task tree. Later panics are dropped: the first failure is the
 // one that aborts the region, matching errgroup-style semantics.

@@ -3,6 +3,7 @@ package sched
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"micgraph/internal/telemetry"
 )
@@ -64,6 +65,41 @@ func TestTeamCountersPanics(t *testing.T) {
 	}
 	if got := counters.Total(telemetry.PanicsContained); got == 0 {
 		t.Error("panics_contained = 0 after contained panic")
+	}
+}
+
+// TestTeamCountersLoopTallies: with counters attached every worker books,
+// per dispatched loop, how long after the loop's publication it reached its
+// first claim and how long it stayed claiming — the caller, as worker 0,
+// like the helpers. Both fit inside the loops' wall time, the busy tally
+// holds at least the time the bodies took, and an inline loop books nothing.
+func TestTeamCountersLoopTallies(t *testing.T) {
+	const workers, loops, perChunk = 2, 50, 20 * time.Microsecond
+	team := NewTeam(workers)
+	defer team.Close()
+	counters := telemetry.NewCounters(workers)
+	team.SetCounters(counters)
+	chunks := make([]int64, workers)
+	body := func(lo, hi, w int) {
+		chunks[w]++
+		busyWait(perChunk)
+	}
+	start := time.Now()
+	for i := 0; i < loops; i++ {
+		check(t, team.ForCtx(nil, 8, ForOptions{Policy: Static, Chunk: 1, SerialBelow: -1}, body))
+	}
+	wall := time.Since(start)
+	for w := 0; w < workers; w++ {
+		lag := time.Duration(counters.Get(w, telemetry.LoopStartLagNS))
+		busy := time.Duration(counters.Get(w, telemetry.LoopBusyNS))
+		if lag < 0 || busy < time.Duration(chunks[w])*perChunk || lag+busy > wall {
+			t.Errorf("worker %d: start lag %v, busy %v over %d chunks of %v in %v of loops", w, lag, busy, chunks[w], perChunk, wall)
+		}
+	}
+	before := counters.Snapshot().Totals
+	check(t, team.ForCtx(nil, workers, ForOptions{}, body)) // at the cutoff: inline
+	if after := counters.Snapshot().Totals; after.LoopBusyNS != before.LoopBusyNS || after.LoopStartLagNS != before.LoopStartLagNS {
+		t.Errorf("an inline loop moved the loop tallies: %+v -> %+v", before, after)
 	}
 }
 

@@ -8,7 +8,8 @@
 //
 //   - Counters: per-worker, cache-line-padded atomic counters for scheduler
 //     events (chunks claimed, tasks spawned, steals and steal failures,
-//     range splits, contained panics, harness retries). A nil *Counters is
+//     range splits, contained panics, harness retries, and a Team worker's
+//     start lag and busy time per loop). A nil *Counters is
 //     a valid no-op sink, so uninstrumented Teams and Pools pay only a nil
 //     check per event.
 //
@@ -50,6 +51,13 @@ const (
 	PanicsContained
 	// Retries counts harness-level retries of failed sweep cells.
 	Retries
+	// LoopStartLagNS sums, over a Team's dispatched loops, the nanoseconds
+	// from the loop's publication to the worker's first claim: what waking
+	// the worker cost the loop.
+	LoopStartLagNS
+	// LoopBusyNS sums the nanoseconds from that first claim to the worker's
+	// last; the rest of a loop's wall time it waited at the barrier.
+	LoopBusyNS
 
 	// NumKinds is the number of counter kinds.
 	NumKinds
@@ -72,6 +80,10 @@ func (k Kind) String() string {
 		return "panics_contained"
 	case Retries:
 		return "retries"
+	case LoopStartLagNS:
+		return "loop_start_lag_ns"
+	case LoopBusyNS:
+		return "loop_busy_ns"
 	}
 	return "unknown"
 }
@@ -153,35 +165,14 @@ type CounterSet struct {
 	RangeSplits     int64 `json:"range_splits"`
 	PanicsContained int64 `json:"panics_contained"`
 	Retries         int64 `json:"retries"`
+	LoopStartLagNS  int64 `json:"loop_start_lag_ns"`
+	LoopBusyNS      int64 `json:"loop_busy_ns"`
 }
 
-func (s *CounterSet) set(k Kind, v int64) {
-	switch k {
-	case ChunksClaimed:
-		s.ChunksClaimed = v
-	case TasksSpawned:
-		s.TasksSpawned = v
-	case Steals:
-		s.Steals = v
-	case StealFails:
-		s.StealFails = v
-	case RangeSplits:
-		s.RangeSplits = v
-	case PanicsContained:
-		s.PanicsContained = v
-	case Retries:
-		s.Retries = v
-	}
-}
-
-func (s *CounterSet) add(o CounterSet) {
-	s.ChunksClaimed += o.ChunksClaimed
-	s.TasksSpawned += o.TasksSpawned
-	s.Steals += o.Steals
-	s.StealFails += o.StealFails
-	s.RangeSplits += o.RangeSplits
-	s.PanicsContained += o.PanicsContained
-	s.Retries += o.Retries
+// field maps a counter kind to its place in the set, in Kind order.
+func (s *CounterSet) field(k Kind) *int64 {
+	return [NumKinds]*int64{&s.ChunksClaimed, &s.TasksSpawned, &s.Steals, &s.StealFails, &s.RangeSplits,
+		&s.PanicsContained, &s.Retries, &s.LoopStartLagNS, &s.LoopBusyNS}[k]
 }
 
 // Snapshot is a point-in-time copy of a Counters set. Individual loads are
@@ -202,9 +193,10 @@ func (c *Counters) Snapshot() Snapshot {
 	snap := Snapshot{Workers: len(c.workers), PerWorker: make([]CounterSet, len(c.workers))}
 	for w := range c.workers {
 		for k := Kind(0); k < NumKinds; k++ {
-			snap.PerWorker[w].set(k, c.workers[w].v[k].Load())
+			v := c.workers[w].v[k].Load()
+			*snap.PerWorker[w].field(k) = v
+			*snap.Totals.field(k) += v
 		}
-		snap.Totals.add(snap.PerWorker[w])
 	}
 	return snap
 }

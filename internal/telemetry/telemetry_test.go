@@ -80,6 +80,30 @@ func TestKindString(t *testing.T) {
 		RangeSplits:     "range_splits",
 		PanicsContained: "panics_contained",
 		Retries:         "retries",
+		LoopStartLagNS:  "loop_start_lag_ns",
+		LoopBusyNS:      "loop_busy_ns",
+	}
+	if len(want) != int(NumKinds) {
+		t.Errorf("%d kinds named here, NumKinds = %d", len(want), NumKinds)
+	}
+	// Every kind reaches the snapshot under its own name: a kind added
+	// without its CounterSet field or set case reads 0 or is missing here.
+	c := NewCounters(1)
+	for k := Kind(0); k < NumKinds; k++ {
+		c.Add(0, k, int64(k)+1)
+	}
+	raw, err := json.Marshal(c.Snapshot().Totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]int64
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for k := Kind(0); k < NumKinds; k++ {
+		if got := fields[k.String()]; got != int64(k)+1 {
+			t.Errorf("snapshot field %q = %d, want %d", k.String(), got, int64(k)+1)
+		}
 	}
 	for k, s := range want {
 		if k.String() != s {

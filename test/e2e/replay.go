@@ -15,6 +15,8 @@ import (
 var (
 	hexAddr     = regexp.MustCompile(`0x[0-9a-f]+`)
 	goroutineID = regexp.MustCompile(`goroutine \d+`)
+	// The two scheduler counters that are clock readings, not counts.
+	loopTallyNS = regexp.MustCompile(`("loop_(?:start_lag|busy)_ns"):\d+`)
 )
 
 // Replay determinism: one seed must reproduce not just the action script
@@ -108,13 +110,15 @@ func runReplay(t tb, seed uint64, n int) []byte {
 
 	// normalize rewrites run-local absolute paths back into placeholders and
 	// scrubs runtime noise (heap addresses and goroutine IDs in the stack
-	// traces that injected panics embed in error lines) so the log is
+	// traces that injected panics embed in error lines, the nanosecond
+	// tallies among the scheduler counters) so the log is
 	// byte-stable across runs and hosts. The *behavioural* content — which
 	// call number panicked, at which site, in which frame — survives intact.
 	normalize := func(s string) string {
 		s = strings.ReplaceAll(s, outDir, "$OUT")
 		s = strings.ReplaceAll(s, poolDir, "$F")
 		s = hexAddr.ReplaceAllString(s, "0xADDR")
+		s = loopTallyNS.ReplaceAllString(s, "$1:NS")
 		return goroutineID.ReplaceAllString(s, "goroutine N")
 	}
 
