@@ -17,6 +17,7 @@ import (
 	"micgraph/internal/components"
 	"micgraph/internal/core"
 	"micgraph/internal/gen"
+	"micgraph/internal/graph"
 	"micgraph/internal/irregular"
 	"micgraph/internal/mic"
 	"micgraph/internal/sched"
@@ -304,6 +305,56 @@ func BenchmarkGenerateSuiteGraph(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The three stages every generated graph goes through (RMAT-16, 1 M edges
+// before dedup), each reporting ns per arc of the graph it returns.
+
+func rmat16() *graph.Graph { return gen.RMAT(16, 16, 0.57, 0.19, 0.19, 1) }
+
+func reportPerArc(b *testing.B, g *graph.Graph) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumArcs()), "ns/arc")
+}
+
+func BenchmarkGenRMAT16(b *testing.B) {
+	var g *graph.Graph
+	for i := 0; i < b.N; i++ {
+		g = rmat16()
+	}
+	reportPerArc(b, g)
+}
+
+// BenchmarkGraphBuildRMAT16 rebuilds the graph from its own arc list, so
+// every edge arrives twice, once in each orientation.
+func BenchmarkGraphBuildRMAT16(b *testing.B) {
+	g := rmat16()
+	tails := make([]int32, 0, g.NumArcs())
+	for v := 0; v < g.NumVertices(); v++ {
+		for range g.Adj(int32(v)) {
+			tails = append(tails, int32(v))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bld := graph.NewBuilder(g.NumVertices())
+		bld.AddEdges(len(tails), func(us, vs []int32) {
+			copy(us, tails)
+			copy(vs, g.AdjRaw())
+		})
+		if h := bld.Build(); h.NumArcs() != g.NumArcs() {
+			b.Fatalf("rebuilt graph has %d arcs, want %d", h.NumArcs(), g.NumArcs())
+		}
+	}
+	reportPerArc(b, g)
+}
+
+func BenchmarkGraphShuffledRMAT16(b *testing.B) {
+	g := rmat16()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Shuffled(2)
+	}
+	reportPerArc(b, g)
 }
 
 // --- Extension kernels ----------------------------------------------------

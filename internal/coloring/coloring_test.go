@@ -81,12 +81,7 @@ func TestSeqGreedyBound(t *testing.T) {
 
 func TestSeqGreedyOrderPermutation(t *testing.T) {
 	g := randomGraph(3, 60, 300)
-	r := xrand.New(9)
-	order := make([]int32, g.NumVertices())
-	for i, p := range r.Perm(g.NumVertices()) {
-		order[i] = int32(p)
-	}
-	res := SeqGreedyOrder(g, order)
+	res := SeqGreedyOrder(g, xrand.New(9).Perm(g.NumVertices()))
 	if err := Validate(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}

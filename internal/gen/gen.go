@@ -27,6 +27,9 @@ package gen
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 
 	"micgraph/internal/graph"
 	"micgraph/internal/xrand"
@@ -103,10 +106,12 @@ func Grid3D(w, h, d int) *graph.Graph {
 func ErdosRenyi(n int, m int, seed uint64) *graph.Graph {
 	r := xrand.New(seed)
 	b := graph.NewBuilder(n)
-	b.Grow(m)
-	for i := 0; i < m; i++ {
-		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
-	}
+	b.AddEdges(m, func(us, vs []int32) {
+		for i := range us {
+			us[i] = int32(r.Intn(n))
+			vs[i] = int32(r.Intn(n))
+		}
+	})
 	return b.Build()
 }
 
@@ -114,33 +119,85 @@ func ErdosRenyi(n int, m int, seed uint64) *graph.Graph {
 // about edgeFactor*2^scale edges, using the standard (a,b,c,d) quadrant
 // probabilities (Graph 500 uses a=0.57, b=c=0.19, d=0.05). The result is
 // symmetrised and deduplicated, so the edge count is approximate.
+//
+// Edge i is decoded from words [i*scale, (i+1)*scale) of one Xoshiro stream,
+// most significant bit first. GOMAXPROCS goroutines take turns at the stream:
+// under one lock a goroutine claims the next block of edges and draws its
+// words, then decodes them into those edges' own slots of the Builder while
+// the next draws. The stream is consumed in edge order whoever draws, so the
+// edge list is the same however many run.
 func RMAT(scale int, edgeFactor int, a, b, c float64, seed uint64) *graph.Graph {
 	if a+b+c >= 1 {
 		panic(fmt.Sprintf("gen: RMAT quadrant probabilities a+b+c = %v >= 1", a+b+c))
 	}
 	n := 1 << scale
-	m := edgeFactor * n
 	r := xrand.New(seed)
+	th := rmatThresholds(a, b, c)
 	bld := graph.NewBuilder(n)
-	bld.Grow(m)
-	for i := 0; i < m; i++ {
-		var u, v int
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
-			switch {
-			case p < a: // top-left
-			case p < a+b: // top-right
-				v |= 1 << bit
-			case p < a+b+c: // bottom-left
-				u |= 1 << bit
-			default: // bottom-right
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+	bld.AddEdges(edgeFactor*n, func(us, vs []int32) {
+		var mu sync.Mutex // guards r and next
+		next := 0
+		var wg sync.WaitGroup
+		blocks := (len(us) + rmatBlock - 1) / rmatBlock
+		for i := 0; i < min(runtime.GOMAXPROCS(0), blocks); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				words := make([]uint64, min(rmatBlock, len(us))*scale)
+				for {
+					mu.Lock()
+					lo := next
+					hi := min(lo+rmatBlock, len(us))
+					next = hi
+					r.Fill(words[:(hi-lo)*scale])
+					mu.Unlock()
+					if lo == hi {
+						return
+					}
+					for e := lo; e < hi; e++ {
+						i := (e - lo) * scale
+						us[e], vs[e] = rmatDecode(words[i:i+scale], &th)
+					}
+				}
+			}()
 		}
-		bld.AddEdge(int32(u), int32(v))
-	}
+		wg.Wait()
+	})
 	return bld.Build()
+}
+
+// rmatBlock is how many edges a goroutine draws and decodes at a time: few
+// enough turns at the lock (512 for RMAT-19) that waiting for it costs nothing.
+const rmatBlock = 1 << 14
+
+// rmatThresholds turns the cumulative quadrant probabilities a, a+b, a+b+c
+// into integers: a word x yields p = (x>>11)·2⁻⁵³ (xrand's Float64), x>>11 is
+// an integer below 2⁵³ and scaling by 2⁵³ is exact, so p < t exactly when
+// x>>11 < ceil(t·2⁵³). Clamping to [0, 1] and making them non-decreasing is
+// what testing p < a, else p < a+b, else p < a+b+c in that order does.
+func rmatThresholds(a, b, c float64) (th [3]uint64) {
+	for i, t := range [3]float64{a, a + b, a + b + c} {
+		if t > 0 {
+			th[i] = uint64(math.Ceil(min(t, 1) * (1 << 53)))
+		}
+		if i > 0 {
+			th[i] = max(th[i], th[i-1])
+		}
+	}
+	return th
+}
+
+// rmatDecode reads one edge from its words, a quadrant a word and no branch:
+// ge is 1 once x has reached a threshold (the subtraction wraps into the sign
+// bit); the row bit is set from a+b on, the column bit in [a, a+b) and from a+b+c.
+func rmatDecode(words []uint64, th *[3]uint64) (u, v int32) {
+	for _, x := range words {
+		x >>= 11
+		geA, geAB, geABC := (th[0]-1-x)>>63, (th[1]-1-x)>>63, (th[2]-1-x)>>63
+		u = u<<1 | int32(geAB)
+		v = v<<1 | int32(geA^geAB^geABC)
+	}
+	return u, v
 }
 
 // RingOfCliques returns k cliques of size s, with clique i joined to clique

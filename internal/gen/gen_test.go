@@ -1,8 +1,11 @@
 package gen
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"micgraph/internal/xrand"
 )
 
 func TestChain(t *testing.T) {
@@ -108,6 +111,62 @@ func TestRMATBadProbabilities(t *testing.T) {
 		}
 	}()
 	RMAT(4, 2, 0.5, 0.3, 0.3, 1)
+}
+
+// TestRMATThresholdsMatchFloat holds the integer quadrant decode to the
+// float comparison it replaced, p = Float64() tested against a, a+b, a+b+c in
+// order: on the words either side of every threshold, where an off-by-one in
+// the ceiling would show, on the ends of the range, and on random words. The
+// first two parameter sets are the ones the goldens and the benchmark use;
+// the rest are degenerate (a negative or NaN term, a partial sum over 1).
+func TestRMATThresholdsMatchFloat(t *testing.T) {
+	nan := math.NaN()
+	for _, p := range [][3]float64{
+		{.57, .19, .19}, {.7, .1, .1},
+		{0, 0, 0}, {.5, -.2, .3}, {-1, .5, .5}, {.9, .2, -.3}, {.3, nan, .1}, {1e-17, 1e-17, .5},
+	} {
+		a, b, c := p[0], p[1], p[2]
+		th := rmatThresholds(a, b, c)
+		words := []uint64{0, 1, 1<<53 - 1}
+		for _, x := range th {
+			words = append(words, x-1, x, x+1)
+		}
+		r := xrand.New(1)
+		for i := 0; i < 10000; i++ {
+			words = append(words, r.Uint64()>>11)
+		}
+		for _, x := range words {
+			if x >= 1<<53 {
+				continue // threshold 0 minus one, threshold 2^53 plus one
+			}
+			word := x<<11 | r.Uint64()&0x7ff // the low 11 bits must not matter
+			pf := float64(word>>11) / (1 << 53)
+			var wantU, wantV int32
+			switch {
+			case pf < a:
+			case pf < a+b:
+				wantV = 1
+			case pf < a+b+c:
+				wantU = 1
+			default:
+				wantU, wantV = 1, 1
+			}
+			if u, v := rmatDecode([]uint64{word}, &th); u != wantU || v != wantV {
+				t.Errorf("(a,b,c)=%v word %#x: decoded (%d,%d), the float comparison says (%d,%d)", p, word, u, v, wantU, wantV)
+			}
+		}
+	}
+	// Words are read most significant bit first.
+	th := rmatThresholds(.57, .19, .19)
+	if u, v := rmatDecode([]uint64{th[1] << 11, 0, th[0] << 11}, &th); u != 0b100 || v != 0b001 {
+		t.Errorf("three-word decode = (%03b,%03b), want (100,001)", u, v)
+	}
+}
+
+func TestRMATScaleZero(t *testing.T) {
+	if g := RMAT(0, 4, .57, .19, .19, 1); g.NumVertices() != 1 || g.NumEdges() != 0 {
+		t.Errorf("RMAT(0, ...) = %s, want one vertex and no edge", g)
+	}
 }
 
 func TestRingOfCliques(t *testing.T) {

@@ -71,29 +71,15 @@ func Scaled(cfg MeshConfig, f int) MeshConfig {
 		return cfg
 	}
 	c := cfg
-	c.V = maxInt(cfg.V/(f*f), 4*cfg.CliqueSize)
-	c.E = maxInt64(cfg.E/int64(f*f), int64(c.V)*int64(cfg.CliqueSize-1)/2)
-	c.GridW = maxInt(cfg.GridW/f, 2)
-	c.NumHubs = maxInt(cfg.NumHubs/(f*f), 1)
+	c.V = max(cfg.V/(f*f), 4*cfg.CliqueSize)
+	c.E = max(cfg.E/int64(f*f), int64(c.V)*int64(cfg.CliqueSize-1)/2)
+	c.GridW = max(cfg.GridW/f, 2)
+	c.NumHubs = max(cfg.NumHubs/(f*f), 1)
 	if c.MaxDegree >= c.V {
 		c.MaxDegree = c.V - 1
 	}
 	c.Name = fmt.Sprintf("%s/%d", cfg.Name, f)
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Mesh generates the clique-grid graph described by cfg. The result is
@@ -149,7 +135,7 @@ func Mesh(cfg MeshConfig) (*graph.Graph, error) {
 	// 3. Inter-clique budget spread over grid-adjacent clique pairs within
 	// Chebyshev distance LinkRadius.
 	budget := cfg.E - cliqueEdges - int64(numCliques-1)
-	hubBudget := int64(cfg.NumHubs) * int64(maxInt(cfg.MaxDegree-s, 0))
+	hubBudget := int64(cfg.NumHubs) * int64(max(cfg.MaxDegree-s, 0))
 	budget -= hubBudget
 	if budget > 0 {
 		pairs := adjacentPairs(numCliques, gridW, gridL, cfg.LinkRadius)
@@ -183,7 +169,7 @@ func Mesh(cfg MeshConfig) (*graph.Graph, error) {
 	// clique, a hub is colored early by First Fit and takes a low color, so
 	// hubs raise Δ without inflating the color count.
 	if cfg.NumHubs > 0 && cfg.MaxDegree > s {
-		stride := maxInt(numCliques/cfg.NumHubs, 1)
+		stride := max(numCliques/cfg.NumHubs, 1)
 		for h := 0; h < cfg.NumHubs; h++ {
 			k := (h * stride) % numCliques
 			hub := cliqueBase(k)

@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // Edge is an undirected edge between two vertices. The orientation is
@@ -62,89 +63,101 @@ func NewBuilder(n int) *Builder {
 
 // Grow pre-allocates capacity for m additional edges.
 func (b *Builder) Grow(m int) {
-	if cap(b.us)-len(b.us) < m {
-		nus := make([]int32, len(b.us), len(b.us)+m)
-		copy(nus, b.us)
-		b.us = nus
-		nvs := make([]int32, len(b.vs), len(b.vs)+m)
-		copy(nvs, b.vs)
-		b.vs = nvs
-	}
+	b.us = slices.Grow(b.us, m)
+	b.vs = slices.Grow(b.vs, m)
 }
 
 // AddEdge records the undirected edge {u,v}. Out-of-range endpoints panic;
 // self loops and duplicates are tolerated and removed at Build time.
 func (b *Builder) AddEdge(u, v int32) {
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
-	}
+	b.check(u, v)
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
 }
 
+// AddEdges records m edges at once: fill is handed the Builder's own next m
+// slots, us[i] and vs[i] the ends of one edge, to write in any order and from
+// as many goroutines as it likes before it returns; the endpoints are then
+// checked as AddEdge checks them. A generator of millions of edges pays
+// neither a call per edge nor a second copy of the list.
+func (b *Builder) AddEdges(m int, fill func(us, vs []int32)) {
+	b.Grow(m)
+	k := len(b.us)
+	b.us, b.vs = b.us[:k+m], b.vs[:k+m]
+	fill(b.us[k:], b.vs[k:])
+	for i := k; i < k+m; i++ {
+		b.check(b.us[i], b.vs[i])
+	}
+}
+
+func (b *Builder) check(u, v int32) {
+	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
+	}
+}
+
 // Build produces the CSR graph. The Builder must not be reused afterwards.
 //
-// The construction is the classic two-pass counting sort: count degrees of
-// both endpoints of every surviving edge, prefix-sum into offsets, scatter,
-// then sort and dedup each adjacency list in place.
+// The construction is a counting sort by vertex, run by GOMAXPROCS goroutines
+// once the edge list is long enough to pay for them (forChunks): count the
+// degrees of both ends of every surviving edge with atomic adds, prefix-sum
+// them into offsets, scatter both directions through an atomic cursor per
+// vertex, sort and dedup each list where it lies, then close the gaps in
+// place. The slot an arc lands in depends on how the goroutines interleave;
+// the sort erases that, so the graph is the same for every worker count.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Builder.Build called twice")
 	}
 	b.built = true
-	n := b.n
+	n, us, vs := b.n, b.us, b.vs
+	b.us, b.vs = nil, nil
 
-	// Pass 1: degrees, dropping self loops.
-	deg := make([]int64, n+1)
-	for i := range b.us {
-		if b.us[i] == b.vs[i] {
-			continue
+	// Pass 1: degrees, dropping self loops; then offsets.
+	xadj := make([]int64, n+1)
+	forChunks(len(us), len(us), edgeChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if u, v := us[i], vs[i]; u != v {
+				atomic.AddInt64(&xadj[u+1], 1)
+				atomic.AddInt64(&xadj[v+1], 1)
+			}
 		}
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
-	}
+	})
 	for v := 0; v < n; v++ {
-		deg[v+1] += deg[v]
+		xadj[v+1] += xadj[v]
 	}
-	xadj := deg // reuse: deg is now the prefix sum / final xadj after scatter
 
 	// Pass 2: scatter both directions.
 	adj := make([]int32, xadj[n])
 	next := make([]int64, n)
-	for v := 0; v < n; v++ {
-		next[v] = xadj[v]
-	}
-	for i := range b.us {
-		u, v := b.us[i], b.vs[i]
-		if u == v {
-			continue
-		}
-		adj[next[u]] = v
-		next[u]++
-		adj[next[v]] = u
-		next[v]++
-	}
-	b.us, b.vs = nil, nil
-
-	// Pass 3: sort and dedup each list, compacting in place.
-	out := int64(0)
-	newXadj := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		lo, hi := xadj[v], xadj[v+1]
-		list := adj[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		newXadj[v] = out
-		var prev int32 = -1
-		for _, w := range list {
-			if w != prev {
-				adj[out] = w
-				out++
-				prev = w
+	copy(next, xadj)
+	forChunks(len(us), len(us), edgeChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if u, v := us[i], vs[i]; u != v {
+				adj[atomic.AddInt64(&next[u], 1)-1] = v
+				adj[atomic.AddInt64(&next[v], 1)-1] = u
 			}
 		}
+	})
+
+	// Pass 3: sort and dedup each list; next[v] becomes the length kept.
+	forChunks(len(us), n, vertexChunk, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			list := adj[xadj[v]:xadj[v+1]]
+			slices.Sort(list)
+			next[v] = int64(len(slices.Compact(list)))
+		}
+	})
+
+	// Pass 4: move the lists left over the gaps, in place.
+	out := int64(0)
+	for v := 0; v < n; v++ {
+		lo := xadj[v]
+		xadj[v] = out
+		out += int64(copy(adj[out:], adj[lo:lo+next[v]]))
 	}
-	newXadj[n] = out
-	return &Graph{xadj: newXadj, adj: adj[:out:out]}
+	xadj[n] = out
+	return &Graph{xadj: xadj, adj: adj[:out:out]}
 }
 
 // FromAdjacency builds a graph from explicit adjacency lists. The lists are

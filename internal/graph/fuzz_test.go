@@ -82,3 +82,32 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBuild reads the input as a vertex count and a list of endpoint pairs,
+// any of them loops or repeats, and checks that Build returns a valid graph
+// equal to the sequential reference's.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{3, 0, 1, 1, 0, 2, 2, 1, 2, 0, 1})
+	f.Add([]byte{200, 7, 7, 7, 199, 199, 7, 0, 7, 7, 0, 31})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := 1
+		if len(data) > 0 {
+			n += int(data[0])
+			data = data[1:]
+		}
+		edges := make([]Edge, len(data)/2)
+		for i := range edges {
+			edges[i] = Edge{int32(int(data[2*i]) % n), int32(int(data[2*i+1]) % n)}
+		}
+		g := MustFromEdges(n, edges)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Build returned an invalid graph: %v", err)
+		}
+		if !g.Equal(referenceBuild(n, edges)) {
+			t.Fatalf("Build differs from the reference on n=%d %v", n, edges)
+		}
+	})
+}

@@ -13,7 +13,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected graph in CSR form. The zero value is the empty
@@ -81,9 +81,8 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	a := g.Adj(u)
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
+	_, ok := slices.BinarySearch(g.Adj(u), v)
+	return ok
 }
 
 // Validate checks the structural invariants of the CSR representation:
@@ -123,17 +122,12 @@ func (g *Graph) Validate() error {
 	// Symmetry: every arc (v,w) must have a reverse arc (w,v).
 	for v := 0; v < n; v++ {
 		for _, w := range g.Adj(int32(v)) {
-			if !containsSorted(g.Adj(w), int32(v)) {
+			if _, ok := slices.BinarySearch(g.Adj(w), int32(v)); !ok {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d)", v, w)
 			}
 		}
 	}
 	return nil
-}
-
-func containsSorted(a []int32, v int32) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
 }
 
 // Clone returns a deep copy of g.

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"runtime"
+	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -235,6 +238,124 @@ func TestDegreeHistogram(t *testing.T) {
 	for i := range want {
 		if h[i] != want[i] {
 			t.Errorf("histogram[%d] = %d, want %d", i, h[i], want[i])
+		}
+	}
+}
+
+// referenceBuild is the sequential construction Build and Permute must agree
+// with word for word: every arc, both ways, in one list sorted by (tail,
+// head), self loops and repeats dropped on the way out.
+func referenceBuild(n int, edges []Edge) *Graph {
+	var arcs []Edge
+	for _, e := range edges {
+		if e.U != e.V {
+			arcs = append(arcs, e, Edge{e.V, e.U})
+		}
+	}
+	sort.Slice(arcs, func(i, j int) bool {
+		return arcs[i].U < arcs[j].U || arcs[i].U == arcs[j].U && arcs[i].V < arcs[j].V
+	})
+	g := &Graph{xadj: make([]int64, n+1), adj: []int32{}}
+	for i, a := range arcs {
+		if i == 0 || a != arcs[i-1] {
+			g.adj = append(g.adj, a.V)
+			g.xadj[a.U+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		g.xadj[v+1] += g.xadj[v]
+	}
+	return g
+}
+
+// messyEdges draws m edges of everything Build has to survive: self loops,
+// repeats in the same and in the opposite orientation, a hub on half of all
+// edges (the cursor every worker hits at once) and, the top quarter of the
+// id range never being drawn, isolated vertices.
+func messyEdges(seed uint64, n, m int) []Edge {
+	r := xrand.New(seed)
+	used := max(n*3/4, 1)
+	hub := int32(r.Intn(used))
+	edges := make([]Edge, 0, m)
+	for len(edges) < m {
+		e := Edge{int32(r.Intn(used)), int32(r.Intn(used))}
+		switch k := r.Intn(8); {
+		case k == 0:
+			e.V = e.U
+		case k <= 4:
+			e.U = hub
+		case k == 5 && len(edges) > 0:
+			e = edges[r.Intn(len(edges))]
+		case k == 6 && len(edges) > 0:
+			old := edges[r.Intn(len(edges))]
+			e = Edge{old.V, old.U}
+		}
+		edges = append(edges, e)
+	}
+	return edges
+}
+
+// buildSizes straddle the inline cutoff (one edgeChunk) from both sides.
+var buildSizes = []struct{ n, m int }{
+	{1, 0}, {1, 5}, {2, 9}, {40, 300}, {3000, edgeChunk - 1}, {3000, edgeChunk},
+	{3000, edgeChunk + 1}, {300, 3 * edgeChunk}, {20000, 5*edgeChunk + 17}, {150000, 8 * edgeChunk},
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for i, sz := range buildSizes {
+		edges := messyEdges(uint64(i), sz.n, sz.m)
+		want := referenceBuild(sz.n, edges)
+		b := NewBuilder(sz.n)
+		half := len(edges) / 2
+		for _, e := range edges[:half] {
+			b.AddEdge(e.U, e.V)
+		}
+		b.AddEdges(len(edges)-half, func(us, vs []int32) {
+			for j, e := range edges[half:] {
+				us[j], vs[j] = e.U, e.V
+			}
+		})
+		got := b.Build()
+		if !got.Equal(want) {
+			t.Errorf("n=%d m=%d: Build differs from the reference (%s vs %s)", sz.n, sz.m, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("n=%d m=%d: %v", sz.n, sz.m, err)
+		}
+		if cap(got.adj) != len(got.adj) {
+			t.Errorf("n=%d m=%d: adj has %d words of spare capacity", sz.n, sz.m, cap(got.adj)-len(got.adj))
+		}
+	}
+}
+
+func TestAddEdgesPanicsOutOfRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddEdges with an out-of-range endpoint did not panic")
+		}
+	}()
+	NewBuilder(3).AddEdges(2, func(us, vs []int32) { us[1], vs[1] = 1, -1 })
+}
+
+func TestForChunksCoversOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, size := range []int{edgeChunk, edgeChunk + 1} { // inline, forked
+			for _, n := range []int{0, 1, 7, 8, 9, 1000} {
+				hits := make([]int32, n)
+				forChunks(size, n, 8, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("GOMAXPROCS=%d size=%d n=%d: index %d visited %d times", procs, size, n, i, h)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"micgraph/internal/xrand"
 )
@@ -13,6 +13,11 @@ import (
 // Relabeling is how the paper destroys memory locality: "we shuffled the
 // vertex IDs of graphs randomly which break all the locality that naturally
 // appears in the graphs" (§V-B, Figure 2).
+//
+// The new offsets are a prefix sum over the permuted degrees; the lists are
+// then relabelled and sorted vertexChunk old vertices at a time by the same
+// goroutines Build would use (forChunks). Every list has one writer and a
+// fixed place, so the result does not depend on how many there are.
 func (g *Graph) Permute(perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if len(perm) != n {
@@ -34,27 +39,23 @@ func (g *Graph) Permute(perm []int32) (*Graph, error) {
 		xadj[v+1] += xadj[v]
 	}
 	adj := make([]int32, len(g.adj))
-	for v := 0; v < n; v++ {
-		nv := perm[v]
-		dst := adj[xadj[nv]:xadj[nv+1]]
-		for i, w := range g.Adj(int32(v)) {
-			dst[i] = perm[w]
+	forChunks(len(adj), n, vertexChunk, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			nv := perm[v]
+			dst := adj[xadj[nv]:xadj[nv+1]]
+			for i, w := range g.Adj(int32(v)) {
+				dst[i] = perm[w]
+			}
+			slices.Sort(dst)
 		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	}
+	})
 	return &Graph{xadj: xadj, adj: adj}, nil
 }
 
 // Shuffled returns a copy of g with vertex IDs randomly permuted using the
 // given seed. Deterministic for a given (graph, seed) pair.
 func (g *Graph) Shuffled(seed uint64) *Graph {
-	n := g.NumVertices()
-	r := xrand.New(seed)
-	perm32 := make([]int32, n)
-	for i, p := range r.Perm(n) {
-		perm32[i] = int32(p)
-	}
-	ng, err := g.Permute(perm32)
+	ng, err := g.Permute(xrand.New(seed).Perm(g.NumVertices()))
 	if err != nil {
 		panic(err) // unreachable: Perm always yields a valid permutation
 	}

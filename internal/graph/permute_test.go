@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"micgraph/internal/xrand"
 )
 
 func TestPermuteIdentity(t *testing.T) {
@@ -103,5 +106,27 @@ func TestShuffledPreservesLevelCount(t *testing.T) {
 	_, nlH := h.Levels(perm[0])
 	if nlG != nlH {
 		t.Errorf("level count changed under permutation: %d vs %d", nlG, nlH)
+	}
+}
+
+// TestPermuteMatchesReference relabels the edge list and builds it with the
+// sequential reference; Permute must return those arrays, on both sides of
+// the inline cutoff and with more workers than the box has cores.
+func TestPermuteMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for i, sz := range buildSizes {
+		edges := messyEdges(uint64(100+i), sz.n, sz.m)
+		perm := xrand.New(uint64(i)).Perm(sz.n)
+		relabelled := make([]Edge, len(edges))
+		for j, e := range edges {
+			relabelled[j] = Edge{perm[e.U], perm[e.V]}
+		}
+		got, err := MustFromEdges(sz.n, edges).Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceBuild(sz.n, relabelled); !got.Equal(want) {
+			t.Errorf("n=%d m=%d: Permute differs from the reference (%s vs %s)", sz.n, sz.m, got, want)
+		}
 	}
 }

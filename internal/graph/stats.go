@@ -46,16 +46,9 @@ func ComputeStats(g *Graph) Stats {
 	}
 	sort.Ints(degs)
 	s.DegreeP50 = degs[n/2]
-	s.DegreeP99 = degs[minInt(n-1, n*99/100)]
+	s.DegreeP99 = degs[min(n-1, n*99/100)]
 	_, s.Components = g.ConnectedComponents()
 	return s
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // String formats the stats in one line.

@@ -64,6 +64,24 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
+// Fill sets p to the next len(p) values of the sequence, as that many calls
+// of Uint64 would, holding the state in registers meanwhile: a third of the
+// time a word for a caller that wants millions.
+func (r *Rand) Fill(p []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range p {
+		p[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -97,14 +115,14 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a uniformly random permutation of [0, n) as a slice,
-// generated with the inside-out Fisher-Yates shuffle.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
+// Perm returns a uniformly random permutation of [0, n) as a slice of the
+// vertex-id type, generated with the inside-out Fisher-Yates shuffle.
+func (r *Rand) Perm(n int) []int32 {
+	p := make([]int32, n)
 	for i := 1; i < n; i++ {
 		j := r.Intn(i + 1)
 		p[i] = p[j]
-		p[j] = i
+		p[j] = int32(i)
 	}
 	return p
 }

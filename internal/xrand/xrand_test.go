@@ -101,7 +101,7 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
+			if v < 0 || int(v) >= n || seen[v] {
 				return false
 			}
 			seen[v] = true
@@ -165,4 +165,20 @@ func BenchmarkIntn(b *testing.B) {
 		sink ^= r.Intn(1000003)
 	}
 	_ = sink
+}
+
+func TestFillMatchesUint64(t *testing.T) {
+	a, b := New(5), New(5)
+	for _, n := range []int{0, 1, 7, 1000} {
+		got := make([]uint64, n)
+		a.Fill(got)
+		for i, g := range got {
+			if want := b.Uint64(); g != want {
+				t.Fatalf("Fill(%d) word %d = %#x, Uint64 gives %#x", n, i, g, want)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Error("Fill left the generator in a different state than the Uint64 calls")
+	}
 }
