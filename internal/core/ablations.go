@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"micgraph/internal/graph"
 	"micgraph/internal/mic"
@@ -11,7 +13,80 @@ import (
 
 // Ablation experiments: each isolates one design choice the paper (or this
 // reproduction) calls out, holding everything else fixed. Run them with
-// `micbench -exp abl-...`.
+// `micbench -exp abl-...`. Their cells go through the figures' runner.
+
+// simTimes plays (m, cfg) on every graph's trace at every thread count and
+// returns times[ti][gi]. A failed cell reads NaN and is annotated on the
+// experiment under series; the row of a point the harness context cut off is
+// nil, annotated once an experiment. Ablation cells record no telemetry.
+func (e *Experiment) simTimes(h *Harness, m *mic.Machine, cfg mic.Config, series string,
+	numGraphs int, threads []int, traceFor func(gi, t int) *mic.Trace) [][]float64 {
+	res := h.cells(len(threads)*numGraphs, false, func(i int, _ *mic.SimStats) float64 {
+		t, gi := threads[i/numGraphs], i%numGraphs
+		return mic.Simulate(m, cfg, t, traceFor(gi, t))
+	})
+	times := make([][]float64, len(threads))
+	for ti, t := range threads {
+		point := res[ti*numGraphs : (ti+1)*numGraphs]
+		if point[numGraphs-1].attempts == 0 {
+			e.cutOff(h)
+			break
+		}
+		times[ti] = make([]float64, numGraphs)
+		for gi, r := range point {
+			times[ti][gi] = r.time
+			if r.err != nil {
+				e.Errors = append(e.Errors, CellError{Experiment: e.ID, Series: series,
+					Graph: gi, Threads: t, Attempts: r.attempts, Err: r.err})
+			}
+		}
+	}
+	return times
+}
+
+// ratios returns, point by point of den, the geometric mean over the graphs
+// of num/den; a num of one row (a baseline) serves every point. Failed cells
+// drop out of the mean and a cut-off point reads 0. The ratio of a single
+// graph is reported as it is, not through the mean's exp∘log.
+func ratios(num, den [][]float64) []float64 {
+	vals := make([]float64, len(den))
+	var per []float64
+	for ti, d := range den {
+		n := num[ti%len(num)]
+		if n == nil || d == nil {
+			continue
+		}
+		per = per[:0]
+		for gi := range d {
+			if r := n[gi] / d[gi]; !math.IsNaN(r) {
+				per = append(per, r)
+			}
+		}
+		if vals[ti] = GeoMean(per); len(d) == 1 && len(per) == 1 {
+			vals[ti] = per[0]
+		}
+	}
+	return vals
+}
+
+// speedup is the curve of (m, cfg) against its own one-thread run.
+func (e *Experiment) speedup(h *Harness, m *mic.Machine, cfg mic.Config, series string,
+	numGraphs int, threads []int, traceFor func(gi, t int) *mic.Trace) []float64 {
+	times := e.simTimes(h, m, cfg, series, numGraphs, append([]int{1}, threads...), traceFor)
+	return ratios(times[:1], times[1:])
+}
+
+// acrossX turns curves[xi][ti], one speedup curve per x value, into one
+// series per thread count over the x axis.
+func (e *Experiment) acrossX(xs, threads []int, curves [][]float64) {
+	for ti, th := range threads {
+		vals := make([]float64, len(xs))
+		for xi := range xs {
+			vals[xi] = curves[xi][ti]
+		}
+		e.Series = append(e.Series, Series{Label: fmt.Sprintf("%d threads", th), Threads: xs, Values: vals})
+	}
+}
 
 // AblBlockSize sweeps the BFS block-accessed queue's block size — the
 // trade-off §IV-C describes: "by keeping the block size small (but not so
@@ -27,27 +102,16 @@ func AblBlockSize(s *Suite, m *mic.Machine) *Experiment {
 	}
 	// The trace depends on the block size, not on the thread count: build
 	// each once and play it at every thread count.
-	vals := grid(len(threads), len(sizes))
-	per := grid(len(threads), len(s.Graphs))
+	curves := make([][]float64, len(sizes))
+	traces := make([]*mic.Trace, len(s.Graphs))
 	for si, bs := range sizes {
-		cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: bs}
-		for gi, g := range s.Graphs {
-			src := int32(g.NumVertices() / 2)
-			tr := mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, bs)
-			base := mic.Simulate(m, cfg, 1, tr)
-			for ti, th := range threads {
-				per[ti][gi] = base / mic.Simulate(m, cfg, th, tr)
-			}
-		}
-		for ti := range threads {
-			vals[ti][si] = GeoMean(per[ti])
-		}
-	}
-	for ti, th := range threads {
-		exp.Series = append(exp.Series, Series{
-			Label: fmt.Sprintf("%d threads", th), Threads: sizes, Values: vals[ti],
+		s.Harness.each(len(traces), func(gi int) {
+			traces[gi] = mic.BFSTraceFrom(m, s.Graphs[gi], s.Levels(gi), mic.NaturalOrder, mic.BFSBlockRelaxed, bs)
 		})
+		curves[si] = exp.speedup(s.Harness, m, ompCfg(sched.Dynamic, bs), fmt.Sprintf("block %d", bs),
+			len(traces), threads, func(gi, _ int) *mic.Trace { return traces[gi] })
 	}
+	exp.acrossX(sizes, threads, curves)
 	return exp
 }
 
@@ -63,22 +127,13 @@ func AblChunkSize(s *Suite, m *mic.Machine) *Experiment {
 		Title: "Ablation: OpenMP dynamic chunk size for coloring",
 		Notes: "The x column is the chunk size; the paper's best is 100.",
 	}
-	traceAt := coloringTraces(m, s.Graphs, mic.NaturalOrder, []int{1, 31, 121})
-	for _, th := range threads {
-		vals := make([]float64, len(chunks))
-		for ci, chunk := range chunks {
-			per := make([]float64, len(s.Graphs))
-			for gi := range s.Graphs {
-				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: chunk}
-				base := mic.Simulate(m, cfg, 1, traceAt(gi, 1))
-				per[gi] = base / mic.Simulate(m, cfg, th, traceAt(gi, th))
-			}
-			vals[ci] = GeoMean(per)
-		}
-		exp.Series = append(exp.Series, Series{
-			Label: fmt.Sprintf("%d threads", th), Threads: chunks, Values: vals,
-		})
+	traceAt := coloringTraces(s, m, mic.NaturalOrder, []int{1, 31, 121})
+	curves := make([][]float64, len(chunks))
+	for ci, chunk := range chunks {
+		curves[ci] = exp.speedup(s.Harness, m, ompCfg(sched.Dynamic, chunk), fmt.Sprintf("chunk %d", chunk),
+			len(s.Graphs), threads, traceAt)
 	}
+	exp.acrossX(chunks, threads, curves)
 	return exp
 }
 
@@ -93,78 +148,39 @@ func AblSMT(s *Suite, m *mic.Machine) *Experiment {
 		Title: "Ablation: SMT ways (shuffled coloring, OpenMP dynamic)",
 		Notes: "Threads beyond cores × ways are clamped to the hardware limit.",
 	}
-	graphs := s.Shuffled()
 	for ways := 1; ways <= m.SMTWays; ways++ {
 		mm := *m
 		mm.SMTWays = ways
-		effs := clampThreads(threads, mm.MaxThreads())
-		traceAt := coloringTraces(&mm, graphs, mic.ShuffledOrder, effs)
-		vals := make([]float64, len(threads))
-		for ti, eff := range effs {
-			per := make([]float64, len(graphs))
-			for gi := range graphs {
-				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
-				base := mic.Simulate(&mm, cfg, 1, traceAt(gi, 1))
-				per[gi] = base / mic.Simulate(&mm, cfg, eff, traceAt(gi, eff))
-			}
-			vals[ti] = GeoMean(per)
-		}
-		exp.Series = append(exp.Series, Series{
-			Label: fmt.Sprintf("%d-way SMT", ways), Threads: threads, Values: vals,
-		})
+		exp.shuffledColoring(s, &mm, fmt.Sprintf("%d-way SMT", ways), threads)
 	}
 	return exp
 }
 
-// grid returns a rows × cols matrix of zeros.
-func grid(rows, cols int) [][]float64 {
-	out := make([][]float64, rows)
-	for i := range out {
-		out[i] = make([]float64, cols)
-	}
-	return out
-}
-
-// clampThreads returns threads with every count above limit replaced by it
-// (a machine cannot run more threads than it has hardware contexts).
-func clampThreads(threads []int, limit int) []int {
-	out := make([]int, len(threads))
+// shuffledColoring appends the curve of OpenMP-dynamic coloring on the
+// shuffled suite on machine m, thread counts clamped to what m can run (a
+// machine cannot run more threads than it has hardware contexts).
+func (e *Experiment) shuffledColoring(s *Suite, m *mic.Machine, label string, threads []int) {
+	effs := make([]int, len(threads))
 	for i, th := range threads {
-		out[i] = min(th, limit)
+		effs[i] = min(th, m.MaxThreads())
 	}
-	return out
+	traceAt := coloringTraces(s, m, mic.ShuffledOrder, effs)
+	e.Series = append(e.Series, Series{Label: label, Threads: threads,
+		Values: e.speedup(s.Harness, m, ompCfg(sched.Dynamic, chunkDynamic), label, len(s.Graphs), effs, traceAt)})
 }
 
 // AblCacheBonus toggles the shared-cache constructive-interference term —
 // the mechanism behind the superlinear Figure 2 speedups.
 func AblCacheBonus(s *Suite, m *mic.Machine) *Experiment {
-	threads := ThreadSweep()
 	exp := &Experiment{
 		ID:    "abl-bonus",
 		Title: "Ablation: shared-cache interference bonus (shuffled coloring)",
 		Notes: "With the bonus off, speedup cannot exceed the thread count.",
 	}
-	graphs := s.Shuffled()
-	for _, on := range []bool{true, false} {
-		mm := *m
-		label := "bonus on"
-		if !on {
-			mm.CacheShareBonus = 0
-			label = "bonus off"
-		}
-		traceAt := coloringTraces(&mm, graphs, mic.ShuffledOrder, threads)
-		vals := make([]float64, len(threads))
-		for ti, th := range threads {
-			per := make([]float64, len(graphs))
-			for gi := range graphs {
-				cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
-				base := mic.Simulate(&mm, cfg, 1, traceAt(gi, 1))
-				per[gi] = base / mic.Simulate(&mm, cfg, th, traceAt(gi, th))
-			}
-			vals[ti] = GeoMean(per)
-		}
-		exp.Series = append(exp.Series, Series{Label: label, Threads: threads, Values: vals})
-	}
+	off := *m
+	off.CacheShareBonus = 0
+	exp.shuffledColoring(s, m, "bonus on", ThreadSweep())
+	exp.shuffledColoring(s, &off, "bonus off", ThreadSweep())
 	return exp
 }
 
@@ -186,9 +202,9 @@ func AblOrdering(s *Suite, m *mic.Machine) *Experiment {
 	}
 	variants := []variant{
 		{"natural", func(gi int) float64 { return m.EffectiveMissPerEdge(s.Graphs[gi]) }},
-		{"shuffled", func(gi int) float64 { return m.EffectiveMissPerEdge(s.Shuffled()[gi]) }},
+		{"shuffled", func(gi int) float64 { return m.EffectiveMissPerEdge(s.shuffledGraph(gi)) }},
 		{"shuffled+RCM", func(gi int) float64 {
-			sh := s.Shuffled()[gi]
+			sh := s.shuffledGraph(gi)
 			restored, err := sh.Permute(graph.RCMOrder(sh))
 			if err != nil {
 				panic(err) // RCMOrder always returns a valid permutation
@@ -196,30 +212,21 @@ func AblOrdering(s *Suite, m *mic.Machine) *Experiment {
 			return m.EffectiveMissPerEdge(restored)
 		}},
 	}
-	cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 100}
-	nat := make([]float64, len(s.Graphs)) // serial time under the natural ordering
-	for gi, g := range s.Graphs {
-		nat[gi] = mic.Simulate(m, cfg, 1, mic.ColoringTraceMiss(m, g, m.EffectiveMissPerEdge(g), 1))
-	}
+	cfg := ompCfg(sched.Dynamic, chunkDynamic)
+	var nat [][]float64 // serial times under the natural ordering, the first variant
 	for _, v := range variants {
-		per := grid(len(threads), len(s.Graphs))
-		for gi, g := range s.Graphs {
-			// One ordering, one miss rate, one set of traces per graph.
-			traces := mic.ColoringTraceSweep(m, g, v.pick(gi), threads)
-			base := mic.Simulate(m, cfg, 1, traces[0])
-			for ti, th := range threads {
-				if th == 1 {
-					// Relative serial time vs the natural ordering.
-					per[ti][gi] = base / nat[gi]
-				} else {
-					per[ti][gi] = base / mic.Simulate(m, cfg, th, traces[ti])
-				}
-			}
+		// One ordering, one miss rate, one set of traces per graph.
+		traces := make([][]*mic.Trace, len(s.Graphs))
+		s.Harness.each(len(traces), func(gi int) {
+			traces[gi] = mic.ColoringTraceSweep(m, s.Graphs[gi], v.pick(gi), threads)
+		})
+		at := func(gi, t int) *mic.Trace { return traces[gi][slices.Index(threads, t)] }
+		times := exp.simTimes(s.Harness, m, cfg, v.label, len(traces), threads, at)
+		if nat == nil {
+			nat = times[:1]
 		}
-		vals := make([]float64, len(threads))
-		for ti := range threads {
-			vals[ti] = GeoMean(per[ti])
-		}
+		// At one thread: serial time relative to the natural ordering's.
+		vals := append(ratios(times[:1], nat), ratios(times[:1], times[1:])...)
 		exp.Series = append(exp.Series, Series{Label: v.label, Threads: threads, Values: vals})
 	}
 	return exp
@@ -238,41 +245,21 @@ func AblDirection(s *Suite, m *mic.Machine) *Experiment {
 		Title: "Ablation: direction-optimizing BFS vs pure top-down",
 		Notes: "Geometric means across the suite; sources at |V|/2. The win ratio is simulated top-down time over hybrid time at equal thread count.",
 	}
-	cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 32}
-	type pair struct{ td, hy *mic.Trace }
-	traces := make([]pair, len(s.Graphs))
-	for gi, g := range s.Graphs {
-		src := int32(g.NumVertices() / 2)
-		traces[gi] = pair{
-			td: mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, 32),
-			hy: mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSHybrid, 32),
-		}
+	h, ng, cfg := s.Harness, len(s.Graphs), ompCfg(sched.Dynamic, 32)
+	variants := []mic.BFSVariant{mic.BFSBlockRelaxed, mic.BFSHybrid}
+	labels := []string{"top-down (Block-relaxed)", "hybrid (direction-optimizing)"}
+	traces := make([]*mic.Trace, 2*ng)
+	h.each(len(traces), func(i int) {
+		traces[i] = mic.BFSTraceFrom(m, s.Graphs[i%ng], s.Levels(i%ng), mic.NaturalOrder, variants[i/ng], 32)
+	})
+	var times [2][][]float64 // at one thread, then at every thread count of the sweep
+	for k, label := range labels {
+		times[k] = exp.simTimes(h, m, cfg, label, ng, append([]int{1}, threads...),
+			func(gi, _ int) *mic.Trace { return traces[k*ng+gi] })
+		exp.Series = append(exp.Series, Series{Label: label, Threads: threads, Values: ratios(times[k][:1], times[k][1:])})
 	}
-	tdSpeed := make([]float64, len(threads))
-	hySpeed := make([]float64, len(threads))
-	win := make([]float64, len(threads))
-	for ti, th := range threads {
-		perTD := make([]float64, len(s.Graphs))
-		perHY := make([]float64, len(s.Graphs))
-		perWin := make([]float64, len(s.Graphs))
-		for gi := range s.Graphs {
-			baseTD := mic.Simulate(m, cfg, 1, traces[gi].td)
-			baseHY := mic.Simulate(m, cfg, 1, traces[gi].hy)
-			tTD := mic.Simulate(m, cfg, th, traces[gi].td)
-			tHY := mic.Simulate(m, cfg, th, traces[gi].hy)
-			perTD[gi] = baseTD / tTD
-			perHY[gi] = baseHY / tHY
-			perWin[gi] = tTD / tHY
-		}
-		tdSpeed[ti] = GeoMean(perTD)
-		hySpeed[ti] = GeoMean(perHY)
-		win[ti] = GeoMean(perWin)
-	}
-	exp.Series = append(exp.Series,
-		Series{Label: "top-down (Block-relaxed)", Threads: threads, Values: tdSpeed},
-		Series{Label: "hybrid (direction-optimizing)", Threads: threads, Values: hySpeed},
-		Series{Label: "win ratio (td/hybrid time)", Threads: threads, Values: win},
-	)
+	exp.Series = append(exp.Series, Series{Label: "win ratio (td/hybrid time)", Threads: threads,
+		Values: ratios(times[0][1:], times[1][1:])})
 	return exp
 }
 
@@ -287,38 +274,35 @@ func AblModelVsSim(s *Suite, m *mic.Machine) *Experiment {
 		Title: "Ablation: analytical model vs simulator (BFS, pwtk)",
 	}
 	gi := s.indexOf("pwtk")
-	g := s.Graphs[gi]
-	src := int32(g.NumVertices() / 2)
-	widths := g.LevelWidths(src)
+	g, ls := s.Graphs[gi], s.Levels(gi)
+	exp.Series = append(exp.Series, Series{Label: "analytical model", Threads: threads,
+		Values: modelCurve(ls.Widths(), threads, 32)})
 
+	// Simulator with overheads stripped: zero barriers, atomics, taxes. And
+	// the full simulator for contrast.
+	bare := *m
+	bare.BarrierBase, bare.BarrierPerThread = 0, 0
+	bare.AtomicCost, bare.AtomicContPerT, bare.AtomicContSq = 0, 0, 0
+	bare.NoiseCore0, bare.CacheShareBonus = 0, 0
+	bare.DynamicGrabCost = 0
+	exp.bfsCurve(s.Harness, &bare, g, ls, "simulator, overheads off", threads)
+	exp.bfsCurve(s.Harness, m, g, ls, "simulator, full", threads)
+	return exp
+}
+
+// bfsCurve appends the self-relative curve of the relaxed block queue
+// (block 32, OpenMP dynamic) on the one graph g.
+func (e *Experiment) bfsCurve(h *Harness, m *mic.Machine, g *graph.Graph, ls *mic.BFSLevels, label string, threads []int) {
+	tr := mic.BFSTraceFrom(m, g, ls, mic.NaturalOrder, mic.BFSBlockRelaxed, 32)
+	e.Series = append(e.Series, Series{Label: label, Threads: threads,
+		Values: e.speedup(h, m, ompCfg(sched.Dynamic, 32), label, 1, threads, func(_, _ int) *mic.Trace { return tr })})
+}
+
+// modelCurve evaluates the §III-C model on one level-width profile.
+func modelCurve(widths []int64, threads []int, blockSize int) []float64 {
 	model := make([]float64, len(threads))
 	for ti, th := range threads {
-		model[ti] = perfmodel.Speedup(widths, th, 32)
+		model[ti] = perfmodel.Speedup(widths, th, blockSize)
 	}
-	exp.Series = append(exp.Series, Series{Label: "analytical model", Threads: threads, Values: model})
-
-	// Simulator with overheads stripped: zero barriers, atomics, taxes.
-	mm := *m
-	mm.BarrierBase, mm.BarrierPerThread = 0, 0
-	mm.AtomicCost, mm.AtomicContPerT, mm.AtomicContSq = 0, 0, 0
-	mm.NoiseCore0, mm.CacheShareBonus = 0, 0
-	mm.DynamicGrabCost = 0
-	tr := mic.BFSTrace(&mm, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, 32)
-	cfg := mic.Config{Kind: mic.OpenMP, Policy: sched.Dynamic, Chunk: 32}
-	sim := make([]float64, len(threads))
-	base := mic.Simulate(&mm, cfg, 1, tr)
-	for ti, th := range threads {
-		sim[ti] = base / mic.Simulate(&mm, cfg, th, tr)
-	}
-	exp.Series = append(exp.Series, Series{Label: "simulator, overheads off", Threads: threads, Values: sim})
-
-	// And the full simulator for contrast.
-	trFull := mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, 32)
-	full := make([]float64, len(threads))
-	baseFull := mic.Simulate(m, cfg, 1, trFull)
-	for ti, th := range threads {
-		full[ti] = baseFull / mic.Simulate(m, cfg, th, trFull)
-	}
-	exp.Series = append(exp.Series, Series{Label: "simulator, full", Threads: threads, Values: full})
-	return exp
+	return model
 }

@@ -9,6 +9,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"micgraph/internal/gen"
 	"micgraph/internal/graph"
@@ -106,17 +110,40 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Suite holds the generated stand-in graphs shared by all experiments.
+// Suite holds the generated stand-in graphs shared by all experiments; it
+// comes from NewSuite.
 type Suite struct {
-	Scale    int
-	Configs  []gen.MeshConfig
-	Graphs   []*graph.Graph
-	shuffled []*graph.Graph
+	Scale   int
+	Configs []gen.MeshConfig
+	Graphs  []*graph.Graph
 
 	// Harness controls cancellation and failure containment for all
 	// experiments run against this suite. Nil (the default) means no
 	// deadline and no retries; cells still fail the old way (panic).
 	Harness *Harness
+
+	derived *derived // shared by every WithHarness copy
+}
+
+// derived is what the experiments compute from the suite's graphs and keep:
+// per graph, the shuffled copy of Figure 2 and the BFS level structure from
+// vertex |V|/2, each built once, by whoever asks first, also between
+// concurrent sweeps over one cached suite.
+type derived struct {
+	shuffled    []lazy[*graph.Graph]
+	levels      []lazy[*mic.BFSLevels]
+	levelsBuilt atomic.Int32 // level structures computed so far (the work gate's reading)
+}
+
+// lazy is a value built on first use.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (l *lazy[T]) get(build func() T) T {
+	l.once.Do(func() { l.v = build() })
+	return l.v
 }
 
 // NewSuite generates the seven Table I stand-ins at the given linear scale
@@ -126,27 +153,40 @@ func NewSuite(scale int) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{Scale: scale, Configs: configs, Graphs: graphs}, nil
+	return &Suite{Scale: scale, Configs: configs, Graphs: graphs, derived: &derived{
+		shuffled: make([]lazy[*graph.Graph], len(graphs)), levels: make([]lazy[*mic.BFSLevels], len(graphs))}}, nil
 }
 
 // Shuffled returns the randomly relabeled copies used by Figure 2, created
-// lazily and cached.
+// on first use and cached.
 func (s *Suite) Shuffled() []*graph.Graph {
-	if s.shuffled == nil {
-		s.shuffled = make([]*graph.Graph, len(s.Graphs))
-		for i, g := range s.Graphs {
-			s.shuffled[i] = g.Shuffled(uint64(1000 + i))
-		}
+	out := make([]*graph.Graph, len(s.Graphs))
+	for i := range out {
+		out[i] = s.shuffledGraph(i)
 	}
-	return s.shuffled
+	return out
+}
+
+func (s *Suite) shuffledGraph(i int) *graph.Graph {
+	return s.derived.shuffled[i].get(func() *graph.Graph { return s.Graphs[i].Shuffled(uint64(1000 + i)) })
+}
+
+// Levels returns the BFS level structure of suite graph i from vertex |V|/2 —
+// the source of Table I, of every Figure 4 trace and of the §III-C model
+// curve — computed on first use and cached. Read-only to every caller.
+func (s *Suite) Levels(i int) *mic.BFSLevels {
+	return s.derived.levels[i].get(func() *mic.BFSLevels {
+		s.derived.levelsBuilt.Add(1)
+		return mic.NewBFSLevels(s.Graphs[i], int32(s.Graphs[i].NumVertices()/2))
+	})
 }
 
 // WithHarness returns a shallow copy of the suite bound to h: it shares the
-// generated graphs (and the shuffled copies, when already materialised) with
-// the receiver but carries its own harness, so concurrent sweeps over one
-// cached suite can each run under their own deadline, retry budget and
-// telemetry sink without racing on the shared Harness field. The shared
-// graphs are read-only to every experiment.
+// generated graphs and everything derived from them with the receiver but
+// carries its own harness, so concurrent sweeps over one cached suite can each
+// run under their own deadline, retry budget and telemetry sink without racing
+// on the shared Harness field. The shared graphs are read-only to every
+// experiment.
 func (s *Suite) WithHarness(h *Harness) *Suite {
 	out := *s
 	out.Harness = h
@@ -156,35 +196,42 @@ func (s *Suite) WithHarness(h *Harness) *Suite {
 // Find returns the suite graph with the given base name (e.g. "pwtk").
 func (s *Suite) Find(name string) (*graph.Graph, gen.MeshConfig, error) {
 	for i, cfg := range s.Configs {
-		base := cfg.Name
-		for j := 0; j < len(base); j++ {
-			if base[j] == '/' {
-				base = base[:j]
-				break
-			}
-		}
-		if base == name {
+		if base, _, _ := strings.Cut(cfg.Name, "/"); base == name {
 			return s.Graphs[i], cfg, nil
 		}
 	}
 	return nil, gen.MeshConfig{}, fmt.Errorf("core: no suite graph %q", name)
 }
 
+// indexOf is Find for the experiments' own graph names: the index, or a panic.
+func (s *Suite) indexOf(name string) int {
+	g, _, err := s.Find(name)
+	if err != nil {
+		panic(err)
+	}
+	return slices.Index(s.Graphs, g)
+}
+
 // speedupCurves computes, for each configuration, the geometric-mean
 // speedup curve across the given graphs. The per-graph baseline is the
 // fastest 1-thread time over all configurations, matching §V-A
 // ("computed using as baseline the configuration that performs the fastest
-// on 1 thread for that graph"). traceFor builds the trace for a given
-// (graph index, config index, thread count).
+// on 1 thread for that graph"). traceFor returns the (already built) trace of
+// a given (graph index, config index, thread count); cells call it
+// concurrently.
 //
-// Each (graph, config, threads) cell runs under the harness: a failed cell
-// is excluded from that point's geometric mean and reported in the
-// returned annotations; the rest of the sweep continues. Once the harness
-// context is cancelled, remaining cells are skipped (one annotation marks
-// the cutoff) and whatever was computed is returned.
-// When the harness has Telemetry enabled, every successful sweep cell also
-// yields a CellTelemetry record (simulated time plus the simulator's
-// SimStats); baseline cells are not recorded.
+// Each (graph, config, threads) cell runs under the harness (Harness.cells),
+// in sweep order: the baseline cells graph by graph, then config by config,
+// thread count by thread count, graph by graph. That is the order cells are
+// claimed in (one sequence: a sweep is one fork and one join) and the order
+// results are assembled in, whatever the processor count. A failed cell is
+// excluded from that point's geometric mean and reported in the returned
+// annotations; the rest of the sweep continues. Once the harness context ends
+// nothing more is claimed: a point stands if every one of its cells was
+// claimed, the points after it stay 0, and one Graph: -1 annotation marks the
+// cutoff. With Telemetry enabled every successful sweep cell also yields a
+// CellTelemetry record (simulated time plus the simulator's SimStats);
+// baseline cells are not recorded.
 func speedupCurves(h *Harness, m *mic.Machine, configs []mic.Config, labels []string,
 	numGraphs int, threads []int,
 	traceFor func(gi, ci, t int) *mic.Trace) ([]Series, []CellError, []CellTelemetry) {
@@ -192,91 +239,74 @@ func speedupCurves(h *Harness, m *mic.Machine, configs []mic.Config, labels []st
 	var errs []CellError
 	var cells []CellTelemetry
 	tele := h.telemetryOn()
+	nc, nt := len(configs), len(threads)
 	label := func(ci int) string {
 		if labels[ci] != "" {
 			return labels[ci]
 		}
 		return configs[ci].String()
 	}
-	aborted := func() bool {
-		if err := h.cancelled(); err != nil {
-			errs = append(errs, CellError{Graph: -1, Err: err})
-			return true
+	// failed books a cell that did not yield a time.
+	failed := func(r *cellResult, ci, gi, t int) bool {
+		if r.err != nil {
+			errs = append(errs, CellError{Series: label(ci), Graph: gi,
+				Threads: t, Attempts: r.attempts, Err: r.err})
 		}
-		return false
+		return r.err != nil
 	}
+
+	// One claim sequence: the baseline cells, graph by graph, then the sweep.
+	nb := numGraphs * nc
+	res := h.cells(nb+nc*nt*numGraphs, tele, func(i int, st *mic.SimStats) float64 {
+		if i < nb {
+			return mic.Simulate(m, configs[i%nc], 1, traceFor(i/nc, i%nc, 1))
+		}
+		ci, t, gi := (i-nb)/(nt*numGraphs), threads[(i-nb)/numGraphs%nt], (i-nb)%numGraphs
+		return mic.SimulateObserved(m, configs[ci], t, traceFor(gi, ci, t), nil, st)
+	})
 
 	// Baselines per graph: min over configs of 1-thread time. A graph
 	// whose every baseline cell fails stays NaN and is excluded from all
 	// curves; a partial failure just narrows the min.
 	base := make([]float64, numGraphs)
-	for gi := 0; gi < numGraphs; gi++ {
-		if aborted() {
-			return nil, errs, cells
+	for gi := range base {
+		base[gi] = math.NaN()
+	}
+	for i := range res[:nb] {
+		r, gi := &res[i], i/nc
+		if r.attempts == 0 {
+			return nil, append(errs, CellError{Graph: -1, Err: h.cancelled()}), nil
 		}
-		best := math.NaN()
-		for ci := range configs {
-			gi, ci := gi, ci
-			tt, attempts, err := h.cell(func() float64 {
-				return mic.Simulate(m, configs[ci], 1, traceFor(gi, ci, 1))
-			})
-			if err != nil {
-				errs = append(errs, CellError{Series: label(ci), Graph: gi,
-					Threads: 1, Attempts: attempts, Err: err})
-				continue
-			}
-			if math.IsNaN(best) || tt < best {
-				best = tt
-			}
+		if !failed(r, i%nc, gi, 1) && (math.IsNaN(base[gi]) || r.time < base[gi]) {
+			base[gi] = r.time
 		}
-		base[gi] = best
 	}
 
-	series := make([]Series, len(configs))
-	for ci := range configs {
-		vals := make([]float64, len(threads))
-		for ti, t := range threads {
-			if aborted() {
-				// Partial curves: computed points stand, the rest are 0.
-				for cj := ci; cj < len(configs); cj++ {
-					if series[cj].Threads == nil {
-						series[cj] = Series{Label: label(cj), Threads: threads,
-							Values: make([]float64, len(threads))}
-					}
-				}
-				series[ci].Values = vals
-				return series, errs, cells
-			}
-			per := make([]float64, 0, numGraphs)
-			for gi := 0; gi < numGraphs; gi++ {
-				if math.IsNaN(base[gi]) {
-					continue // no baseline; already annotated above
-				}
-				gi, ci, t := gi, ci, t
-				var stPtr *mic.SimStats
-				if tele {
-					stPtr = new(mic.SimStats)
-				}
-				tt, attempts, err := h.cell(func() float64 {
-					if stPtr != nil {
-						*stPtr = mic.SimStats{} // retries must not accumulate
-					}
-					return mic.SimulateObserved(m, configs[ci], t, traceFor(gi, ci, t), nil, stPtr)
-				})
-				if err != nil {
-					errs = append(errs, CellError{Series: label(ci), Graph: gi,
-						Threads: t, Attempts: attempts, Err: err})
-					continue
-				}
-				if tele {
-					cells = append(cells, CellTelemetry{Series: label(ci), Graph: gi,
-						Threads: t, Attempts: attempts, SimTime: tt, Stats: *stPtr})
-				}
-				per = append(per, base[gi]/tt)
-			}
-			vals[ti] = GeoMean(per)
+	series := make([]Series, nc)
+	for ci := range series {
+		series[ci] = Series{Label: label(ci), Threads: threads, Values: make([]float64, nt)}
+	}
+	per := make([]float64, 0, numGraphs)
+	for p := 0; p < nc*nt && numGraphs > 0; p++ { // point p: config p/nt at threads[p%nt]
+		ci, t := p/nt, threads[p%nt]
+		point := res[nb+p*numGraphs:][:numGraphs]
+		if point[numGraphs-1].attempts == 0 {
+			errs = append(errs, CellError{Graph: -1, Err: h.cancelled()})
+			break
 		}
-		series[ci] = Series{Label: label(ci), Threads: threads, Values: vals}
+		per = per[:0]
+		for gi := range point {
+			r := &point[gi]
+			if math.IsNaN(base[gi]) || failed(r, ci, gi, t) {
+				continue // no baseline (annotated above), or no time
+			}
+			if tele {
+				cells = append(cells, CellTelemetry{Series: label(ci), Graph: gi,
+					Threads: t, Attempts: r.attempts, SimTime: r.time, Stats: r.stats})
+			}
+			per = append(per, base[gi]/r.time)
+		}
+		series[ci].Values[p%nt] = GeoMean(per)
 	}
 	return series, errs, cells
 }

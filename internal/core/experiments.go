@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"micgraph/internal/coloring"
-	"micgraph/internal/graph"
 	"micgraph/internal/mic"
 	"micgraph/internal/perfmodel"
 	"micgraph/internal/sched"
@@ -42,60 +41,80 @@ func Table1(s *Suite) *Experiment {
 		Title: "Properties of the test graphs (Table I)",
 		Notes: "Colors: sequential First-Fit greedy, natural order. Levels: BFS from vertex |V|/2.",
 	}
-	for i, g := range s.Graphs {
-		cfg := s.Configs[i]
-		res := coloring.SeqGreedy(g)
-		_, nl := g.Levels(int32(g.NumVertices() / 2))
-		exp.Rows = append(exp.Rows, TableRow{
+	exp.Rows = make([]TableRow, len(s.Graphs))
+	done := s.Harness.each(len(s.Graphs), func(i int) {
+		g, cfg := s.Graphs[i], s.Configs[i]
+		exp.Rows[i] = TableRow{
 			Name:     cfg.Name,
 			V:        g.NumVertices(),
 			E:        g.NumEdges(),
 			MaxDeg:   g.MaxDegree(),
-			Colors:   res.NumColors,
-			Levels:   nl,
+			Colors:   coloring.SeqGreedy(g).NumColors,
+			Levels:   len(s.Levels(i).Order),
 			PaperCol: cfg.PaperColors,
 			PaperLev: cfg.PaperLevels,
-		})
+		}
+	})
+	if exp.Rows = exp.Rows[:done]; done < len(s.Graphs) {
+		exp.cutOff(s.Harness)
 	}
 	return exp
 }
 
 // coloringExperiment runs one coloring figure: the given configs on the
-// given graphs (natural or shuffled), geometric mean across the suite.
+// suite's graphs (natural or shuffled), geometric mean across the suite.
 func coloringExperiment(s *Suite, m *mic.Machine, id, title string,
 	o mic.Ordering, configs []mic.Config, labels []string) *Experiment {
 
-	graphs := s.Graphs
-	if o == mic.ShuffledOrder {
-		graphs = s.Shuffled()
-	}
 	threads := ThreadSweep()
-
+	exp := &Experiment{ID: id, Title: title}
 	// Coloring traces depend on t (conflict rounds) but not on the config.
-	traceAt := coloringTraces(m, graphs, o, threads)
-	series, errs, cells := speedupCurves(s.Harness, m, configs, labels, len(graphs), threads,
+	traceAt := coloringTraces(s, m, o, threads)
+	exp.sweep(s.Harness, m, configs, labels, len(s.Graphs), threads,
 		func(gi, _, t int) *mic.Trace { return traceAt(gi, t) })
-	return &Experiment{
-		ID:     id,
-		Title:  title,
-		Series: series,
-		Errors: stamp(id, errs),
-		Cells:  stampCells(id, cells),
+	return exp
+}
+
+// sweep runs speedupCurves and books its series, annotations and telemetry on
+// the experiment, with at most one cutoff annotation however many sweeps an
+// experiment makes.
+func (e *Experiment) sweep(h *Harness, m *mic.Machine, configs []mic.Config, labels []string,
+	numGraphs int, threads []int, traceFor func(gi, ci, t int) *mic.Trace) {
+	series, errs, cells := speedupCurves(h, m, configs, labels, numGraphs, threads, traceFor)
+	e.Series = append(e.Series, series...)
+	for _, ce := range errs {
+		if ce.Graph == -1 {
+			e.cutOff(h)
+			continue
+		}
+		ce.Experiment = e.ID
+		e.Errors = append(e.Errors, ce)
+	}
+	e.Cells = append(e.Cells, stampCells(e.ID, cells)...)
+}
+
+// cutOff marks, once, that the harness context ended before the experiment did.
+func (e *Experiment) cutOff(h *Harness) {
+	if n := len(e.Errors); n == 0 || e.Errors[n-1].Graph != -1 {
+		e.Errors = append(e.Errors, CellError{Experiment: e.ID, Graph: -1, Err: h.cancelled()})
 	}
 }
 
-// coloringTraces returns the lookup of graphs[gi]'s coloring trace at thread
-// count t, for t in threads. A graph's traces are built together on its first
-// lookup and share round one (mic.ColoringTraceSweep), so a sweep holds one
+// coloringTraces builds, graph by graph on every processor, the coloring
+// traces of the suite's graphs under ordering o at every thread count of
+// threads, and returns the lookup of graph gi's trace at thread count t. A
+// graph's traces share round one (mic.ColoringTraceSweep), so a sweep holds one
 // copy of the graph-sized phases per graph, not one per thread count.
-func coloringTraces(m *mic.Machine, graphs []*graph.Graph, o mic.Ordering, threads []int) func(gi, t int) *mic.Trace {
-	sweeps := make([][]*mic.Trace, len(graphs))
-	return func(gi, t int) *mic.Trace {
-		if sweeps[gi] == nil {
-			sweeps[gi] = mic.ColoringTraceSweep(m, graphs[gi], m.MissPerEdge(o), threads)
+func coloringTraces(s *Suite, m *mic.Machine, o mic.Ordering, threads []int) func(gi, t int) *mic.Trace {
+	sweeps := make([][]*mic.Trace, len(s.Graphs))
+	s.Harness.each(len(sweeps), func(gi int) {
+		g := s.Graphs[gi]
+		if o == mic.ShuffledOrder {
+			g = s.shuffledGraph(gi)
 		}
-		return sweeps[gi][slices.Index(threads, t)]
-	}
+		sweeps[gi] = mic.ColoringTraceSweep(m, g, m.MissPerEdge(o), threads)
+	})
+	return func(gi, t int) *mic.Trace { return sweeps[gi][slices.Index(threads, t)] }
 }
 
 // Fig1a: coloring with OpenMP under the three scheduling policies,
@@ -159,18 +178,14 @@ func irregularExperiment(s *Suite, m *mic.Machine, id, title string, cfg mic.Con
 	iters := []int{1, 3, 5, 10}
 	exp := &Experiment{ID: id, Title: title}
 	for _, iter := range iters {
-		iter := iter
 		traces := make([]*mic.Trace, len(s.Graphs))
-		for gi, g := range s.Graphs {
-			traces[gi] = mic.IrregularTrace(m, g, mic.NaturalOrder, iter)
-		}
-		series, errs, cells := speedupCurves(s.Harness, m, []mic.Config{cfg},
+		s.Harness.each(len(traces), func(gi int) {
+			traces[gi] = mic.IrregularTrace(m, s.Graphs[gi], mic.NaturalOrder, iter)
+		})
+		exp.sweep(s.Harness, m, []mic.Config{cfg},
 			[]string{fmt.Sprintf("%d iteration(s)", iter)},
 			len(s.Graphs), threads,
 			func(gi, _, _ int) *mic.Trace { return traces[gi] })
-		exp.Series = append(exp.Series, series...)
-		exp.Errors = append(exp.Errors, stamp(id, errs)...)
-		exp.Cells = append(exp.Cells, stampCells(id, cells)...)
 	}
 	return exp
 }
@@ -215,48 +230,40 @@ func bfsExperiment(s *Suite, m *mic.Machine, id, title string,
 	exp := &Experiment{ID: id, Title: title}
 
 	// Traces per (graph, variant) are independent of thread count and
-	// runtime: specs that differ only in their config share one.
-	traces := make(map[[2]int]*mic.Trace)
-	sources := make(map[int]int32)
-	for _, gi := range graphIdx {
-		sources[gi] = int32(s.Graphs[gi].NumVertices() / 2)
-	}
-	for _, spec := range specs {
-		for _, gi := range graphIdx {
-			key := [2]int{gi, int(spec.variant)}
-			if traces[key] == nil {
-				traces[key] = mic.BFSTrace(m, s.Graphs[gi], sources[gi],
-					mic.NaturalOrder, spec.variant, blockSize)
-			}
-		}
-	}
-
+	// runtime: specs that differ only in their config share one. All of them
+	// come from the suite's one level structure per graph.
+	var variants []mic.BFSVariant
 	configs := make([]mic.Config, len(specs))
 	labels := make([]string, len(specs))
 	for i, spec := range specs {
-		cfg := spec.cfg
-		if cfg.Chunk <= 1 {
-			cfg.Chunk = blockSize // schedule whole blocks
+		if !slices.Contains(variants, spec.variant) {
+			variants = append(variants, spec.variant)
 		}
-		configs[i] = cfg
-		labels[i] = spec.label
+		configs[i], labels[i] = spec.cfg, spec.label
+		if spec.cfg.Chunk <= 1 {
+			configs[i].Chunk = blockSize // schedule whole blocks
+		}
 	}
-	series, errs, cells := speedupCurves(s.Harness, m, configs, labels, len(graphIdx), threads,
-		func(gi, ci, _ int) *mic.Trace { return traces[[2]int{graphIdx[gi], int(specs[ci].variant)}] })
-	exp.Series = series
-	exp.Errors = append(exp.Errors, stamp(id, errs)...)
-	exp.Cells = append(exp.Cells, stampCells(id, cells)...)
+	ng := len(graphIdx)
+	traces := make([]*mic.Trace, len(variants)*ng)
+	s.Harness.each(len(traces), func(i int) {
+		gi := graphIdx[i%ng]
+		traces[i] = mic.BFSTraceFrom(m, s.Graphs[gi], s.Levels(gi), mic.NaturalOrder, variants[i/ng], blockSize)
+	})
+	exp.sweep(s.Harness, m, configs, labels, ng, threads, func(k, ci, _ int) *mic.Trace {
+		return traces[slices.Index(variants, specs[ci].variant)*ng+k]
+	})
 
 	// Analytical model (§III-C), geometric mean across the same graphs.
-	widths := make([][]int64, len(graphIdx))
-	for i, gi := range graphIdx {
-		widths[i] = s.Graphs[gi].LevelWidths(sources[gi])
+	widths := make([][]int64, ng)
+	for k, gi := range graphIdx {
+		widths[k] = s.Levels(gi).Widths()
 	}
 	model := make([]float64, len(threads))
+	per := make([]float64, ng)
 	for ti, t := range threads {
-		per := make([]float64, len(graphIdx))
-		for i := range graphIdx {
-			per[i] = perfmodel.Speedup(widths[i], t, blockSize)
+		for k := range per {
+			per[k] = perfmodel.Speedup(widths[k], t, blockSize)
 		}
 		model[ti] = GeoMean(per)
 	}
@@ -322,22 +329,6 @@ func Fig4d(s *Suite, host *mic.Machine) *Experiment {
 			{"CilkPlus-Bag-relaxed", mic.BFSBag, cilkCfg(mic.BagGrain)},
 		},
 		HostSweep())
-}
-
-func (s *Suite) indexOf(name string) int {
-	for i := range s.Configs {
-		base := s.Configs[i].Name
-		for j := 0; j < len(base); j++ {
-			if base[j] == '/' {
-				base = base[:j]
-				break
-			}
-		}
-		if base == name {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("core: graph %q not in suite", name))
 }
 
 // Experiment groups: the paper's tables and figures, the design-choice
@@ -407,6 +398,8 @@ func AllIDs() []string {
 // host machine for fig4d), in report order. The other groups run by id:
 // RunMany(IDs(GroupAblation), …).
 func All(s *Suite, knf, host *mic.Machine) []*Experiment {
+	s, dismiss := s.staffed()
+	defer dismiss()
 	var out []*Experiment
 	for _, e := range experiments {
 		if e.group == GroupPaper {
@@ -420,6 +413,8 @@ func All(s *Suite, knf, host *mic.Machine) []*Experiment {
 func ByID(id string, s *Suite, knf, host *mic.Machine) (*Experiment, error) {
 	for _, e := range experiments {
 		if e.id == id {
+			s, dismiss := s.staffed()
+			defer dismiss()
 			return e.run(s, knf, host), nil
 		}
 	}

@@ -22,8 +22,19 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden digests under 
 // report. bench/golden covers core.All only; this is the tier-1 net for a
 // change that makes the simulator or the engine faster: it must not move.
 // Recorded at commit 12e1226. Floating-point contraction differs between
-// architectures, so the digest binds on amd64 only.
+// architectures, so the digest binds on amd64 only. It must hold at every
+// processor count (procCounts): the engine assembles results by index.
 func TestRunManyGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range procCounts {
+		runtime.GOMAXPROCS(procs)
+		runManyGolden(t, procs)
+	}
+}
+
+// runManyGolden is one pass of TestRunManyGolden, on a fresh suite so that
+// what the suite derives and caches is built at this processor count too.
+func runManyGolden(t *testing.T, procs int) {
 	s, err := NewSuite(8)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +68,6 @@ func TestRunManyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != strings.TrimSpace(string(want)) {
-		t.Errorf("RunMany JSON digest %s, golden %s: simulated results changed", got, strings.TrimSpace(string(want)))
+		t.Errorf("GOMAXPROCS %d: RunMany JSON digest %s, golden %s: simulated results changed", procs, got, strings.TrimSpace(string(want)))
 	}
 }

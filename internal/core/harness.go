@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"micgraph/internal/fault"
 	"micgraph/internal/mic"
+	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
@@ -34,6 +38,8 @@ type Harness struct {
 	// Counters, when set, receives harness-level events: currently each
 	// cell retry increments telemetry.Retries on worker 0. Nil disables.
 	Counters *telemetry.Counters
+
+	team *sched.Team // the workers of the call in progress; see staffed
 }
 
 // telemetryOn reports whether per-cell telemetry collection is enabled.
@@ -75,6 +81,82 @@ func (h *Harness) cell(fn func() float64) (float64, int, error) {
 			h.Counters.Inc(0, telemetry.Retries)
 		}
 	}
+}
+
+// each calls body(i) for every i in [0, n) from the workers of the harness's
+// team, the caller one of them (without a team — one experiment called on its
+// own — the caller alone). Indices are claimed in order off one cursor, a
+// claimed index runs to its end and nothing is claimed once the harness
+// context has ended, so what ran is always a prefix [0, claimed). The cursor
+// is not the team's Dynamic policy because that is static-steal: W prefixes,
+// not one. A panic in body is re-raised on the caller.
+func (h *Harness) each(n int, body func(i int)) (claimed int) {
+	var cursor atomic.Int64
+	work := func(_, _, _ int) {
+		for h.cancelled() == nil {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			body(i)
+		}
+	}
+	if h == nil || h.team == nil || n <= 1 {
+		work(0, 0, 0)
+	} else if err := h.team.ForCtx(nil, min(h.team.Workers(), n), sched.ForOptions{SerialBelow: -1}, work); err != nil {
+		var pe *sched.PanicError
+		if errors.As(err, &pe) {
+			panic(pe.Value)
+		}
+		panic(err)
+	}
+	return min(int(cursor.Load()), n)
+}
+
+// staffed returns the suite bound to a copy of its harness that carries a
+// sched.Team of GOMAXPROCS workers, and the function that dismisses it: All,
+// ByID and RunMany run under one per call. Its helpers spin before they park,
+// so the few joins of an experiment cost no thread wake-up each.
+func (s *Suite) staffed() (*Suite, func()) {
+	var h Harness
+	if s.Harness != nil {
+		h = *s.Harness
+	}
+	if h.team != nil {
+		return s, func() {}
+	}
+	h.team = sched.NewTeam(runtime.GOMAXPROCS(0))
+	return s.WithHarness(&h), h.team.Close
+}
+
+// cellResult is the outcome of one cell of a sweep.
+type cellResult struct {
+	time     float64 // simulated time; NaN when the cell failed
+	attempts int     // 0: the sweep was cut off before the cell was claimed
+	err      error
+	stats    mic.SimStats // filled only when the cells were observed
+}
+
+// cells evaluates sim(i, st) for every cell i in [0, n) through each, every
+// one inside Harness.cell (containment, retries), and returns the results by
+// index for the caller to assemble in its own order: the output is the same
+// for every processor count. st is nil unless observe is set.
+func (h *Harness) cells(n int, observe bool, sim func(i int, st *mic.SimStats) float64) []cellResult {
+	res := make([]cellResult, n)
+	h.each(n, func(i int) {
+		r := &res[i]
+		var st *mic.SimStats
+		if observe {
+			st = &r.stats
+		}
+		r.time, r.attempts, r.err = h.cell(func() float64 {
+			if st != nil {
+				*st = mic.SimStats{} // retries must not accumulate
+			}
+			return sim(i, st)
+		})
+	})
+	return res
 }
 
 // protect runs fn, converting a panic into an error.
@@ -120,14 +202,6 @@ func (e CellError) Error() string {
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e CellError) Unwrap() error { return e.Err }
-
-// stamp sets the experiment ID on a batch of cell errors.
-func stamp(id string, errs []CellError) []CellError {
-	for i := range errs {
-		errs[i].Experiment = id
-	}
-	return errs
-}
 
 // CellTelemetry is the per-cell observation of one successful sweep point:
 // which cell it was, how many attempts it took, the simulated time, and the
@@ -197,6 +271,8 @@ func RunMany(ids []string, s *Suite, knf, host *mic.Machine) []*Experiment {
 	if len(ids) == 0 {
 		ids = AllIDs()
 	}
+	s, dismiss := s.staffed()
+	defer dismiss()
 	out := make([]*Experiment, 0, len(ids))
 	for _, id := range ids {
 		exp, err := RunByID(id, s, knf, host)

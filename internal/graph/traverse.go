@@ -38,21 +38,6 @@ func (g *Graph) Levels(source int32) ([]int32, int) {
 	return levels, int(maxLevel) + 1
 }
 
-// LevelWidths returns the BFS level-width profile from source: widths[l] is
-// the number of vertices at distance l. Unreachable vertices are not
-// counted. This profile is the x_l input of the paper's Section III-C
-// performance model.
-func (g *Graph) LevelWidths(source int32) []int64 {
-	levels, nl := g.Levels(source)
-	widths := make([]int64, nl)
-	for _, l := range levels {
-		if l >= 0 {
-			widths[l]++
-		}
-	}
-	return widths
-}
-
 // ConnectedComponents labels each vertex with a component id in [0, k) and
 // returns the labels and the number of components k. Component ids are
 // assigned in order of their smallest vertex.

@@ -52,29 +52,6 @@ func TestLevelsComplete(t *testing.T) {
 	}
 }
 
-func TestLevelWidths(t *testing.T) {
-	g := path(6)
-	w := g.LevelWidths(0)
-	if len(w) != 6 {
-		t.Fatalf("profile length %d, want 6", len(w))
-	}
-	for l, x := range w {
-		if x != 1 {
-			t.Errorf("width[%d] = %d, want 1", l, x)
-		}
-	}
-	// A star: one center, n-1 leaves -> widths [1, n-1].
-	b := NewBuilder(10)
-	for i := int32(1); i < 10; i++ {
-		b.AddEdge(0, i)
-	}
-	star := b.Build()
-	w = star.LevelWidths(0)
-	if len(w) != 2 || w[0] != 1 || w[1] != 9 {
-		t.Errorf("star widths = %v, want [1 9]", w)
-	}
-}
-
 // levelsAreShortestPaths is the fundamental BFS property: level[v] equals
 // the shortest-path distance, checked by Bellman-Ford-style relaxation.
 func levelsAreShortestPaths(g *Graph, source int32, levels []int32) bool {

@@ -135,6 +135,7 @@ func ColoringTraceSweep(m *Machine, g *graph.Graph, miss float64, threads []int)
 			visitSize = next
 			offset += 131 // decorrelate successive rounds' representatives
 		}
+		tr.prepare.Do(tr.buildPrefixes) // the conflict rounds' sums; round one came with its own
 	}
 	return out
 }
@@ -198,7 +199,7 @@ func IrregularTrace(m *Machine, g *graph.Graph, o Ordering, iter int) *Trace {
 	}
 	return &Trace{
 		Name:   "irregular",
-		Phases: []Phase{{Name: "update", Items: items}},
+		Phases: []Phase{{Name: "update", Items: items, prefix: prefixSums(items)}},
 	}
 }
 
@@ -258,32 +259,22 @@ func (v BFSVariant) String() string {
 	return "BFS?"
 }
 
-// BFSTrace builds the per-level trace of the layered BFS from source. The
-// level structure is computed exactly (sequential BFS); each level becomes
-// one phase whose items are the level's vertices in natural order. Claims
-// (successful next-level insertions) are attributed to each vertex's
-// children count, costed per variant.
-func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSVariant, blockSize int) *Trace {
-	if blockSize <= 0 {
-		blockSize = 32
-	}
-	n := g.NumVertices()
-	tr := &Trace{Name: "bfs-" + variant.String()}
-	if n == 0 {
-		return tr
-	}
-	levels, numLevels := g.Levels(source)
-	if variant == BFSHybrid {
-		hybridPhases(m, g, o, levels, numLevels, tr)
-		return tr
-	}
+// BFSLevels is the level structure of one (graph, source) pair: everything a
+// BFS trace needs that depends on neither the machine nor the variant, 12
+// bytes a vertex. It is computed exactly (one sequential BFS and one walk over
+// the arcs), never modified afterwards, and shared by every trace built from
+// it, by Table I and by the §III-C model curve.
+type BFSLevels struct {
+	Level  []int32   // BFS level per vertex, -1 where unreached
+	Order  [][]int32 // Order[l] is level l in ascending id; one backing array
+	Claims []int32   // children per vertex, each attributed to its minimum-id parent (the canonical claim winner)
+}
 
-	// Bucket vertices by level and attribute each vertex to its minimum-id
-	// parent (the canonical claim winner).
-	order := levelBuckets(levels, numLevels)
-	claims := make([]float64, n)
-	for v := 0; v < n; v++ {
-		lv := levels[v]
+// NewBFSLevels computes the level structure of g from source.
+func NewBFSLevels(g *graph.Graph, source int32) *BFSLevels {
+	levels, numLevels := g.Levels(source)
+	ls := &BFSLevels{Level: levels, Order: levelBuckets(levels, numLevels), Claims: make([]int32, len(levels))}
+	for v, lv := range levels {
 		if lv <= 0 {
 			continue
 		}
@@ -294,18 +285,50 @@ func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSV
 			}
 		}
 		if parent >= 0 {
-			claims[parent]++
+			ls.Claims[parent]++
 		}
 	}
+	return ls
+}
 
+// Widths returns the level-width profile, the x_l of the §III-C model.
+func (ls *BFSLevels) Widths() []int64 {
+	widths := make([]int64, len(ls.Order))
+	for l, vs := range ls.Order {
+		widths[l] = int64(len(vs))
+	}
+	return widths
+}
+
+// BFSTrace builds the per-level trace of the layered BFS from source: the
+// level structure, then BFSTraceFrom. A caller with several traces to build on
+// one (graph, source) computes the structure once and calls that.
+func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSVariant, blockSize int) *Trace {
+	return BFSTraceFrom(m, g, NewBFSLevels(g, source), o, variant, blockSize)
+}
+
+// BFSTraceFrom builds the trace from a level structure of g. Each level
+// becomes one phase whose items are the level's vertices in natural order.
+// Claims (successful next-level insertions) are attributed to each vertex's
+// children count, costed per variant. The trace comes with its prefix sums.
+func BFSTraceFrom(m *Machine, g *graph.Graph, ls *BFSLevels, o Ordering, variant BFSVariant, blockSize int) *Trace {
+	if blockSize <= 0 {
+		blockSize = 32
+	}
+	tr := &Trace{Name: "bfs-" + variant.String()}
+	if variant == BFSHybrid {
+		hybridPhases(m, g, o, ls, tr)
+		tr.prepare.Do(tr.buildPrefixes)
+		return tr
+	}
 	miss := m.MissPerEdge(o)
-	for l := 0; l < numLevels; l++ {
-		items := make([]Work, len(order[l]))
+	for _, level := range ls.Order {
+		items := make([]Work, len(level))
 		var seq float64
 		var levelClaims float64
-		for i, v := range order[l] {
+		for i, v := range level {
 			w := vertexScanWork(m, g, v, miss)
-			cl := claims[v]
+			cl := float64(ls.Claims[v])
 			levelClaims += cl
 			switch variant {
 			case BFSBlock:
@@ -341,6 +364,7 @@ func BFSTrace(m *Machine, g *graph.Graph, source int32, o Ordering, variant BFSV
 		}
 		tr.Phases = append(tr.Phases, Phase{Name: "level", Items: items, Seq: seq})
 	}
+	tr.prepare.Do(tr.buildPrefixes)
 	return tr
 }
 
@@ -379,10 +403,10 @@ func levelBuckets(levels []int32, numLevels int) [][]int32 {
 // discovered vertex. Phase names match the real kernel's telemetry
 // ("level-td" / "level-bu"), so instrumented simulator output and Recorder
 // output line up level by level.
-func hybridPhases(m *Machine, g *graph.Graph, o Ordering, levels []int32, numLevels int, tr *Trace) {
+func hybridPhases(m *Machine, g *graph.Graph, o Ordering, ls *BFSLevels, tr *Trace) {
 	n := g.NumVertices()
 	miss := m.MissPerEdge(o)
-	order := levelBuckets(levels, numLevels)
+	levels, order, numLevels := ls.Level, ls.Order, len(ls.Order)
 	var totalDeg float64
 	for v := 0; v < n; v++ {
 		totalDeg += float64(g.Degree(int32(v)))

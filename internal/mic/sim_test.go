@@ -399,7 +399,11 @@ func TestBFSTraceClaimsConserveVertices(t *testing.T) {
 	tr := BFSTrace(m, g, 0, NaturalOrder, BFSBlockRelaxed, 32)
 	// Phases' item counts must sum to the reachable vertex count, and per
 	// phase match the level widths.
-	widths := g.LevelWidths(0)
+	levels, numLevels := g.Levels(0)
+	widths := make([]int64, numLevels)
+	for _, l := range levels {
+		widths[l]++
+	}
 	if len(tr.Phases) != len(widths) {
 		t.Fatalf("%d phases vs %d levels", len(tr.Phases), len(widths))
 	}
@@ -610,5 +614,53 @@ func TestColoringTraceSweepSharesRoundOne(t *testing.T) {
 				t.Errorf("t=%d: round-one phase %d is a copy, not shared", th, pi)
 			}
 		}
+	}
+}
+
+// TestBFSTraceFromSharedLevels: BFSTrace is BFSTraceFrom over a level
+// structure of its own, so a trace built through the wrapper and one built
+// from a structure shared by all five variants agree field by field, prefix
+// sums included.
+func TestBFSTraceFromSharedLevels(t *testing.T) {
+	m := KNF()
+	g := gen.Grid2D(40, 30)
+	src := int32(g.NumVertices() / 2)
+	shared := NewBFSLevels(g, src)
+	for _, v := range []BFSVariant{BFSBlock, BFSBlockRelaxed, BFSTLS, BFSBag, BFSHybrid} {
+		a, b := BFSTrace(m, g, src, NaturalOrder, v, 32), BFSTraceFrom(m, g, shared, NaturalOrder, v, 32)
+		if a.Name != b.Name || len(a.Phases) != len(b.Phases) || len(a.Phases) == 0 {
+			t.Fatalf("%v: %q with %d phases through the wrapper, %q with %d from the shared structure",
+				v, a.Name, len(a.Phases), b.Name, len(b.Phases))
+		}
+		for i := range a.Phases {
+			if !reflect.DeepEqual(a.Phases[i], b.Phases[i]) {
+				t.Errorf("%v: phase %d differs between the wrapper and the shared structure", v, i)
+			}
+			if len(a.Phases[i].prefix) != len(a.Phases[i].Items)+1 {
+				t.Errorf("%v: phase %d came without its prefix sums", v, i)
+			}
+		}
+	}
+}
+
+// TestBFSLevelsWidths: the level-width profile — the x_l input of the §III-C
+// model — counts the vertices at each distance from the source.
+func TestBFSLevelsWidths(t *testing.T) {
+	w := NewBFSLevels(gen.Grid2D(1, 6), 0).Widths() // a path
+	if len(w) != 6 {
+		t.Fatalf("profile length %d, want 6", len(w))
+	}
+	for l, x := range w {
+		if x != 1 {
+			t.Errorf("width[%d] = %d, want 1", l, x)
+		}
+	}
+	// A star: one center, n-1 leaves -> widths [1, n-1].
+	b := graph.NewBuilder(10)
+	for i := int32(1); i < 10; i++ {
+		b.AddEdge(0, i)
+	}
+	if w = NewBFSLevels(b.Build(), 0).Widths(); len(w) != 2 || w[0] != 1 || w[1] != 9 {
+		t.Errorf("star widths = %v, want [1 9]", w)
 	}
 }

@@ -52,7 +52,11 @@ type Phase struct {
 
 // prefixSums returns the running sums of items (len(items)+1 entries).
 func prefixSums(items []Work) []Work {
-	prefix := make([]Work, len(items)+1)
+	return fillPrefix(make([]Work, len(items)+1), items)
+}
+
+// fillPrefix is prefixSums into prefix, len(items)+1 zeroed entries.
+func fillPrefix(prefix, items []Work) []Work {
 	for i, it := range items {
 		prefix[i+1] = prefix[i]
 		prefix[i+1].Add(it)
@@ -80,15 +84,24 @@ type Trace struct {
 
 	// prepare guards the one O(items) step of simulating: the first
 	// Simulate of the trace fills in the prefix sums of every phase that
-	// came without them (a hand-written literal, or a builder that left
-	// them for later), and concurrent callers wait for it.
+	// came without them (a hand-written literal; the builders in kernels.go
+	// run it themselves), and concurrent callers wait for it.
 	prepare sync.Once
 }
 
 func (tr *Trace) buildPrefixes() {
+	missing := func(p *Phase) bool { return p.prefix == nil && len(p.Items) > 0 }
+	total := 0
 	for i := range tr.Phases {
-		if p := &tr.Phases[i]; p.prefix == nil && len(p.Items) > 0 {
-			p.prefix = prefixSums(p.Items)
+		if missing(&tr.Phases[i]) {
+			total += len(tr.Phases[i].Items) + 1
+		}
+	}
+	flat := make([]Work, total) // one array for the whole trace
+	for i := range tr.Phases {
+		if p := &tr.Phases[i]; missing(p) {
+			n := len(p.Items) + 1
+			p.prefix, flat = fillPrefix(flat[:n:n], p.Items), flat[n:]
 		}
 	}
 }

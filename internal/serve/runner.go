@@ -151,8 +151,10 @@ func (s *Server) loadGraph(ctx context.Context, spec GraphSpec) (*graph.Graph, e
 }
 
 // loadSuite fetches (or generates once) the experiment suite at the given
-// scale. Shuffled copies are materialised inside the loader so concurrent
-// sweep jobs share them read-only.
+// scale. What sweeps derive from it — the shuffled copies and the level
+// structures (12 bytes a vertex), which the suite builds once for all the
+// jobs sharing it — is materialised inside the loader, so the cache's byte
+// budget counts it.
 func (s *Server) loadSuite(ctx context.Context, scale int) (*core.Suite, error) {
 	v, err := s.cache.Get(ctx, SuiteKey(scale), func(context.Context) (any, int64, error) {
 		suite, err := core.NewSuite(scale)
@@ -160,11 +162,8 @@ func (s *Server) loadSuite(ctx context.Context, scale int) (*core.Suite, error) 
 			return nil, 0, err
 		}
 		var bytes int64
-		for _, g := range suite.Graphs {
-			bytes += GraphBytes(g)
-		}
-		for _, g := range suite.Shuffled() {
-			bytes += GraphBytes(g)
+		for i, g := range suite.Shuffled() {
+			bytes += GraphBytes(g) + GraphBytes(suite.Graphs[i]) + 12*int64(len(suite.Levels(i).Level))
 		}
 		return suite, bytes, nil
 	})
