@@ -292,20 +292,30 @@ func BenchmarkTraceBuildBFS(b *testing.B) {
 	}
 }
 
-func BenchmarkGenerateSuiteGraph(b *testing.B) {
-	cfg, err := gen.SuiteConfig("bmw3_2")
+// A suite stand-in, ns per arc of the graph returned and allocations that
+// must not grow with the vertex count: bmw3_2 at the test scale, and two at the
+// daemon's — msdoor is 91 % clique edges, inline_1 69 %, the most strays of the
+// seven.
+
+func benchmarkGenMesh(b *testing.B, name string, scale int) {
+	cfg, err := gen.SuiteConfig(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	scaled := gen.Scaled(cfg, benchScale)
+	cfg = gen.Scaled(cfg, scale)
+	var g *graph.Graph
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gen.Mesh(scaled); err != nil {
+		if g, err = gen.Mesh(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPerArc(b, g)
 }
+
+func BenchmarkGenerateSuiteGraph(b *testing.B)   { benchmarkGenMesh(b, "bmw3_2", benchScale) }
+func BenchmarkGenMeshMsdoor4(b *testing.B)       { benchmarkGenMesh(b, "msdoor", 4) }
+func BenchmarkGenMeshInline1Scale4(b *testing.B) { benchmarkGenMesh(b, "inline_1", 4) }
 
 // The three stages every generated graph goes through (RMAT-16, 1 M edges
 // before dedup), each reporting ns per arc of the graph it returns.

@@ -21,6 +21,12 @@
 // giving the same strong index locality as FEM natural orderings; the
 // paper's "randomly shuffled" experiment is obtained with Graph.Shuffled.
 //
+// The cliques are 69 % (inline_1) to 97 % (bmw3_2) of a stand-in's edges, and
+// each is handed to the Builder as one graph.Builder.AddClique entry, not pair
+// by pair: Build writes a member's share as the sorted run it is, and only the
+// random links, the backbone and the hubs are counted, scattered and sorted.
+// Complete and RingOfCliques say their cliques the same way.
+//
 // Package gen also provides classic families (paths, grids, Erdős–Rényi,
 // RMAT, ring of cliques) used by unit tests and the examples.
 package gen
@@ -50,12 +56,7 @@ func Chain(n int) *graph.Graph {
 // Complete returns the complete graph K_n.
 func Complete(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
-	b.Grow(n * (n - 1) / 2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.AddEdge(int32(i), int32(j))
-		}
-	}
+	b.AddClique(0, n)
 	return b.Build()
 }
 
@@ -206,14 +207,10 @@ func rmatDecode(words []uint64, th *[3]uint64) (u, v int32) {
 func RingOfCliques(k, s int) *graph.Graph {
 	n := k * s
 	b := graph.NewBuilder(n)
-	b.Grow(k*s*(s-1)/2 + k)
+	b.Grow(k)
 	for c := 0; c < k; c++ {
 		base := int32(c * s)
-		for i := 0; i < s; i++ {
-			for j := i + 1; j < s; j++ {
-				b.AddEdge(base+int32(i), base+int32(j))
-			}
-		}
+		b.AddClique(base, s)
 		if k > 1 {
 			next := int32(((c + 1) % k) * s)
 			b.AddEdge(base, next)

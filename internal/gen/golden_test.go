@@ -32,9 +32,13 @@ func suiteAt(t *testing.T, name string, scale int) *graph.Graph {
 
 // TestGeneratorGolden pins the CSR arrays the generators return, word for
 // word, to the values the sequential sort.Slice construction produced (taken
-// on the commit before graph construction went parallel). The graphs must
-// not depend on the worker count, so every entry is built under GOMAXPROCS
-// 1, 2 and 8; RMAT(9, 6) stays under the inline cutoff, the rest go over it.
+// on the commit before graph construction went parallel) and, from auto@16
+// down, to those of the cliques added edge by edge (taken on the commit before
+// Builder.AddClique): LinkExact links, the most hubs, the most clique, one
+// clique and nothing else, many and little else. The graphs must not depend
+// on the worker count, so every entry is built under GOMAXPROCS 1, 2 and 8;
+// RMAT(9, 6), auto@16 and the ring stay under the inline cutoff, the rest go
+// over it.
 func TestGeneratorGolden(t *testing.T) {
 	golden := []struct {
 		name  string
@@ -48,6 +52,11 @@ func TestGeneratorGolden(t *testing.T) {
 		{"erdos-renyi", func() *graph.Graph { return ErdosRenyi(5000, 40000, 3) }, 79848, 0x92ea764ca25349e7},
 		{"msdoor@16", func() *graph.Graph { return suiteAt(t, "msdoor", 16) }, 73172, 0x77821ba7bc14ad5b},
 		{"pwtk@16", func() *graph.Graph { return suiteAt(t, "pwtk", 16) }, 44094, 0xc1895edef98342d1},
+		{"auto@16", func() *graph.Graph { return suiteAt(t, "auto", 16) }, 25872, 0x2a68d1c4b70739bd},
+		{"inline_1@16", func() *graph.Graph { return suiteAt(t, "inline_1", 16) }, 139956, 0x19b35e76caf5f11b},
+		{"bmw3_2@16", func() *graph.Graph { return suiteAt(t, "bmw3_2", 16) }, 43196, 0xcdb351f0c4315705},
+		{"complete-300", func() *graph.Graph { return Complete(300) }, 89700, 0xf937b770e4794327},
+		{"ring-of-cliques", func() *graph.Graph { return RingOfCliques(40, 9) }, 2960, 0x817ef0e3d3807cbb},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {

@@ -111,20 +111,16 @@ func Mesh(cfg MeshConfig) (*graph.Graph, error) {
 	}
 
 	b := graph.NewBuilder(cfg.V)
-	b.Grow(int(cfg.E) + cfg.V/16)
 
-	// 1. Intra-clique edges: each clique is complete.
+	// 1. Intra-clique edges: each clique is complete, and one entry of the
+	// Builder. Edge slots are reserved for what steps 2 to 4 add.
 	var cliqueEdges int64
 	for k := 0; k < numCliques; k++ {
-		base := cliqueBase(k)
 		sz := cliqueSize(k)
-		for i := 0; i < sz; i++ {
-			for j := i + 1; j < sz; j++ {
-				b.AddEdge(base+int32(i), base+int32(j))
-			}
-		}
+		b.AddClique(cliqueBase(k), sz)
 		cliqueEdges += int64(sz) * int64(sz-1) / 2
 	}
+	b.Grow(int(max(cfg.E-cliqueEdges, 0)))
 
 	// 2. Backbone: consecutive cliques in row-major order are joined so the
 	// graph is connected regardless of how the random budget lands.

@@ -47,11 +47,15 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 // add, and it tolerates duplicate and self-loop insertions (they are
 // silently discarded at Build time). Builder is not safe for concurrent use.
 type Builder struct {
-	n     int
-	us    []int32
-	vs    []int32
-	built bool
+	n       int
+	us      []int32
+	vs      []int32
+	cliques []clique
+	built   bool
 }
+
+// clique is the complete subgraph on the ids [base, base+size).
+type clique struct{ base, size int32 }
 
 // NewBuilder returns a Builder for a graph on n vertices.
 func NewBuilder(n int) *Builder {
@@ -90,6 +94,21 @@ func (b *Builder) AddEdges(m int, fill func(us, vs []int32)) {
 	}
 }
 
+// AddClique records the complete subgraph on the size consecutive ids from
+// base, all size·(size−1)/2 edges of it, as one entry: Build knows where each
+// of those arcs sorts and writes it there (see Build), where the same edges
+// through AddEdge would be counted, scattered and sorted one by one. A range
+// that leaves [0, n) panics like an out-of-range edge; cliques may overlap
+// each other and edges added any other way.
+func (b *Builder) AddClique(base int32, size int) {
+	if base < 0 || size < 0 || int(base)+size > b.n {
+		panic(fmt.Sprintf("graph: clique [%d,%d+%d) out of range [0,%d)", base, base, size, b.n))
+	}
+	if size >= 2 {
+		b.cliques = append(b.cliques, clique{base, int32(size)})
+	}
+}
+
 func (b *Builder) check(u, v int32) {
 	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
@@ -99,23 +118,39 @@ func (b *Builder) check(u, v int32) {
 // Build produces the CSR graph. The Builder must not be reused afterwards.
 //
 // The construction is a counting sort by vertex, run by GOMAXPROCS goroutines
-// once the edge list is long enough to pay for them (forChunks): count the
-// degrees of both ends of every surviving edge with atomic adds, prefix-sum
-// them into offsets, scatter both directions through an atomic cursor per
-// vertex, sort and dedup each list where it lies, then close the gaps in
-// place. The slot an arc lands in depends on how the goroutines interleave;
-// the sort erases that, so the graph is the same for every worker count.
+// once there is enough to pay for them (forChunks): count the degrees — size−1
+// for every member of a clique, then both ends of every surviving edge with
+// atomic adds — prefix-sum them into offsets, write the cliques, scatter both
+// directions of the edges through an atomic cursor per vertex, sort and dedup
+// each list where it lies, then close the gaps in place.
+//
+// A clique member's share of its clique is the ascending run of the other
+// members' ids, so it is reserved with one cursor add and written as that
+// run. The cliques go first, before any edge is scattered, so that a list
+// begins with a run and has its strays — the arcs that arrived edge by edge —
+// behind it: sortRunAndStrays then sorts the strays only and merges. The run
+// of a second clique on the same vertex lands behind the first in whichever
+// order the goroutines got there, and is simply more strays. The slot an arc
+// lands in depends on how the goroutines interleave; the sort erases that, so
+// the graph is the same for every worker count.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Builder.Build called twice")
 	}
 	b.built = true
-	n, us, vs := b.n, b.us, b.vs
-	b.us, b.vs = nil, nil
+	n, us, vs, cliques := b.n, b.us, b.vs, b.cliques
+	b.us, b.vs, b.cliques = nil, nil, nil
 
 	// Pass 1: degrees, dropping self loops; then offsets.
 	xadj := make([]int64, n+1)
-	forChunks(len(us), len(us), edgeChunk, func(lo, hi int) {
+	size := len(us) // of the whole construction, in edges
+	for _, c := range cliques {
+		for v := c.base; v < c.base+c.size; v++ {
+			xadj[v+1] += int64(c.size - 1)
+		}
+		size += int(c.size) * int(c.size-1) / 2
+	}
+	forChunks(size, len(us), edgeChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if u, v := us[i], vs[i]; u != v {
 				atomic.AddInt64(&xadj[u+1], 1)
@@ -127,11 +162,26 @@ func (b *Builder) Build() *Graph {
 		xadj[v+1] += xadj[v]
 	}
 
-	// Pass 2: scatter both directions.
+	// Pass 2: the cliques' runs, then both directions of the edges.
 	adj := make([]int32, xadj[n])
 	next := make([]int64, n)
 	copy(next, xadj)
-	forChunks(len(us), len(us), edgeChunk, func(lo, hi int) {
+	forChunks(size, len(cliques), cliqueChunk, func(lo, hi int) {
+		for _, c := range cliques[lo:hi] {
+			share := int64(c.size - 1)
+			for k := 0; k < int(c.size); k++ { // member base+k: the others' ids, ascending
+				end := atomic.AddInt64(&next[c.base+int32(k)], share)
+				run := adj[end-share : end]
+				for i := range run[:k] {
+					run[i] = c.base + int32(i)
+				}
+				for i := k; i < len(run); i++ {
+					run[i] = c.base + int32(i) + 1
+				}
+			}
+		}
+	})
+	forChunks(size, len(us), edgeChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if u, v := us[i], vs[i]; u != v {
 				adj[atomic.AddInt64(&next[u], 1)-1] = v
@@ -141,10 +191,11 @@ func (b *Builder) Build() *Graph {
 	})
 
 	// Pass 3: sort and dedup each list; next[v] becomes the length kept.
-	forChunks(len(us), n, vertexChunk, func(lo, hi int) {
+	forChunks(size, n, vertexChunk, func(lo, hi int) {
+		var buf [strayBuf]int32
 		for v := lo; v < hi; v++ {
 			list := adj[xadj[v]:xadj[v+1]]
-			slices.Sort(list)
+			sortRunAndStrays(list, buf[:])
 			next[v] = int64(len(slices.Compact(list)))
 		}
 	})
@@ -158,6 +209,42 @@ func (b *Builder) Build() *Graph {
 	}
 	xadj[n] = out
 	return &Graph{xadj: xadj, adj: adj[:out:out]}
+}
+
+// strayBuf is how many strays sortRunAndStrays will merge, the size of the
+// buffer a goroutine of pass 3 keeps on its stack for them.
+const strayBuf = 256
+
+// sortRunAndStrays sorts list, which Build has laid out as an ascending run
+// with strays behind it: it finds the run as the longest ascending prefix,
+// sorts the strays, moves them to buf and merges them into the run from the
+// back. Strays that outnumber the run or buf (an ordinary list is all strays,
+// so is most of a hub's) are not worth telling apart: the list is sorted whole.
+func sortRunAndStrays(list, buf []int32) {
+	k := 1
+	for k < len(list) && list[k-1] <= list[k] {
+		k++
+	}
+	if k >= len(list) {
+		return
+	}
+	strays := list[k:]
+	if len(strays) > min(k, len(buf)) {
+		slices.Sort(list)
+		return
+	}
+	slices.Sort(strays)
+	strays = buf[:copy(buf, strays)]
+	i, j := k-1, len(strays)-1
+	for out := len(list) - 1; j >= 0; out-- {
+		if i >= 0 && list[i] > strays[j] {
+			list[out] = list[i]
+			i--
+		} else {
+			list[out] = strays[j]
+			j--
+		}
+	}
 }
 
 // FromAdjacency builds a graph from explicit adjacency lists. The lists are

@@ -83,14 +83,17 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	})
 }
 
-// FuzzBuild reads the input as a vertex count and a list of endpoint pairs,
-// any of them loops or repeats, and checks that Build returns a valid graph
-// equal to the sequential reference's.
+// FuzzBuild reads the input as a vertex count, a number of cliques, that many
+// (base, size) pairs and a list of endpoint pairs, any of them loops, repeats
+// or edges of a clique, and checks that Build returns a valid graph equal to
+// the sequential reference's on the cliques expanded edge by edge.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{3, 0, 1, 1, 0, 2, 2, 1, 2, 0, 1})
 	f.Add([]byte{200, 7, 7, 7, 199, 199, 7, 0, 7, 7, 0, 31})
+	f.Add([]byte{9, 3, 0, 10, 4, 3, 9, 1, 5, 2, 2, 5, 8, 8})
+	f.Add([]byte{255, 2, 0, 255, 100, 200, 254, 0, 0, 254, 17, 17})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := 1
@@ -98,16 +101,32 @@ func FuzzBuild(f *testing.F) {
 			n += int(data[0])
 			data = data[1:]
 		}
+		var cliques []clique
+		if len(data) > 0 {
+			k := min(int(data[0])%8, (len(data)-1)/2)
+			for i := 0; i < k; i++ {
+				base := int(data[1+2*i]) % n
+				cliques = append(cliques, clique{int32(base), int32(int(data[2+2*i]) % (n - base + 1))})
+			}
+			data = data[1+2*k:]
+		}
 		edges := make([]Edge, len(data)/2)
 		for i := range edges {
 			edges[i] = Edge{int32(int(data[2*i]) % n), int32(int(data[2*i+1]) % n)}
 		}
-		g := MustFromEdges(n, edges)
+		b := NewBuilder(n)
+		for _, c := range cliques {
+			b.AddClique(c.base, int(c.size))
+		}
+		for _, e := range edges {
+			b.AddEdge(e.U, e.V)
+		}
+		g := b.Build()
 		if err := g.Validate(); err != nil {
 			t.Fatalf("Build returned an invalid graph: %v", err)
 		}
-		if !g.Equal(referenceBuild(n, edges)) {
-			t.Fatalf("Build differs from the reference on n=%d %v", n, edges)
+		if !g.Equal(referenceBuild(n, append(expand(cliques), edges...))) {
+			t.Fatalf("Build differs from the reference on n=%d %v %v", n, cliques, edges)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -295,21 +296,63 @@ func messyEdges(seed uint64, n, m int) []Edge {
 	return edges
 }
 
-// buildSizes straddle the inline cutoff (one edgeChunk) from both sides.
-var buildSizes = []struct{ n, m int }{
-	{1, 0}, {1, 5}, {2, 9}, {40, 300}, {3000, edgeChunk - 1}, {3000, edgeChunk},
-	{3000, edgeChunk + 1}, {300, 3 * edgeChunk}, {20000, 5*edgeChunk + 17}, {150000, 8 * edgeChunk},
+// messyCliques draws the cliques Build has to survive beside messyEdges: empty,
+// of one and of two, a wide one (a run longer than strayBuf) and another begun
+// in its middle, so that a vertex of both has a second run behind its first, a
+// few small ones anywhere, and one on the last edge's first end — the hub, as
+// a rule. It returns them with edges of every clique added to edges as well,
+// in one orientation, in the other and in both.
+func messyCliques(seed uint64, n int, edges []Edge) ([]clique, []Edge) {
+	r := xrand.New(seed ^ 0xc11c)
+	wide := int32(min(n, 300))
+	cliques := []clique{{0, 0}, {int32(n - 1), 1}, {int32(n / 2), int32(min(n-n/2, 2))},
+		{0, wide}, {wide / 2, int32(min(n-int(wide)/2, 200))}}
+	for i := 0; i < 6; i++ {
+		base := r.Intn(n)
+		cliques = append(cliques, clique{int32(base), int32(r.Intn(min(n-base, 60) + 1))})
+	}
+	if len(edges) > 0 {
+		hub := edges[len(edges)-1].U
+		cliques = append(cliques, clique{hub, min(int32(n)-hub, 9)})
+	}
+	for _, c := range cliques {
+		if c.size >= 2 {
+			u, v, w := c.base, c.base+c.size-1, c.base+c.size/2
+			edges = append(edges, Edge{u, v}, Edge{w, u}, Edge{v, w}, Edge{w, v})
+		}
+	}
+	return cliques, edges
 }
 
-func TestBuildMatchesReference(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	for i, sz := range buildSizes {
-		edges := messyEdges(uint64(i), sz.n, sz.m)
-		want := referenceBuild(sz.n, edges)
-		b := NewBuilder(sz.n)
+// expand lists the edges of the cliques one by one, for referenceBuild.
+func expand(cliques []clique) []Edge {
+	var edges []Edge
+	for _, c := range cliques {
+		for u := c.base; u < c.base+c.size; u++ {
+			for v := u + 1; v < c.base+c.size; v++ {
+				edges = append(edges, Edge{u, v})
+			}
+		}
+	}
+	return edges
+}
+
+// checkBuild hands the edges, half of them through AddEdge and half through
+// AddEdges, and the cliques to a Builder under GOMAXPROCS 1, 2 and 8 and
+// compares what Build returns with the reference on the expanded edge list.
+func checkBuild(t *testing.T, n int, edges []Edge, cliques []clique) {
+	t.Helper()
+	want := referenceBuild(n, append(expand(cliques), edges...))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		b := NewBuilder(n)
 		half := len(edges) / 2
 		for _, e := range edges[:half] {
 			b.AddEdge(e.U, e.V)
+		}
+		for _, c := range cliques {
+			b.AddClique(c.base, int(c.size))
 		}
 		b.AddEdges(len(edges)-half, func(us, vs []int32) {
 			for j, e := range edges[half:] {
@@ -318,13 +361,97 @@ func TestBuildMatchesReference(t *testing.T) {
 		})
 		got := b.Build()
 		if !got.Equal(want) {
-			t.Errorf("n=%d m=%d: Build differs from the reference (%s vs %s)", sz.n, sz.m, got, want)
+			t.Errorf("GOMAXPROCS=%d n=%d m=%d, %d cliques: Build differs from the reference (%s vs %s)",
+				procs, n, len(edges), len(cliques), got, want)
 		}
 		if err := got.Validate(); err != nil {
-			t.Errorf("n=%d m=%d: %v", sz.n, sz.m, err)
+			t.Errorf("GOMAXPROCS=%d n=%d m=%d: %v", procs, n, len(edges), err)
 		}
 		if cap(got.adj) != len(got.adj) {
-			t.Errorf("n=%d m=%d: adj has %d words of spare capacity", sz.n, sz.m, cap(got.adj)-len(got.adj))
+			t.Errorf("n=%d m=%d: adj has %d words of spare capacity", n, len(edges), cap(got.adj)-len(got.adj))
+		}
+	}
+}
+
+// buildSizes straddle the inline cutoff (one edgeChunk) from both sides.
+var buildSizes = []struct{ n, m int }{
+	{1, 0}, {1, 5}, {2, 9}, {40, 300}, {3000, edgeChunk - 1}, {3000, edgeChunk},
+	{3000, edgeChunk + 1}, {300, 3 * edgeChunk}, {20000, 5*edgeChunk + 17}, {150000, 8 * edgeChunk},
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	for i, sz := range buildSizes {
+		edges := messyEdges(uint64(i), sz.n, sz.m)
+		checkBuild(t, sz.n, edges, nil)
+		cliques, edges := messyCliques(uint64(i), sz.n, edges)
+		checkBuild(t, sz.n, edges, cliques)
+	}
+	// K_181 is 16 290 edges: 94 more make one edgeChunk, the last size built
+	// inline, and 95 the first that is forked, by the clique's weight alone.
+	for _, m := range []int{0, 94, 95} {
+		checkBuild(t, 200, messyEdges(7, 200, m), []clique{{3, 181}})
+	}
+}
+
+func TestAddCliquePanicsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		base int32
+		size int
+	}{{-1, 2}, {2, 2}, {0, 4}, {1, -1}, {3, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddClique(%d, %d) on 3 vertices did not panic", c.base, c.size)
+				}
+			}()
+			NewBuilder(3).AddClique(c.base, c.size)
+		}()
+	}
+	b := NewBuilder(3)
+	b.AddClique(3, 0) // empty, at the end of the range: nothing to be out of it
+	b.AddClique(0, 3)
+	if g := b.Build(); !g.Equal(complete(3)) {
+		t.Errorf("AddClique(0, 3) built %s, want K_3", g)
+	}
+}
+
+// TestSortRunAndStrays holds the run-and-strays sort to slices.Sort on every
+// shape of list Build can hand it, with the buffer Build gives it and with
+// one too small for the strays.
+func TestSortRunAndStrays(t *testing.T) {
+	long := make([]int32, 2*strayBuf+40) // a run of strayBuf+20, then as many strays as buf holds and 20 more
+	for i := range long {
+		long[i] = int32(3 * i)
+		if i >= strayBuf+20 {
+			long[i] = int32(7*(len(long)-i) + 1)
+		}
+	}
+	cases := []struct {
+		name string
+		list []int32
+	}{
+		{"empty", nil},
+		{"one word", []int32{4}},
+		{"all run", []int32{1, 2, 3, 5, 8, 9}},
+		{"all strays", []int32{9, 7, 7, 4, 2, 0}},
+		{"one stray in front", []int32{2, 3, 4, 5, 6, 0}},
+		{"one stray behind", []int32{2, 3, 4, 5, 6, 9, 7}},
+		{"duplicates across the seam", []int32{1, 3, 5, 5, 3, 1}},
+		{"strays equal to the ends", []int32{1, 3, 5, 7, 7, 1}},
+		{"a second run behind the first", []int32{0, 1, 2, 3, 7, 8, 9, 4, 5, 6}},
+		{"a second run and strays", []int32{10, 11, 12, 13, 14, 15, 16, 12, 13, 14, 40, 3}},
+		{"strays outnumber the run", []int32{5, 6, 4, 3, 9, 1, 7}},
+		{"strays outnumber the buffer", long},
+	}
+	for _, c := range cases {
+		for _, buf := range []int{strayBuf, 2} {
+			got := slices.Clone(c.list)
+			sortRunAndStrays(got, make([]int32, buf))
+			want := slices.Clone(c.list)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, buffer of %d: got %v, want %v", c.name, buf, got, want)
+			}
 		}
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// Edges are claimed edgeChunk at a time and vertices (an adjacency list
-// each) vertexChunk at a time, so that a hub's list does not leave the other
-// workers idle behind it.
+// Edges are claimed edgeChunk at a time, vertices (an adjacency list each)
+// vertexChunk at a time, so that a hub's list does not leave the other
+// workers idle behind it, and cliques (size² arcs each) cliqueChunk at a time.
 const (
 	edgeChunk   = 1 << 14
 	vertexChunk = 1 << 8
+	cliqueChunk = 1 << 4
 )
 
 // forChunks calls body(lo, hi) on consecutive chunks covering [0, n) from
@@ -21,7 +22,7 @@ const (
 // one processor, the loop is a single call on the caller, so the small graphs
 // the tests build by the thousand never start a goroutine. It is not a
 // sched.Team because graph sits below sched, and because a build is
-// milliseconds of work around three of these joins.
+// milliseconds of work around four of these joins.
 func forChunks(size, n, chunk int, body func(lo, hi int)) {
 	workers := min(runtime.GOMAXPROCS(0), (n+chunk-1)/chunk)
 	if size <= edgeChunk || workers <= 1 {

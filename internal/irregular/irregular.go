@@ -33,14 +33,25 @@ func InitialState(n int) []float64 {
 }
 
 // updateOne computes iter averaging sweeps of vertex v against the frozen
-// input snapshot, exactly as Algorithm 5's inner loop.
+// input snapshot, exactly as Algorithm 5's inner loop. The neighbour sum is
+// unrolled four wide and still adds in list order, one term at a time, so
+// the result is the plain loop's to the last bit; with four loads under one
+// loop test the rate no longer follows the boundary the linker gives the loop
+// (EXPERIMENTS.md, ISSUE 24).
 func updateOne(g *graph.Graph, in []float64, v int32, iter int) float64 {
 	adj := g.Adj(v)
 	x := in[v]
 	inv := 1 / float64(len(adj)+1)
 	for it := 0; it < iter; it++ {
 		sum := x
-		for _, w := range adj {
+		a := adj
+		for ; len(a) >= 4; a = a[4:] {
+			sum += in[a[0]]
+			sum += in[a[1]]
+			sum += in[a[2]]
+			sum += in[a[3]]
+		}
+		for _, w := range a {
 			sum += in[w]
 		}
 		x = sum * inv

@@ -36,6 +36,35 @@ func TestSequentialIsolatedVertex(t *testing.T) {
 	}
 }
 
+// TestUpdateOneMatchesPlainLoop holds the unrolled neighbour sum to the loop
+// it replaced, term by term in list order, on the centre of a star of every
+// degree from 0 to 9 (no pass, a remainder only, two passes and a remainder)
+// over a state whose sums round differently in any other order.
+func TestUpdateOneMatchesPlainLoop(t *testing.T) {
+	for deg := 0; deg <= 9; deg++ {
+		b := graph.NewBuilder(deg + 1)
+		in := []float64{1 / 3.0}
+		for w := 1; w <= deg; w++ {
+			b.AddEdge(0, int32(w))
+			in = append(in, math.Pow(10, float64(w%5))/float64(2*w+1))
+		}
+		g := b.Build()
+		for _, iter := range []int{1, 3} {
+			want := in[0]
+			for it := 0; it < iter; it++ {
+				sum := want
+				for _, w := range g.Adj(0) {
+					sum += in[w]
+				}
+				want = sum * (1 / float64(deg+1))
+			}
+			if got := updateOne(g, in, 0, iter); got != want {
+				t.Errorf("degree %d, iter %d: updateOne = %v, plain loop = %v", deg, iter, got, want)
+			}
+		}
+	}
+}
+
 func TestSequentialPairConverges(t *testing.T) {
 	// Two connected vertices averaging against a frozen snapshot both land
 	// on the snapshot mean after one iteration.
