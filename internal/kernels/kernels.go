@@ -46,7 +46,8 @@ type Runtime struct {
 }
 
 // NewRuntime starts a team and a pool of the given size with empty
-// scratches; release it with Close.
+// scratches: 2(workers − 1) goroutines, because each runtime's caller works
+// as its worker 0. Release it with Close.
 func NewRuntime(workers int) *Runtime {
 	return &Runtime{
 		Team: sched.NewTeam(workers),

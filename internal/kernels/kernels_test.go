@@ -4,8 +4,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestTableShape pins the matrix the daemon accepts: 18 kind×variant
@@ -102,5 +104,26 @@ func TestVariantNamesSpelledOnlyHere(t *testing.T) {
 	}
 	if files < 50 {
 		t.Fatalf("walked only %d files; the check is not seeing the module", files)
+	}
+}
+
+// TestRuntimeGoroutineBudget pins what a Runtime of w workers costs its host:
+// the team and the pool each start w − 1 helpers, their callers being worker
+// 0, and Close takes every one of them back.
+func TestRuntimeGoroutineBudget(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		rt := NewRuntime(w)
+		if got := runtime.NumGoroutine() - before; got != 2*(w-1) {
+			t.Errorf("NewRuntime(%d) started %d goroutines, want %d", w, got, 2*(w-1))
+		}
+		rt.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Errorf("after NewRuntime(%d).Close: %d goroutines, %d before", w, got, before)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package sched
 
 // Arena is a per-worker free list of reusable int32 buffers — the
-// sync.Pool-style scratch arena behind the zero-alloc kernel hot paths
-// (ROADMAP item 2). Unlike sync.Pool it is keyed by worker id, so a buffer
+// sync.Pool-style scratch arena behind the zero-alloc kernel hot paths.
+// Unlike sync.Pool it is keyed by worker id, so a buffer
 // is always recycled on the worker that released it: no cross-worker
 // synchronisation on the hot path and no GC-triggered eviction, which is
 // what lets testing.AllocsPerRun pin the steady state at zero.

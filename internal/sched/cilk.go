@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"micgraph/internal/telemetry"
@@ -15,43 +13,24 @@ import (
 // Pool is a Cilk Plus-style work-stealing runtime: each worker owns a deque,
 // pushes spawned tasks at the bottom, and steals from the top of a randomly
 // chosen victim when idle. Pool also underlies the TBB-style partitioners in
-// tbb.go. Create with NewPool, release with Close.
-//
-// # Shutdown states
-//
-// A Pool moves through three explicit states:
-//
-//  1. open: closed == false. RunCtx and the loop drivers accept work.
-//  2. closing: closed == true, active > 0. Close has been called while runs
-//     are still in flight; new runs are refused (ErrPoolClosed), but the
-//     workers keep executing until every in-flight run has completed — a
-//     worker never exits early just because the queue is transiently empty
-//     mid-run.
-//  3. closed: closed == true, active == 0 and the queue is empty. Workers
-//     exit; Close returns after all of them have.
-//
-// The active-run counter is what makes the transition safe: the historical
-// exit condition "closed && queued == 0" could be observed mid-run between
-// a task finishing and its continuation being enqueued, silently shrinking
-// the worker set. Workers now only exit when no run is in flight.
+// tbb.go. It runs on the same crew as a Team: n − 1 resident helpers plus the
+// goroutine that starts a run, which executes the root task as worker 0; then
+// every worker pops or steals until the root's scope has drained, and between
+// runs the helpers spin, then park. One run at a time, like a Team's loops:
+// Pool methods are not safe for concurrent use. Create with NewPool, release
+// with Close.
 type Pool struct {
 	workers  []*worker
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queued   atomic.Int64
-	active   atomic.Int64 // in-flight runs (RunCtx and the loop drivers)
-	closed   atomic.Bool
-	wg       sync.WaitGroup
-	inject   InjectFunc // optional fault hook, fired per task execution
-	arena    *Arena     // resident per-worker scratch (see arena.go)
-	rootMu   sync.Mutex // guards rootFree
-	rootFree []*rootBox // recycled root scopes (see runRoot)
+	crew     *crew               // the helpers; the caller of a run is worker 0
+	inject   InjectFunc          // optional fault hook, fired per task execution
+	counters *telemetry.Counters // optional scheduler counters (nil = off)
+	arena    *Arena              // resident per-worker scratch (see arena.go)
 
-	// counters is the optional scheduler counter sink (nil = off). It is an
-	// atomic pointer because pool workers are already spinning through the
-	// steal path when SetCounters runs: a plain field would race with the
-	// StealFails increment of an idle worker.
-	counters atomic.Pointer[telemetry.Counters]
+	// The current run, resident because runs are serial: its context and
+	// panic slot, its root task, and the scope that counts the root.
+	region
+	root task
+	top  scope
 }
 
 // worker is one scheduler thread of the pool.
@@ -61,67 +40,43 @@ type worker struct {
 	dq     deque
 	rng    *xrand.Rand
 	stolen bool      // whether the task currently executing was obtained by theft
-	free   []*ctxBox // recycled Ctx+scope pairs, owner-goroutine only
+	free   []*ctxBox // recycled Ctx+scope pairs, touched only by the goroutine working as this worker
 }
 
 // ctxBox is a Ctx and its child scope allocated as one block so runTask
 // costs zero allocations in steady state. Recycling is safe because a
-// scope is dead once its owner's Sync has observed pending == 0: children
-// only touch the scope through complete(), which for a non-root scope does
-// nothing after the atomic decrement, and every child has decremented
-// before Sync returns. The free list is per-worker and only touched by the
-// worker's own goroutine (runTask runs on it, even when nested via Sync's
-// help-first execution), so no lock is needed.
+// scope is dead once its owner's Sync has observed pending == 0: a child
+// touches its parent's scope only to decrement pending, and every child has
+// decremented before Sync returns. The free list is per-worker and only
+// touched by the goroutine working as that worker (runTask runs on it, even
+// when nested via Sync's help-first execution), so no lock is needed.
 type ctxBox struct {
 	c  Ctx
 	sc scope
 }
 
-// getCtx leases a Ctx with a fresh child scope inheriting the run's panic
-// slot and context from parent.
-func (w *worker) getCtx(parent *scope) *Ctx {
-	var b *ctxBox
+// getCtx leases a Ctx with a fresh child scope.
+func (w *worker) getCtx() *Ctx {
 	if n := len(w.free); n > 0 {
-		b = w.free[n-1]
+		b := w.free[n-1]
 		w.free[n-1] = nil
 		w.free = w.free[:n-1]
-	} else {
-		b = &ctxBox{}
-		b.c.w = w
-		b.c.sc = &b.sc
-		b.c.box = b
+		return &b.c
 	}
-	b.sc.err = parent.err
-	b.sc.ctx = parent.ctx
+	b := &ctxBox{}
+	b.c = Ctx{w: w, sc: &b.sc, box: b}
 	return &b.c
 }
 
 // putCtx returns a Ctx leased by getCtx. Only call after Sync has drained
 // the scope (pending == 0).
-func (w *worker) putCtx(c *Ctx) {
-	b := c.box
-	b.sc.err = nil
-	b.sc.ctx = nil
-	w.free = append(w.free, b)
-}
+func (w *worker) putCtx(c *Ctx) { w.free = append(w.free, c.box) }
 
-// scope tracks the outstanding children of one spawning task, so Sync knows
-// when they have all completed. Every scope of a run shares the root's
-// panic slot and context, so a failure or cancellation anywhere in the task
-// tree is visible everywhere.
+// scope counts the outstanding children of one spawning task, so Sync knows
+// when they have all completed. What else a task tree shares — its context
+// and the slot its first panic lands in — is the pool's, for the run.
 type scope struct {
 	pending atomic.Int64
-	done    chan struct{}   // non-nil only for the root scope
-	err     *panicSlot      // shared panic holder of the run
-	ctx     context.Context // shared cancellation of the run (may be nil)
-}
-
-func (sc *scope) complete() {
-	if sc.pending.Add(-1) == 0 && sc.done != nil {
-		// A buffered send (not close) so root scopes can be recycled across
-		// runs; each run completes exactly once, so the slot is always free.
-		sc.done <- struct{}{}
-	}
 }
 
 // Ctx is the handle a task uses to spawn children, wait for them, and
@@ -130,7 +85,7 @@ func (sc *scope) complete() {
 type Ctx struct {
 	w   *worker
 	sc  *scope
-	box *ctxBox // back-pointer for recycling; nil for stack-constructed Ctxs
+	box *ctxBox // back-pointer for recycling
 }
 
 // Worker returns the executing worker's id in [0, Workers()).
@@ -149,27 +104,19 @@ func (c *Ctx) Stolen() bool { return c.w.stolen }
 // or has failed: true once the run's context is done or any task of the run
 // has panicked. Long loop bodies may poll it to bail out early; the loop
 // drivers poll it at every split/claim boundary.
-func (c *Ctx) Cancelled() bool {
-	if c.sc.err != nil && c.sc.err.failed() {
-		return true
-	}
-	return c.sc.ctx != nil && c.sc.ctx.Err() != nil
-}
+func (c *Ctx) Cancelled() bool { return c.w.pool.stopped() }
 
-// NewPool creates a work-stealing pool with n workers.
+// NewPool creates a work-stealing pool of n workers (n >= 1): it starts
+// n − 1 goroutines.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		panic(fmt.Sprintf("sched: NewPool(%d): need at least one worker", n))
 	}
 	p := &Pool{workers: make([]*worker, n), arena: NewArena(n)}
-	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < n; i++ {
+	for i := range p.workers {
 		p.workers[i] = &worker{pool: p, id: i, rng: xrand.New(uint64(i)*0x9E3779B97F4A7C15 + 1)}
 	}
-	p.wg.Add(n)
-	for _, w := range p.workers {
-		go w.loop()
-	}
+	p.crew = newCrew(n, p.work)
 	return p
 }
 
@@ -185,27 +132,17 @@ func (p *Pool) SetInject(f InjectFunc) { p.inject = f }
 // failures, range splits, chunks claimed, panics contained). Pass nil to
 // disable — the default, which keeps the scheduling paths at a single nil
 // check per event. Must not be called while a run is in flight; the
-// counters must have been created for at least Workers() workers. Safe to
-// call while workers are idle-spinning (the handoff is atomic).
-func (p *Pool) SetCounters(c *telemetry.Counters) { p.counters.Store(c) }
+// counters must have been created for at least Workers() workers.
+func (p *Pool) SetCounters(c *telemetry.Counters) { p.counters = c }
 
-// Close shuts the pool down: new runs are refused immediately, in-flight
-// runs drain to completion, then the workers exit. Close blocks until they
-// have. Closing an already-closed pool is a no-op.
-func (p *Pool) Close() {
-	if p.closed.Swap(true) {
-		return
-	}
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
+// Close dismisses the helper goroutines and returns when they have gone; a
+// run on a closed Pool returns ErrPoolClosed. Closing twice is a no-op.
+func (p *Pool) Close() { p.crew.dismiss() }
 
 // RunCtx executes root on the pool and blocks until root and every task it
 // transitively spawned have completed (Cilk's implicit sync at function
-// exit applies to every task). It returns ErrPoolClosed when the pool is
-// shut down, or a *PanicError carrying the first task panic with its stack;
+// exit applies to every task). It returns ErrPoolClosed when the pool has
+// been closed, or a *PanicError carrying the first task panic with its stack;
 // on a task panic the rest of the task tree drains cleanly (no task is
 // abandoned mid-flight) and the pool remains usable. Once ctx (which may be
 // nil) is done, task bodies stop being invoked (queued tasks still drain
@@ -215,91 +152,45 @@ func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
 	return p.runRoot(ctx, task{fn: root})
 }
 
-// rootBox bundles a recyclable root scope with its panic slot, so starting
-// a run allocates nothing in steady state (pinned by the kerneltest alloc
-// gates). Boxes are handed out under rootMu; concurrent runs each hold
-// their own box for the run's duration.
-type rootBox struct {
-	sc   scope
-	slot panicSlot
-}
-
-func (p *Pool) getRoot() *rootBox {
-	p.rootMu.Lock()
-	var rb *rootBox
-	if n := len(p.rootFree); n > 0 {
-		rb = p.rootFree[n-1]
-		p.rootFree = p.rootFree[:n-1]
-	}
-	p.rootMu.Unlock()
-	if rb == nil {
-		rb = &rootBox{}
-		rb.sc.done = make(chan struct{}, 1)
-		rb.sc.err = &rb.slot
-	}
-	rb.slot.reset()
-	return rb
-}
-
-func (p *Pool) putRoot(rb *rootBox) {
-	rb.sc.ctx = nil
-	p.rootMu.Lock()
-	p.rootFree = append(p.rootFree, rb)
-	p.rootMu.Unlock()
-}
-
-// runRoot executes t as the root task of a run on a recycled root scope and
-// blocks until the whole task tree has completed.
+// runRoot executes t as the root task of a run and returns when the whole
+// task tree has completed.
 func (p *Pool) runRoot(ctx context.Context, t task) error {
-	p.active.Add(1)
-	defer p.runDone()
-	if p.closed.Load() {
+	if p.crew.leave {
 		return ErrPoolClosed
 	}
-	rb := p.getRoot()
-	rb.sc.ctx = ctx
-	rb.sc.pending.Store(1)
-	t.scope = &rb.sc
-	p.submit(p.workers[0], t)
-	<-rb.sc.done
-	var err error
-	if pe := rb.slot.get(); pe != nil {
-		err = pe
-	} else if ctx != nil {
-		err = ctx.Err()
-	}
-	p.putRoot(rb)
-	return err
+	p.begin(ctx)
+	p.top.pending.Store(1)
+	t.scope = &p.top
+	p.root = t
+	p.counters.Inc(0, telemetry.TasksSpawned) // the root counts as one spawned task
+	p.crew.run()
+	p.root = task{} // drop references; the field is resident
+	return p.end()
 }
 
-// runDone retires one in-flight run and, when it was the last during a
-// close, wakes the workers so they can observe the closed state.
-func (p *Pool) runDone() {
-	if p.active.Add(-1) == 0 && p.closed.Load() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
+// work is worker w's share of the current run: worker 0 executes the root
+// task, and every worker runs what it can pop or steal until the root's scope
+// has drained.
+func (p *Pool) work(w int) {
+	wk := p.workers[w]
+	if w == 0 {
+		runTask(wk, p.root)
 	}
+	wk.drain(&p.top)
 }
 
-// runTask executes t in a recycled child scope (inheriting the run's panic
-// slot and context from t.scope, the parent) with panic containment, then
-// performs the implicit sync and returns the Ctx to the worker's free
-// list. A panicking task is recorded on the run; its already-spawned
-// children still drain so no goroutine or scope count leaks. Range tasks
-// (t.fn == nil) continue the split of [t.lo, t.hi) their kind names.
+// runTask executes t in a recycled child scope with panic containment, then
+// performs the implicit sync, counts t out of its parent's scope and returns
+// the Ctx to the worker's free list. A panicking task is recorded on the run;
+// its already-spawned children still drain so no scope count leaks. Range
+// tasks (t.fn == nil) continue the split of [t.lo, t.hi) their kind names.
 func runTask(w *worker, t task) {
-	parent := t.scope
-	ctx := w.getCtx(parent)
+	p := w.pool
+	ctx := w.getCtx()
 	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				parent.err.record(w.id, r, debug.Stack())
-				w.pool.counters.Load().Inc(w.id, telemetry.PanicsContained)
-			}
-		}()
-		if w.pool.inject != nil {
-			w.pool.inject("pool/task", w.id)
+		defer p.contain(w.id, p.counters)
+		if p.inject != nil {
+			p.inject("pool/task", w.id)
 		}
 		if !ctx.Cancelled() {
 			switch {
@@ -315,7 +206,7 @@ func runTask(w *worker, t task) {
 		}
 	}()
 	ctx.Sync() // implicit sync at task exit, also on panic/cancellation
-	parent.complete()
+	t.scope.pending.Add(-1)
 	w.putCtx(ctx)
 }
 
@@ -342,23 +233,24 @@ func (c *Ctx) spawnRange(kind uint8, r Range, body func(lo, hi int, c *Ctx)) {
 // Sync blocks until every task spawned by this Ctx has completed. While
 // waiting, the worker executes other available tasks (its own first, then
 // stolen ones), so Sync never wastes the worker.
-func (c *Ctx) Sync() {
-	w := c.w
-	for c.sc.pending.Load() > 0 {
+func (c *Ctx) Sync() { c.w.drain(c.sc) }
+
+// drain runs the tasks the worker can pop or steal until sc has no pending
+// children: Sync's wait, and a worker's share of a run once it is not
+// running the root.
+func (w *worker) drain(sc *scope) {
+	for sc.pending.Load() > 0 {
 		if !w.tryRunOne() {
 			runtime.Gosched()
 		}
 	}
 }
 
-// submit enqueues t on w's deque and wakes a sleeping worker.
+// submit enqueues t on w's deque. Nobody needs waking: while a run is in
+// flight every worker is popping or stealing.
 func (p *Pool) submit(w *worker, t task) {
-	p.counters.Load().Inc(w.id, telemetry.TasksSpawned)
+	p.counters.Inc(w.id, telemetry.TasksSpawned)
 	w.dq.pushBottom(t)
-	p.queued.Add(1)
-	p.mu.Lock()
-	p.cond.Signal()
-	p.mu.Unlock()
 }
 
 // submitTo enqueues a task for a specific worker id (used by the affinity
@@ -369,35 +261,12 @@ func (p *Pool) submitTo(workerID int, sc *scope, f func(*Ctx)) {
 	p.submit(w, task{scope: sc, fn: f})
 }
 
-// loop is the worker scheduler: pop own work, else steal, else sleep.
-// Workers exit only in the fully-closed state: closed, no queued tasks,
-// and no run in flight (see the Pool shutdown-state documentation).
-func (w *worker) loop() {
-	defer w.pool.wg.Done()
-	p := w.pool
-	for {
-		if w.tryRunOne() {
-			continue
-		}
-		p.mu.Lock()
-		for p.queued.Load() == 0 && !(p.closed.Load() && p.active.Load() == 0) {
-			p.cond.Wait()
-		}
-		exit := p.closed.Load() && p.queued.Load() == 0 && p.active.Load() == 0
-		p.mu.Unlock()
-		if exit {
-			return
-		}
-	}
-}
-
 // tryRunOne executes one task if any is available, preferring the worker's
 // own deque and falling back to stealing from random victims. It reports
 // whether a task ran.
 func (w *worker) tryRunOne() bool {
 	p := w.pool
 	if t, ok := w.dq.popBottom(); ok {
-		p.queued.Add(-1)
 		w.runWith(t, false)
 		return true
 	}
@@ -413,13 +282,12 @@ func (w *worker) tryRunOne() bool {
 			continue
 		}
 		if t, ok := v.dq.stealTop(); ok {
-			p.queued.Add(-1)
-			p.counters.Load().Inc(w.id, telemetry.Steals)
+			p.counters.Inc(w.id, telemetry.Steals)
 			w.runWith(t, true)
 			return true
 		}
 	}
-	p.counters.Load().Inc(w.id, telemetry.StealFails)
+	p.counters.Inc(w.id, telemetry.StealFails)
 	return false
 }
 
@@ -466,7 +334,7 @@ func (c *Ctx) For(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
 // cilk_for and TBB's simple partitioner alike. A cancelled run stops
 // subdividing and skips unexecuted subranges.
 func (c *Ctx) forSplit(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
-	counters := c.w.pool.counters.Load()
+	counters := c.w.pool.counters
 	sc := c.sc
 	for hi-lo > grain {
 		if c.Cancelled() {

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// crew is the worker group a Team claims its loops over: n − 1 resident
-// helper goroutines plus whoever calls run, who works as worker 0 — OpenMP's
-// master thread. It knows nothing of loops: a generation is one call of fn
+// crew is the worker group both engines run on — a Team claims its loops
+// over it, a Pool pops and steals its tasks on it: n − 1 resident helper
+// goroutines plus whoever calls run, who works as worker 0 — OpenMP's master
+// thread. It knows nothing of loops or tasks: a generation is one call of fn
 // on every worker, published by bumping one word and over when the last
 // helper has counted itself out.
 //
@@ -135,8 +136,12 @@ func (c *crew) run() {
 }
 
 // dismiss publishes the generation in which the helpers leave and returns
-// once each has taken its last look at the crew. No run may follow.
+// once each has taken its last look at the crew. No run may follow; a second
+// dismiss does nothing.
 func (c *crew) dismiss() {
+	if c.leave {
+		return
+	}
 	c.leave = true
 	c.publish()
 	c.master.await(&c.pending, 0)

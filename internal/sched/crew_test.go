@@ -166,3 +166,48 @@ func TestTeamOfOneOwnsNoGoroutine(t *testing.T) {
 		t.Errorf("%d goroutines after NewTeam(1), %d before; loop covered %d of 100", got, before, ran)
 	}
 }
+
+// TestPoolOfOneOwnsNoGoroutine: the caller is the whole pool.
+func TestPoolOfOneOwnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool := NewPool(1)
+	defer pool.Close()
+	var got int
+	check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 12) }))
+	if n := runtime.NumGoroutine(); n > before || got != 144 {
+		t.Errorf("%d goroutines after NewPool(1), %d before; fib(12) = %d, want 144", n, before, got)
+	}
+}
+
+// TestPoolRunAfterPark: a run finds its helpers still spinning from the last
+// one or parked past the budget, and either way returns only when every task
+// of it has: coverage is read right after the run, through plain memory, so a
+// worker that had not finished shows up as a missing mark (and under -race as
+// a race on it). A spawn tree after a park comes out whole too.
+func TestPoolRunAfterPark(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	const n = 1000
+	marks := make([]int, n)
+	for k := 1; k <= 50; k++ {
+		if k%2 == 0 {
+			time.Sleep(2 * spinBudget)
+		}
+		check(t, pool.ParallelForCtx(nil, n, 7, func(lo, hi int, c *Ctx) {
+			for i := lo; i < hi; i++ {
+				marks[i]++
+			}
+		}))
+		for i, m := range marks {
+			if m != k {
+				t.Fatalf("run %d returned with index %d visited %d times, want %d", k, i, m, k)
+			}
+		}
+	}
+	time.Sleep(2 * spinBudget)
+	var got int
+	check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 15) }))
+	if got != 610 {
+		t.Errorf("fib(15) after a park = %d, want 610", got)
+	}
+}

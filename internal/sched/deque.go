@@ -32,10 +32,12 @@ const (
 // decompositions the largest — work, "the deepest half of the stack" in the
 // paper's description).
 //
-// The implementation is mutex-based. A lock-free Chase-Lev deque would cut
-// the constant factor, but the kernels built on this pool measure simulated
-// time (package mic), not wall-clock scheduling overhead, so correctness and
-// clarity win here.
+// The implementation is mutex-based: one lock per deque, taken by its owner
+// and by the thieves that tour it, never one for the pool. A lock-free
+// Chase-Lev deque would cut the constant factor of a push, a pop and a steal;
+// bench/ has timed the pool-carried kernels since PR 11 (sched.pool.cilkfor_us,
+// the pool variants' speedups), and that is the reading such a change would
+// have to move.
 type deque struct {
 	mu    sync.Mutex
 	items []task

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,51 +162,45 @@ func TestPoolRunCtxCancelSkipsTasks(t *testing.T) {
 	}
 }
 
+// TestPoolRunCtxOnClosedPool is TestTeamLoopOnClosedTeam's twin: Close
+// dismisses the helpers whatever they were doing — never used, still spinning
+// after a run, long parked — leaves no goroutine behind, may be repeated, and
+// every way of starting a run afterwards reports ErrPoolClosed instead of
+// waiting for helpers that have left.
 func TestPoolRunCtxOnClosedPool(t *testing.T) {
-	pool := NewPool(2)
-	pool.Close()
-	if err := pool.RunCtx(nil, func(c *Ctx) {}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("RunCtx on closed pool: %v, want ErrPoolClosed", err)
-	}
-	if err := pool.ParallelForCtx(nil, 10, 1, func(lo, hi int, c *Ctx) {}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("ParallelForCtx on closed pool: %v, want ErrPoolClosed", err)
-	}
-}
-
-// TestPoolCloseDuringRun exercises the shutdown state machine: Close racing
-// in-flight Runs must neither strand a submitted root task nor let workers
-// exit while a run is active. Every Run started before Close must complete.
-func TestPoolCloseDuringRun(t *testing.T) {
-	for round := 0; round < 20; round++ {
+	body := func(lo, hi int, c *Ctx) {}
+	for _, tc := range []struct {
+		name string
+		idle time.Duration // after one run; negative = no run at all
+	}{{"fresh", -1}, {"spinning", 0}, {"parked", 4 * spinBudget}} {
 		before := runtime.NumGoroutine()
 		pool := NewPool(4)
-		var started, finished atomic.Int64
-		var wg sync.WaitGroup
-		for r := 0; r < 8; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				err := pool.RunCtx(nil, func(c *Ctx) {
-					started.Add(1)
-					for i := 0; i < 8; i++ {
-						c.Spawn(func(cc *Ctx) { runtime.Gosched() })
-					}
-				})
-				if err == nil {
-					finished.Add(1)
-				} else if !errors.Is(err, ErrPoolClosed) {
-					t.Errorf("Run failed with %v", err)
-				}
-			}()
+		if tc.idle >= 0 {
+			check(t, pool.ParallelForCtx(nil, 64, 1, body))
+			time.Sleep(tc.idle)
 		}
-		runtime.Gosched()
 		pool.Close()
-		wg.Wait()
-		if started.Load() != finished.Load() {
-			t.Fatalf("round %d: %d runs started but only %d finished",
-				round, started.Load(), finished.Load())
-		}
+		pool.Close()
 		settleGoroutines(t, before)
+
+		var cilk, tbb Loop
+		cilk.OnCilk(pool, 1)
+		tbb.OnTBB(pool, AutoPartitioner, 1)
+		runs := map[string]error{
+			"RunCtx":         pool.RunCtx(context.Background(), func(*Ctx) {}),
+			"ParallelForCtx": pool.ParallelForCtx(nil, 64, 1, body),
+			"ParallelForE":   pool.ParallelForE(64, 1, body),
+			"cilk Loop.Run":  cilk.Run(nil, 64, func(lo, hi, w int) {}),
+			"tbb Loop.Run":   tbb.Run(nil, 64, func(lo, hi, w int) {}),
+		}
+		for _, part := range []Partitioner{SimplePartitioner, AutoPartitioner, AffinityPartitioner} {
+			runs["ParallelForRangeCtx/"+part.String()] = ParallelForRangeCtx(nil, pool, Range{0, 64, 1}, part, new(AffinityState), body)
+		}
+		for how, err := range runs {
+			if !errors.Is(err, ErrPoolClosed) {
+				t.Errorf("%s: %s on a closed pool: %v, want ErrPoolClosed", tc.name, how, err)
+			}
+		}
 	}
 }
 

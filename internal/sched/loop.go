@@ -15,7 +15,7 @@ import "context"
 // The zero Loop is unbound; bind it before Run and re-bind it freely between
 // runs. A Loop must not be copied after its first pool binding (the pool-side
 // adapter captures its address), so kernels keep it by value in their
-// Scratch. One Run at a time, like the Team it may be bound to.
+// Scratch. One Run at a time, like either runtime it may be bound to.
 type Loop struct {
 	team *Team // team binding
 	opts ForOptions

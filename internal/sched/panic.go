@@ -1,10 +1,14 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"micgraph/internal/telemetry"
 )
 
 // PanicError is the error returned by the loop and task drivers when a loop
@@ -81,6 +85,50 @@ func (s *panicSlot) get() *PanicError {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// region is what the workers of one parallel region share besides its work:
+// the context it runs under (nil when not cancellable) and the slot its first
+// panic lands in. A Team loop and a Pool run are regions; each engine keeps
+// one resident, because its regions are serial.
+type region struct {
+	ctx  context.Context
+	slot panicSlot
+}
+
+// begin readies r for the next region, run under ctx.
+func (r *region) begin(ctx context.Context) {
+	r.ctx = ctx
+	r.slot.reset()
+}
+
+// stopped reports whether the region has failed or been cancelled; workers
+// poll it at every chunk-claim, split and task boundary.
+func (r *region) stopped() bool {
+	return r.slot.failed() || r.ctx != nil && r.ctx.Err() != nil
+}
+
+// contain is deferred around whatever may panic on worker w — a loop body, a
+// task, the fault hook: it records the panic in the region and counts it.
+func (r *region) contain(w int, c *telemetry.Counters) {
+	if v := recover(); v != nil {
+		r.slot.record(w, v, debug.Stack())
+		c.Inc(w, telemetry.PanicsContained)
+	}
+}
+
+// end returns the region's outcome — its first panic, else its context's
+// error — and drops the context.
+func (r *region) end() error {
+	ctx := r.ctx
+	r.ctx = nil
+	if pe := r.slot.get(); pe != nil {
+		return pe
+	}
+	if ctx != nil {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // InjectFunc is an optional fault-injection hook called by the runtimes at

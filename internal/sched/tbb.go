@@ -117,7 +117,7 @@ func autoRoot(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
 // is still divisible, it splits once and continues with the left half,
 // giving the next thief something big to take.
 func autoRun(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
-	counters := c.w.pool.counters.Load()
+	counters := c.w.pool.counters
 	for c.Stolen() && r.IsDivisible() {
 		if c.Cancelled() {
 			return
@@ -179,7 +179,7 @@ func affinityRun(ctx context.Context, pool *Pool, r Range, aff *AffinityState, b
 					return
 				}
 				aff.homes[i] = cc.Worker() // theft moves the home
-				cc.w.pool.counters.Load().Inc(cc.w.id, telemetry.ChunksClaimed)
+				cc.w.pool.counters.Inc(cc.w.id, telemetry.ChunksClaimed)
 				body(r.Lo+blk.Lo, r.Lo+blk.Hi, cc)
 			})
 		}
