@@ -47,11 +47,17 @@ func getBenchSuite(b *testing.B) *core.Suite {
 	return benchSuite
 }
 
-func benchExperiment(b *testing.B, run func(*core.Suite) *core.Experiment) {
+// benchExperiment regenerates one experiment per iteration through core.ByID,
+// as a caller does: each call makes its worker team.
+func benchExperiment(b *testing.B, id string) {
 	s := getBenchSuite(b)
+	knf, host := mic.KNF(), mic.HostXeon()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp := run(s)
+		exp, err := core.ByID(id, s, knf, host)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(exp.Series) == 0 && len(exp.Rows) == 0 {
 			b.Fatal("empty experiment")
 		}
@@ -60,64 +66,19 @@ func benchExperiment(b *testing.B, run func(*core.Suite) *core.Experiment) {
 
 // --- One benchmark per table/figure -------------------------------------
 
-func BenchmarkTable1(b *testing.B) {
-	benchExperiment(b, core.Table1)
-}
-
-func BenchmarkFig1aColoringOpenMP(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig1a(s, knf) })
-}
-
-func BenchmarkFig1bColoringCilk(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig1b(s, knf) })
-}
-
-func BenchmarkFig1cColoringTBB(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig1c(s, knf) })
-}
-
-func BenchmarkFig2ColoringShuffled(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig2(s, knf) })
-}
-
-func BenchmarkFig3aIrregularOpenMP(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig3a(s, knf) })
-}
-
-func BenchmarkFig3bIrregularCilk(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig3b(s, knf) })
-}
-
-func BenchmarkFig3cIrregularTBB(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig3c(s, knf) })
-}
-
-func BenchmarkFig4aBFSPwtk(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig4a(s, knf) })
-}
-
-func BenchmarkFig4bBFSInline1(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig4b(s, knf) })
-}
-
-func BenchmarkFig4cBFSAllMIC(b *testing.B) {
-	knf := mic.KNF()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig4c(s, knf) })
-}
-
-func BenchmarkFig4dBFSHost(b *testing.B) {
-	host := mic.HostXeon()
-	benchExperiment(b, func(s *core.Suite) *core.Experiment { return core.Fig4d(s, host) })
-}
+func BenchmarkTable1(b *testing.B)               { benchExperiment(b, "table1") }
+func BenchmarkFig1aColoringOpenMP(b *testing.B)  { benchExperiment(b, "fig1a") }
+func BenchmarkFig1bColoringCilk(b *testing.B)    { benchExperiment(b, "fig1b") }
+func BenchmarkFig1cColoringTBB(b *testing.B)     { benchExperiment(b, "fig1c") }
+func BenchmarkFig2ColoringShuffled(b *testing.B) { benchExperiment(b, "fig2") }
+func BenchmarkFig3aIrregularOpenMP(b *testing.B) { benchExperiment(b, "fig3a") }
+func BenchmarkFig3bIrregularCilk(b *testing.B)   { benchExperiment(b, "fig3b") }
+func BenchmarkFig3cIrregularTBB(b *testing.B)    { benchExperiment(b, "fig3c") }
+func BenchmarkFig4aBFSPwtk(b *testing.B)         { benchExperiment(b, "fig4a") }
+func BenchmarkFig4bBFSInline1(b *testing.B)      { benchExperiment(b, "fig4b") }
+func BenchmarkFig4cBFSAllMIC(b *testing.B)       { benchExperiment(b, "fig4c") }
+func BenchmarkFig4dBFSHost(b *testing.B)         { benchExperiment(b, "fig4d") }
+func BenchmarkAblationBlockSize(b *testing.B)    { benchExperiment(b, "abl-blocksize") }
 
 // --- Real parallel kernels (goroutine execution, not simulation) ---------
 
@@ -461,17 +422,6 @@ func BenchmarkReorderRCM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if perm := RCMPermutation(shuffled); len(perm) == 0 {
 			b.Fatal("no permutation")
-		}
-	}
-}
-
-func BenchmarkAblationBlockSize(b *testing.B) {
-	s := getBenchSuite(b)
-	knf := mic.KNF()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if e := core.AblBlockSize(s, knf); len(e.Series) == 0 {
-			b.Fatal("empty")
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestAblBlockSizeUnimodal(t *testing.T) {
 	s := sharedSuite(t)
-	e := AblBlockSize(s, mic.KNF())
+	e := byID(t, s, "abl-blocksize")
 	if len(e.Series) != 3 {
 		t.Fatalf("%d series", len(e.Series))
 	}
@@ -25,7 +25,7 @@ func TestAblBlockSizeUnimodal(t *testing.T) {
 
 func TestAblChunkSizeTradeoff(t *testing.T) {
 	s := sharedSuite(t)
-	e := AblChunkSize(s, mic.KNF())
+	e := byID(t, s, "abl-chunk")
 	for _, series := range e.Series {
 		// Very large chunks destroy load balance at high thread counts.
 		if series.Label == "121 threads" {
@@ -40,7 +40,7 @@ func TestAblChunkSizeTradeoff(t *testing.T) {
 
 func TestAblSMTStaircase(t *testing.T) {
 	s := sharedSuite(t)
-	e := AblSMT(s, mic.KNF())
+	e := byID(t, s, "abl-smt")
 	if len(e.Series) != 4 {
 		t.Fatalf("%d series, want 4 SMT widths", len(e.Series))
 	}
@@ -67,7 +67,7 @@ func TestAblSMTStaircase(t *testing.T) {
 
 func TestAblCacheBonusSuperlinearity(t *testing.T) {
 	s := sharedSuite(t)
-	e := AblCacheBonus(s, mic.KNF())
+	e := byID(t, s, "abl-bonus")
 	on := seriesByLabel(t, e, "bonus on")
 	off := seriesByLabel(t, e, "bonus off")
 	if on.At(121) <= off.At(121) {
@@ -80,7 +80,7 @@ func TestAblCacheBonusSuperlinearity(t *testing.T) {
 
 func TestAblOrderingRCMRestoresLocality(t *testing.T) {
 	s := sharedSuite(t)
-	e := AblOrdering(s, mic.KNF())
+	e := byID(t, s, "abl-ordering")
 	natural := seriesByLabel(t, e, "natural")
 	shuffled := seriesByLabel(t, e, "shuffled")
 	rcm := seriesByLabel(t, e, "shuffled+RCM")
@@ -97,7 +97,7 @@ func TestAblOrderingRCMRestoresLocality(t *testing.T) {
 
 func TestAblModelVsSim(t *testing.T) {
 	s := sharedSuite(t)
-	e := AblModelVsSim(s, mic.KNF())
+	e := byID(t, s, "abl-model")
 	model := seriesByLabel(t, e, "analytical model")
 	stripped := seriesByLabel(t, e, "simulator, overheads off")
 	full := seriesByLabel(t, e, "simulator, full")
@@ -134,7 +134,7 @@ func TestAblationsCollection(t *testing.T) {
 
 func TestExtraRMAT(t *testing.T) {
 	s := sharedSuite(t)
-	e := ExtraRMAT(s, mic.KNF())
+	e := byID(t, s, "extra-rmat")
 	if len(e.Series) != 3 {
 		t.Fatalf("%d series", len(e.Series))
 	}
@@ -156,7 +156,7 @@ func TestExtraRMAT(t *testing.T) {
 
 func TestExtraKNCScalesPastKNF(t *testing.T) {
 	s := sharedSuite(t)
-	e := ExtraKNC(s, mic.KNC())
+	e := byID(t, s, "extra-knc")
 	knc := seriesByLabel(t, e, "OpenMP-dynamic on KNC")
 	knf := seriesByLabel(t, e, "OpenMP-dynamic on KNF")
 	// KNF saturates at its 124 hardware threads; the projected KNC keeps

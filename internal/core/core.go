@@ -22,7 +22,7 @@ import (
 // ThreadSweep returns the paper's x-axis: 1 to 121 threads in increments of
 // 10 ("a number of threads from 1 to 121 by increment of 10", §V-B).
 func ThreadSweep() []int {
-	out := []int{1}
+	out := append(make([]int, 0, 13), 1)
 	for t := 11; t <= 121; t += 10 {
 		out = append(out, t)
 	}
@@ -128,11 +128,13 @@ type Suite struct {
 // derived is what the experiments compute from the suite's graphs and keep:
 // per graph, the shuffled copy of Figure 2 and the BFS level structure from
 // vertex |V|/2, each built once, by whoever asks first, also between
-// concurrent sweeps over one cached suite.
+// concurrent sweeps over one cached suite. The counters are the work gate's
+// readings.
 type derived struct {
 	shuffled    []lazy[*graph.Graph]
 	levels      []lazy[*mic.BFSLevels]
-	levelsBuilt atomic.Int32 // level structures computed so far (the work gate's reading)
+	levelsBuilt atomic.Int32 // level structures computed so far
+	traceSets   atomic.Int32 // trace sets built so far, one per trace key a call reads
 }
 
 // lazy is a value built on first use.
@@ -210,103 +212,4 @@ func (s *Suite) indexOf(name string) int {
 		panic(err)
 	}
 	return slices.Index(s.Graphs, g)
-}
-
-// speedupCurves computes, for each configuration, the geometric-mean
-// speedup curve across the given graphs. The per-graph baseline is the
-// fastest 1-thread time over all configurations, matching §V-A
-// ("computed using as baseline the configuration that performs the fastest
-// on 1 thread for that graph"). traceFor returns the (already built) trace of
-// a given (graph index, config index, thread count); cells call it
-// concurrently.
-//
-// Each (graph, config, threads) cell runs under the harness (Harness.cells),
-// in sweep order: the baseline cells graph by graph, then config by config,
-// thread count by thread count, graph by graph. That is the order cells are
-// claimed in (one sequence: a sweep is one fork and one join) and the order
-// results are assembled in, whatever the processor count. A failed cell is
-// excluded from that point's geometric mean and reported in the returned
-// annotations; the rest of the sweep continues. Once the harness context ends
-// nothing more is claimed: a point stands if every one of its cells was
-// claimed, the points after it stay 0, and one Graph: -1 annotation marks the
-// cutoff. With Telemetry enabled every successful sweep cell also yields a
-// CellTelemetry record (simulated time plus the simulator's SimStats);
-// baseline cells are not recorded.
-func speedupCurves(h *Harness, m *mic.Machine, configs []mic.Config, labels []string,
-	numGraphs int, threads []int,
-	traceFor func(gi, ci, t int) *mic.Trace) ([]Series, []CellError, []CellTelemetry) {
-
-	var errs []CellError
-	var cells []CellTelemetry
-	tele := h.telemetryOn()
-	nc, nt := len(configs), len(threads)
-	label := func(ci int) string {
-		if labels[ci] != "" {
-			return labels[ci]
-		}
-		return configs[ci].String()
-	}
-	// failed books a cell that did not yield a time.
-	failed := func(r *cellResult, ci, gi, t int) bool {
-		if r.err != nil {
-			errs = append(errs, CellError{Series: label(ci), Graph: gi,
-				Threads: t, Attempts: r.attempts, Err: r.err})
-		}
-		return r.err != nil
-	}
-
-	// One claim sequence: the baseline cells, graph by graph, then the sweep.
-	nb := numGraphs * nc
-	res := h.cells(nb+nc*nt*numGraphs, tele, func(i int, st *mic.SimStats) float64 {
-		if i < nb {
-			return mic.Simulate(m, configs[i%nc], 1, traceFor(i/nc, i%nc, 1))
-		}
-		ci, t, gi := (i-nb)/(nt*numGraphs), threads[(i-nb)/numGraphs%nt], (i-nb)%numGraphs
-		return mic.SimulateObserved(m, configs[ci], t, traceFor(gi, ci, t), nil, st)
-	})
-
-	// Baselines per graph: min over configs of 1-thread time. A graph
-	// whose every baseline cell fails stays NaN and is excluded from all
-	// curves; a partial failure just narrows the min.
-	base := make([]float64, numGraphs)
-	for gi := range base {
-		base[gi] = math.NaN()
-	}
-	for i := range res[:nb] {
-		r, gi := &res[i], i/nc
-		if r.attempts == 0 {
-			return nil, append(errs, CellError{Graph: -1, Err: h.cancelled()}), nil
-		}
-		if !failed(r, i%nc, gi, 1) && (math.IsNaN(base[gi]) || r.time < base[gi]) {
-			base[gi] = r.time
-		}
-	}
-
-	series := make([]Series, nc)
-	for ci := range series {
-		series[ci] = Series{Label: label(ci), Threads: threads, Values: make([]float64, nt)}
-	}
-	per := make([]float64, 0, numGraphs)
-	for p := 0; p < nc*nt && numGraphs > 0; p++ { // point p: config p/nt at threads[p%nt]
-		ci, t := p/nt, threads[p%nt]
-		point := res[nb+p*numGraphs:][:numGraphs]
-		if point[numGraphs-1].attempts == 0 {
-			errs = append(errs, CellError{Graph: -1, Err: h.cancelled()})
-			break
-		}
-		per = per[:0]
-		for gi := range point {
-			r := &point[gi]
-			if math.IsNaN(base[gi]) || failed(r, ci, gi, t) {
-				continue // no baseline (annotated above), or no time
-			}
-			if tele {
-				cells = append(cells, CellTelemetry{Series: label(ci), Graph: gi,
-					Threads: t, Attempts: r.attempts, SimTime: r.time, Stats: r.stats})
-			}
-			per = append(per, base[gi]/r.time)
-		}
-		series[ci].Values[p%nt] = GeoMean(per)
-	}
-	return series, errs, cells
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +33,16 @@ func sharedSuite(t *testing.T) *Suite {
 		t.Fatal(suiteErr)
 	}
 	return testSuite
+}
+
+// byID runs one experiment on the stock KNF and host machines.
+func byID(t *testing.T, s *Suite, id string) *Experiment {
+	t.Helper()
+	e, err := ByID(id, s, mic.KNF(), mic.HostXeon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestGeoMean(t *testing.T) {
@@ -90,7 +102,7 @@ func TestSuiteFindAndShuffled(t *testing.T) {
 
 func TestTable1MatchesSuite(t *testing.T) {
 	s := sharedSuite(t)
-	exp := Table1(s)
+	exp := byID(t, s, "table1")
 	if len(exp.Rows) != 7 {
 		t.Fatalf("%d rows, want 7", len(exp.Rows))
 	}
@@ -128,7 +140,7 @@ func seriesByLabel(t *testing.T, e *Experiment, label string) *Series {
 
 func TestFig1aShapes(t *testing.T) {
 	s := sharedSuite(t)
-	e := Fig1a(s, mic.KNF())
+	e := byID(t, s, "fig1a")
 	dyn := seriesByLabel(t, e, "OpenMP-dynamic")
 	if v := dyn.At(1); math.Abs(v-1) > 0.05 {
 		t.Errorf("dynamic at 1 thread = %v, want ≈1", v)
@@ -143,7 +155,7 @@ func TestFig1aShapes(t *testing.T) {
 
 func TestFig1bCilkVariantsClose(t *testing.T) {
 	s := sharedSuite(t)
-	e := Fig1b(s, mic.KNF())
+	e := byID(t, s, "fig1b")
 	a := seriesByLabel(t, e, "CilkPlus")
 	b := seriesByLabel(t, e, "CilkPlus-holder")
 	for i := range a.Values {
@@ -164,7 +176,7 @@ func TestFig1bCilkVariantsClose(t *testing.T) {
 
 func TestFig1cPartitionerOrdering(t *testing.T) {
 	s := sharedSuite(t)
-	e := Fig1c(s, mic.KNF())
+	e := byID(t, s, "fig1c")
 	simple := seriesByLabel(t, e, "TBB-simple")
 	affinity := seriesByLabel(t, e, "TBB-affinity")
 	// "The simple partitioner clearly leads to better speedup ... on 31
@@ -179,9 +191,8 @@ func TestFig1cPartitionerOrdering(t *testing.T) {
 
 func TestFig2ShuffledSuperiority(t *testing.T) {
 	s := sharedSuite(t)
-	knf := mic.KNF()
-	shuffled := Fig2(s, knf)
-	natural := Fig1a(s, knf)
+	shuffled := byID(t, s, "fig2")
+	natural := byID(t, s, "fig1a")
 	omp := seriesByLabel(t, shuffled, "OpenMP")
 	dyn := seriesByLabel(t, natural, "OpenMP-dynamic")
 	// Shuffled graphs stress memory; SMT hides the latency, so the speedup
@@ -200,11 +211,10 @@ func TestFig2ShuffledSuperiority(t *testing.T) {
 
 func TestFig3IterationOrdering(t *testing.T) {
 	s := sharedSuite(t)
-	knf := mic.KNF()
 
 	// OpenMP and TBB: more computation -> lower speedup at high threads.
-	for _, mk := range []func(*Suite, *mic.Machine) *Experiment{Fig3a, Fig3c} {
-		e := mk(s, knf)
+	for _, id := range []string{"fig3a", "fig3c"} {
+		e := byID(t, s, id)
 		one := seriesByLabel(t, e, "1 iteration(s)")
 		ten := seriesByLabel(t, e, "10 iteration(s)")
 		if one.At(121) <= ten.At(121) {
@@ -215,7 +225,7 @@ func TestFig3IterationOrdering(t *testing.T) {
 
 	// Cilk: more computation amortises the runtime overhead -> HIGHER
 	// speedup with more iterations (the paper's inversion).
-	e := Fig3b(s, knf)
+	e := byID(t, s, "fig3b")
 	one := seriesByLabel(t, e, "1 iteration(s)")
 	ten := seriesByLabel(t, e, "10 iteration(s)")
 	if one.At(121) >= ten.At(121) {
@@ -224,9 +234,9 @@ func TestFig3IterationOrdering(t *testing.T) {
 	}
 
 	// At iter=10 the three models converge (within ~35% at this scale).
-	a := seriesByLabel(t, Fig3a(s, knf), "10 iteration(s)").At(121)
+	a := seriesByLabel(t, byID(t, s, "fig3a"), "10 iteration(s)").At(121)
 	b := ten.At(121)
-	c := seriesByLabel(t, Fig3c(s, knf), "10 iteration(s)").At(121)
+	c := seriesByLabel(t, byID(t, s, "fig3c"), "10 iteration(s)").At(121)
 	lo := math.Min(a, math.Min(b, c))
 	hi := math.Max(a, math.Max(b, c))
 	if hi > 1.6*lo {
@@ -236,8 +246,8 @@ func TestFig3IterationOrdering(t *testing.T) {
 
 func TestFig4RelaxedBeatsLocked(t *testing.T) {
 	s := sharedSuite(t)
-	for _, mk := range []func(*Suite, *mic.Machine) *Experiment{Fig4a, Fig4b} {
-		e := mk(s, mic.KNF())
+	for _, id := range []string{"fig4a", "fig4b"} {
+		e := byID(t, s, id)
 		relaxed := seriesByLabel(t, e, "OpenMP-Block-relaxed")
 		locked := seriesByLabel(t, e, "OpenMP-Block")
 		for _, th := range []int{11, 41, 81, 121} {
@@ -251,9 +261,8 @@ func TestFig4RelaxedBeatsLocked(t *testing.T) {
 
 func TestFig4InlineBeatsPwtk(t *testing.T) {
 	s := sharedSuite(t)
-	knf := mic.KNF()
-	_, pwtkPeak := seriesByLabel(t, Fig4a(s, knf), "OpenMP-Block-relaxed").Peak()
-	_, inlinePeak := seriesByLabel(t, Fig4b(s, knf), "OpenMP-Block-relaxed").Peak()
+	_, pwtkPeak := seriesByLabel(t, byID(t, s, "fig4a"), "OpenMP-Block-relaxed").Peak()
+	_, inlinePeak := seriesByLabel(t, byID(t, s, "fig4b"), "OpenMP-Block-relaxed").Peak()
 	// "the peak speedup on the inline_1 graph is about twice the speedup
 	// achieved on pwtk"
 	if inlinePeak < 1.3*pwtkPeak {
@@ -263,7 +272,7 @@ func TestFig4InlineBeatsPwtk(t *testing.T) {
 
 func TestFig4cBagPerformsPoorly(t *testing.T) {
 	s := sharedSuite(t)
-	e := Fig4c(s, mic.KNF())
+	e := byID(t, s, "fig4c")
 	block := seriesByLabel(t, e, "OpenMP-Block-relaxed")
 	bag := seriesByLabel(t, e, "CilkPlus-Bag-relaxed")
 	model := seriesByLabel(t, e, "Model")
@@ -285,7 +294,7 @@ func TestFig4cBagPerformsPoorly(t *testing.T) {
 
 func TestFig4dHostOrderingAndOversubDip(t *testing.T) {
 	s := sharedSuite(t)
-	e := Fig4d(s, mic.HostXeon())
+	e := byID(t, s, "fig4d")
 	block := seriesByLabel(t, e, "OpenMP-Block-relaxed")
 	tls := seriesByLabel(t, e, "OpenMP-TLS")
 	bag := seriesByLabel(t, e, "CilkPlus-Bag-relaxed")
@@ -350,10 +359,30 @@ func TestExperimentTable(t *testing.T) {
 	}
 }
 
+// TestDesignExperimentIndex: DESIGN.md §3's experiment index lists every id
+// the engine runs, in report order.
+func TestDesignExperimentIndex(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, _ := strings.Cut(string(doc), "\n## 3. Experiment index")
+	index, _, _ = strings.Cut(index, "\n## ")
+	var ids []string
+	for _, row := range strings.Split(index, "\n") {
+		if id, ok := strings.CutPrefix(row, "| `"); ok {
+			id, _, _ = strings.Cut(id, "`")
+			ids = append(ids, id)
+		}
+	}
+	if !slices.Equal(ids, AllIDs()) {
+		t.Errorf("DESIGN.md §3 lists %v, AllIDs %v", ids, AllIDs())
+	}
+}
+
 func TestWriteTextAndCSV(t *testing.T) {
 	s := sharedSuite(t)
-	knf := mic.KNF()
-	for _, e := range []*Experiment{Table1(s), Fig1a(s, knf)} {
+	for _, e := range []*Experiment{byID(t, s, "table1"), byID(t, s, "fig1a")} {
 		var txt, csv bytes.Buffer
 		if err := WriteText(&txt, e); err != nil {
 			t.Fatal(err)

@@ -48,16 +48,22 @@ func TestSuiteConcurrent(t *testing.T) {
 }
 
 // allBytesCeiling is what one All on the scale-8 suite may allocate once the
-// suite has what it derives: 83.0 MB as of the PR that introduced the gate
-// (89.5 MB before it), plus 10 %. A reading that does not depend on the box:
-// it moves when a trace or a level structure is built twice, or a cell
-// allocates per item again.
-const allBytesCeiling = 91_300_000
+// suite has what it derives: 44.7 MB since each trace key's traces are built
+// once a call (82.7 MB when fig1a–c and fig3a–c built their own), plus 10 %. A
+// reading that does not depend on the box: it moves when a trace set or a
+// level structure is built twice, or a cell allocates per item again.
+const allBytesCeiling = 49_200_000
+
+// allTraceSets is the number of trace keys All reads: coloring in natural and
+// in shuffled order, the irregular kernel at each of four iteration counts,
+// and BFS at block 32 on the MIC and on the host.
+const allTraceSets = 8
 
 // TestAllWorkGate pins the work of a pass, not its time: All on a fresh suite
 // walks every graph once (one level structure each, whatever the figures,
-// the table and the model curves ask for), a second All walks none and
-// allocates under allBytesCeiling.
+// the table and the model curves ask for) and builds one trace set per key;
+// a second All walks no graph, builds the same sets again and allocates
+// under allBytesCeiling.
 func TestAllWorkGate(t *testing.T) {
 	s, err := NewSuite(8)
 	if err != nil {
@@ -68,12 +74,19 @@ func TestAllWorkGate(t *testing.T) {
 	if got := int(s.derived.levelsBuilt.Load()); got != len(s.Graphs) {
 		t.Errorf("All built %d level structures, want one per graph (%d)", got, len(s.Graphs))
 	}
+	first := int(s.derived.traceSets.Load())
+	if first != allTraceSets {
+		t.Errorf("All built %d trace sets, want one per trace key (%d)", first, allTraceSets)
+	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	All(s, knf, host)
 	runtime.ReadMemStats(&m1)
 	if got := int(s.derived.levelsBuilt.Load()); got != len(s.Graphs) {
 		t.Errorf("a second All built %d more level structures, want none", got-len(s.Graphs))
+	}
+	if got := int(s.derived.traceSets.Load()) - first; got != allTraceSets {
+		t.Errorf("a second All built %d trace sets, want %d", got, allTraceSets)
 	}
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > allBytesCeiling {
 		t.Errorf("All allocated %d bytes, ceiling %d", got, allBytesCeiling)

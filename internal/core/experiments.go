@@ -6,7 +6,6 @@ import (
 
 	"micgraph/internal/coloring"
 	"micgraph/internal/mic"
-	"micgraph/internal/perfmodel"
 	"micgraph/internal/sched"
 )
 
@@ -20,6 +19,11 @@ const (
 	grainTBB     = 40
 )
 
+// bfsBlock is the BFS queue block size. BFS chunking works on queue blocks
+// (the paper schedules "blocks of vertices within a given level"), so a BFS
+// line's OpenMP and TBB runtimes schedule whole blocks; 32 performed best.
+const bfsBlock = 32
+
 func ompCfg(p sched.Policy, chunk int) mic.Config {
 	return mic.Config{Kind: mic.OpenMP, Policy: p, Chunk: chunk}
 }
@@ -32,19 +36,207 @@ func cilkCfg(grain int) mic.Config {
 	return mic.Config{Kind: mic.Cilk, Chunk: grain}
 }
 
-// Table1 regenerates Table I: the structural properties of the test graphs,
+// ompDynamic is the configuration the ablations hold fixed.
+var ompDynamic = ompCfg(sched.Dynamic, chunkDynamic)
+
+// Experiment groups: the paper's tables and figures, the design-choice
+// ablations, and the runs beyond the paper.
+const (
+	GroupPaper    = "paper"
+	GroupAblation = "ablation"
+	GroupExtra    = "extra"
+)
+
+// experiment is one row of the table: an id, its group, what the report says
+// of it, and what it runs.
+type experiment struct {
+	id, group, title, notes string
+
+	sweeps   []sweep
+	perKNF   func(knf *mic.Machine) []sweep           // in place of sweeps, when the caller's KNF decides them
+	model    bool                                     // append the §III-C model curve over the first sweep's graphs
+	assemble func(e *Experiment, c *call, runs []run) // the runs into series; nil: each run's curve
+}
+
+// relaxedVsLocked is Figure 4(a)/(b): the block queue without and with claims.
+var relaxedVsLocked = []line{
+	{"OpenMP-Block-relaxed", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed},
+	{"OpenMP-Block", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlock},
+}
+
+// experiments is the one table of everything the engine can run, in report
+// order. ByID, AllIDs, IDs and All read it, and through them so do micbench's
+// -exp all|ablations and the daemon's sweep jobs. The paper's figures are
+// data; an ablation or extra adds at most the assembly of its runs.
+var experiments = []experiment{
+	{id: "table1", group: GroupPaper, title: "Properties of the test graphs (Table I)",
+		notes:    "Colors: sequential First-Fit greedy, natural order. Levels: BFS from vertex |V|/2.",
+		assemble: table1},
+	{id: "fig1a", group: GroupPaper, title: "Coloring speedup, OpenMP scheduling policies (Figure 1a)",
+		sweeps: []sweep{{kernel: kernelColoring, lines: []line{
+			{label: "OpenMP-dynamic", cfg: ompCfg(sched.Dynamic, chunkDynamic)},
+			{label: "OpenMP-static", cfg: ompCfg(sched.Static, chunkStatic)},
+			{label: "OpenMP-guided", cfg: ompCfg(sched.Guided, chunkGuided)},
+		}}}},
+	// Cilk Plus worker-id vs holder localFC differ only in TLS mechanics, which
+	// the paper found nearly indistinguishable; the simulator charges the
+	// holder a slightly higher per-chunk cost (lazy view lookup).
+	{id: "fig1b", group: GroupPaper, title: "Coloring speedup, Cilk Plus variants (Figure 1b)",
+		sweeps: []sweep{{kernel: kernelColoring, lines: []line{
+			{label: "CilkPlus", cfg: cilkCfg(grainCilk)},
+			{label: "CilkPlus-holder", cfg: cilkCfg(grainCilk + 1)},
+		}}}},
+	{id: "fig1c", group: GroupPaper, title: "Coloring speedup, TBB partitioners (Figure 1c)",
+		sweeps: []sweep{{kernel: kernelColoring, lines: []line{
+			{label: "TBB-simple", cfg: tbbCfg(sched.SimplePartitioner, grainTBB)},
+			{label: "TBB-auto", cfg: tbbCfg(sched.AutoPartitioner, grainTBB)},
+			{label: "TBB-affinity", cfg: tbbCfg(sched.AffinityPartitioner, grainTBB)},
+		}}}},
+	// The best variant per programming model, on randomly shuffled graphs.
+	{id: "fig2", group: GroupPaper, title: "Coloring speedup on randomly ordered graphs (Figure 2)",
+		sweeps: []sweep{{kernel: kernelColoring, src: shuffled, lines: []line{
+			{label: "OpenMP", cfg: ompCfg(sched.Dynamic, chunkDynamic)},
+			{label: "TBB", cfg: tbbCfg(sched.SimplePartitioner, grainTBB)},
+			{label: "CilkPlus", cfg: cilkCfg(grainCilk)},
+		}}}},
+	{id: "fig3a", group: GroupPaper, title: "Irregular computation speedup, OpenMP dynamic (Figure 3a)",
+		sweeps: iterationSweeps(ompCfg(sched.Dynamic, chunkDynamic))},
+	{id: "fig3b", group: GroupPaper, title: "Irregular computation speedup, Cilk Plus (Figure 3b)",
+		sweeps: iterationSweeps(cilkCfg(grainCilk))},
+	{id: "fig3c", group: GroupPaper, title: "Irregular computation speedup, TBB simple (Figure 3c)",
+		sweeps: iterationSweeps(tbbCfg(sched.SimplePartitioner, grainTBB))},
+	// pwtk is the outlier whose narrow level profile caps speedup early (the
+	// slope change shows in the model curve); inline_1's wider levels allow
+	// about twice its speedup.
+	{id: "fig4a", group: GroupPaper, title: "BFS speedup on pwtk (Figure 4a)", model: true,
+		sweeps: []sweep{{kernel: kernelBFS, param: bfsBlock, only: "pwtk", lines: relaxedVsLocked}}},
+	{id: "fig4b", group: GroupPaper, title: "BFS speedup on inline_1 (Figure 4b)", model: true,
+		sweeps: []sweep{{kernel: kernelBFS, param: bfsBlock, only: "inline_1", lines: relaxedVsLocked}}},
+	{id: "fig4c", group: GroupPaper, title: "BFS speedup, all graphs on Intel MIC (Figure 4c)", model: true,
+		sweeps: []sweep{{kernel: kernelBFS, param: bfsBlock, lines: []line{
+			{"OpenMP-Block-relaxed", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed},
+			{"TBB-Block-relaxed", tbbCfg(sched.SimplePartitioner, bfsBlock), mic.BFSBlockRelaxed},
+			{"CilkPlus-Bag-relaxed", cilkCfg(mic.BagGrain), mic.BFSBag},
+		}}}},
+	// On the host, with SNAP's OpenMP-TLS beside them.
+	{id: "fig4d", group: GroupPaper, title: "BFS speedup, all graphs on the host CPU (Figure 4d)", model: true,
+		sweeps: []sweep{{on: func(_, host *mic.Machine) *mic.Machine { return host }, kernel: kernelBFS, param: bfsBlock, threads: HostSweep(), lines: []line{
+			{"OpenMP-Block-relaxed", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed},
+			{"TBB-Block-relaxed", tbbCfg(sched.SimplePartitioner, bfsBlock), mic.BFSBlockRelaxed},
+			{"OpenMP-TLS", ompCfg(sched.Dynamic, bfsBlock), mic.BFSTLS},
+			{"CilkPlus-Bag-relaxed", cilkCfg(mic.BagGrain), mic.BFSBag},
+		}}}},
+
+	// Each ablation isolates one design choice the paper (or this
+	// reproduction) calls out, holding everything else fixed.
+	//
+	// The trade-off of §IV-C: "by keeping the block size small (but not so
+	// small so that we do not use atomics too often), the overhead is
+	// minimized".
+	{id: "abl-blocksize", group: GroupAblation, title: "Ablation: BFS block size (relaxed queue, OpenMP dynamic)",
+		notes:  "Values are geometric-mean speedups across the suite; the paper's best block size is 32.",
+		sweeps: blockSizeSweeps(), assemble: acrossX(blockSizes)},
+	// §V-B: "Different chunk sizes (from 40 to 150) were tried and only the
+	// best results are reported ... the dynamic scheduling policy performs
+	// better with a chunk size of 100."
+	{id: "abl-chunk", group: GroupAblation, title: "Ablation: OpenMP dynamic chunk size for coloring",
+		notes:    "The x column is the chunk size; the paper's best is 100.",
+		sweeps:   []sweep{{kernel: kernelColoring, lines: chunkLines(), threads: []int{31, 121}, self: true}},
+		assemble: acrossX(chunkSizes)},
+	// The paper's headline mechanism: without SMT the memory-bound kernel
+	// cannot scale past the core count.
+	{id: "abl-smt", group: GroupAblation, title: "Ablation: SMT ways (shuffled coloring, OpenMP dynamic)",
+		notes:  "Threads beyond cores × ways are clamped to the hardware limit.",
+		perKNF: smtSweeps},
+	// The mechanism behind the superlinear Figure 2 speedups.
+	{id: "abl-bonus", group: GroupAblation, title: "Ablation: shared-cache interference bonus (shuffled coloring)",
+		notes: "With the bonus off, speedup cannot exceed the thread count.",
+		sweeps: []sweep{
+			{kernel: kernelColoring, src: shuffled, lines: []line{{label: "bonus on", cfg: ompDynamic}}, self: true, clamp: true},
+			{on: tuned(func(m *mic.Machine) { m.CacheShareBonus = 0 }), kernel: kernelColoring, src: shuffled,
+				lines: []line{{label: "bonus off", cfg: ompDynamic}}, self: true, clamp: true},
+		}},
+	// Orderings between the paper's two extremes, scored by the miss rate
+	// measured on each (mic.EffectiveMissPerEdge): RCM's restored locality
+	// shows as a one-thread time close to natural and a speedup between the
+	// two curves.
+	{id: "abl-ordering", group: GroupAblation, title: "Ablation: vertex ordering (coloring; natural vs shuffled vs RCM-restored)",
+		notes: "Values at 1 thread are relative times vs natural (higher = slower); at >1 threads, speedups vs the ordering's own 1-thread time.",
+		sweeps: []sweep{
+			{kernel: kernelColoring, src: measuredNatural, lines: []line{{label: "natural", cfg: ompDynamic}}, threads: []int{31, 61, 121}, self: true},
+			{kernel: kernelColoring, src: measuredShuffled, lines: []line{{label: "shuffled", cfg: ompDynamic}}, threads: []int{31, 61, 121}, self: true},
+			{kernel: kernelColoring, src: measuredRCM, lines: []line{{label: "shuffled+RCM", cfg: ompDynamic}}, threads: []int{31, 61, 121}, self: true},
+		},
+		assemble: relativeToNatural},
+	// The analytical model is exactly the simulator with uniform vertex costs,
+	// zero overheads and no SMT: the "five unrealistic assumptions" of §III-C.
+	{id: "abl-model", group: GroupAblation, title: "Ablation: analytical model vs simulator (BFS, pwtk)",
+		sweeps: []sweep{
+			{on: tuned(func(m *mic.Machine) { // no barriers, atomics, grab cost, core 0 noise or cache bonus
+				m.BarrierBase, m.BarrierPerThread, m.DynamicGrabCost = 0, 0, 0
+				m.AtomicCost, m.AtomicContPerT, m.AtomicContSq, m.NoiseCore0, m.CacheShareBonus = 0, 0, 0, 0, 0
+			}), kernel: kernelBFS, param: bfsBlock, only: "pwtk",
+				lines: []line{{"simulator, overheads off", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed}}, self: true},
+			{kernel: kernelBFS, param: bfsBlock, only: "pwtk",
+				lines: []line{{"simulator, full", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed}}, self: true},
+		},
+		assemble: func(e *Experiment, c *call, runs []run) {
+			e.Series = append(e.Series, c.model("analytical model", runs[1].sweep, false))
+			e.curves(runs)
+		}},
+	// The direction-optimizing BFS (Beamer-style α/β switching, as in
+	// internal/bfs) against the pure top-down traversal it switches away from.
+	// A win ratio above 1.0 means the bottom-up middle levels pay for
+	// themselves at that thread count.
+	{id: "abl-direction", group: GroupAblation, title: "Ablation: direction-optimizing BFS vs pure top-down",
+		notes: "Geometric means across the suite; sources at |V|/2. The win ratio is simulated top-down time over hybrid time at equal thread count.",
+		sweeps: []sweep{{kernel: kernelBFS, param: bfsBlock, self: true, lines: []line{
+			{"top-down (Block-relaxed)", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed},
+			{"hybrid (direction-optimizing)", ompCfg(sched.Dynamic, bfsBlock), mic.BFSHybrid},
+		}}},
+		assemble: func(e *Experiment, _ *call, runs []run) {
+			e.curves(runs)
+			e.Series = append(e.Series, Series{Label: "win ratio (td/hybrid time)", Threads: runs[0].threads,
+				Values: ratios(runs[0].times[1:], runs[1].times[1:])})
+		}},
+
+	// The kernels on the other major irregular-graph class: skewed degrees
+	// (hubs stress the load balancer) and a shallow, wide level structure,
+	// whose model curve should permit far more BFS parallelism than pwtk's
+	// ribbon.
+	{id: "extra-rmat", group: GroupExtra, title: "Beyond the paper: kernels on an RMAT power-law graph",
+		notes: "RMAT a=0.57 b=c=0.19 (Graph 500); shallow wide BFS levels vs the FEM meshes' long thin profiles.",
+		sweeps: []sweep{
+			{kernel: kernelColoring, src: rmat, lines: []line{{label: "coloring OpenMP-dynamic", cfg: ompDynamic}}, self: true},
+			{kernel: kernelBFS, src: rmat, param: bfsBlock, self: true,
+				lines: []line{{"BFS Block-relaxed", ompCfg(sched.Dynamic, bfsBlock), mic.BFSBlockRelaxed}}},
+		},
+		assemble: func(e *Experiment, c *call, runs []run) {
+			e.curves(runs)
+			e.Series = append(e.Series, c.model("BFS model", runs[1].sweep, false))
+		}},
+	// Figure 2's kernel, the one that scales best, projected onto the Knights
+	// Corner part the paper closes on ("we are looking forward to perform more
+	// evaluation on the final design"), against a stock KNF on the same axis.
+	{id: "extra-knc", group: GroupExtra, title: "Beyond the paper: shuffled coloring projected onto Knights Corner (60 cores x 4 SMT)",
+		notes: "Same cost model as KNF with a longer ring and scaled bandwidth; the paper anticipated >50 cores.",
+		sweeps: []sweep{
+			{on: func(_, _ *mic.Machine) *mic.Machine { return mic.KNC() }, kernel: kernelColoring, src: shuffled, threads: kncThreads, self: true, clamp: true,
+				lines: []line{{label: "OpenMP-dynamic on KNC", cfg: ompDynamic}}},
+			{on: func(_, _ *mic.Machine) *mic.Machine { return mic.KNF() }, kernel: kernelColoring, src: shuffled, threads: kncThreads, self: true, clamp: true,
+				lines: []line{{label: "OpenMP-dynamic on KNF", cfg: ompDynamic}}},
+		}},
+}
+
+// table1 regenerates Table I: the structural properties of the test graphs,
 // including the sequential greedy color count and the BFS level count from
 // vertex |V|/2.
-func Table1(s *Suite) *Experiment {
-	exp := &Experiment{
-		ID:    "table1",
-		Title: "Properties of the test graphs (Table I)",
-		Notes: "Colors: sequential First-Fit greedy, natural order. Levels: BFS from vertex |V|/2.",
-	}
-	exp.Rows = make([]TableRow, len(s.Graphs))
+func table1(e *Experiment, c *call, _ []run) {
+	s := c.s
+	e.Rows = make([]TableRow, len(s.Graphs))
 	done := s.Harness.each(len(s.Graphs), func(i int) {
 		g, cfg := s.Graphs[i], s.Configs[i]
-		exp.Rows[i] = TableRow{
+		e.Rows[i] = TableRow{
 			Name:     cfg.Name,
 			V:        g.NumVertices(),
 			E:        g.NumEdges(),
@@ -55,323 +247,83 @@ func Table1(s *Suite) *Experiment {
 			PaperLev: cfg.PaperLevels,
 		}
 	})
-	if exp.Rows = exp.Rows[:done]; done < len(s.Graphs) {
-		exp.cutOff(s.Harness)
-	}
-	return exp
-}
-
-// coloringExperiment runs one coloring figure: the given configs on the
-// suite's graphs (natural or shuffled), geometric mean across the suite.
-func coloringExperiment(s *Suite, m *mic.Machine, id, title string,
-	o mic.Ordering, configs []mic.Config, labels []string) *Experiment {
-
-	threads := ThreadSweep()
-	exp := &Experiment{ID: id, Title: title}
-	// Coloring traces depend on t (conflict rounds) but not on the config.
-	traceAt := coloringTraces(s, m, o, threads)
-	exp.sweep(s.Harness, m, configs, labels, len(s.Graphs), threads,
-		func(gi, _, t int) *mic.Trace { return traceAt(gi, t) })
-	return exp
-}
-
-// sweep runs speedupCurves and books its series, annotations and telemetry on
-// the experiment, with at most one cutoff annotation however many sweeps an
-// experiment makes.
-func (e *Experiment) sweep(h *Harness, m *mic.Machine, configs []mic.Config, labels []string,
-	numGraphs int, threads []int, traceFor func(gi, ci, t int) *mic.Trace) {
-	series, errs, cells := speedupCurves(h, m, configs, labels, numGraphs, threads, traceFor)
-	e.Series = append(e.Series, series...)
-	for _, ce := range errs {
-		if ce.Graph == -1 {
-			e.cutOff(h)
-			continue
-		}
-		ce.Experiment = e.ID
-		e.Errors = append(e.Errors, ce)
-	}
-	e.Cells = append(e.Cells, stampCells(e.ID, cells)...)
-}
-
-// cutOff marks, once, that the harness context ended before the experiment did.
-func (e *Experiment) cutOff(h *Harness) {
-	if n := len(e.Errors); n == 0 || e.Errors[n-1].Graph != -1 {
-		e.Errors = append(e.Errors, CellError{Experiment: e.ID, Graph: -1, Err: h.cancelled()})
+	if e.Rows = e.Rows[:done]; done < len(s.Graphs) {
+		e.cutOff(s.Harness, nil)
 	}
 }
 
-// coloringTraces builds, graph by graph on every processor, the coloring
-// traces of the suite's graphs under ordering o at every thread count of
-// threads, and returns the lookup of graph gi's trace at thread count t. A
-// graph's traces share round one (mic.ColoringTraceSweep), so a sweep holds one
-// copy of the graph-sized phases per graph, not one per thread count.
-func coloringTraces(s *Suite, m *mic.Machine, o mic.Ordering, threads []int) func(gi, t int) *mic.Trace {
-	sweeps := make([][]*mic.Trace, len(s.Graphs))
-	s.Harness.each(len(sweeps), func(gi int) {
-		g := s.Graphs[gi]
-		if o == mic.ShuffledOrder {
-			g = s.shuffledGraph(gi)
-		}
-		sweeps[gi] = mic.ColoringTraceSweep(m, g, m.MissPerEdge(o), threads)
-	})
-	return func(gi, t int) *mic.Trace { return sweeps[gi][slices.Index(threads, t)] }
-}
-
-// Fig1a: coloring with OpenMP under the three scheduling policies,
-// naturally ordered graphs.
-func Fig1a(s *Suite, m *mic.Machine) *Experiment {
-	return coloringExperiment(s, m, "fig1a",
-		"Coloring speedup, OpenMP scheduling policies (Figure 1a)",
-		mic.NaturalOrder,
-		[]mic.Config{
-			ompCfg(sched.Dynamic, chunkDynamic),
-			ompCfg(sched.Static, chunkStatic),
-			ompCfg(sched.Guided, chunkGuided),
-		},
-		[]string{"OpenMP-dynamic", "OpenMP-static", "OpenMP-guided"})
-}
-
-// Fig1b: coloring with Cilk Plus, worker-id vs holder localFC. The two
-// variants differ only in TLS mechanics, which the paper found nearly
-// indistinguishable; the simulator charges the holder a slightly higher
-// per-chunk cost (lazy view lookup).
-func Fig1b(s *Suite, m *mic.Machine) *Experiment {
-	cfgs := []mic.Config{cilkCfg(grainCilk), cilkCfg(grainCilk + 1)}
-	return coloringExperiment(s, m, "fig1b",
-		"Coloring speedup, Cilk Plus variants (Figure 1b)",
-		mic.NaturalOrder, cfgs,
-		[]string{"CilkPlus", "CilkPlus-holder"})
-}
-
-// Fig1c: coloring with TBB under the three partitioners.
-func Fig1c(s *Suite, m *mic.Machine) *Experiment {
-	return coloringExperiment(s, m, "fig1c",
-		"Coloring speedup, TBB partitioners (Figure 1c)",
-		mic.NaturalOrder,
-		[]mic.Config{
-			tbbCfg(sched.SimplePartitioner, grainTBB),
-			tbbCfg(sched.AutoPartitioner, grainTBB),
-			tbbCfg(sched.AffinityPartitioner, grainTBB),
-		},
-		[]string{"TBB-simple", "TBB-auto", "TBB-affinity"})
-}
-
-// Fig2: coloring on randomly shuffled graphs, best variant per programming
-// model (OpenMP-dynamic, TBB-simple, CilkPlus-holder).
-func Fig2(s *Suite, m *mic.Machine) *Experiment {
-	return coloringExperiment(s, m, "fig2",
-		"Coloring speedup on randomly ordered graphs (Figure 2)",
-		mic.ShuffledOrder,
-		[]mic.Config{
-			ompCfg(sched.Dynamic, chunkDynamic),
-			tbbCfg(sched.SimplePartitioner, grainTBB),
-			cilkCfg(grainCilk),
-		},
-		[]string{"OpenMP", "TBB", "CilkPlus"})
-}
-
-// irregularExperiment runs one Figure 3 panel: a single runtime config,
-// curves for iter ∈ {1,3,5,10}, speedups computed "relatively to the same
-// number of iterations".
-func irregularExperiment(s *Suite, m *mic.Machine, id, title string, cfg mic.Config) *Experiment {
-	threads := ThreadSweep()
-	iters := []int{1, 3, 5, 10}
-	exp := &Experiment{ID: id, Title: title}
-	for _, iter := range iters {
-		traces := make([]*mic.Trace, len(s.Graphs))
-		s.Harness.each(len(traces), func(gi int) {
-			traces[gi] = mic.IrregularTrace(m, s.Graphs[gi], mic.NaturalOrder, iter)
-		})
-		exp.sweep(s.Harness, m, []mic.Config{cfg},
-			[]string{fmt.Sprintf("%d iteration(s)", iter)},
-			len(s.Graphs), threads,
-			func(gi, _, _ int) *mic.Trace { return traces[gi] })
+// iterationSweeps is one Figure 3 panel: cfg on the irregular kernel at 1, 3,
+// 5 and 10 iterations, speedups computed "relatively to the same number of
+// iterations".
+func iterationSweeps(cfg mic.Config) []sweep {
+	var out []sweep
+	for _, iter := range []int{1, 3, 5, 10} {
+		out = append(out, sweep{kernel: kernelIrregular, param: iter,
+			lines: []line{{label: fmt.Sprintf("%d iteration(s)", iter), cfg: cfg}}})
 	}
-	return exp
+	return out
 }
 
-// Fig3a: irregular computation with OpenMP (dynamic policy).
-func Fig3a(s *Suite, m *mic.Machine) *Experiment {
-	return irregularExperiment(s, m, "fig3a",
-		"Irregular computation speedup, OpenMP dynamic (Figure 3a)",
-		ompCfg(sched.Dynamic, chunkDynamic))
-}
-
-// Fig3b: irregular computation with Cilk Plus.
-func Fig3b(s *Suite, m *mic.Machine) *Experiment {
-	return irregularExperiment(s, m, "fig3b",
-		"Irregular computation speedup, Cilk Plus (Figure 3b)",
-		cilkCfg(grainCilk))
-}
-
-// Fig3c: irregular computation with TBB (simple partitioner).
-func Fig3c(s *Suite, m *mic.Machine) *Experiment {
-	return irregularExperiment(s, m, "fig3c",
-		"Irregular computation speedup, TBB simple (Figure 3c)",
-		tbbCfg(sched.SimplePartitioner, grainTBB))
-}
-
-// bfsVariantSpec couples a queue variant with the runtime it runs on.
-type bfsVariantSpec struct {
-	label   string
-	variant mic.BFSVariant
-	cfg     mic.Config
-}
-
-// bfsExperiment computes speedup curves for the given variants on the given
-// graph indices, plus the §III-C model curve.
-func bfsExperiment(s *Suite, m *mic.Machine, id, title string,
-	graphIdx []int, specs []bfsVariantSpec, threads []int) *Experiment {
-
-	// BFS chunking works on queue blocks: the paper schedules "blocks of
-	// vertices within a given level"; block size 32 performed best.
-	const blockSize = 32
-
-	exp := &Experiment{ID: id, Title: title}
-
-	// Traces per (graph, variant) are independent of thread count and
-	// runtime: specs that differ only in their config share one. All of them
-	// come from the suite's one level structure per graph.
-	var variants []mic.BFSVariant
-	configs := make([]mic.Config, len(specs))
-	labels := make([]string, len(specs))
-	for i, spec := range specs {
-		if !slices.Contains(variants, spec.variant) {
-			variants = append(variants, spec.variant)
-		}
-		configs[i], labels[i] = spec.cfg, spec.label
-		if spec.cfg.Chunk <= 1 {
-			configs[i].Chunk = blockSize // schedule whole blocks
-		}
-	}
-	ng := len(graphIdx)
-	traces := make([]*mic.Trace, len(variants)*ng)
-	s.Harness.each(len(traces), func(i int) {
-		gi := graphIdx[i%ng]
-		traces[i] = mic.BFSTraceFrom(m, s.Graphs[gi], s.Levels(gi), mic.NaturalOrder, variants[i/ng], blockSize)
-	})
-	exp.sweep(s.Harness, m, configs, labels, ng, threads, func(k, ci, _ int) *mic.Trace {
-		return traces[slices.Index(variants, specs[ci].variant)*ng+k]
-	})
-
-	// Analytical model (§III-C), geometric mean across the same graphs.
-	widths := make([][]int64, ng)
-	for k, gi := range graphIdx {
-		widths[k] = s.Levels(gi).Widths()
-	}
-	model := make([]float64, len(threads))
-	per := make([]float64, ng)
-	for ti, t := range threads {
-		for k := range per {
-			per[k] = perfmodel.Speedup(widths[k], t, blockSize)
-		}
-		model[ti] = GeoMean(per)
-	}
-	exp.Series = append(exp.Series, Series{Label: "Model", Threads: threads, Values: model})
-	return exp
-}
-
-// Fig4a: BFS on pwtk — the outlier whose narrow level profile caps speedup
-// early (slope change visible in the model curve).
-func Fig4a(s *Suite, m *mic.Machine) *Experiment {
-	gi := s.indexOf("pwtk")
-	return bfsExperiment(s, m, "fig4a", "BFS speedup on pwtk (Figure 4a)",
-		[]int{gi},
-		[]bfsVariantSpec{
-			{"OpenMP-Block-relaxed", mic.BFSBlockRelaxed, ompCfg(sched.Dynamic, 1)},
-			{"OpenMP-Block", mic.BFSBlock, ompCfg(sched.Dynamic, 1)},
-		},
-		ThreadSweep())
-}
-
-// Fig4b: BFS on inline_1, whose wider levels allow about twice pwtk's
-// speedup.
-func Fig4b(s *Suite, m *mic.Machine) *Experiment {
-	gi := s.indexOf("inline_1")
-	return bfsExperiment(s, m, "fig4b", "BFS speedup on inline_1 (Figure 4b)",
-		[]int{gi},
-		[]bfsVariantSpec{
-			{"OpenMP-Block-relaxed", mic.BFSBlockRelaxed, ompCfg(sched.Dynamic, 1)},
-			{"OpenMP-Block", mic.BFSBlock, ompCfg(sched.Dynamic, 1)},
-		},
-		ThreadSweep())
-}
-
-// Fig4c: BFS on all graphs on the MIC — relaxed block queues (OpenMP and
-// TBB) vs the Cilk bag, vs the model.
-func Fig4c(s *Suite, m *mic.Machine) *Experiment {
-	idx := make([]int, len(s.Graphs))
-	for i := range idx {
-		idx[i] = i
-	}
-	return bfsExperiment(s, m, "fig4c", "BFS speedup, all graphs on Intel MIC (Figure 4c)",
-		idx,
-		[]bfsVariantSpec{
-			{"OpenMP-Block-relaxed", mic.BFSBlockRelaxed, ompCfg(sched.Dynamic, 1)},
-			{"TBB-Block-relaxed", mic.BFSBlockRelaxed, tbbCfg(sched.SimplePartitioner, 1)},
-			{"CilkPlus-Bag-relaxed", mic.BFSBag, cilkCfg(mic.BagGrain)},
-		},
-		ThreadSweep())
-}
-
-// Fig4d: BFS on all graphs on the host CPU, including SNAP's OpenMP-TLS.
-func Fig4d(s *Suite, host *mic.Machine) *Experiment {
-	idx := make([]int, len(s.Graphs))
-	for i := range idx {
-		idx[i] = i
-	}
-	return bfsExperiment(s, host, "fig4d", "BFS speedup, all graphs on the host CPU (Figure 4d)",
-		idx,
-		[]bfsVariantSpec{
-			{"OpenMP-Block-relaxed", mic.BFSBlockRelaxed, ompCfg(sched.Dynamic, 1)},
-			{"TBB-Block-relaxed", mic.BFSBlockRelaxed, tbbCfg(sched.SimplePartitioner, 1)},
-			{"OpenMP-TLS", mic.BFSTLS, ompCfg(sched.Dynamic, 1)},
-			{"CilkPlus-Bag-relaxed", mic.BFSBag, cilkCfg(mic.BagGrain)},
-		},
-		HostSweep())
-}
-
-// Experiment groups: the paper's tables and figures, the design-choice
-// ablations, and the runs beyond the paper.
-const (
-	GroupPaper    = "paper"
-	GroupAblation = "ablation"
-	GroupExtra    = "extra"
+var (
+	blockSizes = []int{4, 8, 16, 32, 64, 128, 256}
+	chunkSizes = []int{10, 25, 40, 100, 150, 400, 1000}
+	kncThreads = []int{1, 20, 40, 60, 80, 100, 120, 140, 160, 180, 200, 220, 240} // to KNC's hardware threads
 )
 
-// experiments is the one table of everything the engine can run, in report
-// order. ByID, AllIDs, IDs and All read it, and through them so
-// do micbench's -exp all|ablations and the daemon's sweep jobs.
-var experiments = []struct {
-	id, group string
-	run       func(s *Suite, knf, host *mic.Machine) *Experiment
-}{
-	{"table1", GroupPaper, func(s *Suite, _, _ *mic.Machine) *Experiment { return Table1(s) }},
-	{"fig1a", GroupPaper, onKNF(Fig1a)},
-	{"fig1b", GroupPaper, onKNF(Fig1b)},
-	{"fig1c", GroupPaper, onKNF(Fig1c)},
-	{"fig2", GroupPaper, onKNF(Fig2)},
-	{"fig3a", GroupPaper, onKNF(Fig3a)},
-	{"fig3b", GroupPaper, onKNF(Fig3b)},
-	{"fig3c", GroupPaper, onKNF(Fig3c)},
-	{"fig4a", GroupPaper, onKNF(Fig4a)},
-	{"fig4b", GroupPaper, onKNF(Fig4b)},
-	{"fig4c", GroupPaper, onKNF(Fig4c)},
-	{"fig4d", GroupPaper, func(s *Suite, _, host *mic.Machine) *Experiment { return Fig4d(s, host) }},
-	{"abl-blocksize", GroupAblation, onKNF(AblBlockSize)},
-	{"abl-chunk", GroupAblation, onKNF(AblChunkSize)},
-	{"abl-smt", GroupAblation, onKNF(AblSMT)},
-	{"abl-bonus", GroupAblation, onKNF(AblCacheBonus)},
-	{"abl-ordering", GroupAblation, onKNF(AblOrdering)},
-	{"abl-model", GroupAblation, onKNF(AblModelVsSim)},
-	{"abl-direction", GroupAblation, onKNF(AblDirection)},
-	{"extra-rmat", GroupExtra, onKNF(ExtraRMAT)},
-	{"extra-knc", GroupExtra, func(s *Suite, _, _ *mic.Machine) *Experiment { return ExtraKNC(s, mic.KNC()) }},
+// blockSizeSweeps is the relaxed block queue at every block size: one trace
+// set each, played at every thread count.
+func blockSizeSweeps() []sweep {
+	var out []sweep
+	for _, bs := range blockSizes {
+		out = append(out, sweep{kernel: kernelBFS, param: bs, threads: []int{31, 61, 121}, self: true,
+			lines: []line{{fmt.Sprintf("block %d", bs), ompCfg(sched.Dynamic, bs), mic.BFSBlockRelaxed}}})
+	}
+	return out
 }
 
-// onKNF adapts an experiment that runs on the MIC machine alone.
-func onKNF(run func(*Suite, *mic.Machine) *Experiment) func(*Suite, *mic.Machine, *mic.Machine) *Experiment {
-	return func(s *Suite, knf, _ *mic.Machine) *Experiment { return run(s, knf) }
+func chunkLines() []line {
+	var out []line
+	for _, chunk := range chunkSizes {
+		out = append(out, line{label: fmt.Sprintf("chunk %d", chunk), cfg: ompCfg(sched.Dynamic, chunk)})
+	}
+	return out
+}
+
+// smtSweeps is the shuffled coloring on the caller's KNF with its SMT width
+// forced to each of 1..SMTWays hardware threads per core.
+func smtSweeps(knf *mic.Machine) []sweep {
+	out := make([]sweep, knf.SMTWays)
+	for i := range out {
+		ways := i + 1
+		out[i] = sweep{on: tuned(func(m *mic.Machine) { m.SMTWays = ways }), kernel: kernelColoring, src: shuffled,
+			lines: []line{{label: fmt.Sprintf("%d-way SMT", ways), cfg: ompDynamic}}, self: true, clamp: true}
+	}
+	return out
+}
+
+// acrossX assembles runs, one curve per x value, into one series per thread
+// count over the x axis.
+func acrossX(xs []int) func(*Experiment, *call, []run) {
+	return func(e *Experiment, _ *call, runs []run) {
+		xs := slices.Clone(xs)
+		for ti, th := range runs[0].threads {
+			vals := make([]float64, len(xs))
+			for xi, r := range runs {
+				vals[xi] = r.curve().Values[ti]
+			}
+			e.Series = append(e.Series, Series{Label: fmt.Sprintf("%d threads", th), Threads: xs, Values: vals})
+		}
+	}
+}
+
+// relativeToNatural assembles abl-ordering: at one thread each ordering's
+// serial time relative to the natural ordering's (the first run), then its
+// speedup over its own serial time.
+func relativeToNatural(e *Experiment, _ *call, runs []run) {
+	for _, r := range runs {
+		e.Series = append(e.Series, Series{Label: r.lines[r.line].label, Threads: append([]int{1}, r.threads...),
+			Values: append(ratios(r.times[:1], runs[0].times[:1]), r.curve().Values...)})
+	}
 }
 
 // IDs lists the experiment IDs of one group, in report order.
@@ -394,29 +346,27 @@ func AllIDs() []string {
 	return ids
 }
 
+func find(id string) *experiment {
+	for i := range experiments {
+		if experiments[i].id == id {
+			return &experiments[i]
+		}
+	}
+	return nil
+}
+
 // All returns every paper experiment, computed on the MIC machine (and the
 // host machine for fig4d), in report order. The other groups run by id:
 // RunMany(IDs(GroupAblation), …).
 func All(s *Suite, knf, host *mic.Machine) []*Experiment {
-	s, dismiss := s.staffed()
-	defer dismiss()
-	var out []*Experiment
-	for _, e := range experiments {
-		if e.group == GroupPaper {
-			out = append(out, e.run(s, knf, host))
-		}
-	}
-	return out
+	return runRows(IDs(GroupPaper), s, knf, host)
 }
 
-// ByID runs a single experiment by its id.
+// ByID runs a single experiment by its id. The error return is reserved for
+// unknown IDs: a failure inside the experiment is an annotation on it.
 func ByID(id string, s *Suite, knf, host *mic.Machine) (*Experiment, error) {
-	for _, e := range experiments {
-		if e.id == id {
-			s, dismiss := s.staffed()
-			defer dismiss()
-			return e.run(s, knf, host), nil
-		}
+	if find(id) == nil {
+		return nil, fmt.Errorf("core: unknown experiment %q", id)
 	}
-	return nil, fmt.Errorf("core: unknown experiment %q", id)
+	return runRows([]string{id}, s, knf, host)[0], nil
 }

@@ -70,7 +70,8 @@ func (h *Harness) cell(fn func() float64) (float64, int, error) {
 	attempts := 0
 	for {
 		attempts++
-		v, err := protect(fn)
+		var v float64
+		err := contain("cell", func() { v = fn() })
 		if err == nil {
 			return v, attempts, nil
 		}
@@ -84,12 +85,12 @@ func (h *Harness) cell(fn func() float64) (float64, int, error) {
 }
 
 // each calls body(i) for every i in [0, n) from the workers of the harness's
-// team, the caller one of them (without a team — one experiment called on its
-// own — the caller alone). Indices are claimed in order off one cursor, a
-// claimed index runs to its end and nothing is claimed once the harness
-// context has ended, so what ran is always a prefix [0, claimed). The cursor
-// is not the team's Dynamic policy because that is static-steal: W prefixes,
-// not one. A panic in body is re-raised on the caller.
+// team, the caller one of them (without a team, the caller alone). Indices
+// are claimed in order off one cursor, a claimed index runs to its end and
+// nothing is claimed once the harness context has ended, so what ran is
+// always a prefix [0, claimed). The cursor is not the team's Dynamic policy
+// because that is static-steal: W prefixes, not one. A panic in body is
+// re-raised on the caller.
 func (h *Harness) each(n int, body func(i int)) (claimed int) {
 	var cursor atomic.Int64
 	work := func(_, _, _ int) {
@@ -159,18 +160,20 @@ func (h *Harness) cells(n int, observe bool, sim func(i int, st *mic.SimStats) f
 	return res
 }
 
-// protect runs fn, converting a panic into an error.
-func protect(fn func() float64) (v float64, err error) {
+// contain runs fn and returns its panic, if it panics, as an error; what
+// names the failed unit in the message of a panic that is not one.
+func contain(what string, fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok {
 				err = e
 			} else {
-				err = fmt.Errorf("core: cell panicked: %v", r)
+				err = fmt.Errorf("core: %s panicked: %v", what, r)
 			}
 		}
 	}()
-	return fn(), nil
+	fn()
+	return nil
 }
 
 // CellError annotates one failed cell of a sweep (or a whole failed
@@ -217,73 +220,27 @@ type CellTelemetry struct {
 	Stats      mic.SimStats `json:"stats"`
 }
 
-// stampCells sets the experiment ID on a batch of telemetry records.
-func stampCells(id string, cells []CellTelemetry) []CellTelemetry {
-	for i := range cells {
-		cells[i].Experiment = id
-	}
-	return cells
+// placeholder stands in for an experiment that did not run: no data and one
+// annotation, err.
+func placeholder(id string, err error) *Experiment {
+	return &Experiment{ID: id, Title: id, Errors: []CellError{{Experiment: id, Graph: -1, Err: err}}}
 }
 
-// RunByID is ByID with experiment-level containment: an experiment that
-// fails outright (panic during trace construction, cancelled context)
-// still returns an *Experiment, carrying the failure as an error
-// annotation instead of series data. The error return is reserved for
-// unknown IDs.
+// RunByID is ByID that returns at once, as an annotated placeholder, when the
+// harness context has already ended.
 func RunByID(id string, s *Suite, knf, host *mic.Machine) (*Experiment, error) {
 	if err := s.Harness.cancelled(); err != nil {
-		return &Experiment{ID: id, Title: id,
-			Errors: []CellError{{Experiment: id, Graph: -1, Err: err}}}, nil
+		return placeholder(id, err), nil
 	}
-	exp, runErr := protectExp(func() (*Experiment, error) { return ByID(id, s, knf, host) })
-	if runErr != nil {
-		if exp == nil {
-			return nil, runErr // unknown experiment ID
-		}
-		exp.Errors = append(exp.Errors, CellError{Experiment: id, Graph: -1, Err: runErr})
-	}
-	return exp, nil
+	return ByID(id, s, knf, host)
 }
 
-// protectExp runs an experiment constructor, containing panics. A panic
-// returns an empty placeholder experiment plus the panic as an error; a
-// plain error (unknown ID) returns (nil, err) untouched.
-func protectExp(fn func() (*Experiment, error)) (exp *Experiment, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			exp = &Experiment{}
-			if e, ok := r.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("core: experiment panicked: %v", r)
-			}
-		}
-	}()
-	return fn()
-}
-
-// RunMany runs the given experiments (all of them when ids is empty) with
-// per-experiment containment: one poisoned or timed-out experiment is
-// returned as an annotated placeholder while the rest run to completion.
-// Unknown IDs are reported the same way, so the result always has one
-// entry per requested ID.
+// RunMany runs the given experiments (all of them when ids is empty) as one
+// call, sharing each trace key's traces between them. A failed experiment or
+// an unknown ID comes back annotated: the result has one entry per ID.
 func RunMany(ids []string, s *Suite, knf, host *mic.Machine) []*Experiment {
 	if len(ids) == 0 {
 		ids = AllIDs()
 	}
-	s, dismiss := s.staffed()
-	defer dismiss()
-	out := make([]*Experiment, 0, len(ids))
-	for _, id := range ids {
-		exp, err := RunByID(id, s, knf, host)
-		if err != nil {
-			exp = &Experiment{ID: id, Title: id,
-				Errors: []CellError{{Experiment: id, Graph: -1, Err: err}}}
-		}
-		if exp.ID == "" {
-			exp.ID, exp.Title = id, id
-		}
-		out = append(out, exp)
-	}
-	return out
+	return runRows(ids, s, knf, host)
 }

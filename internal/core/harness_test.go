@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"micgraph/internal/fault"
+	"micgraph/internal/graph"
 	"micgraph/internal/mic"
 	"micgraph/internal/sched"
 )
@@ -29,6 +31,29 @@ var testConfigs = []mic.Config{
 	{Kind: mic.TBB, Partitioner: sched.SimplePartitioner, Chunk: 8},
 }
 
+// testSweep is a best-config sweep of testConfigs, each labelled by its
+// String, over ng graphs on KNF.
+func testSweep(ng int, threads []int) *sweep {
+	sw := &sweep{m: mic.KNF(), threads: threads, played: threads, gis: make([]int, ng)}
+	for _, cfg := range testConfigs {
+		sw.lines = append(sw.lines, line{label: cfg.String(), cfg: cfg})
+	}
+	return sw
+}
+
+// book plays sw's cells under h on traceFor(graph, line, threads) and books
+// them on a fresh experiment with the given id; for a self-relative sweep it
+// also returns the runs.
+func book(h *Harness, id string, sw *sweep, traceFor func(gi, li, t int) *mic.Trace) (*Experiment, []run) {
+	h.sweepCells([]*sweep{sw}, func(_ *sweep, li, k, t int) *mic.Trace { return traceFor(k, li, t) })
+	e := &Experiment{ID: id}
+	if sw.self {
+		return e, e.runs(h, sw)
+	}
+	e.best(h, sw)
+	return e, nil
+}
+
 // TestSpeedupCurvesPoisonedCell poisons exactly one (graph, config, thread)
 // cell of a sweep and checks every other cell still emits a value, while the
 // poisoned one is excluded from its point's geometric mean and reported as
@@ -42,8 +67,8 @@ func TestSpeedupCurvesPoisonedCell(t *testing.T) {
 		}
 		return testTrace(500 * (gi + 1))
 	}
-	series, errs, _ := speedupCurves(nil, mic.KNF(), testConfigs, []string{"", ""},
-		3, threads, traceFor)
+	exp, _ := book(nil, "test", testSweep(3, threads), traceFor)
+	series, errs := exp.Series, exp.Errors
 
 	if len(series) != len(testConfigs) {
 		t.Fatalf("%d series, want %d", len(series), len(testConfigs))
@@ -68,8 +93,8 @@ func TestSpeedupCurvesPoisonedCell(t *testing.T) {
 	}
 
 	// Determinism: a second identical sweep yields identical curves.
-	series2, _, _ := speedupCurves(nil, mic.KNF(), testConfigs, []string{"", ""},
-		3, threads, traceFor)
+	again, _ := book(nil, "test", testSweep(3, threads), traceFor)
+	series2 := again.Series
 	for ci := range series {
 		for i := range series[ci].Values {
 			if series[ci].Values[i] != series2[ci].Values[i] {
@@ -90,8 +115,8 @@ func TestSpeedupCurvesPoisonedBaseline(t *testing.T) {
 		}
 		return testTrace(400)
 	}
-	series, errs, _ := speedupCurves(nil, mic.KNF(), testConfigs, []string{"", ""},
-		3, threads, traceFor)
+	exp, _ := book(nil, "test", testSweep(3, threads), traceFor)
+	series, errs := exp.Series, exp.Errors
 	for _, s := range series {
 		for i, v := range s.Values {
 			if v <= 0 {
@@ -190,8 +215,8 @@ func TestSpeedupCurvesCancelledMidSweep(t *testing.T) {
 			return testTrace(300)
 		}
 		h := &Harness{Ctx: ctx, team: sched.NewTeam(procs)}
-		series, errs, _ := speedupCurves(h, mic.KNF(), testConfigs, []string{"", ""},
-			graphs, threads, traceFor)
+		exp, _ := book(h, "test", testSweep(graphs, threads), traceFor)
+		series, errs := exp.Series, exp.Errors
 		h.team.Close()
 
 		claimed := len(ran)
@@ -240,18 +265,19 @@ func (c *countdownCtx) Err() error {
 // TestAblCancelledMidSweep cuts an ablation off mid-way: since its cells go
 // through the figures' runner, the points before the cutoff stand (they read
 // what an uncut run reads), the rest read 0, in the ablation's own sweep
-// order, and exactly one annotation marks it.
+// order, and exactly one annotation marks it. abl-chunk's one key is 7 trace
+// tasks and 147 cells, one poll a claim and one more per worker and loop.
 func TestAblCancelledMidSweep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	s, err := NewSuite(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AblChunkSize(s, mic.KNF())
+	want := byID(t, s, "abl-chunk")
 	for _, procs := range procCounts {
 		runtime.GOMAXPROCS(procs)
 		ctx := &countdownCtx{Context: context.Background()}
-		ctx.left.Store(90) // of 154 claims and a few polls more per loop
+		ctx.left.Store(90) // of 154 claims and at most 16 polls more
 		got, err := ByID("abl-chunk", s.WithHarness(&Harness{Ctx: ctx}), mic.KNF(), mic.HostXeon())
 		if err != nil {
 			t.Fatal(err)
@@ -279,21 +305,110 @@ func TestAblCancelledMidSweep(t *testing.T) {
 	}
 }
 
-// TestAblPoisonedCell poisons one cell of an ablation's curve: it is
+// jsonOf renders one experiment as WriteJSON does.
+func jsonOf(t *testing.T, e *Experiment) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, []*Experiment{e}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// sharedKeyIDs read two trace keys: fig1a and fig1b natural-order coloring,
+// fig2 between them shuffled coloring, so the natural key runs first and
+// plays fig1a's cells, then fig1b's.
+var sharedKeyIDs = []string{"fig1a", "fig2", "fig1b"}
+
+// TestSharedKeyCutOff cuts RunMany off inside a key that two experiments
+// share, at every processor count: past the natural key's 7 trace tasks and
+// fig1a's 294 cells, about 90 claims into fig1b's 196. An experiment whose
+// every cell was claimed reads what an uncut run reads; every other carries
+// exactly one cutoff annotation, and every point it kept is the uncut run's.
+func TestSharedKeyCutOff(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	s, err := NewSuite(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RunMany(sharedKeyIDs, s, mic.KNF(), mic.HostXeon())
+	for _, procs := range procCounts {
+		runtime.GOMAXPROCS(procs)
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(7 + 294 + 100)
+		got := RunMany(sharedKeyIDs, s.WithHarness(&Harness{Ctx: ctx}), mic.KNF(), mic.HostXeon())
+		kept := 0
+		for i, e := range got {
+			if len(e.Errors) == 0 {
+				if jsonOf(t, e) != jsonOf(t, want[i]) {
+					t.Errorf("GOMAXPROCS %d: %s ran whole but reads differently from the uncut run", procs, e.ID)
+				}
+				continue
+			}
+			if len(e.Errors) != 1 || e.Errors[0].Graph != -1 || !errors.Is(e.Errors[0], context.Canceled) {
+				t.Errorf("GOMAXPROCS %d: %s: annotations %v, want exactly the cutoff", procs, e.ID, e.Errors)
+			}
+			for _, sr := range e.Series {
+				uncut := seriesByLabel(t, want[i], sr.Label)
+				for ti, v := range sr.Values {
+					if v != 0 && v != uncut.Values[ti] {
+						t.Errorf("GOMAXPROCS %d: %s/%s at %d threads reads %v, uncut %v", procs, e.ID, sr.Label, sr.Threads[ti], v, uncut.Values[ti])
+					}
+					if v != 0 {
+						kept++
+					}
+				}
+			}
+		}
+		if len(got[0].Errors) != 0 || len(got[1].Errors) == 0 || len(got[2].Errors) == 0 || kept == 0 {
+			t.Errorf("GOMAXPROCS %d: annotations %d/%d/%d, %d points kept past the cut: want the cut inside fig1b",
+				procs, len(got[0].Errors), len(got[1].Errors), len(got[2].Errors), kept)
+		}
+	}
+}
+
+// TestSharedKeyPanic fails the build of the shuffled coloring key, which fig2
+// and abl-bonus read: each of them carries the panic once, and fig1a, on the
+// natural key, runs whole.
+func TestSharedKeyPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	s, err := NewSuite(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := jsonOf(t, RunMany([]string{"fig1a"}, s, mic.KNF(), mic.HostXeon())[0])
+	s.derived.shuffled[3].get(func() *graph.Graph { return nil }) // its trace task panics
+	for _, procs := range procCounts {
+		runtime.GOMAXPROCS(procs)
+		got := RunMany([]string{"fig1a", "fig2", "abl-bonus"}, s, mic.KNF(), mic.HostXeon())
+		if jsonOf(t, got[0]) != want {
+			t.Errorf("GOMAXPROCS %d: fig1a, on another key, did not run whole: %v", procs, got[0].Errors)
+		}
+		for _, e := range got[1:] {
+			var re runtime.Error
+			if len(e.Errors) != 1 || e.Errors[0].Graph != -1 || !errors.As(e.Errors[0], &re) {
+				t.Errorf("GOMAXPROCS %d: %s: annotations %v, want the panic once", procs, e.ID, e.Errors)
+			}
+		}
+	}
+}
+
+// TestAblPoisonedCell poisons one cell of a self-relative curve: it is
 // annotated, drops out of its point's mean, and the rest of the series stands.
 func TestAblPoisonedCell(t *testing.T) {
 	threads := []int{1, 11, 21}
 	boom := errors.New("poisoned trace")
-	exp := &Experiment{ID: "abl-test"}
 	h := &Harness{team: sched.NewTeam(2)}
 	defer h.team.Close()
-	vals := exp.speedup(h, mic.KNF(), testConfigs[0], "curve", 3, threads, func(gi, tt int) *mic.Trace {
+	sw := &sweep{m: mic.KNF(), lines: []line{{label: "curve", cfg: testConfigs[0]}}, threads: threads, played: threads,
+		gis: make([]int, 3), self: true}
+	exp, runs := book(h, "abl-test", sw, func(gi, _, tt int) *mic.Trace {
 		if gi == 1 && tt == 11 {
 			panic(boom)
 		}
 		return testTrace(500 * (gi + 1))
 	})
-	for i, v := range vals {
+	for i, v := range runs[0].curve().Values {
 		if v <= 0 {
 			t.Errorf("t=%d: value %v, want > 0 (the curve must continue around the poisoned cell)", threads[i], v)
 		}

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"micgraph/internal/mic"
 )
 
 func TestWriteSVG(t *testing.T) {
 	s := sharedSuite(t)
-	e := Fig1a(s, mic.KNF())
+	e := byID(t, s, "fig1a")
 	var buf bytes.Buffer
 	if err := WriteSVG(&buf, e); err != nil {
 		t.Fatal(err)

@@ -18,8 +18,8 @@ func TestSpeedupCurvesCellTelemetry(t *testing.T) {
 	traceFor := func(gi, ci, tt int) *mic.Trace { return testTrace(300) }
 
 	h := &Harness{Telemetry: true}
-	series, errs, cells := speedupCurves(h, mic.KNF(), testConfigs, []string{"", ""},
-		2, threads, traceFor)
+	e, _ := book(h, "test", testSweep(2, threads), traceFor)
+	series, errs, cells := e.Series, e.Errors, e.Cells
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -46,19 +46,33 @@ func TestSpeedupCurvesCellTelemetry(t *testing.T) {
 		}
 	}
 
-	_, _, none := speedupCurves(nil, mic.KNF(), testConfigs, []string{"", ""},
-		2, threads, traceFor)
-	if len(none) != 0 {
+	off, _ := book(nil, "test", testSweep(2, threads), traceFor)
+	if none := off.Cells; len(none) != 0 {
 		t.Errorf("telemetry off but %d cells recorded", len(none))
 	}
 }
 
-// TestStampCells labels a batch with its experiment ID.
+// TestStampCells: a sweep books its telemetry records and its annotations
+// under its experiment's ID.
 func TestStampCells(t *testing.T) {
-	cells := stampCells("fig2", []CellTelemetry{{Series: "a"}, {Series: "b"}})
-	for _, c := range cells {
+	traceFor := func(gi, _, tt int) *mic.Trace {
+		if gi == 0 && tt == 11 {
+			panic(errors.New("boom"))
+		}
+		return testTrace(300)
+	}
+	e, _ := book(&Harness{Telemetry: true}, "fig2", testSweep(2, []int{1, 11}), traceFor)
+	if len(e.Cells) == 0 || len(e.Errors) == 0 {
+		t.Fatalf("%d cells, %d annotations; want some of each", len(e.Cells), len(e.Errors))
+	}
+	for _, c := range e.Cells {
 		if c.Experiment != "fig2" {
 			t.Errorf("cell %+v not stamped", c)
+		}
+	}
+	for _, ce := range e.Errors {
+		if ce.Experiment != "fig2" {
+			t.Errorf("annotation %+v not stamped", ce)
 		}
 	}
 }
