@@ -7,8 +7,11 @@
 //
 //   - label propagation: "take the minimum label of your neighbourhood"
 //     until a fixed point, data-driven — a round re-walks only the vertices
-//     whose label fell since their last walk; the number of rounds still
-//     grows with the distance a label travels against the sweep order;
+//     whose label fell since their last walk, and between two rounds a
+//     compress sweep jumps every label to the root it points at, so a label
+//     that reached one vertex of a block reaches the vertices pointing at it
+//     without a walk; the number of rounds still grows with the distance a
+//     label travels against the sweep order;
 //   - pointer jumping: Shiloach–Vishkin's hook and jump read asynchronously,
 //     as a concurrent union-find — one sweep hooks every edge once, and the
 //     jump is the path halving of the finds in between.
@@ -24,9 +27,10 @@ import "micgraph/internal/graph"
 type Result struct {
 	Labels []int32 // Labels[v] identifies v's component (minimum vertex id)
 	Count  int     // number of components
-	// Rounds counts sweeps: label propagation's, each of which walked at
-	// least one vertex (none only confirms the fixed point); pointer
-	// jumping's one hook sweep, not its compress sweep; Sequential's one pass.
+	// Rounds counts sweeps that walk arcs: label propagation's rounds, each
+	// of which walked at least one vertex (none only confirms the fixed
+	// point), not the compress sweeps between them; pointer jumping's one
+	// hook sweep, not its compress sweep; Sequential's one pass.
 	Rounds int
 }
 

@@ -2,6 +2,7 @@ package components
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -141,10 +142,42 @@ func TestPointerJumpingLogRounds(t *testing.T) {
 	}
 }
 
+// CheckLabelPropSamples returns what is wrong with the samples a label
+// propagation run on g that returned res recorded, nil if nothing: rounds
+// numbered 0…Rounds−1, each with a vertex walked and the first with every
+// vertex and arc; after each round but the last a compress sweep over every
+// vertex that walks no arc; and every vertex but the component minima
+// lowered in some sample. (Exported for the external hammer tests.)
+func CheckLabelPropSamples(g *graph.Graph, res Result, samples []telemetry.PhaseSample) error {
+	n := int64(g.NumVertices())
+	if want := max(2*res.Rounds-1, 0); len(samples) != want {
+		return fmt.Errorf("%d samples for %d rounds, want %d", len(samples), res.Rounds, want)
+	}
+	var lowered int64
+	for i, s := range samples {
+		ok := s.Phase == "round" && s.Items > 0
+		if i%2 == 1 {
+			ok = s.Phase == "compress" && s.Items == n && s.Edges == 0
+		}
+		if !ok || s.Kernel != "components" || s.Index != i/2 {
+			return fmt.Errorf("sample %d is %+v, want round %d with a vertex walked or the compress sweep after it", i, s, i/2)
+		}
+		lowered += s.Claims
+	}
+	if len(samples) > 0 && (samples[0].Items != n || samples[0].Edges != g.NumArcs()) {
+		return fmt.Errorf("round 0 walked %d vertices, %d arcs, want all %d, %d", samples[0].Items, samples[0].Edges, n, g.NumArcs())
+	}
+	if lowered < n-int64(res.Count) {
+		return fmt.Errorf("%d labels lowered, want at least %d vertices − %d components", lowered, n, res.Count)
+	}
+	return nil
+}
+
 // TestRoundsCountWalkingSweeps pins what Result.Rounds means: the sweeps
 // run, each of which walked at least one vertex — the flags are counted, so
-// no empty sweep confirms the fixed point — with one sample per sweep; for
-// pointer jumping the hook sweep, which the compress sweep's sample follows.
+// no empty sweep confirms the fixed point — with one sample per sweep and a
+// compress sample between two rounds; for pointer jumping the hook sweep,
+// which the compress sweep's sample follows.
 func TestRoundsCountWalkingSweeps(t *testing.T) {
 	one := sched.NewTeam(1)
 	defer one.Close()
@@ -162,7 +195,7 @@ func TestRoundsCountWalkingSweeps(t *testing.T) {
 		{"grid, one worker", gen.Grid2D(20, 20), one, 1},
 		{"rmat-shuffled", gen.RMAT(9, 4, 0.57, 0.19, 0.19, 5).Shuffled(3), four, -1},
 	} {
-		n, arcs := int64(tc.g.NumVertices()), tc.g.NumArcs()
+		n := int64(tc.g.NumVertices())
 		rec := telemetry.NewMemRecorder()
 		ctx := telemetry.WithRecorder(context.Background(), rec)
 
@@ -170,17 +203,11 @@ func TestRoundsCountWalkingSweeps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples := rec.Samples()
-		if len(samples) != lp.Rounds || tc.rounds >= 0 && lp.Rounds != tc.rounds || tc.rounds < 0 && lp.Rounds < 1 {
-			t.Errorf("%s: label propagation reports %d rounds in %d samples, want %d", tc.name, lp.Rounds, len(samples), tc.rounds)
+		if tc.rounds >= 0 && lp.Rounds != tc.rounds || tc.rounds < 0 && lp.Rounds < 1 {
+			t.Errorf("%s: label propagation reports %d rounds, want %d", tc.name, lp.Rounds, tc.rounds)
 		}
-		for i, s := range samples {
-			if s.Kernel != "components" || s.Phase != "round" || s.Index != i || s.Items == 0 {
-				t.Errorf("%s: sample %d is %+v, want round %d of components with a vertex walked", tc.name, i, s, i)
-			}
-		}
-		if len(samples) > 0 && (samples[0].Items != n || samples[0].Edges != arcs) {
-			t.Errorf("%s: round 0 walked %d vertices, %d arcs, want all %d, %d", tc.name, samples[0].Items, samples[0].Edges, n, arcs)
+		if err := CheckLabelPropSamples(tc.g, lp, rec.Samples()); err != nil {
+			t.Errorf("%s: label propagation: %v", tc.name, err)
 		}
 
 		rec.Reset()

@@ -25,10 +25,11 @@ import (
 // Any worker may write any vertex's label, so a sweep touches labels and
 // dirty only atomically — sequentially consistent in Go, which the two rules
 // of label propagation's flags need (DESIGN.md §2 has the argument). Flag
-// after store: whoever lowers a label raises that vertex's flag afterwards,
-// so a walk always follows a vertex's final label. Clear before load: the
-// walk that takes a flag down reads the label after that, so it cannot wipe
-// the flag of a store it did not see.
+// after store: whoever lowers a label in a round raises that vertex's flag
+// afterwards, so a walk always follows a vertex's final label. Clear before
+// load: the walk that takes a flag down reads the label after that, so it
+// cannot wipe the flag of a store it did not see. The compress sweep between
+// rounds lowers labels without flags; it may, because it runs alone.
 type Scratch struct {
 	labels  []int32
 	dirty   []uint32 // label propagation: v's label may not have reached v's neighbours
@@ -106,12 +107,98 @@ func (t *tally) push(lbl []int32, dirty []uint32, u, cur, m int32) {
 	}
 }
 
+// ensureBodies lazily creates the resident loop bodies (they capture only s,
+// so one closure each serves every run).
+func (s *Scratch) ensureBodies() {
+	if s.lpBody != nil {
+		return
+	}
+	// Walk v: pass its arcs once with a running minimum m. A neighbour
+	// holding less lowers m on the spot (pull), one holding more is lowered
+	// to m (push); if m fell on the way, the neighbours passed before hold
+	// too much, so v lowers and flags itself.
+	s.lpBody = func(lo, hi, w int) {
+		xadj, adj, lbl, dirty := s.xadj, s.adj, s.labels, s.dirty
+		t := s.tallies[w]
+		for v := lo; v < hi; v++ {
+			if atomic.LoadUint32(&dirty[v]) == 0 {
+				continue
+			}
+			atomic.StoreUint32(&dirty[v], 0)
+			own := atomic.LoadInt32(&lbl[v])
+			m := own
+			nbrs := adj[xadj[v]:xadj[v+1]]
+			for _, u := range nbrs {
+				if l := atomic.LoadInt32(&lbl[u]); l < m {
+					m = l
+				} else if l > m {
+					t.push(lbl, dirty, u, l, m)
+				}
+			}
+			t.push(lbl, dirty, int32(v), own, m)
+			t.items++
+			t.edges += int64(len(nbrs))
+		}
+		s.tallies[w] = t
+	}
+	// Adjacency is sorted (graph.Validate's invariant), so v's lower
+	// neighbours come first. One whose parent is v's costs one load: v's is
+	// read once and kept, and a stale parent was an ancestor, so is still in
+	// v's tree.
+	s.hookBody = func(lo, hi, w int) {
+		xadj, adj, par := s.xadj, s.adj, s.labels
+		t := s.tallies[w]
+		for v := int32(lo); v < int32(hi); v++ {
+			pv := atomic.LoadInt32(&par[v])
+			for _, u := range adj[xadj[v]:xadj[v+1]] {
+				if u > v {
+					break
+				}
+				t.edges++
+				if atomic.LoadInt32(&par[u]) == pv {
+					continue
+				}
+				if unite(par, u, v) {
+					t.claims++
+				}
+				pv = atomic.LoadInt32(&par[v])
+			}
+		}
+		t.items += int64(hi - lo)
+		s.tallies[w] = t
+	}
+	// Point every vertex at the root of its label: label[v] = root(label[v]).
+	// Both kernels run it at a barrier; it raises no flag.
+	s.compressBody = func(lo, hi, w int) {
+		par := s.labels
+		t := s.tallies[w]
+		for v := lo; v < hi; v++ {
+			p := atomic.LoadInt32(&par[v])
+			if r := find(par, p); r != p {
+				atomic.StoreInt32(&par[v], r)
+				t.claims++
+			}
+		}
+		t.items += int64(hi - lo)
+		s.tallies[w] = t
+	}
+}
+
 // LabelPropagation runs data-driven min-label propagation on the scratch's
 // pooled arrays over the raw CSR arrays. Every vertex starts dirty; a round
 // is one sweep in index order that walks the dirty vertices only. Only a
 // walk clears a flag and every walk clears one, so flags up = flags up
 // before + raised − walked, exact at a barrier: the loop ends at zero, with
 // no sweep to confirm that nothing moved.
+//
+// A label is a vertex id, so it is also a pointer, and a round that leaves
+// a flag up is followed by PointerJumping's compress sweep: every label
+// jumps to the root it leads to, without a walk and without a flag. Shiloach
+// and Vishkin's shortcut is exact here only because it runs at a barrier,
+// where no walk is running (DESIGN.md §2). It is what carries a block's
+// label across the next block: that block's vertices point at one vertex of
+// the block before, which has fallen since, and one streaming pass lowers
+// them all instead of a round that walks them again.
 func (s *Scratch) LabelPropagation(ctx context.Context, g *graph.Graph, team *sched.Team, opts sched.ForOptions) (Result, error) {
 	n := g.NumVertices()
 	res := Result{Labels: s.ensure(n)}
@@ -123,42 +210,15 @@ func (s *Scratch) LabelPropagation(ctx context.Context, g *graph.Graph, team *sc
 		s.dirty[v] = 1
 	}
 	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
-	if s.lpBody == nil {
-		// Walk v: pass its arcs once with a running minimum m. A neighbour
-		// holding less lowers m on the spot (pull), one holding more is
-		// lowered to m (push); if m fell on the way, the neighbours passed
-		// before hold too much, so v lowers and flags itself.
-		s.lpBody = func(lo, hi, w int) {
-			xadj, adj, lbl, dirty := s.xadj, s.adj, s.labels, s.dirty
-			t := s.tallies[w]
-			for v := lo; v < hi; v++ {
-				if atomic.LoadUint32(&dirty[v]) == 0 {
-					continue
-				}
-				atomic.StoreUint32(&dirty[v], 0)
-				own := atomic.LoadInt32(&lbl[v])
-				m := own
-				nbrs := adj[xadj[v]:xadj[v+1]]
-				for _, u := range nbrs {
-					if l := atomic.LoadInt32(&lbl[u]); l < m {
-						m = l
-					} else if l > m {
-						t.push(lbl, dirty, u, l, m)
-					}
-				}
-				t.push(lbl, dirty, int32(v), own, m)
-				t.items++
-				t.edges += int64(len(nbrs))
-			}
-			s.tallies[w] = t
-		}
-	}
+	s.ensureBodies()
 
 	var err error
 	for up := int64(n); up > 0 && err == nil; res.Rounds++ {
 		var t tally
 		t, err = s.sweep(ctx, team, opts, s.lpBody, "round", res.Rounds)
-		up += t.raised - t.items
+		if up += t.raised - t.items; up > 0 && err == nil {
+			_, err = s.sweep(ctx, team, opts, s.compressBody, "compress", res.Rounds)
+		}
 	}
 	res.Count = countRoots(res.Labels)
 	return res, err
@@ -211,47 +271,7 @@ func (s *Scratch) PointerJumping(ctx context.Context, g *graph.Graph, team *sche
 	}
 	res.Rounds = 1
 	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
-	if s.hookBody == nil {
-		// Adjacency is sorted (graph.Validate's invariant), so v's lower
-		// neighbours come first. One whose parent is v's costs one load: v's
-		// is read once and kept, and a stale parent was an ancestor, so is
-		// still in v's tree.
-		s.hookBody = func(lo, hi, w int) {
-			xadj, adj, par := s.xadj, s.adj, s.labels
-			t := s.tallies[w]
-			for v := int32(lo); v < int32(hi); v++ {
-				pv := atomic.LoadInt32(&par[v])
-				for _, u := range adj[xadj[v]:xadj[v+1]] {
-					if u > v {
-						break
-					}
-					t.edges++
-					if atomic.LoadInt32(&par[u]) == pv {
-						continue
-					}
-					if unite(par, u, v) {
-						t.claims++
-					}
-					pv = atomic.LoadInt32(&par[v])
-				}
-			}
-			t.items += int64(hi - lo)
-			s.tallies[w] = t
-		}
-		s.compressBody = func(lo, hi, w int) {
-			par := s.labels
-			t := s.tallies[w]
-			for v := lo; v < hi; v++ {
-				p := atomic.LoadInt32(&par[v])
-				if r := find(par, p); r != p {
-					atomic.StoreInt32(&par[v], r)
-					t.claims++
-				}
-			}
-			t.items += int64(hi - lo)
-			s.tallies[w] = t
-		}
-	}
+	s.ensureBodies()
 
 	_, err := s.sweep(ctx, team, opts, s.hookBody, "hook", 0)
 	if err == nil {

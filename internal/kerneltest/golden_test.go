@@ -26,7 +26,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden digests under 
 // kernel code: a refactor of the round or level loops must leave the
 // digests alone, and a change to one kind's kernels moves that kind's only.
 // bfs, coloring and irregular recorded at commit 22b255f, components at the
-// commit that made its rounds data-driven.
+// commit that put a compress sweep between label propagation's rounds (the
+// one line it moved: er-200-220's labelprop rounds, 4 → 3).
 func TestResultLinesGolden(t *testing.T) {
 	rt := kernels.NewRuntime(1)
 	defer rt.Close()
