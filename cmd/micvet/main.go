@@ -1,130 +1,45 @@
-// Command micvet runs the repository's custom static-analysis suite: nine
-// analyzers that enforce the simulator's determinism, cancellation, and
-// concurrency invariants, four of them (lockhold, goroleak, resclose,
-// atomicmix) backed by the cross-package facts engine (see
-// internal/analysis and DESIGN.md).
+// Command micvet runs the repository's custom static-analysis suite: three
+// analyzers, each of which caught a real bug here — wallclock (direct clock
+// reads in the kernels and the serving layers), goroleak (goroutines with no
+// owner) and resclose (resources that never reach Close/Stop). See
+// internal/analysis and DESIGN.md §6.
 //
 // Usage:
 //
-//	micvet [-only name,name] [-json] [-list] [packages]
+//	micvet [packages]
 //
 // Packages default to ./... relative to the current directory. The exit
 // status is 1 when any diagnostic is reported, 2 on usage or load errors.
-// Individual findings can be suppressed with a `//micvet:allow <analyzer>
-// <reason>` comment on (or directly above) the offending line; the
-// analyzer name must be one of the nine — anything else is itself a
-// diagnostic.
-//
-// -json emits a deterministic machine-readable report: an array (never
-// null) of {file, line, col, analyzer, message} objects sorted by file,
-// line, column, then analyzer, with file paths relative to the current
-// directory so the output is stable across checkouts.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"micgraph/internal/analysis"
 )
 
 func main() {
-	var (
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		asJSON   = flag.Bool("json", false, "emit diagnostics as JSON")
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		exitCode = 0
-	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: micvet [-only name,name] [-json] [-list] [packages]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "usage: micvet [packages]\n")
 	}
 	flag.Parse()
 
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *only != "" {
-		names := strings.Split(*only, ",")
-		analyzers = analysis.ByName(names)
-		if analyzers == nil {
-			var valid []string
-			for _, a := range analysis.All() {
-				valid = append(valid, a.Name)
-			}
-			fmt.Fprintf(os.Stderr, "micvet: unknown analyzer in %q (valid: %s)\n", *only, strings.Join(valid, ", "))
-			os.Exit(2)
-		}
-	}
-
-	patterns := flag.Args()
-	pkgs, err := analysis.LoadModule(".", patterns...)
+	pkgs, err := analysis.LoadModule(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "micvet: %v\n", err)
 		os.Exit(2)
 	}
-	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
+	diags, err := analysis.RunAnalyzers(pkgs, analysis.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "micvet: %v\n", err)
 		os.Exit(2)
 	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonReport(diags)); err != nil {
-			fmt.Fprintf(os.Stderr, "micvet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		exitCode = 1
+		os.Exit(1)
 	}
-	os.Exit(exitCode)
-}
-
-// jsonDiag is the stable -json schema; the field set and order are part of
-// micvet's interface (CI diffs two runs byte-for-byte).
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonReport converts sorted diagnostics to the JSON schema, relativizing
-// file paths against the current directory so output does not depend on
-// where the repository is checked out. Always returns a non-nil slice:
-// the clean run is `[]`, not `null`.
-func jsonReport(diags []analysis.Diagnostic) []jsonDiag {
-	cwd, _ := os.Getwd()
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		file := d.Pos.Filename
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-		}
-		out = append(out, jsonDiag{
-			File:     filepath.ToSlash(file),
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	return out
 }

@@ -1,34 +1,17 @@
 // Package analysis is a self-contained static-analysis framework plus the
-// micvet analyzer suite that enforces this repository's simulator and
-// serving invariants: determinism of the mic machine model, wall-clock
-// hygiene in the kernels, single-discipline atomic field access (within a
-// package and, via facts, across packages), cancellation on runtime loop
-// backedges, fault-injection propagation, no blocking calls under
-// serve/cluster mutexes, goroutine ownership, and resource lifecycle.
+// micvet analyzer suite. Each of its three analyzers has caught a real bug
+// in this repository: wallclock (direct clock reads in the kernels and the
+// serving layers), goroleak (a goroutine with no owner) and resclose (a
+// resource that never reaches Close/Stop, or time.After in a loop).
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Diagnostic) so analyzers read idiomatically
 // and could be ported to the real driver wholesale — but it is built only
 // on the standard library (go/ast, go/types, go/importer) because this
-// module vendors no dependencies. Packages are loaded by package load:
-// module packages are parsed and type-checked from source with full
-// types.Info, while imports outside the module are satisfied from the
-// compiler's export data located via `go list -deps -export`.
-//
-// Before any analyzer runs, the facts engine (see facts.go) computes
-// per-function summaries bottom-up over the import order and exposes them
-// on Pass.Facts, so analyzers reason across package boundaries the way
-// go/analysis Facts allow.
-//
-// Diagnostics may be suppressed per line with a trailing or preceding
-// comment of the form:
-//
-//	//micvet:allow <analyzer> <reason>
-//
-// The analyzer name is machine-checked: a directive naming an unknown
-// analyzer (or naming none) is itself a diagnostic, so stale or blanket
-// suppressions cannot rot silently. The reason is mandatory by convention
-// (reviewers look for it).
+// module vendors no dependencies. The packages under analysis are parsed
+// and type-checked from source with full types.Info; every other import is
+// satisfied from the compiler's export data located via
+// `go list -deps -export`.
 package analysis
 
 import (
@@ -37,12 +20,10 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// Analyzer describes one invariant checker. Name appears in diagnostics
-// and in //micvet:allow suppressions; Doc is the one-paragraph invariant
-// statement shown by `micvet -list`.
+// Analyzer describes one invariant checker. Name appears in diagnostics;
+// Doc is the one-paragraph invariant statement.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -60,12 +41,8 @@ type Pass struct {
 	// name, which lets scope matching work identically in tests.
 	PkgPath string
 	Info    *types.Info
-	// Facts holds the cross-package function summaries and field
-	// disciplines computed before the analyzers ran (nil-safe to query).
-	Facts *FactSet
 
 	diagnostics []Diagnostic
-	suppressed  suppressionIndex
 }
 
 // Diagnostic is one finding, anchored to a position.
@@ -80,123 +57,28 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// Reportf records a finding at pos unless a //micvet:allow comment for
-// this analyzer covers the line.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.suppressed.covers(p.Analyzer.Name, position) {
-		return
-	}
 	p.diagnostics = append(p.diagnostics, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
+		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// suppressionIndex maps file -> line -> set of analyzer names allowed
-// there. A //micvet:allow comment covers its own line (trailing-comment
-// style) and the following line (annotation-above-the-statement style).
-type suppressionIndex map[string]map[int][]string
-
-func (s suppressionIndex) covers(analyzer string, pos token.Position) bool {
-	lines := s[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, name := range lines[pos.Line] {
-		if name == analyzer {
-			return true
-		}
-	}
-	return false
-}
-
-// buildSuppressions scans file comments for //micvet:allow annotations.
-// Suppressions are analyzer-scoped: the first field must name a known
-// analyzer (there is deliberately no blanket "all"), and a directive that
-// names none or an unknown one is reported as a diagnostic of its own so
-// it cannot silently suppress nothing — or everything.
-func buildSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex, []Diagnostic) {
-	known := map[string]bool{}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	idx := make(suppressionIndex)
-	var bad []Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "micvet:allow") {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, "micvet:allow"))
-				pos := fset.Position(c.Pos())
-				if len(fields) == 0 {
-					bad = append(bad, Diagnostic{
-						Analyzer: "micvet",
-						Pos:      pos,
-						Message:  "micvet:allow directive missing analyzer name (use //micvet:allow <analyzer> <reason>)",
-					})
-					continue
-				}
-				name := fields[0]
-				if !known[name] {
-					bad = append(bad, Diagnostic{
-						Analyzer: "micvet",
-						Pos:      pos,
-						Message:  fmt.Sprintf("micvet:allow names unknown analyzer %q (valid: %s)", name, strings.Join(analyzerNames(), ", ")),
-					})
-					continue
-				}
-				lines := idx[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]string)
-					idx[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], name)
-				lines[pos.Line+1] = append(lines[pos.Line+1], name)
-			}
-		}
-	}
-	return idx, bad
-}
-
-func analyzerNames() []string {
-	var names []string
-	for _, a := range All() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
-// RunAnalyzers computes cross-package facts for every loaded package,
-// then applies each analyzer to each non-FactsOnly package and returns
-// all diagnostics sorted by position then analyzer name.
+// RunAnalyzers applies each analyzer to each package and returns all
+// diagnostics sorted by position then analyzer name.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts, err := ComputeFacts(pkgs)
-	if err != nil {
-		return nil, err
-	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		if pkg.FactsOnly {
-			continue
-		}
-		supp, badDirectives := buildSuppressions(pkg.Fset, pkg.Files)
-		out = append(out, badDirectives...)
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       pkg.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				PkgPath:    pkg.Path,
-				Info:       pkg.Info,
-				Facts:      facts,
-				suppressed: supp,
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				PkgPath:  pkg.Path,
+				Info:     pkg.Info,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -3,32 +3,8 @@ package analysis
 // All returns the micvet analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicField,
-		AtomicMix,
-		CtxLoop,
-		FaultSite,
 		Goroleak,
-		Lockhold,
 		Resclose,
-		SimDeterminism,
 		Wallclock,
 	}
-}
-
-// ByName returns the named analyzers from All, or nil when any name is
-// unknown (the caller reports the error with the valid names).
-func ByName(names []string) []*Analyzer {
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil
-		}
-		out = append(out, a)
-	}
-	return out
 }

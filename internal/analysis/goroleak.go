@@ -9,9 +9,11 @@ import (
 // layer: every `go` statement must be tied to an owner that can observe
 // or stop it — a context.Context (in the arguments or captured by the
 // body), a sync.WaitGroup, or a supervising channel the goroutine closes
-// or sends on. Named callees are resolved through cross-package facts, so
-// `go q.worker(w)` is owned when worker's body registers with the queue's
-// WaitGroup even though the go statement itself shows none of that.
+// or sends on. A named callee of the same package is judged by its body,
+// so `go q.worker(w)` is owned when worker registers with the queue's
+// WaitGroup even though the go statement itself shows none of that; a
+// callee in another package (`go srv.Serve(ln)`) has no body here and is
+// flagged unless the statement itself shows an owner.
 var Goroleak = &Analyzer{
 	Name: "goroleak",
 	Doc: "every go statement in serve/cluster/load must be tied to a context.Context, sync.WaitGroup, or " +
@@ -41,8 +43,8 @@ func runGoroleak(pass *Pass) error {
 }
 
 // goOwned reports whether the spawned goroutine has an owner: a context
-// reaches it, its literal body participates in a supervision protocol, or
-// the named callee's fact says it does.
+// reaches it, or its body — the literal's, or the same-package callee's —
+// participates in a supervision protocol.
 func goOwned(pass *Pass, g *ast.GoStmt) bool {
 	if usesContext(pass.Info, g.Call) {
 		return true
@@ -50,12 +52,27 @@ func goOwned(pass *Pass, g *ast.GoStmt) bool {
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		return litSupervised(pass.Info, lit.Body)
 	}
-	if fn := calleeFunc(pass.Info, g.Call); fn != nil {
-		if fact, ok := pass.Facts.Func(fn.FullName()); ok {
-			return fact.CtxAware || fact.Supervised
-		}
+	if decl := declOf(pass, calleeFunc(pass.Info, g.Call)); decl != nil {
+		return litSupervised(pass.Info, decl.Body)
 	}
 	return false
+}
+
+// declOf returns the declaration of fn when the package under analysis
+// declares it, nil otherwise.
+func declOf(pass *Pass, fn *types.Func) *ast.FuncDecl {
+	if fn == nil || fn.Pkg() != pass.Pkg {
+		return nil
+	}
+	fn = fn.Origin()
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && pass.Info.Defs[fd.Name] == fn {
+				return fd
+			}
+		}
+	}
+	return nil
 }
 
 // litSupervised reports whether a goroutine body signals an owner: it
@@ -85,4 +102,19 @@ func litSupervised(info *types.Info, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found || usesContext(info, body)
+}
+
+func isWaitGroupType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // TestGoroleak checks goroutine-ownership detection: fire-and-forget
-// spawns (named, literal, and cross-package) are flagged, while context
-// arguments/captures, WaitGroup registration, done/result channels, and
-// supervision visible only through a callee's fact are owned. The fixture
-// also pins that //micvet:allow is analyzer-scoped: a goroleak directive
-// suppresses, a lockhold directive on the same shape does not.
+// spawns (named, literal, and into another package) are flagged, while
+// context arguments/captures, WaitGroup registration, done/result channels,
+// and supervision visible only in a same-package callee's body are owned.
+// Packages outside the serving layer are not checked.
 func TestGoroleak(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.Goroleak, "goroleak")
+	analysistest.Run(t, "testdata/src", analysis.Goroleak, "goroleak", "outside")
 }

@@ -26,10 +26,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// FactsOnly marks a package loaded from source solely so the facts
-	// engine can summarize its function bodies: it was not matched by the
-	// requested patterns, so analyzers produce no diagnostics for it.
-	FactsOnly bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -37,18 +33,14 @@ type listedPkg struct {
 	ImportPath string
 	Dir        string
 	Export     string
-	GoFiles    []string
+	Deps       []string
 	DepOnly    bool
-	Standard   bool
-	Module     *struct {
-		Path string
-		Main bool
-	}
-	Error *struct{ Err string }
+	Error      *struct{ Err string }
 }
 
 // loader resolves imports three ways, in order: packages it was asked to
-// type-check from source (the analysis roots and fixture siblings), then
+// type-check from source (the analysis roots, fixture siblings and any
+// dependency that imports a root), then
 // compiler export data located by `go list -deps -export`, then failure.
 type loader struct {
 	fset    *token.FileSet
@@ -191,12 +183,12 @@ func goList(dir string, args ...string) ([]*listedPkg, error) {
 
 // LoadModule loads and type-checks the packages matched by patterns
 // (e.g. "./...") in the module rooted at (or containing) dir. Matched
-// packages are checked from source with full type information. In-module
-// dependencies that the patterns did not match are also checked from
-// source but marked FactsOnly, so the facts engine sees their function
-// bodies even when micvet runs on a subset of the module; dependencies
-// outside the module are satisfied from compiler export data, so the
-// analyzed module must build.
+// packages are checked from source with full type information; every
+// dependency the patterns did not match, in the module or outside it, is
+// satisfied from compiler export data, so the analyzed module must build.
+// The exception is a dependency that itself imports a matched package:
+// its export data would carry a second copy of that package's types, so
+// it is checked from source too (but not analyzed).
 func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -206,24 +198,23 @@ func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	l := newLoader()
-	var roots, factsOnly []string
+	var roots []string
 	for _, p := range listed {
 		if !p.DepOnly {
 			l.source[p.ImportPath] = p.Dir
 			roots = append(roots, p.ImportPath)
-			continue
 		}
-		if !p.Standard && p.Module != nil && p.Module.Main {
-			l.source[p.ImportPath] = p.Dir
-			factsOnly = append(factsOnly, p.ImportPath)
-			continue
-		}
-		if p.Export != "" {
-			l.exports[p.ImportPath] = p.Export
+	}
+	for _, p := range listed {
+		if p.DepOnly {
+			if importsAny(p.Deps, l.source) {
+				l.source[p.ImportPath] = p.Dir
+			} else if p.Export != "" {
+				l.exports[p.ImportPath] = p.Export
+			}
 		}
 	}
 	sort.Strings(roots)
-	sort.Strings(factsOnly)
 	var pkgs []*Package
 	for _, path := range roots {
 		pkg, err := l.check(path)
@@ -232,22 +223,26 @@ func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	for _, path := range factsOnly {
-		pkg, err := l.check(path)
-		if err != nil {
-			return nil, err
-		}
-		pkg.FactsOnly = true
-		pkgs = append(pkgs, pkg)
-	}
 	return pkgs, nil
+}
+
+// importsAny reports whether any of deps is checked from source.
+func importsAny(deps []string, source map[string]string) bool {
+	for _, d := range deps {
+		if _, ok := source[d]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // LoadDirs loads fixture packages for tests: each of paths names a
 // directory under root holding one package whose import path is the
 // directory's path relative to root (slash-separated). Fixture packages
 // may import each other by those paths and anything from the standard
-// library; stdlib imports are satisfied from export data.
+// library; stdlib imports are satisfied from export data. Only the named
+// packages are returned, so a sibling pulled in as an import is never
+// analyzed.
 func LoadDirs(root string, paths ...string) ([]*Package, error) {
 	l := newLoader()
 	// Register every package directory under root so fixtures can import
@@ -310,28 +305,11 @@ func LoadDirs(root string, paths ...string) ([]*Package, error) {
 		}
 	}
 	var pkgs []*Package
-	requested := map[string]bool{}
 	for _, path := range paths {
 		pkg, err := l.check(filepath.ToSlash(path))
 		if err != nil {
 			return nil, err
 		}
-		requested[pkg.Path] = true
-		pkgs = append(pkgs, pkg)
-	}
-	// Sibling fixture packages pulled in as imports come along FactsOnly,
-	// mirroring LoadModule: the facts engine summarizes them, analyzers
-	// stay silent on them.
-	var extra []string
-	for path := range l.cache {
-		if !requested[path] {
-			extra = append(extra, path)
-		}
-	}
-	sort.Strings(extra)
-	for _, path := range extra {
-		pkg := l.cache[path]
-		pkg.FactsOnly = true
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

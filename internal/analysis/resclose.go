@@ -47,7 +47,7 @@ func runResclose(pass *Pass) error {
 }
 
 // resKindOf classifies t as a tracked resource. telemetry.JSONLFile is
-// matched by package name (like faultsite) so fixtures can model it.
+// matched by package name so fixtures can model it.
 func resKindOf(t types.Type) *rescloseKind {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()

@@ -19,8 +19,3 @@ func okUses() time.Duration {
 	epoch := time.Unix(0, 0)
 	return d + epoch.Sub(time.Time{})
 }
-
-// suppressed demonstrates the escape hatch for a reviewed exception.
-func suppressed() time.Time {
-	return time.Now() //micvet:allow wallclock fixture exercising the suppression comment
-}

@@ -1,14 +1,13 @@
 // Package goroleak exercises the goroleak analyzer: fire-and-forget
 // goroutines are flagged; context-, WaitGroup- and channel-supervised
-// ones (including via cross-package facts) are not. It also pins the
-// analyzer-scoped //micvet:allow semantics.
+// ones (including through a same-package callee's body) are not.
 package goroleak
 
 import (
 	"context"
+	"net"
+	"net/http"
 	"sync"
-
-	"gorodep"
 )
 
 func bad() {
@@ -21,8 +20,10 @@ func badLiteral() {
 	}()
 }
 
-func badCrossPackage() {
-	go gorodep.Orphan() // want `goroutine is not tied to a context, WaitGroup, or supervising channel`
+// badOtherPackage: Serve's body is not in this package, so nothing shows
+// an owner.
+func badOtherPackage(srv *http.Server, ln net.Listener) {
+	go srv.Serve(ln) // want `goroutine is not tied to a context, WaitGroup, or supervising channel`
 }
 
 func leak() {}
@@ -64,9 +65,19 @@ func goodResultChannel() {
 	<-errc
 }
 
-// goodCrossPackage is owned through gorodep.Supervised's exported fact.
-func goodCrossPackage() {
-	go gorodep.Supervised()
+var wg sync.WaitGroup
+
+// owned registers with the package WaitGroup its spawner waits on.
+func owned() {
+	defer wg.Done()
+}
+
+// goodNamedCallee is owned through owned's body, which the go statement
+// does not show.
+func goodNamedCallee() {
+	wg.Add(1)
+	go owned()
+	wg.Wait()
 }
 
 type pool struct {
@@ -77,22 +88,9 @@ func (p *pool) run() {
 	defer p.wg.Done()
 }
 
-// goodMethodFact: p.run's own fact (references the pool WaitGroup) makes
-// the spawn owned even though the go statement shows none of it.
+// start is owned through p.run's body, which registers with the pool's
+// WaitGroup.
 func (p *pool) start() {
 	p.wg.Add(1)
 	go p.run()
-}
-
-// allowed pins the suppression path for the new analyzer.
-func allowed() {
-	//micvet:allow goroleak fixture: suppression comment is honoured
-	go leak()
-}
-
-// wrongScope pins that a directive for a different analyzer does NOT
-// suppress goroleak — suppressions are analyzer-scoped.
-func wrongScope() {
-	//micvet:allow lockhold fixture: wrong analyzer name must not suppress goroleak
-	go leak() // want `goroutine is not tied to a context, WaitGroup, or supervising channel`
 }

@@ -1,7 +1,7 @@
 // Package telemetry is a fixture stub modelling the real
 // internal/telemetry JSONL stream writer: resclose matches the type by
-// package name (like faultsite), so fixtures can exercise the lifecycle
-// rule without importing the module itself.
+// package name, so fixtures can exercise the lifecycle rule without
+// importing the module itself.
 package telemetry
 
 // JSONLFile stands in for the buffered JSONL stream writer.

@@ -8,18 +8,18 @@ import (
 // an injectable telemetry clock: the kernels (telemetry.Now/Since via the
 // Recorder, so phase samples are bit-deterministic under a fake clock),
 // the kernel table that sits between them and their callers, and the
-// serving/load-generation layers (telemetry.Clock via config, so job
-// latency spans and trace timestamps are deterministic in tests).
+// serving/load-generation/cluster layers (telemetry.Clock via config, so
+// job latency spans and trace timestamps are deterministic in tests).
 var wallclockScope = []string{"bfs", "coloring", "components", "irregular", "kernels", "kerneltest", "serve", "load", "cluster"}
 
 // Wallclock flags direct time.Now and time.Since calls inside the scoped
 // packages. Kernels must route timestamps through the Recorder's clock
-// hook (telemetry.Now/Since); the serving and load layers through their
-// injected telemetry.Clock — which the Nop path skips entirely and a
+// hook (telemetry.Now/Since); the serving, load and cluster layers through
+// their injected telemetry.Clock — which the Nop path skips entirely and a
 // test clock can make deterministic.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc: "clock-disciplined packages (internal/bfs, internal/coloring, internal/components, internal/irregular, internal/kernels, internal/kerneltest, internal/serve, internal/load) " +
+	Doc: "clock-disciplined packages (internal/bfs, internal/coloring, internal/components, internal/irregular, internal/kernels, internal/kerneltest, internal/serve, internal/load, internal/cluster) " +
 		"must not read the wall clock directly; take time via telemetry.Now/telemetry.Since or an injected telemetry.Clock " +
 		"so instrumented runs can be made deterministic",
 	Run: runWallclock,

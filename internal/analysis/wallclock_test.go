@@ -8,8 +8,7 @@ import (
 )
 
 // TestWallclock checks the positive fixtures (direct clock reads in a
-// kernel-scoped package), the suppression comment, and that out-of-scope
-// packages are untouched.
+// kernel-scoped package) and that out-of-scope packages are untouched.
 func TestWallclock(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.Wallclock, "bfs", "outside")
 }

@@ -16,9 +16,9 @@ var procCounts = []int{1, 2, 8}
 // TestOutputByteDeterminism: regenerating a simulated figure and
 // serializing it — JSON and SVG — must produce byte-identical output on
 // every run and at every processor count. This is the output-path contract
-// the simdeterminism analyzer protects (no map-ordered emission, no
-// wall-clock dependence in the simulator) and the engine's index-addressed
-// results keep under concurrency, asserted end to end.
+// (no map-ordered emission, no wall-clock dependence in the simulator) that
+// the engine's index-addressed results keep under concurrency, asserted end
+// to end: ranging over a map to fill WriteJSON's series fails it.
 func TestOutputByteDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	s := sharedSuite(t)

@@ -254,6 +254,48 @@ func TestColoringD2Cancelled(t *testing.T) {
 	}
 }
 
+// TestEveryEntryCancels cancels every parallel entry of the table at the
+// fifth chunk-claim or task boundary of its runtimes: the run must return
+// the context's error, and the same Runtime's next run, uncancelled, must
+// pass the oracle. A kernel that loses its context on the way down to the
+// scheduler runs to the end and fails the first half.
+func TestEveryEntryCancels(t *testing.T) {
+	g := gen.Grid2D(40, 40)
+	p := kernels.Params{Chunk: 1, Policy: sched.Dynamic, Iters: 3}
+	for _, e := range kernels.Table() {
+		if e.Variant == kernels.Seq {
+			continue
+		}
+		t.Run(e.Kind+"/"+e.Variant, func(t *testing.T) {
+			rt := kernels.NewRuntime(4)
+			defer rt.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls atomic.Int64
+			hook := func(string, int) {
+				if calls.Add(1) == 5 {
+					cancel()
+				}
+			}
+			rt.Team.SetInject(hook)
+			rt.Pool.SetInject(hook)
+			_, err := e.Run(ctx, rt, g, p)
+			rt.Team.SetInject(nil)
+			rt.Pool.SetInject(nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled at the fifth boundary: got %v, want context.Canceled", err)
+			}
+			out, err := e.Run(context.Background(), rt, g, p)
+			if err == nil {
+				err = e.Validate(g, p, out)
+			}
+			if err != nil {
+				t.Fatalf("next run after the cancelled one: %v", err)
+			}
+		})
+	}
+}
+
 // TestComponentsMatchOracle does the same for components: guided and
 // static schedules on one recycled Scratch.
 func TestComponentsMatchOracle(t *testing.T) {

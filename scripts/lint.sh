@@ -4,9 +4,10 @@
 #   go vet        stock correctness checks
 #   staticcheck   style/correctness (skipped with a note if not installed;
 #                 CI installs it with `go install`)
-#   micvet        this repo's invariant suite (internal/analysis): simulator
-#                 determinism, kernel wall-clock hygiene, atomic field
-#                 discipline, cancellation backedges, fault propagation
+#   micvet        this repo's analyzers (internal/analysis): wallclock
+#                 (no direct clock reads in the kernels and the serving
+#                 layers), goroleak (every goroutine has an owner), resclose
+#                 (resources reach Close/Stop; no time.After in a loop)
 #
 # Usage:
 #   scripts/lint.sh              # vet + staticcheck + micvet over ./...

@@ -27,8 +27,7 @@
 // (actions.go), a graph-file pool with deterministic corruption
 // (files.go), and the invariant-checking executors (run.go, replay.go).
 // All harness logic lives in non-test files so micvet's analyzers
-// (ctxloop, faultsite, ...) and staticcheck police it like any other
-// package.
+// (goroleak, resclose) and staticcheck police it like any other package.
 //
 // Tiers:
 //
