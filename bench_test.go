@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"micgraph/internal/bfs"
-	"micgraph/internal/centrality"
 	"micgraph/internal/coloring"
 	"micgraph/internal/components"
 	"micgraph/internal/core"
@@ -360,20 +359,6 @@ func BenchmarkKernelPageRank(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelBetweenness8Sources(b *testing.B) {
-	g := benchGraph(b, "hood")
-	team := sched.NewTeam(4)
-	defer team.Close()
-	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 32}
-	sources := centrality.EverySource(g.NumVertices(), g.NumVertices()/8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if bc := centrality.Sampled(g, sources, team, opts); len(bc) == 0 {
-			b.Fatal("no centrality")
-		}
-	}
-}
-
 func BenchmarkKernelComponentsLabelProp(b *testing.B) {
 	g := benchGraph(b, "msdoor")
 	team := sched.NewTeam(4)
@@ -404,23 +389,12 @@ func BenchmarkKernelComponentsPointerJump(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelColoringSmallestLast(b *testing.B) {
-	g := benchGraph(b, "bmw3_2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		order := coloring.SmallestLast(g)
-		if res := coloring.SeqGreedyOrder(g, order); res.NumColors == 0 {
-			b.Fatal("no colors")
-		}
-	}
-}
-
 func BenchmarkReorderRCM(b *testing.B) {
 	g := benchGraph(b, "hood")
 	shuffled := g.Shuffled(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if perm := RCMPermutation(shuffled); len(perm) == 0 {
+		if perm := graph.RCMOrder(shuffled); len(perm) == 0 {
 			b.Fatal("no permutation")
 		}
 	}

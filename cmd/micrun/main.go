@@ -64,6 +64,7 @@ func byName[T fmt.Stringer](name string, values ...T) (T, bool) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("micrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := kernels.Defaults()
 	var (
 		kind    = fs.String("kind", kernels.BFS, "kernel kind (the row names under -variant)")
 		variant = fs.String("variant", "", "variant of the kind (default: the kind's default):"+tableNames())
@@ -72,10 +73,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale   = fs.Int("scale", 4, "suite shrink factor for -graph")
 		workers = fs.Int("workers", 4, "worker goroutines")
 		source  = fs.Int("source", -1, "bfs source vertex (-1 = |V|/2 as in the paper)")
-		chunk   = fs.Int("chunk", 100, "team chunk, cilk/tbb grain and block-queue block size")
-		iters   = fs.Int("iters", 5, "irregular averaging iterations")
-		policy  = fs.String("policy", sched.Dynamic.String(), "team loop schedule: static, dynamic, guided")
-		part    = fs.String("partitioner", sched.SimplePartitioner.String(), "tbb partitioner: simple, auto, affinity")
+		chunk   = fs.Int("chunk", def.Chunk, "team chunk, cilk/tbb grain and block-queue block size")
+		iters   = fs.Int("iters", def.Iters, "irregular averaging iterations")
+		policy  = fs.String("policy", def.Policy.String(), "team loop schedule: static, dynamic, guided")
+		part    = fs.String("partitioner", def.Partitioner.String(), "tbb partitioner: simple, auto, affinity")
 		shuffle = fs.Bool("shuffle", false, "randomly relabel vertices first (the Figure 2 setup)")
 		d2      = fs.Bool("d2", false, "distance-2 coloring (coloring, sequential or team variant only)")
 		model   = fs.Bool("model", false, "bfs: also print the §III-C achievable-speedup model")
@@ -167,10 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *shuffle {
 		g = g.Shuffled(1)
 	}
-	p.Source = int32(*source)
-	if p.Source < 0 || int(p.Source) >= g.NumVertices() {
-		p.Source = int32(g.NumVertices() / 2)
-	}
+	p.Source = kernels.Source(g, *source)
 
 	rt := kernels.NewRuntime(*workers)
 	defer rt.Close()

@@ -1,6 +1,6 @@
-// Quickstart: generate one of the paper's test-graph stand-ins, color it in
-// parallel, run a parallel BFS, and evaluate the paper's analytical BFS
-// speedup model — the whole public API in ~50 lines.
+// Quickstart: generate one of the paper's test-graph stand-ins, color it
+// sequentially and in parallel, run a parallel BFS, and evaluate the
+// paper's analytical BFS speedup model — the whole public API.
 package main
 
 import (
@@ -19,24 +19,27 @@ func main() {
 	fmt.Printf("graph: %s\n", g)
 
 	// Sequential First-Fit greedy (Algorithm 1) vs the iterative parallel
-	// speculative coloring (Algorithms 2-4).
-	seq := micgraph.GreedyColoring(g)
-	par, err := micgraph.ParallelColoring(g, 4)
+	// speculative coloring (Algorithms 2-4) on the default OpenMP-style team.
+	seq, err := micgraph.Run("coloring", "seq", g, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	par, err := micgraph.Run("coloring", "", g, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("coloring: sequential %d colors; parallel %d colors in %d rounds (conflicts per round: %v)\n",
-		seq.NumColors, par.NumColors, par.Rounds, par.Conflicts)
+		seq.Coloring.NumColors, par.Coloring.NumColors, par.Coloring.Rounds, par.Coloring.Conflicts)
 
 	// Layered parallel BFS with the paper's block-accessed relaxed queue,
 	// from vertex |V|/2 as in Table I.
-	source := int32(g.NumVertices() / 2)
-	res, err := micgraph.ParallelBFS(g, source, 4)
+	out, err := micgraph.Run("bfs", "", g, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := out.BFS
 	fmt.Printf("bfs: %d levels from vertex %d; %d entries processed, %d redundant (relaxed queue)\n",
-		res.NumLevels, source, res.Processed, res.Duplicates)
+		res.NumLevels, g.NumVertices()/2, res.Processed, res.Duplicates)
 
 	// The §III-C model: how much speedup this graph's level structure
 	// permits on the 124-hardware-thread MIC, and where it saturates.

@@ -13,60 +13,6 @@ import (
 	"micgraph/internal/sched"
 )
 
-func TestParentsValid(t *testing.T) {
-	property := func(seed uint64, nRaw, mRaw uint16) bool {
-		n := int(nRaw%120) + 1
-		m := int(mRaw % 500)
-		g := randomGraph(seed, n, m)
-		src := int32(int(seed % uint64(n)))
-		res := Sequential(g, src)
-		parents := Parents(g, src, res.Levels)
-		return ValidateParents(g, src, parents, res.Levels) == nil
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestValidateParentsCatchesCorruption(t *testing.T) {
-	g := gen.Grid2D(8, 8)
-	res := Sequential(g, 0)
-	good := Parents(g, 0, res.Levels)
-
-	cases := []struct {
-		name   string
-		mutate func(p []int32)
-	}{
-		{"source not own parent", func(p []int32) { p[0] = 5 }},
-		{"non-edge parent", func(p []int32) { p[63] = 0 }}, // corner to corner: no edge
-		{"wrong level parent", func(p []int32) { p[2] = 3 }},
-		{"orphaned reachable", func(p []int32) { p[5] = NoParent }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := append([]int32{}, good...)
-			tc.mutate(p)
-			if err := ValidateParents(g, 0, p, res.Levels); err == nil {
-				t.Error("corruption not detected")
-			}
-		})
-	}
-	// And the untouched tree must pass.
-	if err := ValidateParents(g, 0, good, res.Levels); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateParentsCycle(t *testing.T) {
-	// Construct a plausible-looking forest with a two-cycle: levels lie.
-	g := gen.Chain(4)
-	levels := []int32{0, 1, 2, 3}
-	parents := []int32{0, 0, 3, 2} // 2 and 3 point at each other
-	if err := ValidateParents(g, 0, parents, levels); err == nil {
-		t.Error("parent cycle not detected")
-	}
-}
-
 func TestHybridMatchesSequential(t *testing.T) {
 	team := sched.NewTeam(4)
 	defer team.Close()
@@ -260,11 +206,7 @@ func TestHybridProperty(t *testing.T) {
 		g := randomGraph(seed, n, m)
 		src := int32(int(seed % uint64(n)))
 		res := must(NewScratch().Hybrid(nil, g, src, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}, HybridConfig{}))
-		if Validate(g, src, res.Levels) != nil {
-			return false
-		}
-		parents := Parents(g, src, res.Levels)
-		return ValidateParents(g, src, parents, res.Levels) == nil
+		return Validate(g, src, res.Levels) == nil
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

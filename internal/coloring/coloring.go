@@ -33,12 +33,6 @@ type Result struct {
 // (Algorithm 1), visiting vertices in natural order. It uses at most Δ+1
 // colors.
 func SeqGreedy(g *graph.Graph) Result {
-	return SeqGreedyOrder(g, nil)
-}
-
-// SeqGreedyOrder colors g visiting vertices in the given order (natural
-// order if order is nil). The order must be a permutation of the vertices.
-func SeqGreedyOrder(g *graph.Graph, order []int32) Result {
 	n := g.NumVertices()
 	colors := make([]int32, n)
 	// forbidden[c] == v marks color c as in use by a neighbor of v.
@@ -47,11 +41,7 @@ func SeqGreedyOrder(g *graph.Graph, order []int32) Result {
 		forbidden[i] = -1
 	}
 	maxColor := int32(0)
-	for i := 0; i < n; i++ {
-		v := int32(i)
-		if order != nil {
-			v = order[i]
-		}
+	for v := int32(0); int(v) < n; v++ {
 		for _, w := range g.Adj(v) {
 			if c := colors[w]; c > 0 {
 				forbidden[c] = v

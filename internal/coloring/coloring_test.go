@@ -79,9 +79,14 @@ func TestSeqGreedyBound(t *testing.T) {
 	}
 }
 
+// TestSeqGreedyOrderPermutation colors a relabelled graph: natural order on
+// it is a random visit order on the original.
 func TestSeqGreedyOrderPermutation(t *testing.T) {
-	g := randomGraph(3, 60, 300)
-	res := SeqGreedyOrder(g, xrand.New(9).Perm(g.NumVertices()))
+	g, err := randomGraph(3, 60, 300).Permute(xrand.New(9).Perm(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := SeqGreedy(g)
 	if err := Validate(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}

@@ -246,24 +246,3 @@ func sortRunAndStrays(list, buf []int32) {
 		}
 	}
 }
-
-// FromAdjacency builds a graph from explicit adjacency lists. The lists are
-// symmetrised: if w appears in lists[v], the edge {v,w} is added regardless
-// of whether v appears in lists[w]. Intended for tests and small examples.
-func FromAdjacency(lists [][]int32) (*Graph, error) {
-	n := len(lists)
-	b := NewBuilder(n)
-	for v, l := range lists {
-		for _, w := range l {
-			if w < 0 || int(w) >= n {
-				return nil, fmt.Errorf("graph: adjacency of %d contains out-of-range %d", v, w)
-			}
-			if int32(v) < w { // add each undirected edge once; Build dedups anyway
-				b.AddEdge(int32(v), w)
-			} else if int32(v) > w {
-				b.AddEdge(w, int32(v))
-			}
-		}
-	}
-	return b.Build(), nil
-}

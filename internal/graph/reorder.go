@@ -2,12 +2,12 @@ package graph
 
 import "sort"
 
-// Locality-restoring reorderings. The paper's Figure 2 shows how much the
+// A locality-restoring reordering. The paper's Figure 2 shows how much the
 // kernels depend on vertex-ordering locality (its reference [21], Strout &
 // Hovland, studies exactly these reordering transformations). RCM is the
 // classical bandwidth-reducing ordering used on FEM matrices like the test
-// suite; BFSOrder is its cheaper cousin. Both return a permutation suitable
-// for Graph.Permute: perm[v] is the new id of old vertex v.
+// suite. It returns a permutation suitable for Graph.Permute: perm[v] is the
+// new id of old vertex v.
 
 // RCMOrder computes a Reverse Cuthill–McKee permutation: BFS from a
 // pseudo-peripheral vertex of each component, visiting neighbors in
@@ -48,50 +48,6 @@ func RCMOrder(g *Graph) []int32 {
 	// Reverse: the last BFS vertex gets id 0.
 	for i, v := range sequence {
 		perm[v] = int32(n - 1 - i)
-	}
-	return perm
-}
-
-// BFSOrder numbers vertices in plain BFS discovery order from vertex 0
-// (components appended in index order) — a cheap locality ordering.
-func BFSOrder(g *Graph) []int32 {
-	n := g.NumVertices()
-	perm := make([]int32, n)
-	visited := make([]bool, n)
-	var next int32
-	queue := make([]int32, 0, n)
-	for start := 0; start < n; start++ {
-		if visited[start] {
-			continue
-		}
-		visited[start] = true
-		queue = append(queue[:0], int32(start))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			perm[v] = next
-			next++
-			for _, w := range g.Adj(v) {
-				if !visited[w] {
-					visited[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return perm
-}
-
-// DegreeOrder numbers vertices by non-decreasing degree (stable). Useful as
-// a deliberately locality-hostile but deterministic ordering in tests.
-func DegreeOrder(g *Graph) []int32 {
-	n := g.NumVertices()
-	order := IdentityPermutation(n)
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Degree(order[a]) < g.Degree(order[b])
-	})
-	perm := make([]int32, n)
-	for newID, v := range order {
-		perm[v] = int32(newID)
 	}
 	return perm
 }

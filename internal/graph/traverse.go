@@ -1,5 +1,7 @@
 package graph
 
+import "fmt"
+
 // Levels runs a sequential breadth-first search from source and returns the
 // level of every vertex (-1 for unreachable vertices) and the number of
 // levels, i.e. 1 + the eccentricity of source within its component.
@@ -68,6 +70,36 @@ func (g *Graph) ConnectedComponents() ([]int32, int) {
 		k++
 	}
 	return comp, int(k)
+}
+
+// CompareLabelings checks that two component labelings describe the same
+// partition of the vertex set: there must be a bijection between the label
+// values. Returns the first disagreement found.
+func CompareLabelings(want, got []int32) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("graph: labelings have different lengths %d vs %d", len(want), len(got))
+	}
+	fwd := make(map[int32]int32)
+	rev := make(map[int32]int32)
+	for v := range want {
+		if w, ok := fwd[want[v]]; ok {
+			if w != got[v] {
+				return fmt.Errorf("graph: vertex %d: label %d maps to both %d and %d",
+					v, want[v], w, got[v])
+			}
+		} else {
+			fwd[want[v]] = got[v]
+		}
+		if w, ok := rev[got[v]]; ok {
+			if w != want[v] {
+				return fmt.Errorf("graph: vertex %d: label %d maps back to both %d and %d",
+					v, got[v], w, want[v])
+			}
+		} else {
+			rev[got[v]] = want[v]
+		}
+	}
+	return nil
 }
 
 // LargestComponent returns the subgraph induced by the largest connected

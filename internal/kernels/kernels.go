@@ -73,11 +73,27 @@ func (rt *Runtime) Close() {
 // Params is everything a table entry reads besides the graph. Entries
 // ignore the fields their kernel has no use for.
 type Params struct {
-	Source      int32             // bfs source vertex; callers resolve their own default
+	Source      int32             // bfs source vertex, resolved by Source
 	Chunk       int               // team chunk, cilk/tbb grain and block-queue block size
 	Iters       int               // irregular averaging iterations
 	Policy      sched.Policy      // team loop schedule
 	Partitioner sched.Partitioner // tbb range partitioner
+}
+
+// Defaults returns the table's default parameters, the configuration the
+// paper reports: chunk 100, 5 irregular iterations, dynamic team loops and
+// the simple partitioner. The source is the graph's: see Source.
+func Defaults() Params {
+	return Params{Chunk: 100, Iters: 5, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+}
+
+// Source resolves a requested bfs source on g: src when it is a vertex of
+// g, else |V|/2 as in the paper.
+func Source(g *graph.Graph, src int) int32 {
+	if src < 0 || src >= g.NumVertices() {
+		return int32(g.NumVertices() / 2)
+	}
+	return int32(src)
 }
 
 // TeamOpts is the team-loop configuration the parameters select.

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"micgraph/internal/graph"
+	"micgraph/internal/sched"
 )
 
 // TestTableShape pins the matrix the daemon accepts: 18 kind×variant
@@ -54,6 +57,21 @@ func TestTableShape(t *testing.T) {
 	}
 	if Default("sweep") != "" {
 		t.Error("Default names a variant for a kind that is not a kernel")
+	}
+}
+
+// TestDefaults pins the parameters every caller starts from — the daemon's
+// normalised job spec, micrun's flags and the facade — and the source rule.
+func TestDefaults(t *testing.T) {
+	want := Params{Chunk: 100, Iters: 5, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+	if got := Defaults(); got != want {
+		t.Errorf("Defaults() = %+v, want %+v", got, want)
+	}
+	g := graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1}})
+	for src, want := range map[int]int32{-1: 2, 0: 0, 4: 4, 5: 2, 1 << 30: 2} {
+		if got := Source(g, src); got != want {
+			t.Errorf("Source(%d) on 5 vertices = %d, want %d", src, got, want)
+		}
 	}
 }
 

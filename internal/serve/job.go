@@ -86,11 +86,12 @@ func (sp *JobSpec) normalize() error {
 		if sp.Variant == "" {
 			sp.Variant = kernels.Default(sp.Kind)
 		}
+		def := kernels.Defaults()
 		if sp.Chunk <= 0 {
-			sp.Chunk = 100
+			sp.Chunk = def.Chunk
 		}
 		if sp.Iters <= 0 {
-			sp.Iters = 5
+			sp.Iters = def.Iters
 		}
 	case KindExport:
 		if sp.Graph.File == "" && sp.Graph.Suite == "" {

@@ -8,7 +8,6 @@ import (
 	"micgraph/internal/graph"
 	"micgraph/internal/graphio"
 	"micgraph/internal/kernels"
-	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
@@ -227,16 +226,17 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// kernelParams maps the spec onto the table's parameters: the source
-// defaults to |V|/2 as in the paper, team loops are dynamic and TBB ranges
-// use the simple partitioner, the configuration the paper reports.
+// kernelParams maps the spec onto the table's default parameters. On the
+// wire a source of 0, like an absent one, means |V|/2.
 func (sp JobSpec) kernelParams(g *graph.Graph) kernels.Params {
-	src := int32(sp.Source)
-	if src <= 0 || int(src) >= g.NumVertices() {
-		src = int32(g.NumVertices() / 2)
+	p := kernels.Defaults()
+	p.Chunk, p.Iters = sp.Chunk, sp.Iters
+	src := sp.Source
+	if src == 0 {
+		src = -1
 	}
-	return kernels.Params{Source: src, Chunk: sp.Chunk, Iters: sp.Iters,
-		Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+	p.Source = kernels.Source(g, src)
+	return p
 }
 
 // runKernel runs one kernel job on worker w's resident runtime and streams

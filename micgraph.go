@@ -21,24 +21,20 @@
 //     regenerates the paper's speedup figures;
 //   - internal/core: the experiment engine for every table and figure.
 //
-// This facade exposes the typical entry points; import the internal
-// packages directly (within this module) for the full API surface.
+// Run is the one way into the kernels: any entry of the table, on the
+// daemon's parameters, validated against the kind's sequential oracle.
 package micgraph
 
 import (
 	"context"
 	"fmt"
 
-	"micgraph/internal/bfs"
-	"micgraph/internal/centrality"
-	"micgraph/internal/coloring"
 	"micgraph/internal/core"
 	"micgraph/internal/gen"
 	"micgraph/internal/graph"
-	"micgraph/internal/irregular"
+	"micgraph/internal/kernels"
 	"micgraph/internal/mic"
 	"micgraph/internal/perfmodel"
-	"micgraph/internal/sched"
 )
 
 // Re-exported core types. The aliases make the facade zero-cost: values
@@ -48,20 +44,10 @@ type (
 	Graph = graph.Graph
 	// Edge is an undirected edge for graph construction.
 	Edge = graph.Edge
-	// MeshConfig parameterises a Table I stand-in generator.
-	MeshConfig = gen.MeshConfig
-	// ColoringResult reports a coloring run.
-	ColoringResult = coloring.Result
-	// BFSResult reports a BFS run.
-	BFSResult = bfs.Result
-	// Machine is a simulated hardware description.
-	Machine = mic.Machine
+	// Outcome is a kernel run's result; only the field of its kind is set.
+	Outcome = kernels.Outcome
 	// Experiment is one reproduced table or figure.
 	Experiment = core.Experiment
-	// Team is an OpenMP-style worker team.
-	Team = sched.Team
-	// Pool is a Cilk/TBB-style work-stealing pool.
-	Pool = sched.Pool
 )
 
 // NewGraph builds a simple undirected graph from an edge list.
@@ -87,61 +73,36 @@ func SuiteGraph(name string, scale int) (*Graph, error) {
 	return gen.Mesh(gen.Scaled(cfg, scale))
 }
 
-// GreedyColoring runs the sequential First-Fit greedy algorithm.
-func GreedyColoring(g *Graph) ColoringResult { return coloring.SeqGreedy(g) }
-
-// ParallelColoring runs the iterative parallel speculative coloring on an
-// OpenMP-style team with the paper's best configuration (dynamic, chunk
-// 100) and validates the result.
-func ParallelColoring(g *Graph, workers int) (ColoringResult, error) {
-	team := sched.NewTeam(workers)
-	defer team.Close()
-	res, err := coloring.NewScratch().ColorTeam(context.Background(), g, team,
-		sched.ForOptions{Policy: sched.Dynamic, Chunk: 100})
+// Run runs one entry of the kernels table on g with the given number of
+// workers and validates the answer against the kind's sequential oracle.
+// The kind is "bfs", "coloring", "components" or "irregular"; an empty
+// variant is the kind's default, and "seq" is its sequential twin. The
+// parameters are the table's defaults, with BFS from |V|/2 as in the paper.
+// Each call starts and closes its own runtime, so the outcome is the
+// caller's to keep.
+func Run(kind, variant string, g *Graph, workers int) (Outcome, error) {
+	if variant == "" {
+		variant = kernels.Default(kind)
+	}
+	e, ok := kernels.Lookup(kind, variant)
+	if !ok {
+		return Outcome{}, fmt.Errorf("micgraph: no %s variant %q in the kernels table", kind, variant)
+	}
+	if workers < 1 {
+		return Outcome{}, fmt.Errorf("micgraph: %d workers, need at least 1", workers)
+	}
+	p := kernels.Defaults()
+	p.Source = kernels.Source(g, -1)
+	rt := kernels.NewRuntime(workers)
+	defer rt.Close()
+	out, err := e.Run(context.Background(), rt, g, p)
 	if err != nil {
-		return res, err
+		return out, err
 	}
-	if err := coloring.Validate(g, res.Colors); err != nil {
-		return res, fmt.Errorf("micgraph: parallel coloring produced an invalid result: %w", err)
+	if err := e.Validate(g, p, out); err != nil {
+		return out, fmt.Errorf("micgraph: %s/%s produced an invalid result: %w", kind, variant, err)
 	}
-	return res, nil
-}
-
-// ValidateColoring checks that colors is a proper coloring of g.
-func ValidateColoring(g *Graph, colors []int32) error { return coloring.Validate(g, colors) }
-
-// BFS runs the sequential breadth-first search from source.
-func BFS(g *Graph, source int32) BFSResult { return bfs.Sequential(g, source) }
-
-// ParallelBFS runs the paper's best-performing parallel variant
-// (block-accessed queue, relaxed insertion, dynamic scheduling) and
-// validates the level assignment.
-func ParallelBFS(g *Graph, source int32, workers int) (BFSResult, error) {
-	team := sched.NewTeam(workers)
-	defer team.Close()
-	res, err := bfs.NewScratch().BlockTeam(context.Background(), g, source, team,
-		sched.ForOptions{Policy: sched.Dynamic, Chunk: bfs.DefaultBlockSize},
-		bfs.DefaultBlockSize, true)
-	if err != nil {
-		return res, err
-	}
-	if err := bfs.Validate(g, source, res.Levels); err != nil {
-		return res, fmt.Errorf("micgraph: parallel BFS produced an invalid result: %w", err)
-	}
-	return res, nil
-}
-
-// IrregularKernel runs iter neighbor-averaging sweeps of Algorithm 5 over
-// the state vector on an OpenMP-style team and returns the new state.
-func IrregularKernel(g *Graph, state []float64, iter, workers int) []float64 {
-	team := sched.NewTeam(workers)
-	defer team.Close()
-	out, err := irregular.TeamCtx(context.Background(), g, state, iter, team,
-		sched.ForOptions{Policy: sched.Dynamic, Chunk: 100})
-	if err != nil {
-		panic(err) // only a panicking loop body can fail an uncancellable run
-	}
-	return out
+	return out, nil
 }
 
 // AchievableBFSSpeedup evaluates the paper's §III-C analytical model:
@@ -150,61 +111,6 @@ func IrregularKernel(g *Graph, state []float64, iter, workers int) []float64 {
 func AchievableBFSSpeedup(levelWidths []int64, threads, blockSize int) float64 {
 	return perfmodel.Speedup(levelWidths, threads, blockSize)
 }
-
-// KNF returns the simulated Knights Ferry machine (31 cores × 4-way SMT).
-func KNF() *Machine { return mic.KNF() }
-
-// HostXeon returns the simulated dual-Xeon host (12 cores × 2-way HT).
-func HostXeon() *Machine { return mic.HostXeon() }
-
-// HybridBFS runs the direction-optimizing (top-down/bottom-up) BFS — the
-// extension of the paper's layered algorithm for wide frontiers — and
-// validates the level assignment.
-func HybridBFS(g *Graph, source int32, workers int) (bfs.HybridResult, error) {
-	team := sched.NewTeam(workers)
-	defer team.Close()
-	res, err := bfs.NewScratch().Hybrid(context.Background(), g, source, team,
-		sched.ForOptions{Policy: sched.Dynamic, Chunk: bfs.DefaultBlockSize}, bfs.HybridConfig{})
-	if err != nil {
-		return res, err
-	}
-	if err := bfs.Validate(g, source, res.Levels); err != nil {
-		return res, fmt.Errorf("micgraph: hybrid BFS produced an invalid result: %w", err)
-	}
-	return res, nil
-}
-
-// PageRank runs the damped power iteration (the algorithm the paper's
-// irregular kernel abstracts) and returns the rank vector and iteration
-// count.
-func PageRank(g *Graph, workers int) ([]float64, int) {
-	team := sched.NewTeam(workers)
-	defer team.Close()
-	return irregular.PageRank(g, team,
-		sched.ForOptions{Policy: sched.Dynamic, Chunk: 100}, irregular.PageRankOptions{})
-}
-
-// Betweenness estimates betweenness centrality from numSources evenly
-// spaced BFS sources (Brandes on top of the parallel BFS).
-func Betweenness(g *Graph, numSources, workers int) []float64 {
-	team := sched.NewTeam(workers)
-	defer team.Close()
-	n := g.NumVertices()
-	if numSources < 1 {
-		numSources = 1
-	}
-	stride := n / numSources
-	if stride < 1 {
-		stride = 1
-	}
-	return centrality.Sampled(g, centrality.EverySource(n, stride), team,
-		sched.ForOptions{Policy: sched.Dynamic, Chunk: bfs.DefaultBlockSize})
-}
-
-// RCMPermutation returns the Reverse Cuthill-McKee reordering of g; apply
-// it with Graph.Permute to restore the index locality a shuffled graph
-// lost (the Figure 2 axis).
-func RCMPermutation(g *Graph) []int32 { return graph.RCMOrder(g) }
 
 // RunExperiment reproduces one of the paper's tables or figures by id
 // (table1, fig1a..fig1c, fig2, fig3a..fig3c, fig4a..fig4d) on a suite

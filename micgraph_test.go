@@ -1,7 +1,10 @@
 package micgraph
 
 import (
+	"math"
 	"testing"
+
+	"micgraph/internal/kernels"
 )
 
 func TestFacadeSuiteGraph(t *testing.T) {
@@ -21,34 +24,69 @@ func TestFacadeSuiteGraph(t *testing.T) {
 	}
 }
 
+// TestRunEveryTableEntry runs every entry of the kernels table through the
+// facade: each must come back validated, with its kind's field set.
+func TestRunEveryTableEntry(t *testing.T) {
+	g, err := SuiteGraph("hood", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	for _, e := range kernels.Table() {
+		out, err := Run(e.Kind, e.Variant, g, 2)
+		if err != nil {
+			t.Errorf("%s/%s: %v", e.Kind, e.Variant, err)
+			continue
+		}
+		if got := len(out.BFS.Levels) + len(out.Coloring.Colors) + len(out.Components.Labels) + len(out.State); got != n {
+			t.Errorf("%s/%s: outcome covers %d vertices, want %d", e.Kind, e.Variant, got, n)
+		}
+	}
+}
+
+func TestRunRejectsUnknown(t *testing.T) {
+	g, err := NewGraph(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind, variant string
+		workers       int
+	}{
+		{"sweep", "", 2}, {"nope", "seq", 2}, {kernels.BFS, "nope", 2}, {kernels.Coloring, "", 0},
+	} {
+		if _, err := Run(c.kind, c.variant, g, c.workers); err == nil {
+			t.Errorf("Run(%q, %q, %d workers) accepted", c.kind, c.variant, c.workers)
+		}
+	}
+}
+
 func TestFacadeColoringAndBFS(t *testing.T) {
 	g, err := SuiteGraph("pwtk", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := GreedyColoring(g)
-	if err := ValidateColoring(g, seq.Colors); err != nil {
-		t.Fatal(err)
-	}
-	par, err := ParallelColoring(g, 4)
+	par, err := Run(kernels.Coloring, "", g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.NumColors > g.MaxDegree()+1 {
-		t.Errorf("parallel coloring used %d colors > Δ+1", par.NumColors)
+	if par.Coloring.NumColors > g.MaxDegree()+1 {
+		t.Errorf("parallel coloring used %d colors > Δ+1", par.Coloring.NumColors)
 	}
 
-	src := int32(g.NumVertices() / 2)
-	ref := BFS(g, src)
-	pres, err := ParallelBFS(g, src, 4)
+	ref, err := Run(kernels.BFS, kernels.Seq, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pres.NumLevels != ref.NumLevels {
-		t.Errorf("parallel BFS levels %d != sequential %d", pres.NumLevels, ref.NumLevels)
+	pres, err := Run(kernels.BFS, "", g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pres.BFS.NumLevels != ref.BFS.NumLevels {
+		t.Errorf("parallel BFS levels %d != sequential %d", pres.BFS.NumLevels, ref.BFS.NumLevels)
 	}
 
-	sp := AchievableBFSSpeedup(ref.Widths, 124, 32)
+	sp := AchievableBFSSpeedup(ref.BFS.Widths, 124, 32)
 	if sp <= 1 {
 		t.Errorf("model speedup %v, want > 1 on a real profile", sp)
 	}
@@ -59,16 +97,18 @@ func TestFacadeIrregularKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := IrregularKernel(g, []float64{0, 3, 0}, 1, 2)
-	if out[1] != 1 { // (3+0+0)/3
-		t.Errorf("kernel output %v, want middle = 1", out)
+	out, err := Run(kernels.Irregular, "", g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The start state is 1 + v/97: the middle vertex's neighbours average to
+	// its own value, so every sweep leaves it there.
+	if len(out.State) != 3 || math.Abs(out.State[1]-(1+1.0/97)) > 1e-12 {
+		t.Errorf("kernel output %v, want middle = 1 + 1/97", out.State)
 	}
 }
 
 func TestFacadeMachinesAndExperiment(t *testing.T) {
-	if KNF().MaxThreads() != 124 || HostXeon().MaxThreads() != 24 {
-		t.Error("machine topologies wrong")
-	}
 	exp, err := RunExperiment("table1", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -86,66 +126,13 @@ func TestFacadeHybridBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := int32(g.NumVertices() / 2)
-	res, err := HybridBFS(g, src, 4)
+	out, err := Run(kernels.BFS, "hybrid", g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumLevels != BFS(g, src).NumLevels {
-		t.Error("hybrid BFS level count differs from sequential")
-	}
+	res := out.BFS
 	if res.TopDownLevels+res.BottomUpLevels != res.NumLevels {
 		t.Errorf("direction counts %d+%d != %d levels",
 			res.TopDownLevels, res.BottomUpLevels, res.NumLevels)
-	}
-}
-
-func TestFacadePageRank(t *testing.T) {
-	g, err := SuiteGraph("auto", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rank, iters := PageRank(g, 4)
-	if iters < 1 || len(rank) != g.NumVertices() {
-		t.Fatalf("PageRank returned %d ranks after %d iterations", len(rank), iters)
-	}
-	sum := 0.0
-	for _, r := range rank {
-		sum += r
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("ranks sum to %v", sum)
-	}
-}
-
-func TestFacadeBetweennessAndRCM(t *testing.T) {
-	g, err := SuiteGraph("pwtk", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc := Betweenness(g, 8, 4)
-	if len(bc) != g.NumVertices() {
-		t.Fatal("wrong length")
-	}
-	anyPositive := false
-	for _, x := range bc {
-		if x > 0 {
-			anyPositive = true
-		}
-		if x < 0 {
-			t.Fatal("negative centrality")
-		}
-	}
-	if !anyPositive {
-		t.Error("all centralities zero")
-	}
-
-	shuffled := g.Shuffled(3)
-	restored, err := shuffled.Permute(RCMPermutation(shuffled))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Bandwidth() >= shuffled.Bandwidth() {
-		t.Errorf("RCM bandwidth %d not below shuffled %d", restored.Bandwidth(), shuffled.Bandwidth())
 	}
 }
