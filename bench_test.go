@@ -246,7 +246,7 @@ func BenchmarkTraceBuildBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := mic.BFSTrace(m, g, src, mic.NaturalOrder, mic.BFSBlockRelaxed, 32)
-		if tr.NumItems() == 0 {
+		if len(tr.Phases) == 0 {
 			b.Fatal("empty trace")
 		}
 	}

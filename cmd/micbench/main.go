@@ -25,14 +25,13 @@ import (
 
 func main() {
 	var (
-		expID   = flag.String("exp", "all", "experiment ids, comma-separated: all (the paper's), ablations, none (trace-only runs), "+strings.Join(core.AllIDs(), ", "))
+		expID   = flag.String("exp", "all", "experiments, comma-separated: all (the paper's), ablations, or ids; none alone for trace-only runs; ids: "+strings.Join(core.AllIDs(), ", "))
 		scale   = flag.Int("scale", 1, "linear shrink factor for the graph suite (1 = paper sizes)")
 		csvPath = flag.String("csv", "", "also write results as CSV to this file (one file, experiments concatenated)")
 		svgDir  = flag.String("svg", "", "also write one SVG figure per experiment into this directory")
 		machine = flag.String("machine", "", "JSON file overriding the KNF machine description (see mic.SaveMachine)")
 		quiet   = flag.Bool("q", false, "suppress progress messages")
 		timeout = flag.Duration("timeout", 0, "overall deadline for the sweep; experiments past it are annotated, not run (0 = none)")
-		retries = flag.Int("retries", 0, "bounded retries per sweep cell on transient injected faults")
 
 		stragRate = flag.Float64("straggler-rate", 0, "fault injection: probability each simulated MIC core straggles")
 		stragSlow = flag.Float64("straggler-slow", 0.5, "fault injection: slowdown fraction of a straggling core")
@@ -81,14 +80,14 @@ func main() {
 	logf("suite ready in %v", time.Since(start).Round(time.Millisecond))
 
 	wantTelemetry := *jsonPath != "" || *metricsOut != ""
-	if *timeout > 0 || *retries > 0 || wantTelemetry {
+	if *timeout > 0 || wantTelemetry {
 		ctx := context.Background()
 		if *timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		suite.Harness = &core.Harness{Ctx: ctx, Retries: *retries, Telemetry: wantTelemetry}
+		suite.Harness = &core.Harness{Ctx: ctx, Telemetry: wantTelemetry}
 	}
 
 	knf := mic.KNF()
@@ -129,26 +128,16 @@ func main() {
 		}
 	}
 
-	var ids []string
-	switch *expID {
-	case "all":
-		ids = core.IDs(core.GroupPaper)
-	case "ablations":
-		ids = core.IDs(core.GroupAblation)
-	case "none", "":
+	if *expID == "none" || *expID == "" {
 		if *traceOut == "" {
 			fmt.Fprintln(os.Stderr, "micbench: -exp none without -trace-out does nothing")
 			exit(2)
 		}
 		exit(0)
-	default:
-		for _, id := range strings.Split(*expID, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
 	}
 	// RunMany contains per-experiment failures (panics, deadline) as error
 	// annotations so one poisoned experiment doesn't take down the sweep.
-	exps := core.RunMany(ids, suite, knf, host)
+	exps := core.RunMany(experimentIDs(*expID), suite, knf, host)
 
 	var csv *os.File
 	if *csvPath != "" {
@@ -223,6 +212,23 @@ func main() {
 		exit(1)
 	}
 	exit(0)
+}
+
+// experimentIDs expands -exp's comma-separated list: all stands for the
+// paper's experiments, ablations for the ablations, any other token is an id.
+func experimentIDs(list string) []string {
+	var ids []string
+	for _, tok := range strings.Split(list, ",") {
+		switch tok = strings.TrimSpace(tok); tok {
+		case "all":
+			ids = append(ids, core.IDs(core.GroupPaper)...)
+		case "ablations":
+			ids = append(ids, core.IDs(core.GroupAblation)...)
+		default:
+			ids = append(ids, tok)
+		}
+	}
+	return ids
 }
 
 // writeCellMetrics dumps every sweep cell's simulator telemetry as JSONL,

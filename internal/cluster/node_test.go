@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -422,7 +423,7 @@ func TestClusterShardKillEviction(t *testing.T) {
 	// Survivors evict the dead peer after FailThreshold probe failures.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if !tc.Nodes[0].Ring().Has(victim) && !tc.Nodes[1].Ring().Has(victim) {
+		if !slices.Contains(tc.Nodes[0].Ring().Nodes(), victim) && !slices.Contains(tc.Nodes[1].Ring().Nodes(), victim) {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -105,13 +105,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Has reports whether node is currently in the ring.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodes[node]
-}
-
 // Nodes returns the current members, sorted.
 func (r *Ring) Nodes() []string {
 	r.mu.RLock()

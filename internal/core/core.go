@@ -119,7 +119,8 @@ type Suite struct {
 
 	// Harness controls cancellation and failure containment for all
 	// experiments run against this suite. Nil (the default) means no
-	// deadline and no retries; cells still fail the old way (panic).
+	// deadline and no per-cell telemetry; a cell that panics is still
+	// contained and annotated.
 	Harness *Harness
 
 	derived *derived // shared by every WithHarness copy

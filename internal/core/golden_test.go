@@ -21,7 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden digests under 
 // cycles, throttled and serialised phases), as one digest of the JSON
 // report. bench/golden covers core.All only; this is the tier-1 net for a
 // change that makes the simulator or the engine faster: it must not move.
-// Recorded at commit 12e1226. Floating-point contraction differs between
+// Recorded at commit 12e1226, and again when cell telemetry lost its
+// "attempts" key (always 1; no other byte moved). Floating-point contraction differs between
 // architectures, so the digest binds on amd64 only. It must hold at every
 // processor count (procCounts): the engine assembles results by index.
 func TestRunManyGolden(t *testing.T) {

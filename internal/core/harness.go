@@ -8,36 +8,28 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"micgraph/internal/fault"
 	"micgraph/internal/mic"
 	"micgraph/internal/sched"
-	"micgraph/internal/telemetry"
 )
 
-// Harness controls the resilience of experiment sweeps: an optional
-// deadline/cancellation context and a bounded retry budget for transient
-// injected faults. A nil *Harness (the default on a Suite) behaves like an
-// unbounded, no-retry harness, so existing callers are unaffected.
+// Harness is what experiment sweeps run under: an optional
+// deadline/cancellation context and, on request, per-cell telemetry. A nil
+// *Harness (the default on a Suite) behaves like an unbounded harness
+// without telemetry.
 //
 // Failure containment is per cell — one (graph, config, threads) point of a
 // sweep. A cell that panics (e.g. an injected worker fault surfacing as a
 // *sched.PanicError) is recorded as a CellError annotation on the
 // Experiment and excluded from the geometric mean; every other cell still
-// runs. Transient faults (fault.IsTransient) are retried up to Retries
-// times before being recorded.
+// runs.
 type Harness struct {
-	Ctx     context.Context
-	Retries int
+	Ctx context.Context
 
 	// Telemetry makes every sweep run with per-cell observation: each
 	// successful (graph, config, threads) cell contributes a CellTelemetry
 	// record (simulated time + mic.SimStats) to its Experiment. Off by
 	// default; the uninstrumented sweep path is unchanged.
 	Telemetry bool
-
-	// Counters, when set, receives harness-level events: currently each
-	// cell retry increments telemetry.Retries on worker 0. Nil disables.
-	Counters *telemetry.Counters
 
 	team *sched.Team // the workers of the call in progress; see staffed
 }
@@ -53,35 +45,6 @@ func (h *Harness) cancelled() error {
 		return nil
 	}
 	return h.Ctx.Err()
-}
-
-func (h *Harness) retries() int {
-	if h == nil || h.Retries < 0 {
-		return 0
-	}
-	return h.Retries
-}
-
-// cell evaluates one sweep cell with panic containment and bounded retry.
-// It returns the value, the number of attempts made, and the final error
-// (nil on success). Only transient faults are retried; a deterministic
-// failure is reported after the first attempt.
-func (h *Harness) cell(fn func() float64) (float64, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		var v float64
-		err := contain("cell", func() { v = fn() })
-		if err == nil {
-			return v, attempts, nil
-		}
-		if attempts > h.retries() || !fault.IsTransient(err) {
-			return math.NaN(), attempts, err
-		}
-		if h != nil {
-			h.Counters.Inc(0, telemetry.Retries)
-		}
-	}
 }
 
 // each calls body(i) for every i in [0, n) from the workers of the harness's
@@ -132,16 +95,16 @@ func (s *Suite) staffed() (*Suite, func()) {
 
 // cellResult is the outcome of one cell of a sweep.
 type cellResult struct {
-	time     float64 // simulated time; NaN when the cell failed
-	attempts int     // 0: the sweep was cut off before the cell was claimed
-	err      error
-	stats    mic.SimStats // filled only when the cells were observed
+	time    float64 // simulated time; NaN when the cell failed
+	claimed bool    // false: the sweep was cut off before the cell was claimed
+	err     error
+	stats   mic.SimStats // filled only when the cells were observed
 }
 
-// cells evaluates sim(i, st) for every cell i in [0, n) through each, every
-// one inside Harness.cell (containment, retries), and returns the results by
-// index for the caller to assemble in its own order: the output is the same
-// for every processor count. st is nil unless observe is set.
+// cells evaluates sim(i, st) for every cell i in [0, n) through each, a panic
+// in one contained as its error, and returns the results by index for the
+// caller to assemble in its own order: the output is the same for every
+// processor count. st is nil unless observe is set.
 func (h *Harness) cells(n int, observe bool, sim func(i int, st *mic.SimStats) float64) []cellResult {
 	res := make([]cellResult, n)
 	h.each(n, func(i int) {
@@ -150,12 +113,10 @@ func (h *Harness) cells(n int, observe bool, sim func(i int, st *mic.SimStats) f
 		if observe {
 			st = &r.stats
 		}
-		r.time, r.attempts, r.err = h.cell(func() float64 {
-			if st != nil {
-				*st = mic.SimStats{} // retries must not accumulate
-			}
-			return sim(i, st)
-		})
+		r.claimed = true
+		if r.err = contain("cell", func() { r.time = sim(i, st) }); r.err != nil {
+			r.time = math.NaN()
+		}
 	})
 	return res
 }
@@ -184,7 +145,6 @@ type CellError struct {
 	Series     string // config/series label, "" for baseline or whole-run errors
 	Graph      int    // suite graph index; -1 when not cell-specific
 	Threads    int    // thread count of the failed cell; 0 when not cell-specific
-	Attempts   int    // how many times the cell was tried
 	Err        error
 }
 
@@ -197,9 +157,6 @@ func (e CellError) Error() string {
 	if e.Graph >= 0 {
 		where += fmt.Sprintf(" graph=%d t=%d", e.Graph, e.Threads)
 	}
-	if e.Attempts > 1 {
-		return fmt.Sprintf("%s: %v (after %d attempts)", where, e.Err, e.Attempts)
-	}
 	return fmt.Sprintf("%s: %v", where, e.Err)
 }
 
@@ -207,15 +164,14 @@ func (e CellError) Error() string {
 func (e CellError) Unwrap() error { return e.Err }
 
 // CellTelemetry is the per-cell observation of one successful sweep point:
-// which cell it was, how many attempts it took, the simulated time, and the
-// simulator's aggregate stats (chunks, steals, stall cycles, bound hits).
-// Collected only when the harness runs with Telemetry enabled.
+// which cell it was, the simulated time, and the simulator's aggregate stats
+// (chunks, steals, stall cycles, bound hits). Collected only when the harness
+// runs with Telemetry enabled.
 type CellTelemetry struct {
 	Experiment string       `json:"experiment,omitempty"`
 	Series     string       `json:"series"`
 	Graph      int          `json:"graph"`
 	Threads    int          `json:"threads"`
-	Attempts   int          `json:"attempts,omitempty"`
 	SimTime    float64      `json:"sim_time"`
 	Stats      mic.SimStats `json:"stats"`
 }
@@ -224,15 +180,6 @@ type CellTelemetry struct {
 // annotation, err.
 func placeholder(id string, err error) *Experiment {
 	return &Experiment{ID: id, Title: id, Errors: []CellError{{Experiment: id, Graph: -1, Err: err}}}
-}
-
-// RunByID is ByID that returns at once, as an annotated placeholder, when the
-// harness context has already ended.
-func RunByID(id string, s *Suite, knf, host *mic.Machine) (*Experiment, error) {
-	if err := s.Harness.cancelled(); err != nil {
-		return placeholder(id, err), nil
-	}
-	return ByID(id, s, knf, host)
 }
 
 // RunMany runs the given experiments (all of them when ids is empty) as one

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"micgraph/internal/fault"
 	"micgraph/internal/graph"
 	"micgraph/internal/mic"
 	"micgraph/internal/sched"
@@ -131,48 +130,6 @@ func TestSpeedupCurvesPoisonedBaseline(t *testing.T) {
 		if e.Graph != 2 || e.Threads != 1 {
 			t.Errorf("annotation %+v does not pin graph 2's baseline", e)
 		}
-	}
-}
-
-// TestHarnessRetriesTransientFault arms a one-shot injected fault and checks
-// Retries >= 1 absorbs it: the cell succeeds on the second attempt and the
-// sweep carries no annotation.
-func TestHarnessRetriesTransientFault(t *testing.T) {
-	h := &Harness{Retries: 2}
-	in := fault.New(1).EnableAt("cell", 1)
-	v, attempts, err := h.cell(func() float64 {
-		if err := in.FireErr("cell"); err != nil {
-			panic(err)
-		}
-		return 7
-	})
-	if err != nil {
-		t.Fatalf("cell failed despite retry budget: %v", err)
-	}
-	if v != 7 || attempts != 2 {
-		t.Errorf("got v=%v attempts=%d, want v=7 attempts=2", v, attempts)
-	}
-
-	// A deterministic (non-transient) failure is not retried.
-	calls := 0
-	_, attempts, err = h.cell(func() float64 {
-		calls++
-		panic(errors.New("deterministic bug"))
-	})
-	if err == nil || attempts != 1 || calls != 1 {
-		t.Errorf("non-transient failure: err=%v attempts=%d calls=%d, want 1 attempt", err, attempts, calls)
-	}
-
-	// With no budget the transient fault surfaces with its marker intact.
-	in2 := fault.New(1).EnableAt("cell", 1)
-	_, _, err = (*Harness)(nil).cell(func() float64 {
-		if err := in2.FireErr("cell"); err != nil {
-			panic(err)
-		}
-		return 7
-	})
-	if !fault.IsTransient(err) {
-		t.Errorf("unretried fault %v lost its transient marker", err)
 	}
 }
 
@@ -418,21 +375,6 @@ func TestAblPoisonedCell(t *testing.T) {
 	}
 	if e := exp.Errors[0]; e.Experiment != "abl-test" || e.Series != "curve" || e.Graph != 1 || e.Threads != 11 || !errors.Is(e, boom) {
 		t.Errorf("annotation %+v does not pin the poisoned cell", e)
-	}
-}
-
-// TestRunByIDCancelled checks a cancelled harness context short-circuits
-// into an annotated placeholder rather than an error or a panic.
-func TestRunByIDCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s := &Suite{Harness: &Harness{Ctx: ctx}}
-	exp, err := RunByID("fig1a", s, nil, nil)
-	if err != nil {
-		t.Fatalf("RunByID: %v", err)
-	}
-	if exp.ID != "fig1a" || len(exp.Errors) != 1 || !errors.Is(exp.Errors[0], context.Canceled) {
-		t.Errorf("placeholder %+v does not carry the cancellation", exp)
 	}
 }
 

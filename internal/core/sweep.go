@@ -116,7 +116,7 @@ func (sw *sweep) result(li, ti, k int) *cellResult {
 }
 
 // sweepCells is the cell runner: every cell of the sweeps as one claim
-// sequence, each inside Harness.cell, results left on each sweep by index.
+// sequence through Harness.cells, results left on each sweep by index.
 // trace returns the trace of line li on graph position k at t threads.
 func (h *Harness) sweepCells(sweeps []*sweep, trace func(sw *sweep, li, k, t int) *mic.Trace) {
 	ends := make([]int, len(sweeps))
@@ -144,7 +144,7 @@ func (h *Harness) sweepCells(sweeps []*sweep, trace func(sw *sweep, li, k, t int
 func (e *Experiment) failed(sw *sweep, r *cellResult, li, k, t int) bool {
 	if r.err != nil {
 		e.Errors = append(e.Errors, CellError{Experiment: e.ID, Series: sw.lines[li].label,
-			Graph: k, Threads: t, Attempts: r.attempts, Err: r.err})
+			Graph: k, Threads: t, Err: r.err})
 	}
 	return r.err != nil
 }
@@ -176,7 +176,7 @@ func (e *Experiment) best(h *Harness, sw *sweep) {
 		base[k] = math.NaN()
 		for li := range sw.lines {
 			r := sw.result(li, 0, k)
-			if r.attempts == 0 {
+			if !r.claimed {
 				e.cutOff(h, sw.failed)
 				return
 			}
@@ -193,7 +193,7 @@ func (e *Experiment) best(h *Harness, sw *sweep) {
 	per := make([]float64, 0, ng)
 	for p := 0; p < nl*nt && ng > 0; p++ { // point p: line p/nt at thread count p%nt
 		li, ti := p/nt, p%nt
-		if sw.result(li, ti+1, ng-1).attempts == 0 {
+		if !sw.result(li, ti+1, ng-1).claimed {
 			e.cutOff(h, sw.failed)
 			break
 		}
@@ -205,7 +205,7 @@ func (e *Experiment) best(h *Harness, sw *sweep) {
 			}
 			if h.telemetryOn() {
 				e.Cells = append(e.Cells, CellTelemetry{Experiment: e.ID, Series: sw.lines[li].label, Graph: k,
-					Threads: t, Attempts: r.attempts, SimTime: r.time, Stats: r.stats})
+					Threads: t, SimTime: r.time, Stats: r.stats})
 			}
 			per = append(per, base[k]/r.time)
 		}
@@ -231,7 +231,7 @@ func (e *Experiment) runs(h *Harness, sw *sweep) []run {
 	for li := range out {
 		times := make([][]float64, len(sw.played)+1)
 		for ti := range times {
-			if sw.result(li, ti, ng-1).attempts == 0 {
+			if !sw.result(li, ti, ng-1).claimed {
 				e.cutOff(h, sw.failed)
 				continue
 			}

@@ -35,9 +35,6 @@ func TestSpeedupCurvesCellTelemetry(t *testing.T) {
 		if c.Stats.Phases == 0 || c.Stats.Chunks == 0 {
 			t.Errorf("cell %+v has empty simulator stats", c)
 		}
-		if c.Attempts != 1 {
-			t.Errorf("cell %+v attempts = %d, want 1 for a clean sweep", c, c.Attempts)
-		}
 		bySeriesGraphThreads[[2]string{c.Series, ""}] = true
 	}
 	for _, s := range series {
@@ -87,7 +84,7 @@ func TestWriteJSON(t *testing.T) {
 			{Label: "OpenMP", Threads: []int{1, 2}, Values: []float64{1, 1.9}},
 		},
 		Notes:  "a note",
-		Errors: []CellError{{Series: "OpenMP", Graph: 1, Threads: 2, Attempts: 1, Err: errors.New("boom")}},
+		Errors: []CellError{{Series: "OpenMP", Graph: 1, Threads: 2, Err: errors.New("boom")}},
 		Cells: []CellTelemetry{
 			{Experiment: "fig2", Series: "OpenMP", Graph: 0, Threads: 1, SimTime: 10,
 				Stats: mic.SimStats{Phases: 1, Chunks: 3}},

@@ -22,7 +22,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -31,11 +30,7 @@ import (
 	"micgraph/internal/xrand"
 )
 
-// Fault is the error reported by an injected failure. Injected faults are
-// transient by construction: retrying the failed operation advances the
-// site's call counter, so a bounded retry can succeed — which is exactly
-// the behaviour transient real-world failures (flaky I/O, preempted
-// workers) exhibit and what the experiment harness's retry path models.
+// Fault is the error reported by an injected failure.
 type Fault struct {
 	Site string // injection point that fired
 	Call int64  // 1-based call index at which it fired
@@ -44,17 +39,6 @@ type Fault struct {
 // Error describes the injected failure.
 func (f *Fault) Error() string {
 	return fmt.Sprintf("fault: injected failure at %s (call %d)", f.Site, f.Call)
-}
-
-// Transient marks injected faults as retryable.
-func (f *Fault) Transient() bool { return true }
-
-// IsTransient reports whether err (or anything it wraps, including the
-// panic value inside a sched.PanicError) is a transient fault worth
-// retrying.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }
 
 // site is the per-injection-point state: its own generator stream, firing
@@ -206,8 +190,7 @@ func (in *Injector) Fired(name string) int64 {
 
 // Reader wraps r with two injection sites derived from name:
 //
-//   - name+"/err": the Read call fails with a *Fault (a transient I/O
-//     error);
+//   - name+"/err": the Read call fails with a *Fault;
 //   - name+"/truncate": the stream ends early — this and all subsequent
 //     reads return io.EOF, which loaders expecting more bytes surface as
 //     io.ErrUnexpectedEOF.
@@ -240,9 +223,9 @@ func (fr *faultReader) Read(p []byte) (int, error) {
 }
 
 // Writer wraps w with the injection site name+"/err": a firing Write call
-// fails with a *Fault (a transient I/O error) before touching the
-// underlying writer, so byte-for-byte identical write sequences fail at
-// identical offsets. A nil injector returns w unchanged.
+// fails with a *Fault before touching the underlying writer, so
+// byte-for-byte identical write sequences fail at identical offsets. A nil
+// injector returns w unchanged.
 func (in *Injector) Writer(name string, w io.Writer) io.Writer {
 	if in == nil {
 		return w

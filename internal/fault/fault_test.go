@@ -79,24 +79,6 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	}
 }
 
-func TestTransient(t *testing.T) {
-	f := &Fault{Site: "s", Call: 1}
-	if !IsTransient(f) {
-		t.Fatal("Fault not transient")
-	}
-	if !IsTransient(wrapErr{f}) {
-		t.Fatal("wrapped Fault not transient")
-	}
-	if IsTransient(errors.New("plain")) {
-		t.Fatal("plain error claimed transient")
-	}
-}
-
-type wrapErr struct{ inner error }
-
-func (w wrapErr) Error() string { return "wrap: " + w.inner.Error() }
-func (w wrapErr) Unwrap() error { return w.inner }
-
 func TestReaderError(t *testing.T) {
 	in := New(3).EnableAt("io/err", 2)
 	r := in.Reader("io", bytes.NewReader(bytes.Repeat([]byte{7}, 64)))
@@ -105,8 +87,9 @@ func TestReaderError(t *testing.T) {
 		t.Fatalf("first read failed early: %v", err)
 	}
 	_, err := r.Read(buf)
-	if !IsTransient(err) {
-		t.Fatalf("second read: got %v, want injected transient fault", err)
+	var f *Fault
+	if !errors.As(err, &f) || f.Site != "io/err" || f.Call != 2 {
+		t.Fatalf("second read: got %v, want the injected fault at io/err call 2", err)
 	}
 }
 

@@ -42,9 +42,6 @@ func TestSchedHookTeamPanicSurfacesAsForEError(t *testing.T) {
 	if f.Site != "team/chunk/panic" || f.Call != 4 {
 		t.Errorf("fault fired at %s call %d, want team/chunk/panic call 4", f.Site, f.Call)
 	}
-	if !fault.IsTransient(err) {
-		t.Error("injected fault not recognised as transient through the PanicError")
-	}
 	if fired != 1 {
 		t.Errorf("site fired %d times, want 1", fired)
 	}
@@ -111,10 +108,10 @@ func TestInjectedTruncationFailsLoadCleanly(t *testing.T) {
 	}
 }
 
-// TestInjectedReadErrIsTransient checks a read-error fault propagates out of
-// the loader still recognisable as transient, which is what the experiment
-// harness's retry path keys on.
-func TestInjectedReadErrIsTransient(t *testing.T) {
+// TestInjectedReadErrPropagates checks a read-error fault propagates out of
+// the loader as the *Fault it was, and that the next load, past the armed
+// call index, succeeds.
+func TestInjectedReadErrPropagates(t *testing.T) {
 	g := gen.Grid2D(4, 4)
 	path := filepath.Join(t.TempDir(), "g.bin")
 	if err := graphio.WriteFile(path, g, graphio.Binary, nil); err != nil {
@@ -125,13 +122,14 @@ func TestInjectedReadErrIsTransient(t *testing.T) {
 	if err == nil {
 		t.Fatal("Load succeeded despite injected read error")
 	}
-	if !fault.IsTransient(err) {
-		t.Errorf("injected read error %v lost its transient marker", err)
+	var f *fault.Fault
+	if !errors.As(err, &f) || f.Site != "graphio/read/err" {
+		t.Errorf("injected read error %v does not carry its *fault.Fault", err)
 	}
-	// The retry convention: a second identical attempt advances the call
-	// counter past the armed index and succeeds.
+	// A second identical load advances the call counter past the armed
+	// index and succeeds.
 	if _, err := graphio.Load(path, "", 0, in); err != nil {
-		t.Errorf("retry after one-shot fault failed: %v", err)
+		t.Errorf("load after one-shot fault failed: %v", err)
 	}
 }
 

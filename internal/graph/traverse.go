@@ -145,31 +145,3 @@ func (g *Graph) LargestComponent() (*Graph, []int32) {
 	}
 	return b.Build(), remap
 }
-
-// EccentricityLowerBound performs a few BFS sweeps (double sweep heuristic)
-// and returns a lower bound on the graph diameter. Used by generator tests
-// to confirm the synthetic graphs have the elongated structure that drives
-// the paper's BFS level counts.
-func (g *Graph) EccentricityLowerBound(start int32, sweeps int) int {
-	best := 0
-	src := start
-	for s := 0; s < sweeps; s++ {
-		levels, nl := g.Levels(src)
-		if nl-1 > best {
-			best = nl - 1
-		}
-		// Jump to a farthest vertex for the next sweep.
-		far := src
-		for v, l := range levels {
-			if l == int32(nl-1) {
-				far = int32(v)
-				break
-			}
-		}
-		if far == src {
-			break
-		}
-		src = far
-	}
-	return best
-}

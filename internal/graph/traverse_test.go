@@ -161,14 +161,3 @@ func TestLargestComponent(t *testing.T) {
 		t.Error("connected graph did not return itself")
 	}
 }
-
-func TestEccentricityLowerBound(t *testing.T) {
-	g := path(100)
-	if d := g.EccentricityLowerBound(50, 3); d != 99 {
-		t.Errorf("double sweep on path(100) = %d, want 99", d)
-	}
-	k := complete(5)
-	if d := k.EccentricityLowerBound(0, 2); d != 1 {
-		t.Errorf("double sweep on K5 = %d, want 1", d)
-	}
-}

@@ -64,15 +64,6 @@ func fillPrefix(prefix, items []Work) []Work {
 	return prefix
 }
 
-// TotalWork returns the aggregate cost vector of the phase's items.
-func (p *Phase) TotalWork() Work {
-	var t Work
-	for _, it := range p.Items {
-		t.Add(it)
-	}
-	return t
-}
-
 // Trace is the phase-structured cost profile of one kernel execution on one
 // graph. It is independent of machine and thread count except where a
 // kernel's algorithmic structure itself depends on them (e.g. speculative
@@ -104,28 +95,4 @@ func (tr *Trace) buildPrefixes() {
 			p.prefix, flat = fillPrefix(flat[:n:n], p.Items), flat[n:]
 		}
 	}
-}
-
-// SerialTime returns the trace's total single-thread item latency plus
-// sequential work — the quantity the simulator's 1-thread run reproduces up
-// to per-chunk overheads.
-func (tr *Trace) SerialTime() float64 {
-	var total float64
-	for i := range tr.Phases {
-		p := &tr.Phases[i]
-		for _, it := range p.Items {
-			total += it.Total()
-		}
-		total += p.Seq
-	}
-	return total
-}
-
-// NumItems returns the total number of work items across phases.
-func (tr *Trace) NumItems() int {
-	n := 0
-	for i := range tr.Phases {
-		n += len(tr.Phases[i].Items)
-	}
-	return n
 }

@@ -49,31 +49,6 @@ func Speedup(widths []int64, t, b int) float64 {
 	return float64(work) / float64(time)
 }
 
-// Curve evaluates the model at each thread count, returning the speedup
-// series for a figure's x-axis.
-func Curve(widths []int64, threads []int, b int) []float64 {
-	out := make([]float64, len(threads))
-	for i, t := range threads {
-		out[i] = Speedup(widths, t, b)
-	}
-	return out
-}
-
-// Saturation returns the smallest thread count at which the model's speedup
-// stops improving by more than eps, and that plateau speedup. This is the
-// "margin for improvement is quite small" point the paper identifies.
-func Saturation(widths []int64, b, maxThreads int, eps float64) (threads int, speedup float64) {
-	prev := Speedup(widths, 1, b)
-	for t := 2; t <= maxThreads; t++ {
-		s := Speedup(widths, t, b)
-		if s-prev <= eps {
-			return t - 1, prev
-		}
-		prev = s
-	}
-	return maxThreads, prev
-}
-
 // UpperBound returns the absolute ceiling of the model for a profile: every
 // level costs at least one block (if narrower than b, at least its width),
 // so speedup ≤ Σx_l / Σ min(x_l, b)·… — equivalently the speedup at t → ∞.

@@ -136,34 +136,6 @@ func TestSlopeChange(t *testing.T) {
 	}
 }
 
-func TestCurve(t *testing.T) {
-	widths := []int64{100, 200, 300}
-	threads := []int{1, 2, 4}
-	c := Curve(widths, threads, 16)
-	if len(c) != 3 {
-		t.Fatalf("curve length %d", len(c))
-	}
-	for i := 1; i < len(c); i++ {
-		if c[i] < c[i-1]-1e-9 {
-			t.Errorf("curve not monotone: %v", c)
-		}
-	}
-}
-
-func TestSaturation(t *testing.T) {
-	widths := make([]int64, 50)
-	for i := range widths {
-		widths[i] = 64 // two blocks: saturates at 2 threads
-	}
-	th, s := Saturation(widths, 32, 124, 1e-6)
-	if th != 2 {
-		t.Errorf("saturation at %d threads, want 2", th)
-	}
-	if math.Abs(s-2) > 1e-9 {
-		t.Errorf("plateau speedup %v, want 2", s)
-	}
-}
-
 func TestEmptyProfile(t *testing.T) {
 	if Speedup(nil, 4, 32) != 0 || UpperBound(nil, 32) != 0 {
 		t.Error("empty profile should give zero speedup")

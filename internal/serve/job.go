@@ -58,7 +58,6 @@ type JobSpec struct {
 	// scale shared by every experiment of the job.
 	Experiments []string `json:"experiments,omitempty"`
 	SweepScale  int      `json:"sweep_scale,omitempty"`
-	Retries     int      `json:"retries,omitempty"` // bounded retries per sweep cell
 
 	// Export options: destination path on the daemon's filesystem and
 	// serialization format ("mtx", "bin" or "el"; default by extension).
@@ -128,9 +127,6 @@ func (sp *JobSpec) normalize() error {
 	}
 	if sp.TimeoutMS < 0 {
 		return fmt.Errorf("serve: negative timeout_ms")
-	}
-	if sp.Retries < 0 {
-		return fmt.Errorf("serve: negative retries")
 	}
 	return nil
 }

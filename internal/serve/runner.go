@@ -173,8 +173,8 @@ func (s *Server) loadSuite(ctx context.Context, scale int) (*core.Suite, error) 
 }
 
 // runSweep runs the requested experiments against the shared cached suite
-// under a per-job harness (deadline, bounded retries, per-cell telemetry)
-// and streams experiments and cells as they complete.
+// under a per-job harness (deadline, per-cell telemetry) and streams
+// experiments and cells as they complete.
 func (s *Server) runSweep(ctx context.Context, j *Job) error {
 	t := j.now()
 	suite, err := s.loadSuite(ctx, j.Spec.SweepScale)
@@ -182,19 +182,17 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 	if err != nil {
 		return err
 	}
-	js := suite.WithHarness(&core.Harness{
-		Ctx:       ctx,
-		Retries:   j.Spec.Retries,
-		Telemetry: true,
-		Counters:  s.counters,
-	})
+	js := suite.WithHarness(&core.Harness{Ctx: ctx, Telemetry: true})
 	ids := j.Spec.Experiments
 	if len(ids) == 0 {
 		ids = core.AllIDs()
 	}
 	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		t = j.now()
-		exp, err := core.RunByID(id, js, s.cfg.KNF, s.cfg.Host)
+		exp, err := core.ByID(id, js, s.cfg.KNF, s.cfg.Host)
 		j.addExec(j.now().Sub(t))
 		if err != nil {
 			return err // unknown ID; normalize() should have caught it
@@ -219,11 +217,8 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 		if err != nil {
 			return err
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 	}
-	return nil
+	return ctx.Err()
 }
 
 // kernelParams maps the spec onto the table's default parameters. On the

@@ -35,9 +35,6 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// RetryAfter is the backpressure hint on 429 responses (default 1s).
 	RetryAfter time.Duration
-	// MaxJobs caps retained terminal jobs (default 1024); the oldest
-	// finished jobs are forgotten first.
-	MaxJobs int
 
 	// Injector, when set, flows fault injection through the service path:
 	// graph loads read through it and every worker runtime gets its
@@ -67,6 +64,10 @@ type Config struct {
 	Clock telemetry.Clock
 }
 
+// retainedJobs caps the jobs the server remembers; past it the oldest
+// terminal jobs are forgotten first.
+const retainedJobs = 1024
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -88,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
 	}
 	if c.Stall <= 0 {
 		c.Stall = 10 * time.Millisecond
@@ -306,11 +304,11 @@ func (s *Server) register(j *Job) {
 	defer s.mu.Unlock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	// Retention: forget the oldest terminal jobs beyond the cap. In-flight
-	// jobs are never forgotten, whatever their age.
-	if len(s.order) > s.cfg.MaxJobs {
+	// Retention: forget the oldest terminal jobs beyond retainedJobs.
+	// In-flight jobs are never forgotten, whatever their age.
+	if len(s.order) > retainedJobs {
 		kept := s.order[:0]
-		excess := len(s.order) - s.cfg.MaxJobs
+		excess := len(s.order) - retainedJobs
 		for _, id := range s.order {
 			old := s.jobs[id]
 			terminal := false

@@ -265,27 +265,41 @@ func TestServeConcurrentSweepsShareOneLoad(t *testing.T) {
 		t.Errorf("second sweep neither shared the in-flight load nor hit: %+v", st)
 	}
 
+	// Each stream carries one experiment line with the series WriteSVG
+	// draws, then its cells with their simulator stats.
 	for _, id := range []string{v1.ID, v2.ID} {
-		raw := result(t, ts, id)
-		exps, err := DecodeExperiments(strings.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(exps) != 1 || exps[0].ID != "fig4a" {
-			t.Fatalf("decoded %d experiments", len(exps))
-		}
-		if len(exps[0].Series) == 0 || len(exps[0].Cells) == 0 {
-			t.Errorf("experiment missing series/cells: %d/%d",
-				len(exps[0].Series), len(exps[0].Cells))
-		}
-		for _, c := range exps[0].Cells {
-			if c.Stats.Phases == 0 {
-				t.Fatal("cell telemetry missing SimStats")
+		var exps []ExperimentLine
+		cells := 0
+		for _, m := range jsonLines(t, result(t, ts, id)) {
+			line, _ := json.Marshal(m)
+			switch m["type"] {
+			case "experiment":
+				var el ExperimentLine
+				if err := json.Unmarshal(line, &el); err != nil {
+					t.Fatal(err)
+				}
+				exps = append(exps, el)
+			case "cell":
+				var cl CellLine
+				if err := json.Unmarshal(line, &cl); err != nil {
+					t.Fatal(err)
+				}
+				if cl.Stats.Phases == 0 {
+					t.Fatal("cell telemetry missing SimStats")
+				}
+				cells++
 			}
 		}
-		// The decoded experiment renders.
+		if len(exps) != 1 || exps[0].ID != "fig4a" {
+			t.Fatalf("got %d experiments", len(exps))
+		}
+		if len(exps[0].Series) == 0 || cells == 0 {
+			t.Errorf("experiment missing series/cells: %d/%d", len(exps[0].Series), cells)
+		}
+		// The streamed experiment renders.
 		var svg bytes.Buffer
-		if err := core.WriteSVG(&svg, exps[0]); err != nil {
+		e := &core.Experiment{ID: exps[0].ID, Title: exps[0].Title, Series: exps[0].Series, Rows: exps[0].Rows}
+		if err := core.WriteSVG(&svg, e); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(svg.String(), "<svg") {
@@ -451,6 +465,7 @@ func TestServeBadRequests(t *testing.T) {
 		`{"kind":"bfs"}`,
 		`{"kind":"sweep","experiments":["figZZ"]}`,
 		`{"kind":"bfs","graph":{"suite":"pwtk"},"timeout_ms":-1}`,
+		`{"kind":"sweep","experiments":["fig4a"],"retries":1}`, // unknown field
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -8,10 +8,9 @@
 //
 //   - Counters: per-worker, cache-line-padded atomic counters for scheduler
 //     events (chunks claimed, tasks spawned, steals and steal failures,
-//     range splits, contained panics, harness retries, and a Team worker's
-//     start lag and busy time per loop). A nil *Counters is
-//     a valid no-op sink, so uninstrumented Teams and Pools pay only a nil
-//     check per event.
+//     range splits, contained panics, and a Team worker's start lag and
+//     busy time per loop). A nil *Counters is a valid no-op sink, so
+//     uninstrumented Teams and Pools pay only a nil check per event.
 //
 //   - Recorder: a single-method interface for kernel phase metrics
 //     (per-BFS-level frontier sizes, per-coloring-round conflict counts).
@@ -49,8 +48,6 @@ const (
 	RangeSplits
 	// PanicsContained counts body/task panics captured by the runtime.
 	PanicsContained
-	// Retries counts harness-level retries of failed sweep cells.
-	Retries
 	// LoopStartLagNS sums, over a Team's dispatched loops, the nanoseconds
 	// from the loop's publication to the worker's first claim: what waking
 	// the worker cost the loop.
@@ -78,8 +75,6 @@ func (k Kind) String() string {
 		return "range_splits"
 	case PanicsContained:
 		return "panics_contained"
-	case Retries:
-		return "retries"
 	case LoopStartLagNS:
 		return "loop_start_lag_ns"
 	case LoopBusyNS:
@@ -90,7 +85,9 @@ func (k Kind) String() string {
 
 // workerCell holds one worker's counters, padded so two workers never share
 // a cache line (the same false-sharing discipline as the kernels' per-worker
-// scratch arrays).
+// scratch arrays). When the counters fill whole lines the pad is one more
+// whole line, not none: the slice behind the cells is not 64-byte aligned,
+// so that line is what keeps neighbouring workers apart.
 type workerCell struct {
 	v [NumKinds]atomic.Int64
 	_ [64 - (NumKinds*8)%64]byte
@@ -164,7 +161,6 @@ type CounterSet struct {
 	StealFails      int64 `json:"steal_failures"`
 	RangeSplits     int64 `json:"range_splits"`
 	PanicsContained int64 `json:"panics_contained"`
-	Retries         int64 `json:"retries"`
 	LoopStartLagNS  int64 `json:"loop_start_lag_ns"`
 	LoopBusyNS      int64 `json:"loop_busy_ns"`
 }
@@ -172,7 +168,7 @@ type CounterSet struct {
 // field maps a counter kind to its place in the set, in Kind order.
 func (s *CounterSet) field(k Kind) *int64 {
 	return [NumKinds]*int64{&s.ChunksClaimed, &s.TasksSpawned, &s.Steals, &s.StealFails, &s.RangeSplits,
-		&s.PanicsContained, &s.Retries, &s.LoopStartLagNS, &s.LoopBusyNS}[k]
+		&s.PanicsContained, &s.LoopStartLagNS, &s.LoopBusyNS}[k]
 }
 
 // Snapshot is a point-in-time copy of a Counters set. Individual loads are

@@ -79,7 +79,6 @@ func TestKindString(t *testing.T) {
 		StealFails:      "steal_failures",
 		RangeSplits:     "range_splits",
 		PanicsContained: "panics_contained",
-		Retries:         "retries",
 		LoopStartLagNS:  "loop_start_lag_ns",
 		LoopBusyNS:      "loop_busy_ns",
 	}

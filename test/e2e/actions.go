@@ -151,8 +151,8 @@ func genScript(seed uint64, n int) []action {
 			a = action{Op: opSubmit, Body: kernelBody()}
 		case p < 38: // sweep job
 			a = action{Op: opSubmit, Body: fmt.Sprintf(
-				`{"kind":"sweep","experiments":[%q],"sweep_scale":8,"retries":%d}`,
-				sweepExps[rng.Intn(len(sweepExps))], rng.Intn(3))}
+				`{"kind":"sweep","experiments":[%q],"sweep_scale":8}`,
+				sweepExps[rng.Intn(len(sweepExps))])}
 		case p < 48: // export job (fires the graphio/write fault site)
 			ext := exportExts[rng.Intn(len(exportExts))]
 			a = action{Op: opSubmit, IsExport: true, Body: fmt.Sprintf(

@@ -212,7 +212,7 @@ func (r *chaosRunner) checkJobView(i, code int, v jobView, id string) {
 			r.t.Fatalf("INVARIANT status-valid: action %04d job %s has status %q", i, id, v.Status)
 		}
 	case http.StatusNotFound:
-		// Retention trims the oldest terminal jobs past MaxJobs (1024); any
+		// Retention trims the oldest terminal jobs past the server's 1024; any
 		// tracked job can legally disappear only on runs long enough for that.
 		if len(r.tracked) <= 1024 {
 			r.t.Fatalf("INVARIANT job-retained: action %04d job %s is 404 but only %d jobs were accepted",
