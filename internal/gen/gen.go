@@ -24,7 +24,8 @@
 // The cliques are 69 % (inline_1) to 97 % (bmw3_2) of a stand-in's edges, and
 // each is handed to the Builder as one graph.Builder.AddClique entry, not pair
 // by pair: Build writes a member's share as the sorted run it is, and only the
-// random links, the backbone and the hubs are counted, scattered and sorted.
+// random links, the backbone and the hubs go through its buckets by source
+// block to be placed and sorted.
 // Complete and RingOfCliques say their cliques the same way.
 //
 // Package gen also provides classic families (paths, grids, Erdős–Rényi,

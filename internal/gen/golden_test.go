@@ -38,7 +38,10 @@ func suiteAt(t *testing.T, name string, scale int) *graph.Graph {
 // clique and nothing else, many and little else. The graphs must not depend
 // on the worker count, so every entry is built under GOMAXPROCS 1, 2 and 8;
 // RMAT(9, 6), auto@16 and the ring stay under the inline cutoff, the rest go
-// over it.
+// over it. None of those is more than a few of Build's blocks, so three graphs
+// of paper size (hundreds of blocks, taken on the commit before Build bucketed
+// its arcs by block) follow, built once at the default GOMAXPROCS and skipped
+// under -short.
 func TestGeneratorGolden(t *testing.T) {
 	golden := []struct {
 		name  string
@@ -58,15 +61,27 @@ func TestGeneratorGolden(t *testing.T) {
 		{"complete-300", func() *graph.Graph { return Complete(300) }, 89700, 0xf937b770e4794327},
 		{"ring-of-cliques", func() *graph.Graph { return RingOfCliques(40, 9) }, 2960, 0x817ef0e3d3807cbb},
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, c := range golden {
-			g := c.build()
-			if got := csrHash(g); got != c.want || g.NumArcs() != c.arcs {
-				t.Errorf("GOMAXPROCS=%d %s: %d arcs, hash %#016x; want %d arcs, %#016x",
-					procs, c.name, g.NumArcs(), got, c.arcs, c.want)
-			}
+	check := func(name string, g *graph.Graph, arcs int64, want uint64) {
+		if got := csrHash(g); got != want || g.NumArcs() != arcs {
+			t.Errorf("GOMAXPROCS=%d %s: %d arcs, hash %#016x; want %d arcs, %#016x",
+				runtime.GOMAXPROCS(0), name, g.NumArcs(), got, arcs, want)
 		}
 	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, p := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(p)
+		for _, c := range golden {
+			check(c.name, c.build(), c.arcs, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(procs)
+
+	if testing.Short() {
+		return
+	}
+	rmat := RMAT(19, 16, .57, .19, .19, 1)
+	check("rmat-19", rmat, 15481204, 0x1c3c1eda9b7d69b5)
+	check("rmat-19-shuffled", rmat.Shuffled(2), 15481204, 0x42194e109aaafa8b)
+	check("msdoor@1", suiteAt(t, "msdoor", 1), 18742146, 0xd30abd66d5b07c2d)
 }

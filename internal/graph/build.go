@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -97,7 +98,7 @@ func (b *Builder) AddEdges(m int, fill func(us, vs []int32)) {
 // AddClique records the complete subgraph on the size consecutive ids from
 // base, all size·(size−1)/2 edges of it, as one entry: Build knows where each
 // of those arcs sorts and writes it there (see Build), where the same edges
-// through AddEdge would be counted, scattered and sorted one by one. A range
+// through AddEdge would be counted, bucketed and sorted one by one. A range
 // that leaves [0, n) panics like an out-of-range edge; cliques may overlap
 // each other and edges added any other way.
 func (b *Builder) AddClique(base int32, size int) {
@@ -115,24 +116,62 @@ func (b *Builder) check(u, v int32) {
 	}
 }
 
+// blockArcs is about how many arcs a block of Build holds: few enough (256 KB
+// of lists) to stay in L2 while its owner lays them out, sorts and dedups
+// them.
+const blockArcs = 1 << 16
+
+// blockShift returns k, the log2 of Build's block size for n vertices and
+// about arcs arcs: a block of 2^k consecutive ids holds about blockArcs arcs
+// at the average degree. k is at most 16, which bounds a worker's scratch at
+// three words a vertex of a block, and at most 32 − idBits(n), so that a
+// source's id within its block packs above a vertex id in one 32-bit word.
+func blockShift(n, arcs int) uint {
+	k := 16
+	if arcs > 0 {
+		k = bits.Len(uint(blockArcs*n/arcs)) - 1
+	}
+	return uint(max(0, min(k, 16, 32-int(idBits(n)))))
+}
+
+// idBits is how many bits a vertex id of a graph on n vertices takes.
+func idBits(n int) uint { return uint(bits.Len(uint(max(n-1, 0)))) }
+
 // Build produces the CSR graph. The Builder must not be reused afterwards.
 //
-// The construction is a counting sort by vertex, run by GOMAXPROCS goroutines
-// once there is enough to pay for them (forChunks): count the degrees — size−1
-// for every member of a clique, then both ends of every surviving edge with
-// atomic adds — prefix-sum them into offsets, write the cliques, scatter both
-// directions of the edges through an atomic cursor per vertex, sort and dedup
-// each list where it lies, then close the gaps in place.
+// The construction partitions the arcs by source block and then finishes each
+// block's lists while they sit in cache — GBBS's semisort-then-local-work
+// (Dhulipala, Blelloch & Shun). The vertices are cut into blocks of 2^k
+// consecutive ids (blockShift), and the edges into one contiguous slice per
+// worker (one worker for up to edgeChunk edges of construction, and at least
+// that many edges a worker):
+//
+//   - count: each worker counts both ends of its slice's edges into a
+//     counter per block of its own, dropping self loops;
+//   - one prefix sum over (block, worker) gives every pair a range, laid out in
+//     block order, so that block b's ranges open the stretch of adj its lists
+//     will take, with room behind them for its clique arcs;
+//   - scatter: each worker writes both directions of its edges into its own
+//     ranges, sequentially and without atomics: the far end, with the source's
+//     id within its block packed above it (blockShift leaves it the bits);
+//   - per block, claimed off one cursor (finishBlock): its vertices' degrees
+//     and offsets, clique shares included; the edge arcs moved to their lists
+//     by a counting sort in place on the packed source ids, and unpacked, behind
+//     the room for the lists' clique runs; the runs; then every list sorted,
+//     deduplicated and moved left over the gaps inside the block;
+//   - the blocks are moved left over the gaps between them, in place.
+//
+// Besides the edge list, adj and xadj, it allocates a few words a block and a
+// worker, and nothing an arc: no cursor per vertex and no atomic add but the
+// block claims.
 //
 // A clique member's share of its clique is the ascending run of the other
-// members' ids, so it is reserved with one cursor add and written as that
-// run. The cliques go first, before any edge is scattered, so that a list
-// begins with a run and has its strays — the arcs that arrived edge by edge —
-// behind it: sortRunAndStrays then sorts the strays only and merges. The run
-// of a second clique on the same vertex lands behind the first in whichever
-// order the goroutines got there, and is simply more strays. The slot an arc
-// lands in depends on how the goroutines interleave; the sort erases that, so
-// the graph is the same for every worker count.
+// members' ids, and it is written first in the member's list, so that the
+// list is a run with its strays — the arcs that arrived edge by edge — behind
+// it: sortRunAndStrays then sorts the strays only and merges. The run of a
+// second clique on the same vertex follows the first and is simply more
+// strays. Where an arc lands before the sort depends on the worker count; the
+// sort erases that, so the graph is the same for every worker count.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Builder.Build called twice")
@@ -141,78 +180,218 @@ func (b *Builder) Build() *Graph {
 	n, us, vs, cliques := b.n, b.us, b.vs, b.cliques
 	b.us, b.vs, b.cliques = nil, nil, nil
 
-	// Pass 1: degrees, dropping self loops; then offsets.
-	xadj := make([]int64, n+1)
-	size := len(us) // of the whole construction, in edges
+	cliqueArcs := 0
 	for _, c := range cliques {
-		for v := c.base; v < c.base+c.size; v++ {
-			xadj[v+1] += int64(c.size - 1)
-		}
-		size += int(c.size) * int(c.size-1) / 2
+		cliqueArcs += int(c.size) * int(c.size-1)
 	}
-	forChunks(size, len(us), edgeChunk, func(lo, hi int) {
+	size := len(us) + cliqueArcs/2 // of the whole construction, in edges
+	k := blockShift(n, 2*len(us)+cliqueArcs)
+	nb := (n + 1<<k - 1) >> k
+	p := max(1, min(workers(size), len(us)/edgeChunk))
+	part := func(w int) (lo, hi int) { return w * len(us) / p, (w + 1) * len(us) / p }
+
+	// Count: worker w's arcs from block b are cnt[w*nb+b].
+	cnt := make([]int, p*nb)
+	parallel(p, func(w int) {
+		c := cnt[w*nb : (w+1)*nb]
+		lo, hi := part(w)
 		for i := lo; i < hi; i++ {
 			if u, v := us[i], vs[i]; u != v {
-				atomic.AddInt64(&xadj[u+1], 1)
-				atomic.AddInt64(&xadj[v+1], 1)
+				c[u>>k]++
+				c[v>>k]++
 			}
 		}
 	})
-	for v := 0; v < n; v++ {
-		xadj[v+1] += xadj[v]
+
+	// The cliques by block: block b's are cliques[i] for i in
+	// mine[first[b]:first[b+1]], and room[b] counts its members' arcs in them.
+	first := make([]int, nb+2)
+	room := make([]int, nb)
+	for _, c := range cliques {
+		lo, hi := int(c.base), int(c.base+c.size)
+		for bl := lo >> k; bl<<k < hi; bl++ {
+			first[bl+2]++
+			room[bl] += (min(hi, (bl+1)<<k) - max(lo, bl<<k)) * int(c.size-1)
+		}
+	}
+	for bl := 1; bl <= nb; bl++ {
+		first[bl+1] += first[bl]
+	}
+	mine := make([]int32, first[nb+1])
+	for i, c := range cliques {
+		for bl := int(c.base) >> k; bl<<k < int(c.base+c.size); bl++ {
+			mine[first[bl+1]] = int32(i)
+			first[bl+1]++
+		}
 	}
 
-	// Pass 2: the cliques' runs, then both directions of the edges.
-	adj := make([]int32, xadj[n])
-	next := make([]int64, n)
-	copy(next, xadj)
-	forChunks(size, len(cliques), cliqueChunk, func(lo, hi int) {
-		for _, c := range cliques[lo:hi] {
-			share := int64(c.size - 1)
-			for k := 0; k < int(c.size); k++ { // member base+k: the others' ids, ascending
-				end := atomic.AddInt64(&next[c.base+int32(k)], share)
-				run := adj[end-share : end]
-				for i := range run[:k] {
-					run[i] = c.base + int32(i)
-				}
-				for i := k; i < len(run); i++ {
-					run[i] = c.base + int32(i) + 1
-				}
-			}
+	// Offsets: block b's lists will take adj[at[b]:at[b+1]], its edge arcs
+	// first, worker 0's first of those, then room[b] for its clique runs. cnt
+	// becomes each (worker, block) pair's cursor.
+	at := make([]int, nb+1)
+	for bl := 0; bl < nb; bl++ {
+		j := at[bl]
+		for w := 0; w < p; w++ {
+			j, cnt[w*nb+bl] = j+cnt[w*nb+bl], j
 		}
-	})
-	forChunks(size, len(us), edgeChunk, func(lo, hi int) {
+		at[bl+1] = j + room[bl]
+	}
+
+	// Scatter: both directions of every edge, each worker into its own ranges,
+	// an arc's source id within its block above its far end. It is the last
+	// to read us and vs, whose 8 bytes an edge the collector may have back
+	// from here on.
+	adj := make([]int32, at[nb])
+	idb, mask := idBits(n), int32(1)<<k-1
+	parallel(p, func(w int) {
+		next := cnt[w*nb : (w+1)*nb]
+		lo, hi := part(w)
 		for i := lo; i < hi; i++ {
-			if u, v := us[i], vs[i]; u != v {
-				adj[atomic.AddInt64(&next[u], 1)-1] = v
-				adj[atomic.AddInt64(&next[v], 1)-1] = u
+			u, v := us[i], vs[i]
+			if u == v {
+				continue
 			}
+			bu, bv := u>>k, v>>k
+			adj[next[bu]] = int32(uint32(u&mask)<<idb | uint32(v))
+			next[bu]++
+			adj[next[bv]] = int32(uint32(v&mask)<<idb | uint32(u))
+			next[bv]++
 		}
 	})
 
-	// Pass 3: sort and dedup each list; next[v] becomes the length kept.
-	forChunks(size, n, vertexChunk, func(lo, hi int) {
-		var buf [strayBuf]int32
-		for v := lo; v < hi; v++ {
-			list := adj[xadj[v]:xadj[v+1]]
-			sortRunAndStrays(list, buf[:])
-			next[v] = int64(len(slices.Compact(list)))
+	// Per block: kept[b] is how long its lists are once finished, at the
+	// front of adj[at[b]:at[b+1]].
+	xadj := make([]int64, n+1)
+	kept := make([]int, nb)
+	var cursor atomic.Int64
+	parallel(min(workers(size), nb), func(int) {
+		s := newBlockScratch(min(1<<k, n))
+		for {
+			bl := int(cursor.Add(1)) - 1
+			if bl >= nb {
+				return
+			}
+			lo := bl << k
+			kept[bl] = s.finishBlock(adj[at[bl]:at[bl+1]], at[bl+1]-at[bl]-room[bl], idb,
+				cliques, mine[first[bl]:first[bl+1]], lo, xadj[lo:min(lo+1<<k, n)])
 		}
 	})
 
-	// Pass 4: move the lists left over the gaps, in place.
-	out := int64(0)
-	for v := 0; v < n; v++ {
-		lo := xadj[v]
-		xadj[v] = out
-		out += int64(copy(adj[out:], adj[lo:lo+next[v]]))
+	// The blocks left over the gaps, in place; xadj[v] counted from its
+	// block's start until now.
+	out := 0
+	for bl := 0; bl < nb; bl++ {
+		copy(adj[out:], adj[at[bl]:at[bl]+kept[bl]])
+		for v := bl << k; v < min((bl+1)<<k, n); v++ {
+			xadj[v] += int64(out)
+		}
+		out += kept[bl]
 	}
-	xadj[n] = out
+	xadj[n] = int64(out)
 	return &Graph{xadj: xadj, adj: adj[:out:out]}
 }
 
+// blockScratch is what one worker of Build's per-block pass keeps from block to
+// block: three words a vertex of a block and the strays' buffer.
+type blockScratch struct {
+	start, cur, share []int
+	buf               [strayBuf]int32
+}
+
+func newBlockScratch(nv int) blockScratch {
+	w := make([]int, 3*(nv+1))
+	return blockScratch{start: w[:nv+1], cur: w[nv+1 : 2*nv+2], share: w[2*nv+2:]}
+}
+
+// finishBlock finishes the lists of the len(xadj) vertices from lo, which
+// take lists. Its first edgeArcs words are their edge arcs in any order, each
+// a far end with its source's id within the block packed above bit idb; the
+// rest is room for their shares of the cliques cliques[i], i in mine. It
+// leaves the lists one after another at the front of lists, sorted and
+// deduplicated, sets xadj[l] to where list l begins, counted from lists[0],
+// and returns their total length.
+func (s *blockScratch) finishBlock(lists []int32, edgeArcs int, idb uint, cliques []clique, mine []int32, lo int, xadj []int64) int {
+	nv := len(xadj)
+	start, cur, share := s.start[:nv+1], s.cur[:nv], s.share[:nv]
+
+	// The edge arcs by source, in place: vertex l's are arcs[start[l]:start[l+1]].
+	// An arc is carried to the next free slot of its source's range, and the arc
+	// there picked up, until one lands where the first came from (American flag
+	// sort). Then the source ids are cleared off.
+	arcs := lists[:edgeArcs]
+	clear(start)
+	for _, a := range arcs {
+		start[uint32(a)>>idb+1]++
+	}
+	for l := range nv {
+		start[l+1] += start[l]
+	}
+	copy(cur, start)
+	for l := range nv {
+		for i := cur[l]; i < start[l+1]; i = cur[l] {
+			a := arcs[i]
+			for t := int(uint32(a) >> idb); t != l; t = int(uint32(a) >> idb) {
+				j := cur[t]
+				cur[t] = j + 1
+				a, arcs[j] = arcs[j], a
+			}
+			arcs[i] = a
+			cur[l] = i + 1
+		}
+	}
+	far := int32(uint32(1)<<idb - 1)
+	for i := range arcs {
+		arcs[i] &= far
+	}
+
+	// Room for the clique runs: from the last vertex down, the edge arcs move
+	// right by the clique shares of the vertices up to theirs, and start[l]
+	// becomes where list l begins, cur[l] where its runs go.
+	if len(lists) > edgeArcs {
+		clear(share)
+		for _, ci := range mine {
+			c := cliques[ci]
+			for v := max(int(c.base), lo); v < min(int(c.base+c.size), lo+nv); v++ {
+				share[v-lo] += int(c.size - 1)
+			}
+		}
+		end := len(lists)
+		for l := nv - 1; l >= 0; l-- {
+			strays := start[l+1] - start[l]
+			copy(lists[end-strays:end], lists[start[l]:start[l+1]])
+			start[l+1] = end
+			end -= strays + share[l]
+			cur[l] = end
+		}
+		for _, ci := range mine {
+			c := cliques[ci]
+			base, size := int(c.base), int(c.size)
+			for v := max(base, lo); v < min(base+size, lo+nv); v++ {
+				run := lists[cur[v-lo] : cur[v-lo]+size-1] // the others' ids, ascending
+				cur[v-lo] += size - 1
+				for i := range run[:v-base] {
+					run[i] = int32(base + i)
+				}
+				for i := v - base; i < len(run); i++ {
+					run[i] = int32(base + i + 1)
+				}
+			}
+		}
+	}
+
+	// Sort and dedup each list, and move it left over the gaps before it.
+	out := 0
+	for l := range nv {
+		list := lists[start[l]:start[l+1]]
+		sortRunAndStrays(list, s.buf[:])
+		xadj[l] = int64(out)
+		out += copy(lists[out:], slices.Compact(list))
+	}
+	return out
+}
+
 // strayBuf is how many strays sortRunAndStrays will merge, the size of the
-// buffer a goroutine of pass 3 keeps on its stack for them.
+// buffer a worker of Build's per-block pass keeps for them.
 const strayBuf = 256
 
 // sortRunAndStrays sorts list, which Build has laid out as an ascending run

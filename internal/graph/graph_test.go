@@ -240,7 +240,7 @@ func referenceBuild(n int, edges []Edge) *Graph {
 
 // messyEdges draws m edges of everything Build has to survive: self loops,
 // repeats in the same and in the opposite orientation, a hub on half of all
-// edges (the cursor every worker hits at once) and, the top quarter of the
+// edges (the block every worker writes to most) and, the top quarter of the
 // id range never being drawn, isolated vertices.
 func messyEdges(seed uint64, n, m int) []Edge {
 	r := xrand.New(seed)
@@ -284,13 +284,20 @@ func messyCliques(seed uint64, n int, edges []Edge) ([]clique, []Edge) {
 		hub := edges[len(edges)-1].U
 		cliques = append(cliques, clique{hub, min(int32(n)-hub, 9)})
 	}
+	return cliques, withEdgesOf(edges, cliques)
+}
+
+// withEdgesOf adds edges of every clique of two or more to edges, in one
+// orientation, in the other and in both, so that its runs meet arcs they
+// duplicate.
+func withEdgesOf(edges []Edge, cliques []clique) []Edge {
 	for _, c := range cliques {
 		if c.size >= 2 {
 			u, v, w := c.base, c.base+c.size-1, c.base+c.size/2
 			edges = append(edges, Edge{u, v}, Edge{w, u}, Edge{v, w}, Edge{w, v})
 		}
 	}
-	return cliques, edges
+	return edges
 }
 
 // expand lists the edges of the cliques one by one, for referenceBuild.
@@ -342,7 +349,9 @@ func checkBuild(t *testing.T, n int, edges []Edge, cliques []clique) {
 	}
 }
 
-// buildSizes straddle the inline cutoff (one edgeChunk) from both sides.
+// buildSizes straddle the inline cutoff (one edgeChunk) from both sides; the
+// last three are cut into three to ten blocks, the 3000-vertex ones into three
+// once messyCliques has added its cliques.
 var buildSizes = []struct{ n, m int }{
 	{1, 0}, {1, 5}, {2, 9}, {40, 300}, {3000, edgeChunk - 1}, {3000, edgeChunk},
 	{3000, edgeChunk + 1}, {300, 3 * edgeChunk}, {20000, 5*edgeChunk + 17}, {150000, 8 * edgeChunk},
@@ -356,10 +365,81 @@ func TestBuildMatchesReference(t *testing.T) {
 		checkBuild(t, sz.n, edges, cliques)
 	}
 	// K_181 is 16 290 edges: 94 more make one edgeChunk, the last size built
-	// inline, and 95 the first that is forked, by the clique's weight alone.
+	// inline, and 95 the first over the cutoff, by the clique's weight alone.
 	for _, m := range []int{0, 94, 95} {
 		checkBuild(t, 200, messyEdges(7, 200, m), []clique{{3, 181}})
 	}
+}
+
+// blocksOf returns the log2 of the block size Build cuts n vertices into for
+// these edges and cliques, and the number of blocks.
+func blocksOf(n int, edges []Edge, cliques []clique) (uint, int) {
+	arcs := 2 * len(edges)
+	for _, c := range cliques {
+		arcs += int(c.size) * int(c.size-1)
+	}
+	k := blockShift(n, arcs)
+	return k, (n + 1<<k - 1) >> k
+}
+
+// TestBuildBlockShapes builds the shapes the per-block pass of Build has to
+// get right, under GOMAXPROCS 1, 2 and 8, after checking that each is the
+// shape it is named for.
+func TestBuildBlockShapes(t *testing.T) {
+	// 20 000 vertices in blocks of 4096: five blocks, the last one short,
+	// fewer than eight workers, and counted by five workers when there are.
+	const n = 20000
+	edges := messyEdges(11, n, 5*edgeChunk+17)
+	deg := make(map[int32]int)
+	for _, e := range edges {
+		if e.U != e.V {
+			deg[e.U]++
+			deg[e.V]++
+		}
+	}
+	hub := edges[0].U
+	for v, d := range deg {
+		if d > deg[hub] {
+			hub = v
+		}
+	}
+	bs := int32(1) << blockShift(n, 2*len(edges))
+	cliques := []clique{
+		{bs - 7, 20},                   // across the boundary of blocks 0 and 1
+		{bs + 100, 50}, {bs + 120, 60}, // overlapping, in block 1
+		{2*bs + 10, 30}, {2*bs + 25, 30}, // and in block 2
+		{hub, 9}, // a run ahead of the hub's strays
+	}
+	edges = withEdgesOf(edges, cliques)
+	k, nb := blocksOf(n, edges, cliques)
+	switch straddler := cliques[0]; {
+	case 1<<k != bs:
+		t.Fatalf("the cliques moved the block size from %d to %d", bs, 1<<k)
+	case n%(1<<k) == 0 || nb < 3 || nb >= 8:
+		t.Fatalf("%d vertices make %d blocks of %d: want at least 3 and fewer than 8, the last one short", n, nb, 1<<k)
+	case straddler.base>>k == (straddler.base+straddler.size-1)>>k:
+		t.Fatalf("clique %v lies inside one block of %d", straddler, 1<<k)
+	case deg[hub] <= strayBuf:
+		t.Fatalf("the hub has %d strays, no more than the buffer's %d", deg[hub], strayBuf)
+	case len(edges) < 5*edgeChunk:
+		t.Fatalf("%d edges are too few for five workers", len(edges))
+	}
+	checkBuild(t, n, edges, cliques)
+
+	// One block of 2048, counted and scattered by two workers when there are.
+	edges = messyEdges(12, 2048, 2*edgeChunk)
+	if k, nb := blocksOf(2048, edges, nil); nb != 1 {
+		t.Fatalf("2048 vertices make %d blocks of %d, want one", nb, 1<<k)
+	}
+	checkBuild(t, 2048, edges, nil)
+
+	// One block of 4096 for 3000 vertices, with cliques.
+	cliques = []clique{{10, 20}, {15, 20}, {2990, 10}}
+	edges = withEdgesOf(messyEdges(13, 3000, edgeChunk+1), cliques)
+	if k, nb := blocksOf(3000, edges, cliques); nb != 1 {
+		t.Fatalf("3000 vertices make %d blocks of %d, want one", nb, 1<<k)
+	}
+	checkBuild(t, 3000, edges, cliques)
 }
 
 func TestAddCliquePanicsOutOfRange(t *testing.T) {

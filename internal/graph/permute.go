@@ -15,9 +15,10 @@ import (
 // appears in the graphs" (§V-B, Figure 2).
 //
 // The new offsets are a prefix sum over the permuted degrees; the lists are
-// then relabelled and sorted vertexChunk old vertices at a time by the same
-// goroutines Build would use (forChunks). Every list has one writer and a
-// fixed place, so the result does not depend on how many there are.
+// then relabelled and sorted vertexChunk old vertices at a time by as many
+// goroutines as Build would start for that many arcs (forChunks). Every list
+// has one writer and a fixed place, so the result does not depend on how many
+// there are.
 func (g *Graph) Permute(perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if len(perm) != n {
