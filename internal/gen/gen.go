@@ -25,7 +25,7 @@
 // each is handed to the Builder as one graph.Builder.AddClique entry, not pair
 // by pair: Build writes a member's share as the sorted run it is, and only the
 // random links, the backbone and the hubs go through its buckets by source
-// block to be placed and sorted.
+// block, to be radix-sorted there and merged into the runs.
 // Complete and RingOfCliques say their cliques the same way.
 //
 // Package gen also provides classic families (paths, grids, Erdős–Rényi,

@@ -38,10 +38,12 @@ func suiteAt(t *testing.T, name string, scale int) *graph.Graph {
 // clique and nothing else, many and little else. The graphs must not depend
 // on the worker count, so every entry is built under GOMAXPROCS 1, 2 and 8;
 // RMAT(9, 6), auto@16 and the ring stay under the inline cutoff, the rest go
-// over it. None of those is more than a few of Build's blocks, so three graphs
-// of paper size (hundreds of blocks, taken on the commit before Build bucketed
-// its arcs by block) follow, built once at the default GOMAXPROCS and skipped
-// under -short.
+// over it. None of those is more than a few of Build's blocks, so graphs of
+// paper size follow, built once at the default GOMAXPROCS and skipped under
+// -short: RMAT-19, it shuffled and msdoor@1, hundreds of blocks each (taken on
+// the commit before Build bucketed its arcs by block), and msdoor@1 shuffled,
+// Permute on a clique grid (taken on the commit before Permute wrote its lists
+// in order).
 func TestGeneratorGolden(t *testing.T) {
 	golden := []struct {
 		name  string
@@ -83,5 +85,7 @@ func TestGeneratorGolden(t *testing.T) {
 	rmat := RMAT(19, 16, .57, .19, .19, 1)
 	check("rmat-19", rmat, 15481204, 0x1c3c1eda9b7d69b5)
 	check("rmat-19-shuffled", rmat.Shuffled(2), 15481204, 0x42194e109aaafa8b)
-	check("msdoor@1", suiteAt(t, "msdoor", 1), 18742146, 0xd30abd66d5b07c2d)
+	msdoor := suiteAt(t, "msdoor", 1)
+	check("msdoor@1", msdoor, 18742146, 0xd30abd66d5b07c2d)
+	check("msdoor@1-shuffled", msdoor.Shuffled(2), 18742146, 0x13ce21e5852f6915)
 }

@@ -141,7 +141,8 @@ func idBits(n int) uint { return uint(bits.Len(uint(max(n-1, 0)))) }
 //
 // The construction partitions the arcs by source block and then finishes each
 // block's lists while they sit in cache — GBBS's semisort-then-local-work
-// (Dhulipala, Blelloch & Shun). The vertices are cut into blocks of 2^k
+// (Dhulipala, Blelloch & Shun), with counting passes and no comparison sort on
+// the arcs that arrived edge by edge. The vertices are cut into blocks of 2^k
 // consecutive ids (blockShift), and the edges into one contiguous slice per
 // worker (one worker for up to edgeChunk edges of construction, and at least
 // that many edges a worker):
@@ -154,24 +155,28 @@ func idBits(n int) uint { return uint(bits.Len(uint(max(n-1, 0)))) }
 //   - scatter: each worker writes both directions of its edges into its own
 //     ranges, sequentially and without atomics: the far end, with the source's
 //     id within its block packed above it (blockShift leaves it the bits);
-//   - per block, claimed off one cursor (finishBlock): its vertices' degrees
-//     and offsets, clique shares included; the edge arcs moved to their lists
-//     by a counting sort in place on the packed source ids, and unpacked, behind
-//     the room for the lists' clique runs; the runs; then every list sorted,
-//     deduplicated and moved left over the gaps inside the block;
+//   - per block, claimed off one cursor (finishBlock): the edge arcs radix-sorted
+//     on the whole packed word, which leaves every source's arcs contiguous and
+//     ascending; where the block has no clique, one scan drops the repeats,
+//     clears the source ids and reads the offsets off them; where it has, the
+//     arcs are moved behind the room for their lists' clique runs, the runs
+//     written, and every list merged, deduplicated and moved left over the gaps
+//     inside the block;
 //   - the blocks are moved left over the gaps between them, in place.
 //
-// Besides the edge list, adj and xadj, it allocates a few words a block and a
-// worker, and nothing an arc: no cursor per vertex and no atomic add but the
-// block claims.
+// Besides the edge list, adj and xadj, it allocates a few words a block and
+// one radix buffer a worker, as long as the most edge arcs of any block, and
+// nothing an arc: no cursor per vertex and no atomic add but the block claims.
 //
 // A clique member's share of its clique is the ascending run of the other
 // members' ids, and it is written first in the member's list, so that the
-// list is a run with its strays — the arcs that arrived edge by edge — behind
-// it: sortRunAndStrays then sorts the strays only and merges. The run of a
-// second clique on the same vertex follows the first and is simply more
-// strays. Where an arc lands before the sort depends on the worker count; the
-// sort erases that, so the graph is the same for every worker count.
+// list is a run with its strays — the arcs that arrived edge by edge, in
+// order — behind it: sortRunAndStrays then merges them into the run. The run of
+// a second clique on the same vertex follows the first and is simply more
+// strays. Which worker wrote an arc where depends on the worker count; the
+// radix sort orders the arcs by their value alone, and the merge leaves the
+// same sorted list whatever its input order, so the graph is the same for every
+// worker count.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Builder.Build called twice")
@@ -229,11 +234,13 @@ func (b *Builder) Build() *Graph {
 	// first, worker 0's first of those, then room[b] for its clique runs. cnt
 	// becomes each (worker, block) pair's cursor.
 	at := make([]int, nb+1)
+	most := 0 // edge arcs of the fullest block, the length of a radix buffer
 	for bl := 0; bl < nb; bl++ {
 		j := at[bl]
 		for w := 0; w < p; w++ {
 			j, cnt[w*nb+bl] = j+cnt[w*nb+bl], j
 		}
+		most = max(most, j-at[bl])
 		at[bl+1] = j + room[bl]
 	}
 
@@ -265,7 +272,7 @@ func (b *Builder) Build() *Graph {
 	kept := make([]int, nb)
 	var cursor atomic.Int64
 	parallel(min(workers(size), nb), func(int) {
-		s := newBlockScratch(min(1<<k, n))
+		s := blockScratch{tmp: make([]int32, most)}
 		for {
 			bl := int(cursor.Add(1)) - 1
 			if bl >= nb {
@@ -292,15 +299,10 @@ func (b *Builder) Build() *Graph {
 }
 
 // blockScratch is what one worker of Build's per-block pass keeps from block to
-// block: three words a vertex of a block and the strays' buffer.
+// block: the radix sort's buffer and the strays' buffer.
 type blockScratch struct {
-	start, cur, share []int
-	buf               [strayBuf]int32
-}
-
-func newBlockScratch(nv int) blockScratch {
-	w := make([]int, 3*(nv+1))
-	return blockScratch{start: w[:nv+1], cur: w[nv+1 : 2*nv+2], share: w[2*nv+2:]}
+	tmp []int32
+	buf [strayBuf]int32
 }
 
 // finishBlock finishes the lists of the len(xadj) vertices from lo, which
@@ -312,77 +314,90 @@ func newBlockScratch(nv int) blockScratch {
 // and returns their total length.
 func (s *blockScratch) finishBlock(lists []int32, edgeArcs int, idb uint, cliques []clique, mine []int32, lo int, xadj []int64) int {
 	nv := len(xadj)
-	start, cur, share := s.start[:nv+1], s.cur[:nv], s.share[:nv]
-
-	// The edge arcs by source, in place: vertex l's are arcs[start[l]:start[l+1]].
-	// An arc is carried to the next free slot of its source's range, and the arc
-	// there picked up, until one lands where the first came from (American flag
-	// sort). Then the source ids are cleared off.
-	arcs := lists[:edgeArcs]
-	clear(start)
-	for _, a := range arcs {
-		start[uint32(a)>>idb+1]++
-	}
-	for l := range nv {
-		start[l+1] += start[l]
-	}
-	copy(cur, start)
-	for l := range nv {
-		for i := cur[l]; i < start[l+1]; i = cur[l] {
-			a := arcs[i]
-			for t := int(uint32(a) >> idb); t != l; t = int(uint32(a) >> idb) {
-				j := cur[t]
-				cur[t] = j + 1
-				a, arcs[j] = arcs[j], a
-			}
-			arcs[i] = a
-			cur[l] = i + 1
-		}
-	}
 	far := int32(uint32(1)<<idb - 1)
-	for i := range arcs {
-		arcs[i] &= far
+
+	// The edge arcs by source and then by far end: each source's are a
+	// contiguous ascending stretch, its id in the bits above idb.
+	arcs := lists[:edgeArcs]
+	radixSort(arcs, s.tmp[:edgeArcs], 0, idb+idBits(nv))
+
+	// No clique: each list is its stretch, a repeat is a word equal to the
+	// one before it, and list l begins at the first word of source l kept.
+	if len(lists) == edgeArcs {
+		out, l := 0, 0
+		var prev int32
+		for i, a := range arcs {
+			if i > 0 && a == prev {
+				continue
+			}
+			prev = a
+			for src := int(uint32(a) >> idb); l <= src; l++ {
+				xadj[l] = int64(out)
+			}
+			lists[out] = a & far
+			out++
+		}
+		for ; l < nv; l++ {
+			xadj[l] = int64(out)
+		}
+		return out
 	}
 
-	// Room for the clique runs: from the last vertex down, the edge arcs move
-	// right by the clique shares of the vertices up to theirs, and start[l]
-	// becomes where list l begins, cur[l] where its runs go.
-	if len(lists) > edgeArcs {
-		clear(share)
-		for _, ci := range mine {
-			c := cliques[ci]
-			for v := max(int(c.base), lo); v < min(int(c.base+c.size), lo+nv); v++ {
-				share[v-lo] += int(c.size - 1)
+	// Room for the clique runs. xadj[l] first counts vertex l's clique share;
+	// then, from the last vertex down, its edge arcs — the stretch of source l
+	// at the end of those not yet moved — move right behind room for that
+	// share, and xadj[l] becomes where the room ends.
+	clear(xadj)
+	for _, ci := range mine {
+		c := cliques[ci]
+		for v := max(int(c.base), lo); v < min(int(c.base+c.size), lo+nv); v++ {
+			xadj[v-lo] += int64(c.size - 1)
+		}
+	}
+	end, i := len(lists), edgeArcs
+	for l := nv - 1; l >= 0; l-- {
+		j := i
+		for j > 0 && int(uint32(arcs[j-1])>>idb) == l {
+			j--
+		}
+		strays := lists[end-(i-j) : end]
+		copy(strays, arcs[j:i])
+		for t := range strays {
+			strays[t] &= far
+		}
+		share := int(xadj[l])
+		xadj[l] = int64(end - len(strays))
+		end -= len(strays) + share
+		i = j
+	}
+
+	// The runs, written down from the end of each room, the last clique's
+	// first, so that the first clique's run opens the list; xadj[l] ends where
+	// list l begins, and list l ends where list l+1 does.
+	for ci := len(mine) - 1; ci >= 0; ci-- {
+		c := cliques[mine[ci]]
+		base, size := int(c.base), int(c.size)
+		for v := max(base, lo); v < min(base+size, lo+nv); v++ {
+			end := int(xadj[v-lo])
+			run := lists[end-(size-1) : end] // the others' ids, ascending
+			xadj[v-lo] = int64(end - (size - 1))
+			for i := range run[:v-base] {
+				run[i] = int32(base + i)
 			}
-		}
-		end := len(lists)
-		for l := nv - 1; l >= 0; l-- {
-			strays := start[l+1] - start[l]
-			copy(lists[end-strays:end], lists[start[l]:start[l+1]])
-			start[l+1] = end
-			end -= strays + share[l]
-			cur[l] = end
-		}
-		for _, ci := range mine {
-			c := cliques[ci]
-			base, size := int(c.base), int(c.size)
-			for v := max(base, lo); v < min(base+size, lo+nv); v++ {
-				run := lists[cur[v-lo] : cur[v-lo]+size-1] // the others' ids, ascending
-				cur[v-lo] += size - 1
-				for i := range run[:v-base] {
-					run[i] = int32(base + i)
-				}
-				for i := v - base; i < len(run); i++ {
-					run[i] = int32(base + i + 1)
-				}
+			for i := v - base; i < len(run); i++ {
+				run[i] = int32(base + i + 1)
 			}
 		}
 	}
 
-	// Sort and dedup each list, and move it left over the gaps before it.
+	// Merge and dedup each list, and move it left over the gaps before it.
 	out := 0
 	for l := range nv {
-		list := lists[start[l]:start[l+1]]
+		end := len(lists)
+		if l+1 < nv {
+			end = int(xadj[l+1])
+		}
+		list := lists[xadj[l]:end]
 		sortRunAndStrays(list, s.buf[:])
 		xadj[l] = int64(out)
 		out += copy(lists[out:], slices.Compact(list))
@@ -397,8 +412,8 @@ const strayBuf = 256
 // sortRunAndStrays sorts list, which Build has laid out as an ascending run
 // with strays behind it: it finds the run as the longest ascending prefix,
 // sorts the strays, moves them to buf and merges them into the run from the
-// back. Strays that outnumber the run or buf (an ordinary list is all strays,
-// so is most of a hub's) are not worth telling apart: the list is sorted whole.
+// back. Strays that outnumber the run or buf (a hub's, as a rule) are not worth
+// telling apart: the list is sorted whole.
 func sortRunAndStrays(list, buf []int32) {
 	k := 1
 	for k < len(list) && list[k-1] <= list[k] {
@@ -423,5 +438,49 @@ func sortRunAndStrays(list, buf []int32) {
 			list[out] = strays[j]
 			j--
 		}
+	}
+}
+
+// radixBits is the widest digit radixSort takes: a histogram of 2^11 counters
+// is 16 KB, which stays in L1 beside the words it counts.
+const radixBits = 11
+
+// radixSort sorts a stably by bits [lo, hi) of each word, taken as unsigned,
+// through tmp, which is at least as long: a least-significant-digit radix sort
+// of as few passes as digits of at most radixBits bits allow, the digits as
+// even as they divide. A pass counts its digit in one histogram on the stack
+// and moves every word to its digit's next slot; a pass whose digit is the same
+// in every word moves nothing and is skipped.
+func radixSort(a, tmp []int32, lo, hi uint) {
+	if len(a) < 2 || hi <= lo {
+		return
+	}
+	passes := (hi - lo + radixBits - 1) / radixBits
+	width := (hi - lo + passes - 1) / passes
+	var count [1 << radixBits]int
+	src, dst := a, tmp[:len(a)]
+	for shift := lo; shift < hi; shift += width {
+		mask := uint32(1)<<min(width, hi-shift) - 1
+		c := count[:mask+1]
+		clear(c)
+		for _, x := range src {
+			c[uint32(x)>>shift&mask]++
+		}
+		if c[uint32(src[0])>>shift&mask] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, k := range c {
+			c[d], sum = sum, sum+k
+		}
+		for _, x := range src {
+			d := uint32(x) >> shift & mask
+			dst[c[d]] = x
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
 	}
 }

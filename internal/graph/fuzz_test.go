@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"testing"
+
+	"micgraph/internal/xrand"
 )
 
 // fuzzSeedGraphs are small but structurally varied graphs whose serialized
@@ -83,50 +85,92 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	})
 }
 
-// FuzzBuild reads the input as a vertex count, a number of cliques, that many
+// decodeBuild reads data as a vertex count, a number of cliques, that many
 // (base, size) pairs and a list of endpoint pairs, any of them loops, repeats
-// or edges of a clique, and checks that Build returns a valid graph equal to
-// the sequential reference's on the cliques expanded edge by edge.
-func FuzzBuild(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{3, 0, 1, 1, 0, 2, 2, 1, 2, 0, 1})
-	f.Add([]byte{200, 7, 7, 7, 199, 199, 7, 0, 7, 7, 0, 31})
-	f.Add([]byte{9, 3, 0, 10, 4, 3, 9, 1, 5, 2, 2, 5, 8, 8})
-	f.Add([]byte{255, 2, 0, 255, 100, 200, 254, 0, 0, 254, 17, 17})
+// or edges of a clique.
+func decodeBuild(data []byte) (int, []clique, []Edge) {
+	n := 1
+	if len(data) > 0 {
+		n += int(data[0])
+		data = data[1:]
+	}
+	var cliques []clique
+	if len(data) > 0 {
+		k := min(int(data[0])%8, (len(data)-1)/2)
+		for i := 0; i < k; i++ {
+			base := int(data[1+2*i]) % n
+			cliques = append(cliques, clique{int32(base), int32(int(data[2+2*i]) % (n - base + 1))})
+		}
+		data = data[1+2*k:]
+	}
+	edges := make([]Edge, len(data)/2)
+	for i := range edges {
+		edges[i] = Edge{int32(int(data[2*i]) % n), int32(int(data[2*i+1]) % n)}
+	}
+	return n, cliques, edges
+}
 
+// buildDecoded hands what decodeBuild returned to a Builder and builds it.
+func buildDecoded(n int, cliques []clique, edges []Edge) *Graph {
+	b := NewBuilder(n)
+	for _, c := range cliques {
+		b.AddClique(c.base, int(c.size))
+	}
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
+}
+
+// buildCorpus seeds FuzzBuild and FuzzPermute.
+var buildCorpus = [][]byte{
+	{},
+	{0, 0, 0},
+	{3, 0, 1, 1, 0, 2, 2, 1, 2, 0, 1},
+	{200, 7, 7, 7, 199, 199, 7, 0, 7, 7, 0, 31},
+	{9, 3, 0, 10, 4, 3, 9, 1, 5, 2, 2, 5, 8, 8},
+	{255, 2, 0, 255, 100, 200, 254, 0, 0, 254, 17, 17},
+}
+
+// FuzzBuild decodes its input with decodeBuild and checks that Build returns
+// a valid graph equal to the sequential reference's on the cliques expanded
+// edge by edge.
+func FuzzBuild(f *testing.F) {
+	for _, data := range buildCorpus {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := 1
-		if len(data) > 0 {
-			n += int(data[0])
-			data = data[1:]
-		}
-		var cliques []clique
-		if len(data) > 0 {
-			k := min(int(data[0])%8, (len(data)-1)/2)
-			for i := 0; i < k; i++ {
-				base := int(data[1+2*i]) % n
-				cliques = append(cliques, clique{int32(base), int32(int(data[2+2*i]) % (n - base + 1))})
-			}
-			data = data[1+2*k:]
-		}
-		edges := make([]Edge, len(data)/2)
-		for i := range edges {
-			edges[i] = Edge{int32(int(data[2*i]) % n), int32(int(data[2*i+1]) % n)}
-		}
-		b := NewBuilder(n)
-		for _, c := range cliques {
-			b.AddClique(c.base, int(c.size))
-		}
-		for _, e := range edges {
-			b.AddEdge(e.U, e.V)
-		}
-		g := b.Build()
+		n, cliques, edges := decodeBuild(data)
+		g := buildDecoded(n, cliques, edges)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("Build returned an invalid graph: %v", err)
 		}
 		if !g.Equal(referenceBuild(n, append(expand(cliques), edges...))) {
 			t.Fatalf("Build differs from the reference on n=%d %v %v", n, cliques, edges)
+		}
+	})
+}
+
+// FuzzPermute decodes its input with decodeBuild, builds it, relabels it by a
+// permutation drawn from seed and checks that Permute returns what the
+// sequential reference builds from the relabelled edges.
+func FuzzPermute(f *testing.F) {
+	for i, data := range buildCorpus {
+		f.Add(data, uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		n, cliques, edges := decodeBuild(data)
+		perm := xrand.New(seed).Perm(n)
+		got, err := buildDecoded(n, cliques, edges).Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relabelled := append(expand(cliques), edges...)
+		for i, e := range relabelled {
+			relabelled[i] = Edge{perm[e.U], perm[e.V]}
+		}
+		if !got.Equal(referenceBuild(n, relabelled)) {
+			t.Fatalf("Permute differs from the reference on n=%d %v %v, perm %v", n, cliques, edges, perm)
 		}
 	})
 }

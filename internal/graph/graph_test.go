@@ -1,10 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -371,15 +371,20 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
-// blocksOf returns the log2 of the block size Build cuts n vertices into for
-// these edges and cliques, and the number of blocks.
-func blocksOf(n int, edges []Edge, cliques []clique) (uint, int) {
+// blocksOf returns the log2 of the block size Build and Permute cut n
+// vertices into for that many arcs, and the number of blocks.
+func blocksOf(n int, arcs int64) (uint, int) {
+	k := blockShift(n, int(arcs))
+	return k, (n + 1<<k - 1) >> k
+}
+
+// arcsOf is how many arcs Build blocks for these edges and cliques.
+func arcsOf(edges []Edge, cliques []clique) int64 {
 	arcs := 2 * len(edges)
 	for _, c := range cliques {
 		arcs += int(c.size) * int(c.size-1)
 	}
-	k := blockShift(n, arcs)
-	return k, (n + 1<<k - 1) >> k
+	return int64(arcs)
 }
 
 // TestBuildBlockShapes builds the shapes the per-block pass of Build has to
@@ -411,7 +416,7 @@ func TestBuildBlockShapes(t *testing.T) {
 		{hub, 9}, // a run ahead of the hub's strays
 	}
 	edges = withEdgesOf(edges, cliques)
-	k, nb := blocksOf(n, edges, cliques)
+	k, nb := blocksOf(n, arcsOf(edges, cliques))
 	switch straddler := cliques[0]; {
 	case 1<<k != bs:
 		t.Fatalf("the cliques moved the block size from %d to %d", bs, 1<<k)
@@ -428,7 +433,7 @@ func TestBuildBlockShapes(t *testing.T) {
 
 	// One block of 2048, counted and scattered by two workers when there are.
 	edges = messyEdges(12, 2048, 2*edgeChunk)
-	if k, nb := blocksOf(2048, edges, nil); nb != 1 {
+	if k, nb := blocksOf(2048, arcsOf(edges, nil)); nb != 1 {
 		t.Fatalf("2048 vertices make %d blocks of %d, want one", nb, 1<<k)
 	}
 	checkBuild(t, 2048, edges, nil)
@@ -436,7 +441,7 @@ func TestBuildBlockShapes(t *testing.T) {
 	// One block of 4096 for 3000 vertices, with cliques.
 	cliques = []clique{{10, 20}, {15, 20}, {2990, 10}}
 	edges = withEdgesOf(messyEdges(13, 3000, edgeChunk+1), cliques)
-	if k, nb := blocksOf(3000, edges, cliques); nb != 1 {
+	if k, nb := blocksOf(3000, arcsOf(edges, cliques)); nb != 1 {
 		t.Fatalf("3000 vertices make %d blocks of %d, want one", nb, 1<<k)
 	}
 	checkBuild(t, 3000, edges, cliques)
@@ -514,24 +519,46 @@ func TestAddEdgesPanicsOutOfRange(t *testing.T) {
 	NewBuilder(3).AddEdges(2, func(us, vs []int32) { us[1], vs[1] = 1, -1 })
 }
 
-func TestForChunksCoversOnce(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, size := range []int{edgeChunk, edgeChunk + 1} { // inline, forked
-			for _, n := range []int{0, 1, 7, 8, 9, 1000} {
-				hits := make([]int32, n)
-				forChunks(size, n, 8, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("GOMAXPROCS=%d size=%d n=%d: index %d visited %d times", procs, size, n, i, h)
-					}
-				}
-			}
+// TestRadixSort holds radixSort to a stable sort on the key it is given: words
+// that agree on bits [lo, hi) keep their order whatever their other bits, with
+// one pass and with two and three, from bit 0 and from above it, over the
+// whole word (the sign bit a digit bit like any other), with a pass skipped
+// because one digit is the same everywhere, and on zero and one word.
+func TestRadixSort(t *testing.T) {
+	r := xrand.New(1)
+	random := make([]int32, 5000)
+	for i := range random {
+		random[i] = int32(r.Uint64())
+	}
+	narrow := make([]int32, 3000) // bits 11 to 21 are zero: a pass on them moves nothing
+	for i := range narrow {
+		narrow[i] = int32(r.Uint64()) &^ (1<<22 - 1<<11)
+	}
+	cases := []struct {
+		name   string
+		a      []int32
+		lo, hi uint
+	}{
+		{"empty", nil, 0, 30},
+		{"one word", []int32{-7}, 0, 32},
+		{"one pass", random, 0, 11},
+		{"one pass from bit 19", random, 19, 30},
+		{"two passes", random, 0, 22},
+		{"two passes from bit 5", random, 5, 27},
+		{"three passes", random, 0, 30},
+		{"the whole word", random, 0, 32},
+		{"a pass skipped of three", narrow, 0, 32},
+		{"a pass skipped of two", narrow, 0, 22},
+		{"no bits", random, 7, 7},
+	}
+	for _, c := range cases {
+		key := func(x int32) uint32 { return uint32(uint64(uint32(x)) >> c.lo & (1<<(c.hi-c.lo) - 1)) }
+		want := slices.Clone(c.a)
+		slices.SortStableFunc(want, func(x, y int32) int { return cmp.Compare(key(x), key(y)) })
+		got := slices.Clone(c.a)
+		radixSort(got, make([]int32, len(got)+3), c.lo, c.hi)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s (bits [%d, %d)): not the stable sort on the key", c.name, c.lo, c.hi)
 		}
 	}
 }

@@ -3,19 +3,13 @@ package graph
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // A construction of up to edgeChunk edges (or arcs) runs on the caller alone,
 // so that the small graphs the tests build by the thousand never start a
-// goroutine; above it, Build gives every worker at least edgeChunk edges to
-// count and scatter. Permute claims vertices (an adjacency list each)
-// vertexChunk at a time, so that a hub's list does not leave the other
-// workers idle behind it.
-const (
-	edgeChunk   = 1 << 14
-	vertexChunk = 1 << 8
-)
+// goroutine; above it, Build and Permute give every worker at least edgeChunk
+// edges (arcs) to count and scatter.
+const edgeChunk = 1 << 14
 
 // workers is how many goroutines a construction of size edges (or arcs) runs
 // on: one up to edgeChunk, GOMAXPROCS above.
@@ -45,26 +39,4 @@ func parallel(p int, body func(w int)) {
 	}
 	body(0)
 	wg.Wait()
-}
-
-// forChunks calls body(lo, hi) on consecutive chunks covering [0, n) from
-// workers(size) goroutines at most, which claim chunks off a shared cursor
-// until none is left; with one worker or one chunk it is a single call on the
-// caller.
-func forChunks(size, n, chunk int, body func(lo, hi int)) {
-	p := min(workers(size), (n+chunk-1)/chunk)
-	if p <= 1 {
-		body(0, n)
-		return
-	}
-	var cursor atomic.Int64
-	parallel(p, func(int) {
-		for {
-			lo := int(cursor.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			body(lo, min(lo+chunk, n))
-		}
-	})
 }

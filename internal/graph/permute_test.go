@@ -130,3 +130,76 @@ func TestPermuteMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// checkPermute relabels g by perm under GOMAXPROCS 1, 2 and 8 and compares
+// what Permute returns with the reference built from the relabelled arcs.
+func checkPermute(t *testing.T, name string, g *Graph, perm []int32) {
+	t.Helper()
+	var relabelled []Edge
+	for v := range g.NumVertices() {
+		for _, w := range g.Adj(int32(v)) {
+			relabelled = append(relabelled, Edge{perm[v], perm[w]})
+		}
+	}
+	want := referenceBuild(g.NumVertices(), relabelled)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := g.Permute(perm)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("GOMAXPROCS=%d %s: Permute differs from the reference (%s vs %s)", procs, name, got, want)
+		}
+	}
+}
+
+// TestPermuteBlockShapes relabels the shapes Permute's blocks and workers have
+// to get right, under GOMAXPROCS 1, 2 and 8, after checking that each is the
+// shape it is named for.
+func TestPermuteBlockShapes(t *testing.T) {
+	// 150 000 vertices in blocks of 16 384, the last one short; a hub on every
+	// vertex drawn, whose list alone outweighs a block's share of the arcs; and
+	// the top quarter isolated, the last ids under the identity.
+	const n = 150000
+	edges := messyEdges(11, n, 4*edgeChunk)
+	hub := edges[0].U
+	for v := int32(0); v < n*3/4; v++ {
+		edges = append(edges, Edge{hub, v})
+	}
+	g := MustFromEdges(n, edges)
+	switch k, nb := blocksOf(n, g.NumArcs()); {
+	case n%(1<<k) == 0 || nb < 3:
+		t.Fatalf("%d vertices make %d blocks of %d: want at least 3, the last one short", n, nb, 1<<k)
+	case int64(g.Degree(hub)) <= g.NumArcs()/int64(nb):
+		t.Fatalf("the hub has %d arcs, no more than a block's share %d", g.Degree(hub), g.NumArcs()/int64(nb))
+	case g.Degree(n-1) != 0:
+		t.Fatalf("vertex %d is not isolated", n-1)
+	}
+	reversal := make([]int32, n)
+	for v := range reversal {
+		reversal[v] = int32(n - 1 - v)
+	}
+	checkPermute(t, "a hub, shuffled", g, xrand.New(3).Perm(n))
+	checkPermute(t, "a hub, identity", g, IdentityPermutation(n))
+	checkPermute(t, "a hub, reversal", g, reversal)
+
+	// 20 000 vertices in three blocks, walked by more workers than that when
+	// there are eight.
+	g = randomGraph(12, 20000, 60000)
+	if k, nb := blocksOf(20000, g.NumArcs()); nb != 3 || min(8, int(g.NumArcs())/edgeChunk) <= nb {
+		t.Fatalf("20000 vertices and %d arcs make %d blocks of %d: want three and more workers", g.NumArcs(), nb, 1<<k)
+	}
+	checkPermute(t, "more workers than blocks", g, xrand.New(4).Perm(20000))
+
+	// One block of 2048, walked by two workers when there are.
+	g = randomGraph(13, 2048, 20000)
+	if k, nb := blocksOf(2048, g.NumArcs()); nb != 1 || g.NumArcs() < 2*edgeChunk {
+		t.Fatalf("2048 vertices and %d arcs make %d blocks of %d: want one block and two workers", g.NumArcs(), nb, 1<<k)
+	}
+	checkPermute(t, "one block", g, xrand.New(5).Perm(2048))
+
+	checkPermute(t, "no vertex", MustFromEdges(0, nil), nil)
+	checkPermute(t, "one vertex", MustFromEdges(1, nil), []int32{0})
+}

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // A locality-restoring reordering. The paper's Figure 2 shows how much the
 // kernels depend on vertex-ordering locality (its reference [21], Strout &
@@ -39,8 +42,8 @@ func RCMOrder(g *Graph) []int32 {
 					scratch = append(scratch, w)
 				}
 			}
-			sort.Slice(scratch, func(i, j int) bool {
-				return g.Degree(scratch[i]) < g.Degree(scratch[j])
+			slices.SortFunc(scratch, func(v, w int32) int {
+				return cmp.Compare(g.Degree(v), g.Degree(w))
 			})
 			sequence = append(sequence, scratch...)
 		}

@@ -98,3 +98,14 @@ func TestReorderDisconnected(t *testing.T) {
 		t.Errorf("RCM: %v", err)
 	}
 }
+
+// TestRCMOrderAllocs holds RCMOrder to its four arrays and the two of each of
+// pseudoPeripheral's breadth-first sweeps, at most eight a component: the
+// frontiers are sorted in the reused scratch, with nothing allocated a vertex.
+func TestRCMOrderAllocs(t *testing.T) {
+	g := gridGraph(100, 100).Shuffled(1) // one component
+	const ceiling = 4 + 2*8
+	if got := testing.AllocsPerRun(3, func() { RCMOrder(g) }); got > ceiling {
+		t.Errorf("RCMOrder of a shuffled 100×100 grid: %.1f allocations, want at most %d", got, ceiling)
+	}
+}
