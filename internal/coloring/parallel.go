@@ -42,6 +42,19 @@ import (
 // start of the next round instead (Rokos, Gorman & Kelly) saves the barrier
 // but still reads every arc twice from memory (DESIGN.md §2).
 //
+// Round one does not re-read the arcs inside a chunk. Its work list is the
+// identity, so a chunk [lo, hi) of it is the vertex range [lo, hi), which
+// one worker colors in order — a pool leaf runs on one worker like a Team
+// chunk — storing each vertex once: of two adjacent vertices in the chunk,
+// the later one's gather follows the earlier one's only store of the round
+// and takes another color. An arc that leaves the chunk leaves its other
+// end's chunk too, so both ends re-read it and the argument above holds for
+// it unchanged. Adjacency lists are sorted, so those arcs are a prefix
+// below lo and a suffix from hi (speculateChunk, scratch.go). A chunk takes
+// that path when its first vertex has a neighbor later in the chunk
+// (localChunk); every other chunk, every later round — whose lists are not
+// ranges — and the inline round verify every arc.
+//
 // The simulator keeps the paper's two-phase round (mic.ColoringTrace): it
 // models the published algorithm, and the figures are computed from it.
 

@@ -2,6 +2,7 @@ package coloring_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"micgraph/internal/coloring"
@@ -63,28 +64,38 @@ func hammer(t *testing.T, runs int, g *graph.Graph, check func(testing.TB, strin
 	}
 }
 
+// colorRun is one variant of the coloring, bound to its runtime.
+type colorRun struct {
+	name string
+	run  func(ctx context.Context, g *graph.Graph) (coloring.Result, error)
+}
+
+// hammerRuntimes binds s to team and pool as the three distance-1 variants,
+// chunk vertices to a Team claim and at most chunk to a Cilk or TBB leaf.
+func hammerRuntimes(s *coloring.Scratch, team *sched.Team, pool *sched.Pool, chunk int) []colorRun {
+	opts := hammerOpts
+	opts.Chunk = chunk
+	return []colorRun{
+		{"team", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
+			return s.ColorTeam(ctx, g, team, opts)
+		}},
+		{"cilk", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
+			return s.ColorCilk(ctx, g, pool, chunk, coloring.CilkHolder)
+		}},
+		{"tbb", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
+			return s.ColorTBB(ctx, g, pool, sched.SimplePartitioner, chunk)
+		}},
+	}
+}
+
 func TestColorPublishVerifyWorstInterleavings(t *testing.T) {
 	team := sched.NewTeam(hammerWorkers)
 	defer team.Close()
 	pool := sched.NewPool(hammerWorkers)
 	defer pool.Close()
 	s := coloring.NewScratch()
-	runtimes := []struct {
-		name string
-		run  func(ctx context.Context, g *graph.Graph) (coloring.Result, error)
-	}{
-		{"team", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
-			return s.ColorTeam(ctx, g, team, hammerOpts)
-		}},
-		{"cilk", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
-			return s.ColorCilk(ctx, g, pool, 1, coloring.CilkHolder)
-		}},
-		{"tbb", func(ctx context.Context, g *graph.Graph) (coloring.Result, error) {
-			return s.ColorTBB(ctx, g, pool, sched.SimplePartitioner, 1)
-		}},
-	}
 	for _, gr := range hammerGraphs() {
-		for _, rt := range runtimes {
+		for _, rt := range hammerRuntimes(s, team, pool, 1) {
 			t.Run(gr.Name+"/"+rt.name, func(t *testing.T) { hammer(t, 500, gr.G, kerneltest.CheckColoring, rt.run) })
 		}
 	}
@@ -104,5 +115,39 @@ func TestColorD2PublishVerify(t *testing.T) {
 				return s.ColorTeamD2(ctx, g, team, hammerOpts)
 			})
 		})
+	}
+}
+
+// TestColorPublishVerifyChunked hammers round one's chunk-local verify
+// (speculateChunk), which chunks of one vertex never reach: graphs in
+// natural order, whose chunks have arcs inside them, at chunks and grains
+// above 1 — a clique, cliques joined in a ring, and a banded mesh.
+func TestColorPublishVerifyChunked(t *testing.T) {
+	team := sched.NewTeam(hammerWorkers)
+	defer team.Close()
+	pool := sched.NewPool(hammerWorkers)
+	defer pool.Close()
+	s := coloring.NewScratch()
+	pwtk, err := gen.SuiteConfig("pwtk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := gen.Mesh(gen.Scaled(pwtk, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []kerneltest.Named{
+		{Name: "K64", G: gen.Complete(64)},
+		{Name: "ring-of-cliques", G: gen.RingOfCliques(24, 12)},
+		{Name: "pwtk16", G: mesh},
+	}
+	for _, gr := range graphs {
+		for _, chunk := range []int{2, 5, 13, 64} {
+			for _, rt := range hammerRuntimes(s, team, pool, chunk) {
+				t.Run(fmt.Sprintf("%s/%d/%s", gr.Name, chunk, rt.name), func(t *testing.T) {
+					hammer(t, 200, gr.G, kerneltest.CheckColoring, rt.run)
+				})
+			}
+		}
 	}
 }

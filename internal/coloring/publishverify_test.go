@@ -60,3 +60,28 @@ func TestColorPublishVerifyInlineRound(t *testing.T) {
 		t.Errorf("the team ran %d chunks, want the first round's 2", got)
 	}
 }
+
+// TestLocalChunk pins which round-one chunks take the chunk-local verify:
+// those whose first vertex has a neighbor later in the chunk, and no other.
+func TestLocalChunk(t *testing.T) {
+	// 0: [2]  1: [2 3]  2: [0 1 3]  3: [1 2 5 6]  4: []  5: [3]  6: [3]
+	g := graph.MustFromEdges(7, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}, {U: 3, V: 5}, {U: 3, V: 6}})
+	for _, tc := range []struct {
+		name   string
+		lo, hi int32
+		want   bool
+	}{
+		{"later neighbor inside", 0, 3, true},
+		{"later neighbor just past the end", 0, 2, false},
+		{"later neighbor at the last vertex", 1, 3, true},
+		{"earlier and later neighbors", 2, 4, true},
+		{"only an earlier neighbor", 5, 7, false},
+		{"the graph's last vertex", 6, 7, false},
+		{"isolated first vertex", 4, 7, false},
+		{"one vertex, its later neighbor next", 1, 2, false},
+	} {
+		if got := localChunk(g.Xadj(), g.AdjRaw(), tc.lo, tc.hi); got != tc.want {
+			t.Errorf("%s: localChunk([%d, %d)) = %v, want %v", tc.name, tc.lo, tc.hi, got, tc.want)
+		}
+	}
+}

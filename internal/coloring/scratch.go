@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -62,6 +63,10 @@ func (s *Scratch) ensureBody() {
 	}
 	s.body = func(lo, hi, w int) {
 		fc := s.fcs[w]
+		if s.visited == 0 && localChunk(s.xadj, s.adjr, int32(lo), int32(hi)) {
+			s.speculateChunk(fc, int32(lo), int32(hi))
+			return
+		}
 		for i := lo; i < hi; i++ {
 			if v := s.vs[i]; speculate(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
 				appendConflict(s.nextBuf, &s.count, v)
@@ -122,6 +127,9 @@ func (s *Scratch) ensure(g *graph.Graph, workers, fcLen int) {
 // neighbors are colored concurrently; visit numbers this visit for fc. The
 // gather marks without testing for "uncolored" (fc[0] is no color's slot):
 // on a mesh half the neighbors are, in no order a branch predictor learns.
+// The verify re-reads a neighbor this worker colored earlier in the same
+// chunk too; a round-one chunk with such arcs runs speculateChunk, which
+// skips them.
 func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bool {
 	nbrs := adj[xadj[v]:xadj[v+1]]
 	for _, u := range nbrs {
@@ -138,6 +146,55 @@ func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bo
 		}
 	}
 	return false
+}
+
+// localChunk reports whether the round-one chunk [lo, hi) — the vertices lo
+// to hi−1, the work list being the identity — takes speculateChunk: whether
+// its first vertex has a neighbor later in the chunk. One binary search a
+// chunk, and a property of the input's order: on a banded mesh in natural
+// order nearly every chunk has one, on a shuffled graph nearly none.
+func localChunk(xadj []int64, adj []int32, lo, hi int32) bool {
+	nbrs := adj[xadj[lo]:xadj[lo+1]]
+	i, _ := slices.BinarySearch(nbrs, lo+1)
+	return i < len(nbrs) && nbrs[i] < hi
+}
+
+// speculateChunk is speculate over the round-one chunk [lo, hi), a vertex's
+// visit number being the vertex itself, but each vertex verifies only the
+// arcs that leave the chunk: a neighbor inside it was colored by this
+// worker, in order, once this round, so the later end's gather read the
+// earlier end's final color and the arc cannot clash (parallel.go). The
+// list is sorted, so the arcs that leave are a prefix below lo and a suffix
+// from hi. A clashing vertex is queued for the next round.
+func (s *Scratch) speculateChunk(fc localFC, lo, hi int32) {
+	xadj, adj, colors := s.xadj, s.adjr, s.colors
+vertices:
+	for v := lo; v < hi; v++ {
+		nbrs := adj[xadj[v]:xadj[v+1]]
+		for _, u := range nbrs {
+			fc[atomic.LoadInt32(&colors[u])] = v
+		}
+		c := int32(1)
+		for fc[c] == v {
+			c++
+		}
+		atomic.StoreInt32(&colors[v], c)
+		for _, u := range nbrs {
+			if u >= lo {
+				break
+			}
+			if atomic.LoadInt32(&colors[u]) == c {
+				appendConflict(s.nextBuf, &s.count, v)
+				continue vertices
+			}
+		}
+		for i := len(nbrs) - 1; i >= 0 && nbrs[i] >= hi; i-- {
+			if atomic.LoadInt32(&colors[nbrs[i]]) == c {
+				appendConflict(s.nextBuf, &s.count, v)
+				continue vertices
+			}
+		}
+	}
 }
 
 // ColorTeam runs the iterative speculative coloring on an OpenMP-style

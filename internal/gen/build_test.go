@@ -13,7 +13,8 @@ import (
 // rebuilt from its own arcs, as BenchmarkGraphBuildRMAT16 does, is 64 blocks
 // of 1024 vertices; msdoor@16 is the generator's own allocations around one
 // Build with cliques. testing.AllocsPerRun measures at GOMAXPROCS 1, so the
-// rebuild is counted once more under GOMAXPROCS 8, by the allocator's tally.
+// rebuild is counted once more under GOMAXPROCS 8, by the allocator's tally
+// (fewestMallocs).
 func TestBuildAllocs(t *testing.T) {
 	g := RMAT(16, 16, .57, .19, .19, 1)
 	tails := make([]int32, 0, g.NumArcs())
@@ -41,11 +42,7 @@ func TestBuildAllocs(t *testing.T) {
 	const procs, perWorker = 8, 6
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	rebuild() // the goroutines' first start, which may allocate their g
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rebuild()
-	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got > ceiling+perWorker*procs {
+	if got := fewestMallocs(rebuild); got > ceiling+perWorker*procs {
 		t.Errorf("RMAT-16 rebuild under GOMAXPROCS %d: %d allocations, want at most %d", procs, got, ceiling+perWorker*procs)
 	}
 }
@@ -73,11 +70,23 @@ func TestPermuteAllocs(t *testing.T) {
 	const procs, perWorker = 8, 7
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	permute() // the goroutines' first start, which may allocate their g
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	permute()
-	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got > ceiling+perWorker*procs {
+	if got := fewestMallocs(permute); got > ceiling+perWorker*procs {
 		t.Errorf("shuffled RMAT-16 permuted under GOMAXPROCS %d: %d allocations, want at most %d", procs, got, ceiling+perWorker*procs)
 	}
+}
+
+// fewestMallocs is the allocator's tally of the fewest allocations f made
+// in three runs. Contention adds allocations f does not make itself — the
+// runtime's, for a goroutine that finds no free g or a WaitGroup.Wait that
+// parks — and a second process beside the test can add them to any one run.
+func fewestMallocs(f func()) uint64 {
+	fewest := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }

@@ -80,13 +80,13 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	g := &Graph{}
 	if n > 0 {
-		g.xadj = make([]int64, n+1)
-		if err := binary.Read(br, binary.LittleEndian, g.xadj); err != nil {
+		var err error
+		if g.xadj, err = readWords[int64](br, n+1); err != nil {
 			return nil, fmt.Errorf("binio: reading xadj: %w", err)
 		}
-		// Check the offset array before trusting arcs enough to allocate
-		// the adjacency array: xadj must start at 0, never decrease, and
-		// end exactly at the declared arc count.
+		// Check the offset array before reading the adjacency array: xadj
+		// must start at 0, never decrease, and end exactly at the declared
+		// arc count.
 		if g.xadj[0] != 0 {
 			return nil, fmt.Errorf("binio: xadj[0] = %d, want 0", g.xadj[0])
 		}
@@ -98,8 +98,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if g.xadj[n] != int64(arcs) {
 			return nil, fmt.Errorf("binio: xadj[n] = %d, want arc count %d", g.xadj[n], arcs)
 		}
-		g.adj = make([]int32, arcs)
-		if err := binary.Read(br, binary.LittleEndian, g.adj); err != nil {
+		if g.adj, err = readWords[int32](br, arcs); err != nil {
 			return nil, fmt.Errorf("binio: reading adj: %w", err)
 		}
 		for i, w := range g.adj {
@@ -114,4 +113,29 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("binio: corrupt graph: %w", err)
 	}
 	return g, nil
+}
+
+// binPiece is how many words readWords reads at a time.
+const binPiece = 1 << 16
+
+// readWords reads count little-endian words, binPiece at a time, into a
+// slice that grows (doubling, and to exactly count) only as they arrive. A
+// header that declares more than the file holds — hundreds of millions of
+// vertices, or 2⁴⁰ arcs — then fails after allocating about what the file
+// does hold and one piece, not what it declares.
+func readWords[T int32 | int64](r io.Reader, count uint64) ([]T, error) {
+	out := make([]T, 0, min(count, binPiece))
+	for uint64(len(out)) < count {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(count, 2*uint64(cap(out))))
+			copy(grown, out)
+			out = grown
+		}
+		k := len(out) + int(min(count-uint64(len(out)), binPiece))
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):k]); err != nil {
+			return nil, err
+		}
+		out = out[:k]
+	}
+	return out, nil
 }

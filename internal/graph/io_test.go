@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -195,5 +197,54 @@ func TestReadEdgeListMinVertices(t *testing.T) {
 	}
 	if g.NumVertices() != 10 {
 		t.Errorf("V = %d, want padded 10", g.NumVertices())
+	}
+}
+
+// TestBinaryAllocationBounded feeds ReadBinary short files whose headers
+// declare far more than they hold: about 805 M vertices, and one vertex
+// whose offsets declare 2⁴⁰ arcs. Each must fail having allocated about the
+// file and a piece, not the 6.4 GB or 4 TB its header asks for. A graph of
+// several pieces still reads back whole.
+func TestBinaryAllocationBounded(t *testing.T) {
+	header := func(n, arcs uint64, words ...int64) []byte {
+		var buf bytes.Buffer
+		buf.WriteString(binMagic)
+		for _, v := range []any{uint32(binVersion), n, arcs, words} {
+			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return append(buf.Bytes(), 1, 2, 3)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"805M vertices", header(805_306_368, 0, 0, 0, 0)},
+		{"2^40 arcs", header(1, 1<<40, 0, 1<<40)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+			t.Errorf("%s: allocated %d MiB reading %d bytes, want at most 64", tc.name, got>>20, len(tc.data))
+		}
+	}
+
+	g := complete(400) // 159 600 arcs, three pieces
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	h, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(h) || cap(h.xadj) != len(h.xadj) || cap(h.adj) != len(h.adj) {
+		t.Errorf("complete(400) read back differently, or with spare capacity")
 	}
 }
