@@ -7,6 +7,7 @@
 //	micrun -kind coloring -variant tbb -file data/g.mtx -partitioner auto
 //	micrun -kind coloring -graph hood -d2        # distance-2 coloring
 //	micrun -kind bfs -graph inline_1 -model      # §III-C achievable speedup
+//	micrun -kind coloring -variant seq -graph pwtk -out pwtk.bin  # also save the graph
 //
 // Exit status: 0 valid result, 1 aborted run, invalid result or I/O error,
 // 2 usage (no such table entry — reported before the graph is loaded).
@@ -78,6 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		policy  = fs.String("policy", def.Policy.String(), "team loop schedule: static, dynamic, guided")
 		part    = fs.String("partitioner", def.Partitioner.String(), "tbb partitioner: simple, auto, affinity")
 		shuffle = fs.Bool("shuffle", false, "randomly relabel vertices first (the Figure 2 setup)")
+		outFile = fs.String("out", "", "also write the graph, after -shuffle, to `file` (.mtx, .bin or .el)")
 		d2      = fs.Bool("d2", false, "distance-2 coloring (coloring, sequential or team variant only)")
 		model   = fs.Bool("model", false, "bfs: also print the §III-C achievable-speedup model")
 		timeout = fs.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
@@ -167,6 +169,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *shuffle {
 		g = g.Shuffled(1)
+	}
+	if *outFile != "" {
+		if err := graphio.WriteFile(*outFile, g, graphio.DetectFormat(*outFile), nil); err != nil {
+			return die(1, "%v", err)
+		}
 	}
 	p.Source = kernels.Source(g, *source)
 

@@ -173,3 +173,43 @@ func TestMetricsOut(t *testing.T) {
 		}
 	}
 }
+
+// TestOutRoundTrip writes hood@32 with -out in every format and checks that
+// each table entry prints, on the written file, the line it prints on the
+// generated graph.
+func TestOutRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for _, ext := range []string{".mtx", ".bin", ".el"} {
+		path := filepath.Join(dir, "hood"+ext)
+		if code, _, stderr := micrun(onHood("-out", path)...); code != 0 {
+			t.Fatalf("-out %s: exit %d, stderr: %s", path, code, stderr)
+		}
+		for _, e := range kernels.Table() {
+			entry := []string{"-kind", e.Kind, "-variant", e.Variant}
+			_, want, _ := micrun(onHood(entry...)...)
+			code, got, stderr := micrun(append([]string{"-file", path, "-workers", "1"}, entry...)...)
+			if code != 0 {
+				t.Fatalf("%s %s/%s: exit %d, stderr: %s", ext, e.Kind, e.Variant, code, stderr)
+			}
+			if got, want := resultLine(got), resultLine(want); got != want {
+				t.Errorf("%s %s/%s: the written file prints\n  %s\nwant\n  %s", ext, e.Kind, e.Variant, got, want)
+			}
+		}
+	}
+
+	// A write that cannot happen stops the run before it starts.
+	missing := t.TempDir()
+	code, stdout, stderr := micrun(onHood("-out", filepath.Join(missing, "no-such-dir", "g.bin"))...)
+	if code != 1 || stdout != "" || stderr == "" {
+		t.Errorf("-out into a missing directory: exit %d, stdout %q, stderr %q; want exit 1 and no result", code, stdout, stderr)
+	}
+	if left, err := os.ReadDir(missing); err != nil || len(left) != 0 {
+		t.Errorf("-out into a missing directory left %v (%v) behind", left, err)
+	}
+}
+
+// resultLine is the first line of micrun's output, the result line.
+func resultLine(stdout string) string {
+	line, _, _ := strings.Cut(stdout, "\n")
+	return line
+}

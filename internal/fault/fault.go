@@ -162,19 +162,6 @@ func (in *Injector) FireErr(name string) error {
 	return &Fault{Site: name, Call: s.calls}
 }
 
-// Calls returns how many times the site has been consulted.
-func (in *Injector) Calls(name string) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if s, ok := in.sites[name]; ok {
-		return s.calls
-	}
-	return 0
-}
-
 // Fired returns how many times the site has fired.
 func (in *Injector) Fired(name string) int64 {
 	if in == nil {

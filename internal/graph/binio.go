@@ -20,6 +20,8 @@ import (
 const (
 	binMagic   = "MICGRAPH"
 	binVersion = 1
+	// maxN is the most vertices a file may declare: vertex ids are int32.
+	maxN = 1<<31 - 1
 )
 
 // WriteBinary writes g in the compact binary CSR format.
@@ -71,9 +73,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, &arcs); err != nil {
 		return nil, fmt.Errorf("binio: reading arc count: %w", err)
 	}
-	// Vertex ids are int32, so n must fit; refuse absurd sizes rather than
-	// OOM on corrupt input.
-	const maxN = 1<<31 - 1
+	// Refuse absurd sizes rather than OOM on corrupt input.
 	const sane = 1 << 40
 	if n > maxN || arcs > sane {
 		return nil, fmt.Errorf("binio: implausible sizes n=%d arcs=%d", n, arcs)

@@ -72,6 +72,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n% comment\n2 2 1\n1 2 0.5\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate pattern symmetric\n2 3 1\n1 2\n")) // non-square
 	f.Add([]byte("%%MatrixMarket\n"))
+	f.Add([]byte(hugeNNZ))
+	f.Add([]byte(hugeRows))
 	f.Add([]byte(""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

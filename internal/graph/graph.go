@@ -66,15 +66,6 @@ func (g *Graph) MaxDegree() int {
 	return d
 }
 
-// AvgDegree returns the mean vertex degree (0 for the empty graph).
-func (g *Graph) AvgDegree() float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	return float64(g.NumArcs()) / float64(n)
-}
-
 // HasEdge reports whether the edge {u,v} is present, by binary search on the
 // sorted adjacency of the lower-degree endpoint.
 func (g *Graph) HasEdge(u, v int32) bool {

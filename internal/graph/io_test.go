@@ -51,8 +51,18 @@ func TestReadMatrixMarketGeneralWithValues(t *testing.T) {
 	}
 }
 
+// Size lines that claim more than the file holds: the loader must refuse
+// them with an error, neither trusting nnz with an allocation nor wrapping a
+// row past int32.
+const (
+	hugeNNZ  = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 100000000000\n"
+	hugeRows = "%%MatrixMarket matrix coordinate pattern symmetric\n3000000000 3000000000 1\n3000000000 1\n"
+)
+
 func TestReadMatrixMarketErrors(t *testing.T) {
 	cases := map[string]string{
+		"huge nnz":     hugeNNZ,
+		"huge rows":    hugeRows,
 		"empty":        "",
 		"bad header":   "%%MatrixMarket matrix array real general\n2 2 0\n",
 		"bad field":    "%%MatrixMarket matrix coordinate complex symmetric\n2 2 0\n",

@@ -93,9 +93,13 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 	if rows < 0 || nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative dimensions in size line")
 	}
+	if rows > maxN {
+		return nil, fmt.Errorf("mmio: %d rows do not fit int32 vertex ids", rows)
+	}
 
+	// The edge slices grow as entries arrive: nnz is the file's claim, and a
+	// pre-grow would trust it with the allocation.
 	b := NewBuilder(rows)
-	b.Grow(nnz)
 	read := 0
 	for read < nnz {
 		if !sc.Scan() {

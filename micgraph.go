@@ -32,6 +32,7 @@ import (
 	"micgraph/internal/core"
 	"micgraph/internal/gen"
 	"micgraph/internal/graph"
+	"micgraph/internal/graphio"
 	"micgraph/internal/kernels"
 	"micgraph/internal/mic"
 	"micgraph/internal/perfmodel"
@@ -66,11 +67,7 @@ func SuiteNames() []string {
 // SuiteGraph generates the named Table I stand-in, shrunk by the linear
 // factor scale (1 = the paper's size).
 func SuiteGraph(name string, scale int) (*Graph, error) {
-	cfg, err := gen.SuiteConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	return gen.Mesh(gen.Scaled(cfg, scale))
+	return graphio.Load("", name, scale, nil)
 }
 
 // Run runs one entry of the kernels table on g with the given number of

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"micgraph/internal/gen"
 	"micgraph/internal/graphio"
 )
 
@@ -47,19 +46,12 @@ func newFilePool(t tb, dir string) *filePool {
 	t.Helper()
 	p := &filePool{t: t, dir: dir, vers: make([]int, len(poolFiles))}
 	for i, pf := range poolFiles {
-		cfg, err := gen.SuiteConfig(pf.suite)
-		if err != nil {
-			t.Fatalf("file pool: %v", err)
-		}
-		g, err := gen.Mesh(gen.Scaled(cfg, pf.scale))
+		g, err := graphio.Load("", pf.suite, pf.scale, nil)
 		if err != nil {
 			t.Fatalf("file pool: generating %s: %v", pf.suite, err)
 		}
-		format, err := graphio.ParseFormat(pf.ext)
-		if err != nil {
-			t.Fatalf("file pool: %v", err)
-		}
-		if err := graphio.WriteFile(p.path(i, 0), g, format, nil); err != nil {
+		path := p.path(i, 0)
+		if err := graphio.WriteFile(path, g, graphio.DetectFormat(path), nil); err != nil {
 			t.Fatalf("file pool: writing %s: %v", poolFileName(i, 0), err)
 		}
 	}
