@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"context"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -20,28 +21,28 @@ import (
 // scan breaks at the first frontier neighbor) than to expand every
 // frontier edge. A bottom-up level costs a sweep of the whole vertex set,
 // so the switch sizes the frontier against the whole graph (as GBBS does):
-// bottom-up only while the frontier's arcs are at least NumArcs/beta, and
-// entered when, on top of that, a growing frontier's arcs exceed the
-// unexplored arcs divided by alpha (Beamer's test). High-diameter meshes
-// never have so wide a frontier and stay top-down throughout.
+// bottom-up only while the frontier's arcs m_f are at least NumArcs/beta.
+//
+// Bottom-up is entered by a growing frontier whose level it prices as
+// cheaper, from counts the loop keeps anyway (frontier sizes, m_f, the
+// unexplored arcs m_u). A bottom-up level scans every arc of an unvisited
+// vertex that finds no parent, and about g·m_f arcs for those that do,
+// where g = |F|/|F_prev| is the frontier's growth; it beats top-down's m_f
+// only when m_f·(1+g) > m_u — Beamer's test with α = 1+g (the source
+// level, with no frontier before it, counts as unbounded growth). A
+// scale-free graph's wide middle levels grow by factors of tens to
+// thousands and go bottom-up; a mesh's shell grows by a few percent a
+// level and stays top-down.
 //
 // Instrumented runs record one PhaseSample per level, under a direction rule
 // with the direction in the phase name ("level-td" / "level-bu"), so the
 // crossover is readable directly from the Recorder stream (see
 // EXPERIMENTS.md).
 
-// HybridConfig tunes the direction switch; zero values select the
-// published defaults (alpha 14, beta 24). Larger is more eager for both.
+// HybridConfig tunes the direction switch; the zero Beta selects the
+// default 24. Larger is more eager.
 type HybridConfig struct {
-	Alpha int // enter bottom-up when frontier arcs > unexplored arcs / Alpha
-	Beta  int // bottom-up only while frontier arcs >= NumArcs / Beta
-}
-
-func (c HybridConfig) alpha() int64 {
-	if c.Alpha <= 0 {
-		return 14
-	}
-	return int64(c.Alpha)
+	Beta int // bottom-up only while frontier arcs >= NumArcs / Beta
 }
 
 func (c HybridConfig) beta() int64 {
@@ -49,6 +50,15 @@ func (c HybridConfig) beta() int64 {
 		return 24
 	}
 	return int64(c.Beta)
+}
+
+// productLess reports a·b < c·d for non-negative a, b, c, d. The switch
+// multiplies arc counts by vertex counts, which can pass 2⁶³ on a graph
+// with a billion vertices, so the products are taken in 128 bits.
+func productLess(a, b, c, d int64) bool {
+	hi1, lo1 := bits.Mul64(uint64(a), uint64(b))
+	hi2, lo2 := bits.Mul64(uint64(c), uint64(d))
+	return hi1 < hi2 || hi1 == hi2 && lo1 < lo2
 }
 
 // HybridResult extends Result with direction statistics.
@@ -178,13 +188,15 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 		if dir != nil {
 			// The switch (see the top of the file): stay bottom-up while the
 			// frontier is wide, enter it when a wide, *growing* frontier also
-			// passes Beamer's test. The frontier's arc count was accumulated
-			// by the workers while claiming, so no rescan happens here.
+			// prices it cheaper. The frontier's arc count was accumulated by
+			// the workers while claiming, so no rescan happens here.
 			unexplored -= curEdges
 			growing := len(cur) > prevFrontier
-			prevFrontier = len(cur)
 			wide := curEdges >= numArcs/dir.beta()
-			bottomUp = wide && (bottomUp || growing && curEdges > unexplored/dir.alpha())
+			prev := int64(prevFrontier)
+			bottomUp = wide && (bottomUp ||
+				growing && productLess(unexplored, prev, curEdges, int64(len(cur))+prev))
+			prevFrontier = len(cur)
 			if bottomUp {
 				res.BottomUpLevels++
 				phase = "level-bu"

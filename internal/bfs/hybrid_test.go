@@ -2,6 +2,8 @@ package bfs
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,20 +66,24 @@ func TestHybridStaysTopDownOnChain(t *testing.T) {
 	}
 }
 
+// suiteMesh generates the suite stand-in name shrunk by scale.
+func suiteMesh(t *testing.T, name string, scale int) *graph.Graph {
+	t.Helper()
+	g, err := gen.Mesh(gen.Scaled(mustCfg(t, name), scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestHybridDirectionDecisions pins what the default switch decides on the
-// two graph families: a high-diameter mesh never has a frontier carrying
-// 1/beta of the arcs, so it must stay top-down throughout; a scale-free
-// graph goes bottom-up on its wide middle levels and must come back for
-// the thin tail, where a whole-vertex sweep finds almost nothing.
+// two graph families. A mesh's frontier is a thin shell that grows by a few
+// percent a level, so a bottom-up sweep would scan almost every unvisited
+// arc without a hit: the meshes stay top-down but for at most one level, from
+// each of the four quarter sources bench's workloads draw around. A
+// scale-free graph goes bottom-up on its wide middle levels and must come
+// back for the thin tail, where a whole-vertex sweep finds almost nothing.
 func TestHybridDirectionDecisions(t *testing.T) {
-	pwtk, err := gen.SuiteConfig("pwtk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := gen.Mesh(gen.Scaled(pwtk, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rmat := gen.RMAT(14, 16, 0.57, 0.19, 0.19, 1).Shuffled(2)
 	hub := int32(0) // the largest hub is certainly in the giant component
 	for v := int32(1); int(v) < rmat.NumVertices(); v++ {
@@ -88,15 +94,24 @@ func TestHybridDirectionDecisions(t *testing.T) {
 	// A neighbour of the hub: the BFS starts thin, as from a typical vertex.
 	rmatSource := rmat.Adj(hub)[0]
 
-	cases := []struct {
+	type decision struct {
 		name        string
 		g           *graph.Graph
 		source      int32
 		minBottomUp int
 		maxBottomUp int
-	}{
-		{"mesh-pwtk@4", mesh, int32(mesh.NumVertices() / 2), 0, 0},
+	}
+	pwtk4 := suiteMesh(t, "pwtk", 4)
+	cases := []decision{
+		{"mesh-pwtk@4", pwtk4, int32(pwtk4.NumVertices() / 2), 0, 0},
 		{"rmat-14-shuffled", rmat, rmatSource, 1, 2}, // the two wide levels of five
+	}
+	for _, name := range []string{"hood", "pwtk"} {
+		g := suiteMesh(t, name, 8)
+		for q := 1; q < 8; q += 2 {
+			src := int32(q * g.NumVertices() / 8)
+			cases = append(cases, decision{fmt.Sprintf("mesh-%s@8-from-%d", name, src), g, src, 0, 1})
+		}
 	}
 	team := sched.NewTeam(4)
 	defer team.Close()
@@ -214,12 +229,36 @@ func TestHybridProperty(t *testing.T) {
 }
 
 func TestHybridConfigDefaults(t *testing.T) {
-	var c HybridConfig
-	if c.alpha() != 14 || c.beta() != 24 {
-		t.Errorf("defaults = %d, %d; want 14, 24", c.alpha(), c.beta())
+	if b := (HybridConfig{}).beta(); b != 24 {
+		t.Errorf("default beta = %d, want 24", b)
 	}
-	c = HybridConfig{Alpha: 2, Beta: 3}
-	if c.alpha() != 2 || c.beta() != 3 {
-		t.Error("explicit config ignored")
+	if b := (HybridConfig{Beta: 3}).beta(); b != 3 {
+		t.Errorf("explicit beta 3 read as %d", b)
+	}
+}
+
+// TestProductLess checks the switch's comparison where an int64 product
+// would wrap: a frontier of a Graph500 scale-30 graph (2³⁰ vertices,
+// 3.4·10¹⁰ arcs), whose arcs times the frontier sizes pass 2⁶³.
+func TestProductLess(t *testing.T) {
+	const maxI = math.MaxInt64
+	for _, tc := range []struct {
+		a, b, c, d int64
+		want       bool
+	}{
+		{2, 3, 1, 7, true},
+		{2, 3, 3, 2, false},
+		{0, maxI, 1, 1, true},
+		{maxI, 2, maxI, 3, true},
+		{maxI, 3, maxI, 2, false},
+		{maxI, maxI, maxI, maxI, false},
+		{30_000_000_000, 400_000_000, 8_000_000_000, 1_000_000_000, false},
+		{8_000_000_000, 1_000_000_000, 30_000_000_000, 400_000_000, true},
+		{3_037_000_500, 3_037_000_500, 3_037_000_499, 3_037_000_501, false},
+		{3_037_000_500, 3_037_000_500, 3_037_000_499, 3_037_000_499, false},
+	} {
+		if got := productLess(tc.a, tc.b, tc.c, tc.d); got != tc.want {
+			t.Errorf("productLess(%d, %d, %d, %d) = %v, want %v", tc.a, tc.b, tc.c, tc.d, got, tc.want)
+		}
 	}
 }

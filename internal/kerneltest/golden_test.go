@@ -25,9 +25,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden digests under 
 // components rounds, the irregular checksum — are a pure function of the
 // kernel code: a refactor of the round or level loops must leave the
 // digests alone, and a change to one kind's kernels moves that kind's only.
-// bfs, coloring and irregular recorded at commit 22b255f, components at the
+// coloring and irregular recorded at commit 22b255f, components at the
 // commit that put a compress sweep between label propagation's rounds (the
-// one line it moved: er-200-220's labelprop rounds, 4 → 3).
+// one line it moved: er-200-220's labelprop rounds, 4 → 3), bfs at the
+// commit that gave hybrid its priced direction rule (only hybrid's
+// td_levels/bu_levels moved).
 func TestResultLinesGolden(t *testing.T) {
 	rt := kernels.NewRuntime(1)
 	defer rt.Close()

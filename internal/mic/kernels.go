@@ -232,10 +232,11 @@ const (
 // published Beamer rule: flip to bottom-up when the frontier's out-edges
 // exceed 1/α of the unexplored edges, flip back when the frontier shrinks
 // under |V|/β vertices. The real kernel (bfs.Hybrid) deliberately no longer
-// decides this way: since its arc-count rule it sizes both edges of the
-// switch against the whole graph's arcs. The simulator keeps the published
-// rule because it models the cited algorithm and abl-direction and the
-// golden figures are computed from it; see DESIGN.md §2.
+// decides this way: it sizes the frontier against the whole graph's arcs,
+// and prices each bottom-up level with α = 1 + the frontier's growth. The
+// simulator keeps the published rule because it models the cited
+// algorithm and abl-direction and the golden figures are computed from it;
+// see DESIGN.md §2.
 const (
 	HybridAlpha = 14
 	HybridBeta  = 24
