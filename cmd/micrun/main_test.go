@@ -178,24 +178,35 @@ func TestMetricsOut(t *testing.T) {
 // each table entry prints, on the written file, the line it prints on the
 // generated graph.
 func TestOutRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for _, ext := range []string{".mtx", ".bin", ".el"} {
-		path := filepath.Join(dir, "hood"+ext)
-		if code, _, stderr := micrun(onHood("-out", path)...); code != 0 {
+	// samePrints writes the graph src names to path with -out, then checks
+	// that every table entry prints the same result line on path as on src.
+	samePrints := func(src []string, path string) {
+		t.Helper()
+		if code, _, stderr := micrun(append(src, "-out", path)...); code != 0 {
 			t.Fatalf("-out %s: exit %d, stderr: %s", path, code, stderr)
 		}
 		for _, e := range kernels.Table() {
-			entry := []string{"-kind", e.Kind, "-variant", e.Variant}
-			_, want, _ := micrun(onHood(entry...)...)
-			code, got, stderr := micrun(append([]string{"-file", path, "-workers", "1"}, entry...)...)
+			entry := []string{"-workers", "1", "-kind", e.Kind, "-variant", e.Variant}
+			_, want, _ := micrun(append(src, entry...)...)
+			code, got, stderr := micrun(append([]string{"-file", path}, entry...)...)
 			if code != 0 {
-				t.Fatalf("%s %s/%s: exit %d, stderr: %s", ext, e.Kind, e.Variant, code, stderr)
+				t.Fatalf("%s %s/%s: exit %d, stderr: %s", path, e.Kind, e.Variant, code, stderr)
 			}
 			if got, want := resultLine(got), resultLine(want); got != want {
-				t.Errorf("%s %s/%s: the written file prints\n  %s\nwant\n  %s", ext, e.Kind, e.Variant, got, want)
+				t.Errorf("%s %s/%s: the written file prints\n  %s\nwant\n  %s", path, e.Kind, e.Variant, got, want)
 			}
 		}
 	}
+	dir := t.TempDir()
+	for _, ext := range []string{".mtx", ".bin", ".el"} {
+		samePrints([]string{"-graph", "hood", "-scale", "32"}, filepath.Join(dir, "hood"+ext))
+	}
+	// Six rows, the last three isolated: the edge list must keep them.
+	mtx := filepath.Join(dir, "t.mtx")
+	if err := os.WriteFile(mtx, []byte("%%MatrixMarket matrix coordinate pattern symmetric\n6 6 2\n2 1\n3 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	samePrints([]string{"-file", mtx}, filepath.Join(dir, "t.el"))
 
 	// A write that cannot happen stops the run before it starts.
 	missing := t.TempDir()

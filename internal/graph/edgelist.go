@@ -10,8 +10,10 @@ import (
 
 // Plain edge-list I/O: the whitespace-separated "u v" per line format used
 // by SNAP datasets, Graph 500 generators, and most ad-hoc tooling. Vertex
-// ids are 0-based. Lines starting with '#' or '%' are comments. The vertex
-// count is max id + 1 unless a larger count is given.
+// ids are 0-based. Lines starting with '#' or '%' are comments. A first line
+// "# N vertices, M edges", as WriteEdgeList writes, declares the vertex
+// count, so isolated vertices survive a round trip; without one the count is
+// max id + 1.
 
 // WriteEdgeList writes each undirected edge once ("u v" with u < v),
 // preceded by a comment with the graph dimensions.
@@ -38,20 +40,26 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses an edge list. minVertices pads the vertex count (0 to
-// infer it from the maximum id seen). Self loops and duplicates are
-// discarded as usual.
-func ReadEdgeList(r io.Reader, minVertices int) (*Graph, error) {
+// ReadEdgeList parses an edge list. A declared vertex count below max id + 1
+// or beyond int32 ids is an error. Self loops and duplicates are discarded as
+// usual.
+func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
 	var us, vs []int32
 	maxID := int32(-1)
+	declared, hasHeader := 0, false
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line[0] == '#' || line[0] == '%' {
+			if lineNo == 1 {
+				var edges int
+				_, err := fmt.Sscanf(line, "# %d vertices, %d edges", &declared, &edges)
+				hasHeader = err == nil
+			}
 			continue
 		}
 		fields := strings.Fields(line)
@@ -82,8 +90,11 @@ func ReadEdgeList(r io.Reader, minVertices int) (*Graph, error) {
 		return nil, fmt.Errorf("edgelist: %w", err)
 	}
 	n := int(maxID) + 1
-	if minVertices > n {
-		n = minVertices
+	if hasHeader {
+		if declared < n || declared > maxN {
+			return nil, fmt.Errorf("edgelist: header declares %d vertices, want %d to %d", declared, n, maxN)
+		}
+		n = declared
 	}
 	b := NewBuilder(n)
 	b.Grow(len(us))

@@ -165,7 +165,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		if err := WriteEdgeList(&buf, g); err != nil {
 			return false
 		}
-		h, err := ReadEdgeList(&buf, n) // pad to n for trailing isolated vertices
+		h, err := ReadEdgeList(&buf) // the header keeps trailing isolated vertices
 		if err != nil {
 			return false
 		}
@@ -178,7 +178,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListComments(t *testing.T) {
 	in := "# comment\n% also comment\n0 1\n\n1 2 extra-ignored\n"
-	g, err := ReadEdgeList(strings.NewReader(in), 0)
+	g, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +194,37 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"negative":   "-1 2\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in), 0); err == nil {
+		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("case %q: error expected", name)
 		}
 	}
 }
 
-func TestReadEdgeListMinVertices(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n"), 10)
-	if err != nil {
-		t.Fatal(err)
+// TestReadEdgeListHeader: a first line "# N vertices, M edges" sets the
+// vertex count, within [max id + 1, int32 ids]; anywhere else it is a comment.
+func TestReadEdgeListHeader(t *testing.T) {
+	for in, want := range map[string]int{
+		"# 10 vertices, 1 edges\n0 1\n": 10,
+		"# 2 vertices, 1 edges\n0 1\n":  2,
+		"# 0 vertices, 0 edges\n":       0,
+		"0 1\n# 10 vertices, 1 edges\n": 2,
+		"# 10 nodes\n0 1\n":             2,
+	} {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			t.Errorf("%q: %v", in, err)
+		} else if g.NumVertices() != want {
+			t.Errorf("%q: V = %d, want %d", in, g.NumVertices(), want)
+		}
 	}
-	if g.NumVertices() != 10 {
-		t.Errorf("V = %d, want padded 10", g.NumVertices())
+	for _, in := range []string{
+		"# 2 vertices, 1 edges\n0 5\n",
+		"# -1 vertices, 0 edges\n",
+		"# 2147483648 vertices, 0 edges\n",
+	} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: error expected", in)
+		}
 	}
 }
 

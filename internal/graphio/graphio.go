@@ -63,7 +63,7 @@ func Read(r io.Reader, f Format, in *fault.Injector) (*graph.Graph, error) {
 	case Binary:
 		return graph.ReadBinary(r)
 	case EdgeList:
-		return graph.ReadEdgeList(r, 0)
+		return graph.ReadEdgeList(r)
 	default:
 		return graph.ReadMatrixMarket(r)
 	}

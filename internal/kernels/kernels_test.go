@@ -127,21 +127,37 @@ func TestVariantNamesSpelledOnlyHere(t *testing.T) {
 
 // TestRuntimeGoroutineBudget pins what a Runtime of w workers costs its host:
 // the team and the pool each start w − 1 helpers, their callers being worker
-// 0, and Close takes every one of them back.
+// 0, and Close takes every one of them back. It counts crew helpers by their
+// stacks, so a goroutine of someone else's that starts or ends meanwhile does
+// not move the count.
 func TestRuntimeGoroutineBudget(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
-		before := runtime.NumGoroutine()
+		before := crewHelpers()
 		rt := NewRuntime(w)
-		if got := runtime.NumGoroutine() - before; got != 2*(w-1) {
-			t.Errorf("NewRuntime(%d) started %d goroutines, want %d", w, got, 2*(w-1))
+		if got := crewHelpers() - before; got != 2*(w-1) {
+			t.Errorf("NewRuntime(%d) started %d helpers, want %d", w, got, 2*(w-1))
 		}
 		rt.Close()
 		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		for crewHelpers() > before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if got := runtime.NumGoroutine(); got != before {
-			t.Errorf("after NewRuntime(%d).Close: %d goroutines, %d before", w, got, before)
+		if got := crewHelpers() - before; got != 0 {
+			t.Errorf("after NewRuntime(%d).Close: %d helpers left", w, got)
 		}
+	}
+}
+
+// crewHelpers counts the live goroutines sched's newCrew started, each a
+// crew's helper. It reads the "created by" line of their stacks: a helper
+// not yet scheduled has no (*crew).help frame to show.
+func crewHelpers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by micgraph/internal/sched.newCrew")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
