@@ -1,7 +1,8 @@
 // micload is the trace-driven load generator for micserved: it synthesizes
 // a deterministic, seeded request trace over phased arrival processes
-// (steady / rps-sweep / burst / diurnal) and a weighted kernel/sweep/export
-// job mix, replays it open-loop against a live daemon through a bounded
+// (steady / rps-sweep / burst) and a weighted kernel/sweep/export job mix,
+// replays it open-loop against one live daemon, or round-robin across
+// several cluster entry nodes (-addr url1,url2,...), through a bounded
 // client pool, and writes a per-phase SLO report that merges the client's
 // observed latencies with the server's span attribution.
 //
@@ -33,12 +34,11 @@ func fail(err error) {
 
 func main() {
 	var (
-		addr       = flag.String("addr", "http://127.0.0.1:8377", "base URL of the micserved daemon")
-		targets    = flag.String("targets", "", "comma-separated cluster entry URLs; the trace is spread round-robin across them (overrides -addr)")
+		addr       = flag.String("addr", "http://127.0.0.1:8377", "base URL of the micserved daemon, or comma-separated cluster entry URLs the trace is spread round-robin across")
 		seed       = flag.Uint64("seed", 1, "trace synthesizer seed (same seed, same phases -> byte-identical trace)")
 		phasesSpec = flag.String("phases",
 			"steady,dur=10s,rps=25;sweep,dur=12s,rps=10,end=40;burst,dur=10s,rps=15,mult=8,at=0.5,width=0.2",
-			"phase DSL: kind,key=value,... joined by ';' (kinds: steady, sweep, burst, diurnal)")
+			"phase DSL: kind,key=value,... joined by ';' (kinds: steady, sweep, burst)")
 		mixSpec   = flag.String("mix", "kernel=0.85,sweep=0.05,export=0.1", "job mix weights")
 		clients   = flag.Int("clients", 64, "bounded client pool; arrivals beyond it are shed (dropped)")
 		exportDir = flag.String("export-dir", os.TempDir(), "directory export jobs write into (on the daemon host)")
@@ -84,18 +84,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	var targetList []string
-	if *targets != "" {
-		for _, t := range strings.Split(*targets, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				targetList = append(targetList, t)
-			}
+	var targets []string
+	for _, t := range strings.Split(*addr, ",") {
+		if t = strings.TrimSpace(t); t != "" {
+			targets = append(targets, t)
 		}
 	}
 
 	rep, err := load.Replay(ctx, load.Config{
-		BaseURL: *addr,
-		Targets: targetList,
+		Targets: targets,
 		Clients: *clients,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "micload: "+format+"\n", args...)

@@ -13,7 +13,7 @@ import (
 // passed as an argument, stored in a field/slice/map, or sent on a
 // channel). It also flags time.After inside a loop, which allocates a
 // timer per iteration that cannot be collected until it fires — the exact
-// leak shape of a poll loop under a long PollInterval.
+// leak shape of a poll loop under a long poll interval.
 var Resclose = &Analyzer{
 	Name: "resclose",
 	Doc: "http.Response bodies, net.Listeners, tickers/timers, and telemetry JSONL writers must reach " +

@@ -22,7 +22,7 @@ func mustPhases(t *testing.T, s string) []PhaseSpec {
 }
 
 func TestParsePhases(t *testing.T) {
-	p := mustPhases(t, "steady,dur=10s,rps=25;sweep,dur=12s,rps=10,end=40;burst,dur=10s,rps=15,mult=8,at=0.5,width=0.2;diurnal,dur=20s,rps=5,name=night")
+	p := mustPhases(t, "steady,dur=10s,rps=25;sweep,dur=12s,rps=10,end=40;burst,dur=10s,rps=15,mult=8,at=0.5,width=0.2;steady,dur=20s,rps=5,name=night")
 	if len(p) != 4 {
 		t.Fatalf("got %d phases", len(p))
 	}
@@ -41,10 +41,31 @@ func TestParsePhases(t *testing.T) {
 	for _, bad := range []string{
 		"", "warp,dur=1s,rps=5", "steady,dur=1s", "steady,rps=5",
 		"steady,dur=1s,rps=5,wat=7", "sweep,dur=1s,rps=5", "burst,dur=1s,rps=5,width=0",
+		"diurnal,dur=1s,rps=5",
+		// Non-finite fields, and phases over the arrival limit: each of
+		// these once left Synthesize running forever.
+		"steady,dur=1s,rps=NaN", "steady,dur=1s,rps=Inf", "sweep,dur=1s,rps=1,end=NaN",
+		"burst,dur=1s,rps=1,mult=Inf", "burst,dur=1s,rps=1,at=NaN", "burst,dur=1s,rps=1,width=Inf",
+		"steady,dur=1s,rps=1e12", "sweep,dur=1s,rps=1,end=2e6", "burst,dur=1000s,rps=500,mult=4",
 	} {
 		if _, err := ParsePhases(bad); err == nil {
 			t.Errorf("ParsePhases(%q) accepted", bad)
 		}
+	}
+}
+
+// TestSynthesizeLowRate checks that a mean gap far beyond the phase ends
+// the phase: it once overflowed Duration and scheduled requests at
+// negative offsets.
+func TestSynthesizeLowRate(t *testing.T) {
+	tr := Synthesize(1, mustPhases(t, "steady,dur=1s,rps=1e-12;steady,dur=1s,rps=1e4"), Mix{Kernel: 1}, "")
+	for _, r := range tr.Requests {
+		if r.Phase == 0 || r.OffsetNS < time.Second || r.OffsetNS >= tr.Duration() {
+			t.Fatalf("request %d in phase %d at %v, want phase 1 within [1s, 2s)", r.Index, r.Phase, r.OffsetNS)
+		}
+	}
+	if n := len(tr.Requests); n < 9000 || n > 11000 {
+		t.Errorf("second phase drew %d requests, want about 1e4", n)
 	}
 }
 
@@ -136,7 +157,10 @@ func TestParseMixAndSLOs(t *testing.T) {
 	if err != nil || m.Kernel != 0.8 || m.Sweep != 0.15 || m.Export != 0.05 {
 		t.Fatalf("mix = %+v, err %v", m, err)
 	}
-	for _, bad := range []string{"kernel", "blob=1", "kernel=-1", "kernel=0,sweep=0,export=0"} {
+	for _, bad := range []string{
+		"kernel", "blob=1", "kernel=-1", "kernel=0,sweep=0,export=0",
+		"kernel=NaN", "kernel=1,export=Inf", "sweep=-Inf",
+	} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) accepted", bad)
 		}
@@ -218,13 +242,7 @@ func TestReplayIntegration(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 
-	rep, err := Replay(context.Background(), Config{
-		BaseURL:        ts.URL,
-		Clients:        8,
-		PollInterval:   5 * time.Millisecond,
-		SampleInterval: 20 * time.Millisecond,
-		Grace:          30 * time.Second,
-	}, trace)
+	rep, err := Replay(context.Background(), Config{Targets: []string{ts.URL}, Clients: 8}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,5 +314,52 @@ func TestReplayIntegration(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"queue_wait"`)) {
 		t.Error("JSON report missing server span histograms")
+	}
+}
+
+// TestReplayMultiTarget spreads one trace over two daemons and checks the
+// final scrape's per-target accounting: both targets are keyed, both
+// admitted jobs, their totals sum to the report's, and the sum conserves.
+func TestReplayMultiTarget(t *testing.T) {
+	var urls []string
+	for range 2 {
+		s := serve.New(serve.Config{Workers: 2, KernelWorkers: 1, QueueDepth: 8})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		defer s.Drain(context.Background())
+		urls = append(urls, ts.URL)
+	}
+
+	trace := Synthesize(7, mustPhases(t, "steady,dur=300ms,rps=60"), Mix{Kernel: 1}, t.TempDir())
+	if len(trace.Requests) < 4 {
+		t.Fatalf("trace of %d requests cannot reach both targets", len(trace.Requests))
+	}
+	rep, err := Replay(context.Background(), Config{Targets: urls, Clients: 8}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Conserved(); err != nil {
+		t.Error(err)
+	}
+	per := rep.Server.PerTarget
+	if len(per) != 2 {
+		t.Fatalf("per_target = %+v, want both targets", per)
+	}
+	var sum serve.JobTotals
+	for _, u := range urls {
+		tot, ok := per[u]
+		if !ok {
+			t.Fatalf("per_target has no entry for %s: %+v", u, per)
+		}
+		if tot.Accepted == 0 {
+			t.Errorf("target %s admitted no job: %+v", u, tot)
+		}
+		sum.Add(tot)
+	}
+	if sum != rep.Server.JobsTotal {
+		t.Errorf("per_target sums to %+v, jobs_total is %+v", sum, rep.Server.JobsTotal)
+	}
+	if len(rep.Server.Unreachable) != 0 {
+		t.Errorf("unreachable = %v", rep.Server.Unreachable)
 	}
 }

@@ -16,14 +16,12 @@ import (
 
 // Config wires a replay run. Zero values take the documented defaults.
 type Config struct {
-	// BaseURL is the daemon under load, e.g. "http://127.0.0.1:8377".
-	BaseURL string
-	// Targets, when set, spreads the trace across several endpoints —
-	// cluster entry nodes — round-robin by request index: request i submits
-	// to (and polls) Targets[i % len(Targets)]. Empty means [BaseURL]. The
-	// replayer's accounting scrapes every target's local /metricsz and sums
-	// the lifetime totals, which preserves the conservation check because
-	// each shard's totals satisfy the law independently.
+	// Targets are the daemons under load, e.g. "http://127.0.0.1:8377".
+	// Several (cluster entry nodes) share the trace round-robin by request
+	// index: request i submits to (and polls) Targets[i % len(Targets)].
+	// The replayer's accounting scrapes every target's local /metricsz and
+	// sums the lifetime totals, which preserves the conservation check
+	// because each shard's totals satisfy the law independently.
 	Targets []string
 	// Clients bounds concurrent in-flight requests (default 64). The
 	// replayer is open-loop: arrivals fire on the trace schedule no matter
@@ -31,56 +29,36 @@ type Config struct {
 	// is shed and counted as dropped rather than queued client-side —
 	// queueing belongs to the daemon, where it is measured.
 	Clients int
-	// PollInterval is the job-status poll cadence (default 25ms).
-	PollInterval time.Duration
-	// Grace bounds how long after the last scheduled arrival the replayer
-	// waits for still-running jobs before abandoning them (default 30s).
-	Grace time.Duration
-	// SampleInterval is the /metricsz gauge sampling cadence (default 250ms).
-	SampleInterval time.Duration
 	// Clock is the replayer's time source (default telemetry.System). Every
 	// client-side latency is measured on it.
 	Clock telemetry.Clock
 	// Sleep pauses the dispatch loop (default time.Sleep); injectable so
 	// tests can compress the schedule.
 	Sleep func(time.Duration)
-	// HTTP is the transport (default: a client with no overall timeout —
-	// per-request bounds come from polling and Grace).
-	HTTP *http.Client
 	// Logf, when set, receives coarse progress lines (phase transitions).
 	Logf func(format string, args ...any)
 }
 
+const (
+	// pollInterval is the job-status poll cadence.
+	pollInterval = 25 * time.Millisecond
+	// grace bounds how long after the last scheduled arrival the replayer
+	// waits for still-running jobs before abandoning them.
+	grace = 30 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if len(c.Targets) == 0 {
-		c.Targets = []string{c.BaseURL}
-	}
 	for i, t := range c.Targets {
 		c.Targets[i] = strings.TrimRight(t, "/")
 	}
-	if c.BaseURL == "" {
-		c.BaseURL = c.Targets[0]
-	}
 	if c.Clients <= 0 {
 		c.Clients = 64
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
-	}
-	if c.Grace <= 0 {
-		c.Grace = 30 * time.Second
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 250 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = telemetry.System
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -100,7 +78,6 @@ type phaseAcc struct {
 	latency                             *telemetry.Histogram // scheduled arrival -> terminal
 	service                             *telemetry.Histogram // request sent -> terminal
 	server                              map[string]*telemetry.Histogram
-	queueDepth, running                 []int64
 	shards                              map[string]int64 // terminal jobs by serving shard
 }
 
@@ -129,22 +106,10 @@ func (a *phaseAcc) observeSpans(sp serve.Spans) {
 	a.server["total"].ObserveNS(sp.TotalNS)
 }
 
-const maxGaugeSamples = 2000
-
-func (a *phaseAcc) sample(queueDepth, running int64) {
-	a.mu.Lock()
-	if len(a.queueDepth) < maxGaugeSamples {
-		a.queueDepth = append(a.queueDepth, queueDepth)
-		a.running = append(a.running, running)
-	}
-	a.mu.Unlock()
-}
-
 // replayer is one run's shared state.
 type replayer struct {
 	cfg   Config
 	trace *Trace
-	start time.Time
 	accs  []*phaseAcc
 	sem   chan struct{}
 	wg    sync.WaitGroup
@@ -154,6 +119,9 @@ type replayer struct {
 // The context aborts the whole run (in-flight pollers included).
 func Replay(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 	cfg = cfg.withDefaults()
+	if len(cfg.Targets) == 0 {
+		return nil, fmt.Errorf("load: no target to replay against")
+	}
 	r := &replayer{
 		cfg:   cfg,
 		trace: trace,
@@ -167,11 +135,7 @@ func Replay(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 		return nil, fmt.Errorf("load: daemon not reachable before replay: %w", err)
 	}
 
-	r.start = cfg.Clock.Now()
-	sampCtx, stopSampler := context.WithCancel(ctx)
-	defer stopSampler()
-	go r.sampleGauges(sampCtx)
-
+	start := cfg.Clock.Now()
 	pollCtx, pollCancel := context.WithCancel(ctx)
 	defer pollCancel()
 
@@ -186,7 +150,7 @@ func Replay(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 			p := trace.Phases[phase]
 			cfg.Logf("phase %s (%s): %.0f rps for %s", p.Name, p.Kind, p.RPS, p.Duration)
 		}
-		target := r.start.Add(req.OffsetNS)
+		target := start.Add(req.OffsetNS)
 		if d := target.Sub(cfg.Clock.Now()); d > 0 {
 			cfg.Sleep(d)
 		}
@@ -213,7 +177,7 @@ func Replay(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 		}()
 	}
 
-	// Bounded tail: give still-running jobs Grace to reach a terminal
+	// Bounded tail: give still-running jobs grace to reach a terminal
 	// status, then abandon the waits (the daemon keeps running them; the
 	// conservation check in CI still accounts for every accepted job).
 	finished := make(chan struct{})
@@ -223,14 +187,13 @@ func Replay(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 	}()
 	select {
 	case <-finished:
-	case <-time.After(cfg.Grace):
+	case <-time.After(grace):
 		pollCancel()
 		<-finished
 	case <-ctx.Done():
 		pollCancel()
 		<-finished
 	}
-	stopSampler()
 
 	final, err := r.scrape(context.WithoutCancel(ctx), false)
 	if err != nil {
@@ -259,7 +222,7 @@ func (r *replayer) run(ctx context.Context, base string, req *Request, target ti
 		return
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := r.cfg.HTTP.Do(httpReq)
+	resp, err := http.DefaultClient.Do(httpReq)
 	if err != nil {
 		r.bump(&acc.errs, acc)
 		return
@@ -315,7 +278,7 @@ func (r *replayer) bump(field *int64, acc *phaseAcc) {
 // await polls the job (via the same base it was submitted through) until
 // it reaches a terminal status or ctx ends.
 func (r *replayer) await(ctx context.Context, base, id string) (serve.JobView, error) {
-	poll := time.NewTicker(r.cfg.PollInterval)
+	poll := time.NewTicker(pollInterval)
 	defer poll.Stop()
 	for {
 		select {
@@ -327,7 +290,7 @@ func (r *replayer) await(ctx context.Context, base, id string) (serve.JobView, e
 		if err != nil {
 			return serve.JobView{}, err
 		}
-		resp, err := r.cfg.HTTP.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return serve.JobView{}, err
 		}
@@ -348,8 +311,6 @@ func (r *replayer) await(ctx context.Context, base, id string) (serve.JobView, e
 // across every target when the trace is spread over several.
 type metricsSnap struct {
 	JobsTotal serve.JobTotals                        `json:"jobs_total"`
-	Queue     serve.QueueStats                       `json:"queue"`
-	Gauges    map[string]int64                       `json:"gauges"`
 	Latency   map[string]telemetry.HistogramSnapshot `json:"latency"`
 
 	perTarget   map[string]serve.JobTotals
@@ -358,15 +319,13 @@ type metricsSnap struct {
 
 // scrape fetches every target's local metrics (?scope=local keeps a
 // cluster node from fanning out — the replayer does its own summation)
-// and merges them: lifetime totals and gauges sum, queue high-water marks
-// take the max. When strict, any unreachable target fails the scrape;
-// otherwise dead targets are recorded and skipped — each reachable
-// shard's totals satisfy the conservation law independently, so the
-// merged totals still do. The latency histogram block is kept only for a
+// and sums their lifetime totals. When strict, any unreachable target
+// fails the scrape; otherwise dead targets are recorded and skipped — each
+// reachable shard's totals satisfy the conservation law independently, so
+// the sum still does. The latency histogram block is kept only for a
 // single-target run (percentiles do not merge honestly).
 func (r *replayer) scrape(ctx context.Context, strict bool) (*metricsSnap, error) {
-	merged := &metricsSnap{Gauges: map[string]int64{}, perTarget: map[string]serve.JobTotals{}}
-	single := len(r.cfg.Targets) == 1
+	merged := &metricsSnap{perTarget: map[string]serve.JobTotals{}}
 	for _, base := range r.cfg.Targets {
 		m, err := r.scrapeOne(ctx, base)
 		if err != nil {
@@ -378,25 +337,7 @@ func (r *replayer) scrape(ctx context.Context, strict bool) (*metricsSnap, error
 		}
 		merged.perTarget[base] = m.JobsTotal
 		merged.JobsTotal.Add(m.JobsTotal)
-		q := &merged.Queue
-		q.Workers += m.Queue.Workers
-		q.Depth += m.Queue.Depth
-		q.Queued += m.Queue.Queued
-		q.Submitted += m.Queue.Submitted
-		q.Rejected += m.Queue.Rejected
-		q.Running += m.Queue.Running
-		q.Completed += m.Queue.Completed
-		q.Draining = q.Draining || m.Queue.Draining
-		if m.Queue.QueuedMax > q.QueuedMax {
-			q.QueuedMax = m.Queue.QueuedMax
-		}
-		if m.Queue.RunningMax > q.RunningMax {
-			q.RunningMax = m.Queue.RunningMax
-		}
-		for k, v := range m.Gauges {
-			merged.Gauges[k] += v
-		}
-		if single {
+		if len(r.cfg.Targets) == 1 {
 			merged.Latency = m.Latency
 		}
 	}
@@ -411,7 +352,7 @@ func (r *replayer) scrapeOne(ctx context.Context, base string) (*metricsSnap, er
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.cfg.HTTP.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -424,41 +365,4 @@ func (r *replayer) scrapeOne(ctx context.Context, base string) (*metricsSnap, er
 		return nil, err
 	}
 	return &m, nil
-}
-
-// sampleGauges records queue depth and in-flight jobs into the phase the
-// sample falls in, at the configured cadence, until ctx ends.
-func (r *replayer) sampleGauges(ctx context.Context) {
-	tick := time.NewTicker(r.cfg.SampleInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		m, err := r.scrape(ctx, false)
-		if err != nil {
-			continue
-		}
-		offset := r.cfg.Clock.Now().Sub(r.start)
-		pi := r.phaseAt(offset)
-		if pi < 0 {
-			continue
-		}
-		r.accs[pi].sample(m.Gauges["queue_depth"], m.Gauges["jobs_running"])
-	}
-}
-
-// phaseAt maps an offset from replay start to a phase index (-1 when past
-// the end of the trace).
-func (r *replayer) phaseAt(offset time.Duration) int {
-	var base time.Duration
-	for i, p := range r.trace.Phases {
-		base += p.Duration
-		if offset < base {
-			return i
-		}
-	}
-	return -1
 }

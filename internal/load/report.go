@@ -11,34 +11,6 @@ import (
 	"micgraph/internal/telemetry"
 )
 
-// GaugeStats summarises one sampled gauge over a phase.
-type GaugeStats struct {
-	Samples int   `json:"samples"`
-	Min     int64 `json:"min"`
-	Max     int64 `json:"max"`
-	Mean    int64 `json:"mean"`
-}
-
-func summarise(samples []int64) GaugeStats {
-	g := GaugeStats{Samples: len(samples)}
-	if len(samples) == 0 {
-		return g
-	}
-	g.Min = samples[0]
-	var sum int64
-	for _, v := range samples {
-		if v < g.Min {
-			g.Min = v
-		}
-		if v > g.Max {
-			g.Max = v
-		}
-		sum += v
-	}
-	g.Mean = sum / int64(len(samples))
-	return g
-}
-
 // ClientLatency pairs the two client-side views of one phase: Latency is
 // measured from each request's *scheduled* arrival (so dispatch backlog
 // counts — no coordinated omission), Service from the moment the request
@@ -51,8 +23,8 @@ type ClientLatency struct {
 // PhaseReport is one phase of a micload report: admission outcome
 // counts and rates, client latency distributions, the server's span
 // attribution (from the status documents of this phase's own jobs, so a
-// job is always counted against the phase that scheduled it), and gauge
-// summaries sampled while the phase ran.
+// job is always counted against the phase that scheduled it — queueing
+// included, through each job's queue_wait span).
 type PhaseReport struct {
 	Name       string  `json:"name"`
 	Kind       string  `json:"kind"`
@@ -74,10 +46,8 @@ type PhaseReport struct {
 	DropRate   float64 `json:"drop_rate"`
 	ErrorRate  float64 `json:"error_rate"`
 
-	Client     ClientLatency                          `json:"client"`
-	Server     map[string]telemetry.HistogramSnapshot `json:"server"`
-	QueueDepth GaugeStats                             `json:"queue_depth"`
-	Running    GaugeStats                             `json:"running"`
+	Client ClientLatency                          `json:"client"`
+	Server map[string]telemetry.HistogramSnapshot `json:"server"`
 	// Shards counts this phase's terminal jobs by the shard that served
 	// them (from each job's status document); present only against a
 	// cluster, where every job carries its serving shard.
@@ -85,13 +55,11 @@ type PhaseReport struct {
 }
 
 // ServerFinal is the daemon's own end-of-run view: lifetime job totals
-// (the conservation law), its aggregate latency histograms and the gauge
-// block, scraped once after the replay settles.
+// (the conservation law) and, against a single target, its aggregate
+// latency histograms, scraped once after the replay settles.
 type ServerFinal struct {
 	JobsTotal serve.JobTotals                        `json:"jobs_total"`
-	Queue     serve.QueueStats                       `json:"queue"`
-	Gauges    map[string]int64                       `json:"gauges"`
-	Latency   map[string]telemetry.HistogramSnapshot `json:"latency"`
+	Latency   map[string]telemetry.HistogramSnapshot `json:"latency,omitempty"`
 	// PerTarget breaks JobsTotal down by target endpoint on multi-target
 	// (cluster) runs; each entry independently satisfies the conservation
 	// law, which is why their sum (JobsTotal) does too.
@@ -105,8 +73,7 @@ type ServerFinal struct {
 type Report struct {
 	Tool            string        `json:"tool"` // "micload"
 	Seed            uint64        `json:"seed"`
-	BaseURL         string        `json:"base_url"`
-	Targets         []string      `json:"targets,omitempty"` // when the trace was spread round-robin
+	Targets         []string      `json:"targets"` // the trace is spread round-robin across them
 	Clients         int           `json:"clients"`
 	TraceDurationNS int64         `json:"trace_duration_ns"`
 	Requests        int           `json:"requests"`
@@ -120,20 +87,17 @@ func (r *replayer) report(final *metricsSnap) *Report {
 	rep := &Report{
 		Tool:            "micload",
 		Seed:            r.trace.Seed,
-		BaseURL:         r.cfg.BaseURL,
+		Targets:         r.cfg.Targets,
 		Clients:         r.cfg.Clients,
 		TraceDurationNS: int64(r.trace.Duration()),
 		Requests:        len(r.trace.Requests),
 		Server: ServerFinal{
 			JobsTotal:   final.JobsTotal,
-			Queue:       final.Queue,
-			Gauges:      final.Gauges,
 			Latency:     final.Latency,
 			Unreachable: final.unreachable,
 		},
 	}
 	if len(r.cfg.Targets) > 1 {
-		rep.Targets = r.cfg.Targets
 		rep.Server.PerTarget = final.perTarget
 	}
 	for i, p := range r.trace.Phases {
@@ -154,8 +118,6 @@ func (r *replayer) report(final *metricsSnap) *Report {
 			Succeeded:  acc.succeeded,
 			Failed:     acc.failed,
 			Cancelled:  acc.cancelled,
-			QueueDepth: summarise(acc.queueDepth),
-			Running:    summarise(acc.running),
 		}
 		if pr.Scheduled > 0 {
 			pr.RejectRate = float64(pr.Rejected) / float64(pr.Scheduled)
@@ -195,21 +157,20 @@ func ms(ns int64) string {
 
 // WriteSummary writes the human-readable per-phase table.
 func (rep *Report) WriteSummary(w io.Writer) {
-	target := rep.BaseURL
+	target := strings.Join(rep.Targets, ", ")
 	if len(rep.Targets) > 1 {
 		target = fmt.Sprintf("%d targets (%s)", len(rep.Targets), strings.Join(rep.Targets, ", "))
 	}
 	fmt.Fprintf(w, "micload: seed %d, %d requests over %s against %s (%d clients)\n",
 		rep.Seed, rep.Requests, time.Duration(rep.TraceDurationNS), target, rep.Clients)
-	fmt.Fprintf(w, "%-10s %6s %6s %5s %5s %5s | %9s %9s %9s | %9s %9s | %5s\n",
+	fmt.Fprintf(w, "%-10s %6s %6s %5s %5s %5s | %9s %9s %9s | %9s %9s\n",
 		"phase", "sched", "ok", "429", "drop", "err",
-		"p50", "p99", "p999", "srv-queue", "srv-exec", "qmax")
+		"p50", "p99", "p999", "srv-queue", "srv-exec")
 	for _, p := range rep.Phases {
-		fmt.Fprintf(w, "%-10s %6d %6d %5d %5d %5d | %9s %9s %9s | %9s %9s | %5d\n",
+		fmt.Fprintf(w, "%-10s %6d %6d %5d %5d %5d | %9s %9s %9s | %9s %9s\n",
 			p.Name, p.Scheduled, p.Succeeded, p.Rejected, p.Dropped, p.Errors+p.Failed,
 			ms(p.Client.Latency.P50NS), ms(p.Client.Latency.P99NS), ms(p.Client.Latency.P999NS),
-			ms(p.Server["queue_wait"].P99NS), ms(p.Server["exec"].P99NS),
-			p.QueueDepth.Max)
+			ms(p.Server["queue_wait"].P99NS), ms(p.Server["exec"].P99NS))
 	}
 	t := rep.Server.JobsTotal
 	fmt.Fprintf(w, "server totals: submitted %d = rejected %d + succeeded %d + failed %d + cancelled %d + in-flight %d\n",

@@ -1,6 +1,6 @@
 // Package load is micload's engine: a deterministic, seeded trace
-// synthesizer over phased arrival processes (steady / rps-sweep / burst /
-// diurnal), an open-loop replayer with a bounded client pool that drives a
+// synthesizer over phased arrival processes (steady / rps-sweep / burst),
+// an open-loop replayer with a bounded client pool that drives a
 // live micserved daemon, and the per-phase SLO report that merges
 // client-observed latencies with the server's span attribution.
 //
@@ -27,11 +27,15 @@ import (
 
 // Phase kinds.
 const (
-	PhaseSteady  = "steady"  // constant RPS
-	PhaseSweep   = "sweep"   // RPS ramps linearly RPS -> EndRPS
-	PhaseBurst   = "burst"   // baseline RPS with a Gaussian burst of Mult x at At
-	PhaseDiurnal = "diurnal" // one sinusoidal day: RPS * (1 + 0.5 sin)
+	PhaseSteady = "steady" // constant RPS
+	PhaseSweep  = "sweep"  // RPS ramps linearly RPS -> EndRPS
+	PhaseBurst  = "burst"  // baseline RPS with a Gaussian burst of Mult x at At
 )
+
+// maxPhaseArrivals bounds one phase's peak rate times its duration, so a
+// typo such as rps=1e12 is refused instead of materialising a trace that
+// never finishes.
+const maxPhaseArrivals = 1e6
 
 // PhaseSpec is one phase of the synthesized workload.
 type PhaseSpec struct {
@@ -62,8 +66,18 @@ func (p PhaseSpec) rateAt(t time.Duration) float64 {
 	case PhaseBurst:
 		z := (frac - p.At) / p.Width
 		return p.RPS * (1 + (p.Mult-1)*math.Exp(-z*z))
-	case PhaseDiurnal:
-		return p.RPS * (1 + 0.5*math.Sin(2*math.Pi*frac))
+	default:
+		return p.RPS
+	}
+}
+
+// peakRate bounds rateAt over the phase.
+func (p PhaseSpec) peakRate() float64 {
+	switch p.Kind {
+	case PhaseSweep:
+		return math.Max(p.RPS, p.EndRPS)
+	case PhaseBurst:
+		return p.RPS * math.Max(1, p.Mult)
 	default:
 		return p.RPS
 	}
@@ -85,9 +99,9 @@ func ParsePhases(s string) ([]PhaseSpec, error) {
 		fields := strings.Split(part, ",")
 		p := PhaseSpec{Kind: strings.TrimSpace(fields[0])}
 		switch p.Kind {
-		case PhaseSteady, PhaseSweep, PhaseBurst, PhaseDiurnal:
+		case PhaseSteady, PhaseSweep, PhaseBurst:
 		default:
-			return nil, fmt.Errorf("load: unknown phase kind %q (want steady, sweep, burst or diurnal)", p.Kind)
+			return nil, fmt.Errorf("load: unknown phase kind %q (want steady, sweep or burst)", p.Kind)
 		}
 		p.Name = p.Kind
 		// Burst defaults: peak in the middle, at 4x, fairly tight.
@@ -122,6 +136,11 @@ func ParsePhases(s string) ([]PhaseSpec, error) {
 				return nil, fmt.Errorf("load: phase field %s: %w", k, err)
 			}
 		}
+		for _, v := range []float64{p.RPS, p.EndRPS, p.Mult, p.At, p.Width} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("load: phase %q has a non-finite field", p.Name)
+			}
+		}
 		if p.Duration <= 0 {
 			return nil, fmt.Errorf("load: phase %q needs dur > 0", p.Name)
 		}
@@ -133,6 +152,9 @@ func ParsePhases(s string) ([]PhaseSpec, error) {
 		}
 		if p.Kind == PhaseBurst && (p.Width <= 0 || p.Mult <= 0) {
 			return nil, fmt.Errorf("load: burst phase %q needs mult > 0 and width > 0", p.Name)
+		}
+		if n := p.peakRate() * p.Duration.Seconds(); n > maxPhaseArrivals {
+			return nil, fmt.Errorf("load: phase %q may draw %.3g arrivals, more than %.0g", p.Name, n, float64(maxPhaseArrivals))
 		}
 		phases = append(phases, p)
 	}
@@ -159,7 +181,7 @@ func ParseMix(s string) (Mix, error) {
 			return m, fmt.Errorf("load: mix field %q is not key=value", f)
 		}
 		w, err := strconv.ParseFloat(v, 64)
-		if err != nil || w < 0 {
+		if err != nil || !(w >= 0) || math.IsInf(w, 0) {
 			return m, fmt.Errorf("load: bad mix weight %q", f)
 		}
 		switch k {
@@ -278,12 +300,14 @@ func Synthesize(seed uint64, phases []PhaseSpec, mix Mix, exportDir string) *Tra
 				break
 			}
 			// Exponential inter-arrival against the current instantaneous
-			// rate; 1-u keeps the argument of Log strictly positive.
-			gap := time.Duration(-math.Log(1-rng.Float64()) / rate * float64(time.Second))
-			t += gap
-			if t >= p.Duration {
+			// rate; 1-u keeps the argument of Log strictly positive. A gap
+			// past the phase end breaks before it is converted, so a very
+			// low rate cannot overflow the Duration.
+			gap := -math.Log(1-rng.Float64()) / rate * float64(time.Second)
+			if gap >= float64(p.Duration-t) {
 				break
 			}
+			t += time.Duration(gap)
 			tr.Requests = append(tr.Requests, Request{
 				Index:    len(tr.Requests),
 				Phase:    pi,

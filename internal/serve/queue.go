@@ -14,8 +14,8 @@ var (
 )
 
 // QueueStats is the /metricsz snapshot of queue activity. QueuedMax and
-// RunningMax are lifetime high-water marks — the gauges capacity tuning
-// reads: a QueuedMax pinned at Depth means the queue saturated (and some
+// RunningMax are lifetime high-water marks for capacity tuning: a
+// QueuedMax pinned at Depth means the queue saturated (and some
 // submits likely bounced with 429s), a RunningMax below Workers means the
 // worker pool never filled.
 type QueueStats struct {

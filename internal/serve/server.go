@@ -563,31 +563,14 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		byStatus[j.Status()]++
 	}
 	s.mu.Unlock()
-	cache := s.cache.Stats()
-	queue := s.queue.Stats()
 	body := map[string]any{
 		"uptime_seconds": s.cfg.Clock.Now().Sub(s.started).Seconds(),
 		"counters":       s.counters.Snapshot(),
-		"cache":          cache,
-		"queue":          queue,
+		"cache":          s.cache.Stats(),
+		"queue":          s.queue.Stats(),
 		"jobs":           byStatus,
 		"jobs_total":     s.Totals(),
 		"latency":        s.lat.snapshot(),
-		// gauges is the capacity-tuning scrape block: current queue depth
-		// and in-flight count with their high-water marks, next to the
-		// cache's hit/miss/eviction counters, all in one flat map so load
-		// harnesses sample one path instead of re-deriving from the nested
-		// stats objects.
-		"gauges": map[string]int64{
-			"queue_depth":          int64(queue.Queued),
-			"queue_depth_max":      int64(queue.QueuedMax),
-			"jobs_running":         int64(queue.Running),
-			"jobs_running_max":     int64(queue.RunningMax),
-			"cache_hits":           cache.Hits,
-			"cache_misses":         cache.Misses,
-			"cache_evictions":      cache.Evictions,
-			"cache_resident_bytes": cache.ResidentBytes,
-		},
 	}
 	if s.cfg.ShardID != "" {
 		body["shard"] = s.cfg.ShardID

@@ -397,8 +397,11 @@ func TestServeFaultIsolation(t *testing.T) {
 // jobs finish, rejects new work, then completes.
 func TestServeGracefulDrain(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	s.hookExec = func(ctx context.Context, j *Job) bool {
+		// The job is marked running by now, so Drain's sweep of queued
+		// jobs cannot cancel it; the queue's running count rises earlier.
+		close(started)
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -410,7 +413,7 @@ func TestServeGracefulDrain(t *testing.T) {
 
 	spec := JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 	_, v1 := post(t, ts, spec)
-	deadlineWait(t, func() bool { return s.Queue().Stats().Running == 1 })
+	<-started
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()

@@ -71,10 +71,11 @@ func TestJobSpans(t *testing.T) {
 	}
 }
 
-// TestMetricszLatencyAndGauges checks the /metricsz additions: per-span
-// latency histograms with one observation per terminal job, and the
-// consolidated gauges block (queue depth + watermarks, cache counters).
-func TestMetricszLatencyAndGauges(t *testing.T) {
+// TestMetricszLatencyAndStats checks /metricsz's per-span latency
+// histograms (one observation per terminal job) and the queue and cache
+// blocks' watermark and hit/miss counts, which are the daemon's only copy of
+// those facts.
+func TestMetricszLatencyAndStats(t *testing.T) {
 	s := New(Config{Workers: 1, KernelWorkers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -92,7 +93,9 @@ func TestMetricszLatencyAndGauges(t *testing.T) {
 	defer resp.Body.Close()
 	var m struct {
 		Latency map[string]telemetry.HistogramSnapshot `json:"latency"`
-		Gauges  map[string]int64                       `json:"gauges"`
+		Queue   QueueStats                             `json:"queue"`
+		Cache   CacheStats                             `json:"cache"`
+		Gauges  json.RawMessage                        `json:"gauges"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
@@ -109,20 +112,15 @@ func TestMetricszLatencyAndGauges(t *testing.T) {
 	if m.Latency["total"].P99NS <= 0 {
 		t.Error("total latency histogram has no p99")
 	}
-	for _, g := range []string{
-		"queue_depth", "queue_depth_max", "jobs_running", "jobs_running_max",
-		"cache_hits", "cache_misses", "cache_evictions", "cache_resident_bytes",
-	} {
-		if _, ok := m.Gauges[g]; !ok {
-			t.Errorf("gauges block missing %q", g)
-		}
-	}
 	// Two jobs on one graph: the second load hits the cache, and at least
 	// one job must have been observed running.
-	if m.Gauges["cache_hits"] < 1 || m.Gauges["cache_misses"] < 1 {
-		t.Errorf("cache gauges = hits %d misses %d, want >= 1 each", m.Gauges["cache_hits"], m.Gauges["cache_misses"])
+	if m.Cache.Hits < 1 || m.Cache.Misses < 1 {
+		t.Errorf("cache = hits %d misses %d, want >= 1 each", m.Cache.Hits, m.Cache.Misses)
 	}
-	if m.Gauges["jobs_running_max"] < 1 {
-		t.Errorf("jobs_running_max = %d, want >= 1", m.Gauges["jobs_running_max"])
+	if m.Queue.RunningMax < 1 {
+		t.Errorf("queue.running_max = %d, want >= 1", m.Queue.RunningMax)
+	}
+	if m.Gauges != nil {
+		t.Errorf("/metricsz restates queue and cache in a gauges block: %s", m.Gauges)
 	}
 }
