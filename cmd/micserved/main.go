@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8377", "listen address")
-		workers = flag.Int("workers", 2, "concurrent jobs (each owns resident sched runtimes)")
+		workers = flag.Int("workers", 2, "concurrent jobs (each owns one resident sched engine of -kernel-workers)")
 		kernelW = flag.Int("kernel-workers", 4, "scheduler parallelism inside each job")
 		depth   = flag.Int("queue", 16, "queued-job capacity; submits beyond it get 429")
 		cacheMB = flag.Int64("cache-mb", 1024, "graph cache budget in MiB")

@@ -233,12 +233,12 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 	return fw.w.Write(p)
 }
 
-// SchedHook returns a fault hook for sched.Team.SetInject /
-// sched.Pool.SetInject. At every boundary the runtimes report (site names
-// "team/chunk" and "pool/task"), it consults site+"/panic" — panicking
-// with the *Fault, which the runtimes contain and surface as a
-// *sched.PanicError — and site+"/stall", sleeping for stall to model a
-// straggling worker.
+// SchedHook returns a fault hook for sched.Team.SetInject, installed once
+// per engine for both its disciplines. At every boundary the engine reports
+// (site names "team/chunk" for loops and "pool/task" for tasks), it
+// consults site+"/panic" — panicking with the *Fault, which the engine
+// contains and surfaces as a *sched.PanicError — and site+"/stall",
+// sleeping for stall to model a straggling worker.
 func (in *Injector) SchedHook(stall time.Duration) func(site string, worker int) {
 	return func(site string, worker int) {
 		if err := in.FireErr(site + "/panic"); err != nil {

@@ -33,42 +33,36 @@ const (
 // paper's speedups are measured against.
 const Seq = "seq"
 
-// Runtime is one caller's resident scheduler runtimes and kernel
-// scratches. The scratches make repeat runs allocation-free in steady
-// state (the kerneltest alloc gates pin that); they are single-run, so a
-// Runtime serves one kernel at a time.
+// Runtime is one caller's resident scheduler engine and kernel scratches.
+// The scratches make repeat runs allocation-free in steady state (the
+// kerneltest alloc gates pin that); they are single-run, so a Runtime serves
+// one kernel at a time.
 type Runtime struct {
+	// Team is the one engine every entry runs on: loop kernels take it as a
+	// *sched.Team, task kernels as a *sched.Pool, the same value.
 	Team *sched.Team
-	Pool *sched.Pool
 	BFS  *bfs.Scratch
 	Col  *coloring.Scratch
 	Cmp  *components.Scratch
 }
 
-// NewRuntime starts a team and a pool of the given size with empty
-// scratches: 2(workers − 1) goroutines, because each runtime's caller works
-// as its worker 0. Release it with Close.
+// NewRuntime starts an engine of the given size with empty scratches:
+// workers − 1 goroutines, because the caller of each region works as its
+// worker 0. Release it with Close.
 func NewRuntime(workers int) *Runtime {
 	return &Runtime{
 		Team: sched.NewTeam(workers),
-		Pool: sched.NewPool(workers),
 		BFS:  bfs.NewScratch(),
 		Col:  coloring.NewScratch(),
 		Cmp:  components.NewScratch(),
 	}
 }
 
-// SetCounters points both runtimes at one counter set (nil = off).
-func (rt *Runtime) SetCounters(c *telemetry.Counters) {
-	rt.Team.SetCounters(c)
-	rt.Pool.SetCounters(c)
-}
+// SetCounters points the engine at a counter set (nil = off).
+func (rt *Runtime) SetCounters(c *telemetry.Counters) { rt.Team.SetCounters(c) }
 
-// Close stops the team and the pool.
-func (rt *Runtime) Close() {
-	rt.Team.Close()
-	rt.Pool.Close()
-}
+// Close stops the engine.
+func (rt *Runtime) Close() { rt.Team.Close() }
 
 // Params is everything a table entry reads besides the graph. Entries
 // ignore the fields their kernel has no use for.
@@ -146,7 +140,7 @@ func ompBlock(relaxed bool) RunFunc {
 
 func tbbBlock(relaxed bool) RunFunc {
 	return func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
-		return bfsOutcome(rt.BFS.BlockTBB(ctx, g, p.Source, rt.Pool, p.Partitioner, p.Chunk, p.Chunk, relaxed))
+		return bfsOutcome(rt.BFS.BlockTBB(ctx, g, p.Source, rt.Team, p.Partitioner, p.Chunk, p.Chunk, relaxed))
 	}
 }
 
@@ -162,7 +156,7 @@ var table = []Entry{
 	{BFS, "tbb-block", false, tbbBlock(false)},
 	{BFS, "tbb-block-relaxed", false, tbbBlock(true)},
 	{BFS, "bag", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
-		return bfsOutcome(rt.BFS.BagCilk(ctx, g, p.Source, rt.Pool, p.Chunk))
+		return bfsOutcome(rt.BFS.BagCilk(ctx, g, p.Source, rt.Team, p.Chunk))
 	}},
 	{BFS, "tls", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
 		return bfsOutcome(rt.BFS.TLSTeam(ctx, g, p.Source, rt.Team, p.TeamOpts()))
@@ -179,10 +173,10 @@ var table = []Entry{
 		return colOutcome(rt.Col.ColorTeam(ctx, g, rt.Team, p.TeamOpts()))
 	}},
 	{Coloring, "cilk", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
-		return colOutcome(rt.Col.ColorCilk(ctx, g, rt.Pool, p.Chunk, coloring.CilkHolder))
+		return colOutcome(rt.Col.ColorCilk(ctx, g, rt.Team, p.Chunk, coloring.CilkHolder))
 	}},
 	{Coloring, "tbb", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
-		return colOutcome(rt.Col.ColorTBB(ctx, g, rt.Pool, p.Partitioner, p.Chunk))
+		return colOutcome(rt.Col.ColorTBB(ctx, g, rt.Team, p.Partitioner, p.Chunk))
 	}},
 
 	{Components, Seq, false, func(_ context.Context, _ *Runtime, g *graph.Graph, _ Params) (Outcome, error) {
@@ -199,10 +193,10 @@ var table = []Entry{
 		return irrOutcome(irregular.TeamCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Team, p.TeamOpts()))
 	}},
 	{Irregular, "cilk", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
-		return irrOutcome(irregular.CilkCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Pool, p.Chunk))
+		return irrOutcome(irregular.CilkCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Team, p.Chunk))
 	}},
 	{Irregular, "tbb", false, func(ctx context.Context, rt *Runtime, g *graph.Graph, p Params) (Outcome, error) {
-		return irrOutcome(irregular.TBBCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Pool, p.Partitioner, p.Chunk))
+		return irrOutcome(irregular.TBBCtx(ctx, g, irregular.InitialState(g.NumVertices()), p.Iters, rt.Team, p.Partitioner, p.Chunk))
 	}},
 }
 

@@ -126,16 +126,16 @@ func TestVariantNamesSpelledOnlyHere(t *testing.T) {
 }
 
 // TestRuntimeGoroutineBudget pins what a Runtime of w workers costs its host:
-// the team and the pool each start w − 1 helpers, their callers being worker
-// 0, and Close takes every one of them back. It counts crew helpers by their
+// its one engine starts w − 1 helpers for both disciplines, the caller of a
+// region being worker 0, and Close takes every one of them back. It counts crew helpers by their
 // stacks, so a goroutine of someone else's that starts or ends meanwhile does
 // not move the count.
 func TestRuntimeGoroutineBudget(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		before := crewHelpers()
 		rt := NewRuntime(w)
-		if got := crewHelpers() - before; got != 2*(w-1) {
-			t.Errorf("NewRuntime(%d) started %d helpers, want %d", w, got, 2*(w-1))
+		if got := crewHelpers() - before; got != w-1 {
+			t.Errorf("NewRuntime(%d) started %d helpers, want %d", w, got, w-1)
 		}
 		rt.Close()
 		deadline := time.Now().Add(5 * time.Second)

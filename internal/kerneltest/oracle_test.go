@@ -280,10 +280,8 @@ func TestEveryEntryCancels(t *testing.T) {
 				}
 			}
 			rt.Team.SetInject(hook)
-			rt.Pool.SetInject(hook)
 			_, err := e.Run(ctx, rt, g, p)
 			rt.Team.SetInject(nil)
-			rt.Pool.SetInject(nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled at the fifth boundary: got %v, want context.Canceled", err)
 			}

@@ -22,14 +22,6 @@ type arenaShard struct {
 	_    [40]byte
 }
 
-// NewArena creates an arena for the given worker count (>= 1 enforced).
-func NewArena(workers int) *Arena {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Arena{shards: make([]arenaShard, workers)}
-}
-
 // Get returns a zero-length buffer with capacity >= capHint, recycled from
 // worker w's free list when one is available. The buffer is NOT zeroed
 // beyond its length; callers append or overwrite.
@@ -57,6 +49,5 @@ func (a *Arena) Put(w int, b []int32) {
 	s.free = append(s.free, b[:0])
 }
 
-// Arena returns the pool's resident scratch arena (created with the pool,
-// sized to its workers).
-func (p *Pool) Arena() *Arena { return p.arena }
+// Arena returns the engine's resident scratch arena, sized to its workers.
+func (p *Pool) Arena() *Arena { return &p.arena }

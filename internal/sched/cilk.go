@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -10,35 +9,22 @@ import (
 	"micgraph/internal/xrand"
 )
 
-// Pool is a Cilk Plus-style work-stealing runtime: each worker owns a deque,
-// pushes spawned tasks at the bottom, and steals from the top of a randomly
-// chosen victim when idle. Pool also underlies the TBB-style partitioners in
-// tbb.go. It runs on the same crew as a Team: n − 1 resident helpers plus the
-// goroutine that starts a run, which executes the root task as worker 0; then
-// every worker pops or steals until the root's scope has drained, and between
-// runs the helpers spin, then park. One run at a time, like a Team's loops:
-// Pool methods are not safe for concurrent use. Create with NewPool, release
-// with Close.
-type Pool struct {
-	workers  []*worker
-	crew     *crew               // the helpers; the caller of a run is worker 0
-	inject   InjectFunc          // optional fault hook, fired per task execution
-	counters *telemetry.Counters // optional scheduler counters (nil = off)
-	arena    *Arena              // resident per-worker scratch (see arena.go)
-
-	// The current run, resident because runs are serial: its context and
-	// panic slot, its root task, and the scope that counts the root.
-	region
-	root task
-	top  scope
-}
+// Pool is the engine seen from its task discipline, a Cilk Plus-style
+// work-stealing runtime: each worker owns a deque, pushes spawned tasks at the
+// bottom, and steals from the top of a randomly chosen victim when idle. It
+// also underlies the TBB-style partitioners in tbb.go. The goroutine that
+// starts a run executes the root task as worker 0; then every worker pops or
+// steals until the root's scope has drained, and between regions the helpers
+// spin, then park. Kernel signatures say *Pool where they run tasks and *Team
+// where they run loops; both name the one engine.
+type Pool = Team
 
 // worker is one scheduler thread of the pool.
 type worker struct {
 	pool   *Pool
 	id     int
 	dq     deque
-	rng    *xrand.Rand
+	rng    xrand.Rand
 	stolen bool      // whether the task currently executing was obtained by theft
 	free   []*ctxBox // recycled Ctx+scope pairs, touched only by the goroutine working as this worker
 }
@@ -106,42 +92,12 @@ func (c *Ctx) Stolen() bool { return c.w.stolen }
 // drivers poll it at every split/claim boundary.
 func (c *Ctx) Cancelled() bool { return c.w.pool.stopped() }
 
-// NewPool creates a work-stealing pool of n workers (n >= 1): it starts
-// n − 1 goroutines.
-func NewPool(n int) *Pool {
-	if n < 1 {
-		panic(fmt.Sprintf("sched: NewPool(%d): need at least one worker", n))
-	}
-	p := &Pool{workers: make([]*worker, n), arena: NewArena(n)}
-	for i := range p.workers {
-		p.workers[i] = &worker{pool: p, id: i, rng: xrand.New(uint64(i)*0x9E3779B97F4A7C15 + 1)}
-	}
-	p.crew = newCrew(n, p.work)
-	return p
-}
-
-// Workers returns the number of workers.
-func (p *Pool) Workers() int { return len(p.workers) }
-
-// SetInject installs a fault-injection hook fired before every task
-// execution (site "pool/task"). Pass nil to disable. Must not be called
-// while a run is in flight.
-func (p *Pool) SetInject(f InjectFunc) { p.inject = f }
-
-// SetCounters attaches scheduler counters (tasks spawned, steals and steal
-// failures, range splits, chunks claimed, panics contained). Pass nil to
-// disable — the default, which keeps the scheduling paths at a single nil
-// check per event. Must not be called while a run is in flight; the
-// counters must have been created for at least Workers() workers.
-func (p *Pool) SetCounters(c *telemetry.Counters) { p.counters = c }
-
-// Close dismisses the helper goroutines and returns when they have gone; a
-// run on a closed Pool returns ErrPoolClosed. Closing twice is a no-op.
-func (p *Pool) Close() { p.crew.dismiss() }
+// NewPool is NewTeam: the engine serves both disciplines.
+func NewPool(n int) *Pool { return NewTeam(n) }
 
 // RunCtx executes root on the pool and blocks until root and every task it
 // transitively spawned have completed (Cilk's implicit sync at function
-// exit applies to every task). It returns ErrPoolClosed when the pool has
+// exit applies to every task). It returns ErrClosed when the engine has
 // been closed, or a *PanicError carrying the first task panic with its stack;
 // on a task panic the rest of the task tree drains cleanly (no task is
 // abandoned mid-flight) and the pool remains usable. Once ctx (which may be
@@ -156,9 +112,10 @@ func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
 // task tree has completed.
 func (p *Pool) runRoot(ctx context.Context, t task) error {
 	if p.crew.leave {
-		return ErrPoolClosed
+		return ErrClosed
 	}
 	p.begin(ctx)
+	p.tasks = true
 	p.top.pending.Store(1)
 	t.scope = &p.top
 	p.root = t
@@ -168,11 +125,11 @@ func (p *Pool) runRoot(ctx context.Context, t task) error {
 	return p.end()
 }
 
-// work is worker w's share of the current run: worker 0 executes the root
+// runShare is worker w's share of the current run: worker 0 executes the root
 // task, and every worker runs what it can pop or steal until the root's scope
 // has drained.
-func (p *Pool) work(w int) {
-	wk := p.workers[w]
+func (p *Pool) runShare(w int) {
+	wk := &p.ws[w]
 	if w == 0 {
 		runTask(wk, p.root)
 	}
@@ -257,7 +214,7 @@ func (p *Pool) submit(w *worker, t task) {
 // partitioner to replay a previous distribution).
 func (p *Pool) submitTo(workerID int, sc *scope, f func(*Ctx)) {
 	sc.pending.Add(1)
-	w := p.workers[workerID%len(p.workers)]
+	w := &p.ws[workerID%len(p.ws)]
 	p.submit(w, task{scope: sc, fn: f})
 }
 
@@ -271,13 +228,13 @@ func (w *worker) tryRunOne() bool {
 		return true
 	}
 	// Random victim selection, one full tour of the other workers.
-	n := len(p.workers)
+	n := len(p.ws)
 	if n == 1 {
 		return false
 	}
 	start := w.rng.Intn(n)
 	for i := 0; i < n; i++ {
-		v := p.workers[(start+i)%n]
+		v := &p.ws[(start+i)%n]
 		if v == w {
 			continue
 		}

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// crew is the worker group both engines run on — a Team claims its loops
-// over it, a Pool pops and steals its tasks on it: n − 1 resident helper
-// goroutines plus whoever calls run, who works as worker 0 — OpenMP's master
-// thread. It knows nothing of loops or tasks: a generation is one call of fn
-// on every worker, published by bumping one word and over when the last
-// helper has counted itself out.
+// crew is the worker group an engine runs both disciplines on — a loop's
+// chunks are claimed over it, a run's tasks popped and stolen on it: n − 1
+// resident helper goroutines plus whoever calls run, who works as worker 0 —
+// OpenMP's master thread. It knows nothing of loops or tasks: a generation
+// is one call of fn on every worker, published by bumping one word and over
+// when the last helper has counted itself out.
 //
 //	caller                              helper w
 //	(writes what fn will read)          await gen == seen+1   spin, then park

@@ -113,7 +113,7 @@ func TestSleeperLateWake(t *testing.T) {
 // TestTeamLoopOnClosedTeam: Close dismisses the helpers whatever they were
 // doing — never used, still spinning after a loop, long parked — leaves no
 // goroutine behind, may be repeated, and every way of starting a loop
-// afterwards reports ErrTeamClosed instead of waiting for helpers that have
+// afterwards reports ErrClosed instead of waiting for helpers that have
 // left.
 func TestTeamLoopOnClosedTeam(t *testing.T) {
 	body := func(lo, hi, w int) {}
@@ -140,14 +140,14 @@ func TestTeamLoopOnClosedTeam(t *testing.T) {
 			"Loop.Run": loop.Run(nil, 64, body),
 			"inline":   team.ForCtx(nil, 1, ForOptions{}, body),
 		} {
-			if !errors.Is(err, ErrTeamClosed) {
-				t.Errorf("%s: %s on a closed team: %v, want ErrTeamClosed", tc.name, how, err)
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s: %s on a closed team: %v, want ErrClosed", tc.name, how, err)
 			}
 		}
 		func() {
 			defer func() {
-				if err, _ := recover().(error); !errors.Is(err, ErrTeamClosed) {
-					t.Errorf("%s: For on a closed team panicked with %v, want ErrTeamClosed", tc.name, err)
+				if err, _ := recover().(error); !errors.Is(err, ErrClosed) {
+					t.Errorf("%s: For on a closed team panicked with %v, want ErrClosed", tc.name, err)
 				}
 			}()
 			team.For(64, opts, body)

@@ -165,7 +165,7 @@ func TestPoolRunCtxCancelSkipsTasks(t *testing.T) {
 // TestPoolRunCtxOnClosedPool is TestTeamLoopOnClosedTeam's twin: Close
 // dismisses the helpers whatever they were doing — never used, still spinning
 // after a run, long parked — leaves no goroutine behind, may be repeated, and
-// every way of starting a run afterwards reports ErrPoolClosed instead of
+// every way of starting a run afterwards reports ErrClosed instead of
 // waiting for helpers that have left.
 func TestPoolRunCtxOnClosedPool(t *testing.T) {
 	body := func(lo, hi int, c *Ctx) {}
@@ -197,8 +197,8 @@ func TestPoolRunCtxOnClosedPool(t *testing.T) {
 			runs["ParallelForRangeCtx/"+part.String()] = ParallelForRangeCtx(nil, pool, Range{0, 64, 1}, part, new(AffinityState), body)
 		}
 		for how, err := range runs {
-			if !errors.Is(err, ErrPoolClosed) {
-				t.Errorf("%s: %s on a closed pool: %v, want ErrPoolClosed", tc.name, how, err)
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s: %s on a closed pool: %v, want ErrClosed", tc.name, how, err)
 			}
 		}
 	}

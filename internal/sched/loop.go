@@ -15,13 +15,13 @@ import "context"
 // The zero Loop is unbound; bind it before Run and re-bind it freely between
 // runs. A Loop must not be copied after its first pool binding (the pool-side
 // adapter captures its address), so kernels keep it by value in their
-// Scratch. One Run at a time, like either runtime it may be bound to.
+// Scratch. One Run at a time, like the engine it is bound to.
 type Loop struct {
-	team *Team // team binding
-	opts ForOptions
+	eng   *Team // the bound engine
+	tasks bool  // bound to the task discipline, else a team loop under opts
+	opts  ForOptions
 
-	pool  *Pool // pool bindings (nil = team)
-	cilk  bool  // cilk_for, else a range split by part
+	cilk  bool // cilk_for, else a range split by part
 	part  Partitioner
 	grain int
 	// aff is the site's block→worker map, replayed across runs. Allocated
@@ -39,7 +39,7 @@ type Loop struct {
 
 // OnTeam binds the loop to team under opts.
 func (l *Loop) OnTeam(team *Team, opts ForOptions) {
-	l.team, l.opts, l.pool = team, opts, nil
+	l.eng, l.opts, l.tasks = team, opts, false
 }
 
 // OnCilk binds the loop to pool as a cilk_for; grain <= 0 selects
@@ -60,33 +60,28 @@ func (l *Loop) OnTBB(pool *Pool, part Partitioner, grain int) {
 }
 
 func (l *Loop) onPool(pool *Pool, grain int) {
-	l.team, l.pool, l.grain = nil, pool, grain
+	l.eng, l.tasks, l.grain = pool, true, grain
 	if l.adapt == nil {
 		l.adapt = func(lo, hi int, c *Ctx) { l.body(lo, hi, c.Worker()) }
 	}
 }
 
-// Workers returns the worker count of the bound runtime; body receives
+// Workers returns the worker count of the bound engine; body receives
 // worker ids below it.
-func (l *Loop) Workers() int {
-	if l.pool != nil {
-		return l.pool.Workers()
-	}
-	return l.team.Workers()
-}
+func (l *Loop) Workers() int { return l.eng.Workers() }
 
 // Run executes body(lo, hi, worker) over chunks covering [0, n) exactly once
-// on the bound runtime, with the ForCtx contract: ctx (which may be nil) is
+// on the bound engine, with the ForCtx contract: ctx (which may be nil) is
 // polled wherever the runtime claims or splits work, a body panic comes back
-// as a *PanicError, and the Loop stays usable afterwards. On a Team this is
-// the ForCtx call itself.
+// as a *PanicError, and the Loop stays usable afterwards. Bound by OnTeam
+// this is the ForCtx call itself.
 func (l *Loop) Run(ctx context.Context, n int, body func(lo, hi, w int)) error {
-	if l.pool == nil {
-		return l.team.ForCtx(ctx, n, l.opts, body)
+	if !l.tasks {
+		return l.eng.ForCtx(ctx, n, l.opts, body)
 	}
 	l.body = body
 	if l.cilk {
-		return l.pool.ParallelForCtx(ctx, n, l.grain, l.adapt)
+		return l.eng.ParallelForCtx(ctx, n, l.grain, l.adapt)
 	}
-	return ParallelForRangeCtx(ctx, l.pool, Range{Lo: 0, Hi: n, Grain: l.grain}, l.part, l.aff, l.adapt)
+	return ParallelForRangeCtx(ctx, l.eng, Range{Lo: 0, Hi: n, Grain: l.grain}, l.part, l.aff, l.adapt)
 }

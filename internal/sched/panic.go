@@ -36,13 +36,10 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// ErrPoolClosed is returned by RunCtx and the pool loop drivers when the
-// pool has been closed.
-var ErrPoolClosed = errors.New("sched: Run on closed Pool")
-
-// ErrTeamClosed is returned by ForCtx, ForE and a Team-bound Loop.Run when
-// the team has been closed; Team.For panics with it.
-var ErrTeamClosed = errors.New("sched: loop on closed Team")
+// ErrClosed is returned by every driver of either discipline — ForCtx, ForE,
+// RunCtx, the pool loop drivers, Loop.Run — once the engine has been closed;
+// Team.For panics with it.
+var ErrClosed = errors.New("sched: region on closed engine")
 
 // panicSlot collects the first panic observed across the workers of one
 // loop or task tree. Later panics are dropped: the first failure is the
@@ -89,8 +86,8 @@ func (s *panicSlot) get() *PanicError {
 
 // region is what the workers of one parallel region share besides its work:
 // the context it runs under (nil when not cancellable) and the slot its first
-// panic lands in. A Team loop and a Pool run are regions; each engine keeps
-// one resident, because its regions are serial.
+// panic lands in. A loop and a task run are regions; the engine keeps one
+// resident, because its regions are serial.
 type region struct {
 	ctx  context.Context
 	slot panicSlot

@@ -20,7 +20,7 @@ import (
 // defaults, so Server{} construction in tests stays terse.
 type Config struct {
 	// Workers is the number of queue workers, i.e. jobs in flight at once
-	// (default 2). Each owns a resident sched.Team and sched.Pool.
+	// (default 2). Each owns a resident sched engine of KernelWorkers.
 	Workers int
 	// KernelWorkers is the scheduler parallelism inside each job
 	// (default 4).
@@ -187,9 +187,7 @@ func New(cfg Config) *Server {
 		rt := kernels.NewRuntime(cfg.KernelWorkers)
 		rt.SetCounters(s.counters)
 		if cfg.Injector != nil {
-			hook := cfg.Injector.SchedHook(cfg.Stall)
-			rt.Team.SetInject(hook)
-			rt.Pool.SetInject(hook)
+			rt.Team.SetInject(cfg.Injector.SchedHook(cfg.Stall))
 		}
 		s.rts[i] = rt
 	}
@@ -304,24 +302,25 @@ func (s *Server) register(j *Job) {
 	defer s.mu.Unlock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	// Retention: forget the oldest terminal jobs beyond retainedJobs.
-	// In-flight jobs are never forgotten, whatever their age.
+	// Retention: forget the oldest terminal jobs beyond retainedJobs, and
+	// any id whose job is already gone. In-flight jobs are never forgotten,
+	// whatever their age.
 	if len(s.order) > retainedJobs {
 		kept := s.order[:0]
 		excess := len(s.order) - retainedJobs
 		for _, id := range s.order {
 			old := s.jobs[id]
-			terminal := false
-			if old != nil {
-				switch old.Status() {
-				case StatusSucceeded, StatusFailed, StatusCancelled:
-					terminal = true
-				}
-			}
-			if excess > 0 && terminal {
-				delete(s.jobs, id)
+			if old == nil {
 				excess--
 				continue
+			}
+			if excess > 0 {
+				switch old.Status() {
+				case StatusSucceeded, StatusFailed, StatusCancelled:
+					delete(s.jobs, id)
+					excess--
+					continue
+				}
 			}
 			kept = append(kept, id)
 		}
@@ -329,12 +328,18 @@ func (s *Server) register(j *Job) {
 	}
 }
 
+// unregister forgets a job whose submit was refused. Other submits may have
+// registered since, so its id is looked for from the newest end, not assumed
+// to be the last.
 func (s *Server) unregister(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
-	if n := len(s.order); n > 0 && s.order[n-1] == id {
-		s.order = s.order[:n-1]
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if s.order[i] == id {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			return
+		}
 	}
 }
 

@@ -576,3 +576,27 @@ func TestServeCancelQueuedJob(t *testing.T) {
 		t.Errorf("running job = %+v", fin)
 	}
 }
+
+// TestUnregisterOutOfOrder: a submit refused after a later submit has
+// registered must not leave its id behind in the retention order, and the
+// retention sweep drops an id whose job is gone instead of keeping it as if
+// it were in flight.
+func TestUnregisterOutOfOrder(t *testing.T) {
+	s := &Server{jobs: make(map[string]*Job)}
+	job := func(id string) *Job { return newJob(id, JobSpec{}, nil, "", "") }
+	s.register(job("a"))
+	s.register(job("b"))
+	s.unregister("a")
+	if len(s.order) != 1 || s.order[0] != "b" || len(s.jobs) != 1 {
+		t.Fatalf("after register(a), register(b), unregister(a): order %v, %d jobs; want [b], 1", s.order, len(s.jobs))
+	}
+
+	s.order = append([]string{"gone"}, s.order...)
+	for i := len(s.order); i <= retainedJobs; i++ {
+		s.register(job(fmt.Sprintf("job-%06d", i)))
+	}
+	if len(s.order) != retainedJobs || s.order[0] != "b" {
+		t.Fatalf("sweep over an id with no job: order has %d ids starting %q, want %d starting \"b\"",
+			len(s.order), s.order[0], retainedJobs)
+	}
+}

@@ -34,10 +34,17 @@ type Rand struct {
 	s [4]uint64
 }
 
-// New returns a generator seeded deterministically from seed.
+// New returns a generator seeded deterministically from seed. It is small
+// enough to inline, so a generator a caller keeps by value (*New(seed))
+// costs no allocation.
 func New(seed uint64) *Rand {
+	r := new(Rand)
+	r.seed(seed)
+	return r
+}
+
+func (r *Rand) seed(seed uint64) {
 	sm := NewSplitMix64(seed)
-	var r Rand
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -46,7 +53,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9E3779B97F4A7C15
 	}
-	return &r
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
