@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -220,5 +222,94 @@ func TestLockedVariantsNeverDuplicate(t *testing.T) {
 	}
 	if tls.Processed != reached {
 		t.Errorf("TLS BFS processed %d, reached %d: duplicates in locked variant", tls.Processed, reached)
+	}
+}
+
+// TestBlockDenseLevels runs the block-queue variants on graphs with a level
+// that holds at least an eighth of the vertices (a shuffled RMAT, a star)
+// and on graphs without one (a chain, a grid). Levels must match Sequential,
+// the locked variants must expand each reached vertex exactly once, and the
+// dense order must be taken on the first two and never on the others,
+// whatever the worker count and block size.
+func TestBlockDenseLevels(t *testing.T) {
+	rmat := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 3).Shuffled(5)
+	var hub int32
+	for v := range int32(rmat.NumVertices()) {
+		if rmat.Degree(v) > rmat.Degree(hub) {
+			hub = v
+		}
+	}
+	b := graph.NewBuilder(300)
+	for v := int32(1); v < 300; v++ {
+		b.AddEdge(0, v)
+	}
+	inputs := []struct {
+		name  string
+		g     *graph.Graph
+		src   int32
+		dense bool
+	}{
+		{"rmat-11-shuffled", rmat, hub, true},
+		{"star-300", b.Build(), 7, true},
+		{"chain-257", gen.Chain(257), 0, false},
+		{"grid-16x16", gen.Grid2D(16, 16), 0, false},
+	}
+	type blockRun func(ctx context.Context, s *Scratch, g *graph.Graph, src int32, bs int) (Result, error)
+	for _, w := range []int{1, 2, 4} {
+		team := sched.NewTeam(w)
+		defer team.Close()
+		pool := sched.NewPool(w)
+		defer pool.Close()
+		opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 4}
+		tbb := func(part sched.Partitioner) blockRun {
+			return func(ctx context.Context, s *Scratch, g *graph.Graph, src int32, bs int) (Result, error) {
+				return s.BlockTBB(ctx, g, src, pool, part, 8, bs, false)
+			}
+		}
+		variants := []struct {
+			name   string
+			locked bool
+			run    blockRun
+		}{
+			{"omp-block", true, func(ctx context.Context, s *Scratch, g *graph.Graph, src int32, bs int) (Result, error) {
+				return s.BlockTeam(ctx, g, src, team, opts, bs, false)
+			}},
+			{"omp-block-relaxed", false, func(ctx context.Context, s *Scratch, g *graph.Graph, src int32, bs int) (Result, error) {
+				return s.BlockTeam(ctx, g, src, team, opts, bs, true)
+			}},
+			{"tbb-block-simple", true, tbb(sched.SimplePartitioner)},
+			{"tbb-block-auto", true, tbb(sched.AutoPartitioner)},
+			{"tbb-block-affinity", true, tbb(sched.AffinityPartitioner)},
+		}
+		for _, v := range variants {
+			s := NewScratch()
+			for _, in := range inputs {
+				ref := Sequential(in.g, in.src)
+				for _, bs := range []int{1, DefaultBlockSize} {
+					res, samples := recordedRun(t, in.g, func(ctx context.Context) (Result, error) {
+						return v.run(ctx, s, in.g, in.src, bs)
+					})
+					where := fmt.Sprintf("%s/%s/W=%d/block=%d", in.name, v.name, w, bs)
+					for u, l := range ref.Levels {
+						if res.Levels[u] != l {
+							t.Fatalf("%s: vertex %d at level %d, want %d", where, u, res.Levels[u], l)
+						}
+					}
+					if v.locked && (res.Duplicates != 0 || res.Processed != ref.Processed) {
+						t.Errorf("%s: processed %d with %d duplicates, want %d and 0",
+							where, res.Processed, res.Duplicates, ref.Processed)
+					}
+					dense := 0
+					for _, smp := range samples {
+						if smp.Phase == "level-dense" {
+							dense++
+						}
+					}
+					if (dense > 0) != in.dense {
+						t.Errorf("%s: %d dense levels, want some: %v", where, dense, in.dense)
+					}
+				}
+			}
+		}
 	}
 }

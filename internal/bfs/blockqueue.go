@@ -121,10 +121,12 @@ func (w *Writer) grabBlock() bool {
 	return true
 }
 
-// Flush pads the unused remainder of the current block with Sentinel and
-// publishes any spilled entries. Must be called once per level per writer,
-// after which the Writer is ready for the next level.
-func (w *Writer) Flush() {
+// Flush pads the unused remainder of the current block with Sentinel,
+// publishes any spilled entries and returns how many sentinels it wrote.
+// Must be called once per level per writer, after which the Writer is ready
+// for the next level.
+func (w *Writer) Flush() (pad int) {
+	pad = int(w.end - w.pos)
 	for ; w.pos < w.end; w.pos++ {
 		w.q.buf[w.pos] = Sentinel
 	}
@@ -136,4 +138,5 @@ func (w *Writer) Flush() {
 		w.local = w.local[:0]
 	}
 	w.spilling = false
+	return pad
 }

@@ -9,23 +9,6 @@ import (
 // active on the kernel's context (telemetry.Active); the uninstrumented
 // path never calls them, so the default runs pay nothing.
 
-// frontierCount counts the real (non-sentinel) entries of a block-queue
-// frontier.
-func frontierCount(main, spill []int32) int64 {
-	var n int64
-	for _, v := range main {
-		if v != Sentinel {
-			n++
-		}
-	}
-	for _, v := range spill {
-		if v != Sentinel {
-			n++
-		}
-	}
-	return n
-}
-
 // frontierEdges sums the degrees of the real entries of a block-queue
 // frontier — the number of edges the level expansion will relax.
 func frontierEdges(g *graph.Graph, main, spill []int32) int64 {
@@ -38,6 +21,18 @@ func frontierEdges(g *graph.Graph, main, spill []int32) int64 {
 	for _, v := range spill {
 		if v != Sentinel {
 			edges += int64(g.Degree(v))
+		}
+	}
+	return edges
+}
+
+// levelEdges sums the degrees of the vertices at level depth — the edges a
+// dense block-queue level relaxes.
+func levelEdges(g *graph.Graph, levels []int32, depth int32) int64 {
+	var edges int64
+	for v, l := range levels {
+		if l == depth {
+			edges += int64(g.Degree(int32(v)))
 		}
 	}
 	return edges

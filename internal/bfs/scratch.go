@@ -63,12 +63,14 @@ type Scratch struct {
 	relaxed    bool
 	main       []int32      // block variants: current frontier (main segment)
 	spill      []int32      // block variants: current frontier (spill segment)
+	span       int          // block variants, dense level: vertices an iteration
 	cur        []int32      // TLS/hybrid: current flat frontier
 	curChunks  [][]int32    // bag: current chunked frontier
 	chunkGrain int          // bag: chunk capacity
 	arena      *sched.Arena // bag: chunk lease pool
 
-	blockBody func(lo, hi, w int)
+	blockBody func(lo, hi, w int) // block variants: expand queue entries
+	denseBody func(lo, hi, w int) // block variants: expand level lv-1 in id order
 	bagBody   func(lo, hi int, c *sched.Ctx)
 	flatTD    func(lo, hi, w int) // TLS/hybrid: top-down claim
 	flatBU    func(lo, hi, w int) // hybrid: bottom-up sweep
@@ -180,19 +182,14 @@ func (s *Scratch) widthsOf(numLevels int) []int64 {
 	return s.widths
 }
 
-// expandBlockEntry scans one block-queue entry, expanding its neighbors
-// into wr over the raw CSR arrays. Returns 1 for a real vertex, 0 for
-// sentinel padding.
-func expandBlockEntry(xadj []int64, adj, levels []int32, main, spill []int32, i int, lv int32, relaxed bool, wr *Writer) int64 {
-	var v int32
-	if i < len(main) {
-		v = main[i]
-	} else {
-		v = spill[i-len(main)]
-	}
-	if v == Sentinel {
-		return 0
-	}
+// denseShare sets when a block-queue level is dense: its frontier holds at
+// least 1/denseShare of the vertices (DESIGN.md §2).
+const denseShare = 8
+
+// expandVertex claims v's unvisited neighbours for level lv and pushes them
+// into wr over the raw CSR arrays: the one expansion under both orders of a
+// block-queue level.
+func expandVertex(xadj []int64, adj, levels []int32, v, lv int32, relaxed bool, wr *Writer) {
 	nb := adj[xadj[v]:xadj[v+1]]
 	for j := firstUnvisited(nb, levels); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], levels) {
 		u := nb[j]
@@ -203,7 +200,6 @@ func expandBlockEntry(xadj []int64, adj, levels []int32, main, spill []int32, i 
 		}
 		wr.Push(u)
 	}
-	return 1
 }
 
 // BlockTeam runs layered BFS with the block-accessed queue on an
@@ -222,9 +218,14 @@ func (s *Scratch) BlockTBB(ctx context.Context, g *graph.Graph, source int32, po
 }
 
 // block is the level loop of the block-queue variants on whatever
-// s.blockLoop is bound to: one parallel sweep over the current queue's
-// entries per level, each worker pushing the vertices it claims into the
-// next queue through its own Writer.
+// s.blockLoop is bound to: one parallel loop per level, each worker pushing
+// the vertices it claims into the next queue through its own Writer. A
+// sparse level sweeps the current queue's entries in the order the workers
+// wrote them. A dense level, whose frontier |F| holds at least n/denseShare
+// vertices, sweeps the level array instead, in ranges of ⌈n/|F|⌉ vertices,
+// and expands every vertex at level lv-1: the same number of iterations,
+// but each neighbour list read in ascending order. |F| counts the queue's
+// entries less the sentinel padding, relaxed duplicates included.
 func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, blockSize int, relaxed bool) (Result, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -244,12 +245,37 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	seed.Reset(cur)
 	seed.Push(source)
 	seed.Flush()
+	frontier := 1
 	if s.blockBody == nil {
 		s.blockBody = func(lo, hi, w int) {
-			wr := s.writers[w]
+			wr, main, spill := s.writers[w], s.main, s.spill
 			var count int64
 			for i := lo; i < hi; i++ {
-				count += expandBlockEntry(s.xadj, s.adj, s.levels, s.main, s.spill, i, s.lv, s.relaxed, wr)
+				var v int32
+				if i < len(main) {
+					v = main[i]
+				} else {
+					v = spill[i-len(main)]
+				}
+				if v != Sentinel {
+					expandVertex(s.xadj, s.adj, s.levels, v, s.lv, s.relaxed, wr)
+					count++
+				}
+			}
+			s.counts[w].n += count
+		}
+		// Exact: during level lv a store writes only lv, and only onto a word
+		// that read Unvisited, while every lv-1 word was stored before the
+		// last barrier. So the sweep expands the level-(lv-1) set, each
+		// vertex once, whatever duplicates the queue holds.
+		s.denseBody = func(lo, hi, w int) {
+			wr, lvls, prev := s.writers[w], s.levels, s.lv-1
+			var count int64
+			for v := lo * s.span; v < min(hi*s.span, len(lvls)); v++ {
+				if atomic.LoadInt32(&lvls[v]) == prev {
+					expandVertex(s.xadj, s.adj, lvls, int32(v), s.lv, s.relaxed, wr)
+					count++
+				}
 			}
 			s.counts[w].n += count
 		}
@@ -258,34 +284,47 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	rec := telemetry.FromContext(ctx)
 	var processed int64
 	maxLevel := int32(0)
-	for lv := int32(1); ; lv++ {
+	for lv := int32(1); frontier > 0; lv++ {
 		main, spill := cur.Entries()
-		total := len(main) + len(spill)
-		if total == 0 {
-			break
-		}
 		maxLevel = lv - 1
+		dense := frontier*denseShare >= n
 		var edges int64
 		var levelStart time.Time
 		if telemetry.Active(rec) {
-			edges = frontierEdges(g, main, spill)
+			if dense {
+				edges = levelEdges(g, s.levels, lv-1)
+			} else {
+				edges = frontierEdges(g, main, spill)
+			}
 			levelStart = telemetry.Now(rec)
 		}
 		for w := 0; w < workers; w++ {
 			s.writers[w].Reset(next)
 			s.counts[w].n = 0
 		}
-		s.main, s.spill, s.lv = main, spill, lv
-		err := s.blockLoop.Run(ctx, total, s.blockBody)
+		s.lv = lv
+		var err error
+		if dense {
+			s.span = (n + frontier - 1) / frontier
+			err = s.blockLoop.Run(ctx, (n+s.span-1)/s.span, s.denseBody)
+		} else {
+			s.main, s.spill = main, spill
+			err = s.blockLoop.Run(ctx, len(main)+len(spill), s.blockBody)
+		}
 		var levelProcessed int64
+		pad := 0
 		for w := 0; w < workers; w++ {
-			s.writers[w].Flush()
+			pad += s.writers[w].Flush()
 			levelProcessed += s.counts[w].n
 		}
 		processed += levelProcessed
+		nm, ns := next.Entries()
+		frontier = len(nm) + len(ns) - pad
 		if telemetry.Active(rec) {
-			nm, ns := next.Entries()
-			sample := levelSample(lv-1, levelProcessed, edges, frontierCount(nm, ns))
+			sample := levelSample(lv-1, levelProcessed, edges, int64(frontier))
+			if dense {
+				sample.Phase = "level-dense"
+			}
 			sample.Duration = telemetry.Since(rec, levelStart)
 			rec.Record(sample)
 		}

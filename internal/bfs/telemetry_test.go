@@ -30,7 +30,7 @@ func checkLevelSamples(t *testing.T, variant string, res Result, samples []telem
 	}
 	var items int64
 	for i, s := range samples {
-		if s.Kernel != "bfs" || s.Phase != "level" {
+		if s.Kernel != "bfs" || s.Phase != "level" && s.Phase != "level-dense" {
 			t.Errorf("%s: sample %d labelled %s/%s", variant, i, s.Kernel, s.Phase)
 		}
 		if s.Index != i {
