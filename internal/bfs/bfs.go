@@ -7,15 +7,17 @@
 //   - TBB-Block and TBB-Block-relaxed: the same queue on TBB-style
 //     partitioned ranges;
 //   - CilkPlus-Bag-relaxed: the Leiserson–Schardl bag on the work-stealing
-//     pool, kept as the flattened chunk list a pennant-tree walk yields;
+//     pool, kept as per-worker queues concatenated at the level barrier and
+//     walked by a cilk_for with the bag's grain;
 //   - OpenMP-TLS: SNAP's per-thread local queues with per-vertex locked
 //     insertion (plus the paper's check-before-lock improvement).
 //
-// The variants are written as three level loops on a Scratch: block
-// (scratch.go) over the block-accessed queue, bag (BagCilk) over the chunk
-// list, and flat (hybrid.go) over a flat frontier array with per-worker
-// queues — OpenMP-TLS, and under a direction rule the direction-optimizing
-// Hybrid.
+// The variants are written as two level loops on a Scratch, both run
+// through its one sched.Loop, which each entry point binds to its runtime:
+// block (scratch.go) over the block-accessed queue, and flat (hybrid.go)
+// over a flat frontier array with per-worker queues — OpenMP-TLS with
+// locked claims, the bag with relaxed ones on cilk_for, and under a
+// direction rule the direction-optimizing Hybrid.
 //
 // "Locked" variants claim a vertex with a compare-and-swap on its level, so
 // each vertex enters the next-level structure exactly once. "Relaxed"
@@ -26,8 +28,8 @@
 // benign race is well-defined; duplicates still occur exactly as in the
 // paper, and the Result records how many.
 //
-// Under every top-down body — both claims of the block queue, the flat
-// loop's, the bag's — the arc scan is one leaf, firstUnvisited (layered.go):
+// Under every top-down body — both claims of the block queue and of the
+// flat loop — the arc scan is one leaf, firstUnvisited (layered.go):
 // it walks a neighbour list until a level word reads Unvisited, and the body
 // claims and pushes on that one arc in ~45 and calls again on the rest. Inside
 // a loop that also holds a CAS, a Push and an append the scan ran out of

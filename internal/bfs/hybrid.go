@@ -11,17 +11,19 @@ import (
 	"micgraph/internal/telemetry"
 )
 
-// The flat level loop (Scratch.flat) and its two users: the paper's
-// OpenMP-TLS, which expands every level top-down, and the
-// direction-optimizing (top-down/bottom-up) BFS — the natural extension of
-// the paper's layered algorithm for the wide-frontier levels its model
-// identifies as the parallel bulk: when the frontier is a large fraction of
-// the graph, it is cheaper to iterate over *unvisited* vertices asking "is
-// any of my neighbors on the frontier?" (one hit suffices — the bottom-up
-// scan breaks at the first frontier neighbor) than to expand every
-// frontier edge. A bottom-up level costs a sweep of the whole vertex set,
-// so the switch sizes the frontier against the whole graph (as GBBS does):
-// bottom-up only while the frontier's arcs m_f are at least NumArcs/beta.
+// The flat level loop (Scratch.flat) and its three users: the paper's
+// OpenMP-TLS, which expands every level top-down with locked claims; its
+// CilkPlus-Bag-relaxed, the same top-down levels with relaxed claims on
+// cilk_for; and the direction-optimizing (top-down/bottom-up) BFS — the
+// natural extension of the paper's layered algorithm for the wide-frontier
+// levels its model identifies as the parallel bulk: when the frontier is a
+// large fraction of the graph, it is cheaper to iterate over *unvisited*
+// vertices asking "is any of my neighbors on the frontier?" (one hit
+// suffices — the bottom-up scan breaks at the first frontier neighbor) than
+// to expand every frontier edge. A bottom-up level costs a sweep of the
+// whole vertex set, so the switch sizes the frontier against the whole graph
+// (as GBBS does): bottom-up only while the frontier's arcs m_f are at least
+// NumArcs/beta.
 //
 // Bottom-up is entered by a growing frontier whose level it prices as
 // cheaper, from counts the loop keeps anyway (frontier sizes, m_f, the
@@ -86,7 +88,25 @@ type flatQueue struct {
 // check-before-lock improvement (firstUnvisited). It is the flat level loop
 // without a direction rule: every level is top-down.
 func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions) (Result, error) {
-	res, err := s.flat(ctx, g, source, team, opts, nil)
+	s.loop.OnTeam(team, opts)
+	res, err := s.flat(ctx, g, source, false, nil)
+	return res.Result, err
+}
+
+// BagCilk runs the bag BFS on the work-stealing pool (the paper's
+// CilkPlus-Bag-relaxed): relaxed, unsynchronised insertion into per-worker
+// bags, merged at each level barrier and traversed by a cilk_for. A bag is
+// Leiserson and Schardl's pennant tree; here it is the flat loop's
+// per-worker queue, its merge the concatenation where the tree does a
+// carry-add over pennant ranks, and its walk a cilk_for over the frontier
+// with grain vertices to a leaf task (grain <= 0 selects DefaultBagGrain),
+// the piece a bag walk hands a task.
+func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, grain int) (Result, error) {
+	if grain <= 0 {
+		grain = DefaultBagGrain
+	}
+	s.loop.OnCilk(pool, grain)
+	res, err := s.flat(ctx, g, source, true, nil)
 	return res.Result, err
 }
 
@@ -95,19 +115,24 @@ func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, tea
 // every other variant (validated against the sequential reference); only
 // the per-level work differs.
 func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, cfg HybridConfig) (HybridResult, error) {
-	return s.flat(ctx, g, source, team, opts, &cfg)
+	s.loop.OnTeam(team, opts)
+	return s.flat(ctx, g, source, false, &cfg)
 }
 
-// flat is the level loop over a flat frontier array on team: per level one
-// parallel loop whose workers append the vertices they claim to their own
-// queues, concatenated into the next frontier at the level barrier. dir is
-// the direction rule; nil never leaves top-down, counts no directions and
-// records phase "level". ctx (which may be nil) is polled at chunk-claim
-// boundaries and between levels; on cancellation or a contained panic the
-// partial traversal state is returned alongside the error.
-func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, dir *HybridConfig) (HybridResult, error) {
+// flat is the level loop over a flat frontier array on whatever s.loop is
+// bound to: per level one parallel loop whose workers append the vertices
+// they claim to their own queues, concatenated into the next frontier at
+// the level barrier. relaxed selects the top-down claim: an atomic store
+// after the check, under which concurrent claimers all push, or a
+// compare-and-swap that admits one. dir is the direction rule; nil never
+// leaves top-down, counts no directions and records phase "level". ctx
+// (which may be nil) is polled wherever the runtime claims or splits work
+// and between levels; on cancellation or a contained panic the partial
+// traversal state is returned alongside the error, with Processed counting
+// the completed levels only.
+func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxed bool, dir *HybridConfig) (HybridResult, error) {
 	n := g.NumVertices()
-	workers := team.Workers()
+	workers := s.loop.Workers()
 	s.ensureCommon(n)
 	s.ensureWorkers(workers)
 	if cap(s.frontA) < n {
@@ -119,7 +144,7 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 		res.Result = s.finish(0, 0)
 		return res, nil
 	}
-	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
+	s.xadj, s.adj, s.relaxed = g.Xadj(), g.AdjRaw(), relaxed
 	s.levels[source] = 0
 	if s.flatBU == nil {
 		// Sweep all vertices; claim those with a frontier neighbor, breaking
@@ -149,7 +174,7 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 			q.edges += edges
 		}
 		s.flatTD = func(lo, hi, w int) {
-			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
+			xadj, adj, lvls, lv, relaxed := s.xadj, s.adj, s.levels, s.lv, s.relaxed
 			q := &s.queues[w]
 			buf := q.buf
 			var edges int64
@@ -157,10 +182,14 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 				v := s.cur[i]
 				nb := adj[xadj[v]:xadj[v+1]]
 				for j := firstUnvisited(nb, lvls); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], lvls) {
-					if u := nb[j]; atomic.CompareAndSwapInt32(&lvls[u], Unvisited, lv) {
-						buf = append(buf, u)
-						edges += xadj[u+1] - xadj[u]
+					u := nb[j]
+					if relaxed {
+						atomic.StoreInt32(&lvls[u], lv) // the bag: concurrent claimers all push
+					} else if !atomic.CompareAndSwapInt32(&lvls[u], Unvisited, lv) {
+						continue // locked: the compare-and-swap alone decides who pushes
 					}
+					buf = append(buf, u)
+					edges += xadj[u+1] - xadj[u]
 				}
 			}
 			q.buf = buf
@@ -182,7 +211,6 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 	var err error
 	for lv := int32(1); len(cur) > 0; lv++ {
 		maxLevel = lv - 1
-		processed += int64(len(cur))
 
 		phase := "level"
 		if dir != nil {
@@ -216,16 +244,17 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, team *
 		}
 		s.lv = lv
 		if bottomUp {
-			err = team.ForCtx(ctx, n, opts, s.flatBU)
+			err = s.loop.Run(ctx, n, s.flatBU)
 		} else {
 			s.cur = cur
-			err = team.ForCtx(ctx, len(cur), opts, s.flatTD)
+			err = s.loop.Run(ctx, len(cur), s.flatTD)
 		}
 		if err != nil {
 			// Partial level: vertices may already be claimed at level lv.
 			maxLevel = lv
 			break
 		}
+		processed += int64(len(cur))
 		// Merge the per-worker claims into the next frontier (level
 		// barrier) and roll up its edge count for the next switch.
 		next = next[:0]

@@ -19,8 +19,9 @@ import "sync/atomic"
 // performance in our implementation (32 in this case)", §V-D).
 const DefaultBlockSize = 32
 
-// DefaultBagGrain is the bag variant's chunk capacity when the caller
-// passes none; it matches the grainsize regime of the original code.
+// DefaultBagGrain is the bag variant's cilk_for grain, the frontier
+// vertices a leaf task expands, when the caller passes none; it matches the
+// grainsize regime of the original code.
 const DefaultBagGrain = 128
 
 // firstUnvisited returns the index of the first vertex of nb whose level

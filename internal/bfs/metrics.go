@@ -38,15 +38,6 @@ func levelEdges(g *graph.Graph, levels []int32, depth int32) int64 {
 	return edges
 }
 
-// sliceEdges sums the degrees of a plain vertex slice frontier.
-func sliceEdges(g *graph.Graph, vs []int32) int64 {
-	var edges int64
-	for _, v := range vs {
-		edges += int64(g.Degree(v))
-	}
-	return edges
-}
-
 // levelSample builds the PhaseSample for one completed BFS level: the
 // frontier being expanded was at depth `depth`, held `items` vertices whose
 // `edges` outgoing edges were relaxed, and claimed `claims` vertices for the

@@ -11,12 +11,11 @@ import (
 )
 
 // Scratch owns every reusable buffer of the parallel BFS variants: the
-// level array, the flat frontier arrays that replaced the allocating
-// TLS/bag queues, the block-accessed queue pair with its per-worker
-// writers, and the per-worker chunk builders of the bag variant. A kernel
-// run through a Scratch allocates nothing on its hot path in steady state
-// (pinned by the alloc-regression tests); the first run on a new graph
-// size grows the buffers once.
+// level array, the flat frontier arrays with their per-worker next-level
+// queues, and the block-accessed queue pair with its per-worker writers. A
+// kernel run through a Scratch allocates nothing on its hot path in steady
+// state (pinned by the alloc-regression tests); the first run on a new
+// graph size grows the buffers once.
 //
 // A Scratch is single-run: one BFS at a time. The returned Result aliases
 // scratch-owned memory (Levels, Widths), valid until the next run on the
@@ -31,8 +30,8 @@ type Scratch struct {
 	// levels is the shared level array (claim target of every variant).
 	levels []int32
 
-	// Flat frontier arrays and per-worker next-level queues (TLS and hybrid
-	// variants, hybrid.go).
+	// Flat frontier arrays and per-worker next-level queues (TLS, bag and
+	// hybrid variants, hybrid.go).
 	frontA, frontB []int32
 	queues         []flatQueue
 
@@ -44,11 +43,6 @@ type Scratch struct {
 	// Per-worker counters (processed entries per level).
 	counts []paddedCount
 
-	// Bag variant: per-worker chunk builders and the flattened chunk list
-	// of the current frontier. Chunks are leased from the pool's Arena.
-	builders []chunkBuilder
-	bagFlat  [][]int32
-
 	// widths backs Result.Widths.
 	widths []int64
 
@@ -57,28 +51,23 @@ type Scratch struct {
 	// levels dispatch with zero allocations (pinned by the kerneltest alloc
 	// gates): the per-level variation travels through these fields, set by
 	// the driving method between loops.
-	xadj       []int64
-	adj        []int32
-	lv         int32
-	relaxed    bool
-	main       []int32      // block variants: current frontier (main segment)
-	spill      []int32      // block variants: current frontier (spill segment)
-	span       int          // block variants, dense level: vertices an iteration
-	cur        []int32      // TLS/hybrid: current flat frontier
-	curChunks  [][]int32    // bag: current chunked frontier
-	chunkGrain int          // bag: chunk capacity
-	arena      *sched.Arena // bag: chunk lease pool
+	xadj    []int64
+	adj     []int32
+	lv      int32
+	relaxed bool
+	main    []int32 // block variants: current frontier (main segment)
+	spill   []int32 // block variants: current frontier (spill segment)
+	span    int     // block variants, dense level: vertices an iteration
+	cur     []int32 // flat variants: current frontier
 
 	blockBody func(lo, hi, w int) // block variants: expand queue entries
 	denseBody func(lo, hi, w int) // block variants: expand level lv-1 in id order
-	bagBody   func(lo, hi int, c *sched.Ctx)
-	flatTD    func(lo, hi, w int) // TLS/hybrid: top-down claim
+	flatTD    func(lo, hi, w int) // flat variants: top-down claim
 	flatBU    func(lo, hi, w int) // hybrid: bottom-up sweep
 
-	// blockLoop is the parallel-for construct carrying the level loop of
-	// the block-queue variants; BlockTeam and BlockTBB differ only in how
-	// they bind it.
-	blockLoop sched.Loop
+	// loop is the parallel-for construct carrying every level of both level
+	// loops; the entry points differ only in how they bind it.
+	loop sched.Loop
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -88,18 +77,6 @@ func NewScratch() *Scratch { return &Scratch{} }
 type paddedCount struct {
 	n int64
 	_ [56]byte
-}
-
-// chunkBuilder accumulates next-level vertices per worker for the bag
-// variant: a hopper chunk that moves onto the worker's chunk list when
-// full. Chunks are leased from the scheduler arena, so steady-state levels
-// recycle the previous frontier's memory instead of allocating.
-type chunkBuilder struct {
-	hopper    []int32
-	chunks    [][]int32
-	claims    int64
-	processed int64
-	_         [16]byte
 }
 
 // ensureCommon sizes the level array and resets it to Unvisited.
@@ -120,9 +97,6 @@ func (s *Scratch) ensureWorkers(workers int) {
 	}
 	if len(s.queues) < workers {
 		s.queues = make([]flatQueue, workers)
-	}
-	if len(s.builders) < workers {
-		s.builders = make([]chunkBuilder, workers)
 	}
 }
 
@@ -165,7 +139,9 @@ func (s *Scratch) finish(processed int64, maxLevel int32) Result {
 	return res
 }
 
-// widthsOf is widthsOf writing into the scratch-owned widths buffer.
+// widthsOf counts the vertices of each of the first numLevels levels into
+// the scratch-owned widths buffer: the package-level widthsOf without the
+// allocation.
 func (s *Scratch) widthsOf(numLevels int) []int64 {
 	if cap(s.widths) < numLevels {
 		s.widths = make([]int64, numLevels)
@@ -205,7 +181,7 @@ func expandVertex(xadj []int64, adj, levels []int32, v, lv int32, relaxed bool, 
 // BlockTeam runs layered BFS with the block-accessed queue on an
 // OpenMP-style Team (the paper's OpenMP-Block / OpenMP-Block-relaxed).
 func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, blockSize int, relaxed bool) (Result, error) {
-	s.blockLoop.OnTeam(team, opts)
+	s.loop.OnTeam(team, opts)
 	return s.block(ctx, g, source, blockSize, relaxed)
 }
 
@@ -213,12 +189,12 @@ func (s *Scratch) BlockTeam(ctx context.Context, g *graph.Graph, source int32, t
 // partitioned ranges (the paper's TBB-Block / TBB-Block-relaxed; the paper
 // reports the simple partitioner).
 func (s *Scratch) BlockTBB(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, part sched.Partitioner, grain, blockSize int, relaxed bool) (Result, error) {
-	s.blockLoop.OnTBB(pool, part, grain)
+	s.loop.OnTBB(pool, part, grain)
 	return s.block(ctx, g, source, blockSize, relaxed)
 }
 
 // block is the level loop of the block-queue variants on whatever
-// s.blockLoop is bound to: one parallel loop per level, each worker pushing
+// s.loop is bound to: one parallel loop per level, each worker pushing
 // the vertices it claims into the next queue through its own Writer. A
 // sparse level sweeps the current queue's entries in the order the workers
 // wrote them. A dense level, whose frontier |F| holds at least n/denseShare
@@ -231,7 +207,7 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 		blockSize = DefaultBlockSize
 	}
 	n := g.NumVertices()
-	workers := s.blockLoop.Workers()
+	workers := s.loop.Workers()
 	s.ensureCommon(n)
 	s.ensureWorkers(workers)
 	s.ensureBlock(n, workers, blockSize)
@@ -306,10 +282,10 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 		var err error
 		if dense {
 			s.span = (n + frontier - 1) / frontier
-			err = s.blockLoop.Run(ctx, (n+s.span-1)/s.span, s.denseBody)
+			err = s.loop.Run(ctx, (n+s.span-1)/s.span, s.denseBody)
 		} else {
 			s.main, s.spill = main, spill
-			err = s.blockLoop.Run(ctx, len(main)+len(spill), s.blockBody)
+			err = s.loop.Run(ctx, len(main)+len(spill), s.blockBody)
 		}
 		var levelProcessed int64
 		pad := 0
@@ -337,127 +313,4 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 		next.Reset()
 	}
 	return s.finish(processed, maxLevel), nil
-}
-
-// BagCilk runs the bag BFS on the work-stealing pool (the paper's
-// CilkPlus-Bag-relaxed): relaxed insertion into per-worker bags, merged at
-// each level barrier, traversed in parallel chunk by chunk. The bag is
-// kept in the flattened form of Leiserson and Schardl's pennant tree — a
-// list of grain-sized chunks, which is what a bag walk hands its tasks —
-// built by per-worker chunk builders whose chunks are leased from the
-// pool's arena: the chunks of the consumed frontier are returned as they
-// are traversed and immediately back the next frontier, so steady-state
-// levels allocate nothing. Merging is concatenation of the per-worker
-// lists where the tree does a carry-add over pennant ranks.
-func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, pool *sched.Pool, grain int) (Result, error) {
-	if grain <= 0 {
-		grain = DefaultBagGrain
-	}
-	n := g.NumVertices()
-	workers := pool.Workers()
-	s.ensureCommon(n)
-	s.ensureWorkers(workers)
-	if n == 0 {
-		return s.finish(0, 0), nil
-	}
-	levels := s.levels
-	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
-	arena := pool.Arena()
-	s.arena, s.chunkGrain = arena, grain
-	levels[source] = 0
-
-	flat := s.bagFlat[:0]
-	seed := arena.Get(0, grain)
-	flat = append(flat, append(seed, source))
-	if s.bagBody == nil {
-		s.bagBody = func(lo, hi int, c *sched.Ctx) {
-			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
-			w := c.Worker()
-			bb := &s.builders[w]
-			for ci := lo; ci < hi; ci++ {
-				items := s.curChunks[ci]
-				for _, v := range items {
-					nb := adj[xadj[v]:xadj[v+1]]
-					for j := firstUnvisited(nb, lvls); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], lvls) {
-						u := nb[j]
-						atomic.StoreInt32(&lvls[u], lv)
-						if len(bb.hopper) == cap(bb.hopper) {
-							if cap(bb.hopper) > 0 {
-								bb.chunks = append(bb.chunks, bb.hopper)
-							}
-							bb.hopper = s.arena.Get(w, s.chunkGrain)
-						}
-						bb.hopper = append(bb.hopper, u)
-						bb.claims++
-					}
-				}
-				bb.processed += int64(len(items))
-				s.arena.Put(w, items) // consumed chunk feeds the next frontier
-				s.curChunks[ci] = nil
-			}
-		}
-	}
-
-	rec := telemetry.FromContext(ctx)
-	var processed int64
-	maxLevel := int32(0)
-	for lv := int32(1); len(flat) > 0; lv++ {
-		maxLevel = lv - 1
-		var edges int64
-		var levelStart time.Time
-		if telemetry.Active(rec) {
-			edges = chunksEdges(g, flat)
-			levelStart = telemetry.Now(rec)
-		}
-		for w := 0; w < workers; w++ {
-			bb := &s.builders[w]
-			bb.hopper = bb.hopper[:0]
-			bb.chunks = bb.chunks[:0]
-			bb.claims = 0
-			bb.processed = 0
-		}
-		s.curChunks, s.lv = flat, lv
-		// Grain 1: each task claims whole chunks, the bag-walk granularity.
-		err := pool.ParallelForCtx(ctx, len(flat), 1, s.bagBody)
-		var levelProcessed, claims int64
-		for w := 0; w < workers; w++ {
-			levelProcessed += s.builders[w].processed
-			claims += s.builders[w].claims
-		}
-		processed += levelProcessed
-		if telemetry.Active(rec) {
-			sample := levelSample(lv-1, levelProcessed, edges, claims)
-			sample.Duration = telemetry.Since(rec, levelStart)
-			rec.Record(sample)
-		}
-		if err != nil {
-			// Partial level: vertices may already be claimed at level lv.
-			s.bagFlat = flat[:0]
-			return s.finish(processed, lv), err
-		}
-		// Level barrier: concatenate the per-worker chunk lists (the bag
-		// merge) into the next flattened frontier.
-		flat = flat[:0]
-		for w := 0; w < workers; w++ {
-			bb := &s.builders[w]
-			flat = append(flat, bb.chunks...)
-			bb.chunks = bb.chunks[:0]
-			if len(bb.hopper) > 0 {
-				flat = append(flat, bb.hopper)
-				bb.hopper = nil
-			}
-		}
-	}
-	s.bagFlat = flat[:0]
-	return s.finish(processed, maxLevel), nil
-}
-
-// chunksEdges sums the degrees of every vertex in a chunked frontier
-// (telemetry pre-pass only).
-func chunksEdges(g *graph.Graph, chunks [][]int32) int64 {
-	var edges int64
-	for _, items := range chunks {
-		edges += sliceEdges(g, items)
-	}
-	return edges
 }

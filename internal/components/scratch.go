@@ -41,6 +41,9 @@ type Scratch struct {
 	adj  []int32
 
 	lpBody, hookBody, compressBody func(lo, hi, w int)
+
+	// loop carries every sweep; both kernels bind it to their team.
+	loop sched.Loop
 }
 
 // tally is what one worker counted in a sweep (raised: flags taken from 0 to
@@ -65,15 +68,15 @@ func (s *Scratch) ensure(n int) []int32 {
 	return s.labels
 }
 
-// sweep runs body as one parallel loop over the vertices and returns the
-// sum of the workers' tallies, recorded as sample index of phase.
-func (s *Scratch) sweep(ctx context.Context, team *sched.Team, opts sched.ForOptions, body func(lo, hi, w int), phase string, index int) (sum tally, err error) {
-	if len(s.tallies) < team.Workers() {
-		s.tallies = make([]tally, team.Workers())
+// sweep runs body as one parallel loop over the vertices on s.loop and
+// returns the sum of the workers' tallies, recorded as sample index of phase.
+func (s *Scratch) sweep(ctx context.Context, body func(lo, hi, w int), phase string, index int) (sum tally, err error) {
+	if len(s.tallies) < s.loop.Workers() {
+		s.tallies = make([]tally, s.loop.Workers())
 	}
 	rec := telemetry.FromContext(ctx)
 	start := telemetry.Now(rec)
-	err = team.ForCtx(ctx, len(s.labels), opts, body)
+	err = s.loop.Run(ctx, len(s.labels), body)
 	for _, t := range s.tallies {
 		sum.items += t.items
 		sum.edges += t.edges
@@ -211,13 +214,14 @@ func (s *Scratch) LabelPropagation(ctx context.Context, g *graph.Graph, team *sc
 	}
 	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
 	s.ensureBodies()
+	s.loop.OnTeam(team, opts)
 
 	var err error
 	for up := int64(n); up > 0 && err == nil; res.Rounds++ {
 		var t tally
-		t, err = s.sweep(ctx, team, opts, s.lpBody, "round", res.Rounds)
+		t, err = s.sweep(ctx, s.lpBody, "round", res.Rounds)
 		if up += t.raised - t.items; up > 0 && err == nil {
-			_, err = s.sweep(ctx, team, opts, s.compressBody, "compress", res.Rounds)
+			_, err = s.sweep(ctx, s.compressBody, "compress", res.Rounds)
 		}
 	}
 	res.Count = countRoots(res.Labels)
@@ -272,10 +276,11 @@ func (s *Scratch) PointerJumping(ctx context.Context, g *graph.Graph, team *sche
 	res.Rounds = 1
 	s.xadj, s.adj = g.Xadj(), g.AdjRaw()
 	s.ensureBodies()
+	s.loop.OnTeam(team, opts)
 
-	_, err := s.sweep(ctx, team, opts, s.hookBody, "hook", 0)
+	_, err := s.sweep(ctx, s.hookBody, "hook", 0)
 	if err == nil {
-		_, err = s.sweep(ctx, team, opts, s.compressBody, "compress", 0)
+		_, err = s.sweep(ctx, s.compressBody, "compress", 0)
 	}
 	res.Count = countRoots(res.Labels)
 	return res, err

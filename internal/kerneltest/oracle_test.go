@@ -170,6 +170,58 @@ func TestBFSScratchReuseMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBFSScratchAlternatesVariants runs every BFS entry of the table in
+// table order, twice round, on one Runtime of two and of three workers: one
+// Scratch, whose one Loop is re-bound from a Team loop to a cilk_for to a
+// TBB range and back from run to run, under every partitioner. Each outcome
+// must pass the table's validator, and the locked entries must process no
+// vertex twice.
+func TestBFSScratchAlternatesVariants(t *testing.T) {
+	graphs := map[string]bool{
+		"star-500": true, "disconnected-chains-5x20": true, "isolated-tail-er": true,
+		"grid-16x16": true, "rmat-s9-skewed": true,
+	}
+	relaxed := map[string]bool{"omp-block-relaxed": true, "tbb-block-relaxed": true, "bag": true}
+	for _, workers := range []int{2, 3} {
+		rt := kernels.NewRuntime(workers)
+		covered := 0
+		for _, nm := range Corpus() {
+			if !graphs[nm.Name] {
+				continue
+			}
+			covered++
+			for _, part := range []sched.Partitioner{sched.SimplePartitioner, sched.AutoPartitioner, sched.AffinityPartitioner} {
+				for _, src := range Sources(nm.G) {
+					p := kernels.Params{Source: src, Chunk: 4, Policy: sched.Dynamic, Partitioner: part}
+					for round := 0; round < 2; round++ {
+						for _, e := range kernels.Table() {
+							if e.Kind != kernels.BFS {
+								continue
+							}
+							name := fmt.Sprintf("W=%d %s/%s partitioner %d from %d, round %d",
+								workers, nm.Name, e.Variant, part, src, round)
+							out, err := e.Run(context.Background(), rt, nm.G, p)
+							if err == nil {
+								err = e.Validate(nm.G, p, out)
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if d := out.BFS.Duplicates; !relaxed[e.Variant] && d != 0 {
+								t.Errorf("%s: %d duplicates from a locked claim", name, d)
+							}
+						}
+					}
+				}
+			}
+		}
+		rt.Close()
+		if covered != len(graphs) {
+			t.Fatalf("%d of the %d named graphs are in the corpus", covered, len(graphs))
+		}
+	}
+}
+
 // TestColoringMatchesOracle covers the arguments the table never passes —
 // a static schedule, a Cilk grain unlike the team chunk, the auto partitioner —
 // on one recycled Scratch, which must stay proper across graphs.
