@@ -239,18 +239,3 @@ func TestLabelsAreComponentMinima(t *testing.T) {
 		}
 	}
 }
-
-func TestCompareLabelingsDetectsMismatch(t *testing.T) {
-	if err := graph.CompareLabelings([]int32{0, 0, 2}, []int32{5, 5, 9}); err != nil {
-		t.Errorf("isomorphic labelings rejected: %v", err)
-	}
-	if err := graph.CompareLabelings([]int32{0, 0, 2}, []int32{5, 9, 9}); err == nil {
-		t.Error("split/merge not detected")
-	}
-	if err := graph.CompareLabelings([]int32{0, 1}, []int32{0, 0}); err == nil {
-		t.Error("merged labels not detected")
-	}
-	if err := graph.CompareLabelings([]int32{0}, []int32{0, 1}); err == nil {
-		t.Error("length mismatch not detected")
-	}
-}

@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Graph is an undirected graph in CSR form. The zero value is the empty
@@ -22,6 +23,11 @@ import (
 type Graph struct {
 	xadj []int64 // len NumVertices()+1; xadj[v]..xadj[v+1] indexes adj
 	adj  []int32 // concatenated sorted adjacency lists, len 2*NumEdges()
+
+	// minima[v] is the smallest vertex of v's component, computed on the
+	// first CheckComponentLabels and kept: 4 bytes a vertex, never handed out.
+	minimaOnce sync.Once
+	minima     []int32
 }
 
 // NumVertices returns |V|.

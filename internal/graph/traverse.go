@@ -72,31 +72,30 @@ func (g *Graph) ConnectedComponents() ([]int32, int) {
 	return comp, int(k)
 }
 
-// CompareLabelings checks that two component labelings describe the same
-// partition of the vertex set: there must be a bijection between the label
-// values. Returns the first disagreement found.
-func CompareLabelings(want, got []int32) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("graph: labelings have different lengths %d vs %d", len(want), len(got))
-	}
-	fwd := make(map[int32]int32)
-	rev := make(map[int32]int32)
-	for v := range want {
-		if w, ok := fwd[want[v]]; ok {
-			if w != got[v] {
-				return fmt.Errorf("graph: vertex %d: label %d maps to both %d and %d",
-					v, want[v], w, got[v])
+// CheckComponentLabels checks that labels[v] is the smallest vertex of v's
+// component for every vertex v, and names the first vertex that differs.
+// The canonical labels are computed by ConnectedComponents on the first call
+// and kept, so every later call is one allocation-free pass over labels.
+func (g *Graph) CheckComponentLabels(labels []int32) error {
+	g.minimaOnce.Do(func() {
+		comp, k := g.ConnectedComponents()
+		// Ids follow the order of each component's smallest vertex, so the
+		// first vertex met with the next id is that component's minimum.
+		first := make([]int32, 0, k)
+		for v, c := range comp {
+			if int(c) == len(first) {
+				first = append(first, int32(v))
 			}
-		} else {
-			fwd[want[v]] = got[v]
+			comp[v] = first[c]
 		}
-		if w, ok := rev[got[v]]; ok {
-			if w != want[v] {
-				return fmt.Errorf("graph: vertex %d: label %d maps back to both %d and %d",
-					v, got[v], w, want[v])
-			}
-		} else {
-			rev[got[v]] = want[v]
+		g.minima = comp
+	})
+	if len(labels) != len(g.minima) {
+		return fmt.Errorf("graph: %d component labels for %d vertices", len(labels), len(g.minima))
+	}
+	for v, l := range labels {
+		if l != g.minima[v] {
+			return fmt.Errorf("graph: vertex %d labelled %d, its component's smallest vertex is %d", v, l, g.minima[v])
 		}
 	}
 	return nil

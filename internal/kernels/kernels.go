@@ -224,7 +224,12 @@ func Default(kind string) string {
 	return ""
 }
 
-// Validate checks out against the kind's sequential oracle.
+// Validate checks out against the kind's sequential oracle. BFS levels are
+// compared with a fresh bfs.Sequential run and irregular states with a fresh
+// irregular.Sequential one; colors are checked against the arcs. Components
+// labels must equal the component minima (graph.CheckComponentLabels), which
+// the graph computes on its first check and keeps, so that check is one pass
+// over the labels, not a second run of the Sequential twin.
 func (e Entry) Validate(g *graph.Graph, p Params, out Outcome) error {
 	switch e.Kind {
 	case BFS:

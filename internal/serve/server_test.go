@@ -13,6 +13,7 @@ import (
 
 	"micgraph/internal/core"
 	"micgraph/internal/fault"
+	"micgraph/internal/graphio"
 	"micgraph/internal/kernels"
 )
 
@@ -120,6 +121,14 @@ func TestServeKernelJob(t *testing.T) {
 	st := s.Cache().Stats()
 	if st.Loads != 1 || st.Hits != 1 {
 		t.Errorf("cache stats = %+v, want one load and one hit", st)
+	}
+	// The charge counts the CSR and the component minima the graph keeps.
+	g, err := graphio.Load("", "pwtk", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := GraphBytes(g) + 4*int64(g.NumVertices()); st.ResidentBytes != want {
+		t.Errorf("resident = %d bytes, want %d", st.ResidentBytes, want)
 	}
 }
 
