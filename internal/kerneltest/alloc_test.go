@@ -71,11 +71,13 @@ func TestKernelAllocCeilings(t *testing.T) {
 
 	bblk := bfs.NewScratch()
 	btbb := bfs.NewScratch()
+	baff := bfs.NewScratch()
 	btls := bfs.NewScratch()
 	bbag := bfs.NewScratch()
 	bhyb := bfs.NewScratch()
 	bnop := bfs.NewScratch()
 	col := coloring.NewScratch()
+	caff := coloring.NewScratch()
 	cmp := components.NewScratch()
 
 	gates := []struct {
@@ -86,12 +88,14 @@ func TestKernelAllocCeilings(t *testing.T) {
 		{"bfs/block-team", parked, func() { bblk.BlockTeam(nil, g, 0, team, opts, 32, true) }},
 		{"bfs/block-team-nop-recorder", parked, func() { bnop.BlockTeam(nopCtx, g, 0, team, opts, 32, true) }},
 		{"bfs/block-tbb", parked, func() { btbb.BlockTBB(nil, g, 0, pool, sched.AutoPartitioner, 64, 32, true) }},
+		{"bfs/block-tbb-affinity", parked, func() { baff.BlockTBB(nil, g, 0, pool, sched.AffinityPartitioner, 64, 32, true) }},
 		{"bfs/tls-team", parked, func() { btls.TLSTeam(nil, g, 0, team, opts) }},
 		{"bfs/bag-cilk", parked, func() { bbag.BagCilk(nil, g, 0, pool, 128) }},
 		{"bfs/hybrid-team", parked, func() { bhyb.Hybrid(nil, g, 0, team, opts, bfs.HybridConfig{}) }},
 		{"coloring/team", parked, func() { col.ColorTeam(nil, g, team, opts) }},
 		{"coloring/cilk", parked, func() { col.ColorCilk(nil, g, pool, 64, coloring.CilkHolder) }},
 		{"coloring/tbb", parked, func() { col.ColorTBB(nil, g, pool, sched.AutoPartitioner, 64) }},
+		{"coloring/tbb-affinity", parked, func() { caff.ColorTBB(nil, g, pool, sched.AffinityPartitioner, 64) }},
 		{"coloring/team-d2", parked, func() { col.ColorTeamD2(nil, g, team, opts) }},
 		{"components/labelprop", 0, func() { cmp.LabelPropagation(nil, g, team, opts) }},
 		{"components/pointerjump", 0, func() { cmp.PointerJumping(nil, g, team, opts) }},

@@ -21,12 +21,11 @@ type Pool = Team
 
 // worker is one scheduler thread of the pool.
 type worker struct {
-	pool   *Pool
-	id     int
-	dq     deque
-	rng    xrand.Rand
-	stolen bool      // whether the task currently executing was obtained by theft
-	free   []*ctxBox // recycled Ctx+scope pairs, touched only by the goroutine working as this worker
+	pool *Pool
+	id   int
+	dq   deque
+	rng  xrand.Rand
+	free []*ctxBox // recycled Ctx+scope pairs, touched only by the goroutine working as this worker
 }
 
 // ctxBox is a Ctx and its child scope allocated as one block so runTask
@@ -69,9 +68,10 @@ type scope struct {
 // identify its worker (for thread-local storage). A Ctx is only valid within
 // the task invocation it was passed to.
 type Ctx struct {
-	w   *worker
-	sc  *scope
-	box *ctxBox // back-pointer for recycling
+	w      *worker
+	sc     *scope
+	box    *ctxBox // back-pointer for recycling
+	stolen bool    // whether the task was obtained by theft
 }
 
 // Worker returns the executing worker's id in [0, Workers()).
@@ -84,7 +84,7 @@ func (c *Ctx) Pool() *Pool { return c.w.pool }
 // stealing rather than popped from the owner's deque. The TBB auto
 // partitioner uses this signal ("it creates some subranges first and
 // subdivides a range further only when it gets stolen").
-func (c *Ctx) Stolen() bool { return c.w.stolen }
+func (c *Ctx) Stolen() bool { return c.stolen }
 
 // Cancelled reports whether the run this task belongs to has been cancelled
 // or has failed: true once the run's context is done or any task of the run
@@ -105,12 +105,13 @@ func NewPool(n int) *Pool { return NewTeam(n) }
 // their scope bookkeeping, so the run terminates promptly) and RunCtx
 // returns ctx.Err(). A task panic takes precedence over cancellation.
 func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
-	return p.runRoot(ctx, task{fn: root})
+	return p.runRoot(ctx, task{fn: root}, nil)
 }
 
 // runRoot executes t as the root task of a run and returns when the whole
-// task tree has completed.
-func (p *Pool) runRoot(ctx context.Context, t task) error {
+// task tree has completed. aff is the affinity run's block map, nil for any
+// other run.
+func (p *Pool) runRoot(ctx context.Context, t task, aff *AffinityState) error {
 	if p.crew.leave {
 		return ErrClosed
 	}
@@ -118,10 +119,10 @@ func (p *Pool) runRoot(ctx context.Context, t task) error {
 	p.tasks = true
 	p.top.pending.Store(1)
 	t.scope = &p.top
-	p.root = t
+	p.root, p.aff = t, aff
 	p.counters.Inc(0, telemetry.TasksSpawned) // the root counts as one spawned task
 	p.crew.run()
-	p.root = task{} // drop references; the field is resident
+	p.root, p.aff = task{}, nil // drop references; the fields are resident
 	return p.end()
 }
 
@@ -131,7 +132,7 @@ func (p *Pool) runRoot(ctx context.Context, t task) error {
 func (p *Pool) runShare(w int) {
 	wk := &p.ws[w]
 	if w == 0 {
-		runTask(wk, p.root)
+		runTask(wk, p.root, false)
 	}
 	wk.drain(&p.top)
 }
@@ -141,9 +142,11 @@ func (p *Pool) runShare(w int) {
 // the Ctx to the worker's free list. A panicking task is recorded on the run;
 // its already-spawned children still drain so no scope count leaks. Range
 // tasks (t.fn == nil) continue the split of [t.lo, t.hi) their kind names.
-func runTask(w *worker, t task) {
+// stolen says whether t came off another worker's deque (Ctx.Stolen).
+func runTask(w *worker, t task, stolen bool) {
 	p := w.pool
 	ctx := w.getCtx()
+	ctx.stolen = stolen
 	func() {
 		defer p.contain(w.id, p.counters)
 		if p.inject != nil {
@@ -157,6 +160,10 @@ func runTask(w *worker, t task) {
 				autoRun(ctx, Range{t.lo, t.hi, t.grain}, t.body)
 			case t.kind == taskAutoRoot:
 				autoRoot(ctx, Range{t.lo, t.hi, t.grain}, t.body)
+			case t.kind == taskAffinity:
+				affinityBlock(ctx, t.grain, t.lo, t.hi, t.body)
+			case t.kind == taskAffinityRoot:
+				affinityRoot(ctx, Range{t.lo, t.hi, t.grain}, t.body)
 			default:
 				ctx.forSplit(t.lo, t.hi, t.grain, t.body)
 			}
@@ -172,19 +179,19 @@ func runTask(w *worker, t task) {
 // (work-first would run it immediately; help-first matches how thieves in
 // the paper's runtimes pick up whole subtrees and is what we implement).
 // The task record carries f directly — no wrapper closure is allocated.
-func (c *Ctx) Spawn(f func(*Ctx)) {
-	sc := c.sc
-	sc.pending.Add(1)
-	c.w.pool.submit(c.w, task{scope: sc, fn: f})
-}
+func (c *Ctx) Spawn(f func(*Ctx)) { c.push(c.w, task{fn: f}) }
 
-// spawnRange schedules a subrange continuation of the given kind under the
-// current scope. Like Spawn, no wrapper closure is allocated: the shared
-// body rides in the task record.
-func (c *Ctx) spawnRange(kind uint8, r Range, body func(lo, hi int, c *Ctx)) {
-	sc := c.sc
-	sc.pending.Add(1)
-	c.w.pool.submit(c.w, task{scope: sc, body: body, lo: r.Lo, hi: r.Hi, grain: r.Grain, kind: kind})
+// push makes t a child of the executing task and puts it on w's deque — the
+// one way a task enters a deque: counted in the spawner's scope (so Sync
+// waits for it) and in its TasksSpawned, then pushed. w is the spawner's own
+// worker, except when the affinity partitioner seeds a block on its home.
+// Nobody needs waking: while a run is in flight every worker is popping or
+// stealing.
+func (c *Ctx) push(w *worker, t task) {
+	t.scope = c.sc
+	c.sc.pending.Add(1)
+	c.w.pool.counters.Inc(c.w.id, telemetry.TasksSpawned)
+	w.dq.pushBottom(t)
 }
 
 // Sync blocks until every task spawned by this Ctx has completed. While
@@ -203,28 +210,13 @@ func (w *worker) drain(sc *scope) {
 	}
 }
 
-// submit enqueues t on w's deque. Nobody needs waking: while a run is in
-// flight every worker is popping or stealing.
-func (p *Pool) submit(w *worker, t task) {
-	p.counters.Inc(w.id, telemetry.TasksSpawned)
-	w.dq.pushBottom(t)
-}
-
-// submitTo enqueues a task for a specific worker id (used by the affinity
-// partitioner to replay a previous distribution).
-func (p *Pool) submitTo(workerID int, sc *scope, f func(*Ctx)) {
-	sc.pending.Add(1)
-	w := &p.ws[workerID%len(p.ws)]
-	p.submit(w, task{scope: sc, fn: f})
-}
-
 // tryRunOne executes one task if any is available, preferring the worker's
 // own deque and falling back to stealing from random victims. It reports
 // whether a task ran.
 func (w *worker) tryRunOne() bool {
 	p := w.pool
 	if t, ok := w.dq.popBottom(); ok {
-		w.runWith(t, false)
+		runTask(w, t, false)
 		return true
 	}
 	// Random victim selection, one full tour of the other workers.
@@ -240,21 +232,12 @@ func (w *worker) tryRunOne() bool {
 		}
 		if t, ok := v.dq.stealTop(); ok {
 			p.counters.Inc(w.id, telemetry.Steals)
-			w.runWith(t, true)
+			runTask(w, t, true)
 			return true
 		}
 	}
 	p.counters.Inc(w.id, telemetry.StealFails)
 	return false
-}
-
-// runWith executes t with the stolen flag set appropriately for the
-// duration of the task (saving/restoring around nested execution in Sync).
-func (w *worker) runWith(t task, stolen bool) {
-	prev := w.stolen
-	w.stolen = stolen
-	runTask(w, t)
-	w.stolen = prev
 }
 
 // DefaultGrain mirrors Cilk Plus's cilk_for default grain size:
@@ -292,15 +275,13 @@ func (c *Ctx) For(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
 // subdividing and skips unexecuted subranges.
 func (c *Ctx) forSplit(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
 	counters := c.w.pool.counters
-	sc := c.sc
 	for hi-lo > grain {
 		if c.Cancelled() {
 			return
 		}
 		counters.Inc(c.w.id, telemetry.RangeSplits)
 		mid := lo + (hi-lo)/2
-		sc.pending.Add(1)
-		c.w.pool.submit(c.w, task{scope: sc, body: body, lo: lo, hi: mid, grain: grain})
+		c.push(c.w, task{body: body, lo: lo, hi: mid, grain: grain})
 		lo = mid
 	}
 	if c.Cancelled() {
@@ -328,5 +309,5 @@ func (p *Pool) ParallelForCtx(ctx context.Context, n, grain int, body func(lo, h
 	if grain <= 0 {
 		grain = DefaultGrain(n, p.Workers())
 	}
-	return p.runRoot(ctx, task{body: body, lo: 0, hi: n, grain: grain})
+	return p.runRoot(ctx, task{body: body, lo: 0, hi: n, grain: grain}, nil)
 }

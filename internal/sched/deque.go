@@ -3,27 +3,29 @@ package sched
 import "sync"
 
 // task is one unit of work in the work-stealing pool: either a plain task
-// (fn != nil) or a loop subrange [lo, hi) with its body, grain, and split
-// discipline (kind). The range form exists so the recursive cilk_for and
-// TBB partitioner splits can enqueue work without allocating a wrapper
-// closure per split — the body closure is created once per loop and shared
-// by every subrange task. scope is the spawning scope, so Sync can account
-// for completions.
+// (fn != nil, from Spawn or RunCtx) or a loop subrange [lo, hi) with its
+// body, grain, and split discipline (kind). Every task a parallel-for puts
+// on a deque — cilk_for's and all three partitioners' — is of the range
+// form, so no loop builds a wrapper closure per split or per block: the body
+// closure is created once per loop and shared by every subrange task. scope
+// is the spawning scope, so Sync can account for completions.
 type task struct {
 	scope *scope
 	fn    func(*Ctx)
 	body  func(lo, hi int, c *Ctx)
 	lo    int
 	hi    int
-	grain int
+	grain int // an affinity block's index instead (taskAffinity)
 	kind  uint8
 }
 
 // Range-task kinds: how a subrange continues subdividing when executed.
 const (
-	taskFor      uint8 = iota // cilk_for and TBB simple partitioner: halve to the grain (Ctx.forSplit)
-	taskAuto                  // TBB auto partitioner (autoRun)
-	taskAutoRoot              // TBB auto partitioner seeding (autoRoot)
+	taskFor          uint8 = iota // cilk_for and TBB simple partitioner: halve to the grain (Ctx.forSplit)
+	taskAuto                      // TBB auto partitioner (autoRun)
+	taskAutoRoot                  // TBB auto partitioner seeding (autoRoot)
+	taskAffinity                  // one block of the TBB affinity partitioner (affinityBlock)
+	taskAffinityRoot              // TBB affinity partitioner seeding (affinityRoot)
 )
 
 // deque is a double-ended work queue: the owning worker pushes and pops at
@@ -43,7 +45,8 @@ type deque struct {
 	items []task
 }
 
-// pushBottom adds t at the bottom (owner only).
+// pushBottom adds t at the bottom: the owner's spawns and splits, and the
+// blocks the affinity partitioner seeds on their home worker.
 func (d *deque) pushBottom(t task) {
 	d.mu.Lock()
 	d.items = append(d.items, t)

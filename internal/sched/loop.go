@@ -25,9 +25,10 @@ type Loop struct {
 	part  Partitioner
 	grain int
 	// aff is the site's block→worker map, replayed across runs. Allocated
-	// by the first affinity binding: held by value it would be captured by
-	// affinityRun's block closures and force every Loop, even a Team-bound
-	// one on a caller's stack (irregular.TeamCtx), onto the heap.
+	// by the first affinity binding: held by value, its address would be what
+	// the engine keeps for the length of an affinity run, and that would
+	// force every Loop, even a Team-bound one on a caller's stack
+	// (irregular.TeamCtx), onto the heap.
 	aff *AffinityState
 
 	// The pool runtimes hand a body its *Ctx where the kernels want the

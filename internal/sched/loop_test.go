@@ -79,11 +79,9 @@ func TestLoopContract(t *testing.T) {
 				t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
 			}
 
-			// The affinity partitioner submits one closure per block, a
-			// known cost of its own (TestKernelAllocCeilings does not gate
-			// it either); every other binding runs allocation-free once the
-			// runtime's free lists are warm (not countable under -race).
-			if b.name == "tbb-affinity" || raceEnabled {
+			// Every binding, affinity's included, runs allocation-free once
+			// the runtime's free lists are warm (not countable under -race).
+			if raceEnabled {
 				return
 			}
 			body := func(lo, hi, w int) {}

@@ -166,18 +166,24 @@ func TestHolderIsolationBetweenWorkers(t *testing.T) {
 }
 
 func TestAffinityStateReuseAcrossSizes(t *testing.T) {
-	// Changing the range size must rebuild the block map, not corrupt it.
+	// Changing the range size must rebuild the block map, not corrupt it, and
+	// so must changing the grain where that changes the block count:
+	// min(4W, ceil(n/grain)).
 	pool := NewPool(4)
 	defer pool.Close()
 	var aff AffinityState
-	for _, n := range []int{100, 50, 200, 100, 1} {
-		n := n
-		coverageCheck(t, n, func(mark func(int)) {
-			check(t, ParallelForRangeCtx(nil, pool, Range{0, n, 4}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
+	for _, tc := range []struct{ n, grain, blocks int }{
+		{100, 4, 16}, {50, 4, 13}, {200, 4, 16}, {100, 4, 16}, {1, 4, 1}, {100, 50, 2}, {100, 1, 16},
+	} {
+		coverageCheck(t, tc.n, func(mark func(int)) {
+			check(t, ParallelForRangeCtx(nil, pool, Range{0, tc.n, tc.grain}, AffinityPartitioner, &aff, func(lo, hi int, c *Ctx) {
 				for i := lo; i < hi; i++ {
 					mark(i)
 				}
 			}))
 		})
+		if len(aff.homes) != tc.blocks {
+			t.Errorf("n %d, grain %d: %d blocks, want %d", tc.n, tc.grain, len(aff.homes), tc.blocks)
+		}
 	}
 }

@@ -19,6 +19,12 @@ import (
 //   - AffinityPartitioner remembers which worker ran each block in the
 //     previous execution of the same loop and replays that assignment to
 //     maximise cache reuse.
+//
+// All three run as range tasks of runTask: a root task seeds the range, and
+// every piece it or a split puts on a deque is a task record carrying the
+// loop's one body, so no partitioner builds a closure per piece. Auto and
+// affinity seed at most ceil(size/grain) pieces — never finer than the
+// simple partitioner's leaves of the same range — capped at W and 4W.
 
 // Range is an iteration interval [Lo, Hi) with a minimum split size.
 type Range struct {
@@ -83,33 +89,38 @@ func ParallelForRangeCtx(ctx context.Context, pool *Pool, r Range, part Partitio
 	if r.Size() <= 0 {
 		return nil
 	}
+	root := task{body: body, lo: r.Lo, hi: r.Hi, grain: r.Grain}
 	switch part {
 	case SimplePartitioner:
-		return pool.runRoot(ctx, task{body: body, lo: r.Lo, hi: r.Hi, grain: r.grain()})
+		root.grain = r.grain()
 	case AutoPartitioner:
-		return pool.runRoot(ctx, task{body: body, lo: r.Lo, hi: r.Hi, grain: r.Grain, kind: taskAutoRoot})
+		root.kind = taskAutoRoot
 	case AffinityPartitioner:
 		if aff == nil {
 			panic("sched: AffinityPartitioner requires an AffinityState")
 		}
-		return affinityRun(ctx, pool, r, aff, body)
+		aff.fit(r, pool.Workers())
+		root.kind = taskAffinityRoot
 	default:
 		panic(fmt.Sprintf("sched: unknown partitioner %d", part))
 	}
+	return pool.runRoot(ctx, root, aff)
 }
 
-// autoRoot seeds one subrange per worker, then lets autoRun subdivide on
-// steals.
+// seeds is how many pieces auto and affinity cut r into up front: most, but
+// never more than ceil(size/grain), so no seeded piece is finer than the
+// simple partitioner's leaves of the same range.
+func seeds(r Range, most int) int {
+	g := r.grain()
+	return min(most, (r.Size()+g-1)/g)
+}
+
+// autoRoot seeds up to one subrange per worker, then lets autoRun subdivide
+// on steals.
 func autoRoot(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
-	p := c.Pool().Workers()
-	n := r.Size()
-	for w := 0; w < p; w++ {
-		lo := r.Lo + n*w/p
-		hi := r.Lo + n*(w+1)/p
-		if lo >= hi {
-			continue
-		}
-		c.spawnRange(taskAuto, Range{lo, hi, r.Grain}, body)
+	n, k := r.Size(), seeds(r, c.Pool().Workers())
+	for i := 0; i < k; i++ {
+		c.push(c.w, task{body: body, lo: r.Lo + n*i/k, hi: r.Lo + n*(i+1)/k, grain: r.Grain, kind: taskAuto})
 	}
 }
 
@@ -124,7 +135,7 @@ func autoRun(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
 		}
 		counters.Inc(c.w.id, telemetry.RangeSplits)
 		left, right := r.Split()
-		c.spawnRange(taskAuto, right, body)
+		c.push(c.w, task{body: body, lo: right.Lo, hi: right.Hi, grain: right.Grain, kind: taskAuto})
 		r = left
 	}
 	if c.Cancelled() {
@@ -139,49 +150,45 @@ func autoRun(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
 // for repeated executions of the same loop to get the replay behaviour
 // ("if the same affinity partitioner is used on multiple loops, it tries to
 // allocate the iterations to the thread that executed them during the
-// previous loop").
+// previous loop"). A range is cut into len(homes) equal blocks, computed
+// from its bounds on every run, so a range of the same size at another Lo
+// replays the same map.
 type AffinityState struct {
-	blocks  []Range // fixed block decomposition from the first run, as offsets from Range.Lo
-	homes   []int   // worker that last ran each block
-	n       int     // iteration count the state was built for
-	workers int
+	homes   []int // worker that last ran each block
+	n       int   // iteration count the map was built for
+	workers int   // engine size the map was built for
 }
 
-// affinityRun decomposes r into ~4·workers blocks (first run: round-robin
-// homes) and submits each block directly to its home worker's deque; idle
-// workers may still steal blocks, and theft updates the block's home.
-func affinityRun(ctx context.Context, pool *Pool, r Range, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
-	p := pool.Workers()
-	if aff.blocks == nil || aff.n != r.Size() || aff.workers != p {
-		nb := 4 * p
-		if nb > r.Size() {
-			nb = r.Size()
-		}
-		aff.blocks = aff.blocks[:0]
-		aff.homes = aff.homes[:0]
-		for b := 0; b < nb; b++ {
-			lo := r.Size() * b / nb
-			hi := r.Size() * (b + 1) / nb
-			if lo < hi {
-				aff.blocks = append(aff.blocks, Range{lo, hi, r.Grain})
-				aff.homes = append(aff.homes, b%p)
-			}
-		}
-		aff.n = r.Size()
-		aff.workers = p
+// fit readies the map for r on an engine of the given size: up to 4·workers
+// blocks, no finer than r's grain allows (seeds), homed round-robin. A map
+// built for the same size, engine size and block count is kept as it is.
+func (a *AffinityState) fit(r Range, workers int) {
+	nb := seeds(r, 4*workers)
+	if len(a.homes) == nb && a.n == r.Size() && a.workers == workers {
+		return
 	}
-	return pool.RunCtx(ctx, func(c *Ctx) {
-		for i := range aff.blocks {
-			i := i
-			blk := aff.blocks[i]
-			c.Pool().submitTo(aff.homes[i], c.sc, func(cc *Ctx) {
-				if cc.Cancelled() {
-					return
-				}
-				aff.homes[i] = cc.Worker() // theft moves the home
-				cc.w.pool.counters.Inc(cc.w.id, telemetry.ChunksClaimed)
-				body(r.Lo+blk.Lo, r.Lo+blk.Hi, cc)
-			})
-		}
-	})
+	a.homes = a.homes[:0]
+	for b := 0; b < nb; b++ {
+		a.homes = append(a.homes, b%workers)
+	}
+	a.n, a.workers = r.Size(), workers
+}
+
+// affinityRoot pushes each block of r onto its home worker's deque. Idle
+// workers may still steal blocks, and affinityBlock moves the home to the
+// thief.
+func affinityRoot(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
+	p := c.Pool()
+	n, nb := r.Size(), len(p.aff.homes)
+	for b, home := range p.aff.homes {
+		c.push(&p.ws[home], task{body: body, lo: r.Lo + n*b/nb, hi: r.Lo + n*(b+1)/nb, grain: b, kind: taskAffinity})
+	}
+}
+
+// affinityBlock runs block b, [lo, hi), of the current affinity run on c's
+// worker, which becomes the block's home for the next run.
+func affinityBlock(c *Ctx, b, lo, hi int, body func(lo, hi int, c *Ctx)) {
+	c.w.pool.aff.homes[b] = c.w.id
+	c.w.pool.counters.Inc(c.w.id, telemetry.ChunksClaimed)
+	body(lo, hi, c)
 }

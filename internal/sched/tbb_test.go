@@ -2,6 +2,7 @@ package sched
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -117,9 +118,68 @@ func TestAffinityReplayCoverage(t *testing.T) {
 			}))
 		})
 	}
-	if len(aff.blocks) == 0 || len(aff.blocks) > 16 {
-		t.Errorf("affinity produced %d blocks, want 1..16 (4*workers)", len(aff.blocks))
+	if len(aff.homes) == 0 || len(aff.homes) > 16 {
+		t.Errorf("affinity produced %d blocks, want 1..16 (4*workers)", len(aff.homes))
 	}
+}
+
+// TestPartitionerGrain: no partitioner hands the body pieces finer than the
+// grain allows. Simple halves while a piece exceeds the grain; auto and
+// affinity seed at most ceil(size/grain) pieces (capped at W and 4W), so
+// where their seeds are final — auto's are at most the grain, and affinity
+// never splits — all three cut a range alike. The cases are those where
+// every listed partitioner's pieces do not depend on who steals what.
+func TestPartitionerGrain(t *testing.T) {
+	const workers = 4
+	pool := NewPool(workers)
+	defer pool.Close()
+	cases := []struct {
+		r    Range
+		want map[Partitioner][]int // sorted piece sizes
+	}{
+		{Range{0, 10, 8}, map[Partitioner][]int{
+			SimplePartitioner: {5, 5}, AutoPartitioner: {5, 5}, AffinityPartitioner: {5, 5}}},
+		{Range{0, 1000, 300}, map[Partitioner][]int{
+			SimplePartitioner:   {250, 250, 250, 250},
+			AutoPartitioner:     {250, 250, 250, 250},
+			AffinityPartitioner: {250, 250, 250, 250}}},
+		{Range{7, 107, 50}, map[Partitioner][]int{
+			SimplePartitioner: {50, 50}, AutoPartitioner: {50, 50}, AffinityPartitioner: {50, 50}}},
+		{Range{0, 3, 0}, map[Partitioner][]int{ // grain <= 0 means 1
+			SimplePartitioner: {1, 1, 1}, AutoPartitioner: {1, 1, 1}, AffinityPartitioner: {1, 1, 1}}},
+		// 4W blocks cap affinity; simple halves on to the grain.
+		{Range{0, 160, 5}, map[Partitioner][]int{
+			SimplePartitioner:   repeat(5, 32),
+			AffinityPartitioner: repeat(10, 16)}},
+	}
+	for _, tc := range cases {
+		for _, part := range []Partitioner{SimplePartitioner, AutoPartitioner, AffinityPartitioner} {
+			want, ok := tc.want[part]
+			if !ok {
+				continue
+			}
+			var mu sync.Mutex
+			var got []int
+			check(t, ParallelForRangeCtx(nil, pool, tc.r, part, new(AffinityState), func(lo, hi int, _ *Ctx) {
+				mu.Lock()
+				got = append(got, hi-lo)
+				mu.Unlock()
+			}))
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%+v under %s: pieces %v, want %v", tc.r, part, got, want)
+			}
+		}
+	}
+}
+
+// repeat returns n copies of v.
+func repeat(v, n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // TestAffinityMovedRange: the cached block decomposition is keyed on the

@@ -8,6 +8,7 @@ import (
 	"micgraph/internal/graph"
 	"micgraph/internal/graphio"
 	"micgraph/internal/kernels"
+	"micgraph/internal/mic"
 	"micgraph/internal/telemetry"
 )
 
@@ -194,7 +195,7 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 			return err
 		}
 		t = j.now()
-		exp, err := core.ByID(id, js, s.cfg.KNF, s.cfg.Host)
+		exp, err := core.ByID(id, js, s.cfg.KNF, mic.HostXeon())
 		j.addExec(j.now().Sub(t))
 		if err != nil {
 			return err // unknown ID; normalize() should have caught it

@@ -44,10 +44,9 @@ type Config struct {
 	// 10ms; only meaningful with an Injector).
 	Stall time.Duration
 
-	// KNF and Host are the simulated machines sweeps run on (defaults
-	// mic.KNF() / mic.HostXeon()).
-	KNF  *mic.Machine
-	Host *mic.Machine
+	// KNF is the simulated card sweeps run on (default mic.KNF()); their
+	// host machine is always mic.HostXeon().
+	KNF *mic.Machine
 
 	// ShardID names this server inside a cluster. When set, job IDs are
 	// prefixed "<shard>-" so they are globally unique and routable, every
@@ -95,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KNF == nil {
 		c.KNF = mic.KNF()
-	}
-	if c.Host == nil {
-		c.Host = mic.HostXeon()
 	}
 	if c.Clock == nil {
 		c.Clock = telemetry.System
