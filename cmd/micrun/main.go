@@ -134,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res, err := rt.Col.ColorTeamD2(ctx, g, rt.Team, p.TeamOpts())
 			return kernels.Outcome{Coloring: res}, err
 		}
-		validate = func(g *graph.Graph, _ kernels.Params, out kernels.Outcome) error {
+		validate = func(_ context.Context, _ *kernels.Runtime, g *graph.Graph, _ kernels.Params, out kernels.Outcome) error {
 			return coloring.ValidateD2(g, out.Coloring.Colors)
 		}
 	}
@@ -192,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if runErr != nil {
 		return die(1, "%s/%s aborted after %v: %v", entry.Kind, entry.Variant, elapsed.Round(time.Microsecond), runErr)
 	}
-	if err := validate(g, p, out); err != nil {
+	if err := validate(context.Background(), rt, g, p, out); err != nil {
 		return die(1, "INVALID %s result: %v", entry.Kind, err)
 	}
 	line, err := json.Marshal(out.Line(entry, g.String(), p))

@@ -61,23 +61,61 @@ func SeqGreedy(g *graph.Graph) Result {
 
 // Validate checks that colors is a proper coloring of g: every vertex
 // colored with a positive color and no monochromatic edge. It returns the
-// first violation found.
+// violation at the lowest vertex: the vertex uncolored, or the edge to its
+// lowest neighbour of the same color.
+//
+// Each undirected edge is read once, from its higher end: adjacency lists
+// are sorted and symmetric (a graph.Graph invariant), so the lower end u of
+// an edge (u, v) is in v's list below v, and a vertex's scan stops at its
+// first neighbour above it. Scratch.Check runs the same pass on an engine.
 func Validate(g *graph.Graph, colors []int32) error {
 	n := g.NumVertices()
 	if len(colors) != n {
-		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
+		return lengthError(colors, n)
 	}
-	for v := 0; v < n; v++ {
-		if colors[v] <= 0 {
-			return fmt.Errorf("coloring: vertex %d uncolored", v)
+	if v := firstClash(g.Xadj(), g.AdjRaw(), colors, 0, n); v < n {
+		return clashError(g, colors, v)
+	}
+	return nil
+}
+
+// firstClash returns the first vertex of [lo, hi) that is uncolored or has
+// the color of a lower neighbour, else hi. It is the one body of both
+// checks: Validate runs it over [0, n), Scratch.Check over engine chunks.
+func firstClash(xadj []int64, adj, colors []int32, lo, hi int) int {
+	for v := int32(lo); v < int32(hi); v++ {
+		c := colors[v]
+		if c <= 0 {
+			return int(v)
 		}
-		for _, w := range g.Adj(int32(v)) {
-			if colors[v] == colors[w] {
-				return fmt.Errorf("coloring: edge (%d,%d) monochromatic with color %d", v, w, colors[v])
+		for _, u := range adj[xadj[v]:xadj[v+1]] {
+			if u >= v {
+				break
+			}
+			if colors[u] == c {
+				return int(v)
 			}
 		}
 	}
-	return nil
+	return hi
+}
+
+func lengthError(colors []int32, n int) error {
+	return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
+}
+
+// clashError describes the violation firstClash found at v. The first
+// neighbour of v's color in its sorted list is the lowest one, and firstClash
+// saw it below v.
+func clashError(g *graph.Graph, colors []int32, v int) error {
+	if c := colors[v]; c > 0 {
+		for _, u := range g.Adj(int32(v)) {
+			if colors[u] == c {
+				return fmt.Errorf("coloring: edge (%d,%d) monochromatic with color %d", u, v, c)
+			}
+		}
+	}
+	return fmt.Errorf("coloring: vertex %d uncolored", v)
 }
 
 // CountColors returns the maximum color in use.

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -13,7 +14,7 @@ import (
 
 // Scratch owns every reusable buffer of the parallel coloring variants:
 // the color array, the per-worker forbidden-color arrays and the
-// double-buffered work lists.
+// double-buffered work lists, and the per-worker tallies of Check.
 // A run through a Scratch allocates nothing on its hot path in steady
 // state (pinned by the alloc-regression tests); the first run on a new
 // graph shape grows the buffers once.
@@ -46,12 +47,25 @@ type Scratch struct {
 	count   atomic.Int64
 
 	// body and bodyD2 are the resident loop bodies of the distance-1 and the
-	// distance-2 round; a run picks one before its first round.
-	body, bodyD2 func(lo, hi, w int)
+	// distance-2 round; a run picks one before its first round. checkBody is
+	// Check's.
+	body, bodyD2, checkBody func(lo, hi, w int)
+
+	// Check's state: the colors under check and one tally per worker.
+	checked []int32
+	tallies []checkTally
 
 	// loop is the parallel-for construct carrying a round's one loop; the
 	// entry points differ only in how they bind it.
 	loop sched.Loop
+}
+
+// checkTally is what one worker saw in a Check: how many vertices its
+// chunks held and the lowest bad vertex among them (n if none), a cache line
+// wide.
+type checkTally struct {
+	covered, first int
+	_              [48]byte
 }
 
 // ensureBody lazily creates the resident loop bodies (they capture only s,
@@ -79,6 +93,13 @@ func (s *Scratch) ensureBody() {
 			if v := s.vs[i]; speculateD2(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
 				appendConflict(s.nextBuf, &s.count, v)
 			}
+		}
+	}
+	s.checkBody = func(lo, hi, w int) {
+		t := &s.tallies[w]
+		t.covered += hi - lo
+		if v := firstClash(s.xadj, s.adjr, s.checked, lo, hi); v < hi && v < t.first {
+			t.first = v
 		}
 	}
 }
@@ -222,6 +243,50 @@ func (s *Scratch) ColorCilk(ctx context.Context, g *graph.Graph, pool *sched.Poo
 func (s *Scratch) ColorTBB(ctx context.Context, g *graph.Graph, pool *sched.Pool, part sched.Partitioner, grain int) (Result, error) {
 	s.loop.OnTBB(pool, part, grain)
 	return s.color(ctx, g, false)
+}
+
+// Check is Validate run as a loop on team under opts, and returns exactly
+// Validate's error: each worker keeps the lowest bad vertex of its chunks,
+// and the lowest of those is reported, whatever the worker count or the
+// interleaving. It also fails when the chunks the workers ran do not add up
+// to the graph, so a scheduler fault cannot silently skip part of the check.
+// The loop's chunk claims are the team's fault sites and book into its
+// counters; a contained panic or a cancellation comes back as the loop
+// returned it. colors may alias the scratch's last Result; the check only
+// reads it. A steady-state Check allocates nothing.
+func (s *Scratch) Check(ctx context.Context, g *graph.Graph, colors []int32, team *sched.Team, opts sched.ForOptions) error {
+	n := g.NumVertices()
+	if len(colors) != n {
+		return lengthError(colors, n)
+	}
+	s.ensureBody()
+	s.loop.OnTeam(team, opts)
+	workers := s.loop.Workers()
+	if len(s.tallies) < workers {
+		s.tallies = make([]checkTally, workers)
+	}
+	tallies := s.tallies[:workers]
+	for i := range tallies {
+		tallies[i] = checkTally{first: n}
+	}
+	s.xadj, s.adjr, s.checked = g.Xadj(), g.AdjRaw(), colors
+	err := s.loop.Run(ctx, n, s.checkBody)
+	s.checked = nil
+	if err != nil {
+		return err
+	}
+	covered, first := 0, n
+	for _, t := range tallies {
+		covered += t.covered
+		first = min(first, t.first)
+	}
+	if covered != n {
+		return fmt.Errorf("coloring: check covered %d of %d vertices", covered, n)
+	}
+	if first < n {
+		return clashError(g, colors, first)
+	}
+	return nil
 }
 
 // color is the round loop of Algorithms 2–4 on whatever s.loop is bound to:

@@ -1,7 +1,7 @@
 // Package kernels is the one table of what the system can run: every
 // kind×variant pair of the paper's experiment matrix (§IV — three kernels
 // × three runtimes × queue/claim variants, plus components), each bound to
-// the Scratch method that runs it, the sequential oracle that validates it
+// the Scratch method that runs it, the oracle check that validates it
 // and the result line it reports. The daemon, the CLIs, the load and chaos
 // generators and the differential oracle all iterate or look up this table
 // instead of spelling variant names themselves; adding a variant is one
@@ -224,18 +224,22 @@ func Default(kind string) string {
 	return ""
 }
 
-// Validate checks out against the kind's sequential oracle. BFS levels are
-// compared with a fresh bfs.Sequential run and irregular states with a fresh
-// irregular.Sequential one; colors are checked against the arcs. Components
+// Validate checks out against the kind's oracle. BFS levels are compared
+// with a fresh bfs.Sequential run and irregular states with a fresh
+// irregular.Sequential one. Colors are checked against the edges, each once
+// from its higher end, as a loop on rt's engine under p.TeamOpts()
+// (coloring.Scratch.Check): its chunk claims are the engine's fault sites
+// and book into its counters, and a contained panic or a cancellation of ctx
+// comes back as the loop returned it, not as a bad coloring. Components
 // labels must equal the component minima (graph.CheckComponentLabels), which
 // the graph computes on its first check and keeps, so that check is one pass
 // over the labels, not a second run of the Sequential twin.
-func (e Entry) Validate(g *graph.Graph, p Params, out Outcome) error {
+func (e Entry) Validate(ctx context.Context, rt *Runtime, g *graph.Graph, p Params, out Outcome) error {
 	switch e.Kind {
 	case BFS:
 		return bfs.Validate(g, p.Source, out.BFS.Levels)
 	case Coloring:
-		return coloring.Validate(g, out.Coloring.Colors)
+		return rt.Col.Check(ctx, g, out.Coloring.Colors, rt.Team, p.TeamOpts())
 	case Components:
 		return components.Validate(g, out.Components.Labels)
 	default:

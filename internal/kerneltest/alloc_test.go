@@ -63,6 +63,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}
 	g := gen.ErdosRenyi(2000, 8000, 1)
 	minima := components.Sequential(g).Labels
+	greedy := coloring.SeqGreedy(g).Colors
 
 	// nopCtx carries an explicit Nop recorder: the uninstrumented
 	// telemetry path must not assemble samples or read clocks, so it has
@@ -78,6 +79,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 	bnop := bfs.NewScratch()
 	col := coloring.NewScratch()
 	caff := coloring.NewScratch()
+	chk := coloring.NewScratch()
 	cmp := components.NewScratch()
 
 	gates := []struct {
@@ -97,6 +99,11 @@ func TestKernelAllocCeilings(t *testing.T) {
 		{"coloring/tbb", parked, func() { col.ColorTBB(nil, g, pool, sched.AutoPartitioner, 64) }},
 		{"coloring/tbb-affinity", parked, func() { caff.ColorTBB(nil, g, pool, sched.AffinityPartitioner, 64) }},
 		{"coloring/team-d2", parked, func() { col.ColorTeamD2(nil, g, team, opts) }},
+		{"coloring/check", 0, func() {
+			if err := chk.Check(nil, g, greedy, team, opts); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"components/labelprop", 0, func() { cmp.LabelPropagation(nil, g, team, opts) }},
 		{"components/pointerjump", 0, func() { cmp.PointerJumping(nil, g, team, opts) }},
 		// The warm call computes the graph's minima; every later one compares.

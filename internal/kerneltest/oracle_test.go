@@ -14,6 +14,7 @@ import (
 	"micgraph/internal/graph"
 	"micgraph/internal/kernels"
 	"micgraph/internal/sched"
+	"micgraph/internal/telemetry"
 )
 
 // The oracle suites run on a small worker count so that single-CPU runs
@@ -40,7 +41,7 @@ func TestTableMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if err := e.Validate(nm.G, p, out); err != nil {
+				if err := e.Validate(context.Background(), rt, nm.G, p, out); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				switch e.Kind {
@@ -202,7 +203,7 @@ func TestBFSScratchAlternatesVariants(t *testing.T) {
 								workers, nm.Name, e.Variant, part, src, round)
 							out, err := e.Run(context.Background(), rt, nm.G, p)
 							if err == nil {
-								err = e.Validate(nm.G, p, out)
+								err = e.Validate(context.Background(), rt, nm.G, p, out)
 							}
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
@@ -308,6 +309,52 @@ func TestColoringD2Cancelled(t *testing.T) {
 	}
 }
 
+// TestColoringCheckContainsPanic panics at the third chunk claim of every
+// coloring entry's check: Entry.Validate must return the engine's
+// *sched.PanicError, not a verdict on the coloring, and the same Runtime's
+// next run must pass the check. The check's claims go through the engine's
+// fault hook and book into its counters, like the kernel's.
+func TestColoringCheckContainsPanic(t *testing.T) {
+	g := gen.Grid2D(40, 40)
+	p := kernels.Params{Chunk: 16, Policy: sched.Dynamic}
+	rt := kernels.NewRuntime(3)
+	defer rt.Close()
+	counters := telemetry.NewCounters(3)
+	rt.SetCounters(counters)
+	for _, e := range kernels.Table() {
+		if e.Kind != kernels.Coloring {
+			continue
+		}
+		out, err := e.Run(context.Background(), rt, g, p)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Variant, err)
+		}
+		var claims atomic.Int64
+		rt.Team.SetInject(func(site string, _ int) {
+			if site == "team/chunk" && claims.Add(1) == 3 {
+				panic("injected into the check")
+			}
+		})
+		err = e.Validate(context.Background(), rt, g, p, out)
+		rt.Team.SetInject(nil)
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) || pe.Value != "injected into the check" {
+			t.Fatalf("%s: check with a panicking claim returned %v, want the *sched.PanicError", e.Variant, err)
+		}
+		out, err = e.Run(context.Background(), rt, g, p)
+		if err != nil {
+			t.Fatalf("%s: next run: %v", e.Variant, err)
+		}
+		before := counters.Total(telemetry.ChunksClaimed)
+		if err := e.Validate(context.Background(), rt, g, p, out); err != nil {
+			t.Fatalf("%s: next check: %v", e.Variant, err)
+		}
+		if booked := counters.Total(telemetry.ChunksClaimed) - before; booked < int64(g.NumVertices()/p.Chunk) {
+			t.Errorf("%s: the check booked %d chunk claims, want at least %d", e.Variant, booked, g.NumVertices()/p.Chunk)
+		}
+	}
+}
+
 // TestEveryEntryCancels cancels every parallel entry of the table at the
 // fifth chunk-claim or task boundary of its runtimes: the run must return
 // the context's error, and the same Runtime's next run, uncancelled, must
@@ -339,7 +386,7 @@ func TestEveryEntryCancels(t *testing.T) {
 			}
 			out, err := e.Run(context.Background(), rt, g, p)
 			if err == nil {
-				err = e.Validate(g, p, out)
+				err = e.Validate(context.Background(), rt, g, p, out)
 			}
 			if err != nil {
 				t.Fatalf("next run after the cancelled one: %v", err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"micgraph/internal/core"
@@ -9,6 +10,7 @@ import (
 	"micgraph/internal/graphio"
 	"micgraph/internal/kernels"
 	"micgraph/internal/mic"
+	"micgraph/internal/sched"
 	"micgraph/internal/telemetry"
 )
 
@@ -239,12 +241,16 @@ func (sp JobSpec) kernelParams(g *graph.Graph) kernels.Params {
 
 // runKernel runs one kernel job on worker w's resident runtime and streams
 // the result plus a scheduler-counter snapshot. Coloring and components
-// answers are validated before they are reported: the coloring check is one
-// pass over the arcs, the components one a pass over the labels against the
-// minima the cached graph keeps. BFS and irregular ones are not: their
-// checks rerun a sequential kernel on every job (bfs.Sequential, five
-// irregular.Sequential iterations), which would double their cost and move
-// the service rates the serve-mix benchmark tracks.
+// answers are validated before they are reported. The coloring check reads
+// each edge once, as a loop on the job's own engine under the job's loop
+// options: its chunk claims are "team/chunk" fault sites and are booked in
+// the daemon's scheduler counters like the kernel's, and a contained panic
+// or a cancellation in it fails the job as it would in the kernel, not as an
+// invalid coloring. The components check is a pass over the labels against
+// the minima the cached graph keeps. BFS and irregular answers are not
+// checked: their checks rerun a sequential kernel on every job
+// (bfs.Sequential, five irregular.Sequential iterations), which would double
+// their cost and move the service rates the serve-mix benchmark tracks.
 func (s *Server) runKernel(ctx context.Context, w int, j *Job) error {
 	t := j.now()
 	g, err := s.loadGraph(ctx, j.Spec.Graph)
@@ -264,7 +270,9 @@ func (s *Server) runKernel(ctx context.Context, w int, j *Job) error {
 	t = j.now()
 	out, err := entry.Run(ctx, s.rts[w], g, p)
 	if err == nil && (entry.Kind == kernels.Coloring || entry.Kind == kernels.Components) {
-		if err = entry.Validate(g, p, out); err != nil {
+		err = entry.Validate(ctx, s.rts[w], g, p, out)
+		var pe *sched.PanicError
+		if err != nil && !errors.As(err, &pe) && !errors.Is(err, ctx.Err()) {
 			err = fmt.Errorf("serve: %s invalid: %w", entry.Kind, err)
 		}
 	}

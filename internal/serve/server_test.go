@@ -232,7 +232,7 @@ func TestServeEveryTableEntry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: in-process run: %v", name, err)
 		}
-		if err := e.Validate(g, p, out); err != nil {
+		if err := e.Validate(context.Background(), rt, g, p, out); err != nil {
 			t.Fatalf("%s: in-process run invalid: %v", name, err)
 		}
 		want, err := json.Marshal(out.Line(e, g.String(), p))
@@ -399,6 +399,30 @@ func TestServeFaultIsolation(t *testing.T) {
 	_, v2 := post(t, ts, spec)
 	if fin := wait(t, ts, v2.ID); fin.Status != StatusSucceeded {
 		t.Errorf("job after injected failure = %+v", fin)
+	}
+}
+
+// TestServeCheckFault panics at the first chunk claim of a sequential
+// coloring job, which claims chunks only in its check: the job fails with
+// the engine's panic, not as an invalid coloring, and the worker's next job
+// succeeds.
+func TestServeCheckFault(t *testing.T) {
+	in := fault.New(11)
+	in.EnableAt("team/chunk/panic", 1)
+	s := New(Config{Workers: 1, KernelWorkers: 1, Injector: in})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+
+	spec := JobSpec{Kind: KindColoring, Variant: "seq", Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
+	_, v1 := post(t, ts, spec)
+	fin := wait(t, ts, v1.ID)
+	if fin.Status != StatusFailed || !strings.HasPrefix(fin.Error, "sched: panic") {
+		t.Fatalf("job whose check panicked = %+v, want failed with the engine's panic", fin)
+	}
+	_, v2 := post(t, ts, spec)
+	if fin := wait(t, ts, v2.ID); fin.Status != StatusSucceeded {
+		t.Errorf("job after the failed check = %+v", fin)
 	}
 }
 

@@ -96,7 +96,7 @@ func Run(kind, variant string, g *Graph, workers int) (Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	if err := e.Validate(g, p, out); err != nil {
+	if err := e.Validate(context.Background(), rt, g, p, out); err != nil {
 		return out, fmt.Errorf("micgraph: %s/%s produced an invalid result: %w", kind, variant, err)
 	}
 	return out, nil
