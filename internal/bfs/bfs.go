@@ -24,9 +24,11 @@
 // variants use the Leiserson–Schardl observation that the race is benign:
 // they check-then-store without synchronisation, accepting occasional
 // duplicate queue entries in exchange for no atomics on the hot path. In Go
-// the unsynchronised accesses are expressed with atomic loads/stores so the
-// benign race is well-defined; duplicates still occur exactly as in the
-// paper, and the Result records how many.
+// the unsynchronised accesses are expressed with atomic loads and swaps so
+// the benign race is well-defined; duplicates still occur exactly as in the
+// paper, and the Result records how many. The swap (one XCHG on amd64, as
+// an atomic store is) also returns the word it replaced, and the one swap
+// that read Unvisited counts the vertex in its level's width.
 //
 // Under every top-down body — both claims of the block queue and of the
 // flat loop — the arc scan is one leaf, firstUnvisited (layered.go):
@@ -49,12 +51,21 @@ const Unvisited int32 = -1
 
 // Result reports a BFS run.
 type Result struct {
-	Levels     []int32 // per-vertex level; Unvisited (-1) if unreachable
-	NumLevels  int     // number of levels (eccentricity of source + 1)
-	Widths     []int64 // vertices per level (the x_l profile of §III-C)
-	Processed  int64   // queue entries processed, including duplicates
-	Duplicates int64   // redundant entries processed by relaxed variants
+	Levels    []int32 // per-vertex level; Unvisited (-1) if unreachable
+	NumLevels int     // number of levels (eccentricity of source + 1; 0 on an empty graph)
+	// Widths holds the vertices of each level (the x_l profile of §III-C),
+	// NumLevels entries summing to the vertices reached. The parallel
+	// variants count them where they claim vertices, Sequential from its
+	// queue's level boundaries: no run walks the levels to find them.
+	Widths     []int64
+	Processed  int64 // queue entries processed, including duplicates
+	Duplicates int64 // redundant entries processed by relaxed variants
 }
+
+// widthsCap is the number of levels a run's widths have room for before they
+// grow: deeper than every suite graph at every scale (msdoor@1 has at most
+// 178), so Widths costs a fresh run one allocation.
+const widthsCap = 256
 
 // Sequential runs the textbook FIFO BFS (Algorithm 6) from source.
 func Sequential(g *graph.Graph, source int32) Result {
@@ -68,36 +79,33 @@ func Sequential(g *graph.Graph, source int32) Result {
 		return res
 	}
 	queue := make([]int32, 0, n)
+	// The queue holds the levels in order, so starts[l], the queue index of
+	// level l's first vertex, is taken when that vertex is pushed, and a
+	// level's width is the distance to the next level's start.
+	starts := make([]int64, 1, min(n+1, widthsCap))
 	levels[source] = 0
 	queue = append(queue, source)
-	maxLevel := int32(0)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		lv := levels[v]
 		for _, w := range g.Adj(v) {
 			if levels[w] == Unvisited {
 				levels[w] = lv + 1
-				if lv+1 > maxLevel {
-					maxLevel = lv + 1
+				if int(lv)+1 == len(starts) {
+					starts = append(starts, int64(len(queue)))
 				}
 				queue = append(queue, w)
 			}
 		}
 	}
 	res.Processed = int64(len(queue))
-	res.NumLevels = int(maxLevel) + 1
-	res.Widths = widthsOf(levels, res.NumLevels)
-	return res
-}
-
-func widthsOf(levels []int32, numLevels int) []int64 {
-	w := make([]int64, numLevels)
-	for _, l := range levels {
-		if l >= 0 {
-			w[l]++
-		}
+	starts = append(starts, res.Processed)
+	for l := range len(starts) - 1 {
+		starts[l] = starts[l+1] - starts[l]
 	}
-	return w
+	res.Widths = starts[:len(starts)-1]
+	res.NumLevels = len(res.Widths)
+	return res
 }
 
 // Validate checks that levels is a correct BFS level assignment from source

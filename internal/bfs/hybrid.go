@@ -71,13 +71,16 @@ type HybridResult struct {
 }
 
 // flatQueue is one worker's next-level queue for a flat level: the vertices
-// it claimed plus the sum of their degrees, gathered in the same pass so
-// neither the direction rule nor a level's telemetry rescans the frontier.
-// Padded so neighbouring workers do not share a cache line.
+// it pushed plus the sum of their degrees, gathered in the same pass so
+// neither the direction rule nor a level's telemetry rescans the frontier,
+// and its claims, the pushes that took a vertex off Unvisited (all of them
+// but a relaxed claim's duplicates), which the barrier sums into the level's
+// width. Padded so neighbouring workers do not share a cache line.
 type flatQueue struct {
-	buf   []int32
-	edges int64
-	_     [32]byte
+	buf    []int32
+	edges  int64
+	claims int64
+	_      [24]byte
 }
 
 // TLSTeam runs the SNAP v0.4-style layered BFS (the paper's OpenMP-TLS):
@@ -122,7 +125,7 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 // flat is the level loop over a flat frontier array on whatever s.loop is
 // bound to: per level one parallel loop whose workers append the vertices
 // they claim to their own queues, concatenated into the next frontier at
-// the level barrier. relaxed selects the top-down claim: an atomic store
+// the level barrier. relaxed selects the top-down claim: an atomic swap
 // after the check, under which concurrent claimers all push, or a
 // compare-and-swap that admits one. dir is the direction rule; nil never
 // leaves top-down, counts no directions and records phase "level". ctx
@@ -141,17 +144,18 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 	}
 	res := HybridResult{}
 	if n == 0 {
-		res.Result = s.finish(0, 0)
+		res.Result = s.finish(0)
 		return res, nil
 	}
 	s.xadj, s.adj, s.relaxed = g.Xadj(), g.AdjRaw(), relaxed
 	s.levels[source] = 0
+	s.widths = append(s.widths, 1)
 	if s.flatBU == nil {
 		// Sweep all vertices; claim those with a frontier neighbor, breaking
 		// at the first hit. Claims need no CAS: each vertex is scanned by
 		// exactly one worker, so the store cannot race with another claim —
 		// only with concurrent neighbor loads, which the atomic store pairs
-		// with.
+		// with — and every push is a claim.
 		s.flatBU = func(lo, hi, w int) {
 			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
 			q := &s.queues[w]
@@ -170,6 +174,7 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 					}
 				}
 			}
+			q.claims += int64(len(buf) - len(q.buf))
 			q.buf = buf
 			q.edges += edges
 		}
@@ -177,15 +182,21 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 			xadj, adj, lvls, lv, relaxed := s.xadj, s.adj, s.levels, s.lv, s.relaxed
 			q := &s.queues[w]
 			buf := q.buf
-			var edges int64
+			var edges, claims int64
 			for i := lo; i < hi; i++ {
 				v := s.cur[i]
 				nb := adj[xadj[v]:xadj[v+1]]
 				for j := firstUnvisited(nb, lvls); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], lvls) {
 					u := nb[j]
 					if relaxed {
-						atomic.StoreInt32(&lvls[u], lv) // the bag: concurrent claimers all push
-					} else if !atomic.CompareAndSwapInt32(&lvls[u], Unvisited, lv) {
+						// The bag: concurrent claimers all push, and the one
+						// swap that read Unvisited counts.
+						if atomic.SwapInt32(&lvls[u], lv) == Unvisited {
+							claims++
+						}
+					} else if atomic.CompareAndSwapInt32(&lvls[u], Unvisited, lv) {
+						claims++
+					} else {
 						continue // locked: the compare-and-swap alone decides who pushes
 					}
 					buf = append(buf, u)
@@ -194,6 +205,7 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 			}
 			q.buf = buf
 			q.edges += edges
+			q.claims += claims
 		}
 	}
 
@@ -207,11 +219,8 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 	rec := telemetry.FromContext(ctx)
 
 	var processed int64
-	maxLevel := int32(0)
 	var err error
 	for lv := int32(1); len(cur) > 0; lv++ {
-		maxLevel = lv - 1
-
 		phase := "level"
 		if dir != nil {
 			// The switch (see the top of the file): stay bottom-up while the
@@ -239,8 +248,8 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 			levelStart = telemetry.Now(rec)
 		}
 		for w := 0; w < workers; w++ {
-			s.queues[w].buf = s.queues[w].buf[:0]
-			s.queues[w].edges = 0
+			q := &s.queues[w]
+			q.buf, q.edges, q.claims = q.buf[:0], 0, 0
 		}
 		s.lv = lv
 		if bottomUp {
@@ -249,9 +258,16 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 			s.cur = cur
 			err = s.loop.Run(ctx, len(cur), s.flatTD)
 		}
+		// Level lv's width, as in block: the last level gets no entry, a
+		// partial one does.
+		var claims int64
+		for w := 0; w < workers; w++ {
+			claims += s.queues[w].claims
+		}
+		if claims > 0 || err != nil {
+			s.widths = append(s.widths, claims)
+		}
 		if err != nil {
-			// Partial level: vertices may already be claimed at level lv.
-			maxLevel = lv
 			break
 		}
 		processed += int64(len(cur))
@@ -272,6 +288,6 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 		cur, next, curEdges = next, cur, nextEdges
 	}
 	s.frontA, s.frontB = cur[:0], next[:0]
-	res.Result = s.finish(processed, maxLevel)
+	res.Result = s.finish(processed)
 	return res, err
 }

@@ -8,7 +8,7 @@ import "sync/atomic"
 //
 //   - locked: test, then compare-and-swap on the level word; exactly-once
 //     insertion;
-//   - relaxed: plain check-then-store (via atomics for Go memory-model
+//   - relaxed: plain check-then-swap (via atomics for Go memory-model
 //     sanity); duplicates possible and benign (§III-C, Leiserson–Schardl).
 //
 // The implementations are the Scratch methods BlockTeam and BlockTBB
@@ -31,8 +31,8 @@ const DefaultBagGrain = 128
 // register allocator and the loop's index and bounds move to stack slots, a
 // store-to-load forward on the path of all ~45 arcs of a vertex for the sake
 // of the one that is claimed (DESIGN.md §2). The load is §IV-C's check before
-// lock and the relaxed variants' check before store: a caller claims nb[i]
-// itself — compare-and-swap (exactly once) or atomic store ("whichever wins
+// lock and the relaxed variants' check before swap: a caller claims nb[i]
+// itself — compare-and-swap (exactly once) or atomic swap ("whichever wins
 // the race leads to the same values in memory") — and calls again on nb[i+1:].
 //
 //go:noinline

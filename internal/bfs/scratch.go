@@ -40,10 +40,11 @@ type Scratch struct {
 	writers    []*Writer
 	qBlockSize int
 
-	// Per-worker counters (processed entries per level).
+	// Per-worker counters (processed entries and claims per level).
 	counts []paddedCount
 
-	// widths backs Result.Widths.
+	// widths backs Result.Widths: the level barriers append each level's
+	// summed claims to it, so no pass over the level array counts them.
 	widths []int64
 
 	// Per-run/per-level state read by the resident loop bodies below. The
@@ -73,21 +74,35 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// paddedCount keeps per-worker counters off each other's cache lines.
+// paddedCount keeps per-worker counters off each other's cache lines: the
+// queue entries a worker expanded in a level, and the vertices it claimed.
 type paddedCount struct {
-	n int64
-	_ [56]byte
+	n      int64
+	claims int64
+	_      [48]byte
 }
 
-// ensureCommon sizes the level array and resets it to Unvisited.
+// ensureCommon sizes the level array and resets it to Unvisited, and empties
+// the widths. The reset doubles the filled prefix with copy, a memmove, where
+// a store loop writes one word an iteration. The widths get the capacity of
+// widthsCap levels (at most n+1: a partial run may end on an empty level), so
+// a fresh Scratch makes one allocation for them, and a deeper graph grows
+// them by append.
 func (s *Scratch) ensureCommon(n int) {
 	if cap(s.levels) < n {
 		s.levels = make([]int32, n)
 	}
 	s.levels = s.levels[:n]
-	for i := range s.levels {
-		s.levels[i] = Unvisited
+	if n > 0 {
+		s.levels[0] = Unvisited
+		for i := 1; i < n; i *= 2 {
+			copy(s.levels[i:], s.levels[:i])
+		}
 	}
+	if c := min(n+1, widthsCap); cap(s.widths) < c {
+		s.widths = make([]int64, 0, c)
+	}
+	s.widths = s.widths[:0]
 }
 
 // ensureWorkers sizes the per-worker state shared by the variants.
@@ -120,42 +135,24 @@ func (s *Scratch) ensureBlock(n, workers, blockSize int) {
 	}
 }
 
-// finish assembles the Result bookkeeping after the level loop.
-func (s *Scratch) finish(processed int64, maxLevel int32) Result {
-	res := Result{
-		Levels:    s.levels,
-		NumLevels: int(maxLevel) + 1,
-		Processed: processed,
-	}
-	res.Widths = s.widthsOf(res.NumLevels)
+// finish assembles the Result from the level loop's tallies: the widths its
+// barriers appended, one entry a level reached (a cut-off run's partial level
+// included), and the queue entries processed. Nothing here walks the vertices.
+func (s *Scratch) finish(processed int64) Result {
 	var reached int64
-	for _, w := range res.Widths {
+	for _, w := range s.widths {
 		reached += w
 	}
 	// Never negative: an aborted level has claimed vertices nobody got to
 	// process. Locked claims put a vertex in one queue, so without an abort
 	// the exactly-once variants read 0.
-	res.Duplicates = max(processed-reached, 0)
-	return res
-}
-
-// widthsOf counts the vertices of each of the first numLevels levels into
-// the scratch-owned widths buffer: the package-level widthsOf without the
-// allocation.
-func (s *Scratch) widthsOf(numLevels int) []int64 {
-	if cap(s.widths) < numLevels {
-		s.widths = make([]int64, numLevels)
+	return Result{
+		Levels:     s.levels,
+		NumLevels:  len(s.widths),
+		Widths:     s.widths,
+		Processed:  processed,
+		Duplicates: max(processed-reached, 0),
 	}
-	s.widths = s.widths[:numLevels]
-	for i := range s.widths {
-		s.widths[i] = 0
-	}
-	for _, lv := range s.levels {
-		if lv >= 0 && int(lv) < numLevels {
-			s.widths[lv]++
-		}
-	}
-	return s.widths
 }
 
 // denseShare sets when a block-queue level is dense: its frontier holds at
@@ -164,18 +161,26 @@ const denseShare = 8
 
 // expandVertex claims v's unvisited neighbours for level lv and pushes them
 // into wr over the raw CSR arrays: the one expansion under both orders of a
-// block-queue level.
-func expandVertex(xadj []int64, adj, levels []int32, v, lv int32, relaxed bool, wr *Writer) {
+// block-queue level. It returns the claims that took a vertex off Unvisited,
+// each reached vertex's once (DESIGN.md §2): the compare-and-swaps that won,
+// or the relaxed swaps that read Unvisited.
+func expandVertex(xadj []int64, adj, levels []int32, v, lv int32, relaxed bool, wr *Writer) (claims int64) {
 	nb := adj[xadj[v]:xadj[v+1]]
 	for j := firstUnvisited(nb, levels); j < len(nb); j += 1 + firstUnvisited(nb[j+1:], levels) {
 		u := nb[j]
 		if relaxed {
-			atomic.StoreInt32(&levels[u], lv) // check (the leaf's) then store: concurrent claimers all push
-		} else if !atomic.CompareAndSwapInt32(&levels[u], Unvisited, lv) {
+			// Check (the leaf's) then swap: concurrent claimers all push.
+			if atomic.SwapInt32(&levels[u], lv) == Unvisited {
+				claims++
+			}
+		} else if atomic.CompareAndSwapInt32(&levels[u], Unvisited, lv) {
+			claims++
+		} else {
 			continue // locked: the compare-and-swap alone decides who pushes
 		}
 		wr.Push(u)
 	}
+	return claims
 }
 
 // BlockTeam runs layered BFS with the block-accessed queue on an
@@ -212,11 +217,12 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	s.ensureWorkers(workers)
 	s.ensureBlock(n, workers, blockSize)
 	if n == 0 {
-		return s.finish(0, 0), nil
+		return s.finish(0), nil
 	}
 	s.xadj, s.adj, s.relaxed = g.Xadj(), g.AdjRaw(), relaxed
 	cur, next := s.qA, s.qB
 	s.levels[source] = 0
+	s.widths = append(s.widths, 1)
 	seed := s.writers[0]
 	seed.Reset(cur)
 	seed.Push(source)
@@ -225,7 +231,7 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	if s.blockBody == nil {
 		s.blockBody = func(lo, hi, w int) {
 			wr, main, spill := s.writers[w], s.main, s.spill
-			var count int64
+			var count, claims int64
 			for i := lo; i < hi; i++ {
 				var v int32
 				if i < len(main) {
@@ -234,35 +240,35 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 					v = spill[i-len(main)]
 				}
 				if v != Sentinel {
-					expandVertex(s.xadj, s.adj, s.levels, v, s.lv, s.relaxed, wr)
+					claims += expandVertex(s.xadj, s.adj, s.levels, v, s.lv, s.relaxed, wr)
 					count++
 				}
 			}
 			s.counts[w].n += count
+			s.counts[w].claims += claims
 		}
-		// Exact: during level lv a store writes only lv, and only onto a word
+		// Exact: during level lv a claim writes only lv, and only onto a word
 		// that read Unvisited, while every lv-1 word was stored before the
 		// last barrier. So the sweep expands the level-(lv-1) set, each
 		// vertex once, whatever duplicates the queue holds.
 		s.denseBody = func(lo, hi, w int) {
 			wr, lvls, prev := s.writers[w], s.levels, s.lv-1
-			var count int64
+			var count, claims int64
 			for v := lo * s.span; v < min(hi*s.span, len(lvls)); v++ {
 				if atomic.LoadInt32(&lvls[v]) == prev {
-					expandVertex(s.xadj, s.adj, lvls, int32(v), s.lv, s.relaxed, wr)
+					claims += expandVertex(s.xadj, s.adj, lvls, int32(v), s.lv, s.relaxed, wr)
 					count++
 				}
 			}
 			s.counts[w].n += count
+			s.counts[w].claims += claims
 		}
 	}
 
 	rec := telemetry.FromContext(ctx)
 	var processed int64
-	maxLevel := int32(0)
 	for lv := int32(1); frontier > 0; lv++ {
 		main, spill := cur.Entries()
-		maxLevel = lv - 1
 		dense := frontier*denseShare >= n
 		var edges int64
 		var levelStart time.Time
@@ -276,7 +282,7 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 		}
 		for w := 0; w < workers; w++ {
 			s.writers[w].Reset(next)
-			s.counts[w].n = 0
+			s.counts[w] = paddedCount{}
 		}
 		s.lv = lv
 		var err error
@@ -287,13 +293,20 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 			s.main, s.spill = main, spill
 			err = s.loop.Run(ctx, len(main)+len(spill), s.blockBody)
 		}
-		var levelProcessed int64
+		var levelProcessed, claims int64
 		pad := 0
 		for w := 0; w < workers; w++ {
 			pad += s.writers[w].Flush()
 			levelProcessed += s.counts[w].n
+			claims += s.counts[w].claims
 		}
 		processed += levelProcessed
+		// Level lv's width. The last level claims nothing and gets no entry,
+		// but an aborted level keeps one, as the levels 0..lv its chunks
+		// may have claimed into are what the partial result spans.
+		if claims > 0 || err != nil {
+			s.widths = append(s.widths, claims)
+		}
 		nm, ns := next.Entries()
 		frontier = len(nm) + len(ns) - pad
 		if telemetry.Active(rec) {
@@ -305,12 +318,10 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 			rec.Record(sample)
 		}
 		if err != nil {
-			// Chunks that ran before the abort may have claimed vertices
-			// at level lv, so the partial result spans levels 0..lv.
-			return s.finish(processed, lv), err
+			return s.finish(processed), err
 		}
 		cur, next = next, cur
 		next.Reset()
 	}
-	return s.finish(processed, maxLevel), nil
+	return s.finish(processed), nil
 }

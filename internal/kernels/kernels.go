@@ -282,10 +282,10 @@ func (o Outcome) Line(e Entry, graphName string, p Params) ResultLine {
 	line := ResultLine{Type: "result", Kind: e.Kind, Graph: graphName, Variant: e.Variant}
 	switch e.Kind {
 	case BFS:
-		for _, l := range o.BFS.Levels {
-			if l != bfs.Unvisited {
-				line.Reached++
-			}
+		// The widths were counted where the run claimed its vertices, so
+		// their sum is the reached count without a pass over the levels.
+		for _, w := range o.BFS.Widths {
+			line.Reached += int(w)
 		}
 		line.NumLevels = o.BFS.NumLevels
 		line.Processed = o.BFS.Processed

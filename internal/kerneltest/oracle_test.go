@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -130,6 +131,144 @@ func TestBFSMatchesOracle(t *testing.T) {
 						nm.Name, v.name, src, got.Duplicates, got.Processed, reached)
 				}
 			}
+		}
+	}
+}
+
+// histogram counts levels' vertices at each of the first numLevels levels;
+// ok is false when a vertex sits at a level past them.
+func histogram(levels []int32, numLevels int) (widths []int64, ok bool) {
+	widths = make([]int64, numLevels)
+	for _, l := range levels {
+		if int(l) >= numLevels {
+			return widths, false
+		}
+		if l != bfs.Unvisited {
+			widths[l]++
+		}
+	}
+	return widths, true
+}
+
+// checkWidths holds a BFS outcome's level profile to its level array: one
+// width a level, each the count of that level's vertices, summing to the
+// result line's Reached, and every processed entry past them a duplicate.
+// It is what makes the widths the runs count where they claim vertices exact.
+func checkWidths(t *testing.T, name string, e kernels.Entry, out kernels.Outcome, p kernels.Params) {
+	t.Helper()
+	res := out.BFS.Result
+	hist, ok := histogram(res.Levels, res.NumLevels)
+	if !ok || len(res.Widths) != res.NumLevels {
+		t.Fatalf("%s: %d levels but widths %v", name, res.NumLevels, res.Widths)
+	}
+	var reached int64
+	for l, w := range res.Widths {
+		if w != hist[l] {
+			t.Fatalf("%s: widths %v, level array holds %v", name, res.Widths, hist)
+		}
+		reached += w
+	}
+	if line := out.Line(e, name, p); int64(line.Reached) != reached {
+		t.Fatalf("%s: result line reached %d, widths sum to %d", name, line.Reached, reached)
+	}
+	if res.Duplicates != max(res.Processed-reached, 0) {
+		t.Fatalf("%s: %d duplicates, processed %d, reached %d", name, res.Duplicates, res.Processed, reached)
+	}
+}
+
+// TestBFSWidthsMatchLevels checks every BFS entry's widths against its level
+// array (checkWidths), and its answer against the oracle, on the corpus and
+// the empty graph at one, two and three workers, and on a
+// shuffled RMAT-12 at three workers and chunk 1, where the relaxed claims
+// push one vertex from two workers: a relaxed claim is a swap whose return
+// value counts the vertex once but never decides the push, so Processed
+// runs past the widths' sum by the duplicates and the widths stay exact.
+// Partial results are held to the same profile: each parallel entry is
+// cancelled at the k-th chunk claim or task boundary of its engine, and the
+// widths of what it returns, the cut-off level included, must match its
+// level array.
+func TestBFSWidthsMatchLevels(t *testing.T) {
+	rmat := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 12).Shuffled(3)
+	graphs := append(Corpus(), Named{"empty", graph.NewBuilder(0).Build()})
+	for _, workers := range []int{1, 2, 3} {
+		rt := kernels.NewRuntime(workers)
+		for _, nm := range graphs {
+			sources := Sources(nm.G)
+			if len(sources) == 0 {
+				sources = []int32{0} // the empty graph: no level, as the oracle counts it
+			}
+			for _, e := range kernels.Table() {
+				if e.Kind != kernels.BFS {
+					continue
+				}
+				for _, src := range sources {
+					name := fmt.Sprintf("W=%d %s/%s from %d", workers, nm.Name, e.Variant, src)
+					p := kernels.Params{Source: src, Chunk: 4, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+					out, err := e.Run(context.Background(), rt, nm.G, p)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					CheckBFS(t, name, nm.G, src, out.BFS.Result)
+					checkWidths(t, name, e, out, p)
+				}
+			}
+		}
+		rt.Close()
+	}
+
+	hub := int32(0) // a source that reaches the giant component
+	for v := range int32(rmat.NumVertices()) {
+		if rmat.Degree(v) > rmat.Degree(hub) {
+			hub = v
+		}
+	}
+	rt := kernels.NewRuntime(3)
+	defer rt.Close()
+	duplicates := int64(0)
+	// Duplicates need two claimers inside one check-then-swap window, so a
+	// round of runs may see none; the rounds stop at the first that does.
+	for round := 0; round < 20 && (round == 0 || duplicates == 0); round++ {
+		for _, e := range kernels.Table() {
+			if e.Kind != kernels.BFS {
+				continue
+			}
+			for _, src := range append(Sources(rmat), hub) {
+				p := kernels.Params{Source: src, Chunk: 1, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+				name := fmt.Sprintf("rmat-12-shuffled/%s from %d, round %d", e.Variant, src, round)
+				out, err := e.Run(context.Background(), rt, rmat, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkWidths(t, name, e, out, p)
+				duplicates += out.BFS.Duplicates
+			}
+		}
+	}
+	if duplicates == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Errorf("no relaxed entry processed a duplicate on rmat-12-shuffled at 3 workers, chunk 1")
+	}
+
+	for _, e := range kernels.Table() {
+		if e.Kind != kernels.BFS || e.Variant == kernels.Seq {
+			continue
+		}
+		for _, k := range []int64{1, 2, 5, 17, 60} {
+			name := fmt.Sprintf("rmat-12-shuffled/%s cancelled at boundary %d", e.Variant, k)
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Int64
+			rt.Team.SetInject(func(string, int) {
+				if calls.Add(1) == k {
+					cancel()
+				}
+			})
+			p := kernels.Params{Source: hub, Chunk: 1, Policy: sched.Dynamic, Partitioner: sched.SimplePartitioner}
+			out, err := e.Run(ctx, rt, rmat, p)
+			rt.Team.SetInject(nil)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: got %v, want context.Canceled", name, err)
+			}
+			checkWidths(t, name, e, out, p)
 		}
 	}
 }
