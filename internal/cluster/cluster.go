@@ -29,7 +29,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -83,9 +82,6 @@ type Config struct {
 	// Clock is the node's time source (default telemetry.System), behind
 	// every probe timestamp so tests can fake it.
 	Clock telemetry.Clock
-	// HTTP is the transport for forwarding and probing (default: a client
-	// with no overall timeout; per-request bounds come from contexts).
-	HTTP *http.Client
 	// Logf, when set, receives membership transitions (peer down/up).
 	Logf func(format string, args ...any)
 }
@@ -108,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = telemetry.System
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

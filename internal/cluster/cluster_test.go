@@ -82,7 +82,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.FailThreshold != 2 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if cfg.Clock == nil || cfg.HTTP == nil || cfg.Logf == nil {
+	if cfg.Clock == nil || cfg.Logf == nil {
 		t.Error("nil dependencies not defaulted")
 	}
 }

@@ -2,11 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"sync"
 	"time"
+
+	"micgraph/internal/serve"
 )
 
 // Health runs the cluster's per-peer liveness probes: every node probes
@@ -87,8 +86,9 @@ func (h *Health) probeLoop(ctx context.Context, p Peer) {
 // decision is made inside it, so down/up transitions are serialised per
 // peer by the single prober goroutine that owns it.
 func (h *Health) probe(ctx context.Context, p Peer) {
+	var body serve.Health
 	pctx, cancel := context.WithTimeout(ctx, h.cfg.ProbeTimeout)
-	load, err := probeOnce(pctx, h.cfg.HTTP, p.URL)
+	err := serve.GetJSON(pctx, p.URL+"/healthz", &body)
 	cancel()
 
 	h.mu.Lock()
@@ -111,7 +111,7 @@ func (h *Health) probe(ctx context.Context, p Peer) {
 	}
 	st.failures = 0
 	st.lastErr = ""
-	st.load = load
+	st.load = body.Queue.Queued + body.Queue.Running
 	readmit := !st.healthy
 	st.healthy = true
 	h.mu.Unlock()
@@ -119,33 +119,6 @@ func (h *Health) probe(ctx context.Context, p Peer) {
 		h.ring.Add(p.Name)
 		h.cfg.Logf("cluster: peer %s back up", p.Name)
 	}
-}
-
-// probeOnce GETs url/healthz and returns the peer's current load
-// (queued + running jobs) on success.
-func probeOnce(ctx context.Context, client *http.Client, url string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	var body struct {
-		Queue struct {
-			Queued  int `json:"queued"`
-			Running int `json:"running"`
-		} `json:"queue"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return 0, fmt.Errorf("healthz body: %w", err)
-	}
-	return body.Queue.Queued + body.Queue.Running, nil
 }
 
 // NoteSent optimistically bumps node's tracked load by one forwarded job.

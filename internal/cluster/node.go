@@ -13,10 +13,6 @@ import (
 	"micgraph/internal/serve"
 )
 
-// maxSubmitBody bounds a buffered job-spec body; specs are tiny and the
-// buffer is what lets a submit be re-sent to the shard the ring picks.
-const maxSubmitBody = 1 << 20
-
 // Node is one cluster member: a full micserved core (serve.Server) plus
 // the routing layer that makes it act as an entry point for the whole
 // cluster. Any node accepts any request; data-keyed requests (submits)
@@ -99,17 +95,13 @@ func (n *Node) Drain(ctx context.Context) error { return n.srv.Drain(ctx) }
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", n.handleSubmit)
-	mux.HandleFunc("GET /jobs", n.serveLocalDirect)
+	mux.Handle("GET /jobs", n.local)
 	mux.HandleFunc("GET /jobs/{id}", n.handleByID)
 	mux.HandleFunc("DELETE /jobs/{id}", n.handleByID)
 	mux.HandleFunc("GET /jobs/{id}/result", n.handleResult)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.HandleFunc("GET /metricsz", n.handleMetricsz)
 	return mux
-}
-
-func (n *Node) serveLocalDirect(w http.ResponseWriter, r *http.Request) {
-	n.local.ServeHTTP(w, r)
 }
 
 // nextRequestID mints the trace ID stamped on a submission that arrived
@@ -152,34 +144,32 @@ func (n *Node) route(spec serve.JobSpec) string {
 	return n.cfg.Self
 }
 
-// serveLocal replays a buffered-body request against the local daemon.
+// serveLocal replays a request whose body was partly or wholly read into
+// body against the local daemon: the read bytes first, then whatever is
+// left of the original body.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
+	r2.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), r.Body))
 	n.local.ServeHTTP(w, r2)
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBody))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading job spec: %w", err))
-		return
-	}
+	// The buffer is what lets a submit be re-sent to the shard the ring
+	// picks; one byte past the daemon's bound tells a body too long.
+	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxSubmitBody+1))
 	// Already routed by another entry node: serve locally, no second hop.
 	if r.Header.Get(ForwardedHeader) != "" {
 		n.serveLocal(w, r, body)
 		return
 	}
-	rid := r.Header.Get(serve.RequestIDHeader)
-	if rid == "" {
-		rid = n.nextRequestID()
-		r.Header.Set(serve.RequestIDHeader, rid)
+	if r.Header.Get(serve.RequestIDHeader) == "" {
+		r.Header.Set(serve.RequestIDHeader, n.nextRequestID())
 	}
 	var spec serve.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		// Undecodable spec: hand it to the local daemon for its canonical
-		// 400 (and its Submitted/Rejected accounting).
+	if err != nil || len(body) > serve.MaxSubmitBody || json.Unmarshal(body, &spec) != nil {
+		// An unreadable, oversized or undecodable spec gets the local
+		// daemon's own refusal (400 or 413) and its Submitted/Rejected
+		// accounting.
 		n.serveLocal(w, r, body)
 		return
 	}
@@ -188,194 +178,134 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r, body)
 		return
 	}
-	hdr := http.Header{}
-	hdr.Set("Content-Type", "application/json")
-	hdr.Set(serve.RequestIDHeader, rid)
-	hdr.Set(ForwardedHeader, n.cfg.Self)
 	n.health.NoteSent(target)
-	if err := forward(r.Context(), n.cfg.HTTP, http.MethodPost, n.urls[target], "/jobs", body, hdr, w); err != nil {
+	if err := n.forward(w, r, target, body); err != nil {
 		forwardError(w, target, err)
 	}
 }
 
-// ownerOf extracts the shard prefix of a cluster job ID
-// ("n2-job-000123" -> "n2"). IDs without a known shard prefix route
-// locally (the local daemon answers 404 for jobs it never owned).
-func (n *Node) ownerOf(id string) string {
+// remoteOwner names the shard that owns the job r addresses when that is
+// another node and r was not already forwarded; "" means serve locally.
+// IDs without a known shard prefix ("n2-job-000123" -> "n2") route locally
+// too: the local daemon answers 404 for jobs it never owned.
+func (n *Node) remoteOwner(r *http.Request) string {
+	id := r.PathValue("id")
 	i := strings.LastIndex(id, "-job-")
-	if i <= 0 {
+	if i <= 0 || r.Header.Get(ForwardedHeader) != "" {
 		return ""
 	}
 	owner := id[:i]
-	if _, ok := n.urls[owner]; !ok {
+	if _, ok := n.urls[owner]; !ok || owner == n.cfg.Self {
 		return ""
 	}
 	return owner
 }
 
 func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
-	owner := n.ownerOf(r.PathValue("id"))
-	if owner == "" || owner == n.cfg.Self || r.Header.Get(ForwardedHeader) != "" {
+	owner := n.remoteOwner(r)
+	if owner == "" {
 		n.local.ServeHTTP(w, r)
 		return
 	}
-	hdr := http.Header{}
-	hdr.Set(ForwardedHeader, n.cfg.Self)
-	if err := forward(r.Context(), n.cfg.HTTP, r.Method, n.urls[owner], r.URL.Path, nil, hdr, w); err != nil {
+	if err := n.forward(w, r, owner, nil); err != nil {
 		forwardError(w, owner, err)
 	}
 }
 
 func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
-	owner := n.ownerOf(r.PathValue("id"))
-	if owner == "" || owner == n.cfg.Self || r.Header.Get(ForwardedHeader) != "" {
+	owner := n.remoteOwner(r)
+	if owner == "" {
 		n.local.ServeHTTP(w, r)
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.urls[owner]+r.URL.Path, nil)
-	if err != nil {
-		forwardError(w, owner, err)
-		return
-	}
-	req.Header.Set(ForwardedHeader, n.cfg.Self)
-	resp, err := n.cfg.HTTP.Do(req)
-	if err != nil {
+	if err := n.forward(w, r, owner, nil); err != nil {
 		// The owning shard is gone: the job's stream must not vanish — it
 		// ends in a terminal error line, same as any failed job's would.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		terminalErrorLine(w, owner, err)
-		return
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		for _, k := range []string{"Content-Type", serve.RequestIDHeader} {
-			if v := resp.Header.Get(k); v != "" {
-				w.Header().Set(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		return
-	}
-	if v := resp.Header.Get(serve.RequestIDHeader); v != "" {
-		w.Header().Set(serve.RequestIDHeader, v)
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	relayResult(owner, resp.Body, w)
 }
 
-func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	m := captureLocal(n.local, r)
-	var body map[string]any
-	if err := json.Unmarshal(m.body.Bytes(), &body); err != nil {
-		n.serveLocalDirect(w, r)
-		return
-	}
-	body["cluster"] = map[string]any{
-		"self":    n.cfg.Self,
-		"members": n.ring.Nodes(),
-		"peers":   n.peersWithSelfLoad(),
-	}
-	writeJSONBody(w, m.status, body)
+// healthBody is a node's /healthz: its shard's own body plus "cluster".
+type healthBody struct {
+	serve.Health
+	Cluster membership `json:"cluster"`
 }
 
-// peersWithSelfLoad is the probe snapshot with the local node's load
-// filled from its own queue (a node does not probe itself).
-func (n *Node) peersWithSelfLoad() []PeerStatus {
+// metricsBody is a node's cluster-scope /metricsz: its shard's own body
+// plus "cluster".
+type metricsBody struct {
+	serve.Metrics
+	Cluster clusterTotals `json:"cluster"`
+}
+
+// membership is the cluster block of /healthz: the ring's members and
+// every peer's probe view.
+type membership struct {
+	Members []string     `json:"members"`
+	Peers   []PeerStatus `json:"peers"`
+	Self    string       `json:"self"`
+}
+
+// clusterTotals is the cluster block of /metricsz. Shards holds each
+// reachable shard's own jobs_total; every one satisfies the conservation
+// law independently, so JobsTotal (their field-wise sum) satisfies it too
+// — the invariant the chaos oracle's shard-kill scenario asserts across
+// survivors.
+type clusterTotals struct {
+	JobsTotal serve.JobTotals `json:"jobs_total"`
+	membership
+	Shards      map[string]serve.JobTotals `json:"shards"`
+	Unreachable []string                   `json:"unreachable,omitempty"`
+}
+
+// membership snapshots the ring and the probe view, with the local node's
+// load filled from its own queue (a node does not probe itself).
+func (n *Node) membership() membership {
 	peers := n.health.Peers()
 	for i := range peers {
 		if peers[i].Name == n.cfg.Self {
-			l, _ := n.load(n.cfg.Self)
-			peers[i].Load = l
+			peers[i].Load, _ = n.load(n.cfg.Self)
 		}
 	}
-	return peers
+	return membership{Members: n.ring.Nodes(), Peers: peers, Self: n.cfg.Self}
+}
+
+func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	serve.WriteJSON(w, http.StatusOK, healthBody{n.srv.Health(), n.membership()})
 }
 
 func (n *Node) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	// ?scope=local answers with the plain shard metrics — it is what this
 	// handler fetches from its peers, so the fan-out never recurses.
 	if r.URL.Query().Get("scope") == "local" {
-		n.serveLocalDirect(w, r)
+		n.local.ServeHTTP(w, r)
 		return
 	}
-	m := captureLocal(n.local, r)
-	var body map[string]any
-	if err := json.Unmarshal(m.body.Bytes(), &body); err != nil {
-		n.serveLocalDirect(w, r)
-		return
-	}
-
-	// One snapshot for both, or a job finishing in between would make them
+	// The shard's own jobs_total is one snapshot for its body, its row and
+	// its share of the sum, or a job finishing in between would make them
 	// disagree.
-	sum := n.srv.Totals()
-	shards := map[string]serve.JobTotals{n.cfg.Self: sum}
-	var unreachable []string
+	body := metricsBody{Metrics: n.srv.Metrics()}
+	body.Cluster = clusterTotals{
+		JobsTotal:  body.JobsTotal,
+		membership: n.membership(),
+		Shards:     map[string]serve.JobTotals{n.cfg.Self: body.JobsTotal},
+	}
 	for _, p := range n.cfg.Peers {
 		if p.Name == n.cfg.Self {
 			continue
 		}
-		t, err := n.fetchPeerTotals(r.Context(), p)
+		var m serve.Metrics
+		ctx, cancel := context.WithTimeout(r.Context(), n.cfg.ProbeTimeout)
+		err := serve.GetJSON(ctx, n.urls[p.Name]+"/metricsz?scope=local", &m)
+		cancel()
 		if err != nil {
-			unreachable = append(unreachable, p.Name)
+			body.Cluster.Unreachable = append(body.Cluster.Unreachable, p.Name)
 			continue
 		}
-		shards[p.Name] = t
-		sum.Add(t)
+		body.Cluster.Shards[p.Name] = m.JobsTotal
+		body.Cluster.JobsTotal.Add(m.JobsTotal)
 	}
-	cluster := map[string]any{
-		"self":    n.cfg.Self,
-		"members": n.ring.Nodes(),
-		"peers":   n.peersWithSelfLoad(),
-		// shards holds each reachable shard's own jobs_total; every one
-		// satisfies the conservation law independently, so jobs_total (their
-		// field-wise sum) satisfies it too — the invariant the chaos oracle's
-		// shard-kill scenario asserts across survivors.
-		"shards":     shards,
-		"jobs_total": sum,
-	}
-	if len(unreachable) > 0 {
-		cluster["unreachable"] = unreachable
-	}
-	body["cluster"] = cluster
-	writeJSONBody(w, m.status, body)
-}
-
-// fetchPeerTotals scrapes one peer's local jobs_total.
-func (n *Node) fetchPeerTotals(ctx context.Context, p Peer) (serve.JobTotals, error) {
-	pctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, n.urls[p.Name]+"/metricsz?scope=local", nil)
-	if err != nil {
-		return serve.JobTotals{}, err
-	}
-	resp, err := n.cfg.HTTP.Do(req)
-	if err != nil {
-		return serve.JobTotals{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serve.JobTotals{}, fmt.Errorf("metricsz status %d", resp.StatusCode)
-	}
-	var body struct {
-		JobsTotal serve.JobTotals `json:"jobs_total"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return serve.JobTotals{}, err
-	}
-	return body.JobsTotal, nil
-}
-
-func writeJSONBody(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, status int, err error) {
-	writeJSONBody(w, status, map[string]string{"error": err.Error()})
+	serve.WriteJSON(w, http.StatusOK, body)
 }

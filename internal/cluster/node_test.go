@@ -3,16 +3,19 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"micgraph/internal/fault"
 	"micgraph/internal/serve"
+	"micgraph/internal/telemetry"
 )
 
 // fastOpts is the test harness shape: small daemons, aggressive probes so
@@ -211,25 +214,10 @@ func TestClusterForwardingAndStamping(t *testing.T) {
 }
 
 // clusterMetrics fetches a node's /metricsz cluster block.
-type clusterBlock struct {
-	Self        string                     `json:"self"`
-	Members     []string                   `json:"members"`
-	Shards      map[string]serve.JobTotals `json:"shards"`
-	JobsTotal   serve.JobTotals            `json:"jobs_total"`
-	Unreachable []string                   `json:"unreachable"`
-}
-
-func clusterMetrics(t *testing.T, url string) clusterBlock {
+func clusterMetrics(t *testing.T, url string) clusterTotals {
 	t.Helper()
-	resp, err := http.Get(url + "/metricsz")
-	if err != nil {
-		t.Fatalf("metricsz: %v", err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Cluster clusterBlock `json:"cluster"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	var body metricsBody
+	if err := serve.GetJSON(context.Background(), url+"/metricsz", &body); err != nil {
 		t.Fatalf("metricsz: %v", err)
 	}
 	return body.Cluster
@@ -347,6 +335,81 @@ func TestClusterMetricszOneSnapshot(t *testing.T) {
 		if sum != cb.JobsTotal {
 			t.Fatalf("scrape %d of node %d: shards sum to %+v, jobs_total is %+v", i, i%3, sum, cb.JobsTotal)
 		}
+	}
+}
+
+// hourClock is a telemetry.Clock that steps one hour per read, so every
+// span a job stamps passes the last histogram bound (about 62.6 min).
+type hourClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *hourClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(time.Hour)
+	return c.t
+}
+
+// TestClusterMetricszOverflowBucket checks that a node's cluster-scope
+// /metricsz carries its shard's body exactly: the overflow bucket's le_ns
+// (math.MaxInt64, past float64's exact integers) must decode as itself.
+func TestClusterMetricszOverflowBucket(t *testing.T) {
+	opts := fastOpts()
+	opts.Serve.Clock = &hourClock{t: time.Unix(1_700_000_000, 0)}
+	tc, err := StartTestCluster(1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+
+	resp, view := postJob(t, tc.URLs[0], `{"kind":"coloring","variant":"seq","graph":{"suite":"pwtk","scale":8}}`, nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	awaitTerminal(t, tc.URLs[0], view.ID, 30*time.Second)
+
+	var m serve.Metrics
+	if err := serve.GetJSON(context.Background(), tc.URLs[0]+"/metricsz", &m); err != nil {
+		t.Fatal(err)
+	}
+	total := m.Latency["total"]
+	if total.Count != 1 || len(total.Buckets) == 0 {
+		t.Fatalf("total latency = %+v, want one observation", total)
+	}
+	if last := total.Buckets[len(total.Buckets)-1]; last.LeNS != telemetry.OverflowLeNS || last.Count != 1 {
+		t.Fatalf("last total bucket = %+v, want the overflow bucket (le_ns %d) holding the job", last, int64(telemetry.OverflowLeNS))
+	}
+}
+
+// TestClusterRefusedSubmitsCounted sends bodies the daemon refuses through
+// a cluster entry: each gets a shard's own answer, 400 or 413, and is
+// booked in the cluster totals as submitted and rejected.
+func TestClusterRefusedSubmitsCounted(t *testing.T) {
+	tc, err := StartTestCluster(2, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+
+	tooLong := `{"kind":"export","graph":{"suite":"pwtk","scale":8},"output":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{`, http.StatusBadRequest},
+		{`{"kind":"coloring","graph":{"suite":"pwtk","scale":8},"retries":1}`, http.StatusBadRequest},
+		{tooLong, http.StatusRequestEntityTooLarge},
+	} {
+		resp, _ := postJob(t, tc.URLs[0], c.body, nil)
+		if resp.StatusCode != c.want {
+			t.Errorf("submit %.60s = %d, want %d", c.body, resp.StatusCode, c.want)
+		}
+	}
+	cb := clusterMetrics(t, tc.URLs[0])
+	if cb.JobsTotal.Submitted != 3 || cb.JobsTotal.Rejected != 3 {
+		t.Errorf("cluster totals after 3 refused submits = %+v", cb.JobsTotal)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,64 +17,33 @@ import (
 // when two nodes' rings momentarily disagree about membership.
 const ForwardedHeader = "X-Micserved-Forwarded"
 
-// memResponse is a minimal in-memory http.ResponseWriter used to run the
-// local serve handler for /healthz and /metricsz composition (the cluster
-// blocks wrap the local JSON rather than re-deriving it).
-type memResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func newMemResponse() *memResponse {
-	return &memResponse{header: make(http.Header), status: http.StatusOK}
-}
-
-func (m *memResponse) Header() http.Header         { return m.header }
-func (m *memResponse) WriteHeader(status int)      { m.status = status }
-func (m *memResponse) Write(b []byte) (int, error) { return m.body.Write(b) }
-
-// captureLocal runs r against the local handler and returns the buffered
-// response.
-func captureLocal(h http.Handler, r *http.Request) *memResponse {
-	m := newMemResponse()
-	h.ServeHTTP(m, r)
-	return m
-}
-
 // forwardError writes the 502 a client sees when the shard owning its
-// request cannot be reached. The body is the same {"error": ...} shape the
-// serve package uses, with the owning shard named so the failure is
+// request cannot be reached, with the owning shard named so the failure is
 // attributable.
 func forwardError(w http.ResponseWriter, owner string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadGateway)
-	json.NewEncoder(w).Encode(map[string]string{
-		"error": fmt.Sprintf("cluster: shard %s unreachable: %v", owner, err),
+	serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorBody{
+		Error: fmt.Sprintf("cluster: shard %s unreachable: %v", owner, err),
 	})
 }
 
-// forward proxies one buffered-body request to the peer at baseURL and
-// copies the response back verbatim (status, content type, request-ID
-// header, body). body may be nil for GET/DELETE. Returns an error only
-// when the peer could not be reached or did not answer; HTTP-level errors
-// (4xx/5xx from the peer) are copied through as-is, since they are the
-// peer's answer.
-func forward(ctx context.Context, client *http.Client, method, baseURL, path string, body []byte, hdr http.Header, w http.ResponseWriter) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, baseURL+path, rd)
+// forward proxies r, with body (nil for GET/DELETE), to the same path on
+// shard owner and writes the answer back: status, content type,
+// Retry-After and request-ID header. A 200 JSONL answer (a result stream)
+// is relayed line by line; any other body is copied as is, since a 4xx or
+// 5xx is the peer's answer. Returns an error only when the peer could not
+// be reached or did not answer, before anything is written to w.
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) error {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.urls[owner]+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
+	for _, k := range []string{"Content-Type", serve.RequestIDHeader} {
+		if v := r.Header.Get(k); v != "" {
+			req.Header.Set(k, v)
 		}
 	}
-	resp, err := client.Do(req)
+	req.Header.Set(ForwardedHeader, n.cfg.Self)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -86,6 +54,10 @@ func forward(ctx context.Context, client *http.Client, method, baseURL, path str
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
+	if resp.StatusCode == http.StatusOK && resp.Header.Get("Content-Type") == "application/x-ndjson" {
+		relayResult(owner, resp.Body, w)
+		return nil
+	}
 	io.Copy(w, resp.Body)
 	return nil
 }
@@ -124,9 +96,8 @@ func relayResult(owner string, upstream io.Reader, w http.ResponseWriter) {
 // the serve package's own terminal error lines, so stream consumers need
 // no cluster-specific handling.
 func terminalErrorLine(w io.Writer, owner string, err error) {
-	b, _ := json.Marshal(map[string]string{
-		"type":  "error",
-		"error": fmt.Sprintf("cluster: shard %s unreachable: %v", owner, err),
+	json.NewEncoder(w).Encode(serve.ErrorBody{
+		Error: fmt.Sprintf("cluster: shard %s unreachable: %v", owner, err),
+		Type:  "error",
 	})
-	w.Write(append(b, '\n'))
 }

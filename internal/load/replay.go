@@ -286,18 +286,8 @@ func (r *replayer) await(ctx context.Context, base, id string) (serve.JobView, e
 			return serve.JobView{}, ctx.Err()
 		case <-poll.C:
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id, nil)
-		if err != nil {
-			return serve.JobView{}, err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return serve.JobView{}, err
-		}
 		var view serve.JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
+		if err := serve.GetJSON(ctx, base+"/jobs/"+id, &view); err != nil {
 			return serve.JobView{}, err
 		}
 		switch view.Status {
@@ -307,62 +297,37 @@ func (r *replayer) await(ctx context.Context, base, id string) (serve.JobView, e
 	}
 }
 
-// metricsSnap is the slice of /metricsz the replayer consumes, merged
-// across every target when the trace is spread over several.
-type metricsSnap struct {
-	JobsTotal serve.JobTotals                        `json:"jobs_total"`
-	Latency   map[string]telemetry.HistogramSnapshot `json:"latency"`
-
-	perTarget   map[string]serve.JobTotals
-	unreachable []string
-}
-
 // scrape fetches every target's local metrics (?scope=local keeps a
 // cluster node from fanning out — the replayer does its own summation)
 // and sums their lifetime totals. When strict, any unreachable target
 // fails the scrape; otherwise dead targets are recorded and skipped — each
 // reachable shard's totals satisfy the conservation law independently, so
 // the sum still does. The latency histogram block is kept only for a
-// single-target run (percentiles do not merge honestly).
-func (r *replayer) scrape(ctx context.Context, strict bool) (*metricsSnap, error) {
-	merged := &metricsSnap{perTarget: map[string]serve.JobTotals{}}
+// single-target run (percentiles do not merge honestly), the per-target
+// totals only for a multi-target one.
+func (r *replayer) scrape(ctx context.Context, strict bool) (ServerFinal, error) {
+	var f ServerFinal
+	perTarget := map[string]serve.JobTotals{}
 	for _, base := range r.cfg.Targets {
-		m, err := r.scrapeOne(ctx, base)
-		if err != nil {
+		var m serve.Metrics
+		if err := serve.GetJSON(ctx, base+"/metricsz?scope=local", &m); err != nil {
 			if strict {
-				return nil, fmt.Errorf("load: %s: %w", base, err)
+				return f, fmt.Errorf("load: %s: %w", base, err)
 			}
-			merged.unreachable = append(merged.unreachable, base)
+			f.Unreachable = append(f.Unreachable, base)
 			continue
 		}
-		merged.perTarget[base] = m.JobsTotal
-		merged.JobsTotal.Add(m.JobsTotal)
+		perTarget[base] = m.JobsTotal
+		f.JobsTotal.Add(m.JobsTotal)
 		if len(r.cfg.Targets) == 1 {
-			merged.Latency = m.Latency
+			f.Latency = m.Latency
 		}
 	}
-	if len(merged.perTarget) == 0 {
-		return nil, fmt.Errorf("load: no target reachable (%s)", strings.Join(merged.unreachable, ", "))
+	if len(perTarget) == 0 {
+		return f, fmt.Errorf("load: no target reachable (%s)", strings.Join(f.Unreachable, ", "))
 	}
-	return merged, nil
-}
-
-func (r *replayer) scrapeOne(ctx context.Context, base string) (*metricsSnap, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metricsz?scope=local", nil)
-	if err != nil {
-		return nil, err
+	if len(r.cfg.Targets) > 1 {
+		f.PerTarget = perTarget
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("load: /metricsz returned %d", resp.StatusCode)
-	}
-	var m metricsSnap
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return f, nil
 }

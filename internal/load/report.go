@@ -83,7 +83,7 @@ type Report struct {
 }
 
 // report assembles the final document from the per-phase accumulators.
-func (r *replayer) report(final *metricsSnap) *Report {
+func (r *replayer) report(final ServerFinal) *Report {
 	rep := &Report{
 		Tool:            "micload",
 		Seed:            r.trace.Seed,
@@ -91,14 +91,7 @@ func (r *replayer) report(final *metricsSnap) *Report {
 		Clients:         r.cfg.Clients,
 		TraceDurationNS: int64(r.trace.Duration()),
 		Requests:        len(r.trace.Requests),
-		Server: ServerFinal{
-			JobsTotal:   final.JobsTotal,
-			Latency:     final.Latency,
-			Unreachable: final.unreachable,
-		},
-	}
-	if len(r.cfg.Targets) > 1 {
-		rep.Server.PerTarget = final.perTarget
+		Server:          final,
 	}
 	for i, p := range r.trace.Phases {
 		acc := r.accs[i]

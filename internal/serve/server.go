@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -255,10 +257,7 @@ func (s *Server) Queue() *Queue { return s.queue }
 // which is what makes a cross-shard trace joinable in the JSONL logs.
 func (s *Server) Submit(spec JobSpec, requestID string) (*Job, error) {
 	if err := spec.normalize(); err != nil {
-		s.mu.Lock()
-		s.totals.Submitted++
-		s.totals.Rejected++
-		s.mu.Unlock()
+		s.refuse()
 		return nil, err
 	}
 	// Count the job accepted *before* handing it to the queue: a worker may
@@ -291,6 +290,15 @@ func (s *Server) Submit(spec JobSpec, requestID string) (*Job, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// refuse books a submit refused before it got an ID: a body that did not
+// read or decode, or a spec that did not validate.
+func (s *Server) refuse() {
+	s.mu.Lock()
+	s.totals.Submitted++
+	s.totals.Rejected++
+	s.mu.Unlock()
 }
 
 func (s *Server) register(j *Job) {
@@ -363,14 +371,14 @@ func (s *Server) exec(w int, j *Job) {
 	j.start()
 
 	err := s.runJob(ctx, w, j)
-	switch {
-	case err == nil:
+	if err == nil {
 		s.finish(j, StatusSucceeded, "")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		j.Result.WriteLine(map[string]string{"type": "error", "error": err.Error()})
+		return
+	}
+	j.Result.WriteLine(ErrorBody{Error: err.Error(), Type: "error"})
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		s.finish(j, StatusCancelled, err.Error())
-	default:
-		j.Result.WriteLine(map[string]string{"type": "error", "error": err.Error()})
+	} else {
 		s.finish(j, StatusFailed, err.Error())
 	}
 }
@@ -433,7 +441,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /jobs             submit a job (202, 400, 429+Retry-After, 503)
+//	POST   /jobs             submit a job (202, 400, 413, 429+Retry-After, 503)
 //	GET    /jobs             list retained jobs
 //	GET    /jobs/{id}        job status
 //	DELETE /jobs/{id}        cancel a job
@@ -452,18 +460,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // RequestIDHeader carries a submission's trace ID across cluster hops:
 // the entry node stamps it on the forwarded request, the owning shard
 // echoes it on responses and result lines.
@@ -471,10 +467,20 @@ const RequestIDHeader = "X-Micserved-Request-ID"
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad job spec: %w", err))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSubmitBody))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&spec)
+	}
+	if err != nil {
+		s.refuse()
+		status := http.StatusBadRequest
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("serve: bad job spec: %w", err))
 		return
 	}
 	rid := r.Header.Get(RequestIDHeader)
@@ -492,7 +498,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	default:
-		writeJSON(w, http.StatusAccepted, j.View())
+		WriteJSON(w, http.StatusAccepted, j.View())
 	}
 }
 
@@ -505,7 +511,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, views)
+	WriteJSON(w, http.StatusOK, views)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -514,7 +520,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("serve: no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -524,7 +530,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -545,36 +551,43 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j.Result.WriteTo(r.Context(), w, flush)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Health builds the /healthz body.
+func (s *Server) Health() Health {
 	status := "ok"
 	if s.queue.Draining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         status,
-		"uptime_seconds": s.cfg.Clock.Now().Sub(s.started).Seconds(),
-		"queue":          s.queue.Stats(),
-	})
+	return Health{
+		Queue:         s.queue.Stats(),
+		Status:        status,
+		UptimeSeconds: s.cfg.Clock.Now().Sub(s.started).Seconds(),
+	}
 }
 
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
+// Metrics builds the /metricsz body.
+func (s *Server) Metrics() Metrics {
 	byStatus := map[string]int{}
 	s.mu.Lock()
 	for _, j := range s.jobs {
 		byStatus[j.Status()]++
 	}
 	s.mu.Unlock()
-	body := map[string]any{
-		"uptime_seconds": s.cfg.Clock.Now().Sub(s.started).Seconds(),
-		"counters":       s.counters.Snapshot(),
-		"cache":          s.cache.Stats(),
-		"queue":          s.queue.Stats(),
-		"jobs":           byStatus,
-		"jobs_total":     s.Totals(),
-		"latency":        s.lat.snapshot(),
+	return Metrics{
+		UptimeSeconds: s.cfg.Clock.Now().Sub(s.started).Seconds(),
+		Counters:      s.counters.Snapshot(),
+		Cache:         s.cache.Stats(),
+		Queue:         s.queue.Stats(),
+		Jobs:          byStatus,
+		JobsTotal:     s.Totals(),
+		Latency:       s.lat.snapshot(),
+		Shard:         s.cfg.ShardID,
 	}
-	if s.cfg.ShardID != "" {
-		body["shard"] = s.cfg.ShardID
-	}
-	writeJSON(w, http.StatusOK, body)
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.Health())
+}
+
+func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }

@@ -495,22 +495,34 @@ func TestServeBadRequests(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	for _, body := range []string{
-		`{`,
-		`{"kind":"nope"}`,
-		`{"kind":"bfs"}`,
-		`{"kind":"sweep","experiments":["figZZ"]}`,
-		`{"kind":"bfs","graph":{"suite":"pwtk"},"timeout_ms":-1}`,
-		`{"kind":"sweep","experiments":["fig4a"],"retries":1}`, // unknown field
-	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	// An export spec whose output path runs past MaxSubmitBody.
+	tooLong := `{"kind":"export","graph":{"suite":"pwtk","scale":8},"output":"` + strings.Repeat("x", 2<<20) + `"}`
+	bodies := []struct {
+		body string
+		want int
+	}{
+		{`{`, http.StatusBadRequest},
+		{`{"kind":"nope"}`, http.StatusBadRequest},
+		{`{"kind":"bfs"}`, http.StatusBadRequest},
+		{`{"kind":"sweep","experiments":["figZZ"]}`, http.StatusBadRequest},
+		{`{"kind":"bfs","graph":{"suite":"pwtk"},"timeout_ms":-1}`, http.StatusBadRequest},
+		{`{"kind":"sweep","experiments":["fig4a"],"retries":1}`, http.StatusBadRequest}, // unknown field
+		{tooLong, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range bodies {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %s = %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != c.want {
+			t.Errorf("submit %.60s = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
+	}
+	// Every refused body is a submit attempt, booked as rejected.
+	n := int64(len(bodies))
+	if got := s.Totals(); got != (JobTotals{Submitted: n, Rejected: n}) {
+		t.Errorf("totals after %d refused submits = %+v", n, got)
 	}
 	for _, path := range []string{"/jobs/nope", "/jobs/nope/result"} {
 		resp, err := http.Get(ts.URL + path)
