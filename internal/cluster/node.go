@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -125,15 +122,15 @@ func (n *Node) load(node string) (int, bool) {
 	return n.health.Load(node)
 }
 
-// route picks the shard that should serve spec. Kernel (read) jobs may go
-// to any of the key's R replicas — each replica holds the graph resident,
-// so reads scale across them — under the bounded-load rule; exports and
-// sweeps stay with the primary owner. An empty ring answer falls back to
-// self: a node that has evicted everyone still serves what it is handed.
+// route picks the shard that should serve spec, a normalized spec (one
+// ReadSpec returned). Kernel (read) jobs may go to any of the key's R
+// replicas — each replica holds the graph resident, so reads scale across
+// them — under the bounded-load rule; exports and sweeps stay with the
+// primary owner. An empty ring answer falls back to self: a node that has
+// evicted everyone still serves what it is handed.
 func (n *Node) route(spec serve.JobSpec) string {
 	key := spec.PlacementKey()
-	switch spec.Kind {
-	case serve.KindBFS, serve.KindColoring, serve.KindComponents, serve.KindIrregular:
+	if spec.IsKernel() {
 		if pick := PickBounded(n.ring.Replicas(key, n.cfg.Replication), n.load, loadFactor); pick != "" {
 			return pick
 		}
@@ -144,38 +141,28 @@ func (n *Node) route(spec serve.JobSpec) string {
 	return n.cfg.Self
 }
 
-// serveLocal replays a request whose body was partly or wholly read into
-// body against the local daemon: the read bytes first, then whatever is
-// left of the original body.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), r.Body))
-	n.local.ServeHTTP(w, r2)
-}
-
+// handleSubmit reads the spec through serve.ReadSpec, as the daemon does,
+// and routes only a spec that reads, decodes and validates. One that does
+// not is answered by the local daemon, whose 400 or 413 books the refusal
+// on this shard: nothing refused is forwarded or counted against a peer's
+// load. A submit another entry already routed is served locally, no
+// second hop.
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The buffer is what lets a submit be re-sent to the shard the ring
-	// picks; one byte past the daemon's bound tells a body too long.
-	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxSubmitBody+1))
-	// Already routed by another entry node: serve locally, no second hop.
 	if r.Header.Get(ForwardedHeader) != "" {
-		n.serveLocal(w, r, body)
+		n.local.ServeHTTP(w, r)
 		return
 	}
 	if r.Header.Get(serve.RequestIDHeader) == "" {
 		r.Header.Set(serve.RequestIDHeader, n.nextRequestID())
 	}
-	var spec serve.JobSpec
-	if err != nil || len(body) > serve.MaxSubmitBody || json.Unmarshal(body, &spec) != nil {
-		// An unreadable, oversized or undecodable spec gets the local
-		// daemon's own refusal (400 or 413) and its Submitted/Rejected
-		// accounting.
-		n.serveLocal(w, r, body)
-		return
+	// The body read is what is re-sent to the shard the ring picks.
+	spec, body, err := serve.ReadSpec(r)
+	target := n.cfg.Self
+	if err == nil {
+		target = n.route(spec)
 	}
-	target := n.route(spec)
 	if target == n.cfg.Self {
-		n.serveLocal(w, r, body)
+		n.srv.AnswerSubmit(w, r, spec, err)
 		return
 	}
 	n.health.NoteSent(target)
@@ -184,18 +171,14 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// remoteOwner names the shard that owns the job r addresses when that is
-// another node and r was not already forwarded; "" means serve locally.
-// IDs without a known shard prefix ("n2-job-000123" -> "n2") route locally
-// too: the local daemon answers 404 for jobs it never owned.
+// remoteOwner names the shard that owns the job r addresses, read from the
+// id by serve.ShardOf, when that is another known node and r was not
+// already forwarded; "" means serve locally. An id without a known shard
+// prefix routes locally too: the local daemon answers 404 for jobs it
+// never owned.
 func (n *Node) remoteOwner(r *http.Request) string {
-	id := r.PathValue("id")
-	i := strings.LastIndex(id, "-job-")
-	if i <= 0 || r.Header.Get(ForwardedHeader) != "" {
-		return ""
-	}
-	owner := id[:i]
-	if _, ok := n.urls[owner]; !ok || owner == n.cfg.Self {
+	owner := serve.ShardOf(r.PathValue("id"))
+	if _, ok := n.urls[owner]; !ok || owner == n.cfg.Self || r.Header.Get(ForwardedHeader) != "" {
 		return ""
 	}
 	return owner

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -383,33 +384,79 @@ func TestClusterMetricszOverflowBucket(t *testing.T) {
 	}
 }
 
-// TestClusterRefusedSubmitsCounted sends bodies the daemon refuses through
-// a cluster entry: each gets a shard's own answer, 400 or 413, and is
-// booked in the cluster totals as submitted and rejected.
+// TestClusterRefusedSubmitsCounted sends specs the daemon refuses to an
+// entry that is outside each spec's replica set: every refusal is answered
+// and booked on the entry itself, and no peer's load estimate moves, since
+// nothing refused is forwarded. Probes are held off so that a bumped
+// estimate would stay visible.
 func TestClusterRefusedSubmitsCounted(t *testing.T) {
-	tc, err := StartTestCluster(2, fastOpts())
+	opts := fastOpts()
+	opts.Cluster.ProbeInterval = time.Hour
+	tc, err := StartTestCluster(3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tc.Close()
+	entry := tc.Nodes[0]
+	peerLoads := func() map[string]int {
+		var h healthBody
+		if err := serve.GetJSON(context.Background(), tc.URLs[0]+"/healthz", &h); err != nil {
+			t.Fatal(err)
+		}
+		loads := map[string]int{}
+		for _, p := range h.Cluster.Peers {
+			loads[p.Name] = p.Load
+		}
+		return loads
+	}
+	// elsewhere finds a scale whose key, "suite:<suite>@<scale>", leaves the
+	// entry out of the key's replica set.
+	elsewhere := func(suite string) int {
+		for scale := 1; scale < 1000; scale++ {
+			key := fmt.Sprintf("suite:%s@%d", suite, scale)
+			if !slices.Contains(entry.Ring().Replicas(key, entry.cfg.Replication), entry.Self()) {
+				return scale
+			}
+		}
+		t.Fatalf("every %s key is on %s", suite, entry.Self())
+		return 0
+	}
+	pwtk, bare := elsewhere("pwtk"), elsewhere("")
+	before := peerLoads()
 
 	tooLong := `{"kind":"export","graph":{"suite":"pwtk","scale":8},"output":"` + strings.Repeat("x", 2<<20) + `"}`
-	for _, c := range []struct {
+	bodies := []struct {
 		body string
 		want int
 	}{
 		{`{`, http.StatusBadRequest},
-		{`{"kind":"coloring","graph":{"suite":"pwtk","scale":8},"retries":1}`, http.StatusBadRequest},
+		{fmt.Sprintf(`{"kind":"coloring","graph":{"suite":"pwtk","scale":%d},"retries":1}`, pwtk), http.StatusBadRequest},
 		{tooLong, http.StatusRequestEntityTooLarge},
-	} {
+		{fmt.Sprintf(`{"kind":"nope","graph":{"suite":"pwtk","scale":%d}}`, pwtk), http.StatusBadRequest},
+		{fmt.Sprintf(`{"kind":"coloring","graph":{"scale":%d}}`, bare), http.StatusBadRequest},
+	}
+	for _, c := range bodies {
 		resp, _ := postJob(t, tc.URLs[0], c.body, nil)
 		if resp.StatusCode != c.want {
 			t.Errorf("submit %.60s = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
 	}
+	refused := int64(len(bodies))
 	cb := clusterMetrics(t, tc.URLs[0])
-	if cb.JobsTotal.Submitted != 3 || cb.JobsTotal.Rejected != 3 {
-		t.Errorf("cluster totals after 3 refused submits = %+v", cb.JobsTotal)
+	if cb.JobsTotal.Submitted != refused || cb.JobsTotal.Rejected != refused {
+		t.Errorf("cluster totals after %d refused submits = %+v", refused, cb.JobsTotal)
+	}
+	for shard, jt := range cb.Shards {
+		want := serve.JobTotals{}
+		if shard == entry.Self() {
+			want.Submitted, want.Rejected = refused, refused
+		}
+		if jt != want {
+			t.Errorf("shard %s booked %+v, want %+v: a refusal is booked by the entry alone", shard, jt, want)
+		}
+	}
+	if after := peerLoads(); !maps.Equal(after, before) {
+		t.Errorf("peer loads moved from %v to %v: a refused spec counted against a peer", before, after)
 	}
 }
 

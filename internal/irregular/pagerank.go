@@ -44,6 +44,9 @@ func (o PageRankOptions) maxIter() int {
 // PageRank runs the damped power iteration on team and returns the rank
 // vector (summing to 1) and the number of iterations executed. Isolated
 // vertices act as dangling nodes whose rank is redistributed uniformly.
+// Both sweeps of an iteration run on one Loop bound to team under opts; a
+// panic contained in either is raised again, as a *sched.PanicError, on
+// the caller's goroutine.
 func PageRank(g *graph.Graph, team *sched.Team, opts sched.ForOptions, cfg PageRankOptions) ([]float64, int) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -56,47 +59,53 @@ func PageRank(g *graph.Graph, team *sched.Team, opts sched.ForOptions, cfg PageR
 		rank[v] = 1 / float64(n)
 	}
 
-	workers := team.Workers()
-	deltas := make([]float64, workers)
-	dangling := make([]float64, workers)
+	var loop sched.Loop
+	loop.OnTeam(team, opts)
+	deltas := make([]float64, loop.Workers())
+	dangling := make([]float64, loop.Workers())
+	var base float64
+	// The bodies are built once and read rank, next and base as the
+	// iterations swap and set them.
+	gather := func(lo, hi, w int) {
+		local := 0.0
+		for v := lo; v < hi; v++ {
+			if g.Degree(int32(v)) == 0 {
+				local += rank[v]
+			}
+		}
+		dangling[w] += local
+	}
+	update := func(lo, hi, w int) {
+		local := 0.0
+		for v := lo; v < hi; v++ {
+			sum := 0.0
+			for _, u := range g.Adj(int32(v)) {
+				sum += rank[u] / float64(g.Degree(u))
+			}
+			nv := base + d*sum
+			local += math.Abs(nv - rank[v])
+			next[v] = nv
+		}
+		deltas[w] += local
+	}
 
 	iters := 0
 	for ; iters < cfg.maxIter(); iters++ {
 		// Dangling mass (isolated vertices) is shared by everyone.
-		for w := range dangling {
-			dangling[w] = 0
+		clear(dangling)
+		if err := loop.Run(nil, n, gather); err != nil {
+			panic(err)
 		}
-		team.For(n, opts, func(lo, hi, w int) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				if g.Degree(int32(v)) == 0 {
-					local += rank[v]
-				}
-			}
-			dangling[w] += local
-		})
 		danglingMass := 0.0
 		for _, x := range dangling {
 			danglingMass += x
 		}
 
-		base := (1-d)/float64(n) + d*danglingMass/float64(n)
-		for w := range deltas {
-			deltas[w] = 0
+		base = (1-d)/float64(n) + d*danglingMass/float64(n)
+		clear(deltas)
+		if err := loop.Run(nil, n, update); err != nil {
+			panic(err)
 		}
-		team.For(n, opts, func(lo, hi, w int) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				for _, u := range g.Adj(int32(v)) {
-					sum += rank[u] / float64(g.Degree(u))
-				}
-				nv := base + d*sum
-				local += math.Abs(nv - rank[v])
-				next[v] = nv
-			}
-			deltas[w] += local
-		})
 		rank, next = next, rank
 
 		total := 0.0

@@ -109,6 +109,29 @@ func TestPageRankOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestPageRankRepanics pins PageRank's failure contract: a panic contained
+// by the team (here the fault hook's, at the first chunk claim) comes back
+// as a *sched.PanicError on the caller's goroutine, and the team still runs
+// loops afterwards.
+func TestPageRankRepanics(t *testing.T) {
+	team := sched.NewTeam(2)
+	defer team.Close()
+	g := gen.Grid2D(30, 30)
+	team.SetInject(func(string, int) { panic("injected") })
+	func() {
+		defer func() {
+			if _, ok := recover().(*sched.PanicError); !ok {
+				t.Fatal("PageRank did not re-panic with a *sched.PanicError")
+			}
+		}()
+		PageRank(g, team, prOpts(), PageRankOptions{})
+	}()
+	team.SetInject(nil)
+	if rank, _ := PageRank(g, team, prOpts(), PageRankOptions{}); len(rank) != g.NumVertices() {
+		t.Fatalf("PageRank after a contained panic returned %d ranks", len(rank))
+	}
+}
+
 func TestPageRankEmpty(t *testing.T) {
 	team := sched.NewTeam(2)
 	defer team.Close()

@@ -144,14 +144,6 @@ func TestTeamLoopOnClosedTeam(t *testing.T) {
 				t.Errorf("%s: %s on a closed team: %v, want ErrClosed", tc.name, how, err)
 			}
 		}
-		func() {
-			defer func() {
-				if err, _ := recover().(error); !errors.Is(err, ErrClosed) {
-					t.Errorf("%s: For on a closed team panicked with %v, want ErrClosed", tc.name, err)
-				}
-			}()
-			team.For(64, opts, body)
-		}()
 	}
 }
 
@@ -161,7 +153,7 @@ func TestTeamOfOneOwnsNoGoroutine(t *testing.T) {
 	team := NewTeam(1)
 	defer team.Close()
 	var ran int
-	team.For(100, ForOptions{Policy: Dynamic, Chunk: 10, SerialBelow: -1}, func(lo, hi, w int) { ran += hi - lo })
+	check(t, team.ForE(100, ForOptions{Policy: Dynamic, Chunk: 10, SerialBelow: -1}, func(lo, hi, w int) { ran += hi - lo }))
 	if got := runtime.NumGoroutine(); got > before || ran != 100 {
 		t.Errorf("%d goroutines after NewTeam(1), %d before; loop covered %d of 100", got, before, ran)
 	}

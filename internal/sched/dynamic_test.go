@@ -36,7 +36,7 @@ func dynamicCoverage(t *testing.T, team *Team, n, chunk int) {
 		}
 	}()
 	coverageCheck(t, n, func(mark func(int)) {
-		team.For(n, ForOptions{Policy: Dynamic, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
+		check(t, team.ForE(n, ForOptions{Policy: Dynamic, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
 			if lo >= hi || hi-lo > max(chunk, DefaultChunk) || w < 0 || w >= workers ||
 				blockOf(lo, n, workers) != blockOf(hi-1, n, workers) {
 				t.Errorf("worker %d ran chunk [%d,%d)", w, lo, hi)
@@ -44,7 +44,7 @@ func dynamicCoverage(t *testing.T, team *Team, n, chunk int) {
 			for i := lo; i < hi; i++ {
 				mark(i)
 			}
-		})
+		}))
 	})
 }
 
@@ -80,12 +80,12 @@ func TestTeamDynamicSingleWorkerOrder(t *testing.T) {
 	defer team.Close()
 	const n, chunk = 103, 10
 	var los []int
-	team.For(n, ForOptions{Policy: Dynamic, Chunk: chunk}, func(lo, hi, w int) {
+	check(t, team.ForE(n, ForOptions{Policy: Dynamic, Chunk: chunk}, func(lo, hi, w int) {
 		los = append(los, lo)
 		if want := min(lo+chunk, n); hi != want {
 			t.Errorf("chunk [%d,%d), want end %d", lo, hi, want)
 		}
-	})
+	}))
 	if len(los) != (n+chunk-1)/chunk {
 		t.Fatalf("%d chunks, want %d", len(los), (n+chunk-1)/chunk)
 	}
@@ -108,7 +108,7 @@ func skewedLoop(t *testing.T, team *Team) []int64 {
 	ran := make([]int64, workers)
 	var arrived atomic.Int64
 	all := make(chan struct{})
-	team.For(n, ForOptions{Policy: Dynamic, Chunk: 1}, func(lo, hi, w int) {
+	check(t, team.ForE(n, ForOptions{Policy: Dynamic, Chunk: 1}, func(lo, hi, w int) {
 		if blockOf(lo, n, workers) != 0 {
 			return
 		}
@@ -123,7 +123,7 @@ func skewedLoop(t *testing.T, team *Team) []int64 {
 		case <-time.After(10 * time.Second):
 			t.Errorf("worker %d waited alone in block 0", w)
 		}
-	})
+	}))
 	return ran
 }
 

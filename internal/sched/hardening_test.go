@@ -58,18 +58,6 @@ func TestTeamForEBodyPanic(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-func TestTeamForRepanics(t *testing.T) {
-	team := NewTeam(2)
-	defer team.Close()
-	defer func() {
-		r := recover()
-		if _, ok := r.(*PanicError); !ok {
-			t.Fatalf("For recovered %v, want *PanicError", r)
-		}
-	}()
-	team.For(10, ForOptions{}, func(lo, hi, w int) { panic("legacy path") })
-}
-
 func TestTeamForCtxCancelMidLoop(t *testing.T) {
 	before := runtime.NumGoroutine()
 	team := NewTeam(4)

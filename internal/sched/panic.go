@@ -37,8 +37,7 @@ func (e *PanicError) Unwrap() error {
 }
 
 // ErrClosed is returned by every driver of either discipline — ForCtx, ForE,
-// RunCtx, the pool loop drivers, Loop.Run — once the engine has been closed;
-// Team.For panics with it.
+// RunCtx, the pool loop drivers, Loop.Run — once the engine has been closed.
 var ErrClosed = errors.New("sched: region on closed engine")
 
 // panicSlot collects the first panic observed across the workers of one

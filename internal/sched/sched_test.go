@@ -46,14 +46,14 @@ func TestTeamForAllPolicies(t *testing.T) {
 			pol, chunk := pol, chunk
 			t.Run(pol.String(), func(t *testing.T) {
 				coverageCheck(t, 537, func(mark func(int)) {
-					team.For(537, ForOptions{Policy: pol, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
+					check(t, team.ForE(537, ForOptions{Policy: pol, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
 						if w < 0 || w >= 4 {
 							t.Errorf("worker id %d out of range", w)
 						}
 						for i := lo; i < hi; i++ {
 							mark(i)
 						}
-					})
+					}))
 				})
 			})
 		}
@@ -64,17 +64,17 @@ func TestTeamForEmptyAndTiny(t *testing.T) {
 	team := NewTeam(8)
 	defer team.Close()
 	called := int32(0)
-	team.For(0, ForOptions{}, func(lo, hi, w int) { atomic.AddInt32(&called, 1) })
+	check(t, team.ForE(0, ForOptions{}, func(lo, hi, w int) { atomic.AddInt32(&called, 1) }))
 	if called != 0 {
 		t.Error("body called for empty loop")
 	}
 	// n smaller than worker count: every index still covered exactly once.
 	coverageCheck(t, 3, func(mark func(int)) {
-		team.For(3, ForOptions{Policy: Dynamic, SerialBelow: -1}, func(lo, hi, w int) {
+		check(t, team.ForE(3, ForOptions{Policy: Dynamic, SerialBelow: -1}, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				mark(i)
 			}
-		})
+		}))
 	})
 }
 
@@ -82,11 +82,11 @@ func TestTeamSingleWorker(t *testing.T) {
 	team := NewTeam(1)
 	defer team.Close()
 	order := make([]int, 0, 10)
-	team.For(10, ForOptions{Policy: Static, Chunk: 0}, func(lo, hi, w int) {
+	check(t, team.ForE(10, ForOptions{Policy: Static, Chunk: 0}, func(lo, hi, w int) {
 		for i := lo; i < hi; i++ {
 			order = append(order, i)
 		}
-	})
+	}))
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("single-worker static order[%d] = %d", i, v)
@@ -102,11 +102,11 @@ func TestTeamCoverageProperty(t *testing.T) {
 		chunk := int(chunkRaw % 50)
 		pol := Policy(polRaw % 3)
 		counts := make([]int32, n)
-		team.For(n, ForOptions{Policy: pol, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
+		check(t, team.ForE(n, ForOptions{Policy: pol, Chunk: chunk, SerialBelow: -1}, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
-		})
+		}))
 		for _, c := range counts {
 			if c != 1 {
 				return false
@@ -158,7 +158,7 @@ func TestTeamSerialCutoff(t *testing.T) {
 			inline := n <= cutoff
 			var calls atomic.Int32
 			coverageCheck(t, n, func(mark func(int)) {
-				team.For(n, ForOptions{Policy: Dynamic, Chunk: chunk}, func(lo, hi, w int) {
+				check(t, team.ForE(n, ForOptions{Policy: Dynamic, Chunk: chunk}, func(lo, hi, w int) {
 					calls.Add(1)
 					// The test function's own frame is on the stack only of
 					// the goroutine that called For.
@@ -172,7 +172,7 @@ func TestTeamSerialCutoff(t *testing.T) {
 					for i := lo; i < hi; i++ {
 						mark(i)
 					}
-				})
+				}))
 			})
 			if got := calls.Load(); inline && got != 1 || !inline && got < 2 {
 				t.Errorf("chunk %d, n %d (cutoff %d): %d body calls", chunk, n, cutoff, got)

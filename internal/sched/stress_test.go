@@ -16,9 +16,9 @@ func TestTeamManyWorkersFewItems(t *testing.T) {
 	defer team.Close()
 	for round := 0; round < 20; round++ {
 		var count atomic.Int64
-		team.For(5, ForOptions{Policy: Dynamic, SerialBelow: -1}, func(lo, hi, w int) {
+		check(t, team.ForE(5, ForOptions{Policy: Dynamic, SerialBelow: -1}, func(lo, hi, w int) {
 			count.Add(int64(hi - lo))
-		})
+		}))
 		if count.Load() != 5 {
 			t.Fatalf("round %d: %d of 5 items", round, count.Load())
 		}
@@ -35,11 +35,11 @@ func TestManySimultaneousTeams(t *testing.T) {
 			team := NewTeam(4)
 			defer team.Close()
 			var sum atomic.Int64
-			team.For(1000, ForOptions{Policy: Guided, Chunk: 7}, func(lo, hi, w int) {
+			check(t, team.ForE(1000, ForOptions{Policy: Guided, Chunk: 7}, func(lo, hi, w int) {
 				for i := lo; i < hi; i++ {
 					sum.Add(int64(i))
 				}
-			})
+			}))
 			if sum.Load() != 499500 {
 				errs <- "wrong sum"
 			}
@@ -133,9 +133,9 @@ func TestTeamRepeatedLoops(t *testing.T) {
 	defer team.Close()
 	var total atomic.Int64
 	for i := 0; i < 2000; i++ {
-		team.For(37, ForOptions{Policy: Dynamic, Chunk: 5, SerialBelow: -1}, func(lo, hi, w int) {
+		check(t, team.ForE(37, ForOptions{Policy: Dynamic, Chunk: 5, SerialBelow: -1}, func(lo, hi, w int) {
 			total.Add(int64(hi - lo))
-		})
+		}))
 	}
 	if total.Load() != 2000*37 {
 		t.Fatalf("covered %d, want %d", total.Load(), 2000*37)

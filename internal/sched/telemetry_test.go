@@ -18,9 +18,9 @@ func TestTeamCountersChunks(t *testing.T) {
 		counters := telemetry.NewCounters(4)
 		team.SetCounters(counters)
 		var calls atomic.Int64
-		team.For(1000, ForOptions{Policy: policy, Chunk: 10}, func(lo, hi, w int) {
+		check(t, team.ForE(1000, ForOptions{Policy: policy, Chunk: 10}, func(lo, hi, w int) {
 			calls.Add(1)
-		})
+		}))
 		team.Close()
 		chunks, steals := counters.Total(telemetry.ChunksClaimed), counters.Total(telemetry.Steals)
 		if chunks != calls.Load() {
@@ -200,9 +200,9 @@ func TestCountersOffNoPanic(t *testing.T) {
 	team := NewTeam(2)
 	defer team.Close()
 	var n atomic.Int64
-	team.For(100, ForOptions{Policy: Dynamic, Chunk: 7}, func(lo, hi, w int) {
+	check(t, team.ForE(100, ForOptions{Policy: Dynamic, Chunk: 7}, func(lo, hi, w int) {
 		n.Add(int64(hi - lo))
-	})
+	}))
 	if n.Load() != 100 {
 		t.Errorf("covered %d, want 100", n.Load())
 	}

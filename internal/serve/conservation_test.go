@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"micgraph/internal/kernels"
 	"micgraph/internal/xrand"
 )
 
@@ -60,7 +61,7 @@ func TestServeJobTotalsConservation(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(10) {
 				case 0, 1: // blocking job: needs a cancel to terminate
-					spec := JobSpec{Kind: KindBFS, Variant: "block",
+					spec := JobSpec{Kind: kernels.BFS, Variant: "block",
 						Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 					if j, err := s.Submit(spec, ""); err == nil {
 						mu.Lock()
@@ -72,7 +73,7 @@ func TestServeJobTotalsConservation(t *testing.T) {
 						t.Error("malformed spec accepted")
 					}
 				case 3: // unknown variant: accepted, then fails at run time
-					spec := JobSpec{Kind: KindBFS, Variant: "bogus",
+					spec := JobSpec{Kind: kernels.BFS, Variant: "bogus",
 						Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 					if j, err := s.Submit(spec, ""); err == nil {
 						mu.Lock()
@@ -88,7 +89,7 @@ func TestServeJobTotalsConservation(t *testing.T) {
 				case 5:
 					check("mid-flight")
 				default: // instant job; queue-full rejections happen naturally
-					spec := JobSpec{Kind: KindBFS,
+					spec := JobSpec{Kind: kernels.BFS,
 						Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 					if j, err := s.Submit(spec, ""); err == nil {
 						mu.Lock()

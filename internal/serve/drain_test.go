@@ -9,6 +9,7 @@ import (
 
 	"micgraph/internal/fault"
 	"micgraph/internal/graphio"
+	"micgraph/internal/kernels"
 )
 
 // TestServeDrainCancelsQueuedJobs pins the drain contract for
@@ -36,7 +37,7 @@ func TestServeDrainCancelsQueuedJobs(t *testing.T) {
 		return true
 	}
 
-	spec := JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
+	spec := JobSpec{Kind: kernels.BFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 	first, err := s.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,15 +17,11 @@ import (
 	"micgraph/internal/telemetry"
 )
 
-// Job kinds accepted by POST /jobs. The four kernel kinds and their
-// variants are the rows of the kernels table.
+// Job kinds accepted by POST /jobs besides the kernel kinds, which are the
+// kinds of the kernels table (JobSpec.IsKernel).
 const (
-	KindBFS        = kernels.BFS        // one BFS traversal
-	KindColoring   = kernels.Coloring   // one speculative coloring run
-	KindComponents = kernels.Components // one connected-components run
-	KindIrregular  = kernels.Irregular  // the micbench irregular kernel
-	KindSweep      = "sweep"            // experiment sweeps (core.RunMany)
-	KindExport     = "export"           // serialise a loaded graph to a file on the daemon host
+	KindSweep  = "sweep"  // experiment sweeps (core.RunMany)
+	KindExport = "export" // serialise a loaded graph to a file on the daemon host
 )
 
 // GraphSpec names the input graph of a kernel job: either a file path on
@@ -71,16 +72,22 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// normalize fills defaults and validates the spec.
+// IsKernel reports whether the spec names a kind of the kernels table.
+func (sp JobSpec) IsKernel() bool { return kernels.Default(sp.Kind) != "" }
+
+// normalize fills defaults and validates the spec. It is idempotent.
 func (sp *JobSpec) normalize() error {
-	switch sp.Kind {
-	case KindBFS, KindColoring, KindComponents, KindIrregular:
+	kernel := sp.IsKernel()
+	if kernel || sp.Kind == KindExport {
 		if sp.Graph.File == "" && sp.Graph.Suite == "" {
 			return fmt.Errorf("serve: %s job needs graph.file or graph.suite", sp.Kind)
 		}
 		if sp.Graph.Scale <= 0 {
 			sp.Graph.Scale = 4
 		}
+	}
+	switch {
+	case kernel:
 		// Unknown variants are admitted: the job fails when it runs.
 		if sp.Variant == "" {
 			sp.Variant = kernels.Default(sp.Kind)
@@ -92,13 +99,7 @@ func (sp *JobSpec) normalize() error {
 		if sp.Iters <= 0 {
 			sp.Iters = def.Iters
 		}
-	case KindExport:
-		if sp.Graph.File == "" && sp.Graph.Suite == "" {
-			return fmt.Errorf("serve: export job needs graph.file or graph.suite")
-		}
-		if sp.Graph.Scale <= 0 {
-			sp.Graph.Scale = 4
-		}
+	case sp.Kind == KindExport:
 		if sp.Output == "" {
 			return fmt.Errorf("serve: export job needs an output path")
 		}
@@ -107,7 +108,7 @@ func (sp *JobSpec) normalize() error {
 				return err
 			}
 		}
-	case KindSweep:
+	case sp.Kind == KindSweep:
 		if sp.SweepScale <= 0 {
 			sp.SweepScale = 4
 		}
@@ -120,7 +121,7 @@ func (sp *JobSpec) normalize() error {
 				return fmt.Errorf("serve: unknown experiment id %q", id)
 			}
 		}
-	case "":
+	case sp.Kind == "":
 		return fmt.Errorf("serve: job spec needs a kind (bfs, coloring, components, irregular, sweep, export)")
 	default:
 		return fmt.Errorf("serve: unknown job kind %q", sp.Kind)
@@ -131,25 +132,65 @@ func (sp *JobSpec) normalize() error {
 	return nil
 }
 
+// ReadSpec reads a POST /jobs body, at most MaxSubmitBody bytes of it,
+// decodes it strictly (an unknown field is an error) and normalizes the
+// spec: the one place a JobSpec is read from a request. It also returns the
+// bytes it read, which a cluster entry forwards unchanged. A body past the
+// bound fails with an *http.MaxBytesError (413 on the wire); any other
+// error is a 400.
+func ReadSpec(r *http.Request) (JobSpec, []byte, error) {
+	var spec JobSpec
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxSubmitBody+1))
+	if err == nil && len(body) > MaxSubmitBody {
+		err = &http.MaxBytesError{Limit: MaxSubmitBody}
+	}
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&spec)
+	}
+	if err != nil {
+		return spec, body, fmt.Errorf("serve: bad job spec: %w", err)
+	}
+	return spec, body, spec.normalize()
+}
+
 // PlacementKey is the data key a cluster routes a job by: the graph cache
 // key for kernel and export jobs, the suite cache key for sweeps. Jobs
 // that share a key share cache residency, so routing by it maximises hit
 // rates and keeps a cache miss confined to the shard that owns the key.
+// The key is taken on a normalized copy, so a raw spec and the spec its
+// owner admits map to the same key.
 func (sp JobSpec) PlacementKey() string {
+	sp.normalize()
 	if sp.Kind == KindSweep {
-		scale := sp.SweepScale
-		if scale <= 0 {
-			scale = 4
-		}
-		return SuiteKey(scale)
+		return SuiteKey(sp.SweepScale)
 	}
-	// Mirror normalize()'s scale default so a spec routed before admission
-	// and the cache key the owner computes after it always agree.
-	g := sp.Graph
-	if g.File == "" && g.Scale <= 0 {
-		g.Scale = 4
+	return sp.Graph.Key()
+}
+
+// jobIDInfix separates a cluster job id's shard prefix from the
+// server-local part: "<shard>-job-NNNNNN".
+const jobIDInfix = "-job-"
+
+// jobID mints the id of a server's seq-th job: "job-NNNNNN", prefixed with
+// the shard's name in a cluster so the id is unique cluster-wide and
+// carries its owner.
+func jobID(shard string, seq int64) string {
+	id := fmt.Sprintf("job-%06d", seq)
+	if shard != "" {
+		id = shard + "-" + id
 	}
-	return g.Key()
+	return id
+}
+
+// ShardOf returns the shard that minted a cluster job id ("n2-job-000123"
+// -> "n2"), "" for an id without a shard prefix.
+func ShardOf(id string) string {
+	if i := strings.LastIndex(id, jobIDInfix); i > 0 {
+		return id[:i]
+	}
+	return ""
 }
 
 // Job statuses.

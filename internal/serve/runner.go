@@ -65,13 +65,13 @@ func (s *Server) runJob(ctx context.Context, w int, j *Job) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	switch j.Spec.Kind {
-	case KindSweep:
-		return s.runSweep(ctx, j)
-	case KindExport:
-		return s.runExport(ctx, j)
-	default:
+	switch {
+	case j.Spec.IsKernel():
 		return s.runKernel(ctx, w, j)
+	case j.Spec.Kind == KindSweep:
+		return s.runSweep(ctx, j)
+	default:
+		return s.runExport(ctx, j)
 	}
 }
 

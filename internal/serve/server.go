@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -260,6 +256,11 @@ func (s *Server) Submit(spec JobSpec, requestID string) (*Job, error) {
 		s.refuse()
 		return nil, err
 	}
+	return s.admit(spec, requestID)
+}
+
+// admit queues a normalized spec as a new job.
+func (s *Server) admit(spec JobSpec, requestID string) (*Job, error) {
 	// Count the job accepted *before* handing it to the queue: a worker may
 	// pick it up and finish it before queue.Submit even returns, and the
 	// terminal counters must never run ahead of Accepted (that would make a
@@ -269,12 +270,7 @@ func (s *Server) Submit(spec JobSpec, requestID string) (*Job, error) {
 	// unaccounted.
 	s.mu.Lock()
 	s.seq++
-	id := fmt.Sprintf("job-%06d", s.seq)
-	if s.cfg.ShardID != "" {
-		// Shard-prefixed IDs are globally unique across the cluster and
-		// carry their owner, so any entry node can route by ID alone.
-		id = s.cfg.ShardID + "-" + id
-	}
+	id := jobID(s.cfg.ShardID, s.seq)
 	s.totals.Submitted++
 	s.totals.Accepted++
 	s.mu.Unlock()
@@ -466,12 +462,21 @@ func (s *Server) Handler() http.Handler {
 const RequestIDHeader = "X-Micserved-Request-ID"
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSubmitBody))
-	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(&spec)
+	spec, _, err := ReadSpec(r)
+	s.AnswerSubmit(w, r, spec, err)
+}
+
+// AnswerSubmit answers the POST /jobs r whose body ReadSpec read into spec,
+// or refused with err. A refused spec gets 413 (past MaxSubmitBody) or 400
+// and is booked as submitted and rejected, as a 429 or 503 from admission
+// is; an admitted one gets 202 and its job view. Every answer echoes the
+// request's X-Micserved-Request-ID. A cluster entry that keeps a submit
+// answers it here with what its own ReadSpec returned, so no body is read
+// twice.
+func (s *Server) AnswerSubmit(w http.ResponseWriter, r *http.Request, spec JobSpec, err error) {
+	rid := r.Header.Get(RequestIDHeader)
+	if rid != "" {
+		w.Header().Set(RequestIDHeader, rid)
 	}
 	if err != nil {
 		s.refuse()
@@ -480,14 +485,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLong) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, fmt.Errorf("serve: bad job spec: %w", err))
+		writeError(w, status, err)
 		return
 	}
-	rid := r.Header.Get(RequestIDHeader)
-	if rid != "" {
-		w.Header().Set(RequestIDHeader, rid)
-	}
-	j, err := s.Submit(spec, rid)
+	j, err := s.admit(spec, rid)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After",

@@ -95,7 +95,7 @@ func TestServeKernelJob(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	code, v := post(t, ts, JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	code, v := post(t, ts, JobSpec{Kind: kernels.BFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -111,7 +111,7 @@ func TestServeKernelJob(t *testing.T) {
 	}
 
 	// Same graph again: must be a cache hit, no second load.
-	code, v2 := post(t, ts, JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	code, v2 := post(t, ts, JobSpec{Kind: kernels.Coloring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -142,7 +142,7 @@ func TestServeHybridAndComponentsJobs(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	code, v := post(t, ts, JobSpec{Kind: KindBFS, Variant: "hybrid", Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	code, v := post(t, ts, JobSpec{Kind: kernels.BFS, Variant: "hybrid", Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit hybrid = %d", code)
 	}
@@ -162,7 +162,7 @@ func TestServeHybridAndComponentsJobs(t *testing.T) {
 	}
 
 	for _, variant := range []string{"labelprop", "pointerjump"} {
-		code, v := post(t, ts, JobSpec{Kind: KindComponents, Variant: variant, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+		code, v := post(t, ts, JobSpec{Kind: kernels.Components, Variant: variant, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s = %d", variant, code)
 		}
@@ -333,7 +333,7 @@ func TestServeBackpressure(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	spec := JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
+	spec := JobSpec{Kind: kernels.BFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 	code1, v1 := post(t, ts, spec) // occupies the worker
 	// Wait until the worker picked it up so the queue slot is free.
 	deadlineWait(t, func() bool { return s.Queue().Stats().Running == 1 })
@@ -374,7 +374,7 @@ func TestServeFaultIsolation(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	spec := JobSpec{Kind: KindColoring, Variant: "openmp",
+	spec := JobSpec{Kind: kernels.Coloring, Variant: "openmp",
 		Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 	_, v1 := post(t, ts, spec)
 	fin := wait(t, ts, v1.ID)
@@ -414,7 +414,7 @@ func TestServeCheckFault(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	spec := JobSpec{Kind: KindColoring, Variant: "seq", Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
+	spec := JobSpec{Kind: kernels.Coloring, Variant: "seq", Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 	_, v1 := post(t, ts, spec)
 	fin := wait(t, ts, v1.ID)
 	if fin.Status != StatusFailed || !strings.HasPrefix(fin.Error, "sched: panic") {
@@ -444,7 +444,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
+	spec := JobSpec{Kind: kernels.BFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}
 	_, v1 := post(t, ts, spec)
 	<-started
 
@@ -542,7 +542,7 @@ func TestServeMetricsz(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	_, v := post(t, ts, JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	_, v := post(t, ts, JobSpec{Kind: kernels.Coloring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	wait(t, ts, v.ID)
 
 	resp, err := http.Get(ts.URL + "/metricsz")
@@ -589,7 +589,7 @@ func TestServeCancelQueuedJob(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})
 	release := make(chan struct{})
 	s.hookExec = func(ctx context.Context, j *Job) bool {
-		if j.Spec.Kind == KindBFS {
+		if j.Spec.Kind == kernels.BFS {
 			select {
 			case <-release:
 			case <-ctx.Done():
@@ -602,9 +602,9 @@ func TestServeCancelQueuedJob(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	_, v1 := post(t, ts, JobSpec{Kind: KindBFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	_, v1 := post(t, ts, JobSpec{Kind: kernels.BFS, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	deadlineWait(t, func() bool { return s.Queue().Stats().Running == 1 })
-	_, v2 := post(t, ts, JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	_, v2 := post(t, ts, JobSpec{Kind: kernels.Coloring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%s", ts.URL, v2.ID), nil)
 	resp, err := http.DefaultClient.Do(req)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"micgraph/internal/kernels"
 	"micgraph/internal/telemetry"
 )
 
@@ -41,7 +42,7 @@ func TestJobSpans(t *testing.T) {
 	s := New(Config{Workers: 1, KernelWorkers: 2, Clock: clk})
 	defer s.Drain(context.Background())
 
-	j, err := s.Submit(JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}, "")
+	j, err := s.Submit(JobSpec{Kind: kernels.Coloring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +82,9 @@ func TestMetricszLatencyAndStats(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain(context.Background())
 
-	_, v := post(t, ts, JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	_, v := post(t, ts, JobSpec{Kind: kernels.Coloring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	wait(t, ts, v.ID)
-	_, v = post(t, ts, JobSpec{Kind: KindColoring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
+	_, v = post(t, ts, JobSpec{Kind: kernels.Coloring, Graph: GraphSpec{Suite: "pwtk", Scale: 8}})
 	wait(t, ts, v.ID)
 
 	resp, err := http.Get(ts.URL + "/metricsz")

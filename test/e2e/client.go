@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"micgraph/internal/serve"
 )
 
 // client is the oracle's HTTP actor against one daemon incarnation.
@@ -22,58 +24,10 @@ func newClient(t tb, d *daemon) *client {
 	return &client{t: t, base: d.url(), hc: &http.Client{Timeout: 15 * time.Second}}
 }
 
-// jobSpans mirrors serve.Spans: the per-job latency breakdown a terminal
-// status view carries.
-type jobSpans struct {
-	QueueNS int64 `json:"queue_ns"`
-	CacheNS int64 `json:"cache_ns"`
-	ExecNS  int64 `json:"exec_ns"`
-	FlushNS int64 `json:"flush_ns"`
-	TotalNS int64 `json:"total_ns"`
-}
-
-// jobView mirrors the serve.JobView fields the oracle reads.
-type jobView struct {
-	ID     string    `json:"id"`
-	Kind   string    `json:"kind"`
-	Status string    `json:"status"`
-	Error  string    `json:"error"`
-	Spans  *jobSpans `json:"spans"`
-}
-
-// jobsTotal mirrors serve.JobTotals.
-type jobsTotal struct {
-	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
-	Accepted  int64 `json:"accepted"`
-	Succeeded int64 `json:"succeeded"`
-	Failed    int64 `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
-	InFlight  int64 `json:"in_flight"`
-}
-
-// queueStats mirrors serve.QueueStats.
-type queueStats struct {
-	Workers   int   `json:"workers"`
-	Depth     int   `json:"depth"`
-	Queued    int   `json:"queued"`
-	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
-	Running   int   `json:"running"`
-	Completed int64 `json:"completed"`
-	Draining  bool  `json:"draining"`
-}
-
-// metricsSnap is the /metricsz slice the invariant checker consumes.
-type metricsSnap struct {
-	Queue     queueStats `json:"queue"`
-	JobsTotal jobsTotal  `json:"jobs_total"`
-}
-
 // submitResult is one submit attempt's observable outcome.
 type submitResult struct {
 	code       int
-	view       jobView
+	view       serve.JobView
 	retryAfter string
 	body       string
 }
@@ -96,13 +50,13 @@ func (c *client) submit(body string) (submitResult, error) {
 }
 
 // jobStatus GETs /jobs/{id}.
-func (c *client) jobStatus(id string) (int, jobView, error) {
+func (c *client) jobStatus(id string) (int, serve.JobView, error) {
 	resp, err := c.hc.Get(c.base + "/jobs/" + id)
 	if err != nil {
-		return 0, jobView{}, err
+		return 0, serve.JobView{}, err
 	}
 	defer resp.Body.Close()
-	var v jobView
+	var v serve.JobView
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			return resp.StatusCode, v, err
@@ -112,13 +66,13 @@ func (c *client) jobStatus(id string) (int, jobView, error) {
 }
 
 // list GETs /jobs and returns the retained job views.
-func (c *client) list() ([]jobView, error) {
+func (c *client) list() ([]serve.JobView, error) {
 	resp, err := c.hc.Get(c.base + "/jobs")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var views []jobView
+	var views []serve.JobView
 	return views, json.NewDecoder(resp.Body).Decode(&views)
 }
 
@@ -137,8 +91,8 @@ func (c *client) cancel(id string) (int, error) {
 }
 
 // metrics GETs and decodes /metricsz.
-func (c *client) metrics() (metricsSnap, error) {
-	var m metricsSnap
+func (c *client) metrics() (serve.Metrics, error) {
+	var m serve.Metrics
 	resp, err := c.hc.Get(c.base + "/metricsz")
 	if err != nil {
 		return m, err

@@ -7,10 +7,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"micgraph/internal/serve"
 )
 
-// Mirrors of the /healthz and /metricsz cluster blocks (the oracle stays
-// black-box: it decodes the wire shapes, it does not import the server).
+// The cluster blocks of /healthz and /metricsz, as far as the oracle reads
+// them; the shard bodies around them decode into the serve types.
 type healthCluster struct {
 	Cluster struct {
 		Self    string   `json:"self"`
@@ -19,17 +21,17 @@ type healthCluster struct {
 }
 
 type metricsCluster struct {
-	JobsTotal jobsTotal `json:"jobs_total"`
-	Cluster   struct {
-		Self        string               `json:"self"`
-		Members     []string             `json:"members"`
-		Shards      map[string]jobsTotal `json:"shards"`
-		JobsTotal   jobsTotal            `json:"jobs_total"`
-		Unreachable []string             `json:"unreachable"`
+	serve.Metrics
+	Cluster struct {
+		Self        string                     `json:"self"`
+		Members     []string                   `json:"members"`
+		Shards      map[string]serve.JobTotals `json:"shards"`
+		JobsTotal   serve.JobTotals            `json:"jobs_total"`
+		Unreachable []string                   `json:"unreachable"`
 	} `json:"cluster"`
 }
 
-func conservedTotals(t tb, jt jobsTotal, what string) {
+func conservedTotals(t tb, jt serve.JobTotals, what string) {
 	t.Helper()
 	if jt.Submitted != jt.Rejected+jt.Succeeded+jt.Failed+jt.Cancelled+jt.InFlight {
 		t.Fatalf("INVARIANT conservation (%s): submitted=%d != rejected=%d+succeeded=%d+failed=%d+cancelled=%d+in_flight=%d",
@@ -37,7 +39,7 @@ func conservedTotals(t tb, jt jobsTotal, what string) {
 	}
 }
 
-func awaitTerminalE2E(t tb, c *client, id string, within time.Duration) jobView {
+func awaitTerminalE2E(t tb, c *client, id string, within time.Duration) serve.JobView {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
@@ -51,7 +53,7 @@ func awaitTerminalE2E(t tb, c *client, id string, within time.Duration) jobView 
 		time.Sleep(25 * time.Millisecond)
 	}
 	t.Fatalf("job %s not terminal within %s", id, within)
-	return jobView{}
+	return serve.JobView{}
 }
 
 // TestClusterShardKill is the shard-kill chaos action against real
@@ -120,7 +122,7 @@ func TestClusterShardKill(t *testing.T) {
 		if res.code != http.StatusAccepted {
 			t.Fatalf("INVARIANT accept-wellformed: submit %d got %d: %s", i, res.code, res.body)
 		}
-		if !strings.Contains(res.view.ID, "-job-") {
+		if serve.ShardOf(res.view.ID) == "" {
 			t.Fatalf("cluster job ID %q carries no shard prefix", res.view.ID)
 		}
 		ids = append(ids, res.view.ID)
@@ -133,7 +135,7 @@ func TestClusterShardKill(t *testing.T) {
 
 	// The victim is whichever shard served the first job; the survivors
 	// are everyone else.
-	victim := ids[0][:strings.LastIndex(ids[0], "-job-")]
+	victim := serve.ShardOf(ids[0])
 	victimIdx := -1
 	for i, name := range names {
 		if name == victim {
@@ -151,7 +153,7 @@ func TestClusterShardKill(t *testing.T) {
 	}
 	var victimJobs []string
 	for _, id := range ids {
-		if strings.HasPrefix(id, victim+"-job-") {
+		if serve.ShardOf(id) == victim {
 			victimJobs = append(victimJobs, id)
 		}
 	}
@@ -233,7 +235,7 @@ func TestClusterShardKill(t *testing.T) {
 		if res.code != http.StatusAccepted {
 			t.Fatalf("INVARIANT accept-wellformed: post-kill submit %d got %d: %s", i, res.code, res.body)
 		}
-		if strings.HasPrefix(res.view.ID, victim+"-job-") {
+		if serve.ShardOf(res.view.ID) == victim {
 			t.Fatalf("INVARIANT shard-evicted: post-kill job %s routed to dead shard %s", res.view.ID, victim)
 		}
 		if v := awaitTerminalE2E(t, c, res.view.ID, 60*time.Second); v.Status != "succeeded" {
@@ -260,16 +262,10 @@ func TestClusterShardKill(t *testing.T) {
 		if len(m.Cluster.Shards) != len(survivors) {
 			t.Fatalf("survivor %s cluster block covers %d shards, want %d", names[i], len(m.Cluster.Shards), len(survivors))
 		}
-		var sum jobsTotal
+		var sum serve.JobTotals
 		for shard, jt := range m.Cluster.Shards {
 			conservedTotals(t, jt, names[i]+" shard "+shard)
-			sum.Submitted += jt.Submitted
-			sum.Rejected += jt.Rejected
-			sum.Accepted += jt.Accepted
-			sum.Succeeded += jt.Succeeded
-			sum.Failed += jt.Failed
-			sum.Cancelled += jt.Cancelled
-			sum.InFlight += jt.InFlight
+			sum.Add(jt)
 		}
 		if sum != m.Cluster.JobsTotal {
 			t.Fatalf("INVARIANT conservation: survivor %s shard sum %+v != cluster jobs_total %+v",

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"micgraph/internal/graphio"
+	"micgraph/internal/serve"
 )
 
 // trackedJob is one accepted submission the oracle still owes checks for:
@@ -204,7 +205,7 @@ var validStatuses = map[string]bool{
 
 // checkJobView validates one observed job view. 404 is legal only for jobs
 // old enough to have been trimmed by retention.
-func (r *chaosRunner) checkJobView(i, code int, v jobView, id string) {
+func (r *chaosRunner) checkJobView(i, code int, v serve.JobView, id string) {
 	r.t.Helper()
 	switch code {
 	case http.StatusOK:
@@ -229,7 +230,7 @@ var terminalStatuses = map[string]bool{"succeeded": true, "failed": true, "cance
 // a terminal job must expose spans, every span must be non-negative, and the
 // queue/cache/exec/flush components — disjoint sub-intervals of the job's
 // lifetime on one clock — must sum to at most the total.
-func (r *chaosRunner) checkSpans(i int, v jobView, id string) {
+func (r *chaosRunner) checkSpans(i int, v serve.JobView, id string) {
 	r.t.Helper()
 	sp := v.Spans
 	if !terminalStatuses[v.Status] {
@@ -263,7 +264,7 @@ func (r *chaosRunner) checkSpans(i int, v jobView, id string) {
 // snapshot. The driver is single-threaded, so submission counters cannot
 // move between the two views inside one handler call; only completion-side
 // counters may lag by the workers currently handing off.
-func (r *chaosRunner) checkMetrics() metricsSnap {
+func (r *chaosRunner) checkMetrics() serve.Metrics {
 	r.t.Helper()
 	m, err := r.c.metrics()
 	if err != nil {
