@@ -23,9 +23,10 @@
 //
 // The cliques are 69 % (inline_1) to 97 % (bmw3_2) of a stand-in's edges, and
 // each is handed to the Builder as one graph.Builder.AddClique entry, not pair
-// by pair: Build writes a member's share as the sorted run it is, and only the
-// random links, the backbone and the hubs go through its buckets by source
-// block, to be radix-sorted there and merged into the runs.
+// by pair: Build writes a member's share as the range of ids it is, and only
+// the random links, the backbone and the hubs go through its buckets by source
+// block, to be radix-sorted there and merged with the ranges in the one pass
+// that writes each list.
 // Complete and RingOfCliques say their cliques the same way.
 //
 // Package gen also provides classic families (paths, grids, Erdős–Rényi,

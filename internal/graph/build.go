@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -157,26 +158,23 @@ func idBits(n int) uint { return uint(bits.Len(uint(max(n-1, 0)))) }
 //     id within its block packed above it (blockShift leaves it the bits);
 //   - per block, claimed off one cursor (finishBlock): the edge arcs radix-sorted
 //     on the whole packed word, which leaves every source's arcs contiguous and
-//     ascending; where the block has no clique, one scan drops the repeats,
-//     clears the source ids and reads the offsets off them; where it has, the
-//     arcs are moved behind the room for their lists' clique runs, the runs
-//     written, and every list merged, deduplicated and moved left over the gaps
-//     inside the block;
+//     ascending; then one pass over the block's vertices writes each list
+//     straight to the front of the block's stretch, its repeats dropped on the
+//     fly and, where the vertex is in a clique, the clique's ids merged in;
 //   - the blocks are moved left over the gaps between them, in place.
 //
 // Besides the edge list, adj and xadj, it allocates a few words a block and
 // one radix buffer a worker, as long as the most edge arcs of any block, and
 // nothing an arc: no cursor per vertex and no atomic add but the block claims.
 //
-// A clique member's share of its clique is the ascending run of the other
-// members' ids, and it is written first in the member's list, so that the
-// list is a run with its strays — the arcs that arrived edge by edge, in
-// order — behind it: sortRunAndStrays then merges them into the run. The run of
-// a second clique on the same vertex follows the first and is simply more
-// strays. Which worker wrote an arc where depends on the worker count; the
-// radix sort orders the arcs by their value alone, and the merge leaves the
-// same sorted list whatever its input order, so the graph is the same for every
-// worker count.
+// A clique member's share of its cliques is never laid out as arcs: the
+// cliques that hold a vertex overlap at it, so their ids are one range, and
+// finishBlock writes that range, but for the vertex, between the vertex's
+// sorted strays — the arcs that arrived edge by edge — below it and those above
+// it, dropping the strays inside it. Which worker wrote an arc where depends on
+// the worker count; the radix sort orders the arcs by their value alone, and the
+// merge leaves the same sorted list whatever its input order, so the graph is
+// the same for every worker count.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Builder.Build called twice")
@@ -208,8 +206,9 @@ func (b *Builder) Build() *Graph {
 		}
 	})
 
-	// The cliques by block: block b's are cliques[i] for i in
+	// The cliques by block, in base order: block b's are cliques[i] for i in
 	// mine[first[b]:first[b+1]], and room[b] counts its members' arcs in them.
+	slices.SortFunc(cliques, func(x, y clique) int { return cmp.Compare(x.base, y.base) })
 	first := make([]int, nb+2)
 	room := make([]int, nb)
 	for _, c := range cliques {
@@ -231,7 +230,7 @@ func (b *Builder) Build() *Graph {
 	}
 
 	// Offsets: block b's lists will take adj[at[b]:at[b+1]], its edge arcs
-	// first, worker 0's first of those, then room[b] for its clique runs. cnt
+	// first, worker 0's first of those, then room[b] for its clique ids. cnt
 	// becomes each (worker, block) pair's cursor.
 	at := make([]int, nb+1)
 	most := 0 // edge arcs of the fullest block, the length of a radix buffer
@@ -272,14 +271,14 @@ func (b *Builder) Build() *Graph {
 	kept := make([]int, nb)
 	var cursor atomic.Int64
 	parallel(min(workers(size), nb), func(int) {
-		s := blockScratch{tmp: make([]int32, most)}
+		tmp := make([]int32, most)
 		for {
 			bl := int(cursor.Add(1)) - 1
 			if bl >= nb {
 				return
 			}
 			lo := bl << k
-			kept[bl] = s.finishBlock(adj[at[bl]:at[bl+1]], at[bl+1]-at[bl]-room[bl], idb,
+			kept[bl] = finishBlock(adj[at[bl]:at[bl+1]], tmp, at[bl+1]-at[bl]-room[bl], idb,
 				cliques, mine[first[bl]:first[bl+1]], lo, xadj[lo:min(lo+1<<k, n)])
 		}
 	})
@@ -298,31 +297,25 @@ func (b *Builder) Build() *Graph {
 	return &Graph{xadj: xadj, adj: adj[:out:out]}
 }
 
-// blockScratch is what one worker of Build's per-block pass keeps from block to
-// block: the radix sort's buffer and the strays' buffer.
-type blockScratch struct {
-	tmp []int32
-	buf [strayBuf]int32
-}
-
 // finishBlock finishes the lists of the len(xadj) vertices from lo, which
 // take lists. Its first edgeArcs words are their edge arcs in any order, each
 // a far end with its source's id within the block packed above bit idb; the
-// rest is room for their shares of the cliques cliques[i], i in mine. It
-// leaves the lists one after another at the front of lists, sorted and
-// deduplicated, sets xadj[l] to where list l begins, counted from lists[0],
-// and returns their total length.
-func (s *blockScratch) finishBlock(lists []int32, edgeArcs int, idb uint, cliques []clique, mine []int32, lo int, xadj []int64) int {
+// rest is room for their shares of the cliques cliques[i], i in mine, which
+// are in base order. It leaves the lists one after another at the front of
+// lists, sorted and deduplicated, sets xadj[l] to where list l begins,
+// counted from lists[0], and returns their total length. tmp, at least
+// edgeArcs long, is the radix sort's buffer; mine is left reordered.
+func finishBlock(lists, tmp []int32, edgeArcs int, idb uint, cliques []clique, mine []int32, lo int, xadj []int64) int {
 	nv := len(xadj)
 	far := int32(uint32(1)<<idb - 1)
 
 	// The edge arcs by source and then by far end: each source's are a
 	// contiguous ascending stretch, its id in the bits above idb.
-	arcs := lists[:edgeArcs]
-	radixSort(arcs, s.tmp[:edgeArcs], 0, idb+idBits(nv))
+	arcs := radixSort(lists[:edgeArcs], tmp[:edgeArcs], 0, idb+idBits(nv))
 
 	// No clique: each list is its stretch, a repeat is a word equal to the
 	// one before it, and list l begins at the first word of source l kept.
+	// No list outgrows the arcs read for it, so arcs may be lists itself.
 	if len(lists) == edgeArcs {
 		out, l := 0, 0
 		var prev int32
@@ -343,102 +336,57 @@ func (s *blockScratch) finishBlock(lists []int32, edgeArcs int, idb uint, clique
 		return out
 	}
 
-	// Room for the clique runs. xadj[l] first counts vertex l's clique share;
-	// then, from the last vertex down, its edge arcs — the stretch of source l
-	// at the end of those not yet moved — move right behind room for that
-	// share, and xadj[l] becomes where the room ends.
-	clear(xadj)
-	for _, ci := range mine {
-		c := cliques[ci]
-		for v := max(int(c.base), lo); v < min(int(c.base+c.size), lo+nv); v++ {
-			xadj[v-lo] += int64(c.size - 1)
-		}
+	// With cliques a list outgrows its arcs and would overwrite the next
+	// source's before they are read, so they are read from tmp.
+	if edgeArcs > 0 && &arcs[0] != &tmp[0] {
+		arcs = tmp[:copy(tmp, arcs)]
 	}
-	end, i := len(lists), edgeArcs
-	for l := nv - 1; l >= 0; l-- {
-		j := i
-		for j > 0 && int(uint32(arcs[j-1])>>idb) == l {
-			j--
-		}
-		strays := lists[end-(i-j) : end]
-		copy(strays, arcs[j:i])
-		for t := range strays {
-			strays[t] &= far
-		}
-		share := int(xadj[l])
-		xadj[l] = int64(end - len(strays))
-		end -= len(strays) + share
-		i = j
-	}
-
-	// The runs, written down from the end of each room, the last clique's
-	// first, so that the first clique's run opens the list; xadj[l] ends where
-	// list l begins, and list l ends where list l+1 does.
-	for ci := len(mine) - 1; ci >= 0; ci-- {
-		c := cliques[mine[ci]]
-		base, size := int(c.base), int(c.size)
-		for v := max(base, lo); v < min(base+size, lo+nv); v++ {
-			end := int(xadj[v-lo])
-			run := lists[end-(size-1) : end] // the others' ids, ascending
-			xadj[v-lo] = int64(end - (size - 1))
-			for i := range run[:v-base] {
-				run[i] = int32(base + i)
-			}
-			for i := v - base; i < len(run); i++ {
-				run[i] = int32(base + i + 1)
-			}
-		}
-	}
-
-	// Merge and dedup each list, and move it left over the gaps before it.
-	out := 0
+	// Each list in one pass: the cliques that hold v overlap at v, so their
+	// ids are one range [from, to), written but for v itself between the
+	// strays below it and those from to on, each repeat dropped; a stray
+	// inside the range repeats it. mine[act:next] are the cliques begun by
+	// v, less those found ended, kept in base order.
+	out, i, act, next := 0, 0, 0, 0
 	for l := range nv {
-		end := len(lists)
-		if l+1 < nv {
-			end = int(xadj[l+1])
+		v := int32(lo + l)
+		for next < len(mine) && cliques[mine[next]].base <= v {
+			next++
 		}
-		list := lists[xadj[l]:end]
-		sortRunAndStrays(list, s.buf[:])
+		from, to, keep := v, v+1, next
+		for t := next - 1; t >= act; t-- {
+			if c := cliques[mine[t]]; c.base+c.size > v {
+				keep--
+				mine[keep] = mine[t]
+				from, to = min(from, c.base), max(to, c.base+c.size)
+			}
+		}
+		act = keep
 		xadj[l] = int64(out)
-		out += copy(lists[out:], slices.Compact(list))
+		src, prev := uint32(l), int32(-1)
+		for ; i < len(arcs) && uint32(arcs[i])>>idb == src && arcs[i]&far < from; i++ {
+			if a := arcs[i] & far; a != prev {
+				lists[out] = a
+				out++
+				prev = a
+			}
+		}
+		run := lists[out : out+int(to-from)-1]
+		for j := range run[:v-from] {
+			run[j] = from + int32(j)
+		}
+		for j := int(v - from); j < len(run); j++ {
+			run[j] = from + int32(j) + 1
+		}
+		out += len(run)
+		for ; i < len(arcs) && uint32(arcs[i])>>idb == src; i++ {
+			if a := arcs[i] & far; a >= to && a != prev {
+				lists[out] = a
+				out++
+				prev = a
+			}
+		}
 	}
 	return out
-}
-
-// strayBuf is how many strays sortRunAndStrays will merge, the size of the
-// buffer a worker of Build's per-block pass keeps for them.
-const strayBuf = 256
-
-// sortRunAndStrays sorts list, which Build has laid out as an ascending run
-// with strays behind it: it finds the run as the longest ascending prefix,
-// sorts the strays, moves them to buf and merges them into the run from the
-// back. Strays that outnumber the run or buf (a hub's, as a rule) are not worth
-// telling apart: the list is sorted whole.
-func sortRunAndStrays(list, buf []int32) {
-	k := 1
-	for k < len(list) && list[k-1] <= list[k] {
-		k++
-	}
-	if k >= len(list) {
-		return
-	}
-	strays := list[k:]
-	if len(strays) > min(k, len(buf)) {
-		slices.Sort(list)
-		return
-	}
-	slices.Sort(strays)
-	strays = buf[:copy(buf, strays)]
-	i, j := k-1, len(strays)-1
-	for out := len(list) - 1; j >= 0; out-- {
-		if i >= 0 && list[i] > strays[j] {
-			list[out] = list[i]
-			i--
-		} else {
-			list[out] = strays[j]
-			j--
-		}
-	}
 }
 
 // radixBits is the widest digit radixSort takes: a histogram of 2^11 counters
@@ -446,14 +394,15 @@ func sortRunAndStrays(list, buf []int32) {
 const radixBits = 11
 
 // radixSort sorts a stably by bits [lo, hi) of each word, taken as unsigned,
-// through tmp, which is at least as long: a least-significant-digit radix sort
+// through tmp, which is at least as long, and returns whichever of the two
+// holds the sorted words: a least-significant-digit radix sort
 // of as few passes as digits of at most radixBits bits allow, the digits as
 // even as they divide. A pass counts its digit in one histogram on the stack
 // and moves every word to its digit's next slot; a pass whose digit is the same
 // in every word moves nothing and is skipped.
-func radixSort(a, tmp []int32, lo, hi uint) {
+func radixSort(a, tmp []int32, lo, hi uint) []int32 {
 	if len(a) < 2 || hi <= lo {
-		return
+		return a
 	}
 	passes := (hi - lo + radixBits - 1) / radixBits
 	width := (hi - lo + passes - 1) / passes
@@ -480,7 +429,5 @@ func radixSort(a, tmp []int32, lo, hi uint) {
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
+	return src
 }

@@ -132,7 +132,26 @@ var buildCorpus = [][]byte{
 	{200, 7, 7, 7, 199, 199, 7, 0, 7, 7, 0, 31},
 	{9, 3, 0, 10, 4, 3, 9, 1, 5, 2, 2, 5, 8, 8},
 	{255, 2, 0, 255, 100, 200, 254, 0, 0, 254, 17, 17},
+	overlapSeed,
+	hubSeed,
 }
+
+// overlapSeed puts vertex 15 of 64 in two overlapping cliques, [14, 24) and
+// [10, 18), handed over out of base order, and in [12, 14) inside the second,
+// beside [30, 35), which does not hold it. Its strays fall below the joined
+// range (2, twice), inside each clique and where they overlap (12, 20 twice,
+// 16), between the range and [30, 35) (27, three times), inside [30, 35) (32)
+// and above it (60); vertex 14 has strays inside and beyond the range.
+var overlapSeed = []byte{63, 4, 14, 10, 10, 8, 12, 2, 30, 5,
+	15, 2, 2, 15, 15, 12, 15, 16, 20, 15, 15, 20, 15, 27, 27, 15, 15, 27, 15, 32, 15, 60,
+	14, 40, 14, 11}
+
+// hubSeed puts vertex 40 of 100 in the clique [40, 45) and gives it 17
+// strays, four times its 4 clique ids: below the clique, inside it, at its
+// ends and above it, two of them repeated.
+var hubSeed = []byte{99, 1, 40, 5,
+	40, 1, 40, 90, 3, 40, 40, 41, 40, 39, 45, 40, 40, 45, 40, 7, 40, 7,
+	60, 40, 40, 44, 40, 80, 40, 2, 40, 46, 40, 70, 40, 38, 43, 40}
 
 // FuzzBuild decodes its input with decodeBuild and checks that Build returns
 // a valid graph equal to the sequential reference's on the cliques expanded

@@ -263,9 +263,9 @@ func messyEdges(seed uint64, n, m int) []Edge {
 }
 
 // messyCliques draws the cliques Build has to survive beside messyEdges: empty,
-// of one and of two, a wide one (a run longer than strayBuf) and another begun
-// in its middle, so that a vertex of both has a second run behind its first, a
-// few small ones anywhere, and one on the last edge's first end — the hub, as
+// of one and of two, a wide one and another begun in its middle, so that a
+// vertex of both has two ranges to join, a few small ones anywhere, out of base
+// order, and one on the last edge's first end — the hub, as
 // a rule. It returns them with edges of every clique added to edges as well,
 // in one orientation, in the other and in both.
 func messyCliques(seed uint64, n int, edges []Edge) ([]clique, []Edge) {
@@ -384,6 +384,38 @@ func arcsOf(edges []Edge, cliques []clique) int64 {
 	return int64(arcs)
 }
 
+// TestBuildCliqueMerge builds the lists where Build's merge joins clique ranges
+// and strays, under GOMAXPROCS 1, 2 and 8, after checking that each seed is
+// the shape it is named for: a vertex in overlapping cliques whose strays fall
+// inside, between and outside the ranges, and a hub whose strays outnumber
+// its range.
+func TestBuildCliqueMerge(t *testing.T) {
+	strays := func(edges []Edge, v int32) int {
+		k := 0
+		for _, e := range edges {
+			if e.U == v || e.V == v {
+				k++
+			}
+		}
+		return k
+	}
+	n, cliques, edges := decodeBuild(overlapSeed)
+	if n != 64 || !slices.Equal(cliques, []clique{{14, 10}, {10, 8}, {12, 2}, {30, 5}}) || strays(edges, 15) != 11 {
+		t.Fatalf("overlapSeed decodes to n=%d %v, %d strays on 15", n, cliques, strays(edges, 15))
+	}
+	checkBuild(t, n, edges, cliques)
+	want := []int32{2, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20, 21, 22, 23, 27, 32, 60}
+	if got := buildDecoded(n, cliques, edges).Adj(15); !slices.Equal(got, want) {
+		t.Errorf("vertex 15's list is %v, want %v", got, want)
+	}
+
+	n, cliques, edges = decodeBuild(hubSeed)
+	if n != 100 || len(cliques) != 1 || strays(edges, 40) <= 4*int(cliques[0].size-1) {
+		t.Fatalf("hubSeed decodes to n=%d %v, %d strays on 40", n, cliques, strays(edges, 40))
+	}
+	checkBuild(t, n, edges, cliques)
+}
+
 // TestBuildBlockShapes builds the shapes the per-block pass of Build has to
 // get right, under GOMAXPROCS 1, 2 and 8, after checking that each is the
 // shape it is named for.
@@ -410,7 +442,7 @@ func TestBuildBlockShapes(t *testing.T) {
 		{bs - 7, 20},                   // across the boundary of blocks 0 and 1
 		{bs + 100, 50}, {bs + 120, 60}, // overlapping, in block 1
 		{2*bs + 10, 30}, {2*bs + 25, 30}, // and in block 2
-		{hub, 9}, // a run ahead of the hub's strays
+		{hub, 9}, // a range the hub's strays outnumber
 	}
 	edges = withEdgesOf(edges, cliques)
 	k, nb := blocksOf(n, arcsOf(edges, cliques))
@@ -421,8 +453,8 @@ func TestBuildBlockShapes(t *testing.T) {
 		t.Fatalf("%d vertices make %d blocks of %d: want at least 3 and fewer than 8, the last one short", n, nb, 1<<k)
 	case straddler.base>>k == (straddler.base+straddler.size-1)>>k:
 		t.Fatalf("clique %v lies inside one block of %d", straddler, 1<<k)
-	case deg[hub] <= strayBuf:
-		t.Fatalf("the hub has %d strays, no more than the buffer's %d", deg[hub], strayBuf)
+	case deg[hub] <= int(cliques[5].size-1):
+		t.Fatalf("the hub has %d strays, no more than its clique's %d other ids", deg[hub], cliques[5].size-1)
 	case len(edges) < 5*edgeChunk:
 		t.Fatalf("%d edges are too few for five workers", len(edges))
 	}
@@ -463,47 +495,6 @@ func TestAddCliquePanicsOutOfRange(t *testing.T) {
 	b.AddClique(0, 3)
 	if g := b.Build(); !g.Equal(complete(3)) {
 		t.Errorf("AddClique(0, 3) built %s, want K_3", g)
-	}
-}
-
-// TestSortRunAndStrays holds the run-and-strays sort to slices.Sort on every
-// shape of list Build can hand it, with the buffer Build gives it and with
-// one too small for the strays.
-func TestSortRunAndStrays(t *testing.T) {
-	long := make([]int32, 2*strayBuf+40) // a run of strayBuf+20, then as many strays as buf holds and 20 more
-	for i := range long {
-		long[i] = int32(3 * i)
-		if i >= strayBuf+20 {
-			long[i] = int32(7*(len(long)-i) + 1)
-		}
-	}
-	cases := []struct {
-		name string
-		list []int32
-	}{
-		{"empty", nil},
-		{"one word", []int32{4}},
-		{"all run", []int32{1, 2, 3, 5, 8, 9}},
-		{"all strays", []int32{9, 7, 7, 4, 2, 0}},
-		{"one stray in front", []int32{2, 3, 4, 5, 6, 0}},
-		{"one stray behind", []int32{2, 3, 4, 5, 6, 9, 7}},
-		{"duplicates across the seam", []int32{1, 3, 5, 5, 3, 1}},
-		{"strays equal to the ends", []int32{1, 3, 5, 7, 7, 1}},
-		{"a second run behind the first", []int32{0, 1, 2, 3, 7, 8, 9, 4, 5, 6}},
-		{"a second run and strays", []int32{10, 11, 12, 13, 14, 15, 16, 12, 13, 14, 40, 3}},
-		{"strays outnumber the run", []int32{5, 6, 4, 3, 9, 1, 7}},
-		{"strays outnumber the buffer", long},
-	}
-	for _, c := range cases {
-		for _, buf := range []int{strayBuf, 2} {
-			got := slices.Clone(c.list)
-			sortRunAndStrays(got, make([]int32, buf))
-			want := slices.Clone(c.list)
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
-				t.Errorf("%s, buffer of %d: got %v, want %v", c.name, buf, got, want)
-			}
-		}
 	}
 }
 
@@ -552,8 +543,11 @@ func TestRadixSort(t *testing.T) {
 		key := func(x int32) uint32 { return uint32(uint64(uint32(x)) >> c.lo & (1<<(c.hi-c.lo) - 1)) }
 		want := slices.Clone(c.a)
 		slices.SortStableFunc(want, func(x, y int32) int { return cmp.Compare(key(x), key(y)) })
-		got := slices.Clone(c.a)
-		radixSort(got, make([]int32, len(got)+3), c.lo, c.hi)
+		a, tmp := slices.Clone(c.a), make([]int32, len(c.a)+3)
+		got := radixSort(a, tmp, c.lo, c.hi)
+		if len(got) > 0 && &got[0] != &a[0] && &got[0] != &tmp[0] {
+			t.Errorf("%s (bits [%d, %d)): the result is in neither buffer", c.name, c.lo, c.hi)
+		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s (bits [%d, %d)): not the stable sort on the key", c.name, c.lo, c.hi)
 		}

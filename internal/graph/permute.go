@@ -112,9 +112,8 @@ func (g *Graph) Permute(perm []int32) (*Graph, error) {
 				return
 			}
 			arcs := adj[xadj[bl<<k]:xadj[min((bl+1)<<k, n)]]
-			radixSort(arcs, tmp, idb, idb+k)
-			for i := range arcs {
-				arcs[i] &= far
+			for i, a := range radixSort(arcs, tmp, idb, idb+k) {
+				arcs[i] = a & far
 			}
 		}
 	})

@@ -9,7 +9,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
@@ -32,12 +31,13 @@ type CacheStats struct {
 	Entries       int   `json:"entries"`
 }
 
-// centry is one resident cache entry; elem's Value points back to it.
+// centry is one resident cache entry.
 type centry struct {
-	key   string
 	val   any
 	bytes int64
-	elem  *list.Element
+	uses  int64  // its load and every hit since
+	prio  int64  // the cache's age at its last use, plus uses
+	last  uint64 // the cache's tick at its last use
 }
 
 // inflight is one in-progress load that later getters of the same key wait
@@ -51,10 +51,18 @@ type inflight struct {
 // Cache is a concurrency-safe cache of loaded graphs (and generated
 // experiment suites) with two behaviours the serving path needs:
 //
-//   - LRU eviction by resident bytes: entries are sized by their CSR
-//     footprint and evicted least-recently-used first once the byte budget
-//     is exceeded. An entry larger than the whole budget is returned to its
-//     getter but not retained.
+//   - Eviction by resident bytes, least frequently used first with dynamic
+//     aging (LFU-DA, GreedyDual-Size-Frequency with a load's cost taken as
+//     proportional to its bytes): entries are sized by their CSR footprint,
+//     and each keeps the priority age + uses, refreshed on every hit, where
+//     age is the priority of the last entry evicted. Once an insert exceeds
+//     the byte budget, the lowest priority goes first, the newcomer included,
+//     and of equal priorities the least recently used. A graph many jobs hit
+//     thus outlives a stream of one-off graphs, while age lets an entry that
+//     has gone cold fall behind newer ones after about as many evictions as
+//     it had hits. The order is integer arithmetic on counters, no clock, so
+//     the same Gets always evict the same entries. An entry larger than the
+//     whole budget is returned to its getter but not retained.
 //
 //   - Singleflight dedup: N concurrent Gets for one key run the loader
 //     once; the other N-1 block until it finishes and share the result
@@ -64,7 +72,8 @@ type Cache struct {
 	budget  int64
 	bytes   int64
 	entries map[string]*centry
-	lru     *list.List // front = most recently used
+	age     int64  // the priority of the last entry evicted
+	tick    uint64 // counts uses, to order entries by recency
 	loading map[string]*inflight
 	stats   CacheStats
 }
@@ -75,7 +84,6 @@ func NewCache(budget int64) *Cache {
 	return &Cache{
 		budget:  budget,
 		entries: make(map[string]*centry),
-		lru:     list.New(),
 		loading: make(map[string]*inflight),
 	}
 }
@@ -90,7 +98,7 @@ type Loader func(ctx context.Context) (any, int64, error)
 func (c *Cache) Get(ctx context.Context, key string, load Loader) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
+		c.useLocked(e)
 		c.stats.Hits++
 		c.mu.Unlock()
 		return e.val, nil
@@ -124,23 +132,40 @@ func (c *Cache) Get(ctx context.Context, key string, load Loader) (any, error) {
 	return val, err
 }
 
-// insertLocked adds the entry as most-recently-used and evicts from the
-// cold end until the budget holds again. An entry larger than the whole
-// budget is not inserted at all — retaining it is impossible, and evicting
-// everything else first just to discover that would wipe the cache.
+// useLocked counts one use of e and refreshes its priority and recency.
+func (c *Cache) useLocked(e *centry) {
+	e.uses++
+	e.prio = c.age + e.uses
+	c.tick++
+	e.last = c.tick
+}
+
+// insertLocked adds the entry and evicts the lowest priority, least recently
+// used of equals first, until the budget holds again; the new entry may be
+// the one to go. An entry larger than the whole budget is not inserted at
+// all — retaining it is impossible, and evicting everything else first just
+// to discover that would wipe the cache. Each victim is found by a scan of
+// the entries: an eviction follows a load of milliseconds, and a scan of a
+// thousand entries takes microseconds.
 func (c *Cache) insertLocked(key string, val any, bytes int64) {
 	if bytes > c.budget {
 		return
 	}
-	e := &centry{key: key, val: val, bytes: bytes}
-	e.elem = c.lru.PushFront(e)
+	e := &centry{val: val, bytes: bytes}
+	c.useLocked(e)
 	c.entries[key] = e
 	c.bytes += bytes
-	for c.bytes > c.budget && c.lru.Len() > 0 {
-		cold := c.lru.Back().Value.(*centry)
-		c.lru.Remove(cold.elem)
-		delete(c.entries, cold.key)
-		c.bytes -= cold.bytes
+	for c.bytes > c.budget {
+		var vkey string
+		var victim *centry
+		for k, e := range c.entries {
+			if victim == nil || e.prio < victim.prio || e.prio == victim.prio && e.last < victim.last {
+				vkey, victim = k, e
+			}
+		}
+		delete(c.entries, vkey)
+		c.bytes -= victim.bytes
+		c.age = victim.prio
 		c.stats.Evictions++
 	}
 }

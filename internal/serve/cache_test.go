@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"micgraph/internal/gen"
+	"micgraph/internal/xrand"
 )
 
 // loadInt is a loader returning v with the given resident size.
@@ -37,47 +39,159 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionOrder pins least-recently-used order by which key each
-// over-budget insert evicts.
+// resident reports whether key is resident in c, without using it.
+func resident(c *Cache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
+// residents lists c's resident keys, sorted, without using them.
+func residents(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, len(c.entries))
+	for k := range c.entries {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestCacheEvictionOrder pins the LFU-DA order by which key each over-budget
+// insert evicts: of equal priorities the least recently used goes, but the
+// entry hit once outlives the one-off loaded after it.
 func TestCacheEvictionOrder(t *testing.T) {
 	c := NewCache(300)
 	ctx := context.Background()
-	// missing probes key without disturbing the cache: an entry larger than
-	// the budget is handed back but neither retained nor evicts anything.
-	missing := func(key string) bool {
-		loaded := false
-		if _, err := c.Get(ctx, key, func(context.Context) (any, int64, error) {
-			loaded = true
-			return 0, 1000, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return loaded
-	}
 	for i, key := range []string{"a", "b", "c"} {
 		if _, err := c.Get(ctx, key, loadInt(i, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Touch "a" so the order, coldest first, is b, c, a.
+	// Hit "a": its priority is 2, the others' 1. d comes in at 1 and b, the
+	// least recently used 1, goes; the age is then 1, so e and f come in at
+	// 2, and the 1s left go first, c and then d: a outlives the one-off d
+	// loaded after its hit.
 	if _, err := c.Get(ctx, "a", loadInt(-1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	for i, step := range []struct{ insert, victim string }{{"d", "b"}, {"e", "c"}, {"f", "a"}} {
+	for i, step := range []struct{ insert, victim string }{{"d", "b"}, {"e", "c"}, {"f", "d"}} {
 		if _, err := c.Get(ctx, step.insert, loadInt(3+i, 100)); err != nil {
 			t.Fatal(err)
 		}
-		if !missing(step.victim) {
+		if resident(c, step.victim) {
 			t.Errorf("inserting %q did not evict %q", step.insert, step.victim)
 		}
 		if st := c.Stats(); st.Evictions != int64(i+1) || st.ResidentBytes != 300 || st.Entries != 3 {
 			t.Errorf("after inserting %q: stats = %+v", step.insert, st)
 		}
 	}
-	for _, key := range []string{"d", "e", "f"} {
-		if missing(key) {
+	for _, key := range []string{"a", "e", "f"} {
+		if !resident(c, key) {
 			t.Errorf("%q is not resident", key)
 		}
+	}
+}
+
+// TestCacheHotSetSurvivesOneOffs streams two one-off entries a round between
+// hits of a hot set, under a budget that holds the hot set and one one-off:
+// the hot set is loaded once and never again (LRU would evict a hot entry in
+// every round), and every one-off but the first evicts exactly one entry.
+func TestCacheHotSetSurvivesOneOffs(t *testing.T) {
+	const rounds = 50
+	hot := []string{"h0", "h1", "h2"}
+	c := NewCache(int64(len(hot)+1) * 100)
+	ctx := context.Background()
+	get := func(key string) {
+		if _, err := c.Get(ctx, key, loadInt(0, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		for _, key := range hot {
+			get(key)
+		}
+	}
+	for r := range rounds {
+		get(fmt.Sprintf("once%d", 2*r))
+		get(fmt.Sprintf("once%d", 2*r+1))
+		for _, key := range hot {
+			get(key)
+		}
+	}
+	st := c.Stats()
+	if st.Loads != int64(len(hot)+2*rounds) || st.Evictions != 2*rounds-1 || st.Hits != int64(len(hot)*(rounds+1)) {
+		t.Errorf("stats = %+v, want %d loads, %d evictions, %d hits", st, len(hot)+2*rounds, 2*rounds-1, len(hot)*(rounds+1))
+	}
+	for _, key := range hot {
+		if !resident(c, key) {
+			t.Errorf("hot %q was evicted", key)
+		}
+	}
+}
+
+// TestCacheAging hits an entry k times and then streams one-offs past it
+// under a budget that holds only it: each one-off is evicted on arrival and
+// raises the age by one, so after k of them the next one-off's priority
+// reaches the cold entry's, which, used less recently, goes instead.
+func TestCacheAging(t *testing.T) {
+	for _, k := range []int{0, 1, 5, 40} {
+		c := NewCache(100)
+		ctx := context.Background()
+		for range k + 1 {
+			if _, err := c.Get(ctx, "warm", loadInt(0, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; ; i++ {
+			if _, err := c.Get(ctx, fmt.Sprintf("once%d", i), loadInt(i, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if !resident(c, "warm") {
+				if i != k+1 {
+					t.Errorf("hit %d times, evicted by one-off %d, want %d", k, i, k+1)
+				}
+				break
+			}
+			if i > k+1 {
+				t.Fatalf("hit %d times, still resident after %d one-offs", k, i)
+			}
+		}
+	}
+}
+
+// TestCacheEvictionDeterministic replays one seeded sequence of Gets of mixed
+// sizes and popularity twice: the same keys must be evicted in the same order.
+func TestCacheEvictionDeterministic(t *testing.T) {
+	replay := func() []string {
+		c := NewCache(1000)
+		ctx := context.Background()
+		r := xrand.New(7)
+		var victims []string
+		for range 2000 {
+			// A skewed key: low ids far more often than high ones.
+			id := r.Intn(1 + r.Intn(1+r.Intn(200)))
+			key := fmt.Sprintf("k%d", id)
+			before := residents(c)
+			if _, err := c.Get(ctx, key, loadInt(id, int64(50+id%7*40))); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range append(before, key) {
+				if !resident(c, k) {
+					victims = append(victims, k)
+				}
+			}
+		}
+		return victims
+	}
+	first, second := replay(), replay()
+	if len(first) < 100 {
+		t.Fatalf("%d evictions, too few to tell", len(first))
+	}
+	if !slices.Equal(first, second) {
+		t.Errorf("two replays evicted differently:\n%v\n%v", first, second)
 	}
 }
 
