@@ -1,5 +1,5 @@
-// Package bfs implements the paper's breadth-first-search kernels: the
-// sequential FIFO algorithm (Algorithm 6), and the layered parallel BFS
+// Package bfs implements the paper's breadth-first-search kernels: a
+// sequential twin, and the layered parallel BFS
 // (Algorithm 7) in the five data-structure/runtime variants §IV-C compares:
 //
 //   - OpenMP-Block and OpenMP-Block-relaxed: the paper's novel
@@ -36,8 +36,13 @@
 // claims and pushes on that one arc in ~45 and calls again on the rest. Inside
 // a loop that also holds a CAS, a Push and an append the scan ran out of
 // registers (DESIGN.md §2 has the disassembly and the numbers). The bottom-up
-// sweep, whose scan breaks at the first hit, keeps its loop inline, and
-// Sequential is the twin the others are measured against: Algorithm 6 as read.
+// sweep, whose scan breaks at the first hit, keeps its loop inline.
+//
+// Sequential is the twin the others are measured against, and it is the
+// fastest sequential search here, not Algorithm 6 as read: the hybrid's
+// direction rule over one FIFO queue, as GBBS measures its speedups over the
+// fastest sequential code (PAPERS.md). Answers are checked against
+// graph.Levels, which is Algorithm 6.
 package bfs
 
 import (
@@ -67,55 +72,99 @@ type Result struct {
 // 178), so Widths costs a fresh run one allocation.
 const widthsCap = 256
 
-// Sequential runs the textbook FIFO BFS (Algorithm 6) from source.
+// Sequential runs the direction-optimizing BFS from source on one goroutine.
 func Sequential(g *graph.Graph, source int32) Result {
+	return sequential(g, source).Result
+}
+
+// sequential is Sequential with its direction counts. Its queue holds the
+// levels in order, each level the slice queue[lo:hi] between two boundaries,
+// so a level's width is the distance between them. Before a level runs the
+// frontier's arcs are summed over its slice, and the direction rule Hybrid
+// uses picks the level's direction: top-down expands the slice, writing each
+// claim at the queue's tail; bottom-up sweeps the unvisited vertices in id
+// order and writes there each one that has a neighbour at level lv-1. The
+// tail is an index into a queue of n words, not an append, whose length and
+// capacity cost the top-down loop registers (EXPERIMENTS.md has the probe).
+func sequential(g *graph.Graph, source int32) HybridResult {
 	n := g.NumVertices()
 	levels := make([]int32, n)
-	for i := range levels {
-		levels[i] = Unvisited
-	}
-	res := Result{Levels: levels}
+	fillUnvisited(levels)
+	res := HybridResult{Result: Result{Levels: levels}}
 	if n == 0 {
 		return res
 	}
-	queue := make([]int32, 0, n)
-	// The queue holds the levels in order, so starts[l], the queue index of
-	// level l's first vertex, is taken when that vertex is pushed, and a
-	// level's width is the distance to the next level's start.
-	starts := make([]int64, 1, min(n+1, widthsCap))
+	xadj, adj := g.Xadj(), g.AdjRaw()
+	queue := make([]int32, n)
+	queue[0] = source
+	tail := 1
 	levels[source] = 0
-	queue = append(queue, source)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		lv := levels[v]
-		for _, w := range g.Adj(v) {
-			if levels[w] == Unvisited {
-				levels[w] = lv + 1
-				if int(lv)+1 == len(starts) {
-					starts = append(starts, int64(len(queue)))
+	widths := make([]int64, 1, min(n+1, widthsCap))
+	widths[0] = 1
+	rule := newDirection(g.NumArcs(), HybridConfig{})
+	for lo, lv := 0, int32(1); lo < tail; lv++ {
+		hi := tail
+		var edges int64
+		for _, v := range queue[lo:hi] {
+			edges += xadj[v+1] - xadj[v]
+		}
+		if rule.next(hi-lo, edges) {
+			res.BottomUpLevels++
+			for v, l := range levels {
+				if l != Unvisited {
+					continue
 				}
-				queue = append(queue, w)
+				for _, u := range adj[xadj[v]:xadj[v+1]] {
+					if levels[u] == lv-1 {
+						levels[v] = lv
+						queue[tail] = int32(v)
+						tail++
+						break
+					}
+				}
+			}
+		} else {
+			res.TopDownLevels++
+			for _, v := range queue[lo:hi] {
+				for _, u := range adj[xadj[v]:xadj[v+1]] {
+					if levels[u] == Unvisited {
+						levels[u] = lv
+						queue[tail] = u
+						tail++
+					}
+				}
 			}
 		}
+		if tail > hi {
+			widths = append(widths, int64(tail-hi))
+		}
+		lo = hi
 	}
-	res.Processed = int64(len(queue))
-	starts = append(starts, res.Processed)
-	for l := range len(starts) - 1 {
-		starts[l] = starts[l+1] - starts[l]
-	}
-	res.Widths = starts[:len(starts)-1]
-	res.NumLevels = len(res.Widths)
+	res.Processed = int64(tail)
+	res.Widths = widths
+	res.NumLevels = len(widths)
 	return res
 }
 
+// fillUnvisited sets every level to Unvisited. It doubles the filled prefix
+// with copy, a memmove, where a store loop writes one word an iteration.
+func fillUnvisited(levels []int32) {
+	if len(levels) > 0 {
+		levels[0] = Unvisited
+		for i := 1; i < len(levels); i *= 2 {
+			copy(levels[i:], levels[:i])
+		}
+	}
+}
+
 // Validate checks that levels is a correct BFS level assignment from source
-// on g, by comparing against the sequential reference.
+// on g, by comparing against the oracle, graph.Levels.
 func Validate(g *graph.Graph, source int32, levels []int32) error {
 	if len(levels) != g.NumVertices() {
 		return fmt.Errorf("bfs: %d levels for %d vertices", len(levels), g.NumVertices())
 	}
-	ref := Sequential(g, source)
-	for v, want := range ref.Levels {
+	ref, _ := g.Levels(source)
+	for v, want := range ref {
 		if levels[v] != want {
 			return fmt.Errorf("bfs: vertex %d at level %d, want %d", v, levels[v], want)
 		}

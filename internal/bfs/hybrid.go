@@ -54,6 +54,32 @@ func (c HybridConfig) beta() int64 {
 	return int64(c.Beta)
 }
 
+// direction is the switch (see the top of the file) across the levels of one
+// search: Scratch.flat and Sequential ask it once a level, and it is the one
+// place the rule is written.
+type direction struct {
+	wideAt     int64 // frontier arcs from which a level may go bottom-up: NumArcs / beta
+	unexplored int64 // arcs of the vertices not yet on a frontier, m_u
+	prev       int64 // the last frontier's vertices, |F_prev|
+	bottomUp   bool  // the last level's direction
+}
+
+func newDirection(numArcs int64, cfg HybridConfig) direction {
+	return direction{wideAt: numArcs / cfg.beta(), unexplored: numArcs}
+}
+
+// next reports whether the level whose frontier holds frontier vertices
+// with edges arcs runs bottom-up: it stays bottom-up while the frontier is
+// wide, and enters it when a wide, *growing* frontier also prices it cheaper.
+func (d *direction) next(frontier int, edges int64) bool {
+	d.unexplored -= edges
+	f := int64(frontier)
+	d.bottomUp = edges >= d.wideAt && (d.bottomUp ||
+		f > d.prev && productLess(d.unexplored, d.prev, edges, f+d.prev))
+	d.prev = f
+	return d.bottomUp
+}
+
 // productLess reports a·b < c·d for non-negative a, b, c, d. The switch
 // multiplies arc counts by vertex counts, which can pass 2⁶³ on a graph
 // with a billion vertices, so the products are taken in 128 bits.
@@ -115,8 +141,8 @@ func (s *Scratch) BagCilk(ctx context.Context, g *graph.Graph, source int32, poo
 
 // Hybrid runs the direction-optimizing layered BFS on team: the flat level
 // loop under cfg's direction rule. The level assignment is identical to
-// every other variant (validated against the sequential reference); only
-// the per-level work differs.
+// every other variant (validated against graph.Levels); only the per-level
+// work differs.
 func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team *sched.Team, opts sched.ForOptions, cfg HybridConfig) (HybridResult, error) {
 	s.loop.OnTeam(team, opts)
 	return s.flat(ctx, g, source, false, &cfg)
@@ -212,10 +238,11 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 	cur := append(s.frontA[:0], source)
 	next := s.frontB[:0]
 	curEdges := int64(g.Degree(source))
-	numArcs := g.NumArcs()
-	unexplored := numArcs
+	var rule direction
+	if dir != nil {
+		rule = newDirection(g.NumArcs(), *dir)
+	}
 	bottomUp := false
-	prevFrontier := 0
 	rec := telemetry.FromContext(ctx)
 
 	var processed int64
@@ -223,17 +250,9 @@ func (s *Scratch) flat(ctx context.Context, g *graph.Graph, source int32, relaxe
 	for lv := int32(1); len(cur) > 0; lv++ {
 		phase := "level"
 		if dir != nil {
-			// The switch (see the top of the file): stay bottom-up while the
-			// frontier is wide, enter it when a wide, *growing* frontier also
-			// prices it cheaper. The frontier's arc count was accumulated by
-			// the workers while claiming, so no rescan happens here.
-			unexplored -= curEdges
-			growing := len(cur) > prevFrontier
-			wide := curEdges >= numArcs/dir.beta()
-			prev := int64(prevFrontier)
-			bottomUp = wide && (bottomUp ||
-				growing && productLess(unexplored, prev, curEdges, int64(len(cur))+prev))
-			prevFrontier = len(cur)
+			// The frontier's arc count was accumulated by the workers while
+			// claiming, so no rescan happens here.
+			bottomUp = rule.next(len(cur), curEdges)
 			if bottomUp {
 				res.BottomUpLevels++
 				phase = "level-bu"

@@ -83,22 +83,15 @@ type paddedCount struct {
 }
 
 // ensureCommon sizes the level array and resets it to Unvisited, and empties
-// the widths. The reset doubles the filled prefix with copy, a memmove, where
-// a store loop writes one word an iteration. The widths get the capacity of
-// widthsCap levels (at most n+1: a partial run may end on an empty level), so
-// a fresh Scratch makes one allocation for them, and a deeper graph grows
-// them by append.
+// the widths. The widths get the capacity of widthsCap levels (at most n+1: a
+// partial run may end on an empty level), so a fresh Scratch makes one
+// allocation for them, and a deeper graph grows them by append.
 func (s *Scratch) ensureCommon(n int) {
 	if cap(s.levels) < n {
 		s.levels = make([]int32, n)
 	}
 	s.levels = s.levels[:n]
-	if n > 0 {
-		s.levels[0] = Unvisited
-		for i := 1; i < n; i *= 2 {
-			copy(s.levels[i:], s.levels[:i])
-		}
-	}
+	fillUnvisited(s.levels)
 	if c := min(n+1, widthsCap); cap(s.widths) < c {
 		s.widths = make([]int64, 0, c)
 	}

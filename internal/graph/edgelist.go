@@ -15,6 +15,27 @@ import (
 // count, so isolated vertices survive a round trip; without one the count is
 // max id + 1.
 
+// maxTextVertices is the most vertices a text file of size bytes may declare
+// or imply by its largest id: one a byte beyond a floor of 2^20 (an 8 MB
+// offset array). The text loaders allocate per vertex only after the whole
+// input is read, so the one-line file "0 2000000000" is refused before Build
+// asks for its 16 GB offset array. A file spends at least four bytes an edge,
+// so the bound binds only where isolated vertices outnumber the file's bytes;
+// such a graph belongs in the binary format, whose size states its count.
+func maxTextVertices(size int64) int64 { return max(1<<20, size) }
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += int64(k)
+	return k, err
+}
+
 // WriteEdgeList writes each undirected edge once ("u v" with u < v),
 // preceded by a comment with the graph dimensions.
 func WriteEdgeList(w io.Writer, g *Graph) error {
@@ -41,10 +62,12 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // ReadEdgeList parses an edge list. A declared vertex count below max id + 1
-// or beyond int32 ids is an error. Self loops and duplicates are discarded as
-// usual.
+// or beyond int32 ids is an error, as is a vertex count, declared or implied,
+// beyond maxTextVertices of the input's size. Self loops and duplicates are
+// discarded as usual.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
 	var us, vs []int32
@@ -95,6 +118,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("edgelist: header declares %d vertices, want %d to %d", declared, n, maxN)
 		}
 		n = declared
+	}
+	if limit := maxTextVertices(cr.n); int64(n) > limit {
+		return nil, fmt.Errorf("edgelist: %d vertices from %d bytes of input, more than the %d it may hold", n, cr.n, limit)
 	}
 	b := NewBuilder(n)
 	b.Grow(len(us))

@@ -87,6 +87,36 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	})
 }
 
+// FuzzReadEdgeList checks the edge-list loader the same way, and that no
+// accepted graph holds more vertices than maxTextVertices allows its input.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, g := range fuzzSeedGraphs(f) {
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("# comment\n% also\n0 1\n\n1 2 extra\n"))
+	f.Add([]byte("# 2 vertices, 1 edges\n0 5\n"))
+	f.Add([]byte(hugeID))
+	f.Add([]byte(hugeDeclared))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadEdgeList(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("ReadEdgeList accepted an invalid graph: %v", verr)
+		}
+		if n := int64(g.NumVertices()); n > maxTextVertices(int64(len(data))) {
+			t.Fatalf("ReadEdgeList accepted %d vertices from %d bytes", n, len(data))
+		}
+	})
+}
+
 // decodeBuild reads data as a vertex count, a number of cliques, that many
 // (base, size) pairs and a list of endpoint pairs, any of them loops, repeats
 // or edges of a clique.

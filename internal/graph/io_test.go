@@ -57,12 +57,15 @@ func TestReadMatrixMarketGeneralWithValues(t *testing.T) {
 const (
 	hugeNNZ  = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 100000000000\n"
 	hugeRows = "%%MatrixMarket matrix coordinate pattern symmetric\n3000000000 3000000000 1\n3000000000 1\n"
+	// Rows that fit int32 ids but not a 50-byte file.
+	manyRows = "%%MatrixMarket matrix coordinate pattern symmetric\n2000000000 2000000000 0\n"
 )
 
 func TestReadMatrixMarketErrors(t *testing.T) {
 	cases := map[string]string{
 		"huge nnz":     hugeNNZ,
 		"huge rows":    hugeRows,
+		"many rows":    manyRows,
 		"empty":        "",
 		"bad header":   "%%MatrixMarket matrix array real general\n2 2 0\n",
 		"bad field":    "%%MatrixMarket matrix coordinate complex symmetric\n2 2 0\n",
@@ -187,11 +190,19 @@ func TestReadEdgeListComments(t *testing.T) {
 	}
 }
 
+// Edge lists that imply or declare two billion vertices in a line: the
+// loader must refuse them by the input's size before Build allocates 16 GB.
+const (
+	hugeID       = "0 2000000000\n"
+	hugeDeclared = "# 2000000000 vertices, 0 edges\n"
+)
+
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := map[string]string{
 		"short line": "0\n",
 		"non-number": "a b\n",
 		"negative":   "-1 2\n",
+		"huge id":    hugeID,
 	}
 	for name, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
@@ -209,6 +220,7 @@ func TestReadEdgeListHeader(t *testing.T) {
 		"# 0 vertices, 0 edges\n":       0,
 		"0 1\n# 10 vertices, 1 edges\n": 2,
 		"# 10 nodes\n0 1\n":             2,
+		"# 1048576 vertices, 0 edges\n": 1 << 20, // the floor of maxTextVertices
 	} {
 		g, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
@@ -221,6 +233,7 @@ func TestReadEdgeListHeader(t *testing.T) {
 		"# 2 vertices, 1 edges\n0 5\n",
 		"# -1 vertices, 0 edges\n",
 		"# 2147483648 vertices, 0 edges\n",
+		hugeDeclared,
 	} {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("%q: error expected", in)

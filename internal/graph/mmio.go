@@ -48,9 +48,11 @@ func WriteMatrixMarket(w io.Writer, g *Graph) error {
 // graph. The matrix must be square. Both "symmetric" and "general" symmetry
 // are accepted; in either case entry (i,j) adds edge {i-1,j-1}. Self loops
 // (diagonal entries) are dropped, duplicates are merged, consistent with how
-// the paper treats matrices as graphs.
+// the paper treats matrices as graphs. More rows than maxTextVertices of the
+// input's size is an error.
 func ReadMatrixMarket(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
 	if !sc.Scan() {
@@ -120,6 +122,9 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 			b.AddEdge(int32(i-1), int32(j-1))
 		}
 		read++
+	}
+	if limit := maxTextVertices(cr.n); int64(rows) > limit {
+		return nil, fmt.Errorf("mmio: %d rows from %d bytes of input, more than the %d it may hold", rows, cr.n, limit)
 	}
 	return b.Build(), nil
 }

@@ -6,11 +6,12 @@ import "fmt"
 // level of every vertex (-1 for unreachable vertices) and the number of
 // levels, i.e. 1 + the eccentricity of source within its component.
 //
-// This is Algorithm 6 of the paper inside the graph package: the producer
-// of the "#Level" column of Table I (where the paper uses source |V|/2) and
-// the level structure behind the reorderings and the simulator's BFS
-// traces. The parallel BFS variants are validated against bfs.Sequential,
-// not against this.
+// This is Algorithm 6 of the paper inside the graph package, kept as read:
+// the producer of the "#Level" column of Table I (where the paper uses
+// source |V|/2), the level structure behind the reorderings and the
+// simulator's BFS traces, and the oracle every BFS answer is validated
+// against (bfs.Validate, kerneltest.CheckBFS), the twin bfs.Sequential
+// included.
 func (g *Graph) Levels(source int32) ([]int32, int) {
 	n := g.NumVertices()
 	levels := make([]int32, n)

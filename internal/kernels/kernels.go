@@ -225,8 +225,8 @@ func Default(kind string) string {
 }
 
 // Validate checks out against the kind's oracle. BFS levels are compared
-// with a fresh bfs.Sequential run and irregular states with a fresh
-// irregular.Sequential one. Colors are checked against the edges, each once
+// with a fresh graph.Levels search (bfs.Validate), not with the twin, and
+// irregular states with a fresh irregular.Sequential run. Colors are checked against the edges, each once
 // from its higher end, as a loop on rt's engine under p.TeamOpts()
 // (coloring.Scratch.Check): its chunk claims are the engine's fault sites
 // and book into its counters, and a contained panic or a cancellation of ctx

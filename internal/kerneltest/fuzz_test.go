@@ -9,13 +9,15 @@ import (
 )
 
 // FuzzHybridDirectionSwitch drives the direction-optimizing BFS with
-// fuzzer-chosen graphs and β gates and checks it against the sequential
-// reference. The property under test is that the top-down ↔ bottom-up
+// fuzzer-chosen graphs and β gates and checks it against the oracle,
+// graph.Levels. The property under test is that the top-down ↔ bottom-up
 // switch is invisible in the output: whatever level the switch fires at
 // (β=1 never leaves top-down, a large β makes every frontier wide, β=0
 // is the default 24), the level assignment, level count, and width
 // histogram must match the oracle exactly, and the shared Validate pass
-// catches any frontier entry read out of bounds or claimed twice.
+// catches any frontier entry read out of bounds or claimed twice. The
+// sequential twin, the same rule at the default gate over one queue, is
+// held to the oracle on every graph too.
 func FuzzHybridDirectionSwitch(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 4}, uint8(3), uint8(1))
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5}, uint8(0), uint8(24))
@@ -63,5 +65,6 @@ func FuzzHybridDirectionSwitch(f *testing.F) {
 			t.Fatalf("hybrid(beta=%d): %v", beta, err)
 		}
 		CheckBFS(t, "hybrid-fuzz", g, source, got.Result)
+		CheckBFS(t, "sequential-fuzz", g, source, bfs.Sequential(g, source))
 	})
 }

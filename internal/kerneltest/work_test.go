@@ -187,7 +187,8 @@ func TestBFSWorkInflation(t *testing.T) {
 		for _, nm := range corpus {
 			for _, src := range Sources(nm.G) {
 				var reached, arcs int64
-				for v, lv := range bfs.Sequential(nm.G, src).Levels {
+				levels, _ := nm.G.Levels(src)
+				for v, lv := range levels {
 					if lv != bfs.Unvisited {
 						reached++
 						arcs += int64(nm.G.Degree(int32(v)))

@@ -248,8 +248,8 @@ func (sp JobSpec) kernelParams(g *graph.Graph) kernels.Params {
 // or a cancellation in it fails the job as it would in the kernel, not as an
 // invalid coloring. The components check is a pass over the labels against
 // the minima the cached graph keeps. BFS and irregular answers are not
-// checked: their checks rerun a sequential kernel on every job
-// (bfs.Sequential, five irregular.Sequential iterations), which would double
+// checked: their checks rerun a sequential search or kernel on every job
+// (graph.Levels, five irregular.Sequential iterations), which would double
 // their cost and move the service rates the serve-mix benchmark tracks.
 func (s *Server) runKernel(ctx context.Context, w int, j *Job) error {
 	t := j.now()
