@@ -29,7 +29,7 @@ func TestBenchAllocCeilings(t *testing.T) {
 		newOp   func(testing.TB) func()
 		ceiling float64
 	}{
-		{"Table1", experiment("table1"), 33},
+		{"Table1", experiment("table1"), 19},
 		{"Fig1aColoringOpenMP", experiment("fig1a"), 981},
 		{"Fig1bColoringCilk", experiment("fig1b"), 872},
 		{"Fig1cColoringTBB", experiment("fig1c"), 982},

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"micgraph/internal/coloring"
 	"micgraph/internal/gen"
 	"micgraph/internal/graph"
 	"micgraph/internal/mic"
@@ -127,14 +128,16 @@ type Suite struct {
 }
 
 // derived is what the experiments compute from the suite's graphs and keep:
-// per graph, the shuffled copy of Figure 2 and the BFS level structure from
-// vertex |V|/2, each built once, by whoever asks first, also between
-// concurrent sweeps over one cached suite. The counters are the work gate's
-// readings.
+// per graph, the shuffled copy of Figure 2, the BFS level structure from
+// vertex |V|/2 and Table I's greedy color count, each built once, by whoever
+// asks first, also between concurrent sweeps over one cached suite. The
+// counters are the work gate's readings.
 type derived struct {
 	shuffled    []lazy[*graph.Graph]
 	levels      []lazy[*mic.BFSLevels]
+	colors      []lazy[int]
 	levelsBuilt atomic.Int32 // level structures computed so far
+	colorings   atomic.Int32 // greedy colorings run so far
 	traceSets   atomic.Int32 // trace sets built so far, one per trace key a call reads
 }
 
@@ -157,7 +160,9 @@ func NewSuite(scale int) (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{Scale: scale, Configs: configs, Graphs: graphs, derived: &derived{
-		shuffled: make([]lazy[*graph.Graph], len(graphs)), levels: make([]lazy[*mic.BFSLevels], len(graphs))}}, nil
+		shuffled: make([]lazy[*graph.Graph], len(graphs)),
+		levels:   make([]lazy[*mic.BFSLevels], len(graphs)),
+		colors:   make([]lazy[int], len(graphs))}}, nil
 }
 
 // Shuffled returns the randomly relabeled copies used by Figure 2, created
@@ -181,6 +186,15 @@ func (s *Suite) Levels(i int) *mic.BFSLevels {
 	return s.derived.levels[i].get(func() *mic.BFSLevels {
 		s.derived.levelsBuilt.Add(1)
 		return mic.NewBFSLevels(s.Graphs[i], int32(s.Graphs[i].NumVertices()/2))
+	})
+}
+
+// greedyColors returns the number of colors sequential greedy coloring gives
+// suite graph i (Table I), computed on first use and cached.
+func (s *Suite) greedyColors(i int) int {
+	return s.derived.colors[i].get(func() int {
+		s.derived.colorings.Add(1)
+		return coloring.SeqGreedy(s.Graphs[i]).NumColors
 	})
 }
 

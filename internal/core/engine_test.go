@@ -9,11 +9,11 @@ import (
 	"micgraph/internal/mic"
 )
 
-// TestSuiteConcurrent runs fig2 and fig4c from four goroutines at once, each
-// on its own WithHarness copy of one fresh suite (and so with a team of its
-// own): the copies share what the
-// suite derives (shuffled graphs, level structures), every entry is built
-// once, and all four read the same figures. Run under -race in CI.
+// TestSuiteConcurrent runs table1, fig2 and fig4c from four goroutines at
+// once, each on its own WithHarness copy of one fresh suite (and so with a
+// team of its own): the copies share what the suite derives (shuffled
+// graphs, level structures, color counts), every entry is built once, and
+// all four read the same figures. Run under -race in CI.
 func TestSuiteConcurrent(t *testing.T) {
 	s, err := NewSuite(8)
 	if err != nil {
@@ -25,9 +25,9 @@ func TestSuiteConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			exps := RunMany([]string{"fig2", "fig4c"}, s.WithHarness(&Harness{}), mic.KNF(), mic.HostXeon())
-			if err := WriteJSON(&out[i], exps); err != nil || len(exps[0].Errors)+len(exps[1].Errors) > 0 {
-				t.Error(err, exps[0].Errors, exps[1].Errors)
+			exps := RunMany([]string{"table1", "fig2", "fig4c"}, s.WithHarness(&Harness{}), mic.KNF(), mic.HostXeon())
+			if err := WriteJSON(&out[i], exps); err != nil || len(exps[0].Errors)+len(exps[1].Errors)+len(exps[2].Errors) > 0 {
+				t.Error(err, exps[0].Errors, exps[1].Errors, exps[2].Errors)
 			}
 		}()
 	}
@@ -40,6 +40,9 @@ func TestSuiteConcurrent(t *testing.T) {
 	if got := int(s.derived.levelsBuilt.Load()); got != len(s.Graphs) {
 		t.Errorf("%d level structures built by four concurrent sweeps, want one per graph (%d)", got, len(s.Graphs))
 	}
+	if got := int(s.derived.colorings.Load()); got != len(s.Graphs) {
+		t.Errorf("%d greedy colorings run by four concurrent sweeps, want one per graph (%d)", got, len(s.Graphs))
+	}
 	for i, sh := range s.Shuffled() {
 		if sh != s.WithHarness(nil).shuffledGraph(i) {
 			t.Errorf("graph %d: WithHarness copies hold different shuffled graphs", i)
@@ -48,11 +51,12 @@ func TestSuiteConcurrent(t *testing.T) {
 }
 
 // allBytesCeiling is what one All on the scale-8 suite may allocate once the
-// suite has what it derives: 44.7 MB since each trace key's traces are built
-// once a call (82.7 MB when fig1a–c and fig3a–c built their own), plus 10 %. A
-// reading that does not depend on the box: it moves when a trace set or a
-// level structure is built twice, or a cell allocates per item again.
-const allBytesCeiling = 49_200_000
+// suite has what it derives: 44.5 MB since Table I's colorings are kept
+// (44.7 MB when every pass colored the seven graphs again; 82.7 MB when
+// fig1a–c and fig3a–c built their own traces), plus 10 %. A reading that
+// does not depend on the box: it moves when a trace set, a level structure
+// or a coloring is built twice, or a cell allocates per item again.
+const allBytesCeiling = 48_900_000
 
 // allTraceSets is the number of trace keys All reads: coloring in natural and
 // in shuffled order, the irregular kernel at each of four iteration counts,
@@ -60,10 +64,11 @@ const allBytesCeiling = 49_200_000
 const allTraceSets = 8
 
 // TestAllWorkGate pins the work of a pass, not its time: All on a fresh suite
-// walks every graph once (one level structure each, whatever the figures,
-// the table and the model curves ask for) and builds one trace set per key;
-// a second All walks no graph, builds the same sets again and allocates
-// under allBytesCeiling.
+// walks every graph once for its levels (one level structure each, whatever
+// the figures, the table and the model curves ask for) and once for Table
+// I's greedy coloring, and builds one trace set per key; a second All walks
+// no graph (no level structure, no coloring), builds the same sets again and
+// allocates under allBytesCeiling.
 func TestAllWorkGate(t *testing.T) {
 	s, err := NewSuite(8)
 	if err != nil {
@@ -73,6 +78,9 @@ func TestAllWorkGate(t *testing.T) {
 	All(s, knf, host)
 	if got := int(s.derived.levelsBuilt.Load()); got != len(s.Graphs) {
 		t.Errorf("All built %d level structures, want one per graph (%d)", got, len(s.Graphs))
+	}
+	if got := int(s.derived.colorings.Load()); got != len(s.Graphs) {
+		t.Errorf("All ran %d greedy colorings, want one per graph (%d)", got, len(s.Graphs))
 	}
 	first := int(s.derived.traceSets.Load())
 	if first != allTraceSets {
@@ -84,6 +92,9 @@ func TestAllWorkGate(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if got := int(s.derived.levelsBuilt.Load()); got != len(s.Graphs) {
 		t.Errorf("a second All built %d more level structures, want none", got-len(s.Graphs))
+	}
+	if got := int(s.derived.colorings.Load()); got != len(s.Graphs) {
+		t.Errorf("a second All ran %d more greedy colorings, want none", got-len(s.Graphs))
 	}
 	if got := int(s.derived.traceSets.Load()) - first; got != allTraceSets {
 		t.Errorf("a second All built %d trace sets, want %d", got, allTraceSets)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"micgraph/internal/coloring"
 	"micgraph/internal/mic"
 	"micgraph/internal/sched"
 )
@@ -241,7 +240,7 @@ func table1(e *Experiment, c *call, _ []run) {
 			V:        g.NumVertices(),
 			E:        g.NumEdges(),
 			MaxDeg:   g.MaxDegree(),
-			Colors:   coloring.SeqGreedy(g).NumColors,
+			Colors:   s.greedyColors(i),
 			Levels:   len(s.Levels(i).Order),
 			PaperCol: cfg.PaperColors,
 			PaperLev: cfg.PaperLevels,

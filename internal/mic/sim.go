@@ -116,34 +116,76 @@ type chunkCost struct {
 // core-sharing cost model, cap by memory bandwidth, add the barrier.
 // start is the simulation time at phase entry (for timeline timestamps);
 // tl and st are optional observation sinks (see SimulateObserved). clocks
-// is the caller's per-thread scratch, reset here. The cost of a call is
-// O(chunks · log t): the per-item work was done once, in p.prefix.
+// is the caller's per-thread scratch. The per-item work was done once, in
+// p.prefix, so a call costs O(t + chunks) for a fixed-owner plan; a greedy
+// plan costs O(chunks) until it builds its heap (at its t-th chunk, or at
+// one that cost nothing) and O(t + chunks · log t) if it does.
 func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *telemetry.Timeline, st *SimStats, clocks clockHeap) float64 {
+	r, ok := openPhase(m, cfg, t, p, start, tl, st)
+	if !ok {
+		return p.Seq
+	}
+	return r.finish(r.play(clocks))
+}
+
+// phaseRun is one phase being simulated: its chunk plan, the cost model's
+// per-phase constants and the observation sinks. The chunk loop (play) is
+// apart from the phase's set-up and its machine-wide bounds (finish) so that
+// the FCFS oracle test can check the loop's result on its own.
+type phaseRun struct {
+	m          *Machine
+	cfg        Config
+	t          int
+	p          *Phase
+	start      float64
+	tl         *telemetry.Timeline
+	st         *SimStats
+	plan       plan
+	atomicCost float64
+	itemTax    float64
+}
+
+// openPhase counts the phase and sets up its run. It reports false for a
+// phase without items, which costs only its sequential part.
+func openPhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *telemetry.Timeline, st *SimStats) (phaseRun, bool) {
 	if st != nil {
 		st.Phases++
 	}
 	n := len(p.Items)
 	if n == 0 {
-		return p.Seq
+		return phaseRun{}, false
 	}
-	prefix := p.prefix
-	if len(prefix) != n+1 {
+	if len(p.prefix) != n+1 {
 		panic(fmt.Sprintf("mic: phase %q changed after its trace was first simulated", p.Name))
 	}
-
-	plan := planChunks(m, cfg, t, n)
-
-	atomicCost := m.AtomicCost + m.AtomicContPerT*float64(t-1) + m.AtomicContSq*float64(t)*float64(t)
+	r := phaseRun{m: m, cfg: cfg, t: t, p: p, start: start, tl: tl, st: st, plan: planChunks(m, cfg, t, n)}
+	r.atomicCost = m.AtomicCost + m.AtomicContPerT*float64(t-1) + m.AtomicContSq*float64(t)*float64(t)
 	// Dynamic and guided chunk grabs are fetch-adds on one hot counter:
 	// they pay the same contention as any other atomic. (sched.Team's
 	// Dynamic deliberately claims from a cursor per worker's block instead;
 	// the simulator keeps the paper's counter, which the figures come from.)
 	if cfg.Kind == OpenMP && cfg.Policy != sched.Static && t > 1 {
-		plan.perChunkIssue += atomicCost
+		r.plan.perChunkIssue += r.atomicCost
 	}
-	itemTax := plan.taxScale * runtimeItemTax(m, cfg) * float64(t) * float64(t)
-	clocks.reset()
-	var stallServed float64
+	r.itemTax = r.plan.taxScale * runtimeItemTax(m, cfg) * float64(t) * float64(t)
+	return r, true
+}
+
+// play runs every chunk of the phase and returns the phase's length (the
+// latest clock), its number of chunks and the memory-stall cycles served.
+//
+// A fixed-owner plan runs each chunk on its owner. A greedy plan is first
+// come, first served: a chunk goes to the earliest-free thread, the least
+// (clock, thread). Every clock starts at 0, so while every chunk so far has
+// cost more than nothing, chunk i goes to idle thread i, and its clock is
+// written directly. The heap is built once all t threads are busy, or at
+// the first chunk that did not move its thread's clock past 0: that thread
+// then ties at 0 with a lower id than the idle ones, and from there on the
+// heap decides. The clocks of threads no chunk reached are never read.
+func (r *phaseRun) play(clocks clockHeap) (phaseTime float64, numChunks int, stallServed float64) {
+	m, cfg, t, p, plan := r.m, r.cfg, r.t, r.p, r.plan
+	prefix, atomicCost, itemTax := p.prefix, r.atomicCost, r.itemTax
+	start, tl, st := r.start, r.tl, r.st
 
 	cost := func(c chunk, thread int) chunkCost {
 		w, lo := prefix[c.hi], &prefix[c.lo]
@@ -204,31 +246,53 @@ func simulatePhase(m *Machine, cfg Config, t int, p *Phase, start float64, tl *t
 		}
 	}
 
-	numChunks := 0
-	chunks := plan.chunks(t, n)
+	busy := t // threads whose clocks are live; a greedy plan's are written as it goes
+	if plan.greedy {
+		busy = 0
+	} else {
+		clocks.reset()
+	}
+	chunks := plan.chunks(t, len(p.Items))
 	for c, ok := chunks.next(); ok; c, ok = chunks.next() {
 		numChunks++
-		// First-come first-served: the chunk goes to the earliest-free
-		// thread, which sits at the top of the heap (ties broken by thread
-		// id for determinism). Otherwise clocks stays indexed by thread.
-		e := &clocks[0]
-		if !plan.greedy {
+		e := &clocks[0] // a greedy plan's heap top
+		switch {
+		case !plan.greedy:
 			e = &clocks[c.owner]
+		case busy < t:
+			e = &clocks[busy]
+			*e = clockEntry{0, busy}
 		}
 		cc := cost(c, e.thread)
 		observe(c, e.thread, e.clock, cc)
 		e.clock += cc.total
-		if plan.greedy {
+		switch {
+		case !plan.greedy:
+		case busy == t:
 			clocks.fixTop()
+		default:
+			// Chunk i went to thread i only while every cost was positive.
+			// One that cost nothing leaves its thread at 0, first by id
+			// among the idle ones, and a NaN breaks the order: from here on
+			// the heap decides.
+			if busy++; busy == t || !(cc.total > 0) {
+				clocks.heapify(busy)
+				busy = t
+			}
 		}
 	}
-
-	phaseTime := 0.0
-	for _, e := range clocks {
+	for _, e := range clocks[:busy] {
 		if e.clock > phaseTime {
 			phaseTime = e.clock
 		}
 	}
+	return phaseTime, numChunks, stallServed
+}
+
+// finish applies the machine-wide bounds and the barrier to a phase whose
+// chunks ran in phaseTime cycles, and returns the phase's whole length.
+func (r *phaseRun) finish(phaseTime float64, numChunks int, stallServed float64) float64 {
+	m, cfg, t, p, start, tl, st := r.m, r.cfg, r.t, r.p, r.start, r.tl, r.st
 	if st != nil {
 		st.Chunks += numChunks
 		st.StallCycles += stallServed
@@ -447,10 +511,11 @@ type clockEntry struct {
 	thread int
 }
 
-// clockHeap holds one clock per thread. Freshly reset it is indexed by
-// thread; the FCFS loop uses it as a min-heap on (clock, thread) — a strict
-// total order, so which thread is earliest-free never depends on how the
-// heap happens to be laid out.
+// clockHeap holds one clock per thread. A fixed-owner plan indexes it by
+// thread; the FCFS loop writes idle threads' clocks in thread order, then
+// uses it as a min-heap on (clock, thread): a strict total order, so which
+// thread is earliest-free never depends on how the heap happens to be laid
+// out.
 type clockHeap []clockEntry
 
 // reset zeroes every clock. Equal clocks with ascending thread ids are
@@ -458,6 +523,17 @@ type clockHeap []clockEntry
 func (h clockHeap) reset() {
 	for i := range h {
 		h[i] = clockEntry{0, i}
+	}
+}
+
+// heapify zeroes the clocks from index live on, which no chunk has reached,
+// and orders the whole slice as a heap.
+func (h clockHeap) heapify(live int) {
+	for i := live; i < len(h); i++ {
+		h[i] = clockEntry{0, i}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 }
 
@@ -469,8 +545,10 @@ func (h clockHeap) less(i, j int) bool {
 }
 
 // fixTop restores heap order after the top entry's clock has grown.
-func (h clockHeap) fixTop() {
-	i := 0
+func (h clockHeap) fixTop() { h.down(0) }
+
+// down sifts entry i down to its place below it.
+func (h clockHeap) down(i int) {
 	for {
 		least := 2*i + 1
 		if least >= len(h) {
