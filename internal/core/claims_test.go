@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -111,6 +112,26 @@ func TestPaperClaimsAtScale1(t *testing.T) {
 				t.Errorf("OpenMP-dynamic %v, OpenMP-static %v", dyn, static)
 			}
 		}},
+		{"1b Cilk below OpenMP-dynamic at every thread count ≥ 31", func(t *testing.T) {
+			threads := series(t, figs, "fig1b", "threads")
+			for _, col := range []string{"CilkPlus", "CilkPlus-holder"} {
+				for i, cilk := range series(t, figs, "fig1b", col) {
+					if th := int(threads[i]); th >= 31 {
+						if dyn := speedupAt(t, figs, "fig1a", "OpenMP-dynamic", th); cilk >= dyn {
+							t.Errorf("at %d threads %s reads %v, OpenMP-dynamic %v", th, col, cilk, dyn)
+						}
+					}
+				}
+			}
+		}},
+		{"1b worker-id and holder variants within 1 %", func(t *testing.T) {
+			holder := series(t, figs, "fig1b", "CilkPlus-holder")
+			for i, id := range series(t, figs, "fig1b", "CilkPlus") {
+				if math.Abs(id-holder[i]) > 0.01*max(id, holder[i]) {
+					t.Errorf("row %d: CilkPlus %v, CilkPlus-holder %v", i, id, holder[i])
+				}
+			}
+		}},
 		{"2 OpenMP superlinear at 121 threads on shuffled graphs", func(t *testing.T) {
 			if s := speedupAt(t, figs, "fig2", "OpenMP", 121); s <= 121 {
 				t.Errorf("OpenMP speedup %v", s)
@@ -136,6 +157,25 @@ func TestPaperClaimsAtScale1(t *testing.T) {
 			suite := slices.Max(series(t, figs, "fig4c", "OpenMP-Block-relaxed"))
 			if pwtk >= inline || pwtk >= suite {
 				t.Errorf("pwtk peaks at %v, inline_1 at %v, the suite's geometric mean at %v", pwtk, inline, suite)
+			}
+		}},
+		{"4a/4b relaxed queue above locked at every thread count", func(t *testing.T) {
+			for _, id := range []string{"fig4a", "fig4b"} {
+				locked := series(t, figs, id, "OpenMP-Block")
+				for i, relaxed := range series(t, figs, id, "OpenMP-Block-relaxed") {
+					if relaxed <= locked[i] {
+						t.Errorf("%s row %d: OpenMP-Block-relaxed %v, OpenMP-Block %v", id, i, relaxed, locked[i])
+					}
+				}
+			}
+		}},
+		{"4c bag at least 3× below the block queue at 61 and 121 threads", func(t *testing.T) {
+			for _, th := range []int{61, 121} {
+				block := speedupAt(t, figs, "fig4c", "OpenMP-Block-relaxed", th)
+				bag := speedupAt(t, figs, "fig4c", "CilkPlus-Bag-relaxed", th)
+				if block < 3*bag {
+					t.Errorf("at %d threads the block queue reads %v, the bag %v (%.2f×)", th, block, bag, block/bag)
+				}
 			}
 		}},
 	} {

@@ -55,20 +55,16 @@ func TestSchedHookTeamPanicSurfacesAsForEError(t *testing.T) {
 }
 
 // TestSchedHookPoolTaskPanic does the same through the work-stealing pool's
-// task boundary.
+// task boundary, in a cilk_for's split tree.
 func TestSchedHookPoolTaskPanic(t *testing.T) {
 	in := fault.New(7).EnableAt("pool/task/panic", 3)
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	pool.SetInject(in.SchedHook(0))
-	err := pool.RunCtx(nil, func(c *sched.Ctx) {
-		for i := 0; i < 10; i++ {
-			c.Spawn(func(cc *sched.Ctx) {})
-		}
-	})
+	err := pool.ParallelForCtx(nil, 10, 1, func(lo, hi int, c *sched.Ctx) {})
 	var f *fault.Fault
 	if !errors.As(err, &f) {
-		t.Fatalf("RunCtx returned %v, want an injected *fault.Fault cause", err)
+		t.Fatalf("ParallelForCtx returned %v, want an injected *fault.Fault cause", err)
 	}
 	if f.Site != "pool/task/panic" {
 		t.Errorf("fault fired at %s, want pool/task/panic", f.Site)

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -10,204 +12,186 @@ import (
 )
 
 // Pool is the engine seen from its task discipline, a Cilk Plus-style
-// work-stealing runtime: each worker owns a deque, pushes spawned tasks at the
-// bottom, and steals from the top of a randomly chosen victim when idle. It
-// also underlies the TBB-style partitioners in tbb.go. The goroutine that
-// starts a run executes the root task as worker 0; then every worker pops or
-// steals until the root's scope has drained, and between regions the helpers
-// spin, then park. Kernel signatures say *Pool where they run tasks and *Team
-// where they run loops; both name the one engine.
+// work-stealing runtime for parallel-for loops: each worker owns a deque,
+// pushes the subranges it splits off at the bottom, and steals from the top of
+// a randomly chosen victim when idle. It runs cilk_for and the TBB-style
+// partitioners in tbb.go alike. The goroutine that starts a run executes the
+// root task as worker 0; then every worker pops or steals until the run's
+// iterations are all accounted for (runState.done), and between regions the
+// helpers spin, then park. Kernel signatures say *Pool where they run tasks and
+// *Team where they run loops; both name the one engine.
 type Pool = Team
 
-// worker is one scheduler thread of the pool.
+// worker is one scheduler thread of the pool. The padding keeps the Ctx its
+// owner writes at every split off the cache line of the next worker's deque,
+// which that worker locks at every push and pop.
 type worker struct {
 	pool *Pool
 	id   int
 	dq   deque
 	rng  xrand.Rand
-	free []*ctxBox // recycled Ctx+scope pairs, touched only by the goroutine working as this worker
+	c    Ctx // the Ctx of the task the worker is running; tasks never nest
+	_    [64]byte
 }
 
-// ctxBox is a Ctx and its child scope allocated as one block so runTask
-// costs zero allocations in steady state. Recycling is safe because a
-// scope is dead once its owner's Sync has observed pending == 0: a child
-// touches its parent's scope only to decrement pending, and every child has
-// decremented before Sync returns. The free list is per-worker and only
-// touched by the goroutine working as that worker (runTask runs on it, even
-// when nested via Sync's help-first execution), so no lock is needed.
-type ctxBox struct {
-	c  Ctx
-	sc scope
-}
-
-// getCtx leases a Ctx with a fresh child scope.
-func (w *worker) getCtx() *Ctx {
-	if n := len(w.free); n > 0 {
-		b := w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-		return &b.c
-	}
-	b := &ctxBox{}
-	b.c = Ctx{w: w, sc: &b.sc, box: b}
-	return &b.c
-}
-
-// putCtx returns a Ctx leased by getCtx. Only call after Sync has drained
-// the scope (pending == 0).
-func (w *worker) putCtx(c *Ctx) { w.free = append(w.free, c.box) }
-
-// scope counts the outstanding children of one spawning task, so Sync knows
-// when they have all completed. What else a task tree shares — its context
-// and the slot its first panic lands in — is the pool's, for the run.
-type scope struct {
-	pending atomic.Int64
-}
-
-// Ctx is the handle a task uses to spawn children, wait for them, and
-// identify its worker (for thread-local storage). A Ctx is only valid within
-// the task invocation it was passed to.
+// Ctx is the handle a loop body gets: it identifies the executing worker (for
+// per-worker storage) and, inside the runtime, carries the task's range. A Ctx
+// is only valid within the body invocation it was passed to.
 type Ctx struct {
 	w      *worker
-	sc     *scope
-	box    *ctxBox // back-pointer for recycling
-	stolen bool    // whether the task was obtained by theft
+	lo, hi int  // the part of the task's range it has not handed to a child
+	stolen bool // whether the task came off another worker's deque
 }
 
 // Worker returns the executing worker's id in [0, Workers()).
 func (c *Ctx) Worker() int { return c.w.id }
 
-// Pool returns the pool executing this task.
-func (c *Ctx) Pool() *Pool { return c.w.pool }
+// runState is the task discipline's control block, resident like loopState:
+// the current run's range, body, grain and kind, which every task word of the
+// run is read against, and the count of iterations accounted for so far. A
+// task keeps a subrange of its range and hands the rest to the children it
+// pushes; when it exits it adds what it kept to done, whether it ran that part,
+// skipped it on a cancelled run or panicked in it. Every pushed subrange is
+// non-empty and the kept parts of all tasks partition [lo, lo+n), so done
+// reaches n exactly when every pushed task has exited (the root, which may
+// keep nothing, runs on the caller, and the caller reads done only after it).
+type runState struct {
+	body  func(lo, hi int, c *Ctx)
+	lo, n int   // the run's range, [lo, lo+n)
+	grain int   // never split below this many iterations (>= 1)
+	kind  uint8 // taskFor, taskAuto or taskAffinity
+	aff   *AffinityState
+	// done is written at every task's exit: a cache line of its own keeps
+	// those writes from evicting the fields above, which every task reads,
+	// from the other workers' caches.
+	_    [64]byte
+	done atomic.Int64
+	_    [56]byte
+}
 
-// Stolen reports whether the currently executing task was obtained by
-// stealing rather than popped from the owner's deque. The TBB auto
-// partitioner uses this signal ("it creates some subranges first and
-// subdivides a range further only when it gets stolen").
-func (c *Ctx) Stolen() bool { return c.stolen }
+// Run kinds: how a run's root seeds it and how each task it pushes continues.
+const (
+	taskFor      uint8 = iota // cilk_for and TBB simple partitioner: halve to the grain (Ctx.forSplit)
+	taskAuto                  // TBB auto partitioner: seed W pieces (autoRoot), split on steal (autoRun)
+	taskAffinity              // TBB affinity partitioner: seed blocks on their homes (affinityRoot, affinityBlock)
+)
 
-// Cancelled reports whether the run this task belongs to has been cancelled
-// or has failed: true once the run's context is done or any task of the run
-// has panicked. Long loop bodies may poll it to bail out early; the loop
-// drivers poll it at every split/claim boundary.
-func (c *Ctx) Cancelled() bool { return c.w.pool.stopped() }
+// word packs [lo, hi) of the current run into a task word: two 32-bit offsets
+// from the run's lo. An affinity task's word is its block index instead.
+func (r *runState) word(lo, hi int) uint64 { return uint64(lo-r.lo) | uint64(hi-r.lo)<<32 }
+
+// span is the range of task word t of the current run.
+func (r *runState) span(t uint64) (lo, hi int) {
+	if r.kind == taskAffinity {
+		return r.block(int(t))
+	}
+	return r.lo + int(uint32(t)), r.lo + int(t>>32)
+}
+
+// block is the range of affinity block b: the run cut into len(homes) equal
+// blocks.
+func (r *runState) block(b int) (lo, hi int) {
+	nb := len(r.aff.homes)
+	return r.lo + r.n*b/nb, r.lo + r.n*(b+1)/nb
+}
 
 // NewPool is NewTeam: the engine serves both disciplines.
 func NewPool(n int) *Pool { return NewTeam(n) }
 
-// RunCtx executes root on the pool and blocks until root and every task it
-// transitively spawned have completed (Cilk's implicit sync at function
-// exit applies to every task). It returns ErrClosed when the engine has
-// been closed, or a *PanicError carrying the first task panic with its stack;
-// on a task panic the rest of the task tree drains cleanly (no task is
-// abandoned mid-flight) and the pool remains usable. Once ctx (which may be
-// nil) is done, task bodies stop being invoked (queued tasks still drain
-// their scope bookkeeping, so the run terminates promptly) and RunCtx
-// returns ctx.Err(). A task panic takes precedence over cancellation.
-func (p *Pool) RunCtx(ctx context.Context, root func(*Ctx)) error {
-	return p.runRoot(ctx, task{fn: root}, nil)
-}
-
-// runRoot executes t as the root task of a run and returns when the whole
-// task tree has completed. aff is the affinity run's block map, nil for any
-// other run.
-func (p *Pool) runRoot(ctx context.Context, t task, aff *AffinityState) error {
+// runRange is the one way into the task discipline: it executes body over r,
+// split as kind says, and returns when every iteration has been run or
+// skipped. On a closed engine it returns ErrClosed, whatever r holds; an empty
+// r runs nothing. A run of more than 2³²−1 iterations, which a task word
+// cannot hold, panics before any work starts. aff is the affinity run's block
+// map, nil for any other kind.
+func (p *Pool) runRange(ctx context.Context, r Range, kind uint8, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
 	if p.crew.leave {
 		return ErrClosed
 	}
+	n := r.Size()
+	if n <= 0 {
+		return nil
+	}
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("sched: a run of %d iterations exceeds the 2^32-1 a task word holds", n))
+	}
+	if kind == taskAffinity {
+		aff.fit(r, p.workers)
+	}
 	p.begin(ctx)
 	p.tasks = true
-	p.top.pending.Store(1)
-	t.scope = &p.top
-	p.root, p.aff = t, aff
+	rs := &p.rs
+	rs.body, rs.lo, rs.n, rs.grain, rs.kind, rs.aff = body, r.Lo, n, r.grain(), kind, aff
+	rs.done.Store(0)
 	p.counters.Inc(0, telemetry.TasksSpawned) // the root counts as one spawned task
 	p.crew.run()
-	p.root, p.aff = task{}, nil // drop references; the fields are resident
+	rs.body, rs.aff = nil, nil // drop references; the block is resident
 	return p.end()
 }
 
 // runShare is worker w's share of the current run: worker 0 executes the root
-// task, and every worker runs what it can pop or steal until the root's scope
-// has drained.
+// task, and every worker runs what it can pop or steal until the run's
+// iterations are all accounted for.
 func (p *Pool) runShare(w int) {
 	wk := &p.ws[w]
 	if w == 0 {
-		runTask(wk, p.root, false)
+		wk.runTask(0, true, false)
 	}
-	wk.drain(&p.top)
-}
-
-// runTask executes t in a recycled child scope with panic containment, then
-// performs the implicit sync, counts t out of its parent's scope and returns
-// the Ctx to the worker's free list. A panicking task is recorded on the run;
-// its already-spawned children still drain so no scope count leaks. Range
-// tasks (t.fn == nil) continue the split of [t.lo, t.hi) their kind names.
-// stolen says whether t came off another worker's deque (Ctx.Stolen).
-func runTask(w *worker, t task, stolen bool) {
-	p := w.pool
-	ctx := w.getCtx()
-	ctx.stolen = stolen
-	func() {
-		defer p.contain(w.id, p.counters)
-		if p.inject != nil {
-			p.inject("pool/task", w.id)
-		}
-		if !ctx.Cancelled() {
-			switch {
-			case t.fn != nil:
-				t.fn(ctx)
-			case t.kind == taskAuto:
-				autoRun(ctx, Range{t.lo, t.hi, t.grain}, t.body)
-			case t.kind == taskAutoRoot:
-				autoRoot(ctx, Range{t.lo, t.hi, t.grain}, t.body)
-			case t.kind == taskAffinity:
-				affinityBlock(ctx, t.grain, t.lo, t.hi, t.body)
-			case t.kind == taskAffinityRoot:
-				affinityRoot(ctx, Range{t.lo, t.hi, t.grain}, t.body)
-			default:
-				ctx.forSplit(t.lo, t.hi, t.grain, t.body)
-			}
-		}
-	}()
-	ctx.Sync() // implicit sync at task exit, also on panic/cancellation
-	t.scope.pending.Add(-1)
-	w.putCtx(ctx)
-}
-
-// Spawn schedules f to run concurrently with the continuation of the
-// current task. The child is pushed on the executing worker's own deque
-// (work-first would run it immediately; help-first matches how thieves in
-// the paper's runtimes pick up whole subtrees and is what we implement).
-// The task record carries f directly — no wrapper closure is allocated.
-func (c *Ctx) Spawn(f func(*Ctx)) { c.push(c.w, task{fn: f}) }
-
-// push makes t a child of the executing task and puts it on w's deque — the
-// one way a task enters a deque: counted in the spawner's scope (so Sync
-// waits for it) and in its TasksSpawned, then pushed. w is the spawner's own
-// worker, except when the affinity partitioner seeds a block on its home.
-// Nobody needs waking: while a run is in flight every worker is popping or
-// stealing.
-func (c *Ctx) push(w *worker, t task) {
-	t.scope = c.sc
-	c.sc.pending.Add(1)
-	c.w.pool.counters.Inc(c.w.id, telemetry.TasksSpawned)
-	w.dq.pushBottom(t)
-}
-
-// Sync blocks until every task spawned by this Ctx has completed. While
-// waiting, the worker executes other available tasks (its own first, then
-// stolen ones), so Sync never wastes the worker.
-func (c *Ctx) Sync() { c.w.drain(c.sc) }
-
-// drain runs the tasks the worker can pop or steal until sc has no pending
-// children: Sync's wait, and a worker's share of a run once it is not
-// running the root.
-func (w *worker) drain(sc *scope) {
-	for sc.pending.Load() > 0 {
-		if !w.tryRunOne() {
+	for n := int64(p.rs.n); p.rs.done.Load() < n; {
+		if !wk.tryRunOne() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// runTask executes one task of the current run on w — the root (the whole
+// range, on the caller) or the task word t — with panic containment, and then
+// adds the part of its range it kept to the run's done count. stolen says
+// whether t came off another worker's deque; the auto partitioner splits only
+// what was stolen.
+func (w *worker) runTask(t uint64, root, stolen bool) {
+	p, rs, c := w.pool, &w.pool.rs, &w.c
+	c.stolen = stolen
+	if root {
+		c.lo, c.hi = rs.lo, rs.lo+rs.n
+	} else {
+		c.lo, c.hi = rs.span(t)
+	}
+	defer w.settle()
+	defer p.contain(w.id, p.counters)
+	if p.inject != nil {
+		p.inject("pool/task", w.id)
+	}
+	if p.stopped() {
+		return
+	}
+	switch {
+	case rs.kind == taskFor:
+		c.forSplit()
+	case rs.kind == taskAuto && root:
+		autoRoot(c)
+	case rs.kind == taskAuto:
+		autoRun(c)
+	case root:
+		affinityRoot(c)
+	default:
+		affinityBlock(c, int(t))
+	}
+}
+
+// settle counts the range w's task kept into the run's done count, after the
+// task's body and its contained panic, if any: the caller, which returns once
+// done reaches n, sees both.
+func (w *worker) settle() { w.pool.rs.done.Add(int64(w.c.hi - w.c.lo)) }
+
+// push hands the subrange of task word t to a child on w's deque — the one way
+// a task enters a deque — and counts it in TasksSpawned. w is the pusher's own
+// worker, except when the affinity partitioner seeds a block on its home.
+// Nobody needs waking: while a run is in flight every worker is popping or
+// stealing.
+func (c *Ctx) push(w *worker, t uint64) {
+	c.w.pool.counters.Inc(c.w.id, telemetry.TasksSpawned)
+	w.dq.pushBottom(t)
 }
 
 // tryRunOne executes one task if any is available, preferring the worker's
@@ -216,7 +200,7 @@ func (w *worker) drain(sc *scope) {
 func (w *worker) tryRunOne() bool {
 	p := w.pool
 	if t, ok := w.dq.popBottom(); ok {
-		runTask(w, t, false)
+		w.runTask(t, false, false)
 		return true
 	}
 	// Random victim selection, one full tour of the other workers.
@@ -232,7 +216,7 @@ func (w *worker) tryRunOne() bool {
 		}
 		if t, ok := v.dq.stealTop(); ok {
 			p.counters.Inc(w.id, telemetry.Steals)
-			runTask(w, t, true)
+			w.runTask(t, false, true)
 			return true
 		}
 	}
@@ -253,42 +237,26 @@ func DefaultGrain(n, workers int) int {
 	return g
 }
 
-// For executes body over [lo, hi) by recursive binary splitting down to
-// grain (cilk_for). grain <= 0 selects DefaultGrain. body receives the
-// subrange and a Ctx for nested spawning and TLS access. When the run has
-// been cancelled, splitting stops and remaining subranges are skipped.
-func (c *Ctx) For(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
-	if hi <= lo {
-		return
-	}
-	if grain <= 0 {
-		grain = DefaultGrain(hi-lo, c.w.pool.Workers())
-	}
-	c.forSplit(lo, hi, grain, body)
-	c.Sync()
-}
-
-// forSplit halves [lo, hi) down to grain, spawning the left half as a
-// range task (a plain struct on the deque — no closure per split) and
-// continuing with the right half, then runs the final subrange inline:
+// forSplit halves the task's range down to the grain, pushing the left half
+// as a child and keeping the right, then runs the final subrange inline:
 // cilk_for and TBB's simple partitioner alike. A cancelled run stops
-// subdividing and skips unexecuted subranges.
-func (c *Ctx) forSplit(lo, hi, grain int, body func(lo, hi int, c *Ctx)) {
-	counters := c.w.pool.counters
-	for hi-lo > grain {
-		if c.Cancelled() {
+// subdividing and skips the range it kept.
+func (c *Ctx) forSplit() {
+	p, rs := c.w.pool, &c.w.pool.rs
+	for c.hi-c.lo > rs.grain {
+		if p.stopped() {
 			return
 		}
-		counters.Inc(c.w.id, telemetry.RangeSplits)
-		mid := lo + (hi-lo)/2
-		c.push(c.w, task{body: body, lo: lo, hi: mid, grain: grain})
-		lo = mid
+		p.counters.Inc(c.w.id, telemetry.RangeSplits)
+		mid := c.lo + (c.hi-c.lo)/2
+		c.push(c.w, rs.word(c.lo, mid))
+		c.lo = mid
 	}
-	if c.Cancelled() {
+	if p.stopped() {
 		return
 	}
-	counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	body(lo, hi, c)
+	p.counters.Inc(c.w.id, telemetry.ChunksClaimed)
+	rs.body(c.lo, c.hi, c)
 }
 
 // ParallelForE is ParallelForCtx without a context. It stays only because
@@ -297,17 +265,13 @@ func (p *Pool) ParallelForE(n, grain int, body func(lo, hi int, c *Ctx)) error {
 	return p.ParallelForCtx(nil, n, grain, body)
 }
 
-// ParallelForCtx runs a cilk_for over [0, n) as the root task of the pool,
-// polling ctx (which may be nil) at every split boundary and returning the
-// first body panic as a *PanicError. The loop runs as a root range task
-// directly — no wrapper closure — so in steady state the call allocates
-// nothing.
+// ParallelForCtx runs a cilk_for over [0, n) on the pool, polling ctx (which
+// may be nil) at every split boundary and returning the first body panic as a
+// *PanicError; grain <= 0 selects DefaultGrain. In steady state the call
+// allocates nothing.
 func (p *Pool) ParallelForCtx(ctx context.Context, n, grain int, body func(lo, hi int, c *Ctx)) error {
-	if n <= 0 {
-		return nil
-	}
 	if grain <= 0 {
 		grain = DefaultGrain(n, p.Workers())
 	}
-	return p.runRoot(ctx, task{body: body, lo: 0, hi: n, grain: grain}, nil)
+	return p.runRange(ctx, Range{0, n, grain}, taskFor, nil, body)
 }

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -20,77 +23,12 @@ func TestPoolParallelForCoverage(t *testing.T) {
 	}
 }
 
-func TestPoolSpawnSync(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	var after atomic.Bool
-	var children atomic.Int32
-	check(t, pool.RunCtx(nil, func(c *Ctx) {
-		for i := 0; i < 20; i++ {
-			c.Spawn(func(cc *Ctx) {
-				children.Add(1)
-			})
-		}
-		c.Sync()
-		if children.Load() != 20 {
-			t.Errorf("after Sync only %d of 20 children ran", children.Load())
-		}
-		after.Store(true)
-	}))
-	if !after.Load() {
-		t.Fatal("Run returned before root completed")
-	}
-}
-
-// fib computes Fibonacci with spawn/sync, the canonical Cilk recursion.
-func fib(c *Ctx, n int) int {
-	if n < 2 {
-		return n
-	}
-	var a int
-	c.Spawn(func(cc *Ctx) { a = fib(cc, n-1) })
-	b := fib(c, n-2)
-	c.Sync()
-	return a + b
-}
-
-func TestPoolFib(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
-	var got int
-	check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 15) }))
-	if got != 610 {
-		t.Errorf("fib(15) = %d, want 610", got)
-	}
-}
-
-func TestPoolImplicitSync(t *testing.T) {
-	// Children spawned but never explicitly synced must still complete
-	// before Run returns (Cilk's implicit sync at function exit).
-	pool := NewPool(4)
-	defer pool.Close()
-	var ran atomic.Int32
-	check(t, pool.RunCtx(nil, func(c *Ctx) {
-		for i := 0; i < 50; i++ {
-			c.Spawn(func(cc *Ctx) {
-				cc.Spawn(func(*Ctx) { ran.Add(1) })
-			})
-		}
-	}))
-	if ran.Load() != 50 {
-		t.Errorf("%d of 50 grandchildren ran before Run returned", ran.Load())
-	}
-}
-
 func TestPoolWorkerIDs(t *testing.T) {
 	pool := NewPool(5)
 	defer pool.Close()
-	check(t, pool.RunCtx(nil, func(c *Ctx) {
+	check(t, pool.ParallelForCtx(nil, 1000, 1, func(lo, hi int, c *Ctx) {
 		if c.Worker() < 0 || c.Worker() >= 5 {
 			t.Errorf("worker id %d out of range", c.Worker())
-		}
-		if c.Pool() != pool {
-			t.Error("Ctx.Pool mismatch")
 		}
 	}))
 }
@@ -142,20 +80,49 @@ func TestNewPoolPanicsOnZero(t *testing.T) {
 	NewPool(0)
 }
 
+// TestRunTooLargePanics: a task word holds offsets of 32 bits, so a run of
+// more iterations is refused before any work starts, naming its size, and the
+// engine stays usable.
+func TestRunTooLargePanics(t *testing.T) {
+	if math.MaxInt <= math.MaxUint32 {
+		t.Skip("int cannot hold a run of 2^32 iterations")
+	}
+	pool := NewPool(2)
+	defer pool.Close()
+	big := uint64(math.MaxUint32) + 1
+	func() {
+		defer func() {
+			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), fmt.Sprint(big)) {
+				t.Errorf("a run of %d iterations panicked with %v, want a panic naming its size", big, v)
+			}
+		}()
+		pool.ParallelForCtx(nil, int(big), 1<<20, func(lo, hi int, c *Ctx) {
+			t.Error("a refused run ran its body")
+		})
+	}()
+	coverageCheck(t, 100, func(mark func(int)) {
+		check(t, pool.ParallelForCtx(nil, 100, 1, func(lo, hi int, c *Ctx) {
+			for i := lo; i < hi; i++ {
+				mark(i)
+			}
+		}))
+	})
+}
+
+// TestDequeOrder: the owner pops the newest word, a thief steals the oldest.
 func TestDequeOrder(t *testing.T) {
 	var d deque
-	mk := func(id int) task { return task{fn: func(*Ctx) { _ = id }} }
-	d.pushBottom(mk(1))
-	d.pushBottom(mk(2))
-	d.pushBottom(mk(3))
-	if _, ok := d.stealTop(); !ok {
-		t.Fatal("stealTop failed")
+	d.pushBottom(1)
+	d.pushBottom(2)
+	d.pushBottom(3)
+	if w, ok := d.stealTop(); !ok || w != 1 {
+		t.Fatalf("stealTop = %d, %v; want 1, true", w, ok)
 	}
-	if _, ok := d.popBottom(); !ok {
-		t.Fatal("popBottom failed")
+	if w, ok := d.popBottom(); !ok || w != 3 {
+		t.Fatalf("popBottom = %d, %v; want 3, true", w, ok)
 	}
-	if _, ok := d.popBottom(); !ok {
-		t.Fatal("no task left after one steal and one pop of three")
+	if w, ok := d.popBottom(); !ok || w != 2 {
+		t.Fatalf("popBottom = %d, %v; want 2, true", w, ok)
 	}
 	if _, ok := d.popBottom(); ok {
 		t.Error("popBottom on empty deque succeeded")

@@ -164,10 +164,10 @@ func TestPoolOfOneOwnsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pool := NewPool(1)
 	defer pool.Close()
-	var got int
-	check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 12) }))
-	if n := runtime.NumGoroutine(); n > before || got != 144 {
-		t.Errorf("%d goroutines after NewPool(1), %d before; fib(12) = %d, want 144", n, before, got)
+	var ran int
+	check(t, pool.ParallelForCtx(nil, 100, 1, func(lo, hi int, c *Ctx) { ran += hi - lo }))
+	if n := runtime.NumGoroutine(); n > before || ran != 100 {
+		t.Errorf("%d goroutines after NewPool(1), %d before; cilk_for covered %d of 100", n, before, ran)
 	}
 }
 
@@ -175,31 +175,35 @@ func TestPoolOfOneOwnsNoGoroutine(t *testing.T) {
 // one or parked past the budget, and either way returns only when every task
 // of it has: coverage is read right after the run, through plain memory, so a
 // worker that had not finished shows up as a missing mark (and under -race as
-// a race on it). A spawn tree after a park comes out whole too.
+// a race on it). A grain-1 split tree, and each partitioner's run, after a
+// park come out whole too.
 func TestPoolRunAfterPark(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	const n = 1000
 	marks := make([]int, n)
+	body := func(lo, hi int, c *Ctx) {
+		for i := lo; i < hi; i++ {
+			marks[i]++
+		}
+	}
+	runs := []func() error{
+		func() error { return pool.ParallelForCtx(nil, n, 7, body) },
+		func() error { return pool.ParallelForCtx(nil, n, 1, body) },
+	}
+	aff := new(AffinityState)
+	for _, part := range []Partitioner{SimplePartitioner, AutoPartitioner, AffinityPartitioner} {
+		runs = append(runs, func() error { return ParallelForRangeCtx(nil, pool, Range{0, n, 1}, part, aff, body) })
+	}
 	for k := 1; k <= 50; k++ {
 		if k%2 == 0 {
 			time.Sleep(2 * spinBudget)
 		}
-		check(t, pool.ParallelForCtx(nil, n, 7, func(lo, hi int, c *Ctx) {
-			for i := lo; i < hi; i++ {
-				marks[i]++
-			}
-		}))
+		check(t, runs[k%len(runs)]())
 		for i, m := range marks {
 			if m != k {
 				t.Fatalf("run %d returned with index %d visited %d times, want %d", k, i, m, k)
 			}
 		}
-	}
-	time.Sleep(2 * spinBudget)
-	var got int
-	check(t, pool.RunCtx(nil, func(c *Ctx) { got = fib(c, 15) }))
-	if got != 610 {
-		t.Errorf("fib(15) after a park = %d, want 610", got)
 	}
 }

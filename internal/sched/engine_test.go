@@ -8,17 +8,6 @@ import (
 	"testing"
 )
 
-// spawnTree covers [lo, hi) with a binary Spawn tree, leaves of at most 4.
-func spawnTree(c *Ctx, lo, hi int, body func(lo, hi, w int)) {
-	if hi-lo <= 4 {
-		body(lo, hi, c.Worker())
-		return
-	}
-	mid := lo + (hi-lo)/2
-	c.Spawn(func(cc *Ctx) { spawnTree(cc, lo, mid, body) })
-	spawnTree(c, mid, hi, body)
-}
-
 // TestEngineAlternatesDisciplines drives one engine through loops and task
 // runs in turn, the way a kernels.Runtime serves its table: every region
 // covers its indices exactly once, a region's panic or cancellation is its
@@ -72,8 +61,8 @@ func TestEngineAlternatesDisciplines(t *testing.T) {
 			{"inline", inline},
 			{"tbb-affinity", tbb(AffinityPartitioner)},
 			{"dynamic", dynamic},
-			{"spawn", func(ctx context.Context, body func(lo, hi, w int)) error {
-				return e.RunCtx(ctx, func(c *Ctx) { spawnTree(c, 0, n, body) })
+			{"cilk_for/1", func(ctx context.Context, body func(lo, hi, w int)) error {
+				return e.ParallelForCtx(ctx, n, 1, onPool(body))
 			}},
 		}
 		// A panic and a cancellation are each followed by a clean region;

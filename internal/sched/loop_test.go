@@ -80,7 +80,7 @@ func TestLoopContract(t *testing.T) {
 			}
 
 			// Every binding, affinity's included, runs allocation-free once
-			// the runtime's free lists are warm (not countable under -race).
+			// the deques' arrays are warm (not countable under -race).
 			if raceEnabled {
 				return
 			}

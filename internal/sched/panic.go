@@ -37,11 +37,12 @@ func (e *PanicError) Unwrap() error {
 }
 
 // ErrClosed is returned by every driver of either discipline — ForCtx, ForE,
-// RunCtx, the pool loop drivers, Loop.Run — once the engine has been closed.
+// ParallelForCtx, ParallelForE, ParallelForRangeCtx, Loop.Run — once the
+// engine has been closed, whatever the loop's size.
 var ErrClosed = errors.New("sched: region on closed engine")
 
 // panicSlot collects the first panic observed across the workers of one
-// loop or task tree. Later panics are dropped: the first failure is the
+// loop or task run. Later panics are dropped: the first failure is the
 // one that aborts the region, matching errgroup-style semantics.
 type panicSlot struct {
 	has atomic.Bool // lock-free "a panic happened" flag for hot-path polls

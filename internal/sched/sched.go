@@ -13,10 +13,11 @@
 //     worker 0) and the rest of the team spin-waits for the next region
 //     before it parks (crew.go);
 //   - the task discipline: a Cilk Plus-style work-stealing runtime with
-//     per-worker deques, Spawn/Sync task parallelism and a recursively
-//     splitting For (cilk_for) (§II-B). The caller of a run executes the
-//     root task as worker 0, and every worker pops or steals until the task
-//     tree has drained;
+//     per-worker deques running cilk_for, a parallel-for that splits its
+//     range recursively (§II-B). Its tasks are subranges of one loop, each a
+//     single word on a deque; the caller of a run executes the root task as
+//     worker 0, and every worker pops or steals until the iterations run or
+//     skipped add up to the loop's size;
 //   - the TBB-style blocked ranges with simple, auto, and affinity
 //     partitioners (§II-C), built on the task discipline.
 //
@@ -48,15 +49,16 @@
 // worker where it occurred (that may be the caller's own goroutine, as
 // worker 0), the remaining workers drain cleanly (no chunk is left
 // half-claimed, no task abandoned, no goroutine leaks), and the driver —
-// Team.ForCtx/ForE, Pool.RunCtx, Pool.ParallelForCtx/ParallelForE,
-// ParallelForRangeCtx, Loop.Run — returns a *PanicError. Every driver that
-// takes a context.Context polls it at every chunk-claim, split and task
-// boundary, giving kernels cooperative cancellation and deadlines; on
-// cancellation the loop stops claiming new chunks, already-running bodies
-// finish, and the driver returns ctx.Err().
+// Team.ForCtx/ForE, Pool.ParallelForCtx/ParallelForE, ParallelForRangeCtx,
+// Loop.Run — returns a *PanicError. Every driver that takes a
+// context.Context polls it at every chunk-claim, split and task boundary,
+// giving kernels cooperative cancellation and deadlines; on cancellation the
+// loop stops claiming new chunks and splitting ranges (a task skips the range
+// it still holds, and counts it as done so the run ends), already-running
+// bodies finish, and the driver returns ctx.Err().
 // Close dismisses an engine's helpers and is idempotent; every driver on a
-// closed engine returns ErrClosed. An engine may not be driven from two
-// goroutines at once.
+// closed engine returns ErrClosed, for an empty loop too. An engine may not
+// be driven from two goroutines at once.
 package sched
 
 import (
@@ -128,16 +130,16 @@ const DefaultChunk = 1
 // resident helper goroutines plus the goroutine that opens a region, which
 // works through it as worker 0, OpenMP's master semantics (an engine of one is
 // the caller alone). A region is a parallel-for loop (ForCtx, the analogue of
-// an OpenMP thread team's loop) or a task run (RunCtx and the drivers built on
-// it, where the engine is called a Pool). It is published by bumping one
-// generation word after its control block is written; helpers poll that word
-// for a short fixed budget after their last region before they park, and the
-// caller waits for a region's stragglers the same way, so the next loop of a
-// level-synchronous kernel finds its team awake (crew has the protocol,
-// spinBudget what the budget is sized against). An engine must be released
-// with Close. One region runs at a time, like an OpenMP parallel region:
-// engine methods are not safe for concurrent use, and no region may be opened
-// from inside another of the same engine.
+// an OpenMP thread team's loop) or a task run (ParallelForCtx and
+// ParallelForRangeCtx, where the engine is called a Pool). It is published by
+// bumping one generation word after its control block is written; helpers
+// poll that word for a short fixed budget after their last region before they
+// park, and the caller waits for a region's stragglers the same way, so the
+// next loop of a level-synchronous kernel finds its team awake (crew has the
+// protocol, spinBudget what the budget is sized against). An engine must be
+// released with Close. One region runs at a time, like an OpenMP parallel
+// region: engine methods are not safe for concurrent use, and no region may be
+// opened from inside another of the same engine.
 type Team struct {
 	workers  int
 	crew     *crew               // the helpers; a region's caller is worker 0
@@ -151,13 +153,10 @@ type Team struct {
 
 	ls loopState // the loop discipline's control block
 
-	// The task discipline: per-worker deques and scratch, the current run's
-	// root task, the scope that counts it and, for an affinity-partitioned
-	// run, the block map its blocks read and write.
-	ws   []worker
-	root task
-	top  scope
-	aff  *AffinityState
+	// The task discipline: per-worker deques and Ctxs, and the current run's
+	// control block.
+	ws []worker
+	rs runState
 }
 
 // NewTeam creates an engine of n workers (n >= 1): it starts n − 1
@@ -170,6 +169,7 @@ func NewTeam(n int) *Team {
 	t.ls.cur = make([]blockCursor, n)
 	for i := range t.ws {
 		t.ws[i] = worker{pool: t, id: i, rng: *xrand.New(uint64(i)*0x9E3779B97F4A7C15 + 1)}
+		t.ws[i].c.w = &t.ws[i]
 	}
 	t.crew = newCrew(n, t.work) // per-region state is resident: dispatching allocates nothing
 	return t

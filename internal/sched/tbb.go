@@ -20,11 +20,11 @@ import (
 //     previous execution of the same loop and replays that assignment to
 //     maximise cache reuse.
 //
-// All three run as range tasks of runTask: a root task seeds the range, and
-// every piece it or a split puts on a deque is a task record carrying the
-// loop's one body, so no partitioner builds a closure per piece. Auto and
-// affinity seed at most ceil(size/grain) pieces — never finer than the
-// simple partitioner's leaves of the same range — capped at W and 4W.
+// All three run as tasks of runTask: the root seeds the range on the caller,
+// and every piece it or a split puts on a deque is one task word read against
+// the run's body, grain and kind, so no partitioner builds a closure per
+// piece. Auto and affinity seed at most ceil(size/grain) pieces — never finer
+// than the simple partitioner's leaves of the same range — capped at W and 4W.
 
 // Range is an iteration interval [Lo, Hi) with a minimum split size.
 type Range struct {
@@ -86,25 +86,20 @@ func (p Partitioner) String() string {
 // the free function stays exported only because bench/ladder.go compiles
 // against it.
 func ParallelForRangeCtx(ctx context.Context, pool *Pool, r Range, part Partitioner, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
-	if r.Size() <= 0 {
-		return nil
-	}
-	root := task{body: body, lo: r.Lo, hi: r.Hi, grain: r.Grain}
+	kind := taskFor
 	switch part {
 	case SimplePartitioner:
-		root.grain = r.grain()
 	case AutoPartitioner:
-		root.kind = taskAutoRoot
+		kind = taskAuto
 	case AffinityPartitioner:
 		if aff == nil {
 			panic("sched: AffinityPartitioner requires an AffinityState")
 		}
-		aff.fit(r, pool.Workers())
-		root.kind = taskAffinityRoot
+		kind = taskAffinity
 	default:
 		panic(fmt.Sprintf("sched: unknown partitioner %d", part))
 	}
-	return pool.runRoot(ctx, root, aff)
+	return pool.runRange(ctx, r, kind, aff, body)
 }
 
 // seeds is how many pieces auto and affinity cut r into up front: most, but
@@ -115,34 +110,39 @@ func seeds(r Range, most int) int {
 	return min(most, (r.Size()+g-1)/g)
 }
 
-// autoRoot seeds up to one subrange per worker, then lets autoRun subdivide
-// on steals.
-func autoRoot(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
-	n, k := r.Size(), seeds(r, c.Pool().Workers())
-	for i := 0; i < k; i++ {
-		c.push(c.w, task{body: body, lo: r.Lo + n*i/k, hi: r.Lo + n*(i+1)/k, grain: r.Grain, kind: taskAuto})
+// autoRoot seeds up to one piece per worker, handing each to a child, then
+// lets autoRun subdivide on steals.
+func autoRoot(c *Ctx) {
+	rs := &c.w.pool.rs
+	lo, n := c.lo, c.hi-c.lo
+	k := seeds(Range{c.lo, c.hi, rs.grain}, c.w.pool.workers)
+	for i := 1; i <= k; i++ {
+		hi := lo + n*i/k
+		c.push(c.w, rs.word(c.lo, hi))
+		c.lo = hi
 	}
 }
 
-// autoRun executes a subrange; if this task arrived by theft and the range
-// is still divisible, it splits once and continues with the left half,
-// giving the next thief something big to take.
-func autoRun(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
-	counters := c.w.pool.counters
-	for c.Stolen() && r.IsDivisible() {
-		if c.Cancelled() {
+// autoRun executes a piece; if this task arrived by theft and the range is
+// still divisible, it splits once and continues with the left half, giving
+// the next thief something big to take.
+func autoRun(c *Ctx) {
+	p, rs := c.w.pool, &c.w.pool.rs
+	r := Range{c.lo, c.hi, rs.grain}
+	for c.stolen && r.IsDivisible() {
+		if p.stopped() {
 			return
 		}
-		counters.Inc(c.w.id, telemetry.RangeSplits)
+		p.counters.Inc(c.w.id, telemetry.RangeSplits)
 		left, right := r.Split()
-		c.push(c.w, task{body: body, lo: right.Lo, hi: right.Hi, grain: right.Grain, kind: taskAuto})
-		r = left
+		c.push(c.w, rs.word(right.Lo, right.Hi))
+		r, c.hi = left, left.Hi
 	}
-	if c.Cancelled() {
+	if p.stopped() {
 		return
 	}
-	counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	body(r.Lo, r.Hi, c)
+	p.counters.Inc(c.w.id, telemetry.ChunksClaimed)
+	rs.body(c.lo, c.hi, c)
 }
 
 // AffinityState carries the block→worker map of an affinity-partitioned
@@ -174,21 +174,22 @@ func (a *AffinityState) fit(r Range, workers int) {
 	a.n, a.workers = r.Size(), workers
 }
 
-// affinityRoot pushes each block of r onto its home worker's deque. Idle
-// workers may still steal blocks, and affinityBlock moves the home to the
+// affinityRoot pushes each block of the run onto its home worker's deque.
+// Idle workers may still steal blocks, and affinityBlock moves the home to the
 // thief.
-func affinityRoot(c *Ctx, r Range, body func(lo, hi int, c *Ctx)) {
-	p := c.Pool()
-	n, nb := r.Size(), len(p.aff.homes)
-	for b, home := range p.aff.homes {
-		c.push(&p.ws[home], task{body: body, lo: r.Lo + n*b/nb, hi: r.Lo + n*(b+1)/nb, grain: b, kind: taskAffinity})
+func affinityRoot(c *Ctx) {
+	p := c.w.pool
+	for b, home := range p.rs.aff.homes {
+		c.push(&p.ws[home], uint64(b))
+		_, c.lo = p.rs.block(b)
 	}
 }
 
-// affinityBlock runs block b, [lo, hi), of the current affinity run on c's
-// worker, which becomes the block's home for the next run.
-func affinityBlock(c *Ctx, b, lo, hi int, body func(lo, hi int, c *Ctx)) {
-	c.w.pool.aff.homes[b] = c.w.id
+// affinityBlock runs block b of the current affinity run on c's worker, which
+// becomes the block's home for the next run.
+func affinityBlock(c *Ctx, b int) {
+	rs := &c.w.pool.rs
+	rs.aff.homes[b] = c.w.id
 	c.w.pool.counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	body(lo, hi, c)
+	rs.body(c.lo, c.hi, c)
 }

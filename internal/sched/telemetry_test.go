@@ -103,33 +103,27 @@ func TestTeamCountersLoopTallies(t *testing.T) {
 	}
 }
 
-// TestPoolCountersSpawn: explicit Spawn calls are counted as tasks, and the
-// recursive For splits show up as range splits + leaf chunks.
+// TestPoolCountersSpawn: a cilk_for's root and each subrange it or a split
+// pushes count as one spawned task. Every split pushes one, and a binary
+// split tree has one more leaf than splits, so tasks spawned, splits plus one
+// and leaf calls agree however the tree was stolen.
 func TestPoolCountersSpawn(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	counters := telemetry.NewCounters(4)
-	pool.SetCounters(counters)
-
-	const spawned = 64
-	var ran atomic.Int64
-	check(t, pool.RunCtx(nil, func(c *Ctx) {
-		for i := 0; i < spawned; i++ {
-			c.Spawn(func(*Ctx) { ran.Add(1) })
+	for _, w := range []int{1, 4} {
+		pool := NewPool(w)
+		counters := telemetry.NewCounters(w)
+		pool.SetCounters(counters)
+		var leaves atomic.Int64
+		check(t, pool.ParallelForCtx(nil, 1000, 1, func(lo, hi int, c *Ctx) { leaves.Add(1) }))
+		pool.Close()
+		tasks, splits := counters.Total(telemetry.TasksSpawned), counters.Total(telemetry.RangeSplits)
+		if leaves.Load() != 1000 || tasks != 1000 || splits != 999 {
+			t.Errorf("W=%d: %d leaves ran, tasks_spawned = %d, range_splits = %d; want 1000, 1000, 999", w, leaves.Load(), tasks, splits)
 		}
-		c.Sync()
-	}))
-	if ran.Load() != spawned {
-		t.Fatalf("ran %d tasks, want %d", ran.Load(), spawned)
-	}
-	if got := counters.Total(telemetry.TasksSpawned); got < spawned {
-		t.Errorf("tasks_spawned = %d, want >= %d", got, spawned)
-	}
-	// Steals and failed steal tours are machine-timing dependent, but the
-	// counters must never go negative and steals can't exceed spawns.
-	steals := counters.Total(telemetry.Steals)
-	if steals < 0 || steals > counters.Total(telemetry.TasksSpawned) {
-		t.Errorf("implausible steals = %d", steals)
+		// Steals and failed steal tours are machine-timing dependent, but the
+		// counters must never go negative and steals can't exceed spawns.
+		if steals := counters.Total(telemetry.Steals); steals < 0 || steals > tasks {
+			t.Errorf("W=%d: implausible steals = %d", w, steals)
+		}
 	}
 }
 
