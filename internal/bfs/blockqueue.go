@@ -1,9 +1,6 @@
 package bfs
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Sentinel fills the unconsumed tail of a partially used block, so the
 // vertex-visit loop can skip it ("we fill the remaining of the block with a
@@ -16,17 +13,15 @@ const Sentinel int32 = -1
 // filled blocks are padded with Sentinel.
 //
 // Relaxed insertion can (rarely) produce more entries than the queue's
-// nominal capacity; instead of growing the shared array under concurrent
-// readers, overflowing workers divert to private spill slices that are
-// drained alongside the main array. This keeps the hot path identical to
-// the paper's while making the structure safe for any input.
+// capacity. A push past the end is not stored but counted by its Writer:
+// the level loop sizes the queue so that a level which overflows it is
+// dense, and a dense level never reads the queue (DESIGN.md §2), so the
+// count is all the loop needs. This keeps the hot path identical to the
+// paper's while making the structure safe for any input.
 type BlockQueue struct {
 	buf       []int32
 	blockSize int
 	next      atomic.Int64 // next unreserved position in buf
-
-	spillMu sync.Mutex
-	spill   []int32
 }
 
 // NewBlockQueue creates a queue backed by capacity slots with the given
@@ -42,45 +37,35 @@ func NewBlockQueue(capacity, blockSize int) *BlockQueue {
 }
 
 // Reset empties the queue for reuse in the next level.
-func (q *BlockQueue) Reset() {
-	q.next.Store(0)
-	q.spill = q.spill[:0]
-}
+func (q *BlockQueue) Reset() { q.next.Store(0) }
 
 // Cap returns the capacity of the backing array.
 func (q *BlockQueue) Cap() int { return len(q.buf) }
 
-// Entries returns the filled portion of the main array and the spill slice.
-// Entries equal to Sentinel must be skipped. Call only after all writers
-// have flushed (i.e. between levels).
-func (q *BlockQueue) Entries() (main, spill []int32) {
-	n := int(q.next.Load())
-	if n > len(q.buf) {
-		n = len(q.buf)
-	}
-	return q.buf[:n], q.spill
+// Entries returns the filled portion of the array. Entries equal to Sentinel
+// must be skipped. Call only after all writers have flushed (i.e. between
+// levels).
+func (q *BlockQueue) Entries() []int32 {
+	return q.buf[:min(int(q.next.Load()), len(q.buf))]
 }
 
 // Writer is one worker's private cursor into the queue. The zero value is
 // unbound: Reset binds it to the queue of the level at hand, level after
-// level. A Writer must be flushed when its level's production ends.
+// level. A Writer must be flushed when its level's production ends. The
+// padding makes it a cache line long, so two workers' Writers, each written
+// at every push, never share one.
 type Writer struct {
 	q        *BlockQueue
 	pos, end int64
-	local    []int32 // spill accumulation once buf is exhausted
-	spilling bool
+	over     int // pushes that found the array exhausted: counted, not stored
+	_        [32]byte
 }
 
 // Reset rebinds the writer to q with no reserved block, ready for a new
-// level. The spill accumulation buffer keeps its capacity, so a recycled
-// writer's level costs no allocation.
+// level.
 func (w *Writer) Reset(q *BlockQueue) {
 	w.q = q
-	w.pos, w.end = 0, 0
-	w.spilling = false
-	if w.local != nil {
-		w.local = w.local[:0]
-	}
+	w.pos, w.end, w.over = 0, 0, 0
 }
 
 // Push appends v to the queue. It inlines: the no-room case is pushSlow's.
@@ -94,11 +79,11 @@ func (w *Writer) Push(v int32) {
 }
 
 // pushSlow reserves the next block or, once the backing array is exhausted,
-// spills (pos == end from then on: every later Push of the level lands here).
+// counts v as overflowed (pos == end from then on: every later Push of the
+// level lands here).
 func (w *Writer) pushSlow(v int32) {
-	if w.spilling || !w.grabBlock() {
-		w.spilling = true
-		w.local = append(w.local, v)
+	if w.over > 0 || !w.grabBlock() {
+		w.over++
 		return
 	}
 	w.q.buf[w.pos] = v
@@ -121,22 +106,15 @@ func (w *Writer) grabBlock() bool {
 	return true
 }
 
-// Flush pads the unused remainder of the current block with Sentinel,
-// publishes any spilled entries and returns how many sentinels it wrote.
-// Must be called once per level per writer, after which the Writer is ready
-// for the next level.
-func (w *Writer) Flush() (pad int) {
-	pad = int(w.end - w.pos)
+// Flush pads the unused remainder of the current block with Sentinel and
+// returns how many sentinels it wrote and how many pushes overflowed the
+// array. Must be called once per level per writer, after which the Writer is
+// ready for the next level.
+func (w *Writer) Flush() (pad, over int) {
+	pad, over = int(w.end-w.pos), w.over
 	for ; w.pos < w.end; w.pos++ {
 		w.q.buf[w.pos] = Sentinel
 	}
-	w.pos, w.end = 0, 0
-	if len(w.local) > 0 {
-		w.q.spillMu.Lock()
-		w.q.spill = append(w.q.spill, w.local...)
-		w.q.spillMu.Unlock()
-		w.local = w.local[:0]
-	}
-	w.spilling = false
-	return pad
+	w.pos, w.end, w.over = 0, 0, 0
+	return pad, over
 }

@@ -11,14 +11,9 @@ import (
 
 // frontierEdges sums the degrees of the real entries of a block-queue
 // frontier — the number of edges the level expansion will relax.
-func frontierEdges(g *graph.Graph, main, spill []int32) int64 {
+func frontierEdges(g *graph.Graph, queue []int32) int64 {
 	var edges int64
-	for _, v := range main {
-		if v != Sentinel {
-			edges += int64(g.Degree(v))
-		}
-	}
-	for _, v := range spill {
+	for _, v := range queue {
 		if v != Sentinel {
 			edges += int64(g.Degree(v))
 		}

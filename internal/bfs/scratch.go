@@ -56,8 +56,7 @@ type Scratch struct {
 	adj     []int32
 	lv      int32
 	relaxed bool
-	main    []int32 // block variants: current frontier (main segment)
-	spill   []int32 // block variants: current frontier (spill segment)
+	queue   []int32 // block variants: current frontier
 	span    int     // block variants, dense level: vertices an iteration
 	cur     []int32 // flat variants: current frontier
 
@@ -199,7 +198,9 @@ func (s *Scratch) BlockTBB(ctx context.Context, g *graph.Graph, source int32, po
 // vertices, sweeps the level array instead, in ranges of ⌈n/|F|⌉ vertices,
 // and expands every vertex at level lv-1: the same number of iterations,
 // but each neighbour list read in ascending order. |F| counts the queue's
-// entries less the sentinel padding, relaxed duplicates included.
+// entries less the sentinel padding, relaxed duplicates included, plus the
+// pushes that overflowed the queue: such a level is always dense (DESIGN.md
+// §2), so no sparse level reads a queue that lost entries.
 func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, blockSize int, relaxed bool) (Result, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -223,15 +224,9 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	frontier := 1
 	if s.blockBody == nil {
 		s.blockBody = func(lo, hi, w int) {
-			wr, main, spill := s.writers[w], s.main, s.spill
+			wr := s.writers[w]
 			var count, claims int64
-			for i := lo; i < hi; i++ {
-				var v int32
-				if i < len(main) {
-					v = main[i]
-				} else {
-					v = spill[i-len(main)]
-				}
+			for _, v := range s.queue[lo:hi] {
 				if v != Sentinel {
 					claims += expandVertex(s.xadj, s.adj, s.levels, v, s.lv, s.relaxed, wr)
 					count++
@@ -261,7 +256,7 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 	rec := telemetry.FromContext(ctx)
 	var processed int64
 	for lv := int32(1); frontier > 0; lv++ {
-		main, spill := cur.Entries()
+		queue := cur.Entries()
 		dense := frontier*denseShare >= n
 		var edges int64
 		var levelStart time.Time
@@ -269,7 +264,7 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 			if dense {
 				edges = levelEdges(g, s.levels, lv-1)
 			} else {
-				edges = frontierEdges(g, main, spill)
+				edges = frontierEdges(g, queue)
 			}
 			levelStart = telemetry.Now(rec)
 		}
@@ -283,13 +278,14 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 			s.span = (n + frontier - 1) / frontier
 			err = s.loop.Run(ctx, (n+s.span-1)/s.span, s.denseBody)
 		} else {
-			s.main, s.spill = main, spill
-			err = s.loop.Run(ctx, len(main)+len(spill), s.blockBody)
+			s.queue = queue
+			err = s.loop.Run(ctx, len(queue), s.blockBody)
 		}
 		var levelProcessed, claims int64
-		pad := 0
+		pad, over := 0, 0
 		for w := 0; w < workers; w++ {
-			pad += s.writers[w].Flush()
+			p, o := s.writers[w].Flush()
+			pad, over = pad+p, over+o
 			levelProcessed += s.counts[w].n
 			claims += s.counts[w].claims
 		}
@@ -300,8 +296,7 @@ func (s *Scratch) block(ctx context.Context, g *graph.Graph, source int32, block
 		if claims > 0 || err != nil {
 			s.widths = append(s.widths, claims)
 		}
-		nm, ns := next.Entries()
-		frontier = len(nm) + len(ns) - pad
+		frontier = len(next.Entries()) - pad + over
 		if telemetry.Active(rec) {
 			sample := levelSample(lv-1, levelProcessed, edges, int64(frontier))
 			if dense {

@@ -18,11 +18,10 @@ func TestBlockQueueSingleWriter(t *testing.T) {
 	for v := int32(0); v < 20; v++ {
 		w.Push(v)
 	}
-	w.Flush()
-	main, spill := q.Entries()
-	if len(spill) != 0 {
-		t.Errorf("unexpected spill of %d", len(spill))
+	if pad, over := w.Flush(); pad != 4 || over != 0 {
+		t.Errorf("Flush = %d sentinels, %d overflowed; want 4, 0", pad, over)
 	}
+	main := q.Entries()
 	// 20 values in blocks of 8 -> 3 blocks reserved = 24 slots, 4 sentinels.
 	if len(main) != 24 {
 		t.Errorf("reserved %d slots, want 24", len(main))
@@ -61,9 +60,8 @@ func TestBlockQueueConcurrentWritersNoLoss(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	main, spill := q.Entries()
 	seen := make(map[int32]bool)
-	for _, v := range append(append([]int32{}, main...), spill...) {
+	for _, v := range q.Entries() {
 		if v == Sentinel {
 			continue
 		}
@@ -78,23 +76,63 @@ func TestBlockQueueConcurrentWritersNoLoss(t *testing.T) {
 }
 
 func TestBlockQueueSpillOverflow(t *testing.T) {
-	// Capacity for only one block: everything after it must spill, not drop.
+	// Capacity for only one block: every push after it is counted, not
+	// stored and not dropped from the count.
 	q := NewBlockQueue(4, 4)
 	w := writerOn(q)
 	for v := int32(0); v < 50; v++ {
 		w.Push(v)
 	}
-	w.Flush()
-	main, spill := q.Entries()
-	total := 0
-	for _, v := range main {
-		if v != Sentinel {
-			total++
+	pad, over := w.Flush()
+	main := q.Entries()
+	if len(main) != 4 || pad != 0 || over != 46 {
+		t.Errorf("%d stored, %d sentinels, %d overflowed; want 4, 0, 46", len(main), pad, over)
+	}
+	for i, v := range main {
+		if v != int32(i) {
+			t.Errorf("entry %d = %d, want %d", i, v, i)
 		}
 	}
-	total += len(spill)
-	if total != 50 {
-		t.Errorf("recovered %d of 50 pushed values after overflow", total)
+}
+
+// TestBlockQueueOverflowIsDense pins the argument that lets the level loop
+// count an overflow instead of storing it: W writers over a queue of the
+// capacity the loop gives a graph of n vertices, n + W·bs, leave at most
+// W·(bs−1) sentinels, so a level whose writers push past the end has more
+// than n real entries plus overflow, and its successor is dense.
+func TestBlockQueueOverflowIsDense(t *testing.T) {
+	const n, workers, bs = 100, 3, 8
+	q := NewBlockQueue(n+workers*bs, bs)
+	ws := make([]*Writer, workers)
+	for i := range ws {
+		ws[i] = writerOn(q)
+	}
+	// The most padding an overflowing level can leave: every writer but one
+	// holds a block with a single entry, and that one fills the rest of the
+	// array and pushes on past its end.
+	for i := 1; i < workers; i++ {
+		ws[i].Push(int32(i - 1))
+	}
+	for v := int32(workers - 1); v < 2*n; v++ {
+		ws[0].Push(v)
+	}
+	pad, over := 0, 0
+	for _, w := range ws {
+		p, o := w.Flush()
+		pad, over = pad+p, over+o
+	}
+	main := q.Entries()
+	if over == 0 {
+		t.Fatalf("no push overflowed a queue of %d slots", len(main))
+	}
+	if pad > workers*(bs-1) {
+		t.Errorf("%d sentinels, want at most W·(bs−1) = %d", pad, workers*(bs-1))
+	}
+	if frontier := len(main) - pad + over; frontier <= n || frontier*denseShare < n {
+		t.Errorf("frontier |F| = %d, want > n = %d (and so dense)", frontier, n)
+	}
+	if stored := len(main) - pad; stored+over != 2*n {
+		t.Errorf("%d stored + %d overflowed, want the %d pushed", stored, over, 2*n)
 	}
 }
 
@@ -106,11 +144,11 @@ func TestBlockQueueResetReuse(t *testing.T) {
 			w.Push(v)
 		}
 		w.Flush()
-		if main, _ := q.Entries(); len(main) == 0 {
+		if len(q.Entries()) == 0 {
 			t.Fatal("queue empty after pushes")
 		}
 		q.Reset()
-		if main, spill := q.Entries(); len(main)+len(spill) != 0 {
+		if len(q.Entries()) != 0 {
 			t.Fatal("queue not empty after Reset")
 		}
 	}

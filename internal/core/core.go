@@ -41,9 +41,9 @@ func HostSweep() []int {
 
 // Series is one curve of a figure.
 type Series struct {
-	Label   string
-	Threads []int
-	Values  []float64
+	Label   string    `json:"label"`
+	Threads []int     `json:"threads"`
+	Values  []float64 `json:"values"`
 }
 
 // Peak returns the maximum value and the thread count where it occurs.

@@ -61,17 +61,11 @@ func WriteText(w io.Writer, e *Experiment) error {
 type jsonExperiment struct {
 	ID     string          `json:"id"`
 	Title  string          `json:"title"`
-	Series []jsonSeries    `json:"series,omitempty"`
+	Series []Series        `json:"series,omitempty"`
 	Rows   []TableRow      `json:"rows,omitempty"`
 	Notes  string          `json:"notes,omitempty"`
 	Errors []string        `json:"errors,omitempty"`
 	Cells  []CellTelemetry `json:"cells,omitempty"`
-}
-
-type jsonSeries struct {
-	Label   string    `json:"label"`
-	Threads []int     `json:"threads"`
-	Values  []float64 `json:"values"`
 }
 
 // WriteJSON renders experiments as one indented JSON array. Cell failures
@@ -81,10 +75,7 @@ func WriteJSON(w io.Writer, exps []*Experiment) error {
 	out := make([]jsonExperiment, 0, len(exps))
 	for _, e := range exps {
 		je := jsonExperiment{
-			ID: e.ID, Title: e.Title, Rows: e.Rows, Notes: e.Notes, Cells: e.Cells,
-		}
-		for _, s := range e.Series {
-			je.Series = append(je.Series, jsonSeries{Label: s.Label, Threads: s.Threads, Values: s.Values})
+			ID: e.ID, Title: e.Title, Series: e.Series, Rows: e.Rows, Notes: e.Notes, Cells: e.Cells,
 		}
 		for _, ce := range e.Errors {
 			je.Errors = append(je.Errors, ce.Error())

@@ -22,29 +22,30 @@ import (
 // *Team where they run loops; both name the one engine.
 type Pool = Team
 
-// worker is one scheduler thread of the pool. The padding keeps the Ctx its
-// owner writes at every split off the cache line of the next worker's deque,
-// which that worker locks at every push and pop.
+// worker is one scheduler thread of the pool, and the state of the task it is
+// running (tasks never nest): the part of the task's range it has not handed
+// to a child, and whether the task came off another worker's deque. The
+// padding keeps what the owner writes at every split off the cache line of
+// the next worker's deque, which that worker locks at every push and pop.
 type worker struct {
-	pool *Pool
-	id   int
-	dq   deque
-	rng  xrand.Rand
-	c    Ctx // the Ctx of the task the worker is running; tasks never nest
-	_    [64]byte
+	pool   *Pool
+	id     int
+	dq     deque
+	rng    xrand.Rand
+	lo, hi int
+	stolen bool
+	c      Ctx // the handle a *Ctx body of an exported driver gets on this worker
+	_      [64]byte
 }
 
-// Ctx is the handle a loop body gets: it identifies the executing worker (for
-// per-worker storage) and, inside the runtime, carries the task's range. A Ctx
-// is only valid within the body invocation it was passed to.
-type Ctx struct {
-	w      *worker
-	lo, hi int  // the part of the task's range it has not handed to a child
-	stolen bool // whether the task came off another worker's deque
-}
+// Ctx is the handle a body of the exported *Ctx drivers (ParallelForCtx,
+// ParallelForE, ParallelForRangeCtx) gets: it identifies the executing worker,
+// for per-worker storage, and is only valid within the body invocation it was
+// passed to. Loop bodies get the worker id itself.
+type Ctx struct{ id int }
 
 // Worker returns the executing worker's id in [0, Workers()).
-func (c *Ctx) Worker() int { return c.w.id }
+func (c *Ctx) Worker() int { return c.id }
 
 // runState is the task discipline's control block, resident like loopState:
 // the current run's range, body, grain and kind, which every task word of the
@@ -56,7 +57,7 @@ func (c *Ctx) Worker() int { return c.w.id }
 // reaches n exactly when every pushed task has exited (the root, which may
 // keep nothing, runs on the caller, and the caller reads done only after it).
 type runState struct {
-	body  func(lo, hi int, c *Ctx)
+	body  func(lo, hi, w int)
 	lo, n int   // the run's range, [lo, lo+n)
 	grain int   // never split below this many iterations (>= 1)
 	kind  uint8 // taskFor, taskAuto or taskAffinity
@@ -71,7 +72,7 @@ type runState struct {
 
 // Run kinds: how a run's root seeds it and how each task it pushes continues.
 const (
-	taskFor      uint8 = iota // cilk_for and TBB simple partitioner: halve to the grain (Ctx.forSplit)
+	taskFor      uint8 = iota // cilk_for and TBB simple partitioner: halve to the grain (forSplit)
 	taskAuto                  // TBB auto partitioner: seed W pieces (autoRoot), split on steal (autoRun)
 	taskAffinity              // TBB affinity partitioner: seed blocks on their homes (affinityRoot, affinityBlock)
 )
@@ -102,9 +103,9 @@ func NewPool(n int) *Pool { return NewTeam(n) }
 // split as kind says, and returns when every iteration has been run or
 // skipped. On a closed engine it returns ErrClosed, whatever r holds; an empty
 // r runs nothing. A run of more than 2³²−1 iterations, which a task word
-// cannot hold, panics before any work starts. aff is the affinity run's block
-// map, nil for any other kind.
-func (p *Pool) runRange(ctx context.Context, r Range, kind uint8, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
+// cannot hold, panics before any work starts. aff is the block map an affinity
+// run replays; no other kind reads it.
+func (p *Pool) runRange(ctx context.Context, r Range, kind uint8, aff *AffinityState, body func(lo, hi, w int)) error {
 	if p.crew.leave {
 		return ErrClosed
 	}
@@ -129,6 +130,16 @@ func (p *Pool) runRange(ctx context.Context, r Range, kind uint8, aff *AffinityS
 	return p.end()
 }
 
+// runCtx is runRange for a body of the exported drivers, which takes a *Ctx:
+// the engine's resident adapter (ctxAdapt) hands each chunk on to it with the
+// executing worker's Ctx.
+func (p *Pool) runCtx(ctx context.Context, r Range, kind uint8, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
+	p.ctxBody = body
+	err := p.runRange(ctx, r, kind, aff, p.ctxAdapt)
+	p.ctxBody = nil
+	return err
+}
+
 // runShare is worker w's share of the current run: worker 0 executes the root
 // task, and every worker runs what it can pop or steal until the run's
 // iterations are all accounted for.
@@ -150,12 +161,12 @@ func (p *Pool) runShare(w int) {
 // whether t came off another worker's deque; the auto partitioner splits only
 // what was stolen.
 func (w *worker) runTask(t uint64, root, stolen bool) {
-	p, rs, c := w.pool, &w.pool.rs, &w.c
-	c.stolen = stolen
+	p, rs := w.pool, &w.pool.rs
+	w.stolen = stolen
 	if root {
-		c.lo, c.hi = rs.lo, rs.lo+rs.n
+		w.lo, w.hi = rs.lo, rs.lo+rs.n
 	} else {
-		c.lo, c.hi = rs.span(t)
+		w.lo, w.hi = rs.span(t)
 	}
 	defer w.settle()
 	defer p.contain(w.id, p.counters)
@@ -167,31 +178,31 @@ func (w *worker) runTask(t uint64, root, stolen bool) {
 	}
 	switch {
 	case rs.kind == taskFor:
-		c.forSplit()
+		w.forSplit()
 	case rs.kind == taskAuto && root:
-		autoRoot(c)
+		w.autoRoot()
 	case rs.kind == taskAuto:
-		autoRun(c)
+		w.autoRun()
 	case root:
-		affinityRoot(c)
+		w.affinityRoot()
 	default:
-		affinityBlock(c, int(t))
+		w.affinityBlock(int(t))
 	}
 }
 
 // settle counts the range w's task kept into the run's done count, after the
 // task's body and its contained panic, if any: the caller, which returns once
 // done reaches n, sees both.
-func (w *worker) settle() { w.pool.rs.done.Add(int64(w.c.hi - w.c.lo)) }
+func (w *worker) settle() { w.pool.rs.done.Add(int64(w.hi - w.lo)) }
 
-// push hands the subrange of task word t to a child on w's deque — the one way
-// a task enters a deque — and counts it in TasksSpawned. w is the pusher's own
-// worker, except when the affinity partitioner seeds a block on its home.
+// push hands the subrange of task word t to a child on to's deque — the one way
+// a task enters a deque — and counts it in TasksSpawned on w, the pusher. to is
+// w itself, except when the affinity partitioner seeds a block on its home.
 // Nobody needs waking: while a run is in flight every worker is popping or
 // stealing.
-func (c *Ctx) push(w *worker, t uint64) {
-	c.w.pool.counters.Inc(c.w.id, telemetry.TasksSpawned)
-	w.dq.pushBottom(t)
+func (w *worker) push(to *worker, t uint64) {
+	w.pool.counters.Inc(w.id, telemetry.TasksSpawned)
+	to.dq.pushBottom(t)
 }
 
 // tryRunOne executes one task if any is available, preferring the worker's
@@ -241,22 +252,29 @@ func DefaultGrain(n, workers int) int {
 // as a child and keeping the right, then runs the final subrange inline:
 // cilk_for and TBB's simple partitioner alike. A cancelled run stops
 // subdividing and skips the range it kept.
-func (c *Ctx) forSplit() {
-	p, rs := c.w.pool, &c.w.pool.rs
-	for c.hi-c.lo > rs.grain {
+func (w *worker) forSplit() {
+	p, rs := w.pool, &w.pool.rs
+	for w.hi-w.lo > rs.grain {
 		if p.stopped() {
 			return
 		}
-		p.counters.Inc(c.w.id, telemetry.RangeSplits)
-		mid := c.lo + (c.hi-c.lo)/2
-		c.push(c.w, rs.word(c.lo, mid))
-		c.lo = mid
+		p.counters.Inc(w.id, telemetry.RangeSplits)
+		mid := w.lo + (w.hi-w.lo)/2
+		w.push(w, rs.word(w.lo, mid))
+		w.lo = mid
 	}
+	w.leaf()
+}
+
+// leaf runs the range w's task kept, unless the run was cancelled: a split
+// task's last piece.
+func (w *worker) leaf() {
+	p := w.pool
 	if p.stopped() {
 		return
 	}
-	p.counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	rs.body(c.lo, c.hi, c)
+	p.counters.Inc(w.id, telemetry.ChunksClaimed)
+	p.rs.body(w.lo, w.hi, w.id)
 }
 
 // ParallelForE is ParallelForCtx without a context. It stays only because
@@ -268,10 +286,11 @@ func (p *Pool) ParallelForE(n, grain int, body func(lo, hi int, c *Ctx)) error {
 // ParallelForCtx runs a cilk_for over [0, n) on the pool, polling ctx (which
 // may be nil) at every split boundary and returning the first body panic as a
 // *PanicError; grain <= 0 selects DefaultGrain. In steady state the call
-// allocates nothing.
+// allocates nothing. Kernels run cilk_for through Loop.OnCilk; this *Ctx
+// driver stays exported only because bench/ladder.go compiles against it.
 func (p *Pool) ParallelForCtx(ctx context.Context, n, grain int, body func(lo, hi int, c *Ctx)) error {
 	if grain <= 0 {
-		grain = DefaultGrain(n, p.Workers())
+		grain = DefaultGrain(n, p.workers)
 	}
-	return p.runRange(ctx, Range{0, n, grain}, taskFor, nil, body)
+	return p.runCtx(ctx, Range{0, n, grain}, taskFor, nil, body)
 }

@@ -12,30 +12,24 @@ import "context"
 //	OnCilk(pool, grain)      — cilk_for
 //	OnTBB(pool, part, grain) — tbb::parallel_for over a blocked range
 //
-// The zero Loop is unbound; bind it before Run and re-bind it freely between
-// runs. A Loop must not be copied after its first pool binding (the pool-side
-// adapter captures its address), so kernels keep it by value in their
-// Scratch. One Run at a time, like the engine it is bound to.
+// A binder fixes everything Run needs, so Run goes straight to the engine: a
+// team loop (ForCtx) or a task run (runRange) whose tasks call the body
+// itself. The zero Loop is unbound; bind it before Run and re-bind it freely
+// between runs. Kernels keep it by value in their Scratch. One Run at a time,
+// like the engine it is bound to.
 type Loop struct {
 	eng   *Team // the bound engine
 	tasks bool  // bound to the task discipline, else a team loop under opts
 	opts  ForOptions
 
-	cilk  bool // cilk_for, else a range split by part
-	part  Partitioner
-	grain int
+	kind  uint8 // a task binding's run kind: taskFor, taskAuto or taskAffinity
+	grain int   // a task binding's grain; <= 0 (cilk_for only) means DefaultGrain at Run
 	// aff is the site's block→worker map, replayed across runs. Allocated
 	// by the first affinity binding: held by value, its address would be what
 	// the engine keeps for the length of an affinity run, and that would
 	// force every Loop, even a Team-bound one on a caller's stack
 	// (irregular.TeamCtx), onto the heap.
 	aff *AffinityState
-
-	// The pool runtimes hand a body its *Ctx where the kernels want the
-	// worker id. adapt, built once, forwards to the current body, so a
-	// steady-state pool Run allocates nothing.
-	body  func(lo, hi, w int)
-	adapt func(lo, hi int, c *Ctx)
 }
 
 // OnTeam binds the loop to team under opts.
@@ -44,26 +38,17 @@ func (l *Loop) OnTeam(team *Team, opts ForOptions) {
 }
 
 // OnCilk binds the loop to pool as a cilk_for; grain <= 0 selects
-// DefaultGrain.
+// DefaultGrain of each run's size.
 func (l *Loop) OnCilk(pool *Pool, grain int) {
-	l.onPool(pool, grain)
-	l.cilk = true
+	l.eng, l.tasks, l.kind, l.grain = pool, true, taskFor, grain
 }
 
 // OnTBB binds the loop to pool as a blocked range split by part and never
-// below grain.
+// below grain; grain <= 0 means 1.
 func (l *Loop) OnTBB(pool *Pool, part Partitioner, grain int) {
-	l.onPool(pool, grain)
-	l.cilk, l.part = false, part
-	if part == AffinityPartitioner && l.aff == nil {
+	l.eng, l.tasks, l.kind, l.grain = pool, true, runKind(part), max(grain, 1)
+	if l.kind == taskAffinity && l.aff == nil {
 		l.aff = new(AffinityState)
-	}
-}
-
-func (l *Loop) onPool(pool *Pool, grain int) {
-	l.eng, l.tasks, l.grain = pool, true, grain
-	if l.adapt == nil {
-		l.adapt = func(lo, hi int, c *Ctx) { l.body(lo, hi, c.Worker()) }
 	}
 }
 
@@ -80,9 +65,9 @@ func (l *Loop) Run(ctx context.Context, n int, body func(lo, hi, w int)) error {
 	if !l.tasks {
 		return l.eng.ForCtx(ctx, n, l.opts, body)
 	}
-	l.body = body
-	if l.cilk {
-		return l.eng.ParallelForCtx(ctx, n, l.grain, l.adapt)
+	grain := l.grain
+	if grain <= 0 {
+		grain = DefaultGrain(n, l.eng.workers)
 	}
-	return ParallelForRangeCtx(ctx, l.eng, Range{Lo: 0, Hi: n, Grain: l.grain}, l.part, l.aff, l.adapt)
+	return l.eng.runRange(ctx, Range{0, n, grain}, l.kind, l.aff, body)
 }

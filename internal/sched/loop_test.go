@@ -33,7 +33,8 @@ func loopBindings(team *Team, pool *Pool) []loopBinding {
 // TestLoopContract holds the one loop runner to the ForCtx contract on
 // every binding: exactly-once coverage with worker ids below Workers(),
 // panics contained and the Loop usable afterwards, cancellation reported,
-// and no allocation in a warmed Run.
+// and no allocation in a warmed Run. A Loop holds no address of itself, so a
+// copy taken after a Run runs the same, allocation-free too.
 func TestLoopContract(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()
@@ -47,7 +48,7 @@ func TestLoopContract(t *testing.T) {
 			if l.Workers() != 4 {
 				t.Fatalf("Workers() = %d, want 4", l.Workers())
 			}
-			for _, n := range []int{0, 1, 7, 997} {
+			covers := func(l *Loop, n int) {
 				coverageCheck(t, n, func(mark func(int)) {
 					check(t, l.Run(context.Background(), n, func(lo, hi, w int) {
 						if w < 0 || w >= l.Workers() {
@@ -58,6 +59,13 @@ func TestLoopContract(t *testing.T) {
 						}
 					}))
 				})
+			}
+			for _, n := range []int{0, 1, 7, 997} {
+				covers(&l, n)
+			}
+			cp := l
+			for _, n := range []int{0, 1, 7, 997} {
+				covers(&cp, n)
 			}
 
 			err := l.Run(nil, 100, func(lo, hi, w int) { panic("boom") })
@@ -85,43 +93,49 @@ func TestLoopContract(t *testing.T) {
 				return
 			}
 			body := func(lo, hi, w int) {}
-			run := func() { l.Run(nil, 997, body) }
-			run()
-			if got := testing.AllocsPerRun(20, run); got != 0 {
-				t.Errorf("warmed Run allocates %.1f times", got)
+			for name, l := range map[string]*Loop{"Run": &l, "Run of a copy": &cp} {
+				run := func() { l.Run(nil, 997, body) }
+				run()
+				if got := testing.AllocsPerRun(20, run); got != 0 {
+					t.Errorf("warmed %s allocates %.1f times", name, got)
+				}
 			}
 		})
 	}
 }
 
 // TestLoopRebind walks one Loop value through every binding and back: a
-// binder must leave nothing of the previous binding behind.
+// binder must leave nothing of the previous binding behind. The second walk,
+// cilk → tbb-affinity → team → cilk, leaves a cilk_for binding after an
+// affinity one, whose block map the Loop keeps.
 func TestLoopRebind(t *testing.T) {
 	team := NewTeam(3)
 	defer team.Close()
 	pool := NewPool(5)
 	defer pool.Close()
 	bindings := loopBindings(team, pool)
-	var l Loop
-	for _, i := range []int{0, 2, 5, 1, 3, 0, 4, 2} {
-		b := bindings[i]
-		b.bind(&l)
-		want := team.Workers()
-		if b.onPool {
-			want = pool.Workers()
+	for _, walk := range [][]int{{0, 2, 5, 1, 3, 0, 4, 2}, {2, 5, 0, 2}} {
+		var l Loop
+		for _, i := range walk {
+			b := bindings[i]
+			b.bind(&l)
+			want := team.Workers()
+			if b.onPool {
+				want = pool.Workers()
+			}
+			if l.Workers() != want {
+				t.Fatalf("%s: Workers() = %d, want %d", b.name, l.Workers(), want)
+			}
+			coverageCheck(t, 503, func(mark func(int)) {
+				check(t, l.Run(nil, 503, func(lo, hi, w int) {
+					if w >= want {
+						t.Errorf("%s: worker id %d, want < %d", b.name, w, want)
+					}
+					for i := lo; i < hi; i++ {
+						mark(i)
+					}
+				}))
+			})
 		}
-		if l.Workers() != want {
-			t.Fatalf("%s: Workers() = %d, want %d", b.name, l.Workers(), want)
-		}
-		coverageCheck(t, 503, func(mark func(int)) {
-			check(t, l.Run(nil, 503, func(lo, hi, w int) {
-				if w >= want {
-					t.Errorf("%s: worker id %d, want < %d", b.name, w, want)
-				}
-				for i := lo; i < hi; i++ {
-					mark(i)
-				}
-			}))
-		})
 	}
 }

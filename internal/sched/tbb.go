@@ -13,7 +13,7 @@ import (
 //
 //   - SimplePartitioner splits recursively all the way down to the grain
 //     ("similar to the dynamic scheduling policy of OpenMP", §II-C) — the
-//     split of cilk_for, and run by the same code (Ctx.forSplit);
+//     split of cilk_for, and run by the same code (forSplit);
 //   - AutoPartitioner creates ~workers subranges and splits further only
 //     when a subrange gets stolen;
 //   - AffinityPartitioner remembers which worker ran each block in the
@@ -23,8 +23,12 @@ import (
 // All three run as tasks of runTask: the root seeds the range on the caller,
 // and every piece it or a split puts on a deque is one task word read against
 // the run's body, grain and kind, so no partitioner builds a closure per
-// piece. Auto and affinity seed at most ceil(size/grain) pieces — never finer
+// piece. A task's state — the range it kept, whether it was stolen — is its
+// worker's, and its leaf calls the run's (lo, hi, w) body with the worker's
+// id. Auto and affinity seed at most ceil(size/grain) pieces — never finer
 // than the simple partitioner's leaves of the same range — capped at W and 4W.
+// runKind is the one map from a partitioner to a run kind; Loop.OnTBB and
+// ParallelForRangeCtx both go through it.
 
 // Range is an iteration interval [Lo, Hi) with a minimum split size.
 type Range struct {
@@ -35,20 +39,11 @@ type Range struct {
 // Size returns the iteration count.
 func (r Range) Size() int { return r.Hi - r.Lo }
 
-// IsDivisible reports whether the range may be split further.
-func (r Range) IsDivisible() bool { return r.Size() > r.grain() }
-
 func (r Range) grain() int {
 	if r.Grain <= 0 {
 		return 1
 	}
 	return r.Grain
-}
-
-// Split halves the range, returning the left and right parts.
-func (r Range) Split() (Range, Range) {
-	mid := r.Lo + r.Size()/2
-	return Range{r.Lo, mid, r.Grain}, Range{mid, r.Hi, r.Grain}
 }
 
 // Partitioner selects a TBB range-partitioning policy.
@@ -78,28 +73,32 @@ func (p Partitioner) String() string {
 	return fmt.Sprintf("Partitioner(%d)", int(p))
 }
 
+// runKind maps a partitioner to the run kind the task discipline splits by.
+func runKind(part Partitioner) uint8 {
+	switch part {
+	case SimplePartitioner:
+		return taskFor
+	case AutoPartitioner:
+		return taskAuto
+	case AffinityPartitioner:
+		return taskAffinity
+	}
+	panic(fmt.Sprintf("sched: unknown partitioner %d", part))
+}
+
 // ParallelForRangeCtx executes body over r on pool using the given
 // partitioner, returning the first body panic as a *PanicError and polling
 // ctx (which may be nil) at every split boundary for cooperative
 // cancellation. For AffinityPartitioner, pass a persistent *AffinityState;
-// it may be nil for the other partitioners. Kernels reach it through Loop;
-// the free function stays exported only because bench/ladder.go compiles
-// against it.
+// it may be nil for the other partitioners. Kernels run ranges through
+// Loop.OnTBB; this *Ctx driver stays exported only because bench/ladder.go
+// compiles against it.
 func ParallelForRangeCtx(ctx context.Context, pool *Pool, r Range, part Partitioner, aff *AffinityState, body func(lo, hi int, c *Ctx)) error {
-	kind := taskFor
-	switch part {
-	case SimplePartitioner:
-	case AutoPartitioner:
-		kind = taskAuto
-	case AffinityPartitioner:
-		if aff == nil {
-			panic("sched: AffinityPartitioner requires an AffinityState")
-		}
-		kind = taskAffinity
-	default:
-		panic(fmt.Sprintf("sched: unknown partitioner %d", part))
+	kind := runKind(part)
+	if kind == taskAffinity && aff == nil {
+		panic("sched: AffinityPartitioner requires an AffinityState")
 	}
-	return pool.runRange(ctx, r, kind, aff, body)
+	return pool.runCtx(ctx, r, kind, aff, body)
 }
 
 // seeds is how many pieces auto and affinity cut r into up front: most, but
@@ -112,37 +111,32 @@ func seeds(r Range, most int) int {
 
 // autoRoot seeds up to one piece per worker, handing each to a child, then
 // lets autoRun subdivide on steals.
-func autoRoot(c *Ctx) {
-	rs := &c.w.pool.rs
-	lo, n := c.lo, c.hi-c.lo
-	k := seeds(Range{c.lo, c.hi, rs.grain}, c.w.pool.workers)
+func (w *worker) autoRoot() {
+	rs := &w.pool.rs
+	lo, n := w.lo, w.hi-w.lo
+	k := seeds(Range{w.lo, w.hi, rs.grain}, w.pool.workers)
 	for i := 1; i <= k; i++ {
 		hi := lo + n*i/k
-		c.push(c.w, rs.word(c.lo, hi))
-		c.lo = hi
+		w.push(w, rs.word(w.lo, hi))
+		w.lo = hi
 	}
 }
 
 // autoRun executes a piece; if this task arrived by theft and the range is
-// still divisible, it splits once and continues with the left half, giving
-// the next thief something big to take.
-func autoRun(c *Ctx) {
-	p, rs := c.w.pool, &c.w.pool.rs
-	r := Range{c.lo, c.hi, rs.grain}
-	for c.stolen && r.IsDivisible() {
+// still divisible, it halves it, pushing the right half as a child and going
+// on with the left, giving the next thief something big to take.
+func (w *worker) autoRun() {
+	p, rs := w.pool, &w.pool.rs
+	for w.stolen && w.hi-w.lo > rs.grain {
 		if p.stopped() {
 			return
 		}
-		p.counters.Inc(c.w.id, telemetry.RangeSplits)
-		left, right := r.Split()
-		c.push(c.w, rs.word(right.Lo, right.Hi))
-		r, c.hi = left, left.Hi
+		p.counters.Inc(w.id, telemetry.RangeSplits)
+		mid := w.lo + (w.hi-w.lo)/2
+		w.push(w, rs.word(mid, w.hi))
+		w.hi = mid
 	}
-	if p.stopped() {
-		return
-	}
-	p.counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	rs.body(c.lo, c.hi, c)
+	w.leaf()
 }
 
 // AffinityState carries the block→worker map of an affinity-partitioned
@@ -177,19 +171,19 @@ func (a *AffinityState) fit(r Range, workers int) {
 // affinityRoot pushes each block of the run onto its home worker's deque.
 // Idle workers may still steal blocks, and affinityBlock moves the home to the
 // thief.
-func affinityRoot(c *Ctx) {
-	p := c.w.pool
+func (w *worker) affinityRoot() {
+	p := w.pool
 	for b, home := range p.rs.aff.homes {
-		c.push(&p.ws[home], uint64(b))
-		_, c.lo = p.rs.block(b)
+		w.push(&p.ws[home], uint64(b))
+		_, w.lo = p.rs.block(b)
 	}
 }
 
-// affinityBlock runs block b of the current affinity run on c's worker, which
-// becomes the block's home for the next run.
-func affinityBlock(c *Ctx, b int) {
-	rs := &c.w.pool.rs
-	rs.aff.homes[b] = c.w.id
-	c.w.pool.counters.Inc(c.w.id, telemetry.ChunksClaimed)
-	rs.body(c.lo, c.hi, c)
+// affinityBlock runs block b of the current affinity run on w, which becomes
+// the block's home for the next run.
+func (w *worker) affinityBlock(b int) {
+	rs := &w.pool.rs
+	rs.aff.homes[b] = w.id
+	w.pool.counters.Inc(w.id, telemetry.ChunksClaimed)
+	rs.body(w.lo, w.hi, w.id)
 }

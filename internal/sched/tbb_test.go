@@ -9,24 +9,6 @@ import (
 	"micgraph/internal/telemetry"
 )
 
-func TestRangeSplit(t *testing.T) {
-	r := Range{0, 100, 10}
-	if !r.IsDivisible() {
-		t.Fatal("range of 100 with grain 10 not divisible")
-	}
-	l, rr := r.Split()
-	if l.Hi != rr.Lo || l.Lo != 0 || rr.Hi != 100 {
-		t.Errorf("split = %+v, %+v", l, rr)
-	}
-	small := Range{0, 10, 10}
-	if small.IsDivisible() {
-		t.Error("range at grain still divisible")
-	}
-	if (Range{0, 5, 0}).grain() != 1 {
-		t.Error("default grain != 1")
-	}
-}
-
 func TestParallelForRangeAllPartitioners(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()

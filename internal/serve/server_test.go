@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -314,6 +315,68 @@ func TestServeConcurrentSweepsShareOneLoad(t *testing.T) {
 		if !strings.Contains(svg.String(), "<svg") {
 			t.Error("WriteSVG produced no SVG")
 		}
+	}
+}
+
+// TestSweepSeriesKeysMatchWriteJSON pins one JSON shape for a series: a
+// served sweep's "experiment" line spells every series key the way
+// core.WriteJSON (micbench -json) does for the same experiment. The lines are
+// compared as maps, because decoding into a struct matches field names
+// without regard to case and would not see a difference.
+func TestSweepSeriesKeysMatchWriteJSON(t *testing.T) {
+	s := New(Config{Workers: 1, KernelWorkers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+
+	code, v := post(t, ts, JobSpec{Kind: KindSweep, SweepScale: 8, Experiments: []string{"fig4a"}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	if fin := wait(t, ts, v.ID); fin.Status != StatusSucceeded {
+		t.Fatalf("job = %+v", fin)
+	}
+	var served map[string]any
+	var el ExperimentLine
+	for _, m := range jsonLines(t, result(t, ts, v.ID)) {
+		if m["type"] == "experiment" {
+			served = m
+			line, _ := json.Marshal(m)
+			if err := json.Unmarshal(line, &el); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if served == nil {
+		t.Fatal("no experiment line in the sweep's stream")
+	}
+
+	var buf bytes.Buffer
+	exp := &core.Experiment{ID: el.ID, Title: el.Title, Series: el.Series, Rows: el.Rows, Notes: el.Notes}
+	if err := core.WriteJSON(&buf, []*core.Experiment{exp}); err != nil {
+		t.Fatal(err)
+	}
+	var written []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &written); err != nil || len(written) != 1 {
+		t.Fatalf("WriteJSON output: %v, %d experiments", err, len(written))
+	}
+
+	seriesKeys := func(exp map[string]any) []string {
+		var keys []string
+		series, _ := exp["series"].([]any)
+		for _, s := range series {
+			m, _ := s.(map[string]any)
+			from := len(keys)
+			for k := range m {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys[from:])
+		}
+		return keys
+	}
+	got, want := seriesKeys(served), seriesKeys(written[0])
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("served series keys %v, WriteJSON's %v", got, want)
 	}
 }
 
