@@ -31,7 +31,9 @@ type Result struct {
 
 // SeqGreedy colors g with the sequential First-Fit greedy algorithm
 // (Algorithm 1), visiting vertices in natural order. It uses at most Δ+1
-// colors.
+// colors. Its first fit is the parallel rounds' (maskFit), and it moves to
+// the forbidden-color array for good at the first vertex the mask cannot
+// color.
 func SeqGreedy(g *graph.Graph) Result {
 	n := g.NumVertices()
 	colors := make([]int32, n)
@@ -40,16 +42,25 @@ func SeqGreedy(g *graph.Graph) Result {
 	for i := range forbidden {
 		forbidden[i] = -1
 	}
+	array := false
 	maxColor := int32(0)
 	for v := int32(0); int(v) < n; v++ {
-		for _, w := range g.Adj(v) {
-			if c := colors[w]; c > 0 {
-				forbidden[c] = v
-			}
+		nbrs := g.Adj(v)
+		c := int32(64)
+		if !array {
+			c = maskFit(colors, nbrs)
 		}
-		c := int32(1)
-		for forbidden[c] == v {
-			c++
+		if c == 64 {
+			array = true
+			for _, w := range nbrs {
+				if c := colors[w]; c > 0 {
+					forbidden[c] = v
+				}
+			}
+			c = 1
+			for forbidden[c] == v {
+				c++
+			}
 		}
 		colors[v] = c
 		if c > maxColor {

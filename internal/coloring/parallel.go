@@ -23,7 +23,7 @@ import (
 // walking the neighbors' neighbors too.
 //
 // The per-worker state those hyperobjects provide — the localFC arrays — is
-// the Scratch's per-worker arrays.
+// the Scratch's per-worker state (colorWorker).
 //
 // The paper's round is two loops and two barriers: tentative coloring
 // (Algorithm 3), then conflict detection (Algorithm 4), which walks every arc
@@ -42,18 +42,33 @@ import (
 // start of the next round instead (Rokos, Gorman & Kelly) saves the barrier
 // but still reads every arc twice from memory (DESIGN.md §2).
 //
-// Round one does not re-read the arcs inside a chunk. Its work list is the
-// identity, so a chunk [lo, hi) of it is the vertex range [lo, hi), which
-// one worker colors in order — a pool leaf runs on one worker like a Team
-// chunk — storing each vertex once: of two adjacent vertices in the chunk,
-// the later one's gather follows the earlier one's only store of the round
-// and takes another color. An arc that leaves the chunk leaves its other
-// end's chunk too, so both ends re-read it and the argument above holds for
-// it unchanged. Adjacency lists are sorted, so those arcs are a prefix
-// below lo and a suffix from hi (speculateChunk, scratch.go). A chunk takes
-// that path when its first vertex has a neighbor later in the chunk
-// (localChunk); every other chunk, every later round — whose lists are not
-// ranges — and the inline round verify every arc.
+// Round one does not re-read the arcs inside a worker's run. Its work list
+// is the identity, so a chunk [lo, hi) of it is the vertex range [lo, hi),
+// which one worker colors in order — a pool leaf runs on one worker like a
+// Team chunk — storing each vertex once. A worker's run is the chunks it
+// colored back to back, each starting where the one before ended, or ending
+// where it began (a pool's leaves run in descending order): [from, end),
+// reset every round and extended at every round-one chunk (colorWorker.
+// extend). Every vertex of the run outside the current chunk was colored by
+// this worker, once, before the current chunk began, so of two adjacent
+// vertices in the run the later one's gather follows the earlier one's only
+// store of the round and takes another color. A run breaks exactly when the
+// chunk next to it went to another worker, so no scheduler hook is needed.
+// An arc that leaves the run has its other end in another worker's chunk,
+// or in one of this worker's other runs, and that end's verify did not skip
+// it either: both ends re-read it and the argument above holds for it
+// unchanged. Adjacency lists are sorted, so those arcs are a prefix below
+// from and a suffix from end (clashOutside, scratch.go). A chunk verifies
+// against its run when its first vertex has a neighbor later in the chunk
+// (localChunk), a property of the input's order that shuffled graphs lack;
+// every other chunk, every later round — whose lists are not ranges — and
+// the inline round verify every arc.
+//
+// The first fit is a mask's lowest clear bit while every neighbor color is
+// below 64 and one of 1 to 63 is free (maskFit); a worker that meets any
+// other vertex gathers into its forbidden-color array instead, and stays on
+// the array for the rest of its round (arrayFit). Both give the same color,
+// since first fit depends only on the set of neighbor colors.
 //
 // The simulator keeps the paper's two-phase round (mic.ColoringTrace): it
 // models the published algorithm, and the figures are computed from it.
@@ -75,15 +90,19 @@ func appendConflict(next []int32, count *atomic.Int64, v int32) {
 }
 
 // roundSample builds the PhaseSample for one completed speculative-coloring
-// round: visit held the vertices (re)colored this round, Edges is the sum of
-// their degrees, and conflicts of them were queued for the next round.
+// round: visit held the vertices (re)colored this round — round one's is the
+// identity, every vertex, and is not written — Edges is the sum of their
+// degrees, and conflicts of them were queued for the next round.
 // Telemetry-only path; time comes from rec's clock so instrumented runs can
 // be made deterministic.
 func roundSample(rec telemetry.Recorder, g *graph.Graph, round int, visit []int32, conflicts int, start time.Time) telemetry.PhaseSample {
 	dur := telemetry.Since(rec, start)
-	var edges int64
-	for _, v := range visit {
-		edges += int64(g.Degree(v))
+	edges := g.NumArcs()
+	if round > 0 {
+		edges = 0
+		for _, v := range visit {
+			edges += int64(g.Degree(v))
+		}
 	}
 	return telemetry.PhaseSample{
 		Kernel: "coloring", Phase: "round", Index: round,

@@ -118,10 +118,10 @@ func TestColorD2PublishVerify(t *testing.T) {
 	}
 }
 
-// TestColorPublishVerifyChunked hammers round one's chunk-local verify
-// (speculateChunk), which chunks of one vertex never reach: graphs in
-// natural order, whose chunks have arcs inside them, at chunks and grains
-// above 1 — a clique, cliques joined in a ring, and a banded mesh.
+// TestColorPublishVerifyChunked hammers round one's verify against a
+// worker's run, which chunks of one vertex never reach: graphs in natural
+// order, whose chunks have arcs inside them, at chunks and grains above 1 —
+// a clique, cliques joined in a ring, and a banded mesh.
 func TestColorPublishVerifyChunked(t *testing.T) {
 	team := sched.NewTeam(hammerWorkers)
 	defer team.Close()

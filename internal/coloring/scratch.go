@@ -3,6 +3,8 @@ package coloring
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -30,13 +32,14 @@ import (
 // alongside the error.
 type Scratch struct {
 	colors         []int32
-	fcs            []localFC
+	workers        []colorWorker
 	visitA, visitB []int32
 	conflicts      []int
 
 	// Per-round state read by the resident loop body below, so that
 	// steady-state rounds dispatch with zero closure allocations: vs is the
-	// round's work list, visited the length of all the lists before it,
+	// round's work list (round one's, the identity, is read as v = i and
+	// never written), visited the length of all the lists before it,
 	// nextBuf the next round's list, count the shared fetch-and-add cursor
 	// into it.
 	xadj    []int64
@@ -60,6 +63,32 @@ type Scratch struct {
 	loop sched.Loop
 }
 
+// colorWorker is one worker's state in a coloring round, a cache line wide:
+// its forbidden-color array, whether it has fallen back to that array this
+// round (arrayFit), and its run — the round-one chunks it colored back to
+// back, [from, end) — whose arcs speculate's verify skips (parallel.go).
+type colorWorker struct {
+	fc        localFC
+	array     bool
+	from, end int32
+	_         [28]byte
+}
+
+// extend adds the round-one chunk [lo, hi) to the worker's run: a chunk
+// that starts where the run ends, or ends where it starts, is colored right
+// after it by the same worker and extends it; any other chunk starts a new
+// run, since the chunks between were another worker's.
+func (wk *colorWorker) extend(lo, hi int32) {
+	switch {
+	case lo == wk.end:
+		wk.end = hi
+	case hi == wk.from:
+		wk.from = lo
+	default:
+		wk.from, wk.end = lo, hi
+	}
+}
+
 // checkTally is what one worker saw in a Check: how many vertices its
 // chunks held and the lowest bad vertex among them (n if none), a cache line
 // wide.
@@ -69,28 +98,31 @@ type checkTally struct {
 }
 
 // ensureBody lazily creates the resident loop bodies (they capture only s,
-// so one closure each serves every run). Two loops, not one over a function
-// value: speculate has to inline into its loop.
+// so one closure each serves every run). Two bodies, not one over a function
+// value: the first fit and the verify have to inline into speculate's loop.
 func (s *Scratch) ensureBody() {
 	if s.body != nil {
 		return
 	}
 	s.body = func(lo, hi, w int) {
-		fc := s.fcs[w]
-		if s.visited == 0 && localChunk(s.xadj, s.adjr, int32(lo), int32(hi)) {
-			s.speculateChunk(fc, int32(lo), int32(hi))
-			return
-		}
-		for i := lo; i < hi; i++ {
-			if v := s.vs[i]; speculate(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
-				appendConflict(s.nextBuf, &s.count, v)
+		wk := &s.workers[w]
+		from, end := int32(noRun), int32(noRun)
+		if s.visited == 0 {
+			wk.extend(int32(lo), int32(hi))
+			if localChunk(s.xadj, s.adjr, int32(lo), int32(hi)) {
+				from, end = wk.from, wk.end
 			}
 		}
+		s.speculate(wk, int32(lo), int32(hi), from, end)
 	}
 	s.bodyD2 = func(lo, hi, w int) {
-		fc := s.fcs[w]
+		fc := s.workers[w].fc
 		for i := lo; i < hi; i++ {
-			if v := s.vs[i]; speculateD2(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
+			v := int32(i)
+			if s.visited != 0 {
+				v = s.vs[i]
+			}
+			if speculateD2(s.xadj, s.adjr, s.colors, fc, v, s.visited+int32(i)) {
 				appendConflict(s.nextBuf, &s.count, v)
 			}
 		}
@@ -110,7 +142,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 // ensure sizes and resets every buffer for a run over g with the given
 // worker count and forbidden-color array length. The forbidden-color arrays
 // are cut to fcLen, however long an earlier run grew them, and reset to the
-// fresh state, so a recycled Scratch colors exactly like a new one.
+// fresh state, so a recycled Scratch colors exactly like a new one. The work
+// lists are only sized: round one's is the identity, read as v = i, and a
+// later round's is written before it is read.
 func (s *Scratch) ensure(g *graph.Graph, workers, fcLen int) {
 	n := g.NumVertices()
 	if cap(s.colors) < n {
@@ -121,38 +155,104 @@ func (s *Scratch) ensure(g *graph.Graph, workers, fcLen int) {
 	s.colors = s.colors[:n]
 	s.visitA = s.visitA[:n]
 	s.visitB = s.visitB[:n]
-	for i := range s.colors {
-		s.colors[i] = 0
-		s.visitA[i] = int32(i)
-	}
-	if len(s.fcs) < workers || cap(s.fcs[0]) < fcLen {
-		s.fcs = make([]localFC, workers)
-		for i := range s.fcs {
-			s.fcs[i] = make(localFC, fcLen)
+	clear(s.colors)
+	if len(s.workers) < workers || cap(s.workers[0].fc) < fcLen {
+		s.workers = make([]colorWorker, workers)
+		for i := range s.workers {
+			s.workers[i].fc = make(localFC, fcLen)
 		}
 	}
-	for i := range s.fcs {
-		fc := s.fcs[i][:fcLen]
+	for i := range s.workers {
+		fc := s.workers[i].fc[:fcLen]
 		for j := range fc {
 			fc[j] = -1
 		}
-		s.fcs[i] = fc
+		s.workers[i].fc = fc
 	}
 	s.conflicts = s.conflicts[:0]
 }
 
-// speculate colors v over the raw CSR arrays and reports whether v must be
-// colored again: gather the neighbors' colors, take the first fit, publish
-// it, then re-read the same neighbors — still in L1 — for one holding that
-// color (parallel.go says why this catches every clash). Atomic because
-// neighbors are colored concurrently; visit numbers this visit for fc. The
-// gather marks without testing for "uncolored" (fc[0] is no color's slot):
-// on a mesh half the neighbors are, in no order a branch predictor learns.
-// The verify re-reads a neighbor this worker colored earlier in the same
-// chunk too; a round-one chunk with such arcs runs speculateChunk, which
-// skips them.
-func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bool {
-	nbrs := adj[xadj[v]:xadj[v+1]]
+// noRun marks a chunk whose vertices verify every arc.
+const noRun = math.MaxInt32
+
+// speculate colors the work list's entries lo to hi−1 — in round one, whose
+// list is the identity, the vertices lo to hi−1 — over the raw CSR arrays,
+// and queues for the next round each one that must be colored again. Per
+// vertex: gather the neighbors' colors, take the first fit, publish it, then
+// re-read the same neighbors — still in L1 — for one holding that color
+// (parallel.go says why this catches every clash). Atomic because neighbors
+// are colored concurrently; a vertex's visit number, the length of the
+// earlier rounds' lists plus its index, marks its forbidden colors.
+//
+// The re-read skips the neighbors in the worker's run [from, end): in round
+// one a neighbor there was colored by this worker, in order, once this
+// round, so the later end's gather read the earlier end's final color and
+// the arc cannot clash (parallel.go). The list is sorted, so the arcs that
+// leave the run are a prefix below from and a suffix from end. A chunk with
+// no run (noRun) re-reads every arc in one plain loop (holds): the run's
+// bound test on every arc read shuffled RMAT-19 a few percent slower.
+func (s *Scratch) speculate(wk *colorWorker, lo, hi, from, end int32) {
+	xadj, adj, colors, vs, visited := s.xadj, s.adjr, s.colors, s.vs, s.visited
+	for i := lo; i < hi; i++ {
+		v := i
+		if visited != 0 {
+			v = vs[i]
+		}
+		nbrs := adj[xadj[v]:xadj[v+1]]
+		c := int32(64)
+		if !wk.array {
+			c = maskFit(colors, nbrs)
+		}
+		if c == 64 {
+			c = wk.arrayFit(colors, nbrs, visited+i)
+		}
+		atomic.StoreInt32(&colors[v], c)
+		var clash bool
+		if from == noRun {
+			clash = holds(colors, nbrs, c)
+		} else {
+			clash = clashOutside(colors, nbrs, c, from, end)
+		}
+		if clash {
+			appendConflict(s.nextBuf, &s.count, v)
+		}
+	}
+}
+
+// maskFit returns the smallest color no neighbor in nbrs holds, or 64 when
+// it cannot tell. The gather ORs each color's bit into a 64-bit mask and the
+// colors themselves into one word: while that word is below 64 every color
+// had a bit of its own, and the first fit is the mask's lowest clear bit
+// above bit 0 (0 is "uncolored", no color's). First fit depends only on the
+// set of neighbor colors, so this is arrayFit's answer whenever it is below
+// 64 (TestMaskFitMatchesArrayFit). The gather stores nothing, so no
+// neighbor's load waits behind a store whose address hangs on the load
+// before it. 64 means a neighbor holds a color of 64 or more, or colors 1 to
+// 63 are all taken.
+func maskFit(colors, nbrs []int32) int32 {
+	var m uint64
+	var seen int32
+	for _, u := range nbrs {
+		c := atomic.LoadInt32(&colors[u])
+		m |= 1 << (uint32(c) & 63)
+		seen |= c
+	}
+	if seen >= 64 {
+		return 64
+	}
+	return int32(bits.TrailingZeros64(^(m | 1)))
+}
+
+// arrayFit is first fit through the worker's forbidden-color array, for the
+// vertices maskFit cannot color: it marks fc[color] = visit for every
+// neighbor — without testing for "uncolored" (slot 0 is no color's; on a
+// mesh half the neighbors are, in no order a branch predictor learns) — and
+// takes the first color not marked. The worker stays on the array for the
+// rest of its round, so a graph that needs more than 63 colors pays one
+// wasted gather a worker a round, not one a vertex.
+func (wk *colorWorker) arrayFit(colors, nbrs []int32, visit int32) int32 {
+	wk.array = true
+	fc := wk.fc
 	for _, u := range nbrs {
 		fc[atomic.LoadInt32(&colors[u])] = visit
 	}
@@ -160,7 +260,23 @@ func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bo
 	for fc[c] == visit {
 		c++
 	}
-	atomic.StoreInt32(&colors[v], c)
+	return c
+}
+
+// localChunk reports whether the round-one chunk [lo, hi) — the vertices lo
+// to hi−1, the work list being the identity — verifies against its worker's
+// run: whether its first vertex has a neighbor later in the chunk. One
+// binary search a chunk, and a property of the input's order: on a banded
+// mesh in natural order nearly every chunk has one, on a shuffled graph
+// nearly none.
+func localChunk(xadj []int64, adj []int32, lo, hi int32) bool {
+	nbrs := adj[xadj[lo]:xadj[lo+1]]
+	i, _ := slices.BinarySearch(nbrs, lo+1)
+	return i < len(nbrs) && nbrs[i] < hi
+}
+
+// holds reports whether a neighbor in nbrs holds color c.
+func holds(colors, nbrs []int32, c int32) bool {
 	for _, u := range nbrs {
 		if atomic.LoadInt32(&colors[u]) == c {
 			return true
@@ -169,53 +285,23 @@ func speculate(xadj []int64, adj, colors []int32, fc localFC, v, visit int32) bo
 	return false
 }
 
-// localChunk reports whether the round-one chunk [lo, hi) — the vertices lo
-// to hi−1, the work list being the identity — takes speculateChunk: whether
-// its first vertex has a neighbor later in the chunk. One binary search a
-// chunk, and a property of the input's order: on a banded mesh in natural
-// order nearly every chunk has one, on a shuffled graph nearly none.
-func localChunk(xadj []int64, adj []int32, lo, hi int32) bool {
-	nbrs := adj[xadj[lo]:xadj[lo+1]]
-	i, _ := slices.BinarySearch(nbrs, lo+1)
-	return i < len(nbrs) && nbrs[i] < hi
-}
-
-// speculateChunk is speculate over the round-one chunk [lo, hi), a vertex's
-// visit number being the vertex itself, but each vertex verifies only the
-// arcs that leave the chunk: a neighbor inside it was colored by this
-// worker, in order, once this round, so the later end's gather read the
-// earlier end's final color and the arc cannot clash (parallel.go). The
-// list is sorted, so the arcs that leave are a prefix below lo and a suffix
-// from hi. A clashing vertex is queued for the next round.
-func (s *Scratch) speculateChunk(fc localFC, lo, hi int32) {
-	xadj, adj, colors := s.xadj, s.adjr, s.colors
-vertices:
-	for v := lo; v < hi; v++ {
-		nbrs := adj[xadj[v]:xadj[v+1]]
-		for _, u := range nbrs {
-			fc[atomic.LoadInt32(&colors[u])] = v
+// clashOutside reports whether a neighbor in the sorted list nbrs outside
+// [from, end) holds color c.
+func clashOutside(colors, nbrs []int32, c, from, end int32) bool {
+	for _, u := range nbrs {
+		if u >= from {
+			break
 		}
-		c := int32(1)
-		for fc[c] == v {
-			c++
-		}
-		atomic.StoreInt32(&colors[v], c)
-		for _, u := range nbrs {
-			if u >= lo {
-				break
-			}
-			if atomic.LoadInt32(&colors[u]) == c {
-				appendConflict(s.nextBuf, &s.count, v)
-				continue vertices
-			}
-		}
-		for i := len(nbrs) - 1; i >= 0 && nbrs[i] >= hi; i-- {
-			if atomic.LoadInt32(&colors[nbrs[i]]) == c {
-				appendConflict(s.nextBuf, &s.count, v)
-				continue vertices
-			}
+		if atomic.LoadInt32(&colors[u]) == c {
+			return true
 		}
 	}
+	for i := len(nbrs) - 1; i >= 0 && nbrs[i] >= end; i-- {
+		if atomic.LoadInt32(&colors[nbrs[i]]) == c {
+			return true
+		}
+	}
+	return false
 }
 
 // ColorTeam runs the iterative speculative coloring on an OpenMP-style
@@ -318,6 +404,9 @@ func (s *Scratch) color(ctx context.Context, g *graph.Graph, d2 bool) (Result, e
 		}
 		s.vs, s.nextBuf = visit, next
 		s.count.Store(0)
+		for i := range s.workers { // back on the mask, with no run
+			s.workers[i].array, s.workers[i].from, s.workers[i].end = false, -1, -1
+		}
 		if !inline {
 			err = s.loop.Run(ctx, len(visit), body)
 		} else if ctx == nil || ctx.Err() == nil {

@@ -132,9 +132,28 @@ func TestPaperClaimsAtScale1(t *testing.T) {
 				}
 			}
 		}},
+		{"1c simple above auto and affinity at every thread count ≥ 31", func(t *testing.T) {
+			threads := series(t, figs, "fig1c", "threads")
+			for _, col := range []string{"TBB-auto", "TBB-affinity"} {
+				other := series(t, figs, "fig1c", col)
+				for i, simple := range series(t, figs, "fig1c", "TBB-simple") {
+					if threads[i] >= 31 && simple <= other[i] {
+						t.Errorf("at %v threads TBB-simple reads %v, %s %v", threads[i], simple, col, other[i])
+					}
+				}
+			}
+		}},
 		{"2 OpenMP superlinear at 121 threads on shuffled graphs", func(t *testing.T) {
 			if s := speedupAt(t, figs, "fig2", "OpenMP", 121); s <= 121 {
 				t.Errorf("OpenMP speedup %v", s)
+			}
+		}},
+		{"2 Cilk < TBB < OpenMP at 121 threads", func(t *testing.T) {
+			cilk := speedupAt(t, figs, "fig2", "CilkPlus", 121)
+			tbb := speedupAt(t, figs, "fig2", "TBB", 121)
+			omp := speedupAt(t, figs, "fig2", "OpenMP", 121)
+			if cilk >= tbb || tbb >= omp {
+				t.Errorf("CilkPlus %v, TBB %v, OpenMP %v", cilk, tbb, omp)
 			}
 		}},
 		{"3 Cilk speedup rises with iter", func(t *testing.T) {
@@ -176,6 +195,14 @@ func TestPaperClaimsAtScale1(t *testing.T) {
 				if block < 3*bag {
 					t.Errorf("at %d threads the block queue reads %v, the bag %v (%.2f×)", th, block, bag, block/bag)
 				}
+			}
+		}},
+		{"4d block-relaxed > TLS > bag at 22 host threads", func(t *testing.T) {
+			block := speedupAt(t, figs, "fig4d", "OpenMP-Block-relaxed", 22)
+			tls := speedupAt(t, figs, "fig4d", "OpenMP-TLS", 22)
+			bag := speedupAt(t, figs, "fig4d", "CilkPlus-Bag-relaxed", 22)
+			if block <= tls || tls <= bag {
+				t.Errorf("OpenMP-Block-relaxed %v, OpenMP-TLS %v, CilkPlus-Bag-relaxed %v", block, tls, bag)
 			}
 		}},
 	} {

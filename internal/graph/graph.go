@@ -28,6 +28,10 @@ type Graph struct {
 	// first CheckComponentLabels and kept: 4 bytes a vertex, never handed out.
 	minimaOnce sync.Once
 	minima     []int32
+
+	// maxDeg is Δ, computed on the first MaxDegree and kept.
+	maxDegOnce sync.Once
+	maxDeg     int
 }
 
 // NumVertices returns |V|.
@@ -62,14 +66,14 @@ func (g *Graph) Xadj() []int64 { return g.xadj }
 func (g *Graph) AdjRaw() []int32 { return g.adj }
 
 // MaxDegree returns Δ, the largest vertex degree (0 for the empty graph).
+// One pass over the offsets on the first call; later calls read it back.
 func (g *Graph) MaxDegree() int {
-	d := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if dv := g.Degree(int32(v)); dv > d {
-			d = dv
+	g.maxDegOnce.Do(func() {
+		for v := range g.NumVertices() {
+			g.maxDeg = max(g.maxDeg, g.Degree(int32(v)))
 		}
-	}
-	return d
+	})
+	return g.maxDeg
 }
 
 // HasEdge reports whether the edge {u,v} is present, by binary search on the
